@@ -17,15 +17,21 @@ use mobilenet_core::{
 use mobilenet_netsim::collect_with_options;
 use mobilenet_traffic::Direction;
 
-use crate::stats::{fast_time, median, LayerTable};
+use crate::stats::{fast_time, median, show_seconds, LayerTable};
 use crate::{metric, Args, Outcome};
 
 /// The tier every result of this workload names.
 pub const TIER: &str = "medium (6,000 communes)";
 
-/// Set-ups per run; each collects the medium week, alternately at `nproc`
-/// threads and at 1 thread.
-const SETUP_REPS: usize = 10;
+/// Analysis passes between two set-ups in the timed window.
+const PASSES_PER_SETUP: usize = 2;
+
+/// Thread-count slots (`[nproc, 1 thread]`) of the set-ups in the timed
+/// window, repeated.
+const SETUP_SLOTS: [usize; 2] = [1, 0];
+
+/// Set-ups at 1 thread a run makes at least, however short `--seconds`.
+const MIN_SETUPS: usize = 2;
 
 /// k-shape restarts per `k` of the Fig 5 sweep.
 const RESTARTS: u64 = 5;
@@ -85,47 +91,74 @@ fn total_s(times: &[Duration; 5]) -> f64 {
     times[..4].iter().map(Duration::as_secs_f64).sum()
 }
 
-/// Runs the workload.
+/// `[nproc, 1 thread]` set-up and collection times of a run.
+#[derive(Default)]
+struct SetUps {
+    setup_s: [Vec<f64>; 2],
+    collect_s: [Vec<f64>; 2],
+}
+
+impl SetUps {
+    /// One timed set-up at `[threads, 1][slot]` threads.
+    fn run(&mut self, seed: u64, threads: usize, slot: usize) -> Study {
+        let t = Instant::now();
+        let (study, collect) = set_up(seed, [threads, 1][slot]);
+        self.setup_s[slot].push(t.elapsed().as_secs_f64());
+        self.collect_s[slot].push(collect);
+        study
+    }
+}
+
+/// Runs the workload: after the first set-up, further set-ups alternate
+/// with analysis passes through the whole timed window, alternately at
+/// 1 thread and at `nproc`, so that a slow phase of the host falls on the
+/// collections and the passes alike.
 pub fn run(args: &Args, threads: usize) -> Outcome {
     mobilenet_obs::set_enabled(Some(false));
-    // `[nproc, 1 thread]` set-up and collection times.
-    let mut setup_s: [Vec<f64>; 2] = Default::default();
-    let mut collect_s: [Vec<f64>; 2] = Default::default();
-    let mut study = None;
-    for rep in 0..SETUP_REPS {
-        drop(study.take());
-        let slot = rep % 2;
-        let t = Instant::now();
-        let (s, collect) = set_up(args.seed, [threads, 1][slot]);
-        setup_s[slot].push(t.elapsed().as_secs_f64());
-        collect_s[slot].push(collect);
-        study = Some(s);
-    }
-    let study = study.expect("at least one set-up");
+    let mut set_ups = SetUps::default();
+    let study = set_ups.run(args.seed, threads, 0);
     let records = study.ingest_stats().map_or(0, |i| i.records) as f64;
+    let reference = crate::batch::dataset_digest(study.dataset());
 
     let mut outcome = Outcome::default();
     let (serial, _) = pass(&study, 1);
     outcome.record(true);
+    let (mut bad_passes, mut bad_set_ups) = (0, 0);
     let mut passes = Vec::new();
     let start = Instant::now();
-    while passes.is_empty() || start.elapsed() < args.seconds {
-        let (digest, times) = pass(&study, threads);
-        passes.push(total_s(&times));
-        outcome.record(digest == serial);
+    let mut slots = SETUP_SLOTS.into_iter().cycle();
+    while set_ups.collect_s[1].len() < MIN_SETUPS || start.elapsed() < args.seconds {
+        for _ in 0..PASSES_PER_SETUP {
+            let (digest, times) = pass(&study, threads);
+            passes.push(total_s(&times));
+            outcome.record(digest == serial);
+            bad_passes += (digest != serial) as usize;
+        }
+        let other = set_ups.run(args.seed, threads, slots.next().expect("cycles forever"));
+        let same = crate::batch::dataset_digest(other.dataset()) == reference;
+        outcome.record(same);
+        bad_set_ups += !same as usize;
     }
-    if outcome.failed > 0 {
+    if bad_passes > 0 {
         outcome.errors.push(format!(
-            "{} passes at {threads} threads differ from the 1-thread digest",
-            outcome.failed
+            "{bad_passes} passes at {threads} threads differ from the 1-thread digest"
         ));
     }
+    if bad_set_ups > 0 {
+        outcome.errors.push(format!(
+            "{bad_set_ups} set-up collections differ from the first one"
+        ));
+    }
+    let SetUps { setup_s, collect_s } = set_ups;
     let fast = |v: &[f64]| fast_time(v).expect("at least one sample");
     println!(
-        "analysis_suite: {} passes at {threads} threads, fast time {:.4} s, median {:.4} s",
+        "analysis_suite: {} passes at {threads} threads, fast time {:.4} s, median {:.4} s; \
+         collections at {threads} threads {}, at 1 thread {}",
         passes.len(),
         fast(&passes),
-        median(&passes).unwrap_or(0.0)
+        median(&passes).unwrap_or(0.0),
+        show_seconds(&collect_s[0]),
+        show_seconds(&collect_s[1])
     );
     outcome.push(metric("setup_s", fast(&setup_s[0]), "s"));
     outcome.push(metric(

@@ -29,7 +29,7 @@ use mobilenet_traffic::{
     DemandModel, Direction, Session, SessionGenerator, Technology, TrafficDataset,
 };
 
-use crate::stats::{fast_time, median, LayerTable};
+use crate::stats::{fast_time, median, show_seconds, timed, LayerTable};
 use crate::{metric, Args, Outcome};
 
 /// Session thinning of the benchmark week: the france tier's geography
@@ -40,8 +40,8 @@ pub const VOLUME_SCALE: f64 = 320.0;
 /// The tier every result of this workload (and of `live_query_mix`) names.
 pub const TIER: &str = "france geography, volume_scale 320 (~3.5e6 sessions)";
 
-/// Set-ups per run; `setup_s` is their [`fast_time`].
-pub const SETUP_REPS: usize = 15;
+/// `Capture::build` calls the traced run times for `netsim.capture_s`.
+const CAPTURE_REPS: usize = 15;
 
 /// Salt of the radio-deployment seed `Capture::build` uses.
 const RADIO_SALT: u64 = 0x7261_6469_6f00_0001;
@@ -63,26 +63,9 @@ fn set_up(config: &StudyConfig, seed: u64) -> DemandModel {
     model
 }
 
-/// Runs [`set_up`] [`SETUP_REPS`] times; returns the last model and the
-/// [`fast_time`] of the set-up times.
-fn timed_set_up(config: &StudyConfig, seed: u64) -> (DemandModel, f64) {
-    let mut secs = Vec::new();
-    let mut model = None;
-    for _ in 0..SETUP_REPS {
-        drop(model.take());
-        let t = Instant::now();
-        model = Some(set_up(config, seed));
-        secs.push(t.elapsed().as_secs_f64());
-    }
-    (
-        model.expect("at least one set-up"),
-        fast_time(&secs).expect("set-up samples"),
-    )
-}
-
 /// A cheap exact digest of a dataset's tables (every series, commune
 /// vector, tail and unclassified total, by bit pattern).
-fn dataset_digest(ds: &TrafficDataset) -> u64 {
+pub fn dataset_digest(ds: &TrafficDataset) -> u64 {
     let mut h = DefaultHasher::new();
     for dir in [Direction::Down, Direction::Up] {
         for s in 0..ds.n_services() {
@@ -127,7 +110,8 @@ pub fn run(args: &Args, threads: usize) -> Outcome {
     mobilenet_obs::set_enabled(Some(false));
     let config = week_config();
     let options = config.collect_options();
-    let (model, setup_s) = timed_set_up(&config, args.seed);
+    let mut setup_s = Vec::new();
+    let model = timed(&mut setup_s, || set_up(&config, args.seed));
 
     let mut outcome = Outcome::default();
     let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
@@ -135,7 +119,9 @@ pub fn run(args: &Args, threads: usize) -> Outcome {
     let mut reference: Option<u64> = None;
     let start = Instant::now();
     // Alternate the two thread counts so slow phases of a noisy machine
-    // fall on both; always finish a whole pair.
+    // fall on both, and set up again after each pair so that the set-up
+    // samples span the run as the collections do; always finish a whole
+    // pair.
     while times[1].is_empty() || start.elapsed() < args.seconds {
         for (slot, t) in [1, threads].into_iter().enumerate() {
             mobilenet_par::set_thread_override(Some(t));
@@ -154,16 +140,24 @@ pub fn run(args: &Args, threads: usize) -> Outcome {
             outcome.record(errors.is_empty());
             outcome.errors.extend(errors);
         }
+        mobilenet_par::set_thread_override(None);
+        drop(timed(&mut setup_s, || set_up(&config, args.seed)));
     }
-    mobilenet_par::set_thread_override(None);
     let [serial, parallel] =
         [&times[0], &times[1]].map(|t| fast_time(t).expect("at least one collection each"));
     println!(
         "batch_week: {records} records per collection; {} collections per thread count; \
-         fast time {serial:.3} s at 1 thread, {parallel:.3} s at {threads}",
-        times[0].len()
+         fast time {serial:.3} s at 1 thread, {parallel:.3} s at {threads}; \
+         collections at 1 thread {}, at {threads} threads {}",
+        times[0].len(),
+        show_seconds(&times[0]),
+        show_seconds(&times[1])
     );
-    outcome.push(metric("setup_s", setup_s, "s"));
+    outcome.push(metric(
+        "setup_s",
+        fast_time(&setup_s).expect("set-up samples"),
+        "s",
+    ));
     outcome.push(metric("records_per_s", records as f64 / parallel, "1/s"));
     outcome.push(metric("records_per_s_1t", records as f64 / serial, "1/s"));
     outcome.push(metric("op_ms", parallel * 1e3, "ms"));
@@ -483,7 +477,7 @@ pub fn traced(args: &Args, threads: usize) -> (Outcome, f64) {
     mobilenet_obs::set_enabled(Some(false));
     let model = set_up(&config, args.seed);
     let mut capture_s = Vec::new();
-    for _ in 0..SETUP_REPS {
+    for _ in 0..CAPTURE_REPS {
         let t = Instant::now();
         drop(Capture::build(&model, &config.netsim, args.seed).expect("valid config"));
         capture_s.push(t.elapsed().as_secs_f64());

@@ -2,7 +2,7 @@
 //! `spawn_server` on loopback at `nproc` ingest threads, queried over one
 //! connection in two phases.
 //!
-//! * Phase 1, during ingest: the verb mix in an open loop at 20 queries/s
+//! * Phase 1, during ingest: the verb mix in an open loop at 10 queries/s
 //!   until `WATERMARK` reports the week complete. Every fold bumps the
 //!   state version, so nearly every query re-merges the 20 shard partials
 //!   under all shard locks. Latency counts from each query's due time.
@@ -25,10 +25,10 @@ use mobilenet_netsim::{collect_with_options, Capture};
 use mobilenet_serve::{answer, spawn_server, LiveState, ServerHandle, SnapshotQuery};
 use mobilenet_traffic::DemandModel;
 
-use crate::batch::{week_config, SETUP_REPS};
+use crate::batch::week_config;
 use crate::stats::{
-    fail_frac, fast_time, generator_late_ms, median, open_loop_latency_ms, tail, LayerTable,
-    OpenLoop, Tail,
+    fail_frac, fast_time, generator_late_ms, median, open_loop_latency_ms, show_seconds, tail,
+    timed, LayerTable, OpenLoop, Tail,
 };
 use crate::{metric, Args, Outcome};
 
@@ -43,11 +43,21 @@ const MIX: [&str; 7] = [
     "STATS",
 ];
 
-/// Open-loop send interval of phase 1: 20 queries/s.
-const INTERVAL: Duration = Duration::from_millis(50);
+/// Open-loop send interval of phase 1: 10 queries/s. Each query holds
+/// every shard lock for its snapshot merge (~20 ms on the development
+/// box), so the rate sets the share of ingest time lost to merges, ~20%
+/// here: enough that a merge change moves the ingest rate, little enough
+/// that a host slow phase, which lengthens folds and merges alike, is not
+/// much amplified in it (see `README.md`, *The phase-1 rate*).
+const INTERVAL: Duration = Duration::from_millis(100);
 
 /// Phase-2 queries per ingest cycle (ten rounds of the mix).
 const IDLE_QUERIES: usize = 10 * MIX.len();
+
+/// The ingest cycles of one round, as slots of `[nproc, 1 thread]`: two
+/// of three at `nproc`, whose ingest rate under load moves most with the
+/// host's slow phases and so needs the most samples.
+const CYCLE_SLOTS: [usize; 3] = [0, 0, 1];
 
 /// How long a reply may take before the query counts as timed out.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
@@ -281,19 +291,13 @@ fn wire_cycle(rig: &Rig, threads: usize, outcome: &mut Outcome) -> Cycle {
     cycle
 }
 
-/// Builds the model, the capture, the live state and its server
-/// [`SETUP_REPS`] times; returns the [`fast_time`] of the set-up times.
-fn timed_set_up(config: &StudyConfig, seed: u64) -> f64 {
-    let mut secs = Vec::new();
-    for _ in 0..SETUP_REPS {
-        let t = Instant::now();
-        let model = config.demand_model(seed);
-        Capture::build(&model, &config.netsim, seed).expect("the france tier config is valid");
-        let mut rig = Rig::new(model, config, seed);
-        secs.push(t.elapsed().as_secs_f64());
-        rig.server.shutdown();
-    }
-    fast_time(&secs).expect("set-up samples")
+/// Builds the model, the capture, the live state and its server, then
+/// shuts the server down; the set-up `setup_s` times.
+fn set_up(config: &StudyConfig, seed: u64) {
+    let model = config.demand_model(seed);
+    Capture::build(&model, &config.netsim, seed).expect("the france tier config is valid");
+    let mut rig = Rig::new(model, config, seed);
+    rig.server.shutdown();
 }
 
 /// Checks that the finished study's `DATASET` over the wire is byte-equal
@@ -401,7 +405,10 @@ pub fn run_unit(args: &Args, threads: usize, spec: &str) -> Result<(), String> {
             out.push(metric("ingest_s", plain.ingest_s, "s"));
             out.push(metric("late_ms_max", plain.late_ms_max, "ms"));
         }
-        Unit::Traced => traced_unit(model, &config, args.seed, threads, &mut out),
+        Unit::Traced => {
+            let snapshot_ms = traced_unit(model, &config, args.seed, threads, &mut out);
+            samples.push(("snapshot", snapshot_ms));
+        }
     }
     println!("{REPORT} ops {} {}", out.attempted, out.failed);
     for e in &out.errors {
@@ -499,38 +506,47 @@ fn absorb(outcome: &mut Outcome, report: &Report) {
 /// threads and one, each in a fresh process, both under the same phase-1
 /// query load; the query latencies are those of the `nproc` cycles. The
 /// first cycle also checks the final `DATASET` against a batch export.
+/// The parent sets up once before each cycle, so that the set-up samples
+/// span the run as the cycles do.
 pub fn run(args: &Args, threads: usize) -> Outcome {
     mobilenet_obs::set_enabled(Some(false));
     let config = week_config();
-    let setup_s = timed_set_up(&config, args.seed);
+    let mut setup_s = Vec::new();
     let mut outcome = Outcome::default();
     // `[nproc, 1 thread]` ingest times.
     let mut ingest_s: [Vec<f64>; 2] = Default::default();
     let mut records = 0.0;
     let mut busy = Vec::new();
+    // Phase-1 median latency of each `nproc` cycle.
+    let mut busy_p50 = Vec::new();
     let mut idle = Vec::new();
     let mut late_ms_max = 0.0f64;
-    let mut peak_rss_mb = crate::probe::peak_rss_mb();
+    // Peak RSS of each cycle's process.
+    let mut peak_rss_mb = Vec::new();
     let start = Instant::now();
-    while ingest_s[1].is_empty() || start.elapsed() < args.seconds {
-        for (slot, t) in [threads, 1].into_iter().enumerate() {
-            let check = ingest_s[0].is_empty();
-            let report = match spawn_unit(args, &Unit::Cycle { threads: t, check }) {
-                Ok(r) => r,
-                Err(e) => {
-                    outcome.errors.push(e);
-                    return outcome;
-                }
-            };
-            absorb(&mut outcome, &report);
-            ingest_s[slot].push(report.value("ingest_s"));
-            records = report.value("records");
-            late_ms_max = late_ms_max.max(report.value("late_ms_max"));
-            peak_rss_mb = peak_rss_mb.max(report.value("peak_rss_mb"));
-            if slot == 0 {
-                busy.extend_from_slice(report.samples("busy"));
-                idle.extend_from_slice(report.samples("idle"));
+    for slot in CYCLE_SLOTS.into_iter().cycle() {
+        if !ingest_s[1].is_empty() && start.elapsed() >= args.seconds {
+            break;
+        }
+        timed(&mut setup_s, || set_up(&config, args.seed));
+        let t = [threads, 1][slot];
+        let check = ingest_s[0].is_empty();
+        let report = match spawn_unit(args, &Unit::Cycle { threads: t, check }) {
+            Ok(r) => r,
+            Err(e) => {
+                outcome.errors.push(e);
+                return outcome;
             }
+        };
+        absorb(&mut outcome, &report);
+        ingest_s[slot].push(report.value("ingest_s"));
+        records = report.value("records");
+        late_ms_max = late_ms_max.max(report.value("late_ms_max"));
+        peak_rss_mb.push(report.value("peak_rss_mb"));
+        if slot == 0 {
+            busy.extend_from_slice(report.samples("busy"));
+            busy_p50.extend(median(report.samples("busy")));
+            idle.extend_from_slice(report.samples("idle"));
         }
     }
 
@@ -542,10 +558,11 @@ pub fn run(args: &Args, threads: usize) -> Outcome {
         })
     };
     println!(
-        "live_query_mix: {} cycles per thread count; ingest fast time {:.3} s at {threads} threads, \
+        "live_query_mix: {} cycles at {threads} threads, {} at 1; ingest fast time {:.3} s at {threads} threads, \
          {:.3} s at 1; during ingest p50 {:.3} ms, tail {}; idle p50 {:.3} ms, tail {}; \
          failure fraction {:.4} ({} of {} queries); generator late by at most {late_ms_max:.2} ms",
         ingest_s[0].len(),
+        ingest_s[1].len(),
         fast(&ingest_s[0]),
         fast(&ingest_s[1]),
         median(&busy).unwrap_or(0.0),
@@ -556,15 +573,27 @@ pub fn run(args: &Args, threads: usize) -> Outcome {
         outcome.failed,
         outcome.attempted,
     );
-    outcome.push(metric("setup_s", setup_s, "s"));
+    println!(
+        "live_query_mix: ingest seconds at {threads} threads {}, at 1 thread {}; \
+         phase-1 p50 ms per {threads}-thread cycle {}; peak RSS MB per cycle {}",
+        show_seconds(&ingest_s[0]),
+        show_seconds(&ingest_s[1]),
+        show_seconds(&busy_p50),
+        show_seconds(&peak_rss_mb)
+    );
+    outcome.push(metric("setup_s", fast(&setup_s), "s"));
     outcome.push(metric("records_per_s", records / fast(&ingest_s[0]), "1/s"));
     outcome.push(metric(
         "records_per_s_1t",
         records / fast(&ingest_s[1]),
         "1/s",
     ));
-    outcome.push(metric("op_ms", median(&busy).unwrap_or(0.0), "ms"));
-    outcome.push(metric("peak_rss_mb", peak_rss_mb, "MB"));
+    outcome.push(metric("op_ms", fast(&busy_p50), "ms"));
+    outcome.push(metric(
+        "peak_rss_mb",
+        median(&peak_rss_mb).expect("at least one cycle"),
+        "MB",
+    ));
     outcome
 }
 
@@ -674,49 +703,97 @@ fn median_ms(reps: usize, mut f: impl FnMut() -> Duration) -> f64 {
     median(&samples).unwrap_or(0.0)
 }
 
-/// The traced run, in two fresh processes: an untraced and a traced
-/// in-process cycle (overhead, snapshot cost during ingest), then on the
-/// finished study the answer cost per verb and the wire cost of the same
-/// queries over TCP. Returns the per-layer metrics and the tracing
-/// overhead.
+/// Untraced and traced cycles of the traced run. One cycle at the phase-1
+/// rate builds only about a dozen snapshots, too few for a tail with ten
+/// samples beyond it; the pairs pool theirs.
+const TRACED_PAIRS: usize = 4;
+
+/// The traced run, in fresh processes: [`TRACED_PAIRS`] pairs of an
+/// untraced and a traced in-process cycle (overhead, snapshot cost during
+/// ingest), each traced one followed on its finished study by the answer
+/// cost per verb and the wire cost of the same queries over TCP. Returns
+/// the per-layer metrics (medians over the traced cycles, snapshot builds
+/// pooled) and the tracing overhead.
 pub fn traced(args: &Args, _threads: usize) -> (Outcome, f64) {
     let mut outcome = Outcome::default();
-    let (plain, traced) = match (
-        spawn_unit(args, &Unit::Plain),
-        spawn_unit(args, &Unit::Traced),
-    ) {
-        (Ok(p), Ok(t)) => (p, t),
-        (p, t) => {
-            outcome.errors.extend(p.err().into_iter().chain(t.err()));
-            return (outcome, f64::NAN);
-        }
-    };
-    absorb(&mut outcome, &plain);
-    absorb(&mut outcome, &traced);
-    for m in &traced.outcome.metrics {
+    let mut ingest_s: [Vec<f64>; 2] = Default::default();
+    let mut snapshot_ms = Vec::new();
+    let (mut builds, mut queries) = (0.0, 0.0);
+    let mut late_ms_max = 0.0f64;
+    let mut reports = Vec::new();
+    for _ in 0..TRACED_PAIRS {
+        let (plain, traced) = match (
+            spawn_unit(args, &Unit::Plain),
+            spawn_unit(args, &Unit::Traced),
+        ) {
+            (Ok(p), Ok(t)) => (p, t),
+            (p, t) => {
+                outcome.errors.extend(p.err().into_iter().chain(t.err()));
+                return (outcome, f64::NAN);
+            }
+        };
+        absorb(&mut outcome, &plain);
+        absorb(&mut outcome, &traced);
+        ingest_s[0].push(plain.value("ingest_s"));
+        ingest_s[1].push(traced.value("ingest_s"));
+        snapshot_ms.extend_from_slice(traced.samples("snapshot"));
+        builds += traced.value("snapshot_builds");
+        queries += traced.value("queries");
+        late_ms_max = late_ms_max
+            .max(plain.value("late_ms_max"))
+            .max(traced.value("late_ms_max"));
+        reports.push(traced);
+    }
+    for m in reports[0].outcome.metrics.iter() {
         if m.name.contains('.') {
-            outcome.push(metric(m.name.clone(), m.value, &m.unit));
+            let values: Vec<f64> = reports.iter().map(|r| r.value(&m.name)).collect();
+            outcome.push(metric(
+                m.name.clone(),
+                median(&values).unwrap_or(f64::NAN),
+                &m.unit,
+            ));
         }
     }
+    let snapshot_tail = tail(&snapshot_ms);
+    println!(
+        "live_query_mix: {} snapshot builds during ingest over {TRACED_PAIRS} traced cycles, \
+         p50 {:.3} ms, tail {}",
+        snapshot_ms.len(),
+        median(&snapshot_ms).unwrap_or(0.0),
+        snapshot_tail.map_or("-".into(), |t| format!(
+            "{:.3} ms at p{:.1}",
+            t.value, t.percentile
+        ))
+    );
     outcome.push(metric(
-        "loadgen.late_ms_max",
-        plain.value("late_ms_max").max(traced.value("late_ms_max")),
+        "serve.snapshot_ms.p50",
+        median(&snapshot_ms).unwrap_or(0.0),
         "ms",
     ));
-    (
-        outcome,
-        traced.value("ingest_s") / plain.value("ingest_s") - 1.0,
-    )
+    outcome.push(metric(
+        "serve.snapshot_ms.tail",
+        snapshot_tail.map_or(0.0, |t| t.value),
+        "ms",
+    ));
+    outcome.push(metric(
+        "serve.snapshot_builds_per_query",
+        builds / queries.max(1.0),
+        "ratio",
+    ));
+    outcome.push(metric("loadgen.late_ms_max", late_ms_max, "ms"));
+    let [plain, traced] = [&ingest_s[0], &ingest_s[1]].map(|v| median(v).unwrap_or(f64::NAN));
+    (outcome, traced / plain - 1.0)
 }
 
-/// The traced unit: see [`traced`].
+/// The traced unit: see [`traced`]. Returns the snapshot build times
+/// during ingest, ms.
 fn traced_unit(
     model: DemandModel,
     config: &StudyConfig,
     seed: u64,
     threads: usize,
     out: &mut Outcome,
-) {
+) -> Vec<f64> {
     mobilenet_obs::set_enabled(Some(true));
     mobilenet_obs::reset();
     let rig = Rig::new(model, config, seed);
@@ -765,22 +842,12 @@ fn traced_unit(
     }
     rig.server.shutdown();
 
-    let snapshot_tail = tail(&traced_cycle.snapshot_ms);
     out.push(metric(
-        "serve.snapshot_ms.p50",
-        median(&traced_cycle.snapshot_ms).unwrap_or(0.0),
-        "ms",
+        "snapshot_builds",
+        traced_cycle.snapshot_builds as f64,
+        "count",
     ));
-    out.push(metric(
-        "serve.snapshot_ms.tail",
-        snapshot_tail.map_or(0.0, |t| t.value),
-        "ms",
-    ));
-    out.push(metric(
-        "serve.snapshot_builds_per_query",
-        traced_cycle.snapshot_builds as f64 / traced_cycle.queries.max(1) as f64,
-        "ratio",
-    ));
+    out.push(metric("queries", traced_cycle.queries as f64, "count"));
     for (verb, ms) in answer_ms
         .iter()
         .filter(|(v, _)| !matches!(*v, "WATERMARK" | "STATS"))
@@ -796,4 +863,5 @@ fn traced_unit(
     ));
     out.push(metric("ingest_s", traced_cycle.ingest_s, "s"));
     out.push(metric("late_ms_max", traced_cycle.late_ms_max, "ms"));
+    traced_cycle.snapshot_ms
 }

@@ -30,6 +30,21 @@ pub fn fast_time(seconds: &[f64]) -> Option<f64> {
     quantile(seconds, 0.1)
 }
 
+/// Runs `f`, appends its wall time in seconds to `samples` and returns its
+/// result.
+pub fn timed<T>(samples: &mut Vec<f64>, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    samples.push(t.elapsed().as_secs_f64());
+    out
+}
+
+/// Timings in run order, to three decimals, for the diagnostic lines.
+pub fn show_seconds(seconds: &[f64]) -> String {
+    let shown: Vec<String> = seconds.iter().map(|s| format!("{s:.3}")).collect();
+    format!("[{}]", shown.join(" "))
+}
+
 /// Samples that must lie beyond a reported tail value.
 pub const TAIL_BEYOND: usize = 10;
 
