@@ -1,11 +1,12 @@
-//! Live-aggregation benchmarks: what the incremental engine costs
-//! relative to the batch path it mirrors, and what a snapshot costs while
-//! state is hot.
+//! Live-aggregation benchmarks: what the live layer costs on top of the
+//! sharded-fold engine it shares with batch collection, and what a
+//! snapshot costs while state is hot.
 //!
 //! * `live_ingest/batch` vs `live_ingest/live` — the same small week
 //!   through `collect_with_options` and through `LiveState::run_ingestion`
-//!   (the live path adds per-shard mutexes, watermark tracking and a
-//!   version counter; it should stay within a small factor of batch);
+//!   (both run `ShardedFold`; the live path adds watermark tracking and a
+//!   version bump per batch, and keeps its partials for snapshots; it
+//!   should stay within a small factor of batch);
 //! * `live_snapshot/cached` — the version-keyed fast path queries hit
 //!   between folds (the uncached merge cost is included in
 //!   `live_ingest/live`, which ends with one cold snapshot).

@@ -39,9 +39,7 @@ use mobilenet_core::temporal::{clustering_sweep, Algorithm};
 use mobilenet_core::topical::topical_profiles;
 use mobilenet_core::Scale;
 use mobilenet_geo::Country;
-use mobilenet_netsim::{
-    collect_with_options, observe_with_options, CollectOptions, FoldStrategy, SliceSource,
-};
+use mobilenet_netsim::{collect_with_options, observe_with_options, CollectOptions, SliceSource};
 use mobilenet_traffic::{DemandModel, Direction, ServiceCatalog};
 use std::sync::Arc;
 
@@ -272,11 +270,9 @@ fn main() {
     }
 
     // Pure record-aggregation replay: capture the record stream once,
-    // then time only the fold (no session synthesis, no probe RNG) —
-    // row-at-a-time versus the columnar batched fold. This is where the
-    // dense-accumulation rewrite shows up: synthesis costs hundreds of
-    // nanoseconds per record and would otherwise drown the aggregation
-    // signal.
+    // then time only the columnar fold (no session synthesis, no probe
+    // RNG). Synthesis costs hundreds of nanoseconds per record and would
+    // otherwise drown the aggregation signal.
     // The replay benchmark captures every record in memory by design
     // (it isolates the fold from synthesis), so it only runs at scales
     // where the whole record set fits comfortably.
@@ -286,38 +282,29 @@ fn main() {
             captured.push(r.clone())
         })
         .expect("scale configs are valid");
-        let mut replay_csvs: Vec<usize> = Vec::new();
-        for (mode, fold) in
-            [("replay_rows", FoldStrategy::RowAtATime), ("replay_batched", FoldStrategy::Batched)]
-        {
-            let options = CollectOptions::default().fold_strategy(fold);
-            let source = SliceSource::new(&captured);
-            // One warm-up pass so allocator and caches settle, then the
-            // timed pass.
+        let mode = "replay_batched";
+        let options = CollectOptions::default();
+        let source = SliceSource::new(&captured);
+        // One warm-up pass so allocator and caches settle, then the timed
+        // pass.
+        mobilenet_netsim::ingest(&source, &model, &options).expect("replay options are valid");
+        let t0 = std::time::Instant::now();
+        let out =
             mobilenet_netsim::ingest(&source, &model, &options).expect("replay options are valid");
-            let t0 = std::time::Instant::now();
-            let out = mobilenet_netsim::ingest(&source, &model, &options)
-                .expect("replay options are valid");
-            let secs = t0.elapsed().as_secs_f64();
-            let records = out.ingest.records;
-            let throughput = if secs > 0.0 { records as f64 / secs } else { 0.0 };
-            println!("   {mode:<14} {secs:>8.2}s  {throughput:>12.0} rec/s");
-            ingest_entries.push(format!(
-                "    {{ \"mode\": \"{mode}\", \"seconds\": {:.4}, \"records\": {}, \
-                 \"records_per_s\": {:.0}, \"peak_resident_records\": {}, \"workers\": {} }}",
-                secs,
-                records,
-                throughput,
-                out.ingest.peak_resident_records,
-                out.ingest.workers,
-            ));
-            ingest_rps.push((mode.to_string(), throughput));
-            replay_csvs.push(out.dataset.to_csv().len());
-        }
-        assert_eq!(
-            replay_csvs[0], replay_csvs[1],
-            "batched replay fold diverged from the row-at-a-time fold"
-        );
+        let secs = t0.elapsed().as_secs_f64();
+        let records = out.ingest.records;
+        let throughput = if secs > 0.0 { records as f64 / secs } else { 0.0 };
+        println!("   {mode:<14} {secs:>8.2}s  {throughput:>12.0} rec/s");
+        ingest_entries.push(format!(
+            "    {{ \"mode\": \"{mode}\", \"seconds\": {:.4}, \"records\": {}, \
+             \"records_per_s\": {:.0}, \"peak_resident_records\": {}, \"workers\": {} }}",
+            secs,
+            records,
+            throughput,
+            out.ingest.peak_resident_records,
+            out.ingest.workers,
+        ));
+        ingest_rps.push((mode.to_string(), throughput));
     }
     let ingest_json = format!("{}\n", ingest_entries.join(",\n"));
     if national {

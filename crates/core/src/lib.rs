@@ -73,8 +73,7 @@ pub mod verdict;
 
 pub use error::Error;
 pub use mobilenet_netsim::{
-    CollectOptions, FaultPlan, FaultStats, FoldStrategy, IngestStats, OutageWindow,
-    DEFAULT_CHUNK_SIZE,
+    CollectOptions, FaultPlan, FaultStats, IngestStats, OutageWindow, DEFAULT_CHUNK_SIZE,
 };
 pub use pipeline::{Pipeline, PipelineBuilder, Run, Scale, DEFAULT_SEED};
 pub use ranking::{service_ranking_of, top_k_services};

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::str::FromStr;
 
 use mobilenet_geo::Country;
-use mobilenet_netsim::{CollectionStats, FaultPlan, FoldStrategy, IngestStats, SessionRecord};
+use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats, SessionRecord};
 use mobilenet_traffic::{ServiceCatalog, TrafficDataset};
 
 use crate::error::Error;
@@ -170,15 +170,6 @@ impl PipelineBuilder {
     /// aggregated output is bit-identical at every chunk size.
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
         self.config.chunk_size = chunk_size;
-        self
-    }
-
-    /// Selects how the streaming engine folds record batches (default:
-    /// [`FoldStrategy::Batched`], the columnar dense-accumulation path;
-    /// [`FoldStrategy::RowAtATime`] is the bit-identical legacy reference
-    /// kept for differential testing).
-    pub fn fold_strategy(mut self, fold: FoldStrategy) -> Self {
-        self.config.fold = fold;
         self
     }
 

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use mobilenet_geo::{Country, CountryConfig};
 use mobilenet_netsim::{
-    collect_with_options, CollectOptions, CollectionStats, FaultPlan, FoldStrategy, IngestStats,
-    NetsimConfig, DEFAULT_CHUNK_SIZE,
+    collect_with_options, CollectOptions, CollectionStats, FaultPlan, IngestStats, NetsimConfig,
+    DEFAULT_CHUNK_SIZE,
 };
 use mobilenet_traffic::{DemandModel, ServiceCatalog, TrafficConfig, TrafficDataset};
 
@@ -30,10 +30,6 @@ pub struct StudyConfig {
     /// Records-per-chunk budget of the streaming ingestion engine; peak
     /// resident records are bounded by `chunk_size × workers`.
     pub chunk_size: usize,
-    /// How the streaming engine folds record batches (default
-    /// [`FoldStrategy::Batched`]; [`FoldStrategy::RowAtATime`] is the
-    /// bit-identical legacy reference path).
-    pub fold: FoldStrategy,
     /// Use the full session-level measurement pipeline (`true`) or the
     /// noise-free expected-value path (`false`).
     pub measured: bool,
@@ -48,7 +44,6 @@ impl StudyConfig {
             netsim: NetsimConfig::standard(),
             faults: FaultPlan::none(),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            fold: FoldStrategy::Batched,
             measured: true,
         }
     }
@@ -61,7 +56,6 @@ impl StudyConfig {
             netsim: NetsimConfig::standard(),
             faults: FaultPlan::none(),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            fold: FoldStrategy::Batched,
             measured: true,
         }
     }
@@ -74,7 +68,6 @@ impl StudyConfig {
             netsim: NetsimConfig::standard(),
             faults: FaultPlan::none(),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            fold: FoldStrategy::Batched,
             measured: true,
         }
     }
@@ -97,7 +90,6 @@ impl StudyConfig {
             netsim: NetsimConfig::standard(),
             faults: FaultPlan::none(),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            fold: FoldStrategy::Batched,
             measured: true,
         }
     }
@@ -121,17 +113,9 @@ impl StudyConfig {
         self
     }
 
-    /// The same scale with an explicit batch-fold strategy.
-    pub fn with_fold(mut self, fold: FoldStrategy) -> Self {
-        self.fold = fold;
-        self
-    }
-
     /// The collection options this configuration describes.
     pub fn collect_options(&self) -> CollectOptions {
-        CollectOptions::with_faults(self.faults.clone())
-            .chunk_size(self.chunk_size)
-            .fold_strategy(self.fold)
+        CollectOptions::with_faults(self.faults.clone()).chunk_size(self.chunk_size)
     }
 
     /// Builds the demand model this configuration describes — country,

@@ -12,10 +12,11 @@
 //!   ([`collect_with_options`](crate::pipeline::collect_with_options)),
 //!   trace files via any [`BufRead`] ([`TraceSource`]), or in-memory
 //!   slices ([`SliceSource`]);
-//! * the engine drives `mobilenet-par` workers over the shards, folds
-//!   each chunk into that shard's partial
+//! * one engine, [`ShardedFold`], drives `mobilenet-par` workers over
+//!   the shards, folds each chunk into that shard's partial
 //!   [`TrafficDataset`] + [`CollectionStats`], and merges partials in
-//!   deterministic shard order.
+//!   deterministic shard order — for batch collection, trace replay and
+//!   the live aggregation service alike.
 //!
 //! # Determinism contract
 //!
@@ -34,14 +35,15 @@
 //! `netsim.ingest.peak_resident_records` gauge samples the high-water
 //! mark at flush points); the bound itself holds by construction.
 
+use std::borrow::Borrow;
 use std::io::BufRead;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use mobilenet_traffic::{DatasetError, DemandModel, TrafficDataset};
 
 use crate::faults::FaultPlan;
-use crate::pipeline::CollectionStats;
+use crate::pipeline::{CollectionOutput, CollectionStats};
 use crate::records::{RecordBatch, SessionRecord};
 use crate::trace::{record_from_line, TraceError, TRACE_HEADER};
 
@@ -50,22 +52,22 @@ use crate::trace::{record_from_line, TraceError, TRACE_HEADER};
 /// to amortize per-chunk accounting to noise.
 pub const DEFAULT_CHUNK_SIZE: usize = 8192;
 
-/// How the engine folds a flushed [`RecordBatch`] into the shard partial.
+/// How [`aggregate_batch`](crate::pipeline::aggregate_batch) folds a
+/// flushed [`RecordBatch`] into a shard partial.
 ///
 /// Both strategies fold records in exactly the same order and perform the
 /// same floating-point additions per record, so their outputs are
 /// **bit-identical**; the batched path only removes per-record overhead
-/// (hash probing, row reconstruction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// (hash probing, row reconstruction). Every engine path folds
+/// [`Batched`](FoldStrategy::Batched); the row fold is the test oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldStrategy {
     /// Columnar fold: dictionary-encode the batch's signatures once
     /// through the DPI table, then accumulate dense columns in a tight
-    /// loop. The default.
-    #[default]
+    /// loop.
     Batched,
-    /// Reassemble each row and fold it through the historical per-record
-    /// path — the reference implementation the batched fold is pinned
-    /// against.
+    /// Reassemble each row and fold it through the per-record path — the
+    /// reference implementation the batched fold is pinned against.
     RowAtATime,
 }
 
@@ -92,18 +94,11 @@ pub struct CollectOptions {
     /// Records-per-chunk budget of the streaming engine; peak resident
     /// records are bounded by `chunk_size × workers`.
     pub chunk_size: usize,
-    /// How flushed batches fold into shard partials (bit-identical either
-    /// way; [`FoldStrategy::Batched`] is the fast default).
-    pub fold: FoldStrategy,
 }
 
 impl Default for CollectOptions {
     fn default() -> Self {
-        CollectOptions {
-            faults: FaultPlan::none(),
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            fold: FoldStrategy::default(),
-        }
+        CollectOptions { faults: FaultPlan::none(), chunk_size: DEFAULT_CHUNK_SIZE }
     }
 }
 
@@ -116,12 +111,6 @@ impl CollectOptions {
     /// Sets the records-per-chunk budget.
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Sets the batch fold strategy.
-    pub fn fold_strategy(mut self, fold: FoldStrategy) -> Self {
-        self.fold = fold;
         self
     }
 
@@ -216,7 +205,7 @@ pub struct IngestStats {
     pub workers: usize,
     /// Ingestion cycles folded through the engine — 1 for a batch run,
     /// the number of weeks folded into the 168-hour ring for a
-    /// multi-week live run ([`IngestMeter::note_cycle`]).
+    /// multi-week live run (one [`ShardedFold::run`] each).
     pub cycles: u64,
 }
 
@@ -227,7 +216,7 @@ impl IngestStats {
     }
 }
 
-/// Shared chunk/record/residency accounting of one engine run.
+/// Shared chunk/record/residency accounting of a [`ShardedFold`].
 #[derive(Debug, Default)]
 struct IngestLedger {
     chunks: AtomicU64,
@@ -337,161 +326,241 @@ pub trait RecordSource: Sync {
     }
 }
 
-/// Shared chunk/record/residency accounting of one *logical* ingestion
-/// run driven shard-by-shard through [`stream_shard_chunked`] — the
-/// external counterpart of the ledger [`ingest`] threads through its
-/// [`ChunkSink`]s internally.
-///
-/// One meter spans every shard of a run (including shards streamed
-/// concurrently from different workers), so `peak_resident_records` is
-/// sampled globally exactly like the batch engine's.
-#[derive(Debug, Default)]
-pub struct IngestMeter {
-    ledger: IngestLedger,
+/// One shard's partial aggregate inside a [`ShardedFold`].
+#[derive(Debug)]
+pub struct ShardPartial {
+    /// The tables this shard's batches folded into.
+    pub dataset: TrafficDataset,
+    /// Fold-side diagnostics, plus the source-side ones once the shard
+    /// has closed.
+    pub stats: CollectionStats,
 }
 
-impl IngestMeter {
-    /// A fresh meter with all counters at zero.
-    pub fn new() -> Self {
-        IngestMeter::default()
+impl ShardPartial {
+    fn empty(model: &DemandModel) -> Self {
+        ShardPartial { dataset: empty_dataset(model), stats: CollectionStats::default() }
+    }
+}
+
+/// An all-zero dataset shaped like `model`'s country and catalog.
+fn empty_dataset(model: &DemandModel) -> TrafficDataset {
+    let catalog = model.catalog();
+    TrafficDataset::new(
+        model.country(),
+        catalog.head().len(),
+        catalog.tail_len(),
+        model.config().subscriber_share,
+    )
+}
+
+/// The sharded fold: the one engine behind batch collection
+/// ([`collect_with_options`](crate::pipeline::collect_with_options)),
+/// trace replay ([`ingest`]) and the live aggregation service.
+///
+/// It owns one mutex-guarded [`ShardPartial`] per shard and the chunk
+/// ledger (chunks, records, peak residency, cycles). [`run`](Self::run)
+/// streams every shard of a [`RecordSource`] on the ambient
+/// `mobilenet-par` pool, exactly one worker per shard, folding each
+/// flushed batch into that shard's partial under its lock.
+/// [`merge`](Self::merge) reduces the partials in shard order and fills
+/// the tail table from the demand model; [`reset`](Self::reset) empties
+/// them for the next cycle. Both hold every shard lock while they work,
+/// so a reader sees either all of a fold or none of it.
+///
+/// `M` is the demand model, owned or borrowed.
+pub struct ShardedFold<M: Borrow<DemandModel>> {
+    model: M,
+    partials: Vec<Mutex<ShardPartial>>,
+    chunk_size: usize,
+    ledger: IngestLedger,
+    workers: AtomicUsize,
+    bytes_read: AtomicU64,
+}
+
+impl<M: Borrow<DemandModel>> ShardedFold<M> {
+    /// An engine of `shards` empty partials shaped like `model`, chunking
+    /// records `chunk_size` at a time.
+    pub fn new(model: M, shards: usize, chunk_size: usize) -> Self {
+        let partials =
+            (0..shards).map(|_| Mutex::new(ShardPartial::empty(model.borrow()))).collect();
+        ShardedFold {
+            model,
+            partials,
+            chunk_size,
+            ledger: IngestLedger::default(),
+            workers: AtomicUsize::new(0),
+            bytes_read: AtomicU64::new(0),
+        }
     }
 
-    /// Snapshot of the accounting so far as an [`IngestStats`].
-    ///
-    /// `chunk_size`/`workers` describe the run configuration and
-    /// `bytes_read` comes from the source ([`RecordSource::bytes_read`]);
-    /// the meter itself tracks chunks, records, peak residency and
-    /// cycles.
-    pub fn stats(&self, chunk_size: usize, workers: usize, bytes_read: u64) -> IngestStats {
+    /// The demand model the partials are shaped by.
+    pub fn model(&self) -> &DemandModel {
+        self.model.borrow()
+    }
+
+    /// Number of shard partials.
+    pub fn shards(&self) -> usize {
+        self.partials.len()
+    }
+
+    /// Chunk, record and byte accounting of every run so far.
+    pub fn stats(&self) -> IngestStats {
         IngestStats {
             chunks: self.ledger.chunks.load(Ordering::Relaxed),
             records: self.ledger.records.load(Ordering::Relaxed),
             peak_resident_records: self.ledger.peak_resident.load(Ordering::SeqCst),
-            bytes_read,
-            chunk_size,
-            workers,
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            chunk_size: self.chunk_size,
+            workers: self.workers.load(Ordering::Relaxed),
             cycles: self.ledger.cycles.load(Ordering::Relaxed),
         }
     }
 
-    /// Marks the start of one ingestion cycle — a driver folding several
-    /// weeks through the same meter (the live week-ring) calls this once
-    /// per week, so `IngestStats::cycles` counts weeks folded while every
-    /// other counter stays cumulative across the whole run.
-    pub fn note_cycle(&self) {
+    /// Streams every shard of `source` (one cycle). Each flushed batch is
+    /// folded by `fold` into the shard's partial under the shard's lock;
+    /// `on_batch` then sees it with the lock released. When a shard's
+    /// stream ends, its source-side diagnostics merge into the partial
+    /// and `on_close` sees the stream's result.
+    ///
+    /// Every shard runs to its end even when another fails; the error of
+    /// the first failing shard, in shard order, is returned. A zero
+    /// `chunk_size` or a shard count that differs from the engine's is
+    /// rejected before any shard streams.
+    pub fn run<S, F, B, C>(
+        &self,
+        source: &S,
+        fold: F,
+        on_batch: B,
+        on_close: C,
+    ) -> Result<(), IngestError>
+    where
+        S: RecordSource + ?Sized,
+        F: Fn(&mut RecordBatch, &mut TrafficDataset, &mut CollectionStats) + Sync,
+        B: Fn(usize, &RecordBatch) + Sync,
+        C: Fn(usize, &Result<(), IngestError>) + Sync,
+        M: Sync,
+    {
+        if self.chunk_size == 0 {
+            return Err(IngestError::Config("chunk_size must be at least 1 record".into()));
+        }
+        let shards = self.partials.len();
+        if source.shards() != shards {
+            return Err(IngestError::Config(format!(
+                "source has {} shards, the fold has {shards}",
+                source.shards()
+            )));
+        }
+        let workers = mobilenet_par::current_threads().min(shards.max(1)).max(1);
+        // `fetch_max`: the resident budget must stay valid when cycles of
+        // one engine see different pool widths.
+        self.workers.fetch_max(workers, Ordering::Relaxed);
         self.ledger.cycles.fetch_add(1, Ordering::Relaxed);
+        let bytes_base = self.bytes_read.load(Ordering::Relaxed);
+        let note_bytes =
+            || self.bytes_read.fetch_max(bytes_base + source.bytes_read(), Ordering::Relaxed);
+
+        let results = mobilenet_par::par_map_collect(shards, |shard| {
+            let partial = &self.partials[shard];
+            let mut source_stats = CollectionStats::default();
+            let streamed = {
+                let mut consume = |batch: &mut RecordBatch| {
+                    {
+                        let mut guard = partial.lock().expect("shard partial poisoned");
+                        let p = &mut *guard;
+                        fold(batch, &mut p.dataset, &mut p.stats);
+                    }
+                    on_batch(shard, batch);
+                };
+                let mut sink = ChunkSink::new(self.chunk_size, &self.ledger, &mut consume);
+                let streamed = source.stream_shard(shard, &mut source_stats, &mut sink);
+                sink.flush();
+                streamed
+            };
+            // Source-side (session-level) and fold-side (record-level)
+            // diagnostics accumulate in disjoint fields, so merging them
+            // at shard close reproduces single-struct accounting exactly.
+            partial.lock().expect("shard partial poisoned").stats.merge(&source_stats);
+            note_bytes();
+            on_close(shard, &streamed);
+            streamed
+        });
+        note_bytes();
+        results.into_iter().collect()
+    }
+
+    /// Locks every partial, in shard order.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, ShardPartial>> {
+        self.partials.iter().map(|p| p.lock().expect("shard partial poisoned")).collect()
+    }
+
+    /// Merges the partials in shard order into a fresh dataset, fills its
+    /// tail table from the demand model, and returns it with the merged
+    /// diagnostics and the accounting so far.
+    ///
+    /// Every shard lock is held for the whole merge, and `under_locks`
+    /// runs before they are released: anything it reads is consistent
+    /// with the merged data, since no batch can fold in between.
+    pub fn merge<R>(
+        &self,
+        under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
+    ) -> Result<(CollectionOutput, R), IngestError> {
+        let mut dataset = empty_dataset(self.model());
+        let mut stats = CollectionStats::default();
+        let (ingest, caller) = {
+            let guards = self.lock_all();
+            for partial in &guards {
+                dataset.merge(&partial.dataset)?;
+                stats.merge(&partial.stats);
+            }
+            (self.stats(), under_locks(&guards))
+        };
+        // Tail services: their national weekly totals come straight from
+        // the demand model (they carry no spatial structure the analyses
+        // use).
+        self.model().fill_tail(&mut dataset);
+        Ok((CollectionOutput { dataset, stats, ingest }, caller))
+    }
+
+    /// Empties every partial for the next cycle, running `under_locks`
+    /// before the shard locks are released. The accounting stays
+    /// cumulative.
+    pub fn reset<R>(&self, under_locks: impl FnOnce() -> R) -> R {
+        let mut guards = self.lock_all();
+        for partial in guards.iter_mut() {
+            **partial = ShardPartial::empty(self.model());
+        }
+        under_locks()
     }
 }
 
-/// Streams **one shard** of `source` through a bounded [`ChunkSink`],
-/// handing each flushed [`RecordBatch`] to `consume` — the building block
-/// for drivers that schedule shards themselves (the live aggregation
-/// service) instead of letting [`ingest`] fan out over the ambient pool.
-///
-/// Determinism: batches arrive in stream order with flush boundaries
-/// decided only by the record stream and `chunk_size`, so folding them in
-/// arrival order reproduces the batch engine's per-shard partial bit for
-/// bit. At most `chunk_size` records of this shard are resident at any
-/// point.
-pub fn stream_shard_chunked<S, F>(
+/// One batch run of the engine: a fresh [`ShardedFold`] over `source`,
+/// run once and merged, with the `shards` / `merge` obs spans (nesting
+/// under the caller's active span) and the `netsim.ingest.*` metrics.
+pub(crate) fn fold_source<S, F>(
     source: &S,
-    shard: usize,
+    model: &DemandModel,
     chunk_size: usize,
-    meter: &IngestMeter,
-    stats: &mut CollectionStats,
-    mut consume: F,
-) -> Result<(), IngestError>
-where
-    S: RecordSource + ?Sized,
-    F: FnMut(&mut RecordBatch),
-{
-    if chunk_size == 0 {
-        return Err(IngestError::Config("chunk_size must be at least 1 record".into()));
-    }
-    let mut consume_dyn = |batch: &mut RecordBatch| consume(batch);
-    let mut sink = ChunkSink::new(chunk_size, &meter.ledger, &mut consume_dyn);
-    let streamed = source.stream_shard(shard, stats, &mut sink);
-    sink.flush();
-    streamed
-}
-
-/// Runs the chunked sharded aggregation: streams every shard of `source`
-/// through bounded [`ChunkSink`]s on the ambient `mobilenet-par` pool,
-/// folds each flushed [`RecordBatch`] into the shard's partial via
-/// `fold`, and merges partials in shard order.
-///
-/// Records the `shards` / `merge` obs spans (nesting under the caller's
-/// active span) and the `netsim.ingest.*` counters.
-pub(crate) fn aggregate_source<S, N, F>(
-    source: &S,
-    chunk_size: usize,
-    new_dataset: N,
     fold: F,
-) -> Result<(TrafficDataset, CollectionStats, IngestStats), IngestError>
+) -> Result<CollectionOutput, IngestError>
 where
     S: RecordSource,
-    N: Fn() -> TrafficDataset + Sync,
     F: Fn(&mut RecordBatch, &mut TrafficDataset, &mut CollectionStats) + Sync,
 {
-    if chunk_size == 0 {
-        return Err(IngestError::Config("chunk_size must be at least 1 record".into()));
-    }
-    let ledger = IngestLedger::default();
-    let shards = source.shards();
-    let workers = mobilenet_par::current_threads().min(shards.max(1)).max(1);
-
+    let engine = ShardedFold::new(model, source.shards(), chunk_size);
     let shards_span = mobilenet_obs::span("shards");
-    let partials = mobilenet_par::par_map_collect(shards, |shard| {
-        let mut dataset = new_dataset();
-        let mut agg = CollectionStats::default();
-        let mut source_stats = CollectionStats::default();
-        let streamed = {
-            let mut consume =
-                |batch: &mut RecordBatch| fold(batch, &mut dataset, &mut agg);
-            let mut sink = ChunkSink::new(chunk_size, &ledger, &mut consume);
-            let streamed = source.stream_shard(shard, &mut source_stats, &mut sink);
-            sink.flush();
-            streamed
-        };
-        // Source-side (session-level) and fold-side (record-level)
-        // diagnostics accumulate in disjoint fields, so merging the two
-        // partial structs reproduces the historical single-struct values
-        // exactly.
-        agg.merge(&source_stats);
-        streamed.map(|()| (dataset, agg))
-    });
+    engine.run(source, fold, |_, _| {}, |_, _| {})?;
     drop(shards_span);
-
-    // Deterministic reduction: always in shard order, regardless of which
-    // worker finished first. The first failing shard (in shard order)
-    // decides the error.
     let merge_span = mobilenet_obs::span("merge");
-    let mut dataset = new_dataset();
-    let mut stats = CollectionStats::default();
-    for partial in partials {
-        let (partial_dataset, partial_stats) = partial?;
-        dataset.merge(&partial_dataset)?;
-        stats.merge(&partial_stats);
-    }
+    let (out, ()) = engine.merge(|_| ())?;
     drop(merge_span);
-
-    let ingest = IngestStats {
-        chunks: ledger.chunks.load(Ordering::Relaxed),
-        records: ledger.records.load(Ordering::Relaxed),
-        peak_resident_records: ledger.peak_resident.load(Ordering::SeqCst),
-        bytes_read: source.bytes_read(),
-        chunk_size,
-        workers,
-        cycles: 1,
-    };
-    record_ingest_metrics(&ingest);
+    record_ingest_metrics(&out.ingest);
     if mobilenet_obs::enabled() {
         // Footprint of one dense fold partial (every shard partial and
         // the merge target share this shape). A gauge: it describes the
         // configuration, not the record stream.
-        mobilenet_obs::gauge("netsim.ingest.accumulator_bytes", dataset.dense_bytes() as f64);
+        mobilenet_obs::gauge("netsim.ingest.accumulator_bytes", out.dataset.dense_bytes() as f64);
     }
-    Ok((dataset, stats, ingest))
+    Ok(out)
 }
 
 /// Publishes one run's [`IngestStats`] to the observability registry.
@@ -516,14 +585,14 @@ fn record_ingest_metrics(ingest: &IngestStats) {
 }
 
 /// Replays any [`RecordSource`] through the DPI stage into a dataset
-/// shaped like `model`'s country — the generic streaming counterpart of
-/// [`replay`](crate::trace::replay), with the tail table filled from the
-/// demand model exactly as collection does.
+/// shaped like `model`'s country, with the tail table filled from the
+/// demand model exactly as collection does. Every record counts as one
+/// session (`replay_mode` of [`aggregate_batch`](crate::pipeline::aggregate_batch)).
 pub fn ingest<S: RecordSource>(
     source: &S,
     model: &DemandModel,
     options: &CollectOptions,
-) -> Result<crate::pipeline::CollectionOutput, IngestError> {
+) -> Result<CollectionOutput, IngestError> {
     options.validate().map_err(IngestError::Config)?;
     let catalog = model.catalog();
     let classifier = crate::classifier::DpiClassifier::new(
@@ -531,21 +600,11 @@ pub fn ingest<S: RecordSource>(
         catalog.tail_len(),
         model.config().classified_fraction,
     );
-    let new_dataset = || {
-        TrafficDataset::new(
-            model.country(),
-            catalog.head().len(),
-            catalog.tail_len(),
-            model.config().subscriber_share,
-        )
-    };
-    let (mut dataset, stats, ingest) =
-        aggregate_source(source, options.chunk_size, new_dataset, |batch, ds, st| {
-            crate::pipeline::aggregate_batch(batch, &classifier, options.fold, true, ds, st)
-        })?;
-    model.fill_tail(&mut dataset);
-    mobilenet_obs::add("netsim.faults.skipped_lines", stats.skipped_lines);
-    Ok(crate::pipeline::CollectionOutput { dataset, stats, ingest })
+    let out = fold_source(source, model, options.chunk_size, |batch, ds, st| {
+        crate::pipeline::aggregate_batch(batch, &classifier, FoldStrategy::Batched, true, ds, st)
+    })?;
+    mobilenet_obs::add("netsim.faults.skipped_lines", out.stats.skipped_lines);
+    Ok(out)
 }
 
 /// An in-memory slice of records as a single-shard [`RecordSource`].

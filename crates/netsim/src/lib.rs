@@ -34,9 +34,11 @@
 //!   pipeline degrades gracefully instead of assuming benign capture.
 //! * [`ingest`] — the streaming bounded-memory ingestion engine: the
 //!   [`RecordSource`] abstraction (synthetic shards, trace readers,
-//!   in-memory slices) and the chunked sharded aggregator whose peak
-//!   resident records never exceed `chunk_size × workers`, bit-identical
-//!   to materialized aggregation at any thread count and chunk size.
+//!   in-memory slices) and [`ShardedFold`], the one chunked sharded
+//!   aggregator behind batch collection, trace replay and the live
+//!   service, whose peak resident records never exceed
+//!   `chunk_size × workers`, bit-identical at any thread count and chunk
+//!   size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,8 +58,8 @@ pub use classifier::{DpiClassifier, UNCLASSIFIED_CODE};
 pub use config::NetsimConfig;
 pub use faults::{FaultInjector, FaultPlan, FaultStats, OutageWindow};
 pub use ingest::{
-    ingest, stream_shard_chunked, ChunkSink, CollectOptions, FoldStrategy, IngestError,
-    IngestMeter, IngestStats, RecordSource, SliceSource, TraceSource, DEFAULT_CHUNK_SIZE,
+    ingest, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, RecordSource,
+    ShardPartial, ShardedFold, SliceSource, TraceSource, DEFAULT_CHUNK_SIZE,
 };
 pub use pipeline::{
     aggregate_batch, collect_with_options, Capture, CollectionOutput, CollectionStats,
@@ -66,9 +68,8 @@ pub use pipeline::{
 pub use probe::Probe;
 pub use radio::RadioNetwork;
 pub use trace::{
-    observe_with_options, read_trace_from, read_trace_from_lossy, replay, replay_from,
-    replay_lossy, trace_from_csv, trace_from_csv_lossy, trace_to_csv, trace_to_csv_faulty,
-    write_trace_to, CaptureSummary, LossyReplay, LossyTrace, TraceError,
+    observe_with_options, read_trace_from, read_trace_from_lossy, replay_from, trace_to_csv,
+    trace_to_csv_faulty, write_trace_to, CaptureSummary, LossyReplay, LossyTrace, TraceError,
 };
 pub use records::{Interface, RecordBatch, SessionRecord};
 pub use uli::UliModel;

@@ -9,8 +9,9 @@
 //!
 //! Collection is sharded per service: each shard samples its sessions and
 //! probe noise from seed-derived RNG streams ([`mobilenet_par::seed_for`])
-//! and streams through the bounded-memory engine of [`crate::ingest`]
-//! into a partial dataset, and the partials are merged in shard order.
+//! and streams through the bounded-memory
+//! [`ShardedFold`](crate::ingest::ShardedFold) into a partial
+//! dataset, and the partials are merged in shard order.
 //! Output is therefore bit-identical at any thread count (including a
 //! serial run) and at any chunk size.
 
@@ -25,8 +26,7 @@ use crate::classifier::{DpiClassifier, ServiceLabel, UNCLASSIFIED_CODE};
 use crate::config::NetsimConfig;
 use crate::faults::{FaultInjector, FaultStats};
 use crate::ingest::{
-    aggregate_source, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats,
-    RecordSource,
+    fold_source, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, RecordSource,
 };
 use crate::probe::Probe;
 use crate::radio::RadioNetwork;
@@ -206,20 +206,27 @@ pub(crate) fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
     ))
 }
 
-/// Classifies one (possibly degraded) record and folds it into the shard's
-/// partial dataset and diagnostics. Shared by the fault-free and faulted
-/// paths so a [`FaultPlan::none`](crate::faults::FaultPlan::none)
-/// collection is bit-identical to one that
-/// never touched the fault layer.
+/// Classifies one record and folds it into a partial dataset and
+/// diagnostics — the row-at-a-time reference fold of [`aggregate_batch`].
+/// With `replay_mode` every record also counts as one session (and its
+/// stale-ULI flag as a stale fix), since a replayed trace has no session
+/// stream of its own.
 fn aggregate_record(
     record: &SessionRecord,
     classifier: &DpiClassifier,
+    replay_mode: bool,
     dataset: &mut TrafficDataset,
     stats: &mut CollectionStats,
 ) {
+    if replay_mode {
+        stats.sessions += 1;
+    }
     match record.interface {
         Interface::Gn => stats.gn_records += 1,
         Interface::S5S8 => stats.s5s8_records += 1,
+    }
+    if replay_mode && record.stale_uli {
+        stats.stale_fixes += 1;
     }
     match classifier.classify(record.signature) {
         ServiceLabel::Head(s) => {
@@ -256,18 +263,18 @@ fn aggregate_record(
 
 /// Folds one flushed [`RecordBatch`] into a shard's partial dataset and
 /// diagnostics — the streaming engine's per-chunk accumulation step,
-/// shared by collection ([`collect_with_options`]) and replay
-/// ([`crate::ingest::ingest`], `replay_mode = true`, which additionally
-/// counts sessions and stale fixes the way
-/// [`replay_record`](crate::trace) does).
+/// shared by collection ([`collect_with_options`], the live service) and
+/// replay ([`crate::ingest::ingest`], `replay_mode = true`, which
+/// additionally counts every record as a session and its stale-ULI flag
+/// as a stale fix).
 ///
 /// With [`FoldStrategy::Batched`] the batch's signatures are
 /// dictionary-encoded once ([`RecordBatch::resolve_codes`]) and the loop
 /// accumulates dense columns straight into the dataset's flat tables;
 /// with [`FoldStrategy::RowAtATime`] each row is reassembled and folded
-/// through the historical per-record functions. Both walk records in
-/// batch order and perform identical floating-point additions per
-/// record, so the two strategies are bit-identical — pinned by
+/// through the per-record reference fold. Both walk records in batch
+/// order and perform identical floating-point additions per record, so
+/// the two strategies are bit-identical — pinned by
 /// `tests/streaming_ingest.rs`.
 pub fn aggregate_batch(
     batch: &mut RecordBatch,
@@ -280,12 +287,7 @@ pub fn aggregate_batch(
     match strategy {
         FoldStrategy::RowAtATime => {
             for i in 0..batch.len() {
-                let record = batch.row(i);
-                if replay_mode {
-                    crate::trace::replay_record(&record, classifier, dataset, stats);
-                } else {
-                    aggregate_record(&record, classifier, dataset, stats);
-                }
+                aggregate_record(&batch.row(i), classifier, replay_mode, dataset, stats);
             }
         }
         FoldStrategy::Batched => {
@@ -493,33 +495,16 @@ pub fn collect_with_options(
 ) -> Result<CollectionOutput, IngestError> {
     options.validate().map_err(IngestError::Config)?;
     let _collect_span = mobilenet_obs::span("collect");
-    let country = model.country();
-    let catalog = model.catalog();
     let capture_span = mobilenet_obs::span("capture");
     let capture = Capture::build(model, config, seed).map_err(IngestError::Config)?;
     let source = capture.source(model, options, seed);
     drop(capture_span);
 
-    let new_dataset = || {
-        TrafficDataset::new(
-            country,
-            catalog.head().len(),
-            catalog.tail_len(),
-            model.config().subscriber_share,
-        )
-    };
-    let (mut dataset, stats, ingest) =
-        aggregate_source(&source, options.chunk_size, new_dataset, |batch, ds, st| {
-            aggregate_batch(batch, capture.classifier(), options.fold, false, ds, st)
-        })?;
-
-    // Tail services: their national weekly totals come straight from the
-    // demand model (they carry no spatial structure the analyses use).
-    model.fill_tail(&mut dataset);
-
-    record_collection_metrics(&stats, source.faulted);
-
-    Ok(CollectionOutput { dataset, stats, ingest })
+    let out = fold_source(&source, model, options.chunk_size, |batch, ds, st| {
+        aggregate_batch(batch, capture.classifier(), FoldStrategy::Batched, false, ds, st)
+    })?;
+    record_collection_metrics(&out.stats, source.faulted);
+    Ok(out)
 }
 
 /// Bucket edges (km) of the `netsim.uli_error_km` displacement histogram:

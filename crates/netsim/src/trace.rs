@@ -13,25 +13,26 @@
 //! exactly as
 //! [`collect_with_options`](crate::pipeline::collect_with_options) would
 //! (see [`observe_with_options`]), corrupts serialized lines
-//! ([`trace_to_csv_faulty`]), and [`replay_lossy`] / [`replay_from`]
-//! skip-and-count malformed or non-finite lines (with 1-based line
-//! numbers) instead of aborting the whole replay.
+//! ([`trace_to_csv_faulty`]), and [`read_trace_from_lossy`] /
+//! [`replay_from`] skip-and-count malformed or non-finite lines (with
+//! 1-based line numbers) instead of aborting the whole replay.
 //!
 //! Traces stream both ways: [`write_trace_to`] serializes records to any
 //! writer one line at a time, and [`read_trace_from`] /
 //! [`replay_from`] read from any [`BufRead`] — `replay_from` aggregates
 //! through the bounded-memory engine of [`crate::ingest`] without ever
-//! materializing the record vector.
+//! materializing the record vector. Records already in memory replay
+//! through [`ingest`](crate::ingest::ingest) over a
+//! [`SliceSource`](crate::ingest::SliceSource).
 
 use std::io::{BufRead, Write};
 
 use mobilenet_geo::CommuneId;
-use mobilenet_traffic::{DemandModel, Direction, SessionGenerator, TrafficDataset, HOURS_PER_WEEK};
+use mobilenet_traffic::{DemandModel, SessionGenerator, TrafficDataset, HOURS_PER_WEEK};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::classifier::{DpiClassifier, ServiceLabel};
 use crate::config::NetsimConfig;
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::ingest::{CollectOptions, IngestError, TraceSource};
@@ -250,7 +251,7 @@ fn corrupt_line(line: &str, rng: &mut StdRng) -> String {
     }
 }
 
-/// A parse failure in [`trace_from_csv`], locating the offending row.
+/// A parse failure in [`read_trace_from`], locating the offending row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
     /// 1-based line number of the offending row.
@@ -309,8 +310,8 @@ fn walk_trace<R: BufRead>(
 }
 
 /// Reads a trace incrementally from any reader, strictly: the first bad
-/// line aborts the parse. The reader-based counterpart of
-/// [`trace_from_csv`]; for bounded-memory *aggregation* of a trace, see
+/// line aborts the parse, and the error carries the 1-based line number
+/// of the offending row. For bounded-memory *aggregation* of a trace, see
 /// [`replay_from`] (which never materializes the record vector at all).
 pub fn read_trace_from<R: BufRead>(reader: R) -> Result<Vec<SessionRecord>, TraceError> {
     let mut records = Vec::new();
@@ -319,15 +320,6 @@ pub fn read_trace_from<R: BufRead>(reader: R) -> Result<Vec<SessionRecord>, Trac
         Ok(())
     })?;
     Ok(records)
-}
-
-/// Parses a trace written by [`trace_to_csv`], strictly: the first bad
-/// line aborts the parse — [`read_trace_from`] over an in-memory buffer.
-///
-/// Errors carry the 1-based line number of the offending row. For traces
-/// from degraded collection, use [`trace_from_csv_lossy`] instead.
-pub fn trace_from_csv(text: &str) -> Result<Vec<SessionRecord>, TraceError> {
-    read_trace_from(text.as_bytes())
 }
 
 /// A lossy trace parse: the records that survived plus every skipped
@@ -357,86 +349,6 @@ pub fn read_trace_from_lossy<R: BufRead>(reader: R) -> Result<LossyTrace, TraceE
     Ok(LossyTrace { records, skipped })
 }
 
-/// Parses a trace leniently: malformed or non-finite rows are skipped and
-/// counted (with their 1-based line numbers) instead of aborting —
-/// [`read_trace_from_lossy`] over an in-memory buffer.
-///
-/// Only a missing or unsupported header is fatal — without it the file is
-/// not a trace at all.
-pub fn trace_from_csv_lossy(text: &str) -> Result<LossyTrace, TraceError> {
-    read_trace_from_lossy(text.as_bytes())
-}
-
-/// Replays one record through the classifier into `ds`, accumulating the
-/// replay-side diagnostics. Shared with the streaming engine
-/// ([`crate::ingest::ingest`]), so a chunked replay folds records exactly
-/// as the materialized one.
-pub(crate) fn replay_record(
-    r: &SessionRecord,
-    classifier: &DpiClassifier,
-    ds: &mut TrafficDataset,
-    stats: &mut CollectionStats,
-) {
-    stats.sessions += 1;
-    match r.interface {
-        Interface::Gn => stats.gn_records += 1,
-        Interface::S5S8 => stats.s5s8_records += 1,
-    }
-    if r.stale_uli {
-        stats.stale_fixes += 1;
-    }
-    match classifier.classify(r.signature) {
-        ServiceLabel::Head(s) => {
-            stats.classified_mb += r.dl_mb + r.ul_mb;
-            ds.add(Direction::Down, s as usize, r.commune, r.start_hour as usize, r.dl_mb);
-            ds.add(Direction::Up, s as usize, r.commune, r.start_hour as usize, r.ul_mb);
-        }
-        ServiceLabel::Tail(t) => {
-            stats.classified_mb += r.dl_mb + r.ul_mb;
-            ds.add_tail(Direction::Down, t as usize, r.dl_mb);
-            ds.add_tail(Direction::Up, t as usize, r.ul_mb);
-        }
-        ServiceLabel::Unclassified => {
-            stats.unclassified_mb += r.dl_mb + r.ul_mb;
-            ds.add_unclassified(Direction::Down, r.dl_mb);
-            ds.add_unclassified(Direction::Up, r.ul_mb);
-        }
-    }
-}
-
-/// Builds the replay-side classifier and empty dataset for `model`.
-fn replay_setup(model: &DemandModel) -> (DpiClassifier, TrafficDataset) {
-    let catalog = model.catalog();
-    let classifier = DpiClassifier::new(
-        catalog.head().len(),
-        catalog.tail_len(),
-        model.config().classified_fraction,
-    );
-    let ds = TrafficDataset::new(
-        model.country(),
-        catalog.head().len(),
-        catalog.tail_len(),
-        model.config().subscriber_share,
-    );
-    (classifier, ds)
-}
-
-/// Replays records through a classifier into a dataset shaped like
-/// `model`'s country. The tail table is filled from the demand model
-/// afterwards, exactly as [`crate::pipeline::collect`] does.
-pub fn replay<'a>(
-    records: impl IntoIterator<Item = &'a SessionRecord>,
-    model: &DemandModel,
-) -> TrafficDataset {
-    let (classifier, mut ds) = replay_setup(model);
-    let mut stats = CollectionStats::default();
-    for r in records {
-        replay_record(r, &classifier, &mut ds, &mut stats);
-    }
-    model.fill_tail(&mut ds);
-    ds
-}
-
 /// The result of a lossy trace replay.
 pub struct LossyReplay {
     /// The aggregated dataset built from every parseable record.
@@ -452,10 +364,9 @@ pub struct LossyReplay {
 }
 
 /// Replays a trace incrementally from any reader through the lossy parser
-/// and the streaming engine into a dataset shaped like `model`'s country —
-/// the bounded-memory counterpart of [`replay_lossy`]: at most
-/// `options.chunk_size` records are resident at a time, and the result is
-/// bit-identical to the materialized path at any chunk size.
+/// and the streaming engine into a dataset shaped like `model`'s country:
+/// at most `options.chunk_size` records are resident at a time, and the
+/// result is bit-identical at any chunk size.
 ///
 /// Only a bad header or an I/O failure is fatal. Skipped-line counts are
 /// exported to the observability registry as
@@ -475,24 +386,13 @@ pub fn replay_from<R: BufRead + Send>(
     })
 }
 
-/// Parses `text` leniently and replays every surviving record into a
-/// dataset — [`replay_from`] over an in-memory buffer, kept for callers
-/// that already hold the trace text.
-pub fn replay_lossy(text: &str, model: &DemandModel) -> Result<LossyReplay, TraceError> {
-    replay_from(text.as_bytes(), model, &CollectOptions::default()).map_err(|e| match e {
-        IngestError::Trace(e) => e,
-        // In-memory readers cannot fail I/O, and a single-shard merge
-        // cannot mismatch shapes; keep the signature total anyway.
-        other => TraceError { line: 0, message: other.to_string() },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{ingest, SliceSource};
     use crate::pipeline::{collect_with_options, CollectionOutput};
     use mobilenet_geo::{Country, CountryConfig};
-    use mobilenet_traffic::{ServiceCatalog, TrafficConfig};
+    use mobilenet_traffic::{Direction, ServiceCatalog, TrafficConfig};
     use std::sync::Arc;
 
     fn model() -> DemandModel {
@@ -504,6 +404,18 @@ mod tests {
     /// Fault-free collection through the unified entry point.
     fn run(m: &DemandModel, cfg: &NetsimConfig, seed: u64) -> CollectionOutput {
         collect_with_options(m, cfg, &CollectOptions::default(), seed).expect("valid config")
+    }
+
+    /// Replays in-memory records through the engine.
+    fn replay_records(records: &[SessionRecord], m: &DemandModel) -> TrafficDataset {
+        ingest(&SliceSource::new(records), m, &CollectOptions::default())
+            .expect("default options are valid")
+            .dataset
+    }
+
+    /// Lossy replay of an in-memory trace through the engine.
+    fn replay_text(csv: &str, m: &DemandModel) -> Result<LossyReplay, IngestError> {
+        replay_from(csv.as_bytes(), m, &CollectOptions::default())
     }
 
     /// Fault-free capture through the unified entry point.
@@ -539,7 +451,7 @@ mod tests {
         assert!(record_from_line("bogus,1,1.0,1.0,5,0xff,0").is_err());
         assert!(record_from_line("gn,1,1.0,1.0,5,ff,0").is_err()); // missing 0x
         assert!(record_from_line("gn,1,1.0,1.0,5,0xff,2").is_err());
-        assert!(trace_from_csv("no header\n").is_err());
+        assert!(read_trace_from("no header\n".as_bytes()).is_err());
     }
 
     #[test]
@@ -568,9 +480,9 @@ mod tests {
         // Path B: capture → CSV → parse → replay.
         let records = capture(&m, &cfg, 7);
         let csv = trace_to_csv(&records);
-        let parsed = trace_from_csv(&csv).unwrap();
+        let parsed = read_trace_from(csv.as_bytes()).unwrap();
         assert_eq!(parsed.len(), records.len());
-        let replayed = replay(&parsed, &m);
+        let replayed = replay_records(&parsed, &m);
 
         for dir in Direction::BOTH {
             for s in (0..20).step_by(5) {
@@ -584,10 +496,10 @@ mod tests {
                     );
                 }
             }
-            // Unclassified volume is one shared accumulator: collect() sums
-            // it per shard and merges, replay() keeps one running total, so
-            // they agree only up to float re-association — compare
-            // relatively.
+            // Unclassified volume is one shared accumulator: collection
+            // sums it per shard and merges, the single-shard replay keeps
+            // one running total, so they agree only up to float
+            // re-association — compare relatively.
             let (u_direct, u_replay) = (direct.unclassified(dir), replayed.unclassified(dir));
             assert!(
                 (u_direct - u_replay).abs() <= 1e-12 * u_direct.abs().max(1.0),
@@ -649,7 +561,7 @@ mod tests {
             direct.stats.gn_records + direct.stats.s5s8_records
         );
 
-        let replayed = replay(&records, &m);
+        let replayed = replay_records(&records, &m);
         for dir in Direction::BOTH {
             for s in (0..20).step_by(7) {
                 let a = direct.dataset.national_series(dir, s);
@@ -673,9 +585,9 @@ mod tests {
         let csv = trace_to_csv_faulty(&records, &plan);
 
         // The strict parser aborts...
-        assert!(trace_from_csv(&csv).is_err());
+        assert!(read_trace_from(csv.as_bytes()).is_err());
         // ...the lossy one skips-and-counts with line numbers.
-        let lossy = trace_from_csv_lossy(&csv).unwrap();
+        let lossy = read_trace_from_lossy(csv.as_bytes()).unwrap();
         assert!(!lossy.skipped.is_empty());
         let frac = lossy.skipped.len() as f64 / records.len() as f64;
         assert!((frac - 0.05).abs() < 0.02, "corrupted fraction {frac}");
@@ -686,19 +598,19 @@ mod tests {
             assert!(record_from_line(line_in_file).is_err(), "line {}: {line_in_file}", err.line);
         }
 
-        let replayed = replay_lossy(&csv, &m).unwrap();
+        let replayed = replay_text(&csv, &m).unwrap();
         assert_eq!(replayed.stats.skipped_lines, lossy.skipped.len() as u64);
         assert_eq!(replayed.stats.sessions, lossy.records.len() as u64);
         assert!(replayed.dataset.total(Direction::Down) > 0.0);
 
         // A header-less file is still fatal: it is not a trace at all.
-        assert!(replay_lossy("volume data\n1,2,3\n", &m).is_err());
+        assert!(replay_text("volume data\n1,2,3\n", &m).is_err());
         // A pristine trace replays lossily with zero skips.
-        let clean = replay_lossy(&trace_to_csv(&records), &m).unwrap();
+        let clean = replay_text(&trace_to_csv(&records), &m).unwrap();
         assert_eq!(clean.stats.skipped_lines, 0);
         assert_eq!(
             clean.dataset.total(Direction::Down),
-            replay(&records, &m).total(Direction::Down)
+            replay_records(&records, &m).total(Direction::Down)
         );
     }
 
@@ -713,10 +625,10 @@ mod tests {
         let csv = trace_to_csv(&records);
         assert_eq!(String::from_utf8(buf).unwrap(), csv);
 
-        // read_trace_from over any reader is exactly trace_from_csv,
-        // including \r\n line endings.
+        // read_trace_from recovers the records, including under \r\n
+        // line endings.
         let parsed = read_trace_from(csv.as_bytes()).unwrap();
-        assert_eq!(parsed, trace_from_csv(&csv).unwrap());
+        assert_eq!(parsed, records);
         let crlf = csv.replace('\n', "\r\n");
         assert_eq!(read_trace_from(crlf.as_bytes()).unwrap(), parsed);
 
@@ -733,7 +645,7 @@ mod tests {
         let m = model();
         let records = capture(&m, &NetsimConfig::standard(), 13);
         let csv = trace_to_csv(&records);
-        let reference = replay_lossy(&csv, &m).unwrap();
+        let reference = replay_text(&csv, &m).unwrap();
         for chunk_size in [1usize, 97, records.len() + 10] {
             let opts = CollectOptions::default().chunk_size(chunk_size);
             let out = replay_from(csv.as_bytes(), &m, &opts).unwrap();

@@ -2,31 +2,22 @@
 //!
 //! [`LiveState`] is the always-on counterpart of
 //! [`collect_with_options`](mobilenet_netsim::collect_with_options): it
-//! owns the demand model and measurement apparatus, streams every shard
-//! of the synthetic week through bounded chunks
-//! ([`stream_shard_chunked`]) into per-shard partial datasets, and
-//! answers snapshot queries at any point during ingestion.
+//! owns the demand model and measurement apparatus, runs the synthetic
+//! week through the same [`ShardedFold`] engine batch collection runs,
+//! and answers snapshot queries at any point during ingestion.
 //!
 //! # Bit-identity contract
 //!
 //! A snapshot taken after ingestion completes is **bit-identical** to the
 //! batch path on the same `(config, seed)` — at any thread count and with
-//! any fault plan — because the live engine replicates the batch
-//! engine's operations exactly:
-//!
-//! * each shard's records come from the same [`Capture`]/[`SyntheticSource`]
-//!   streams, chunked by the same [`ChunkSink`] budget;
-//! * every flushed batch folds through the same
-//!   [`aggregate_batch`] into a per-shard partial, and exactly one worker
-//!   streams a given shard, so the fold order within a shard is the
-//!   stream order;
-//! * source-side diagnostics merge into the shard partial at shard close,
-//!   exactly where the batch engine merges them;
-//! * a snapshot merges the partials **in shard order** into a fresh
-//!   dataset and fills the tail table from the model — the same
-//!   reduction `collect_with_options` performs.
-//!
-//! [`ChunkSink`]: mobilenet_netsim::ChunkSink
+//! any fault plan — because it is the batch path: the same
+//! [`Capture`]/[`SyntheticSource`](mobilenet_netsim::SyntheticSource)
+//! streams run through the same engine with the same [`aggregate_batch`]
+//! fold, and a snapshot is the engine's shard-ordered
+//! [`merge`](ShardedFold::merge). The live layer only adds
+//! what batch collection has no use for: watermarks, a version counter
+//! with its notifier, the week ring and the snapshot cache, all driven
+//! from the engine's per-batch and per-shard hooks.
 //!
 //! # The 168-hour week ring
 //!
@@ -65,8 +56,8 @@ use std::time::Duration;
 
 use mobilenet_core::StudyConfig;
 use mobilenet_netsim::{
-    aggregate_batch, stream_shard_chunked, Capture, CollectOptions, CollectionStats, IngestError,
-    IngestMeter, IngestStats, NetsimConfig, RecordSource, SyntheticSource,
+    aggregate_batch, Capture, CollectOptions, CollectionStats, FoldStrategy, IngestError,
+    IngestStats, NetsimConfig, ShardedFold,
 };
 use mobilenet_traffic::{DemandModel, ServiceCatalog, TrafficDataset, HOURS_PER_WEEK};
 
@@ -115,13 +106,6 @@ impl VersionNotifier {
     }
 }
 
-/// One shard's growing partial aggregate.
-#[derive(Debug)]
-struct ShardSlot {
-    dataset: TrafficDataset,
-    stats: CollectionStats,
-}
-
 /// Serializes the week-by-week drivers of one live state.
 #[derive(Debug, Default)]
 struct WeekCursor {
@@ -129,16 +113,15 @@ struct WeekCursor {
     weeks_started: usize,
 }
 
-/// The shared state of one live ingestion run: per-shard partials,
-/// watermarks and accounting, queryable while
+/// The shared state of one live ingestion run: the sharded-fold engine
+/// plus watermarks and versioning, queryable while
 /// [`run_ingestion`](LiveState::run_ingestion) (or the multi-week
 /// [`run_weeks`](LiveState::run_weeks)) streams.
 pub struct LiveState {
-    model: DemandModel,
+    engine: ShardedFold<DemandModel>,
     netsim: NetsimConfig,
     options: CollectOptions,
     seed: u64,
-    slots: Vec<Mutex<ShardSlot>>,
     /// Per-shard observed frontier: `max start_hour + 1` folded so far,
     /// `HOURS_PER_WEEK` once the shard closes.
     watermarks: Vec<AtomicU64>,
@@ -154,9 +137,6 @@ pub struct LiveState {
     version: AtomicU64,
     /// Woken on every version bump; what delta publishers wait on.
     notifier: VersionNotifier,
-    meter: IngestMeter,
-    workers: AtomicUsize,
-    bytes_read: AtomicU64,
     cache: Mutex<Option<(u64, Arc<LiveSnapshot>)>>,
 }
 
@@ -193,7 +173,7 @@ pub struct LiveSnapshot {
 
 impl LiveState {
     /// Builds the live state for a demand model: one empty partial per
-    /// shard, nothing streamed yet.
+    /// shard (one shard per head service), nothing streamed yet.
     pub fn new(
         model: DemandModel,
         netsim: NetsimConfig,
@@ -202,26 +182,13 @@ impl LiveState {
     ) -> Result<Arc<LiveState>, String> {
         netsim.validate()?;
         options.validate()?;
-        let catalog = model.catalog();
-        let n_head = catalog.head().len();
-        let n_tail = catalog.tail_len();
-        let share = model.config().subscriber_share;
-        let shards = n_head;
-        let slots = (0..shards)
-            .map(|_| {
-                Mutex::new(ShardSlot {
-                    dataset: TrafficDataset::new(model.country(), n_head, n_tail, share),
-                    stats: CollectionStats::default(),
-                })
-            })
-            .collect();
+        let shards = model.catalog().head().len();
         let watermarks = (0..shards).map(|_| AtomicU64::new(0)).collect();
         Ok(Arc::new(LiveState {
-            model,
+            engine: ShardedFold::new(model, shards, options.chunk_size),
             netsim,
             options,
             seed,
-            slots,
             watermarks,
             closed_shards: AtomicUsize::new(0),
             week: AtomicUsize::new(0),
@@ -229,9 +196,6 @@ impl LiveState {
             cursor: Mutex::new(WeekCursor::default()),
             version: AtomicU64::new(0),
             notifier: VersionNotifier::default(),
-            meter: IngestMeter::new(),
-            workers: AtomicUsize::new(0),
-            bytes_read: AtomicU64::new(0),
             cache: Mutex::new(None),
         }))
     }
@@ -250,7 +214,7 @@ impl LiveState {
 
     /// The service catalog of the demand model.
     pub fn catalog(&self) -> &ServiceCatalog {
-        self.model.catalog()
+        self.engine.model().catalog()
     }
 
     /// Head-service names in dataset order.
@@ -345,29 +309,17 @@ impl LiveState {
     /// ring week advances — the snapshot's memory footprint is unchanged
     /// (same dense tables, fresh values).
     fn roll_week(&self, week: usize) {
-        let catalog = self.model.catalog();
-        let n_head = catalog.head().len();
-        let n_tail = catalog.tail_len();
-        let share = self.model.config().subscriber_share;
-        // Hold every shard lock for the whole reset: a concurrent
-        // `snapshot()` (which also takes all the locks) either sees the
-        // old week whole or the new week whole, never a torn ring.
-        {
-            let mut guards: Vec<_> = self
-                .slots
-                .iter()
-                .map(|slot| slot.lock().expect("shard slot poisoned"))
-                .collect();
-            for slot in guards.iter_mut() {
-                slot.dataset = TrafficDataset::new(self.model.country(), n_head, n_tail, share);
-                slot.stats = CollectionStats::default();
-            }
+        // The engine holds every shard lock for the whole reset: a
+        // concurrent `snapshot()` (a merge under the same locks) either
+        // sees the old week whole or the new week whole, never a torn
+        // ring.
+        self.engine.reset(|| {
             for w in &self.watermarks {
                 w.store(0, Ordering::Release);
             }
             self.closed_shards.store(0, Ordering::SeqCst);
             self.week.store(week, Ordering::SeqCst);
-        }
+        });
         mobilenet_obs::add("serve.week_rolls", 1);
         mobilenet_obs::gauge("serve.week", week as f64);
         self.bump_version();
@@ -377,64 +329,28 @@ impl LiveState {
     fn ingest_week(&self, week: usize) -> Result<IngestStats, IngestError> {
         let _span = mobilenet_obs::span("live_ingest");
         let seed = self.week_seed(week);
-        let capture =
-            Capture::build(&self.model, &self.netsim, seed).map_err(IngestError::Config)?;
-        let source: SyntheticSource<'_> = capture.source(&self.model, &self.options, seed);
-        let shards = self.slots.len();
-        let workers = mobilenet_par::current_threads().min(shards.max(1)).max(1);
-        // `fetch_max`, not `store`: the resident budget must stay valid
-        // when different weeks of one run see different pool widths.
-        self.workers.fetch_max(workers, Ordering::Relaxed);
-        self.meter.note_cycle();
-        let bytes_base = self.bytes_read.load(Ordering::Relaxed);
-        let results = mobilenet_par::par_map_collect(shards, |shard| {
-            let mut source_stats = CollectionStats::default();
-            let streamed = stream_shard_chunked(
-                &source,
-                shard,
-                self.options.chunk_size,
-                &self.meter,
-                &mut source_stats,
-                |batch| {
-                    let frontier = batch.start_hours().iter().copied().max();
-                    {
-                        let mut guard = self.slots[shard].lock().expect("shard slot poisoned");
-                        let slot = &mut *guard;
-                        aggregate_batch(
-                            batch,
-                            capture.classifier(),
-                            self.options.fold,
-                            false,
-                            &mut slot.dataset,
-                            &mut slot.stats,
-                        );
-                    }
-                    if let Some(h) = frontier {
-                        self.watermarks[shard].fetch_max(h as u64 + 1, Ordering::Relaxed);
-                    }
-                    self.bump_version();
-                },
-            );
-            // Source-side diagnostics fold into the partial at shard
-            // close — the exact point the batch engine merges them, so
-            // the partial matches the batch partial bit for bit.
-            self.slots[shard]
-                .lock()
-                .expect("shard slot poisoned")
-                .stats
-                .merge(&source_stats);
-            if streamed.is_ok() {
-                self.watermarks[shard].store(HOURS_PER_WEEK as u64, Ordering::Release);
-                self.closed_shards.fetch_add(1, Ordering::SeqCst);
-            }
-            self.bytes_read.store(bytes_base + source.bytes_read(), Ordering::Relaxed);
-            self.bump_version();
-            streamed
-        });
-        for r in results {
-            r?;
-        }
-        self.bytes_read.store(bytes_base + source.bytes_read(), Ordering::Relaxed);
+        let model = self.engine.model();
+        let capture = Capture::build(model, &self.netsim, seed).map_err(IngestError::Config)?;
+        let source = capture.source(model, &self.options, seed);
+        self.engine.run(
+            &source,
+            |batch, ds, st| {
+                aggregate_batch(batch, capture.classifier(), FoldStrategy::Batched, false, ds, st)
+            },
+            |shard, batch| {
+                if let Some(h) = batch.start_hours().iter().copied().max() {
+                    self.watermarks[shard].fetch_max(h as u64 + 1, Ordering::Relaxed);
+                }
+                self.bump_version();
+            },
+            |shard, streamed| {
+                if streamed.is_ok() {
+                    self.watermarks[shard].store(HOURS_PER_WEEK as u64, Ordering::Release);
+                    self.closed_shards.fetch_add(1, Ordering::SeqCst);
+                }
+                self.bump_version();
+            },
+        )?;
         self.bump_version();
         Ok(self.ingest_stats())
     }
@@ -468,16 +384,12 @@ impl LiveState {
     /// Whether the final scheduled week's streams have all closed.
     pub fn complete(&self) -> bool {
         self.week.load(Ordering::SeqCst) + 1 == self.weeks_total.load(Ordering::SeqCst)
-            && self.closed_shards.load(Ordering::SeqCst) == self.slots.len()
+            && self.closed_shards.load(Ordering::SeqCst) == self.engine.shards()
     }
 
     /// Streaming-engine accounting so far (cumulative across weeks).
     pub fn ingest_stats(&self) -> IngestStats {
-        self.meter.stats(
-            self.options.chunk_size,
-            self.workers.load(Ordering::Relaxed),
-            self.bytes_read.load(Ordering::Relaxed),
-        )
+        self.engine.stats()
     }
 
     /// The current state version (bumped on every fold).
@@ -501,45 +413,21 @@ impl LiveState {
             }
         }
         let _span = mobilenet_obs::span("live_snapshot");
-        let catalog = self.model.catalog();
-        let mut dataset = TrafficDataset::new(
-            self.model.country(),
-            catalog.head().len(),
-            catalog.tail_len(),
-            self.model.config().subscriber_share,
-        );
-        let mut stats = CollectionStats::default();
-        // Hold every shard lock for the whole merge: the result is a
-        // consistent cut — no fold can land in any shard mid-merge, and
-        // a `complete` read under the locks guarantees the merged data
-        // is final (every fold of a closed shard happens-before the
-        // close it reports). Reading the flags after a lock-free
-        // sequential merge could claim `complete` over a dataset that
-        // missed the last shard's final folds.
-        let (version, watermark_hour, week, weeks, complete, ingest) = {
-            let guards: Vec<_> = self
-                .slots
-                .iter()
-                .map(|slot| slot.lock().expect("shard slot poisoned"))
-                .collect();
-            for slot in &guards {
-                dataset.merge(&slot.dataset).expect("shard partials share one shape");
-                stats.merge(&slot.stats);
-            }
-            (
-                self.version(),
-                self.watermark_hour(),
-                self.week(),
-                self.weeks(),
-                self.complete(),
-                self.ingest_stats(),
-            )
-        };
-        self.model.fill_tail(&mut dataset);
+        // The engine merges under every shard lock and reads the flags
+        // there too: the result is a consistent cut — no fold can land in
+        // any shard mid-merge, and a `complete` read under the locks
+        // guarantees the merged data is final (every fold of a closed
+        // shard happens-before the close it reports).
+        let (out, (version, watermark_hour, week, weeks, complete)) = self
+            .engine
+            .merge(|_| {
+                (self.version(), self.watermark_hour(), self.week(), self.weeks(), self.complete())
+            })
+            .expect("shard partials share one shape");
         let snap = Arc::new(LiveSnapshot {
-            dataset,
-            stats,
-            ingest,
+            dataset: out.dataset,
+            stats: out.stats,
+            ingest: out.ingest,
             watermark_hour,
             week,
             weeks,

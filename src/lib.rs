@@ -56,8 +56,8 @@ pub use mobilenet_timeseries as timeseries;
 pub use mobilenet_traffic as traffic;
 
 pub use mobilenet_core::{
-    CollectOptions, Error, FaultPlan, FaultStats, FoldStrategy, IngestStats, OutageWindow,
-    Pipeline, PipelineBuilder, Run, Scale, DEFAULT_CHUNK_SIZE, DEFAULT_SEED,
+    CollectOptions, Error, FaultPlan, FaultStats, IngestStats, OutageWindow, Pipeline,
+    PipelineBuilder, Run, Scale, DEFAULT_CHUNK_SIZE, DEFAULT_SEED,
 };
 pub use mobilenet_serve::{
     spawn_registry_server, spawn_server, Client, DeltaEvent, LiveSnapshot, LiveState,

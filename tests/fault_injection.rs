@@ -9,7 +9,7 @@
 //!   produces the same bytes at 1/2/8 workers, and reports every fault
 //!   event through the collection stats and the observability layer.
 
-use mobilenet::netsim::{replay_lossy, trace_to_csv_faulty};
+use mobilenet::netsim::{read_trace_from, replay_from, trace_to_csv_faulty, CollectOptions};
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::Direction;
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
@@ -112,7 +112,7 @@ fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
 
     let mut records = Vec::new();
     let netsim = mobilenet::netsim::NetsimConfig::standard();
-    let options = mobilenet::netsim::CollectOptions::default();
+    let options = CollectOptions::default();
     mobilenet::netsim::observe_with_options(model, &netsim, &options, 5, |r| {
         records.push(r.clone())
     })
@@ -122,10 +122,10 @@ fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
     let corrupted = trace_to_csv_faulty(&records, &plan);
 
     // The strict loader aborts on the first bad line …
-    assert!(mobilenet::netsim::trace_from_csv(&corrupted).is_err());
+    assert!(read_trace_from(corrupted.as_bytes()).is_err());
     // … while the lossy replay skips-and-counts it and still yields a
     // usable dataset.
-    let lossy = replay_lossy(&corrupted, model).expect("header intact");
+    let lossy = replay_from(corrupted.as_bytes(), model, &options).expect("header intact");
     assert!(!lossy.skipped.is_empty(), "5% corruption must hit some lines");
     assert_eq!(lossy.stats.skipped_lines, lossy.skipped.len() as u64);
     assert!(lossy.dataset.total(Direction::Down) > 0.0);

@@ -19,22 +19,46 @@
 //! full-materialization regression fails loudly. The export-determinism
 //! test below it is fast and always on.
 
+use std::sync::atomic::{AtomicU16, Ordering};
+
 use mobilenet::core::report;
 use mobilenet::core::spatial::concentration;
 use mobilenet::core::study::{Study, StudyConfig};
 use mobilenet::core::verdict::evaluate;
 use mobilenet::netsim::{
-    aggregate_batch, stream_shard_chunked, CollectionOutput, CollectionStats, IngestMeter,
-    ERROR_SAMPLE_CAP,
+    aggregate_batch, ChunkSink, CollectionStats, FoldStrategy, IngestError, RecordSource,
+    ShardedFold, SyntheticSource, ERROR_SAMPLE_CAP,
 };
 use mobilenet::par::set_thread_override;
-use mobilenet::traffic::TrafficDataset;
 use mobilenet::{Pipeline, Scale, DEFAULT_SEED};
 
 /// The slice of the national source the smoke streams: the three
 /// lowest-volume head-service shards (head services are catalog-ranked,
 /// so the tail of the shard range is the cheapest representative slice).
 const SMOKE_SHARDS: [usize; 3] = [17, 18, 19];
+
+/// The national source restricted to [`SMOKE_SHARDS`], renumbered
+/// `0..3` so the engine streams only them.
+struct ThinSlice<'a>(SyntheticSource<'a>);
+
+impl RecordSource for ThinSlice<'_> {
+    fn shards(&self) -> usize {
+        SMOKE_SHARDS.len()
+    }
+
+    fn stream_shard(
+        &self,
+        shard: usize,
+        stats: &mut CollectionStats,
+        sink: &mut ChunkSink<'_>,
+    ) -> Result<(), IngestError> {
+        self.0.stream_shard(SMOKE_SHARDS[shard], stats, sink)
+    }
+
+    fn bytes_read(&self) -> u64 {
+        self.0.bytes_read()
+    }
+}
 
 #[test]
 #[ignore = "national thin-slice smoke (seconds-to-minutes); CI runs it explicitly under an RSS ceiling"]
@@ -45,67 +69,44 @@ fn national_smoke() {
     let capture = mobilenet::netsim::Capture::build(&model, &config.netsim, DEFAULT_SEED)
         .expect("national netsim config is valid");
     let source = capture.source(&model, &options, DEFAULT_SEED);
-    use mobilenet::netsim::RecordSource;
     assert!(source.shards() > *SMOKE_SHARDS.iter().max().unwrap());
+    let slice = ThinSlice(source);
 
-    // Stream each smoke shard through the bounded engine, folding every
+    // Stream the smoke shards through the bounded engine, folding every
     // flushed batch straight into a per-shard marginal partial — exactly
     // the collection fold, never a materialized record set.
     let classifier = capture.classifier();
-    let catalog = model.catalog();
-    let new_dataset = || {
-        TrafficDataset::new(
-            model.country(),
-            catalog.head().len(),
-            catalog.tail_len(),
-            model.config().subscriber_share,
-        )
-    };
-    let meter = IngestMeter::new();
-    let mut dataset = new_dataset();
-    let mut stats = CollectionStats::default();
-    for &shard in &SMOKE_SHARDS {
-        let mut shard_dataset = new_dataset();
-        // Source-side (session-level) and fold-side (record-level)
-        // diagnostics live in disjoint fields; merging the two partials
-        // afterwards reproduces the engine's single-struct accounting.
-        let mut shard_stats = CollectionStats::default();
-        let mut fold_stats = CollectionStats::default();
-        let mut frontier = 0u16;
-        stream_shard_chunked(
-            &source,
-            shard,
-            config.chunk_size,
-            &meter,
-            &mut shard_stats,
-            |batch| {
-                for &h in batch.start_hours() {
-                    frontier = frontier.max(h + 1);
-                }
-                aggregate_batch(
-                    batch,
-                    classifier,
-                    options.fold,
-                    false,
-                    &mut shard_dataset,
-                    &mut fold_stats,
-                );
+    let engine = ShardedFold::new(&model, slice.shards(), config.chunk_size);
+    let frontiers: Vec<AtomicU16> = SMOKE_SHARDS.iter().map(|_| AtomicU16::new(0)).collect();
+    engine
+        .run(
+            &slice,
+            |batch, ds, st| {
+                aggregate_batch(batch, classifier, FoldStrategy::Batched, false, ds, st)
             },
+            |shard, batch| {
+                for &h in batch.start_hours() {
+                    frontiers[shard].fetch_max(h + 1, Ordering::Relaxed);
+                }
+            },
+            |_, _| {},
         )
-        .expect("national shard streams");
-        shard_stats.merge(&fold_stats);
+        .expect("national shards stream");
+    let (out, shard_stats) = engine
+        .merge(|partials| partials.iter().map(|p| p.stats.clone()).collect::<Vec<_>>())
+        .expect("same-shape partials merge");
+    for (i, &shard) in SMOKE_SHARDS.iter().enumerate() {
         // Watermark completeness: the shard's record stream reaches the
         // end of the measurement week.
+        let frontier = frontiers[i].load(Ordering::Relaxed);
         assert_eq!(frontier, 168, "shard {shard} never reached hour 168");
-        assert!(shard_stats.sessions > 0, "shard {shard} produced no sessions");
+        assert!(shard_stats[i].sessions > 0, "shard {shard} produced no sessions");
         assert!(
-            shard_stats.sampled_errors_km.len() < ERROR_SAMPLE_CAP,
+            shard_stats[i].sampled_errors_km.len() < ERROR_SAMPLE_CAP,
             "shard {shard} reservoir broke its cap"
         );
-        dataset.merge(&shard_dataset).expect("same-shape partials merge");
-        stats.merge(&shard_stats);
     }
-    let ingest = meter.stats(config.chunk_size, 1, source.bytes_read());
+    let ingest = out.ingest;
     assert!(
         ingest.records > 100_000,
         "thin slice unexpectedly small ({} records) — is the national tier still paper-scale?",
@@ -119,13 +120,12 @@ fn national_smoke() {
         ingest.peak_resident_records,
         ingest.resident_budget()
     );
-    assert!(stats.median_error_km().is_finite());
-    assert!(stats.misassignment_rate().is_finite());
+    assert!(out.stats.median_error_km().is_finite());
+    assert!(out.stats.misassignment_rate().is_finite());
 
     // The analysis stack over the slice: every verdict number must stay
     // finite even though 17 of 20 head services are all-zero here.
-    model.fill_tail(&mut dataset);
-    let study = Study::from_parts(model.clone(), CollectionOutput { dataset, stats, ingest });
+    let study = Study::from_parts(model.clone(), out);
     for claim in evaluate(&study) {
         assert!(
             claim.measured.is_finite(),

@@ -10,34 +10,69 @@
 //!   run;
 //! * peak resident records never exceed `chunk_size × workers`;
 //! * the ingest counters reported through the observability layer agree
-//!   with the stats the pipeline returns.
+//!   with the stats the pipeline returns;
+//! * the sharded-fold engine reports the first failing shard's error and
+//!   still keeps every other shard's partial.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use mobilenet::core::study::StudyConfig;
 use mobilenet::netsim::records::FlowSignature;
 use mobilenet::netsim::{
-    stream_shard_chunked, ChunkSink, CollectionStats, IngestError, IngestMeter, Interface,
-    RecordSource, SessionRecord, ERROR_SAMPLE_CAP,
+    aggregate_batch, Capture, ChunkSink, CollectionOutput, CollectionStats, FoldStrategy,
+    IngestError, Interface, RecordSource, SessionRecord, ShardedFold, ERROR_SAMPLE_CAP,
 };
 use mobilenet::par::set_thread_override;
-use mobilenet::{FaultPlan, FoldStrategy, Pipeline, Scale, DEFAULT_SEED};
+use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
 
 /// One pipeline run: dataset CSV, collection stats and ingest stats.
 fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> mobilenet::Run {
-    run_fold(faults, chunk_size, seed, FoldStrategy::Batched)
-}
-
-/// [`run`] with an explicit batch-fold strategy.
-fn run_fold(
-    faults: FaultPlan,
-    chunk_size: Option<usize>,
-    seed: u64,
-    fold: FoldStrategy,
-) -> mobilenet::Run {
-    let mut builder =
-        Pipeline::builder().scale(Scale::Small).seed(seed).faults(faults).fold_strategy(fold);
+    let mut builder = Pipeline::builder().scale(Scale::Small).seed(seed).faults(faults);
     if let Some(n) = chunk_size {
         builder = builder.chunk_size(n);
     }
     builder.run().expect("valid configuration")
+}
+
+/// The row-at-a-time oracle: the same small-scale collection as [`run`],
+/// driven through the engine with the reference row fold in place of the
+/// batched one.
+fn row_oracle(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> CollectionOutput {
+    let mut config = StudyConfig::small().with_faults(faults);
+    if let Some(n) = chunk_size {
+        config = config.with_chunk_size(n);
+    }
+    let model = config.demand_model(seed);
+    let options = config.collect_options();
+    let capture = Capture::build(&model, &config.netsim, seed).expect("valid netsim config");
+    let source = capture.source(&model, &options, seed);
+    let engine = ShardedFold::new(&model, source.shards(), options.chunk_size);
+    engine
+        .run(
+            &source,
+            |batch, ds, st| {
+                let classifier = capture.classifier();
+                aggregate_batch(batch, classifier, FoldStrategy::RowAtATime, false, ds, st)
+            },
+            |_, _| {},
+            |_, _| {},
+        )
+        .expect("synthetic shards stream");
+    engine.merge(|_| ()).expect("partials share one shape").0
+}
+
+/// A plain Gn record at `hour` (commune 0, signature 0).
+fn record(hour: u16) -> SessionRecord {
+    SessionRecord {
+        interface: Interface::Gn,
+        start_hour: hour,
+        dl_mb: 1.0,
+        ul_mb: 0.25,
+        commune: mobilenet::geo::CommuneId(0),
+        signature: FlowSignature(0),
+        stale_uli: false,
+    }
 }
 
 #[test]
@@ -112,17 +147,17 @@ fn degraded_streaming_matches_degraded_materialized() {
 
 #[test]
 fn batched_fold_matches_row_at_a_time_reference_under_faults() {
-    // The columnar dense-accumulation fold must reproduce the legacy
-    // row-at-a-time fold bit for bit — same dataset bytes, same stats
-    // down to the f64 bits — with a fault plan active, at every chunk
-    // size and thread count. One serial row-at-a-time run is the
-    // reference; everything else must equal it exactly.
+    // The columnar dense-accumulation fold of the pipeline must
+    // reproduce the row-at-a-time reference fold bit for bit — same
+    // dataset bytes, same stats down to the f64 bits — with a fault plan
+    // active, at every chunk size and thread count. One serial
+    // row-at-a-time run is the reference; everything else must equal it
+    // exactly.
     set_thread_override(Some(1));
-    let reference =
-        run_fold(FaultPlan::degraded(3), None, DEFAULT_SEED, FoldStrategy::RowAtATime);
-    let reference_csv = reference.dataset().to_csv();
-    let reference_stats = reference.collection_stats().expect("measured").clone();
-    let total_records = reference.ingest_stats().expect("measured").records;
+    let reference = row_oracle(FaultPlan::degraded(3), None, DEFAULT_SEED);
+    let reference_csv = reference.dataset.to_csv();
+    let reference_stats = reference.stats;
+    let total_records = reference.ingest.records;
 
     for threads in [1usize, 2, 8] {
         set_thread_override(Some(threads));
@@ -130,12 +165,20 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
         // one larger than the whole input (the materialized path).
         for chunk in [1usize, 251, 8192, total_records as usize + 1] {
             for fold in [FoldStrategy::Batched, FoldStrategy::RowAtATime] {
-                let out = run_fold(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED, fold);
+                let (csv, stats) = match fold {
+                    FoldStrategy::Batched => {
+                        let out = run(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
+                        (out.dataset().to_csv(), out.collection_stats().expect("measured").clone())
+                    }
+                    FoldStrategy::RowAtATime => {
+                        let out = row_oracle(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
+                        (out.dataset.to_csv(), out.stats)
+                    }
+                };
                 assert!(
-                    out.dataset().to_csv() == reference_csv,
+                    csv == reference_csv,
                     "{fold:?} dataset differs at {threads} threads, chunk {chunk}"
                 );
-                let stats = out.collection_stats().expect("measured");
                 assert_eq!(stats.sessions, reference_stats.sessions);
                 assert_eq!(stats.gn_records, reference_stats.gn_records);
                 assert_eq!(stats.s5s8_records, reference_stats.s5s8_records);
@@ -189,15 +232,7 @@ impl RecordSource for VirtualScaleSource {
             stats.push_error_sample((shard as u64 * 7 + i) as f64);
         }
         for h in 0..4u16 {
-            sink.push(&SessionRecord {
-                interface: Interface::Gn,
-                start_hour: h,
-                dl_mb: 1.0,
-                ul_mb: 0.25,
-                commune: mobilenet::geo::CommuneId(0),
-                signature: FlowSignature(0),
-                stale_uli: false,
-            });
+            sink.push(&record(h));
         }
         Ok(())
     }
@@ -206,16 +241,24 @@ impl RecordSource for VirtualScaleSource {
 #[test]
 fn virtual_records_past_u32_max_do_not_wrap_any_counter() {
     let source = VirtualScaleSource;
-    let meter = IngestMeter::new();
-    let mut merged = CollectionStats::default();
-    for shard in 0..source.shards() {
-        let mut stats = CollectionStats::default();
-        let mut records = 0u64;
-        stream_shard_chunked(&source, shard, 2, &meter, &mut stats, |batch| {
-            records += batch.len() as u64;
-        })
-        .expect("virtual shard streams");
-        assert_eq!(records, 4);
+    let model = StudyConfig::small().demand_model(DEFAULT_SEED);
+    let engine = ShardedFold::new(&model, source.shards(), 2);
+    let records: Vec<AtomicU64> = (0..source.shards()).map(|_| AtomicU64::new(0)).collect();
+    engine
+        .run(
+            &source,
+            |_, _, _| {},
+            |shard, batch| {
+                records[shard].fetch_add(batch.len() as u64, Ordering::Relaxed);
+            },
+            |_, _| {},
+        )
+        .expect("virtual shards stream");
+    let (out, shard_stats) = engine
+        .merge(|partials| partials.iter().map(|p| p.stats.clone()).collect::<Vec<_>>())
+        .expect("partials share one shape");
+    for (shard, stats) in shard_stats.iter().enumerate() {
+        assert_eq!(records[shard].load(Ordering::Relaxed), 4);
         assert_eq!(stats.sessions, VIRTUAL_SESSIONS, "per-shard count wrapped");
         assert!(
             stats.sampled_errors_km.len() < ERROR_SAMPLE_CAP,
@@ -224,10 +267,10 @@ fn virtual_records_past_u32_max_do_not_wrap_any_counter() {
         );
         assert_eq!(stats.error_samples_seen, 4 * ERROR_SAMPLE_CAP as u64);
         assert!(stats.error_sample_thin >= 2, "thinning never engaged");
-        merged.merge(&stats);
     }
     // Merging three >u32::MAX partials crosses the wrap boundary again;
     // every diagnostic must stay exact.
+    let merged = out.stats;
     assert_eq!(merged.sessions, 3 * VIRTUAL_SESSIONS);
     assert_eq!(merged.gn_records + merged.s5s8_records, 3 * VIRTUAL_SESSIONS);
     assert!(merged.sessions > u32::MAX as u64);
@@ -235,9 +278,91 @@ fn virtual_records_past_u32_max_do_not_wrap_any_counter() {
     assert!(merged.stale_fixes > u32::MAX as u64);
     assert!(merged.misassignment_rate() > 0.99 && merged.misassignment_rate() <= 1.0);
     assert!(merged.median_error_km().is_finite());
-    let ingest = meter.stats(2, 1, 0);
+    let ingest = out.ingest;
     assert_eq!(ingest.records, 12, "the engine folded only the real records");
     assert!(ingest.peak_resident_records <= ingest.resident_budget());
+}
+
+/// A four-shard source whose shards 1 and 3 fail, each with its own
+/// error, after pushing their records; shards 0 and 2 close cleanly.
+/// Shard `s` pushes `s + 1` records and reports `2^s` sessions, so every
+/// shard's share of a merge is recognisable.
+#[derive(Default)]
+struct FailingSource {
+    streamed: AtomicUsize,
+}
+
+impl RecordSource for FailingSource {
+    fn shards(&self) -> usize {
+        4
+    }
+
+    fn stream_shard(
+        &self,
+        shard: usize,
+        stats: &mut CollectionStats,
+        sink: &mut ChunkSink<'_>,
+    ) -> Result<(), IngestError> {
+        self.streamed.fetch_add(1, Ordering::SeqCst);
+        stats.sessions += 1 << shard;
+        for h in 0..=shard as u16 {
+            sink.push(&record(h));
+        }
+        match shard {
+            1 | 3 => Err(IngestError::Config(format!("shard {shard} failed"))),
+            _ => Ok(()),
+        }
+    }
+}
+
+#[test]
+fn sharded_fold_reports_the_first_failing_shard_and_keeps_clean_partials() {
+    let model = StudyConfig::small().demand_model(DEFAULT_SEED);
+    let count_records = |batch: &mut mobilenet::netsim::RecordBatch,
+                         _: &mut mobilenet::traffic::TrafficDataset,
+                         stats: &mut CollectionStats| {
+        stats.gn_records += batch.len() as u64;
+    };
+
+    // A zero chunk budget is rejected before any shard streams.
+    let source = FailingSource::default();
+    let engine = ShardedFold::new(&model, source.shards(), 0);
+    let err = engine.run(&source, count_records, |_, _| {}, |_, _| {}).unwrap_err();
+    assert!(matches!(&err, IngestError::Config(m) if m.contains("chunk_size")), "{err}");
+    assert_eq!(source.streamed.load(Ordering::SeqCst), 0);
+
+    for threads in [1usize, 2, 8] {
+        set_thread_override(Some(threads));
+        let source = FailingSource::default();
+        let engine = ShardedFold::new(&model, source.shards(), 2);
+        let closed = Mutex::new(Vec::new());
+        let err = engine
+            .run(&source, count_records, |_, _| {}, |shard, streamed| {
+                closed.lock().unwrap().push((shard, streamed.is_ok()));
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, IngestError::Config(m) if m == "shard 1 failed"),
+            "{threads} threads returned {err}"
+        );
+        // Every shard ran to its end despite the failures.
+        assert_eq!(source.streamed.load(Ordering::SeqCst), 4);
+        let mut closed = closed.into_inner().unwrap();
+        closed.sort();
+        assert_eq!(closed, [(0, true), (1, false), (2, true), (3, false)]);
+
+        let (out, partials) = engine
+            .merge(|partials| {
+                partials.iter().map(|p| (p.stats.sessions, p.stats.gn_records)).collect::<Vec<_>>()
+            })
+            .expect("partials share one shape");
+        assert_eq!(partials[0], (1, 1), "shard 0's partial at {threads} threads");
+        assert_eq!(partials[2], (4, 3), "shard 2's partial at {threads} threads");
+        assert_eq!(out.stats.sessions, 0b1111);
+        assert_eq!(out.stats.gn_records, 1 + 2 + 3 + 4);
+        assert_eq!(out.ingest.records, 1 + 2 + 3 + 4);
+    }
+    set_thread_override(None);
 }
 
 #[test]

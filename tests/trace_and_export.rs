@@ -8,8 +8,8 @@ use mobilenet::core::spatial::spatial_correlation;
 use mobilenet::core::study::Study;
 use mobilenet::geo::{Country, CountryConfig};
 use mobilenet::netsim::{
-    collect_with_options, observe_with_options, replay, trace_from_csv, trace_to_csv,
-    CollectOptions, NetsimConfig,
+    collect_with_options, ingest, observe_with_options, read_trace_from, trace_to_csv,
+    CollectOptions, NetsimConfig, SliceSource,
 };
 use mobilenet::traffic::{DemandModel, Direction, ServiceCatalog, TrafficConfig, TrafficDataset};
 use mobilenet::{Pipeline, Scale};
@@ -66,8 +66,10 @@ fn probe_trace_capture_and_replay_match_the_pipeline() {
     assert_eq!(capture.sessions, direct.stats.sessions);
 
     // Round-trip the trace through its CSV form before replaying.
-    let parsed = trace_from_csv(&trace_to_csv(&records)).expect("trace parses");
-    let replayed = replay(&parsed, &model);
+    let parsed = read_trace_from(trace_to_csv(&records).as_bytes()).expect("trace parses");
+    let replayed = ingest(&SliceSource::new(&parsed), &model, &CollectOptions::default())
+        .expect("default options are valid")
+        .dataset;
 
     for dir in Direction::BOTH {
         assert!(
