@@ -14,6 +14,14 @@
 //! dataset, and the partials are merged in shard order.
 //! Output is therefore bit-identical at any thread count (including a
 //! serial run) and at any chunk size.
+//!
+//! Within a shard the probe runs in blocks: [`SyntheticSource`] stages a
+//! fixed block of generated sessions, draws every ULI fix and signature
+//! in the probe RNG's order, locates the whole block through the station
+//! index, and only then takes diagnostics, faults and the sink in session
+//! order. The same private loop feeds
+//! [`observe_with_options`](crate::trace::observe_with_options), so
+//! capture and collection cannot drift apart.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,7 +36,7 @@ use crate::faults::{FaultInjector, FaultStats};
 use crate::ingest::{
     fold_source, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, RecordSource,
 };
-use crate::probe::Probe;
+use crate::probe::{Probe, ProbeBlock};
 use crate::radio::RadioNetwork;
 use crate::records::{Interface, RecordBatch, SessionRecord};
 use crate::uli::UliModel;
@@ -165,41 +173,10 @@ pub struct CollectionOutput {
     pub ingest: IngestStats,
 }
 
-/// Builds the read-only capture apparatus of a run: radio network, DPI
-/// tables, and the per-commune ULI movement directions (train passengers'
-/// fixes displace along the rail; everyone else scatters isotropically).
-/// Shared by [`collect_with_options`] and the trace capture path so both
-/// observe the exact same records.
-pub(crate) fn build_capture(
-    model: &DemandModel,
-    config: &NetsimConfig,
-    seed: u64,
-) -> (RadioNetwork, DpiClassifier, Vec<Option<(f64, f64)>>) {
-    let country = model.country();
-    let radio = RadioNetwork::deploy(country, config, seed ^ 0x7261_6469_6f00_0001);
-    let classifier = DpiClassifier::new(
-        model.catalog().head().len(),
-        model.catalog().tail_len(),
-        model.config().classified_fraction,
-    );
-    let directions: Vec<Option<(f64, f64)>> = country
-        .communes()
-        .iter()
-        .map(|c| {
-            if c.usage_class() == mobilenet_geo::UsageClass::Tgv {
-                mobilenet_geo::rail::nearest_line_direction(country.tgv_lines(), &c.centroid)
-            } else {
-                None
-            }
-        })
-        .collect();
-    (radio, classifier, directions)
-}
-
 /// The probe-noise RNG of one shard: like session sampling, probe noise is
 /// a per-shard stream derived from the master seed, so a shard's records
 /// are identical wherever and whenever the shard runs.
-pub(crate) fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
+fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
     StdRng::seed_from_u64(mobilenet_par::seed_for(
         seed ^ 0x7072_6f62_6572_6e67, // "proberng"
         shard as u64,
@@ -358,7 +335,26 @@ impl Capture {
         seed: u64,
     ) -> Result<Capture, String> {
         config.validate()?;
-        let (radio, classifier, directions) = build_capture(model, config, seed);
+        let country = model.country();
+        let radio = RadioNetwork::deploy(country, config, seed ^ 0x7261_6469_6f00_0001);
+        let classifier = DpiClassifier::new(
+            model.catalog().head().len(),
+            model.catalog().tail_len(),
+            model.config().classified_fraction,
+        );
+        // Train passengers' fixes displace along the rail; everyone else
+        // scatters isotropically.
+        let directions = country
+            .communes()
+            .iter()
+            .map(|c| {
+                if c.usage_class() == mobilenet_geo::UsageClass::Tgv {
+                    mobilenet_geo::rail::nearest_line_direction(country.tgv_lines(), &c.centroid)
+                } else {
+                    None
+                }
+            })
+            .collect();
         Ok(Capture { radio, classifier, directions, config: config.clone() })
     }
 
@@ -411,6 +407,70 @@ pub struct SyntheticSource<'a> {
     bytes: AtomicU64,
 }
 
+/// Sessions a [`SyntheticSource`] stages per probe block: small enough
+/// that a block's sessions, fixes and signatures stay in cache, large
+/// enough that the locate pass runs long stretches of index lookups.
+/// Independent of the engine's chunk size, and never above
+/// [`DEFAULT_CHUNK_SIZE`](crate::ingest::DEFAULT_CHUNK_SIZE).
+const PROBE_BLOCK: usize = 1024;
+
+impl SyntheticSource<'_> {
+    /// Streams shard `shard` through the probe and the fault plan, in
+    /// blocks of [`PROBE_BLOCK`] staged sessions, handing every delivered
+    /// record to `emit` in session order. Session-level diagnostics and
+    /// fault accounting fold into `stats`; returns the records delivered.
+    ///
+    /// Each block runs three passes: ULI fix and signature per session
+    /// (the probe RNG's draw order), locate every fix, then diagnostics,
+    /// faults and `emit` per session in order. The probe RNG, the fault
+    /// RNG and `emit` see exactly the sequence a session-at-a-time loop
+    /// produces, so blocking changes no output bit.
+    pub(crate) fn probe_shard(
+        &self,
+        shard: usize,
+        stats: &mut CollectionStats,
+        mut emit: impl FnMut(&SessionRecord),
+    ) -> u64 {
+        let mut probe_rng = probe_shard_rng(self.seed, shard);
+        let mut fault_rng = self.injector.shard_rng(self.seed, shard);
+        let mut delivered = 0u64;
+        let mut block = ProbeBlock::with_capacity(PROBE_BLOCK);
+        let mut run = |block: &mut ProbeBlock| {
+            self.probe.observe_block(block, &mut probe_rng);
+            for (session, record) in block.records() {
+                stats.sessions += 1;
+                stats.stale_fixes += record.stale_uli as u64;
+                stats.misassigned_sessions += (record.commune != session.commune) as u64;
+                if stats.sessions.is_multiple_of(16) {
+                    // Localization error, sampled: distance from the true
+                    // position to the centroid of the commune the record
+                    // was binned into.
+                    let recorded = self.country.commune(record.commune);
+                    stats.push_error_sample(session.position.distance(&recorded.centroid));
+                }
+                if self.faulted {
+                    self.injector.apply(&record, &mut fault_rng, &mut stats.faults, |degraded| {
+                        delivered += 1;
+                        emit(degraded);
+                    });
+                } else {
+                    delivered += 1;
+                    emit(&record);
+                }
+            }
+            block.sessions.clear();
+        };
+        self.generator.generate_shard(shard, |session| {
+            block.sessions.push(*session);
+            if block.sessions.len() == PROBE_BLOCK {
+                run(&mut block);
+            }
+        });
+        run(&mut block);
+        delivered
+    }
+}
+
 impl RecordSource for SyntheticSource<'_> {
     fn shards(&self) -> usize {
         self.generator.shards()
@@ -422,40 +482,7 @@ impl RecordSource for SyntheticSource<'_> {
         stats: &mut CollectionStats,
         sink: &mut ChunkSink<'_>,
     ) -> Result<(), IngestError> {
-        let mut probe_rng = probe_shard_rng(self.seed, shard);
-        let mut fault_rng = self.injector.shard_rng(self.seed, shard);
-        let mut fault_stats = FaultStats::default();
-        let mut delivered = 0u64;
-        self.generator.generate_shard(shard, |session| {
-            let record = self.probe.observe(session, &mut probe_rng);
-            stats.sessions += 1;
-            if record.stale_uli {
-                stats.stale_fixes += 1;
-            }
-            if record.commune != session.commune {
-                stats.misassigned_sessions += 1;
-            }
-            if stats.sessions.is_multiple_of(16) {
-                // Localization error: distance between the true position
-                // and the centroid of the commune the record was binned
-                // into is a commune-level proxy; sample the fix-level
-                // error instead via the true/recorded commune centroids'
-                // scale. We keep the direct definition: distance from the
-                // true position to the recorded commune's centroid.
-                let recorded = self.country.commune(record.commune);
-                stats.push_error_sample(session.position.distance(&recorded.centroid));
-            }
-            if self.faulted {
-                self.injector.apply(&record, &mut fault_rng, &mut fault_stats, |degraded| {
-                    delivered += 1;
-                    sink.push(degraded);
-                });
-            } else {
-                delivered += 1;
-                sink.push(&record);
-            }
-        });
-        stats.faults = fault_stats;
+        let delivered = self.probe_shard(shard, stats, |record| sink.push(record));
         self.bytes.fetch_add(
             delivered * std::mem::size_of::<SessionRecord>() as u64,
             Ordering::Relaxed,
@@ -749,6 +776,37 @@ mod tests {
                 "synthetic sources account delivered records as bytes"
             );
             assert!(out.ingest.chunks >= 1);
+        }
+    }
+
+    #[test]
+    fn serving_station_is_the_linear_argmin_over_a_real_probe_stream() {
+        // Fixes from the probe's own noise model over a real session
+        // stream — stale fixes included, some of them outside the
+        // stations' bounding box — must land on exactly the station a
+        // linear scan picks: least squared distance, lowest id on ties.
+        let m = model();
+        let cfg = NetsimConfig::standard();
+        let radio = RadioNetwork::deploy(m.country(), &cfg, 21);
+        let uli = UliModel::new(&cfg);
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut fixes = Vec::new();
+        SessionGenerator::new(&m, 23).generate_shard(0, |s| {
+            fixes.push(uli.fix(&s.position, &mut rng).0);
+        });
+        assert!(fixes.len() > 1000, "only {} fixes", fixes.len());
+        let stations = radio.stations();
+        for fix in fixes.iter().step_by(3) {
+            let want = stations
+                .iter()
+                .min_by(|a, b| {
+                    a.position
+                        .distance_sq(fix)
+                        .total_cmp(&b.position.distance_sq(fix))
+                        .then(a.id.cmp(&b.id))
+                })
+                .unwrap();
+            assert_eq!(radio.serving_station(fix).id, want.id, "fix {fix:?}");
         }
     }
 

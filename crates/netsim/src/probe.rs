@@ -5,14 +5,22 @@
 //! wire signature) nor the true position (only the noisy ULI fix mapped to
 //! the serving base station's commune) — reproducing the information
 //! boundary of the real apparatus.
+//!
+//! Collection probes sessions in blocks (`ProbeBlock`): a first pass
+//! draws each session's ULI fix and then its signature, in exactly the RNG
+//! order of [`Probe::observe`]; a second pass locates every fix of the
+//! block through the station index. Localization draws no randomness, so
+//! a blocked shard yields the same records as observing its sessions one
+//! at a time, while the lookups run back to back over warm index memory.
 
 use rand::rngs::StdRng;
 
+use mobilenet_geo::{CommuneId, Point};
 use mobilenet_traffic::{Session, Technology};
 
 use crate::classifier::DpiClassifier;
 use crate::radio::RadioNetwork;
-use crate::records::{Interface, SessionRecord};
+use crate::records::{FlowSignature, Interface, SessionRecord};
 use crate::uli::UliModel;
 
 /// A probe pair covering both core interfaces.
@@ -40,27 +48,92 @@ impl<'a> Probe<'a> {
 
     /// Observes one session, producing the operator-side record.
     pub fn observe(&self, session: &Session, rng: &mut StdRng) -> SessionRecord {
-        let interface = match session.tech {
-            Technology::G3 => Interface::Gn,
-            Technology::G4 => Interface::S5S8,
-        };
+        let (fix, signature) = self.sense(session, rng);
+        record_of(session, fix.1, self.radio.commune_of_fix(&fix.0), signature)
+    }
+
+    /// Observes every staged session of `block`: ULI fix then signature
+    /// per session (the draw order of [`Probe::observe`]), then every fix
+    /// located.
+    pub(crate) fn observe_block(&self, block: &mut ProbeBlock, rng: &mut StdRng) {
+        block.fixes.clear();
+        block.signatures.clear();
+        block.communes.clear();
+        for session in &block.sessions {
+            let (fix, signature) = self.sense(session, rng);
+            block.fixes.push(fix);
+            block.signatures.push(signature);
+        }
+        for (fix, _) in &block.fixes {
+            block.communes.push(self.radio.commune_of_fix(fix));
+        }
+    }
+
+    /// The RNG-drawing half of an observation: the (possibly stale) ULI
+    /// fix, then the wire signature.
+    #[inline]
+    fn sense(&self, session: &Session, rng: &mut StdRng) -> ((Point, bool), FlowSignature) {
         let direction = self
             .movement_directions
             .get(session.commune.index())
             .copied()
             .flatten();
-        let (fix, stale_uli) = self.uli.fix_along(&session.position, direction, rng);
-        let commune = self.radio.commune_of_fix(&fix);
-        let signature = self.classifier.stamp_head(session.service, rng);
-        SessionRecord {
-            interface,
-            start_hour: session.start_hour,
-            dl_mb: session.dl_mb,
-            ul_mb: session.ul_mb,
-            commune,
-            signature,
-            stale_uli,
+        let fix = self.uli.fix_along(&session.position, direction, rng);
+        (fix, self.classifier.stamp_head(session.service, rng))
+    }
+}
+
+/// The operator-side record of a session, given what the probe saw.
+#[inline]
+fn record_of(
+    session: &Session,
+    stale_uli: bool,
+    commune: CommuneId,
+    signature: FlowSignature,
+) -> SessionRecord {
+    let interface = match session.tech {
+        Technology::G3 => Interface::Gn,
+        Technology::G4 => Interface::S5S8,
+    };
+    SessionRecord {
+        interface,
+        start_hour: session.start_hour,
+        dl_mb: session.dl_mb,
+        ul_mb: session.ul_mb,
+        commune,
+        signature,
+        stale_uli,
+    }
+}
+
+/// Per-shard scratch of the blocked probe: one block of staged sessions
+/// and what [`Probe::observe_block`] made of each. Allocated once per
+/// shard; its vectors keep their capacity from block to block.
+pub(crate) struct ProbeBlock {
+    /// The staged sessions, in generation order.
+    pub(crate) sessions: Vec<Session>,
+    fixes: Vec<(Point, bool)>,
+    signatures: Vec<FlowSignature>,
+    communes: Vec<CommuneId>,
+}
+
+impl ProbeBlock {
+    /// Scratch for blocks of up to `capacity` sessions.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        ProbeBlock {
+            sessions: Vec::with_capacity(capacity),
+            fixes: Vec::with_capacity(capacity),
+            signatures: Vec::with_capacity(capacity),
+            communes: Vec::with_capacity(capacity),
         }
+    }
+
+    /// The observed block, in session order: each session with its record.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (&Session, SessionRecord)> + '_ {
+        self.sessions.iter().enumerate().map(|(i, session)| {
+            let (_, stale) = self.fixes[i];
+            (session, record_of(session, stale, self.communes[i], self.signatures[i]))
+        })
     }
 }
 
@@ -70,7 +143,7 @@ mod tests {
     use crate::classifier::ServiceLabel;
     use crate::config::NetsimConfig;
     use mobilenet_geo::{Country, CountryConfig, Point};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn fixture() -> (Country, RadioNetwork, DpiClassifier) {
         let country = Country::generate(&CountryConfig::small(), 4);
@@ -161,6 +234,27 @@ mod tests {
             }
         }
         assert!(hits * 10 >= total * 6, "only {hits}/{total} correct communes");
+    }
+
+    #[test]
+    fn blocked_observation_matches_one_session_at_a_time() {
+        let (country, radio, classifier) = fixture();
+        let probe = Probe::new(&radio, UliModel::new(&NetsimConfig::standard()), &classifier);
+        let mut block = ProbeBlock::with_capacity(4);
+        for (i, c) in country.communes().iter().take(300).enumerate() {
+            let tech = if i % 3 == 0 { Technology::G3 } else { Technology::G4 };
+            let s = Session { commune: c.id, position: c.centroid, ..session(&country, tech) };
+            block.sessions.push(s);
+        }
+        let mut one = StdRng::seed_from_u64(8);
+        let want: Vec<SessionRecord> =
+            block.sessions.iter().map(|s| probe.observe(s, &mut one)).collect();
+        let mut blocked = StdRng::seed_from_u64(8);
+        probe.observe_block(&mut block, &mut blocked);
+        let got: Vec<SessionRecord> = block.records().map(|(_, r)| r).collect();
+        assert_eq!(got, want);
+        // Both paths leave the RNG at the same point.
+        assert_eq!(one.gen::<u64>(), blocked.gen::<u64>());
     }
 
     #[test]

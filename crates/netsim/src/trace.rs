@@ -28,18 +28,16 @@
 use std::io::{BufRead, Write};
 
 use mobilenet_geo::CommuneId;
-use mobilenet_traffic::{DemandModel, SessionGenerator, TrafficDataset, HOURS_PER_WEEK};
+use mobilenet_traffic::{DemandModel, TrafficDataset, HOURS_PER_WEEK};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::NetsimConfig;
-use crate::faults::{FaultInjector, FaultPlan, FaultStats};
-use crate::ingest::{CollectOptions, IngestError, TraceSource};
-use crate::pipeline::{build_capture, probe_shard_rng, CollectionStats};
-use crate::probe::Probe;
+use crate::faults::{FaultPlan, FaultStats};
+use crate::ingest::{CollectOptions, IngestError, RecordSource, TraceSource};
+use crate::pipeline::{Capture, CollectionStats};
 use crate::records::{FlowSignature, Interface, SessionRecord};
-use crate::uli::UliModel;
 
 /// CSV header of a trace file.
 pub const TRACE_HEADER: &str = "#mobilenet-trace v1";
@@ -63,11 +61,11 @@ pub struct CaptureSummary {
 /// Deterministic in `(model, config, options, seed)` and produces exactly
 /// the records
 /// [`collect_with_options`](crate::pipeline::collect_with_options) would
-/// aggregate: the capture iterates the same per-service shards with the
-/// same derived RNG (and fault RNG) streams, serially in shard order (the
-/// trace is an ordered artefact, so the stream itself is not
-/// parallelized). Capture is already record-at-a-time — at most one
-/// record is resident between the probe and the sink —
+/// aggregate: the capture runs the same per-shard blocked probe loop of
+/// [`SyntheticSource`](crate::pipeline::SyntheticSource), serially in
+/// shard order (the trace is an ordered artefact, so the stream itself is
+/// not parallelized). Memory stays bounded by one probe block of sessions
+/// and their observations — records reach `sink` as they are produced —
 /// so `options.chunk_size` does not change its behaviour; it is still
 /// validated so one `CollectOptions` value can drive both paths.
 pub fn observe_with_options(
@@ -79,28 +77,14 @@ pub fn observe_with_options(
 ) -> Result<CaptureSummary, String> {
     config.validate()?;
     options.validate()?;
-    let (radio, classifier, directions) = build_capture(model, config, seed);
-    let probe = Probe::new(&radio, UliModel::new(config), &classifier)
-        .with_movement_directions(directions);
-    let generator = SessionGenerator::new(model, seed);
-    let injector = FaultInjector::new(&options.faults);
-    let faulted = !options.faults.is_none();
+    let capture = Capture::build(model, config, seed)?;
+    let source = capture.source(model, options, seed);
     let mut summary = CaptureSummary::default();
-    for shard in 0..generator.shards() {
-        let mut probe_rng = probe_shard_rng(seed, shard);
-        let mut fault_rng = injector.shard_rng(seed, shard);
-        summary.sessions += generator.generate_shard(shard, |session| {
-            let record = probe.observe(session, &mut probe_rng);
-            if faulted {
-                injector.apply(&record, &mut fault_rng, &mut summary.faults, |degraded| {
-                    summary.emitted += 1;
-                    sink(degraded);
-                });
-            } else {
-                summary.emitted += 1;
-                sink(&record);
-            }
-        });
+    for shard in 0..source.shards() {
+        let mut stats = CollectionStats::default();
+        summary.emitted += source.probe_shard(shard, &mut stats, &mut sink);
+        summary.sessions += stats.sessions;
+        summary.faults.merge(&stats.faults);
     }
     Ok(summary)
 }

@@ -214,13 +214,6 @@ impl DemandModel {
         }
     }
 
-    /// The event-adjusted hourly weights of an affected pair, if any.
-    pub fn event_weights(&self, service: usize, commune: usize) -> Option<&[f64]> {
-        self.event_overrides
-            .get(&(service, commune))
-            .map(|(w, _)| w.as_slice())
-    }
-
     /// Weekly demand uplift from exceptional events (1.0 when unaffected).
     pub fn weekly_uplift(&self, service: usize, commune: usize) -> f64 {
         self.event_overrides
@@ -232,13 +225,23 @@ impl DemandModel {
     /// Expected weekly downlink MB of `service` in `commune`, including
     /// any event uplift.
     pub fn weekly_dl_mb(&self, service: usize, commune: usize) -> f64 {
+        self.pair_demand(service, commune).0
+    }
+
+    /// [`DemandModel::weekly_dl_mb`] of a pair together with its
+    /// event-adjusted hourly weights (`None` when no event affects it),
+    /// from one lookup of the event table — the per-pair query of session
+    /// sampling.
+    pub(crate) fn pair_demand(&self, service: usize, commune: usize) -> (f64, Option<&[f64]>) {
+        let event = self.event_overrides.get(&(service, commune));
         let spec = &self.catalog.head()[service];
         let c = &self.country.communes()[commune];
-        self.users[commune]
+        let weekly_dl = self.users[commune]
             * spec.weekly_dl_mb_per_user
             * spec.spatial.commune_factor(c)
             * self.taste[service][commune]
-            * self.weekly_uplift(service, commune)
+            * event.map_or(1.0, |(_, uplift)| *uplift);
+        (weekly_dl, event.map(|(weights, _)| weights.as_slice()))
     }
 
     /// Expected weekly uplink MB of `service` in `commune`.

@@ -35,7 +35,7 @@ pub enum Technology {
 }
 
 /// One synthetic user session, as seen before the collection pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Session {
     /// Head-service index that truly generated the session.
     pub service: u16,
@@ -160,7 +160,7 @@ impl<'a> SessionGenerator<'a> {
         let model = *model;
         let cfg = model.config();
         let spec = &model.catalog().head()[service];
-        let weekly_dl = model.weekly_dl_mb(service, commune);
+        let (weekly_dl, event_weights) = model.pair_demand(service, commune);
         if weekly_dl <= 0.0 {
             return 0;
         }
@@ -176,9 +176,7 @@ impl<'a> SessionGenerator<'a> {
         let is_tgv = info.usage_class() == mobilenet_geo::UsageClass::Tgv;
         // Event-affected pairs sample hours from their surged weights;
         // everyone else uses the precomputed per-service samplers.
-        let event_hours = model
-            .event_weights(service, commune)
-            .map(Categorical::new);
+        let event_hours = event_weights.map(Categorical::new);
         let hours = match &event_hours {
             Some(h) => h,
             None if is_tgv => &tgv_hours[service],
@@ -268,7 +266,7 @@ mod tests {
         let m = model();
         let collect = |seed: u64| {
             let mut out = Vec::new();
-            SessionGenerator::new(&m, seed).generate(|s| out.push(s.clone()));
+            SessionGenerator::new(&m, seed).generate(|s| out.push(*s));
             out
         };
         let a = collect(1);
