@@ -9,7 +9,10 @@
 //!   should stay within a small factor of batch);
 //! * `live_snapshot/cached` — the version-keyed fast path queries hit
 //!   between folds (the uncached merge cost is included in
-//!   `live_ingest/live`, which ends with one cold snapshot).
+//!   `live_ingest/live`, which ends with one cold snapshot). An
+//!   uncached snapshot is a row-sparse merge under every shard lock:
+//!   each shard partial contributes only the head-service rows it
+//!   wrote, so the cold snapshot adds little to `live_ingest/live`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

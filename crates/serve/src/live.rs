@@ -402,7 +402,10 @@ impl LiveState {
     /// the batch engine's reduction, run on demand.
     ///
     /// Snapshots are cached per state version, so repeated queries while
-    /// ingestion is idle (or finished) cost one merge total.
+    /// ingestion is idle (or finished) cost one merge total. An uncached
+    /// snapshot blocks ingest for the merge, which holds every shard
+    /// lock; the merge adds only the rows each shard wrote, so that
+    /// stall is a few ms at the france geography.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
         let version = self.version();
         if let Some((cached_version, snap)) =

@@ -72,6 +72,11 @@ pub struct TrafficDataset {
     commune_class: Vec<u8>,
     /// Subscribers per usage class.
     class_users: [f64; 4],
+    /// Per head service: whether any of its rows in the three per-service
+    /// tables may hold a value other than `+0.0`. Set by the adders, by
+    /// [`TrafficDataset::merge`] and (for every row) by
+    /// [`TrafficDataset::read_from`]; `merge` skips the rows unset here.
+    written: Vec<bool>,
 }
 
 impl TrafficDataset {
@@ -101,6 +106,7 @@ impl TrafficDataset {
             commune_users,
             commune_class,
             class_users,
+            written: vec![false; n_services],
         }
     }
 
@@ -148,6 +154,7 @@ impl TrafficDataset {
         // Negative volume is a caller bug; NaN is tolerated (it can reach
         // here from degraded inputs) and handled by NaN-safe consumers.
         debug_assert!(mb.is_nan() || mb >= 0.0, "negative volume {mb}");
+        self.written[service] = true;
         let d = dir.index();
         let c = commune.index();
         let class = self.commune_class[c] as usize;
@@ -195,6 +202,9 @@ impl TrafficDataset {
         debug_assert!(hour < HOURS_PER_WEEK);
         debug_assert!(dl_mb.is_nan() || dl_mb >= 0.0, "negative volume {dl_mb}");
         debug_assert!(ul_mb.is_nan() || ul_mb >= 0.0, "negative volume {ul_mb}");
+        // Marked before the adds: measured cheaper in the fold's hot loop
+        // than after them.
+        self.written[service] = true;
         let class = self.commune_class[commune] as usize;
         let nh = self.nh_index(0, service, hour);
         let cw = self.cw_index(0, service, commune);
@@ -496,6 +506,8 @@ impl TrafficDataset {
             commune_users: vec![0.0; n_communes],
             commune_class: vec![0; n_communes],
             class_users: [0.0; 4],
+            // Any row of a file may be set (or hold a literal `-0`).
+            written: vec![true; n_services],
         };
 
         let mut line_no = 1usize;
@@ -620,6 +632,23 @@ impl TrafficDataset {
     /// tail length), leaving `self` untouched — two exports of different
     /// scales can no longer silently mis-merge or panic deep inside a
     /// pipeline.
+    ///
+    /// Row-sparse: of the per-service tables (national hourly, commune
+    /// weekly, class hourly), only the head-service rows that `other`
+    /// has written are added — each is one contiguous slice per direction
+    /// and table. A streaming-fold shard writes a single head service, so
+    /// merging its partial costs one row instead of all of them. The tail
+    /// and unclassified cells are added densely.
+    ///
+    /// The result is bit-identical to adding every cell. A row `other`
+    /// never wrote holds only `+0.0`, and `x + 0.0 == x` bit for bit
+    /// unless `x` is `-0.0`. No dataset built by the adders or by merges
+    /// holds a `-0.0`: every cell starts at `+0.0`, and adding any
+    /// volume, `-0.0` included, to `+0.0` never yields `-0.0`. Only a
+    /// hand-written CSV with a literal `-0` can carry one into `self`,
+    /// and such a cell keeps its sign where a dense add would flip it to
+    /// `+0.0`; a dataset read from CSV counts every row as written, so as
+    /// `other` it always merges densely.
     pub fn merge(&mut self, other: &TrafficDataset) -> Result<(), DatasetError> {
         if self.n_services != other.n_services {
             return Err(DatasetError::at(
@@ -649,14 +678,22 @@ impl TrafficDataset {
                 ),
             ));
         }
-        for (a, b) in self.national_hourly.iter_mut().zip(&other.national_hourly) {
-            *a += b;
+        fn add_rows(dst: &mut [f64], src: &[f64], start: usize, len: usize) {
+            let range = start..start + len;
+            for (a, b) in dst[range.clone()].iter_mut().zip(&src[range]) {
+                *a += b;
+            }
         }
-        for (a, b) in self.commune_weekly.iter_mut().zip(&other.commune_weekly) {
-            *a += b;
-        }
-        for (a, b) in self.class_hourly.iter_mut().zip(&other.class_hourly) {
-            *a += b;
+        for s in (0..self.n_services).filter(|&s| other.written[s]) {
+            for d in 0..2 {
+                let nh = self.nh_index(d, s, 0);
+                add_rows(&mut self.national_hourly, &other.national_hourly, nh, HOURS_PER_WEEK);
+                let cw = self.cw_index(d, s, 0);
+                add_rows(&mut self.commune_weekly, &other.commune_weekly, cw, self.n_communes);
+                let ch = self.ch_index(d, s, 0, 0);
+                add_rows(&mut self.class_hourly, &other.class_hourly, ch, 4 * HOURS_PER_WEEK);
+            }
+            self.written[s] = true;
         }
         for (a, b) in self.tail_weekly.iter_mut().zip(&other.tail_weekly) {
             *a += b;
@@ -880,6 +917,27 @@ mod tests {
     }
 
     #[test]
+    fn merge_keeps_a_literal_negative_zero_only_where_other_never_wrote() {
+        // The one documented divergence from a dense add: a `-0` that a
+        // hand-written CSV put into `self` keeps its sign when `other`
+        // never wrote that row, and flips to `+0.0` when it did.
+        let (country, empty) = dataset();
+        let text = empty.to_csv().replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
+        let negative_zero = |ds: &TrafficDataset| ds.commune_vector(Direction::Down, 1)[0];
+        let mut a = TrafficDataset::from_csv(&text).expect("parse");
+        assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
+
+        let mut partial = TrafficDataset::new(&country, 3, 10, 0.5);
+        partial.add_classified_both(2, 0, 0, 1.5, 0.5);
+        a.merge(&partial).expect("same shape");
+        assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
+
+        // A dataset read from CSV counts every row as written.
+        a.merge(&TrafficDataset::from_csv(&empty.to_csv()).unwrap()).expect("same shape");
+        assert_eq!(negative_zero(&a).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
     fn reader_and_writer_apis_match_the_string_forms() {
         let (country, mut ds) = dataset();
         for (i, c) in country.communes().iter().enumerate().take(25) {
@@ -967,5 +1025,138 @@ mod tests {
         assert_eq!(Direction::Up.index(), 1);
         assert_eq!(Direction::Down.label(), "downlink");
         assert_eq!(Direction::Up.label(), "uplink");
+    }
+
+    mod merge_property {
+        use super::super::*;
+        use mobilenet_geo::CountryConfig;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::OnceLock;
+
+        const SERVICES: usize = 6;
+        const TAIL: usize = 4;
+
+        fn country() -> &'static Country {
+            static COUNTRY: OnceLock<Country> = OnceLock::new();
+            COUNTRY.get_or_init(|| Country::generate(&CountryConfig::small(), 11))
+        }
+
+        /// A volume drawn from ordinary, zero (both signs), subnormal,
+        /// huge, infinite and NaN values.
+        fn volume(rng: &mut StdRng) -> f64 {
+            match rng.gen_range(0u32..8) {
+                0 => f64::NAN,
+                1 => f64::from_bits(rng.gen_range(1u64..1 << 52)),
+                2 => f64::MAX * rng.gen::<f64>(),
+                3 => f64::INFINITY,
+                4 => 0.0,
+                5 => -0.0,
+                _ => rng.gen::<f64>() * 1e3,
+            }
+        }
+
+        /// A dataset built through the adders, writing a random subset of
+        /// head-service rows, and sometimes sent through a CSV round-trip.
+        fn random_dataset(rng: &mut StdRng) -> TrafficDataset {
+            let country = country();
+            let communes = country.communes().len();
+            let mut ds = TrafficDataset::new(country, SERVICES, TAIL, 0.5);
+            let rows: Vec<usize> = (0..SERVICES).filter(|_| rng.gen_bool(0.4)).collect();
+            for _ in 0..rng.gen_range(0usize..40) {
+                let commune = rng.gen_range(0..communes);
+                let hour = rng.gen_range(0..HOURS_PER_WEEK);
+                if !rows.is_empty() {
+                    let s = rows[rng.gen_range(0..rows.len())];
+                    if rng.gen_bool(0.5) {
+                        ds.add_classified_both(s, commune, hour, volume(rng), volume(rng));
+                    } else {
+                        let dir = if rng.gen_bool(0.5) { Direction::Down } else { Direction::Up };
+                        ds.add(dir, s, country.communes()[commune].id, hour, volume(rng));
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    ds.add_tail_both(rng.gen_range(0..TAIL), volume(rng), volume(rng));
+                }
+                if rng.gen_bool(0.3) {
+                    ds.add_unclassified_both(volume(rng), volume(rng));
+                }
+            }
+            if rng.gen_bool(0.3) {
+                ds = TrafficDataset::from_csv(&ds.to_csv()).expect("round-trip");
+            }
+            ds
+        }
+
+        /// The dense-add oracle: every cell of `other` added into `into`.
+        fn dense_merge(into: &mut TrafficDataset, other: &TrafficDataset) {
+            let tables = [
+                (&mut into.national_hourly, &other.national_hourly),
+                (&mut into.commune_weekly, &other.commune_weekly),
+                (&mut into.class_hourly, &other.class_hourly),
+                (&mut into.tail_weekly, &other.tail_weekly),
+            ];
+            for (a, b) in tables {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+            }
+            into.unclassified[0] += other.unclassified[0];
+            into.unclassified[1] += other.unclassified[1];
+        }
+
+        /// Every table cell, as bits.
+        fn bits(ds: &TrafficDataset) -> Vec<u64> {
+            ds.national_hourly
+                .iter()
+                .chain(&ds.commune_weekly)
+                .chain(&ds.class_hourly)
+                .chain(&ds.tail_weekly)
+                .chain(&ds.unclassified)
+                .map(|v| v.to_bits())
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn merge_matches_the_dense_oracle_bitwise(seed in prop::num::u64::ANY) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut pool: Vec<(TrafficDataset, TrafficDataset)> = (0..rng.gen_range(2usize..6))
+                    .map(|_| {
+                        let ds = random_dataset(&mut rng);
+                        (ds.clone(), ds)
+                    })
+                    .collect();
+                // Merge random pairs until one dataset is left, so merged
+                // datasets are merged again (their masks matter too).
+                while pool.len() > 1 {
+                    let j = rng.gen_range(0..pool.len());
+                    let (other, other_oracle) = pool.swap_remove(j);
+                    let i = rng.gen_range(0..pool.len());
+                    let (sparse, oracle) = &mut pool[i];
+                    let written: Vec<bool> =
+                        sparse.written.iter().zip(&other.written).map(|(a, b)| a | b).collect();
+                    sparse.merge(&other).expect("same shape");
+                    dense_merge(oracle, &other_oracle);
+                    prop_assert!(bits(sparse) == bits(oracle), "sparse merge diverged");
+                    prop_assert_eq!(&sparse.written, &written);
+                }
+
+                // A shape mismatch errs and leaves the target, mask included,
+                // untouched.
+                let (mut target, _) = pool.pop().unwrap();
+                let (before, written) = (bits(&target), target.written.clone());
+                for (services, tail) in [(SERVICES + 1, TAIL), (SERVICES, TAIL + 1)] {
+                    let mut other = TrafficDataset::new(country(), services, tail, 0.5);
+                    other.add_classified_both(0, 0, 0, 1.0, 1.0);
+                    prop_assert!(target.merge(&other).is_err());
+                    prop_assert!(bits(&target) == before);
+                    prop_assert_eq!(&target.written, &written);
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,9 @@
 //!   streamed in tiny chunks produces the same bytes as the whole-shard
 //!   run;
 //! * peak resident records never exceed `chunk_size × workers`;
+//! * a merge taken mid-ingest, under every shard lock, is bit-identical
+//!   to a dense cell-by-cell sum of the locked partials — the row-sparse
+//!   merge skips only rows that hold `+0.0`, with and without faults;
 //! * the ingest counters reported through the observability layer agree
 //!   with the stats the pipeline returns;
 //! * the sharded-fold engine reports the first failing shard's error and
@@ -18,12 +21,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mobilenet::core::study::StudyConfig;
+use mobilenet::geo::UsageClass;
 use mobilenet::netsim::records::FlowSignature;
 use mobilenet::netsim::{
     aggregate_batch, Capture, ChunkSink, CollectionOutput, CollectionStats, FoldStrategy,
     IngestError, Interface, RecordSource, SessionRecord, ShardedFold, ERROR_SAMPLE_CAP,
 };
 use mobilenet::par::set_thread_override;
+use mobilenet::traffic::{Direction, TrafficDataset};
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
 
 /// One pipeline run: dataset CSV, collection stats and ingest stats.
@@ -196,6 +201,97 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
                 );
                 assert_eq!(stats.faults, reference_stats.faults);
             }
+        }
+    }
+    set_thread_override(None);
+}
+
+/// Every table cell of `ds` in one fixed order: per direction, each head
+/// service's national, commune and class rows, then the tail table and
+/// the unclassified volume.
+fn cells(ds: &TrafficDataset) -> Vec<f64> {
+    let mut out = Vec::new();
+    for dir in Direction::BOTH {
+        for s in 0..ds.n_services() {
+            out.extend_from_slice(ds.national_series(dir, s));
+            out.extend_from_slice(ds.commune_vector(dir, s));
+            for class in UsageClass::ALL {
+                out.extend_from_slice(ds.class_series(dir, s, class));
+            }
+        }
+        out.extend_from_slice(ds.tail_weekly(dir));
+        out.push(ds.unclassified(dir));
+    }
+    out
+}
+
+#[test]
+fn mid_ingest_merges_match_a_dense_sum_of_the_locked_partials() {
+    // Complete snapshots are pinned against batch elsewhere; this pins
+    // the partly written partials a live snapshot merges mid-ingest.
+    // Every few batches a worker merges while the other shards keep
+    // folding; the closure run under the shard locks adds every cell of
+    // every partial in shard order — the dense merge the row-sparse one
+    // must reproduce bit for bit.
+    const EVERY: usize = 32;
+    let plans = [("fault-free", FaultPlan::none()), ("degraded", FaultPlan::degraded(3))];
+    for (plan, faults) in plans {
+        let config = StudyConfig::small().with_faults(faults).with_chunk_size(97);
+        let model = config.demand_model(DEFAULT_SEED);
+        let options = config.collect_options();
+        let capture = Capture::build(&model, &config.netsim, DEFAULT_SEED).expect("valid config");
+        let source = capture.source(&model, &options, DEFAULT_SEED);
+        // A merge of no partials is the model's tail fill over empty
+        // tables: what every merge adds after the dense sum.
+        let (empty, ()) = ShardedFold::new(&model, 0, 1).merge(|_| ()).expect("no partials");
+        let tail = cells(&empty.dataset);
+        for threads in [1usize, 2] {
+            set_thread_override(Some(threads));
+            let engine = ShardedFold::new(&model, source.shards(), options.chunk_size);
+            let (batches, merges, mismatches) =
+                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let merge_and_check = || {
+                let (out, dense) = engine
+                    .merge(|partials| {
+                        let mut sum = vec![0.0; tail.len()];
+                        for partial in partials {
+                            for (a, b) in sum.iter_mut().zip(cells(&partial.dataset)) {
+                                *a += b;
+                            }
+                        }
+                        sum
+                    })
+                    .expect("partials share one shape");
+                // The merge fills the tail table from the model after the
+                // locks; `tail` holds exactly that fill over empty tables.
+                let same = cells(&out.dataset)
+                    .iter()
+                    .zip(dense.iter().zip(&tail))
+                    .all(|(got, (sum, fill))| got.to_bits() == (sum + fill).to_bits());
+                merges.fetch_add(1, Ordering::Relaxed);
+                if !same {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            engine
+                .run(
+                    &source,
+                    |batch, ds, st| {
+                        let classifier = capture.classifier();
+                        aggregate_batch(batch, classifier, FoldStrategy::Batched, false, ds, st)
+                    },
+                    |_, _| {
+                        if batches.fetch_add(1, Ordering::Relaxed) % EVERY == 0 {
+                            merge_and_check();
+                        }
+                    },
+                    |_, _| {},
+                )
+                .expect("synthetic shards stream");
+            merge_and_check();
+            let label = format!("{plan} at {threads} threads");
+            assert!(merges.load(Ordering::Relaxed) > 10, "too few mid-ingest merges, {label}");
+            assert_eq!(mismatches.load(Ordering::Relaxed), 0, "merge diverged, {label}");
         }
     }
     set_thread_override(None);
