@@ -7,9 +7,9 @@
 //! ```
 //!
 //! At `--scale national` (~10⁸ sessions) the binary runs the
-//! streaming-ingest benchmark only: the analysis-stage passes, the
-//! materialized ingest mode and the record-replay capture all require (or
-//! build) state proportional to the record count, and the point of the
+//! streaming-ingest benchmark only: the analysis-stage passes and the
+//! record-replay capture both require (or build) state proportional to
+//! the record count, and the point of the
 //! national tier is that the full record set is never resident. The
 //! emitted JSON then has an empty `stages` array and a single
 //! `streaming` ingest row (records/s + peak resident records), and
@@ -39,7 +39,9 @@ use mobilenet_core::temporal::{clustering_sweep, Algorithm};
 use mobilenet_core::topical::topical_profiles;
 use mobilenet_core::Scale;
 use mobilenet_geo::Country;
-use mobilenet_netsim::{collect_with_options, observe_with_options, CollectOptions, SliceSource};
+use mobilenet_netsim::{
+    collect_with_options, observe_with_options, CollectOptions, IngestStats, SliceSource,
+};
 use mobilenet_traffic::{DemandModel, Direction, ServiceCatalog};
 use std::sync::Arc;
 
@@ -212,62 +214,35 @@ fn main() {
         );
         digests.push(digest);
     }
-    // Streaming-vs-materialized comparison: the same collection once with
-    // an effectively unbounded chunk (each shard materialized whole) and
-    // once with the default bounded chunk, at the parallel thread count.
-    // Throughput must be comparable and the outputs bit-identical; peak
-    // resident records shows the memory bound doing its job.
+    // Streaming collection with the default bounded chunk, at the
+    // parallel thread count; peak resident records shows the memory bound
+    // doing its job.
     mobilenet_par::set_thread_override(Some(args.threads));
     if national {
-        println!(
-            "-- national: streaming ingest only (stage passes, materialized mode \
-             and replay capture skipped)"
-        );
+        println!("-- national: streaming ingest only (stage passes and replay capture skipped)");
         mobilenet_obs::set_enabled(Some(true));
         mobilenet_obs::reset();
     }
     println!("-- streaming ingestion ({} threads)", args.threads);
     let mut ingest_entries: Vec<String> = Vec::new();
     let mut ingest_rps: Vec<(String, f64)> = Vec::new();
-    let mut ingest_csvs: Vec<usize> = Vec::new();
-    let default_chunk = CollectOptions::default().chunk_size;
-    let ingest_modes: Vec<(&str, usize)> = if national {
-        vec![("streaming", default_chunk)]
-    } else {
-        vec![("materialized", usize::MAX), ("streaming", default_chunk)]
-    };
-    for (mode, chunk) in ingest_modes {
-        let options = CollectOptions::default().chunk_size(chunk);
-        let t0 = std::time::Instant::now();
-        let out = collect_with_options(&model, &config.netsim, &options, args.seed)
-            .expect("scale configs are valid");
-        let secs = t0.elapsed().as_secs_f64();
-        let records = out.ingest.records;
-        let throughput = if secs > 0.0 { records as f64 / secs } else { 0.0 };
+    let mut record_ingest = |mode: &str, secs: f64, ingest: &IngestStats| {
+        let throughput = if secs > 0.0 { ingest.records as f64 / secs } else { 0.0 };
         println!(
             "   {mode:<14} {secs:>8.2}s  {throughput:>12.0} rec/s  peak resident {:>10}",
-            out.ingest.peak_resident_records
+            ingest.peak_resident_records
         );
         ingest_entries.push(format!(
-            "    {{ \"mode\": \"{mode}\", \"seconds\": {:.4}, \"records\": {}, \
-             \"records_per_s\": {:.0}, \"peak_resident_records\": {}, \"workers\": {} }}",
-            secs,
-            records,
-            throughput,
-            out.ingest.peak_resident_records,
-            out.ingest.workers,
+            "    {{ \"mode\": \"{mode}\", \"seconds\": {secs:.4}, \"records\": {}, \
+             \"records_per_s\": {throughput:.0}, \"peak_resident_records\": {}, \"workers\": {} }}",
+            ingest.records, ingest.peak_resident_records, ingest.workers,
         ));
         ingest_rps.push((mode.to_string(), throughput));
-        if !national {
-            ingest_csvs.push(out.dataset.to_csv().len());
-        }
-    }
-    if ingest_csvs.len() == 2 {
-        assert_eq!(
-            ingest_csvs[0], ingest_csvs[1],
-            "streaming collection diverged from the materialized path"
-        );
-    }
+    };
+    let t0 = std::time::Instant::now();
+    let out = collect_with_options(&model, &config.netsim, &CollectOptions::default(), args.seed)
+        .expect("scale configs are valid");
+    record_ingest("streaming", t0.elapsed().as_secs_f64(), &out.ingest);
 
     // Pure record-aggregation replay: capture the record stream once,
     // then time only the columnar fold (no session synthesis, no probe
@@ -282,7 +257,6 @@ fn main() {
             captured.push(r.clone())
         })
         .expect("scale configs are valid");
-        let mode = "replay_batched";
         let options = CollectOptions::default();
         let source = SliceSource::new(&captured);
         // One warm-up pass so allocator and caches settle, then the timed
@@ -291,20 +265,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let out =
             mobilenet_netsim::ingest(&source, &model, &options).expect("replay options are valid");
-        let secs = t0.elapsed().as_secs_f64();
-        let records = out.ingest.records;
-        let throughput = if secs > 0.0 { records as f64 / secs } else { 0.0 };
-        println!("   {mode:<14} {secs:>8.2}s  {throughput:>12.0} rec/s");
-        ingest_entries.push(format!(
-            "    {{ \"mode\": \"{mode}\", \"seconds\": {:.4}, \"records\": {}, \
-             \"records_per_s\": {:.0}, \"peak_resident_records\": {}, \"workers\": {} }}",
-            secs,
-            records,
-            throughput,
-            out.ingest.peak_resident_records,
-            out.ingest.workers,
-        ));
-        ingest_rps.push((mode.to_string(), throughput));
+        record_ingest("replay_batched", t0.elapsed().as_secs_f64(), &out.ingest);
     }
     let ingest_json = format!("{}\n", ingest_entries.join(",\n"));
     if national {

@@ -1,47 +1,15 @@
-//! Shared fixtures for the benchmark harness.
-//!
-//! Benches and the `figures` binary both need a generated study; building
-//! one per measurement would swamp the timings, so fixtures are cached in
-//! process-wide `OnceLock`s.
+//! Shared pieces of the `figures`, `bench_baseline` and `ablations`
+//! binaries: the fixed benchmark seed, and the `BENCH_*.json` baseline
+//! parsing and regression checks behind `bench_baseline --compare`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::OnceLock;
-
-use mobilenet_core::study::Study;
-use mobilenet_core::{Pipeline, Scale, DEFAULT_SEED};
+use mobilenet_core::DEFAULT_SEED;
 
 /// The benchmark seed: fixed so numbers are comparable across runs
 /// (the measurement week's start date, like [`DEFAULT_SEED`]).
 pub const SEED: u64 = DEFAULT_SEED;
-
-/// A small (1,000-commune) measured study, built once.
-pub fn small_study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| {
-        Pipeline::builder()
-            .scale(Scale::Small)
-            .seed(SEED)
-            .run()
-            .expect("small fixture")
-            .into_study()
-    })
-}
-
-/// A medium (6,000-commune) measured study, built once. This is the scale
-/// the shipped figures use.
-pub fn medium_study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| {
-        Pipeline::builder()
-            .scale(Scale::Medium)
-            .seed(SEED)
-            .run()
-            .expect("medium fixture")
-            .into_study()
-    })
-}
 
 /// Per-stage timings read back from a `BENCH_*.json` baseline file.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,13 +203,6 @@ pub fn compare_stages(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_study_is_cached() {
-        let a = small_study() as *const Study;
-        let b = small_study() as *const Study;
-        assert_eq!(a, b);
-    }
 
     const SAMPLE: &str = r#"{
   "schema": "mobilenet-bench-baseline/v1",

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::str::FromStr;
 
 use mobilenet_geo::Country;
-use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats, SessionRecord};
+use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats};
 use mobilenet_traffic::{ServiceCatalog, TrafficDataset};
 
 use crate::error::Error;
@@ -268,22 +268,6 @@ impl Run {
     }
 }
 
-/// Reads and parses a dataset CSV previously written by
-/// [`TrafficDataset::to_csv`], streaming line by line instead of
-/// materializing the file as one string.
-pub fn load_dataset_csv(path: &Path) -> Result<TrafficDataset, Error> {
-    let reader = std::io::BufReader::new(std::fs::File::open(path)?);
-    Ok(TrafficDataset::read_from(reader)?)
-}
-
-/// Reads and parses a probe trace previously written by
-/// [`mobilenet_netsim::trace_to_csv`], streaming line by line instead
-/// of materializing the file as one string.
-pub fn load_trace_csv(path: &Path) -> Result<Vec<SessionRecord>, Error> {
-    let reader = std::io::BufReader::new(std::fs::File::open(path)?);
-    Ok(mobilenet_netsim::read_trace_from(reader)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,23 +355,5 @@ mod tests {
         assert!(stats.faults.any(), "degraded plan must register fault events");
         assert!(stats.faults.lost_total() > 0);
         assert!(run.dataset().total(Direction::Down) > 0.0, "degraded ≠ empty");
-    }
-
-    #[test]
-    fn loaders_propagate_io_and_parse_errors() {
-        let missing = Path::new("/nonexistent/mobilenet-test/ds.csv");
-        assert!(matches!(load_dataset_csv(missing), Err(Error::Io(_))));
-        let dir = std::env::temp_dir();
-        let bad = dir.join("mobilenet_core_bad_dataset.csv");
-        std::fs::write(&bad, "not a dataset\n").unwrap();
-        assert!(matches!(load_dataset_csv(&bad), Err(Error::Dataset(_))));
-        let bad_trace = dir.join("mobilenet_core_bad_trace.csv");
-        std::fs::write(&bad_trace, "#mobilenet-trace v1\nbogus\n").unwrap();
-        match load_trace_csv(&bad_trace) {
-            Err(Error::Trace(e)) => assert_eq!(e.line, 2),
-            other => panic!("expected trace error, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&bad);
-        let _ = std::fs::remove_file(&bad_trace);
     }
 }

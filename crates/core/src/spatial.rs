@@ -152,9 +152,8 @@ pub fn spatial_correlation_of(
 /// count, so partial accumulators over disjoint observation sets
 /// [`merge`](PairAccumulator::merge) into the statistics of the union.
 /// The derived [`r_squared`](PairAccumulator::r_squared) agrees with the
-/// batch [`r_squared`](mobilenet_timeseries::stats::r_squared) up to
-/// floating-point accumulation order (merging reorders the additions, so
-/// equality is to ~1e-12, not bitwise).
+/// batch [`r_squared`] up to floating-point accumulation order (merging
+/// reorders the additions, so equality is to ~1e-12, not bitwise).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct PairAccumulator {

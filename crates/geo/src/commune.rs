@@ -33,14 +33,6 @@ pub enum Urbanization {
     Rural,
 }
 
-impl Urbanization {
-    /// Whether this is the urban level.
-    #[inline]
-    pub fn is_urban(self) -> bool {
-        matches!(self, Urbanization::Urban)
-    }
-}
-
 /// The four-way grouping used by Figure 11: urbanization level with rural
 /// TGV-corridor communes split out into their own class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

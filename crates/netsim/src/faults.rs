@@ -82,10 +82,6 @@ pub struct FaultPlan {
     /// Maximum clock skew, hours; a skewed record moves forward by
     /// `1..=skew_max_hours` hours (wrapping around the week).
     pub skew_max_hours: u16,
-    /// Probability of corrupting a serialized trace line
-    /// ([`trace_to_csv_faulty`](crate::trace::trace_to_csv_faulty));
-    /// exercised by the replay path, not by in-memory collection.
-    pub corrupt_prob: f64,
 }
 
 impl FaultPlan {
@@ -100,14 +96,12 @@ impl FaultPlan {
             truncate_keep: 1.0,
             skew_prob: 0.0,
             skew_max_hours: 0,
-            corrupt_prob: 0.0,
         }
     }
 
     /// A representative degraded-collection preset: a Tuesday-morning Gn
     /// outage, 2% record loss, 1% duplication, 1% truncation to a quarter
-    /// of the volume, 1% clock skew up to 2 h, and 2% trace-line
-    /// corruption.
+    /// of the volume, and 1% clock skew up to 2 h.
     pub fn degraded(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -118,7 +112,6 @@ impl FaultPlan {
             truncate_keep: 0.25,
             skew_prob: 0.01,
             skew_max_hours: 2,
-            corrupt_prob: 0.02,
         }
     }
 
@@ -129,7 +122,6 @@ impl FaultPlan {
             && self.dup_prob == 0.0
             && (self.truncate_prob == 0.0 || self.truncate_keep == 1.0)
             && (self.skew_prob == 0.0 || self.skew_max_hours == 0)
-            && self.corrupt_prob == 0.0
     }
 
     /// Validates internal consistency.
@@ -140,7 +132,6 @@ impl FaultPlan {
             ("truncate_prob", self.truncate_prob),
             ("truncate_keep", self.truncate_keep),
             ("skew_prob", self.skew_prob),
-            ("corrupt_prob", self.corrupt_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("fault plan: {name} must be in [0,1], got {p}"));
@@ -167,7 +158,7 @@ impl FaultPlan {
     /// pairs over [`FaultPlan::none`].
     ///
     /// Keys: `seed=N`, `loss=P`, `dup=P`, `trunc=P`, `keep=F`, `skew=P`,
-    /// `skewh=H`, `corrupt=P`, and repeatable `outage=IF:START-END` with
+    /// `skewh=H`, and repeatable `outage=IF:START-END` with
     /// `IF` ∈ {`gn`, `s5s8`} and a half-open hour-of-week range. The
     /// literal `degraded` selects [`FaultPlan::degraded`] as the base.
     ///
@@ -217,7 +208,6 @@ impl FaultPlan {
                         .parse()
                         .map_err(|e| format!("fault spec skewh={value}: {e}"))?
                 }
-                "corrupt" => plan.corrupt_prob = prob(value)?,
                 "outage" => plan.outages.push(parse_outage(value)?),
                 other => return Err(format!("fault spec: unknown key {other:?}")),
             }
@@ -357,8 +347,8 @@ impl<'a> FaultInjector<'a> {
         }
     }
 
-    /// Degrades a whole [`RecordBatch`] column-wise into `out` (appending;
-    /// callers clear between batches).
+    /// Degrades a whole [`RecordBatch`](crate::records::RecordBatch)
+    /// column-wise into `out` (appending; callers clear between batches).
     ///
     /// Walks records in batch order through the exact stage order of
     /// [`FaultInjector::apply`] — outage (no draw), loss, truncation,
@@ -581,7 +571,7 @@ mod tests {
 
     #[test]
     fn parse_builds_plans_and_rejects_garbage() {
-        let plan = FaultPlan::parse("seed=9,loss=0.05,dup=0.01,trunc=0.02,keep=0.5,skew=0.03,skewh=4,corrupt=0.01,outage=gn:33-37,outage=s5s8:100-110").unwrap();
+        let plan = FaultPlan::parse("seed=9,loss=0.05,dup=0.01,trunc=0.02,keep=0.5,skew=0.03,skewh=4,outage=gn:33-37,outage=s5s8:100-110").unwrap();
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.loss_prob, 0.05);
         assert_eq!(plan.truncate_keep, 0.5);
@@ -595,7 +585,10 @@ mod tests {
         assert!(t.truncate_keep < 1.0 && t.skew_max_hours > 0);
         assert!(FaultPlan::parse("loss").is_err());
         assert!(FaultPlan::parse("loss=2.0").is_err());
-        assert!(FaultPlan::parse("warp=0.1").is_err());
+        for unknown in ["warp=0.1", "corrupt=0.1"] {
+            let err = FaultPlan::parse(unknown).unwrap_err();
+            assert!(err.contains("unknown key"), "{unknown}: {err}");
+        }
         assert!(FaultPlan::parse("outage=gn:40").is_err());
         assert!(FaultPlan::parse("outage=wifi:1-2").is_err());
         assert!(FaultPlan::parse("outage=gn:9-9").is_err());

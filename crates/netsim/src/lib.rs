@@ -29,10 +29,10 @@
 //!   collection statistics (classification rate, localization error,
 //!   commune misassignment).
 //! * [`faults`] — the deterministic fault-injection layer: probe outage
-//!   windows, record loss/duplication, counter truncation, clock skew and
-//!   trace corruption, applied between probe and aggregation so the
-//!   pipeline degrades gracefully instead of assuming benign capture.
-//! * [`ingest`] — the streaming bounded-memory ingestion engine: the
+//!   windows, record loss/duplication, counter truncation and clock skew,
+//!   applied between probe and aggregation so the pipeline degrades
+//!   gracefully instead of assuming benign capture.
+//! * [`ingest`](mod@ingest) — the streaming bounded-memory ingestion engine: the
 //!   [`RecordSource`] abstraction (synthetic shards, trace readers,
 //!   in-memory slices) and [`ShardedFold`], the one chunked sharded
 //!   aggregator behind batch collection, trace replay and the live
@@ -69,7 +69,7 @@ pub use probe::Probe;
 pub use radio::RadioNetwork;
 pub use trace::{
     observe_with_options, read_trace_from, read_trace_from_lossy, replay_from, trace_to_csv,
-    trace_to_csv_faulty, write_trace_to, CaptureSummary, LossyReplay, LossyTrace, TraceError,
+    write_trace_to, CaptureSummary, LossyReplay, LossyTrace, TraceError,
 };
 pub use records::{Interface, RecordBatch, SessionRecord};
 pub use uli::UliModel;

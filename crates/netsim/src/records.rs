@@ -55,8 +55,9 @@ pub struct SessionRecord {
 }
 
 /// A columnar batch of session records: the struct-of-arrays twin of
-/// `Vec<SessionRecord>` that the streaming engine's [`ChunkSink`]
-/// (`crate::ingest::ChunkSink`) buffers and the aggregation fold walks.
+/// `Vec<SessionRecord>` that the streaming engine's
+/// [`ChunkSink`](crate::ingest::ChunkSink) buffers and the aggregation
+/// fold walks.
 ///
 /// Every column holds one field of every record, in record order, so the
 /// fold is a tight loop over dense `Vec<u16>`/`Vec<u32>`/`Vec<f64>`
@@ -129,9 +130,9 @@ impl RecordBatch {
     }
 
     /// Appends one record given as loose fields — the columnar writers'
-    /// entry point (e.g. [`FaultInjector::apply_batch`]
-    /// (`crate::faults::FaultInjector::apply_batch`)), skipping the row
-    /// struct entirely.
+    /// entry point (e.g.
+    /// [`FaultInjector::apply_batch`](crate::faults::FaultInjector::apply_batch)),
+    /// skipping the row struct entirely.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn push_parts(

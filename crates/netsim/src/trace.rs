@@ -9,19 +9,19 @@
 //! the radio layer.
 //!
 //! Capture and replay both understand degraded collection: a
-//! [`FaultPlan`] in [`CollectOptions`] degrades the captured stream
-//! exactly as
+//! [`FaultPlan`](crate::faults::FaultPlan) in [`CollectOptions`]
+//! degrades the captured stream exactly as
 //! [`collect_with_options`](crate::pipeline::collect_with_options) would
-//! (see [`observe_with_options`]), corrupts serialized lines
-//! ([`trace_to_csv_faulty`]), and [`read_trace_from_lossy`] /
+//! (see [`observe_with_options`]), and [`read_trace_from_lossy`] /
 //! [`replay_from`] skip-and-count malformed or non-finite lines (with
 //! 1-based line numbers) instead of aborting the whole replay.
 //!
 //! Traces stream both ways: [`write_trace_to`] serializes records to any
 //! writer one line at a time, and [`read_trace_from`] /
 //! [`replay_from`] read from any [`BufRead`] — `replay_from` aggregates
-//! through the bounded-memory engine of [`crate::ingest`] without ever
-//! materializing the record vector. Records already in memory replay
+//! through the bounded-memory engine of
+//! [`crate::ingest`](mod@crate::ingest) without ever materializing the
+//! record vector. Records already in memory replay
 //! through [`ingest`](crate::ingest::ingest) over a
 //! [`SliceSource`](crate::ingest::SliceSource).
 
@@ -30,11 +30,8 @@ use std::io::{BufRead, Write};
 use mobilenet_geo::CommuneId;
 use mobilenet_traffic::{DemandModel, TrafficDataset, HOURS_PER_WEEK};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::config::NetsimConfig;
-use crate::faults::{FaultPlan, FaultStats};
+use crate::faults::FaultStats;
 use crate::ingest::{CollectOptions, IngestError, RecordSource, TraceSource};
 use crate::pipeline::{Capture, CollectionStats};
 use crate::records::{FlowSignature, Interface, SessionRecord};
@@ -182,59 +179,6 @@ pub fn trace_to_csv<'a>(records: impl IntoIterator<Item = &'a SessionRecord>) ->
     String::from_utf8(out).expect("trace lines are ASCII")
 }
 
-/// Serializes a trace while corrupting a `plan.corrupt_prob` fraction of
-/// the data lines, deterministically in `plan.seed` — the storage-layer
-/// half of the fault model (probes wrote fine, the file rotted). The
-/// corruption modes (truncated line, `NaN` volume, out-of-week hour,
-/// mangled interface) all trip [`record_from_line`]'s hardened parser, so
-/// a corrupted line is *detectably* bad rather than silently poisonous.
-pub fn trace_to_csv_faulty<'a>(
-    records: impl IntoIterator<Item = &'a SessionRecord>,
-    plan: &FaultPlan,
-) -> String {
-    let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x7472_6163_6563_7272); // "tracecrr"
-    let mut out = String::from(TRACE_HEADER);
-    out.push('\n');
-    for r in records {
-        let line = record_to_line(r);
-        if plan.corrupt_prob > 0.0 && rng.gen::<f64>() < plan.corrupt_prob {
-            out.push_str(&corrupt_line(&line, &mut rng));
-        } else {
-            out.push_str(&line);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Mangles one serialized record in one of four ways a real storage or
-/// transport layer produces.
-fn corrupt_line(line: &str, rng: &mut StdRng) -> String {
-    let fields: Vec<&str> = line.split(',').collect();
-    match rng.gen_range(0usize..4) {
-        // Torn write: the tail of the line is gone.
-        0 => line[..line.len() / 2].to_string(),
-        // Counter glitch: the downlink volume becomes NaN.
-        1 => {
-            let mut f = fields.clone();
-            f[2] = "NaN";
-            f.join(",")
-        }
-        // Clock corruption: an impossible hour-of-week.
-        2 => {
-            let mut f = fields.clone();
-            f[1] = "999";
-            f.join(",")
-        }
-        // Bit rot in the interface tag.
-        _ => {
-            let mut f = fields.clone();
-            f[0] = "g?";
-            f.join(",")
-        }
-    }
-}
-
 /// A parse failure in [`read_trace_from`], locating the offending row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
@@ -373,6 +317,7 @@ pub fn replay_from<R: BufRead + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::ingest::{ingest, SliceSource};
     use crate::pipeline::{collect_with_options, CollectionOutput};
     use mobilenet_geo::{Country, CountryConfig};
@@ -557,16 +502,34 @@ mod tests {
         }
     }
 
+    /// Mangles every 20th data line the four ways a storage or transport
+    /// layer rots a trace: a torn write, a `NaN` volume, an impossible
+    /// hour-of-week and a garbled interface tag.
+    fn corrupt_every_20th_line(clean: &str) -> String {
+        let mut out = String::new();
+        for (i, line) in clean.lines().enumerate() {
+            let mut fields: Vec<&str> = line.split(',').collect();
+            if i > 0 && i % 20 == 0 {
+                match i / 20 % 4 {
+                    0 => fields = vec![&line[..line.len() / 2]],
+                    1 => fields[2] = "NaN",
+                    2 => fields[1] = "999",
+                    _ => fields[0] = "g?",
+                }
+            }
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
     #[test]
     fn corrupted_trace_round_trips_through_the_lossy_path() {
         let m = model();
         let cfg = NetsimConfig::standard();
         let records = capture(&m, &cfg, 9);
 
-        let mut plan = FaultPlan::none();
-        plan.seed = 4;
-        plan.corrupt_prob = 0.05;
-        let csv = trace_to_csv_faulty(&records, &plan);
+        let csv = corrupt_every_20th_line(&trace_to_csv(&records));
 
         // The strict parser aborts...
         assert!(read_trace_from(csv.as_bytes()).is_err());

@@ -9,10 +9,10 @@
 //!
 //! - [`par_map_collect`] — run `f(0..n)` across a scoped worker pool,
 //!   dynamically chunked, results reassembled **in index order**;
-//! - [`par_map`] — the same over a slice;
-//! - [`par_map_reduce`] — ordered reduction: partials are folded strictly
-//!   left-to-right in submission order, so even non-associative-in-
-//!   practice operations (floating-point `+`) give one canonical answer;
+//! - [`par_map`] — the same over a slice; callers that combine the
+//!   results fold them left-to-right in that order, so even
+//!   non-associative-in-practice operations (floating-point `+`) give one
+//!   canonical answer;
 //! - [`seed_for`] — splitmix-style derivation of independent per-shard
 //!   RNG stream seeds from a master seed, so shard *i* draws the same
 //!   stream whether it runs first, last, serial, or parallel;
@@ -203,18 +203,6 @@ impl Pool {
     {
         self.map_collect(items.len(), |i| f(&items[i]))
     }
-
-    /// Maps `f` over `0..n` on this pool, then folds the partial results
-    /// **strictly left-to-right in submission order** — the canonical
-    /// order that makes floating-point accumulation thread-count-proof.
-    pub fn map_reduce<R, A, F, G>(&self, n: usize, f: F, init: A, mut fold: G) -> A
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.map_collect(n, f).into_iter().fold(init, &mut fold)
-    }
 }
 
 /// [`Pool::map_collect`] on the ambient pool: `f` over `0..n`, results in
@@ -263,17 +251,6 @@ where
     Pool::global().with_min_items_per_worker(min_items).map(items, f)
 }
 
-/// [`Pool::map_reduce`] on the ambient pool: ordered fold of mapped
-/// partials, strictly left-to-right in submission order.
-pub fn par_map_reduce<R, A, F, G>(n: usize, f: F, init: A, fold: G) -> A
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    Pool::global().map_reduce(n, f, init, fold)
-}
-
 /// Derives the RNG stream seed for shard `stream` of a computation keyed
 /// by `master`.
 ///
@@ -312,27 +289,6 @@ mod tests {
         let serial: Vec<f64> = items.iter().map(|v| v.sin()).collect();
         for threads in [1, 2, 8] {
             assert_eq!(Pool::new(threads).map(&items, |v| v.sin()), serial);
-        }
-    }
-
-    #[test]
-    fn map_reduce_is_bitwise_stable_across_thread_counts() {
-        // Summing many magnitudes in varying order would differ in the
-        // last ulp; the ordered fold must not.
-        let reference = Pool::new(1).map_reduce(
-            2000,
-            |i| (i as f64 + 0.1).exp().recip() * 1e6,
-            0.0f64,
-            |a, b| a + b,
-        );
-        for threads in [2, 5, 16] {
-            let sum = Pool::new(threads).map_reduce(
-                2000,
-                |i| (i as f64 + 0.1).exp().recip() * 1e6,
-                0.0f64,
-                |a, b| a + b,
-            );
-            assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
         }
     }
 

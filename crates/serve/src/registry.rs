@@ -5,7 +5,7 @@
 //! server-wide stop flag. Studies register at startup (CLI
 //! `serve --study`) or at runtime via the admin `START` verb; every
 //! registration spawns that study's **publisher thread**
-//! ([`crate::subscribe::publish_loop`]), so subscriptions work the
+//! (`subscribe::publish_loop`), so subscriptions work the
 //! moment the study exists, even before (or after) its ingestion runs.
 //!
 //! Connections select a study per session (`USE`); when exactly one

@@ -18,7 +18,7 @@
 //! stream's `end` event (connection returns to command mode) or server
 //! stop (connection closes). The streaming write loop waits on the
 //! subscriber queue with the same bounded tick as reads
-//! ([`READ_TIMEOUT`]) and re-checks the stop flag every tick — a
+//! (`READ_TIMEOUT`) and re-checks the stop flag every tick — a
 //! `SHUTDOWN` from *another* connection wakes mid-`SUBSCRIBE` writers
 //! too, it never strands them on an idle queue.
 //!

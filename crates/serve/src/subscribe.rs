@@ -4,7 +4,7 @@
 //! A `SUBSCRIBE` turns a protocol connection into an event stream. One
 //! **publisher thread per study** (spawned by the
 //! [`StudyRegistry`](crate::registry::StudyRegistry) at registration)
-//! waits on the state's [`VersionNotifier`], and on every change builds
+//! waits on the state's [`VersionNotifier`](crate::live::VersionNotifier), and on every change builds
 //! the round's [`DeltaEvent`]s from the version-cached snapshot:
 //!
 //! * watermark advances (`(week, hour)` lexicographic, plus completion);

@@ -19,10 +19,6 @@
 //!   the one-shot layer: the twiddle tables are filled by the same
 //!   `w = w * wlen` recurrence the per-block butterfly loop uses, so every
 //!   butterfly multiplies by exactly the same `f64` pair.
-//!
-//! [`cross_correlation_auto`] adaptively dispatches to the direct
-//! `O(|x|·|y|)` kernel below a measured work threshold where FFT setup cost
-//! dominates.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -373,8 +369,7 @@ pub fn cross_correlation_spectra(
 }
 
 /// Direct `O(n·m)` cross-correlation with the same layout as
-/// [`cross_correlation`]. Used as a test oracle and for very short series
-/// where FFT setup cost dominates.
+/// [`cross_correlation`]. Used as the test oracle.
 pub fn cross_correlation_naive(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert!(!x.is_empty() && !y.is_empty(), "cross_correlation of empty input");
     let neg = y.len() as isize - 1;
@@ -392,31 +387,6 @@ pub fn cross_correlation_naive(x: &[f64], y: &[f64]) -> Vec<f64> {
         *o = acc;
     }
     out
-}
-
-/// Work threshold for [`cross_correlation_auto`]: inputs with
-/// `x.len() * y.len()` at or below this run the direct kernel.
-///
-/// Measured with the `measure_auto_dispatch_crossover` harness below
-/// (release mode, plan amortized as in the batched engine): the direct
-/// kernel wins through 48×48 (0.65× the FFT path's cost) and loses from
-/// 64×64 up (1.13×) — below the threshold the three transforms, padding,
-/// and reorder cost more than the `O(|x|·|y|)` inner loop. `48 * 48` is
-/// the largest measured size class on the winning side.
-pub const AUTO_NAIVE_MAX_WORK: usize = 48 * 48;
-
-/// Adaptive cross-correlation: dispatches to [`cross_correlation_naive`]
-/// when `x.len() * y.len() <= AUTO_NAIVE_MAX_WORK`, else to the
-/// plan-cached FFT path. Output is bit-identical to whichever kernel the
-/// size class selects (the two kernels differ from each other in the last
-/// few ulps, so the dispatch boundary is part of the contract).
-pub fn cross_correlation_auto(x: &[f64], y: &[f64]) -> Vec<f64> {
-    assert!(!x.is_empty() && !y.is_empty(), "cross_correlation of empty input");
-    if x.len() * y.len() <= AUTO_NAIVE_MAX_WORK {
-        cross_correlation_naive(x, y)
-    } else {
-        cross_correlation(x, y)
-    }
 }
 
 #[cfg(test)]
@@ -546,25 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_matches_branch_oracles_bitwise() {
-        // Below the threshold → naive bits; above → FFT bits.
-        for m in [4usize, 16, 48, 49, 64, 100] {
-            let x: Vec<f64> = (0..m).map(|i| (i as f64 * 1.3).sin()).collect();
-            let y: Vec<f64> = (0..m).map(|i| (i as f64 * 0.9).cos()).collect();
-            let auto = cross_correlation_auto(&x, &y);
-            let oracle = if m * m <= AUTO_NAIVE_MAX_WORK {
-                cross_correlation_naive(&x, &y)
-            } else {
-                cross_correlation(&x, &y)
-            };
-            assert_eq!(auto.len(), oracle.len());
-            for (a, b) in auto.iter().zip(oracle.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "m={m}");
-            }
-        }
-    }
-
-    #[test]
     fn cross_correlation_matches_naive() {
         let x: Vec<f64> = (0..13).map(|i| (i as f64 * 1.3).sin()).collect();
         let y: Vec<f64> = (0..9).map(|i| (i as f64 * 0.9).cos()).collect();
@@ -621,43 +572,6 @@ mod tests {
         let plan = FftPlan::new(8);
         let mut data = vec![Complex::ZERO; 16];
         plan.fft_in_place(&mut data, Direction::Forward);
-    }
-
-    /// Measurement harness behind [`AUTO_NAIVE_MAX_WORK`]: times the naive
-    /// O(m²) kernel against the planned FFT path (plan amortized, as in the
-    /// batched engine) across equal-length sizes and reports the observed
-    /// crossover. Run with
-    /// `cargo test -p mobilenet-timeseries --release crossover -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "timing harness, run manually in release mode"]
-    fn measure_auto_dispatch_crossover() {
-        let reps = 2000;
-        for m in [8usize, 16, 24, 32, 48, 64, 96, 128] {
-            let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
-            let y: Vec<f64> = (0..m).map(|i| (i as f64 * 0.91).cos()).collect();
-            let t0 = std::time::Instant::now();
-            let mut sink = 0.0;
-            for _ in 0..reps {
-                sink += cross_correlation_naive(&x, &y)[m / 2];
-            }
-            let naive = t0.elapsed().as_secs_f64();
-            let plan = FftPlan::new(next_pow2(2 * m - 1));
-            let mut scratch = CorrScratch::new();
-            let mut out = Vec::new();
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                cross_correlation_with_plan(&plan, &x, &y, &mut scratch, &mut out);
-                sink += out[m / 2];
-            }
-            let fft = t0.elapsed().as_secs_f64();
-            println!(
-                "m={m:4} work={:6} naive={:8.1}ns fft={:8.1}ns ratio={:.2} (sink {sink:.3e})",
-                m * m,
-                naive / reps as f64 * 1e9,
-                fft / reps as f64 * 1e9,
-                naive / fft,
-            );
-        }
     }
 
     #[test]

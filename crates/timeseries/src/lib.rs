@@ -15,8 +15,6 @@
 //!   coefficient of determination, ordinary least squares, quantiles and
 //!   empirical CDFs, cumulative-share (concentration) curves.
 //! * [`zipf`] — rank–frequency (Zipf) exponent fitting used for Figure 2.
-//! * [`smoothing`] — moving averages and related filters feeding the
-//!   smoothed z-score peak detector in `mobilenet-core`.
 //!
 //! All kernels operate on plain `&[f64]` slices so they stay decoupled from
 //! how the rest of the workspace stores traffic data.
@@ -37,13 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod complex;
-pub mod decompose;
-pub mod dtw;
 pub mod fft;
 pub mod norm;
-pub mod periodicity;
 pub mod sbd;
-pub mod smoothing;
 pub mod stats;
 pub mod zipf;
 

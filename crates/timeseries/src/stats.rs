@@ -23,11 +23,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Pearson correlation coefficient `r` between two equal-length samples.
 ///
 /// Returns 0 when either sample is (numerically) constant, matching the
@@ -265,25 +260,6 @@ pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
     acf
 }
 
-/// Gini coefficient of a non-negative sample — a scalar summary of spatial
-/// concentration used by the ablation benches.
-pub fn gini(values: &[f64]) -> f64 {
-    let mut sorted: Vec<f64> =
-        values.iter().copied().filter(|v| v.is_finite() && *v >= 0.0).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 =
-        sorted.iter().enumerate().map(|(i, &x)| (2.0 * (i as f64 + 1.0) - n as f64 - 1.0) * x).sum();
-    weighted / (n as f64 * total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +269,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -383,7 +358,6 @@ mod tests {
         v.push(91.0);
         let top10 = share_of_top(&v, 0.1);
         assert!((top10 - 0.91).abs() < 1e-12);
-        assert!(gini(&v) > 0.7);
     }
 
     #[test]
@@ -416,11 +390,5 @@ mod tests {
     #[should_panic(expected = "max_lag")]
     fn autocorrelation_lag_bound_is_enforced() {
         autocorrelation(&[1.0, 2.0], 2);
-    }
-
-    #[test]
-    fn gini_of_equal_shares_is_zero() {
-        assert!(gini(&[5.0; 20]).abs() < 1e-12);
-        assert_eq!(gini(&[]), 0.0);
     }
 }

@@ -278,22 +278,6 @@ impl TrafficDataset {
         &series[start..end]
     }
 
-    /// Total volume of a head service over an hour window `[start, end)`
-    /// (clamped): summed left-to-right over the window, so for
-    /// `[0, 168)` it is bit-identical to [`national_weekly`]
-    /// (same additions in the same order).
-    ///
-    /// [`national_weekly`]: TrafficDataset::national_weekly
-    pub fn national_window_total(
-        &self,
-        dir: Direction,
-        service: usize,
-        start: usize,
-        end: usize,
-    ) -> f64 {
-        self.national_series_window(dir, service, start, end).iter().sum()
-    }
-
     /// The per-commune weekly totals of a head service.
     pub fn commune_vector(&self, dir: Direction, service: usize) -> &[f64] {
         let start = self.cw_index(dir.index(), service, 0);
@@ -377,11 +361,6 @@ impl TrafficDataset {
     /// Subscribers per usage class, by [`UsageClass::index`].
     pub fn class_users(&self) -> [f64; 4] {
         self.class_users
-    }
-
-    /// Usage-class index of each commune.
-    pub fn commune_classes(&self) -> &[u8] {
-        &self.commune_class
     }
 
     /// Streams the dataset's sectioned CSV format to any writer, one
@@ -790,10 +769,9 @@ mod tests {
         }
         // The full window is the weekly total, bit for bit (same
         // left-to-right additions).
-        assert_eq!(
-            ds.national_window_total(Direction::Down, 0, 0, HOURS_PER_WEEK),
-            ds.national_weekly(Direction::Down, 0)
-        );
+        let full: f64 =
+            ds.national_series_window(Direction::Down, 0, 0, HOURS_PER_WEEK).iter().sum();
+        assert_eq!(full, ds.national_weekly(Direction::Down, 0));
         // Disjoint windows partition the series.
         let a = ds.national_series_window(Direction::Down, 0, 0, 50);
         let b = ds.national_series_window(Direction::Down, 0, 50, HOURS_PER_WEEK);
@@ -802,7 +780,7 @@ mod tests {
         // Out-of-range bounds clamp instead of panicking.
         assert_eq!(ds.national_series_window(Direction::Down, 0, 0, 10_000).len(), 168);
         assert!(ds.national_series_window(Direction::Down, 0, 80, 20).is_empty());
-        assert_eq!(ds.national_window_total(Direction::Down, 0, 168, 168), 0.0);
+        assert!(ds.national_series_window(Direction::Down, 0, 168, 168).is_empty());
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl DemandModel {
         (weekly_dl, event.map(|(weights, _)| weights.as_slice()))
     }
 
-    /// Expected weekly uplink MB of `service` in `commune`.
-    pub fn weekly_ul_mb(&self, service: usize, commune: usize) -> f64 {
-        self.weekly_dl_mb(service, commune) * self.catalog.head()[service].ul_ratio
-    }
-
     /// Evaluates the expectation of the whole dataset, without sampling
     /// noise and without the collection pipeline (no classification loss,
     /// no localization error).

@@ -15,9 +15,8 @@
 //! cargo run --release --example network_slicing
 //! ```
 
-use std::collections::BTreeMap;
-
-use mobilenet::traffic::{Direction, HOURS_PER_WEEK};
+use mobilenet::core::slicing::per_category_slicing;
+use mobilenet::traffic::Direction;
 use mobilenet::{Pipeline, Scale};
 
 fn main() {
@@ -27,53 +26,34 @@ fn main() {
         .run()
         .expect("small config is valid")
         .into_study();
-    let ds = study.dataset();
-
-    // Aggregate national hourly downlink per category.
-    let mut per_category: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for (s, spec) in study.catalog().head().iter().enumerate() {
-        let series = ds.national_series(Direction::Down, s);
-        let entry = per_category
-            .entry(spec.category.label())
-            .or_insert_with(|| vec![0.0; HOURS_PER_WEEK]);
-        for (acc, v) in entry.iter_mut().zip(series.iter()) {
-            *acc += v;
-        }
-    }
+    // One slice per service category, over the national hourly downlink.
+    let report = per_category_slicing(&study, Direction::Down);
 
     println!("== per-slice (static) dimensioning ==");
     println!("{:<16} {:>12} {:>12} {:>8}", "slice", "peak MB/h", "mean MB/h", "peak/mean");
-    let mut sum_of_peaks = 0.0;
-    let mut total = vec![0.0; HOURS_PER_WEEK];
-    for (category, series) in &per_category {
-        let peak = series.iter().cloned().fold(0.0f64, f64::max);
-        let mean = series.iter().sum::<f64>() / series.len() as f64;
-        sum_of_peaks += peak;
-        for (acc, v) in total.iter_mut().zip(series.iter()) {
-            *acc += v;
-        }
-        println!("{:<16} {:>12.0} {:>12.0} {:>8.2}", category, peak, mean, peak / mean);
+    for slice in &report.slices {
+        println!(
+            "{:<16} {:>12.0} {:>12.0} {:>8.2}",
+            slice.name,
+            slice.peak,
+            slice.mean,
+            slice.peak_to_mean()
+        );
     }
 
-    let shared_peak = total.iter().cloned().fold(0.0f64, f64::max);
     println!("\n== pooling gain from temporal complementarity ==");
-    println!("sum of per-slice peaks : {:>12.0} MB/h", sum_of_peaks);
-    println!("peak of the shared pool: {:>12.0} MB/h", shared_peak);
+    println!("sum of per-slice peaks : {:>12.0} MB/h", report.sum_of_peaks);
+    println!("peak of the shared pool: {:>12.0} MB/h", report.shared_peak);
     println!(
         "static slicing over-provisions by {:.1}% — the temporal heterogeneity of §4 is the saving",
-        (sum_of_peaks / shared_peak - 1.0) * 100.0
+        report.pooling_gain() * 100.0
     );
 
     // When does each slice need its capacity? Distinct peak hours are the
     // fingerprint of Figure 6.
     println!("\n== peak hour of each slice (hour-of-week, 0 = Sat 00:00) ==");
-    for (category, series) in &per_category {
-        let (argmax, _) = series
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        let day = ["Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"][argmax / 24];
-        println!("{:<16} {} {:02}:00", category, day, argmax % 24);
+    for slice in &report.slices {
+        let day = ["Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"][slice.peak_hour / 24];
+        println!("{:<16} {} {:02}:00", slice.name, day, slice.peak_hour % 24);
     }
 }

@@ -9,7 +9,7 @@
 //!   produces the same bytes at 1/2/8 workers, and reports every fault
 //!   event through the collection stats and the observability layer.
 
-use mobilenet::netsim::{read_trace_from, replay_from, trace_to_csv_faulty, CollectOptions};
+use mobilenet::netsim::{read_trace_from, replay_from, trace_to_csv, CollectOptions};
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::Direction;
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
@@ -118,8 +118,22 @@ fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
     })
     .unwrap();
 
-    let plan = FaultPlan { seed: 5, corrupt_prob: 0.05, ..FaultPlan::none() };
-    let corrupted = trace_to_csv_faulty(&records, &plan);
+    // Every 20th data line rots one of four ways: a torn write, a `NaN`
+    // volume, an impossible hour-of-week, a garbled interface tag.
+    let mut corrupted = String::new();
+    for (i, line) in trace_to_csv(&records).lines().enumerate() {
+        let mut fields: Vec<&str> = line.split(',').collect();
+        if i > 0 && i % 20 == 0 {
+            match i / 20 % 4 {
+                0 => fields = vec![&line[..line.len() / 2]],
+                1 => fields[2] = "NaN",
+                2 => fields[1] = "999",
+                _ => fields[0] = "g?",
+            }
+        }
+        corrupted.push_str(&fields.join(","));
+        corrupted.push('\n');
+    }
 
     // The strict loader aborts on the first bad line …
     assert!(read_trace_from(corrupted.as_bytes()).is_err());

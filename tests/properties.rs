@@ -5,9 +5,8 @@ use proptest::prelude::*;
 
 use mobilenet::cluster::{kmeans, kshape};
 use mobilenet::timeseries::fft::{
-    cross_correlation, cross_correlation_auto, cross_correlation_naive,
-    cross_correlation_with_plan, fft_in_place, next_pow2, CorrScratch, Direction, FftPlan,
-    AUTO_NAIVE_MAX_WORK,
+    cross_correlation, cross_correlation_naive, cross_correlation_with_plan, fft_in_place,
+    next_pow2, CorrScratch, Direction, FftPlan,
 };
 use mobilenet::timeseries::norm::{min_max_normalize, to_shares, z_normalize};
 use mobilenet::timeseries::sbd::{
@@ -107,26 +106,6 @@ proptest! {
             for (a, b) in out.iter().zip(oracle.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn auto_cross_correlation_matches_selected_branch_bitwise(
-        x in finite_series(1..80),
-        y in finite_series(1..80),
-    ) {
-        // Lengths up to 80×80 straddle the 48×48 dispatch threshold, so
-        // both branches are exercised. The contract is bit-identity with
-        // whichever kernel the size class selects.
-        let auto = cross_correlation_auto(&x, &y);
-        let oracle = if x.len() * y.len() <= AUTO_NAIVE_MAX_WORK {
-            cross_correlation_naive(&x, &y)
-        } else {
-            cross_correlation(&x, &y)
-        };
-        prop_assert_eq!(auto.len(), oracle.len());
-        for (a, b) in auto.iter().zip(oracle.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -349,31 +328,6 @@ proptest! {
         };
         let back = record_from_line(&record_to_line(&r)).unwrap();
         prop_assert_eq!(back, r);
-    }
-
-    #[test]
-    fn dtw_is_a_semi_metric(
-        x in prop::collection::vec(-100.0f64..100.0, 2..24),
-        y in prop::collection::vec(-100.0f64..100.0, 2..24),
-    ) {
-        use mobilenet::timeseries::dtw::dtw_distance;
-        let dxy = dtw_distance(&x, &y, None);
-        let dyx = dtw_distance(&y, &x, None);
-        prop_assert!((dxy - dyx).abs() < 1e-9, "symmetry: {} vs {}", dxy, dyx);
-        prop_assert!(dxy >= 0.0);
-        prop_assert!(dtw_distance(&x, &x, None) < 1e-9);
-    }
-
-    #[test]
-    fn decomposition_reconstructs_any_series(
-        s in prop::collection::vec(-1e3f64..1e3, 48..120),
-    ) {
-        use mobilenet::timeseries::decompose::decompose;
-        let d = decompose(&s, 24);
-        for (a, b) in d.reconstruct().iter().zip(s.iter()) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
-        prop_assert!((0.0..=1.0).contains(&d.seasonal_strength()));
     }
 
     #[test]
