@@ -18,8 +18,9 @@
 //! `--compare FILE` reads a previously committed baseline and exits
 //! non-zero if any stage's serial time regressed by more than 25%
 //! relative *and* 50 ms absolute (the absolute floor keeps
-//! microsecond-scale stages from flaking the gate). CI runs this against
-//! the committed per-PR baseline.
+//! microsecond-scale stages from flaking the gate), or if any ingestion
+//! mode lost more than 25% of its records/s; both gates always print.
+//! CI runs this against the committed per-PR baseline.
 //!
 //! Every stage is the same computation the `figures` binary runs; the
 //! parallel pass must produce bit-identical results (asserted here via
@@ -324,6 +325,7 @@ fn main() {
     println!("baseline written to {}", args.out.display());
 
     if let Some(path) = &args.compare {
+        let mut failed = false;
         let text = fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
         // National baselines carry no stage timings — only the ingest
@@ -361,7 +363,7 @@ fn main() {
                         100.0 * (r.current_s - r.baseline_s) / r.baseline_s
                     );
                 }
-                std::process::exit(1);
+                failed = true;
             }
         }
 
@@ -395,6 +397,9 @@ fn main() {
                     100.0 * (r.current_rps - r.baseline_rps) / r.baseline_rps
                 );
             }
+            failed = true;
+        }
+        if failed {
             std::process::exit(1);
         }
     }

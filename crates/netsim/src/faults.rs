@@ -5,7 +5,7 @@
 //! interval, records are duplicated across redundant taps, clocks skew,
 //! and trace files arrive with mangled lines. A [`FaultPlan`] models those
 //! imperfections as a deterministic, seedable transformation applied
-//! **between [`Probe::observe`](crate::Probe::observe) and aggregation**,
+//! **between the [`Probe`](crate::Probe) and aggregation**,
 //! so [`collect_with_options`](crate::pipeline::collect_with_options),
 //! [`observe_with_options`](crate::trace::observe_with_options)
 //! and a replay of the captured trace all see the exact same degraded
@@ -45,14 +45,7 @@ pub struct OutageWindow {
 impl OutageWindow {
     /// Whether `record` is captured by the downed probe.
     pub fn covers(&self, record: &SessionRecord) -> bool {
-        self.covers_at(record.interface, record.start_hour)
-    }
-
-    /// Whether a record with these coordinates is captured by the downed
-    /// probe (the columnar twin of [`OutageWindow::covers`]).
-    #[inline]
-    pub fn covers_at(&self, interface: Interface, start_hour: u16) -> bool {
-        interface == self.interface && self.hours.contains(&start_hour)
+        record.interface == self.interface && self.hours.contains(&record.start_hour)
     }
 }
 
@@ -346,68 +339,6 @@ impl<'a> FaultInjector<'a> {
             emit(&degraded);
         }
     }
-
-    /// Degrades a whole [`RecordBatch`](crate::records::RecordBatch)
-    /// column-wise into `out` (appending; callers clear between batches).
-    ///
-    /// Walks records in batch order through the exact stage order of
-    /// [`FaultInjector::apply`] — outage (no draw), loss, truncation,
-    /// clock skew, duplication, each drawing from `rng` only when its
-    /// probability is nonzero — so for any plan and RNG state the emitted
-    /// stream and [`FaultStats`] are **bit-identical** to applying
-    /// [`FaultInjector::apply`] to each row in turn (pinned by a test
-    /// below). The synthesis path keeps per-record application because
-    /// faults interleave with probe observation there; this columnar twin
-    /// serves batch-replay consumers.
-    pub fn apply_batch(
-        &self,
-        batch: &crate::records::RecordBatch,
-        rng: &mut StdRng,
-        stats: &mut FaultStats,
-        out: &mut crate::records::RecordBatch,
-    ) {
-        let plan = self.plan;
-        let interfaces = batch.interfaces();
-        let hours = batch.start_hours();
-        let dl = batch.dl_mb();
-        let ul = batch.ul_mb();
-        let communes = batch.communes();
-        let signatures = batch.signatures();
-        let stale = batch.stale_uli();
-        for i in 0..batch.len() {
-            let interface = interfaces[i];
-            let mut hour = hours[i];
-            if plan.outages.iter().any(|w| w.covers_at(interface, hour)) {
-                stats.lost_outage += 1;
-                continue;
-            }
-            if plan.loss_prob > 0.0 && rng.gen::<f64>() < plan.loss_prob {
-                stats.lost_records += 1;
-                continue;
-            }
-            let (mut dl_mb, mut ul_mb) = (dl[i], ul[i]);
-            if plan.truncate_prob > 0.0 && rng.gen::<f64>() < plan.truncate_prob {
-                dl_mb *= plan.truncate_keep;
-                ul_mb *= plan.truncate_keep;
-                stats.truncated_records += 1;
-            }
-            if plan.skew_prob > 0.0
-                && plan.skew_max_hours > 0
-                && rng.gen::<f64>() < plan.skew_prob
-            {
-                let delta = rng.gen_range(1..plan.skew_max_hours + 1);
-                hour = (hour + delta) % HOURS_PER_WEEK as u16;
-                stats.skewed_records += 1;
-            }
-            out.push_parts(interface, hour, dl_mb, ul_mb, communes[i], signatures[i], stale[i]);
-            if plan.dup_prob > 0.0 && rng.gen::<f64>() < plan.dup_prob {
-                stats.duplicated_records += 1;
-                out.push_parts(
-                    interface, hour, dl_mb, ul_mb, communes[i], signatures[i], stale[i],
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -493,46 +424,6 @@ mod tests {
         );
         // Truncated copies carry exactly the configured fraction.
         assert!(out.iter().any(|r| r.dl_mb == 4.0 && r.ul_mb == 1.0));
-    }
-
-    #[test]
-    fn columnar_apply_batch_matches_per_record_apply_bitwise() {
-        use crate::records::RecordBatch;
-        for plan in [
-            FaultPlan::degraded(11),
-            {
-                let mut p = FaultPlan::degraded(11);
-                p.loss_prob = 0.2;
-                p.dup_prob = 0.1;
-                p
-            },
-            FaultPlan::none(),
-        ] {
-            let records: Vec<SessionRecord> = (0..5000)
-                .map(|i| {
-                    let mut r = record(
-                        if i % 2 == 0 { Interface::Gn } else { Interface::S5S8 },
-                        (i % 168) as u16,
-                    );
-                    r.dl_mb = 0.5 + i as f64 * 0.13;
-                    r
-                })
-                .collect();
-            let (rows, row_stats) = run_plan(&plan, &records);
-
-            let injector = FaultInjector::new(&plan);
-            let mut rng = injector.shard_rng(7, 0);
-            let mut stats = FaultStats::default();
-            let mut batch = RecordBatch::with_capacity(records.len());
-            for r in &records {
-                batch.push(r);
-            }
-            let mut out = RecordBatch::default();
-            injector.apply_batch(&batch, &mut rng, &mut stats, &mut out);
-            let cols: Vec<SessionRecord> = (0..out.len()).map(|i| out.row(i)).collect();
-            assert_eq!(cols, rows, "columnar degradation diverged");
-            assert_eq!(stats, row_stats);
-        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * a [`RecordSource`] yields each shard's [`SessionRecord`]s **in
 //!   order** through a bounded [`ChunkSink`] — synthetic demand shards
 //!   ([`collect_with_options`](crate::pipeline::collect_with_options)),
-//!   trace files via any [`BufRead`] ([`TraceSource`]), or in-memory
-//!   slices ([`SliceSource`]);
+//!   trace files via any [`BufRead`] ([`TraceSource`], skipping and
+//!   counting malformed rows), or in-memory slices ([`SliceSource`]);
 //! * one engine, [`ShardedFold`], drives `mobilenet-par` workers over
 //!   the shards, folds each chunk into that shard's partial
 //!   [`TrafficDataset`] + [`CollectionStats`], and merges partials in
@@ -45,7 +45,7 @@ use mobilenet_traffic::{DatasetError, DemandModel, TrafficDataset};
 use crate::faults::FaultPlan;
 use crate::pipeline::{CollectionOutput, CollectionStats};
 use crate::records::{RecordBatch, SessionRecord};
-use crate::trace::{record_from_line, TraceError, TRACE_HEADER};
+use crate::trace::{walk_trace, TraceError};
 
 /// Default records-per-chunk budget of the streaming engine: small enough
 /// that dozens of workers stay in cache-friendly territory, large enough
@@ -128,7 +128,7 @@ impl CollectOptions {
 pub enum IngestError {
     /// Reading the underlying byte stream failed.
     Io(std::io::Error),
-    /// A trace row failed to parse (strict sources only).
+    /// A trace could not be read (missing header or I/O failure).
     Trace(TraceError),
     /// The source or options configuration is invalid.
     Config(String),
@@ -652,41 +652,32 @@ impl RecordSource for SliceSource<'_> {
     }
 }
 
-/// A probe trace read incrementally from any [`BufRead`] — the streaming
-/// replacement for materializing a whole trace file as a `String` plus a
-/// `Vec<SessionRecord>`.
+/// A probe trace read incrementally from any [`BufRead`] through the
+/// one trace line reader, without materializing the file or its records.
 ///
-/// Single-shard (a trace is an ordered artefact). In strict mode the
-/// first malformed row aborts the stream with its 1-based line number; in
-/// lossy mode malformed rows are skipped and counted
-/// (`CollectionStats::skipped_lines`), with the line-numbered details
-/// retrievable via [`TraceSource::take_skipped`] afterwards.
+/// Single-shard (a trace is an ordered artefact). Malformed rows are
+/// skipped and counted (`CollectionStats::skipped_lines`), with the
+/// line-numbered details retrievable via [`TraceSource::take_skipped`]
+/// afterwards. Only a missing header or an I/O failure is fatal: it fails
+/// the stream as [`IngestError::Trace`] at the line where reading failed.
 pub struct TraceSource<R> {
     reader: Mutex<Option<R>>,
-    lossy: bool,
     bytes: AtomicU64,
     skipped: Mutex<Vec<TraceError>>,
 }
 
 impl<R: BufRead> TraceSource<R> {
-    /// A strict trace source: the first bad row fails the ingestion.
-    pub fn strict(reader: R) -> Self {
+    /// A trace source over `reader`.
+    pub fn new(reader: R) -> Self {
         TraceSource {
             reader: Mutex::new(Some(reader)),
-            lossy: false,
             bytes: AtomicU64::new(0),
             skipped: Mutex::new(Vec::new()),
         }
     }
 
-    /// A lossy trace source: malformed rows are skipped and counted
-    /// instead of aborting (only a missing header is fatal).
-    pub fn lossy(reader: R) -> Self {
-        TraceSource { lossy: true, ..TraceSource::strict(reader) }
-    }
-
-    /// The line-numbered errors of every row skipped so far (lossy mode),
-    /// leaving the source's list empty.
+    /// The line-numbered errors of every row skipped so far, leaving the
+    /// source's list empty.
     pub fn take_skipped(&self) -> Vec<TraceError> {
         std::mem::take(&mut *self.skipped.lock().expect("skipped list poisoned"))
     }
@@ -703,49 +694,22 @@ impl<R: BufRead + Send> RecordSource for TraceSource<R> {
         stats: &mut CollectionStats,
         sink: &mut ChunkSink<'_>,
     ) -> Result<(), IngestError> {
-        let mut reader = self
+        let reader = self
             .reader
             .lock()
             .expect("trace reader poisoned")
             .take()
             .ok_or_else(|| IngestError::Config("trace source already consumed".into()))?;
-        let mut line = String::new();
-        let read_line = |reader: &mut R, line: &mut String| -> Result<bool, IngestError> {
-            line.clear();
-            let n = reader.read_line(line)?;
-            self.bytes.fetch_add(n as u64, Ordering::Relaxed);
-            // Same semantics as `str::lines`: strip one `\n`, then at
-            // most one `\r` before it.
-            if line.ends_with('\n') {
-                line.pop();
-                if line.ends_with('\r') {
-                    line.pop();
-                }
-            }
-            Ok(n > 0)
-        };
-        if !read_line(&mut reader, &mut line)? || line != TRACE_HEADER {
-            return Err(IngestError::Trace(TraceError {
-                line: 1,
-                message: "missing/unsupported trace header".into(),
-            }));
-        }
-        let mut line_no = 1usize;
-        while read_line(&mut reader, &mut line)? {
-            line_no += 1;
-            match record_from_line(&line) {
+        walk_trace(reader, &self.bytes, |row| {
+            match row {
                 Ok(record) => sink.push(&record),
-                Err(message) => {
-                    let err = TraceError { line: line_no, message };
-                    if self.lossy {
-                        stats.skipped_lines += 1;
-                        self.skipped.lock().expect("skipped list poisoned").push(err);
-                    } else {
-                        return Err(IngestError::Trace(err));
-                    }
+                Err(err) => {
+                    stats.skipped_lines += 1;
+                    self.skipped.lock().expect("skipped list poisoned").push(err);
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -758,6 +722,7 @@ impl<R: BufRead + Send> RecordSource for TraceSource<R> {
 mod tests {
     use super::*;
     use crate::records::{FlowSignature, Interface};
+    use crate::trace::TRACE_HEADER;
     use mobilenet_geo::CommuneId;
 
     fn record(hour: u16) -> SessionRecord {
@@ -810,7 +775,7 @@ mod tests {
     #[test]
     fn trace_source_counts_bytes_and_rejects_double_use() {
         let body = format!("{TRACE_HEADER}\n{}\n", crate::trace::record_to_line(&record(5)));
-        let source = TraceSource::strict(body.as_bytes());
+        let source = TraceSource::new(body.as_bytes());
         let ledger = IngestLedger::default();
         let mut stats = CollectionStats::default();
         let mut n = 0usize;

@@ -68,8 +68,8 @@ pub use pipeline::{
 pub use probe::Probe;
 pub use radio::RadioNetwork;
 pub use trace::{
-    observe_with_options, read_trace_from, read_trace_from_lossy, replay_from, trace_to_csv,
-    write_trace_to, CaptureSummary, LossyReplay, LossyTrace, TraceError,
+    observe_with_options, read_trace_from, replay_from, trace_to_csv, write_trace_to,
+    CaptureSummary, LossyReplay, TraceError,
 };
 pub use records::{Interface, RecordBatch, SessionRecord};
 pub use uli::UliModel;

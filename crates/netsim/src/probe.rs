@@ -8,10 +8,11 @@
 //!
 //! Collection probes sessions in blocks (`ProbeBlock`): a first pass
 //! draws each session's ULI fix and then its signature, in exactly the RNG
-//! order of [`Probe::observe`]; a second pass locates every fix of the
-//! block through the station index. Localization draws no randomness, so
-//! a blocked shard yields the same records as observing its sessions one
-//! at a time, while the lookups run back to back over warm index memory.
+//! order of the test-only reference `Probe::observe`; a second pass
+//! locates every fix of the block through the station index. Localization
+//! draws no randomness, so a blocked shard yields the same records as
+//! observing its sessions one at a time, while the lookups run back to
+//! back over warm index memory.
 
 use rand::rngs::StdRng;
 
@@ -46,14 +47,16 @@ impl<'a> Probe<'a> {
         self
     }
 
-    /// Observes one session, producing the operator-side record.
+    /// Observes one session, producing the operator-side record: the
+    /// reference the blocked path is checked against.
+    #[cfg(test)]
     pub fn observe(&self, session: &Session, rng: &mut StdRng) -> SessionRecord {
         let (fix, signature) = self.sense(session, rng);
         record_of(session, fix.1, self.radio.commune_of_fix(&fix.0), signature)
     }
 
     /// Observes every staged session of `block`: ULI fix then signature
-    /// per session (the draw order of [`Probe::observe`]), then every fix
+    /// per session (the draw order of `Probe::observe`), then every fix
     /// located.
     pub(crate) fn observe_block(&self, block: &mut ProbeBlock, rng: &mut StdRng) {
         block.fixes.clear();

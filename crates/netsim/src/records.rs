@@ -129,10 +129,8 @@ impl RecordBatch {
         self.stale_uli.push(r.stale_uli);
     }
 
-    /// Appends one record given as loose fields — the columnar writers'
-    /// entry point (e.g.
-    /// [`FaultInjector::apply_batch`](crate::faults::FaultInjector::apply_batch)),
-    /// skipping the row struct entirely.
+    /// Appends one record given as loose fields, skipping the row struct
+    /// entirely — for writers that already hold the column values.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn push_parts(

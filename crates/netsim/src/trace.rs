@@ -12,20 +12,22 @@
 //! [`FaultPlan`](crate::faults::FaultPlan) in [`CollectOptions`]
 //! degrades the captured stream exactly as
 //! [`collect_with_options`](crate::pipeline::collect_with_options) would
-//! (see [`observe_with_options`]), and [`read_trace_from_lossy`] /
-//! [`replay_from`] skip-and-count malformed or non-finite lines (with
-//! 1-based line numbers) instead of aborting the whole replay.
+//! (see [`observe_with_options`]), and [`replay_from`] skips and counts
+//! malformed or non-finite lines (with 1-based line numbers) instead of
+//! aborting the whole replay.
 //!
 //! Traces stream both ways: [`write_trace_to`] serializes records to any
-//! writer one line at a time, and [`read_trace_from`] /
-//! [`replay_from`] read from any [`BufRead`] — `replay_from` aggregates
-//! through the bounded-memory engine of
-//! [`crate::ingest`](mod@crate::ingest) without ever materializing the
-//! record vector. Records already in memory replay
+//! writer one line at a time, and one line reader serves both read paths.
+//! [`read_trace_from`] is strict and returns the records;
+//! [`replay_from`] streams them through
+//! [`TraceSource`] into the bounded-memory
+//! engine of [`crate::ingest`](mod@crate::ingest) without ever
+//! materializing the record vector. Records already in memory replay
 //! through [`ingest`](crate::ingest::ingest) over a
 //! [`SliceSource`](crate::ingest::SliceSource).
 
 use std::io::{BufRead, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mobilenet_geo::CommuneId;
 use mobilenet_traffic::{DemandModel, TrafficDataset, HOURS_PER_WEEK};
@@ -197,11 +199,14 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Walks a trace from any reader, line by line, dispatching each parsed
-/// record (or line-numbered parse failure) to `on_row`. I/O errors are
-/// reported as a [`TraceError`] at the line where reading failed. The
-/// shared core of the strict and lossy reader paths.
-fn walk_trace<R: BufRead>(
+/// record (or line-numbered parse failure) to `on_row` and adding every
+/// line's bytes, header included, to `bytes`. A missing header and I/O
+/// errors are reported as a [`TraceError`] at the line where reading
+/// failed. The one trace line reader: [`read_trace_from`] and
+/// [`TraceSource`] both go through it.
+pub(crate) fn walk_trace<R: BufRead>(
     mut reader: R,
+    bytes: &AtomicU64,
     mut on_row: impl FnMut(Result<SessionRecord, TraceError>) -> Result<(), TraceError>,
 ) -> Result<(), TraceError> {
     let mut line = String::new();
@@ -211,6 +216,7 @@ fn walk_trace<R: BufRead>(
         let n = reader
             .read_line(line)
             .map_err(|e| TraceError { line: line_no + 1, message: format!("i/o error: {e}") })?;
+        bytes.fetch_add(n as u64, Ordering::Relaxed);
         // Same semantics as `str::lines`: strip one `\n`, then at most
         // one `\r` before it.
         if line.ends_with('\n') {
@@ -243,46 +249,19 @@ fn walk_trace<R: BufRead>(
 /// [`replay_from`] (which never materializes the record vector at all).
 pub fn read_trace_from<R: BufRead>(reader: R) -> Result<Vec<SessionRecord>, TraceError> {
     let mut records = Vec::new();
-    walk_trace(reader, |row| {
+    walk_trace(reader, &AtomicU64::new(0), |row| {
         records.push(row?);
         Ok(())
     })?;
     Ok(records)
 }
 
-/// A lossy trace parse: the records that survived plus every skipped
-/// line's error.
-#[derive(Debug, Clone)]
-pub struct LossyTrace {
-    /// Records that parsed cleanly, in file order.
-    pub records: Vec<SessionRecord>,
-    /// One line-numbered error per skipped row.
-    pub skipped: Vec<TraceError>,
-}
-
-/// Reads a trace incrementally from any reader, leniently: malformed or
-/// non-finite rows are skipped and collected (with their 1-based line
-/// numbers) instead of aborting. Only a missing header or an I/O failure
-/// is fatal.
-pub fn read_trace_from_lossy<R: BufRead>(reader: R) -> Result<LossyTrace, TraceError> {
-    let mut records = Vec::new();
-    let mut skipped = Vec::new();
-    walk_trace(reader, |row| {
-        match row {
-            Ok(r) => records.push(r),
-            Err(e) => skipped.push(e),
-        }
-        Ok(())
-    })?;
-    Ok(LossyTrace { records, skipped })
-}
-
 /// The result of a lossy trace replay.
 pub struct LossyReplay {
     /// The aggregated dataset built from every parseable record.
     pub dataset: TrafficDataset,
-    /// Replay diagnostics; `skipped_lines` counts the rows dropped by the
-    /// lossy parser, and the line-numbered details are in
+    /// Replay diagnostics; `skipped_lines` counts the rows dropped as
+    /// malformed, and the line-numbered details are in
     /// [`LossyReplay::skipped`].
     pub stats: CollectionStats,
     /// One error per skipped trace row.
@@ -291,20 +270,21 @@ pub struct LossyReplay {
     pub ingest: crate::ingest::IngestStats,
 }
 
-/// Replays a trace incrementally from any reader through the lossy parser
-/// and the streaming engine into a dataset shaped like `model`'s country:
-/// at most `options.chunk_size` records are resident at a time, and the
-/// result is bit-identical at any chunk size.
+/// Replays a trace incrementally from any reader through
+/// [`TraceSource`] and the streaming engine into a dataset shaped like
+/// `model`'s country: at most `options.chunk_size` records are resident
+/// at a time, and the result is bit-identical at any chunk size.
 ///
-/// Only a bad header or an I/O failure is fatal. Skipped-line counts are
-/// exported to the observability registry as
-/// `netsim.faults.skipped_lines`.
+/// Malformed rows are skipped and counted. Only a bad header or an I/O
+/// failure is fatal, reported as [`IngestError::Trace`] at the line where
+/// reading failed. Skipped-line counts are exported to the observability
+/// registry as `netsim.faults.skipped_lines`.
 pub fn replay_from<R: BufRead + Send>(
     reader: R,
     model: &DemandModel,
     options: &CollectOptions,
 ) -> Result<LossyReplay, IngestError> {
-    let source = TraceSource::lossy(reader);
+    let source = TraceSource::new(reader);
     let out = crate::ingest::ingest(&source, model, options)?;
     Ok(LossyReplay {
         dataset: out.dataset,
@@ -533,21 +513,20 @@ mod tests {
 
         // The strict parser aborts...
         assert!(read_trace_from(csv.as_bytes()).is_err());
-        // ...the lossy one skips-and-counts with line numbers.
-        let lossy = read_trace_from_lossy(csv.as_bytes()).unwrap();
-        assert!(!lossy.skipped.is_empty());
-        let frac = lossy.skipped.len() as f64 / records.len() as f64;
+        // ...the replay skips-and-counts with line numbers.
+        let replayed = replay_text(&csv, &m).unwrap();
+        let skipped = &replayed.skipped;
+        assert!(!skipped.is_empty());
+        let frac = skipped.len() as f64 / records.len() as f64;
         assert!((frac - 0.05).abs() < 0.02, "corrupted fraction {frac}");
-        assert_eq!(lossy.records.len() + lossy.skipped.len(), records.len());
-        for err in &lossy.skipped {
+        assert_eq!(replayed.stats.sessions as usize + skipped.len(), records.len());
+        let lines: Vec<&str> = csv.lines().collect();
+        for err in skipped {
             assert!(err.line >= 2, "header is line 1");
-            let line_in_file = csv.lines().nth(err.line - 1).unwrap();
+            let line_in_file = lines[err.line - 1];
             assert!(record_from_line(line_in_file).is_err(), "line {}: {line_in_file}", err.line);
         }
-
-        let replayed = replay_text(&csv, &m).unwrap();
-        assert_eq!(replayed.stats.skipped_lines, lossy.skipped.len() as u64);
-        assert_eq!(replayed.stats.sessions, lossy.records.len() as u64);
+        assert_eq!(replayed.stats.skipped_lines, skipped.len() as u64);
         assert!(replayed.dataset.total(Direction::Down) > 0.0);
 
         // A header-less file is still fatal: it is not a trace at all.
@@ -573,18 +552,57 @@ mod tests {
         assert_eq!(String::from_utf8(buf).unwrap(), csv);
 
         // read_trace_from recovers the records, including under \r\n
-        // line endings.
+        // line endings, and replay_from aggregates a \r\n trace to the
+        // same bytes as its \n twin.
         let parsed = read_trace_from(csv.as_bytes()).unwrap();
         assert_eq!(parsed, records);
         let crlf = csv.replace('\n', "\r\n");
         assert_eq!(read_trace_from(crlf.as_bytes()).unwrap(), parsed);
+        let crlf_replay = replay_text(&crlf, &m).unwrap();
+        assert_eq!(crlf_replay.stats.skipped_lines, 0);
+        assert!(crlf_replay.skipped.is_empty());
+        assert_eq!(
+            crlf_replay.dataset.to_csv(),
+            replay_text(&csv, &m).unwrap().dataset.to_csv()
+        );
 
         // Strict reading reports the offending 1-based line number.
         let mut broken = csv.clone();
         broken.push_str("gn,999,1.0,1.0,5,0xff,0\n");
         let err = read_trace_from(broken.as_bytes()).unwrap_err();
         assert_eq!(err.line, records.len() + 2);
-        assert!(read_trace_from_lossy(broken.as_bytes()).unwrap().skipped.len() == 1);
+        assert!(replay_text(&broken, &m).unwrap().skipped.len() == 1);
+    }
+
+    /// Serves its bytes, then fails every read, like a disk that dies
+    /// partway through a file.
+    struct FailsAfter<'a>(&'a [u8]);
+
+    impl std::io::Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match std::io::Read::read(&mut self.0, buf)? {
+                0 => Err(std::io::Error::other("disk gone")),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn mid_file_read_failure_is_a_line_numbered_trace_error() {
+        // The header and two good rows; reading line 4 fails.
+        let good = format!("{TRACE_HEADER}\ngn,1,1e0,1e0,5,0xff,0\ngn,2,1e0,1e0,5,0xff,0\n");
+        let reader = || std::io::BufReader::new(FailsAfter(good.as_bytes()));
+
+        let err = read_trace_from(reader()).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.message.contains("i/o error"), "{err}");
+
+        let replayed = replay_from(reader(), &model(), &CollectOptions::default());
+        let Err(IngestError::Trace(err)) = replayed else {
+            panic!("a failed read must fail the replay as a line-numbered trace error");
+        };
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.message.contains("i/o error"), "{err}");
     }
 
     #[test]
