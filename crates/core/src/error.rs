@@ -72,7 +72,6 @@ impl From<TraceError> for Error {
 impl From<IngestError> for Error {
     fn from(e: IngestError) -> Self {
         match e {
-            IngestError::Io(e) => Error::Io(e),
             IngestError::Trace(e) => Error::Trace(e),
             IngestError::Config(msg) => Error::Config(msg),
             IngestError::Shape(e) => Error::Dataset(e),
@@ -102,8 +101,6 @@ mod tests {
         assert!(matches!(e, Error::Config(_)));
         let e = Error::from(IngestError::Shape(DatasetError { line: 0, message: "y".into() }));
         assert!(matches!(e, Error::Dataset(_)));
-        let e = Error::from(IngestError::Io(std::io::Error::other("z")));
-        assert!(matches!(e, Error::Io(_)));
     }
 
     #[test]

@@ -117,10 +117,13 @@ pub fn spatial_correlation_of(
     let n = names.len();
     let users = ds.commune_users();
     let keep: Vec<usize> = (0..ds.n_communes()).filter(|&c| users[c] > 0.0).collect();
+    // Per-subscriber volumes of the kept communes, divided in place
+    // rather than through a full-length `per_user_commune_vector`: one
+    // commune-length allocation per service instead of two.
     let vectors: Vec<Vec<f64>> = (0..n)
         .map(|s| {
-            let v = ds.per_user_commune_vector(dir, s);
-            keep.iter().map(|&c| v[c]).collect()
+            let volumes = ds.commune_vector(dir, s);
+            keep.iter().map(|&c| volumes[c] / users[c]).collect()
         })
         .collect();
 

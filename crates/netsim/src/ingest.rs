@@ -126,8 +126,6 @@ impl CollectOptions {
 /// Why a streaming ingestion run failed.
 #[derive(Debug)]
 pub enum IngestError {
-    /// Reading the underlying byte stream failed.
-    Io(std::io::Error),
     /// A trace could not be read (missing header or I/O failure).
     Trace(TraceError),
     /// The source or options configuration is invalid.
@@ -139,7 +137,6 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::Io(e) => write!(f, "ingest i/o error: {e}"),
             IngestError::Trace(e) => write!(f, "{e}"),
             IngestError::Config(msg) => write!(f, "invalid ingest configuration: {msg}"),
             IngestError::Shape(e) => write!(f, "{e}"),
@@ -150,17 +147,10 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            IngestError::Io(e) => Some(e),
             IngestError::Trace(e) => Some(e),
             IngestError::Shape(e) => Some(e),
             IngestError::Config(_) => None,
         }
-    }
-}
-
-impl From<std::io::Error> for IngestError {
-    fn from(e: std::io::Error) -> Self {
-        IngestError::Io(e)
     }
 }
 
@@ -327,6 +317,12 @@ pub trait RecordSource: Sync {
 }
 
 /// One shard's partial aggregate inside a [`ShardedFold`].
+///
+/// Besides the tables and diagnostics it carries a private version
+/// stamp, bumped under the shard's lock on every fold, at shard close and
+/// on [`reset`](ShardedFold::reset). A [`MergeCut`] remembers the stamp
+/// it last merged, so [`merge_into`](ShardedFold::merge_into) touches
+/// only the rows of shards whose stamp moved.
 #[derive(Debug)]
 pub struct ShardPartial {
     /// The tables this shard's batches folded into.
@@ -334,12 +330,38 @@ pub struct ShardPartial {
     /// Fold-side diagnostics, plus the source-side ones once the shard
     /// has closed.
     pub stats: CollectionStats,
+    version: u64,
 }
 
 impl ShardPartial {
-    fn empty(model: &DemandModel) -> Self {
-        ShardPartial { dataset: empty_dataset(model), stats: CollectionStats::default() }
+    fn empty(model: &DemandModel, version: u64) -> Self {
+        ShardPartial { dataset: empty_dataset(model), stats: CollectionStats::default(), version }
     }
+}
+
+/// What a merged dataset reflects of each shard partial of one
+/// [`ShardedFold`]: per shard, the version stamp and the head-service
+/// rows the partial had written at the last
+/// [`merge_into`](ShardedFold::merge_into) that brought the dataset up
+/// to date.
+///
+/// The default cut reflects nothing, so its first `merge_into` rebuilds
+/// every row that the dataset or any partial has written: it pairs with
+/// any dataset of the engine's shape. After that, a cut pairs only with
+/// the dataset it was last merged into, and only with that engine.
+#[derive(Debug, Default)]
+pub struct MergeCut {
+    /// One mark per shard; `None` until the first merge.
+    shards: Option<Vec<ShardMark>>,
+}
+
+/// One shard's entry in a [`MergeCut`].
+#[derive(Debug, Clone)]
+struct ShardMark {
+    /// The partial's stamp when last merged; `None` before that.
+    version: Option<u64>,
+    /// Per head service: whether the partial had written its rows.
+    rows: Vec<bool>,
 }
 
 /// An all-zero dataset shaped like `model`'s country and catalog.
@@ -362,10 +384,12 @@ fn empty_dataset(model: &DemandModel) -> TrafficDataset {
 /// streams every shard of a [`RecordSource`] on the ambient
 /// `mobilenet-par` pool, exactly one worker per shard, folding each
 /// flushed batch into that shard's partial under its lock.
-/// [`merge`](Self::merge) reduces the partials in shard order and fills
-/// the tail table from the demand model; [`reset`](Self::reset) empties
-/// them for the next cycle. Both hold every shard lock while they work,
-/// so a reader sees either all of a fold or none of it.
+/// [`merge_into`](Self::merge_into) brings a caller-held merged dataset
+/// up to date with the partials in shard order and fills the tail table
+/// from the demand model ([`merge`](Self::merge) does so on a fresh
+/// one); [`reset`](Self::reset) empties the partials for the next cycle.
+/// Both hold every shard lock while they work, so a reader sees either
+/// all of a fold or none of it.
 ///
 /// `M` is the demand model, owned or borrowed.
 pub struct ShardedFold<M: Borrow<DemandModel>> {
@@ -382,7 +406,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
     /// records `chunk_size` at a time.
     pub fn new(model: M, shards: usize, chunk_size: usize) -> Self {
         let partials =
-            (0..shards).map(|_| Mutex::new(ShardPartial::empty(model.borrow()))).collect();
+            (0..shards).map(|_| Mutex::new(ShardPartial::empty(model.borrow(), 0))).collect();
         ShardedFold {
             model,
             partials,
@@ -468,6 +492,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
                         let mut guard = partial.lock().expect("shard partial poisoned");
                         let p = &mut *guard;
                         fold(batch, &mut p.dataset, &mut p.stats);
+                        p.version += 1;
                     }
                     on_batch(shard, batch);
                 };
@@ -479,7 +504,11 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             // Source-side (session-level) and fold-side (record-level)
             // diagnostics accumulate in disjoint fields, so merging them
             // at shard close reproduces single-struct accounting exactly.
-            partial.lock().expect("shard partial poisoned").stats.merge(&source_stats);
+            {
+                let mut p = partial.lock().expect("shard partial poisoned");
+                p.stats.merge(&source_stats);
+                p.version += 1;
+            }
             note_bytes();
             on_close(shard, &streamed);
             streamed
@@ -493,29 +522,89 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         self.partials.iter().map(|p| p.lock().expect("shard partial poisoned")).collect()
     }
 
+    /// An all-`+0.0` dataset shaped like the partials.
+    pub fn empty_dataset(&self) -> TrafficDataset {
+        empty_dataset(self.model())
+    }
+
     /// Merges the partials in shard order into a fresh dataset, fills its
     /// tail table from the demand model, and returns it with the merged
-    /// diagnostics and the accounting so far.
+    /// diagnostics and the accounting so far: [`merge_into`](Self::merge_into)
+    /// on a default [`MergeCut`] and an empty dataset.
+    pub fn merge<R>(
+        &self,
+        under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
+    ) -> Result<(CollectionOutput, R), IngestError> {
+        let mut dataset = self.empty_dataset();
+        let (stats, ingest, caller) =
+            self.merge_into(&mut MergeCut::default(), &mut dataset, under_locks)?;
+        Ok((CollectionOutput { dataset, stats, ingest }, caller))
+    }
+
+    /// Brings `dataset`, last merged at `cut`, up to date with the
+    /// partials: afterwards it equals, bit for bit, a fresh merge of the
+    /// partials in shard order with the tail table filled from the demand
+    /// model, and `cut` reflects the partials as merged. Returns the
+    /// merged diagnostics and the accounting so far.
     ///
     /// Every shard lock is held for the whole merge, and `under_locks`
     /// runs before they are released: anything it reads is consistent
     /// with the merged data, since no batch can fold in between.
     ///
-    /// The locks are held only as long as the merge takes. A shard
-    /// partial writes one head service's rows, and
-    /// [`TrafficDataset::merge`] adds only the rows a partial wrote, so
-    /// each partial costs one row rather than the whole table (a few ms
-    /// for 20 partials at the france geography).
-    pub fn merge<R>(
+    /// Under the locks, only the head-service rows that a shard whose
+    /// version stamp moved since `cut` wrote then or writes now are
+    /// rebuilt, each as `+0.0` plus its writers' rows in shard order
+    /// ([`TrafficDataset::rebuild_service_rows`]): the additions a fresh
+    /// merge makes for that row. A shard partial writes one head
+    /// service's rows, so a rebuilt row costs one read and one write of
+    /// 2 × (5 × 168 + communes) cells (≈ 0.6 MB at the france geography),
+    /// and a cut taken while two shards fold rebuilds about two rows
+    /// instead of the whole table. The tail and unclassified cells and
+    /// the diagnostics are re-summed in shard order on every call; they
+    /// are small.
+    ///
+    /// A shape mismatch between `dataset` and a partial is reported
+    /// before anything is written.
+    pub fn merge_into<R>(
         &self,
+        cut: &mut MergeCut,
+        dataset: &mut TrafficDataset,
         under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
-    ) -> Result<(CollectionOutput, R), IngestError> {
-        let mut dataset = empty_dataset(self.model());
+    ) -> Result<(CollectionStats, IngestStats, R), IngestError> {
+        let services = dataset.n_services();
         let mut stats = CollectionStats::default();
         let (ingest, caller) = {
             let guards = self.lock_all();
             for partial in &guards {
-                dataset.merge(&partial.dataset)?;
+                dataset.check_shape(&partial.dataset)?;
+            }
+            // A default cut has no marks: whatever `dataset` holds is
+            // rebuilt, and every shard counts as moved.
+            let (marks, mut dirty) = match &mut cut.shards {
+                Some(marks) if marks.len() == guards.len() => (marks, vec![false; services]),
+                shards => {
+                    let unseen = ShardMark { version: None, rows: vec![false; services] };
+                    let written = (0..services).map(|s| dataset.service_written(s)).collect();
+                    (shards.insert(vec![unseen; guards.len()]), written)
+                }
+            };
+            for (mark, partial) in marks.iter_mut().zip(&guards) {
+                if mark.version == Some(partial.version) {
+                    continue;
+                }
+                mark.version = Some(partial.version);
+                for (s, (was, row_dirty)) in mark.rows.iter_mut().zip(&mut dirty).enumerate() {
+                    let now = partial.dataset.service_written(s);
+                    *row_dirty |= *was || now;
+                    *was = now;
+                }
+            }
+            let parts = || guards.iter().map(|partial| &partial.dataset);
+            for s in (0..services).filter(|&s| dirty[s]) {
+                dataset.rebuild_service_rows(s, parts());
+            }
+            dataset.rebuild_tail_and_unclassified(parts());
+            for partial in &guards {
                 stats.merge(&partial.stats);
             }
             (self.stats(), under_locks(&guards))
@@ -523,8 +612,8 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         // Tail services: their national weekly totals come straight from
         // the demand model (they carry no spatial structure the analyses
         // use).
-        self.model().fill_tail(&mut dataset);
-        Ok((CollectionOutput { dataset, stats, ingest }, caller))
+        self.model().fill_tail(dataset);
+        Ok((stats, ingest, caller))
     }
 
     /// Empties every partial for the next cycle, running `under_locks`
@@ -533,7 +622,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
     pub fn reset<R>(&self, under_locks: impl FnOnce() -> R) -> R {
         let mut guards = self.lock_all();
         for partial in guards.iter_mut() {
-            **partial = ShardPartial::empty(self.model());
+            **partial = ShardPartial::empty(self.model(), partial.version + 1);
         }
         under_locks()
     }
@@ -805,7 +894,8 @@ mod tests {
         let e = IngestError::Config("chunk_size must be at least 1 record".into());
         assert!(e.to_string().contains("chunk_size"));
         assert!(e.source().is_none());
-        let e = IngestError::from(std::io::Error::other("disk gone"));
-        assert!(e.to_string().contains("disk gone"));
+        let e = IngestError::from(DatasetError { line: 0, message: "cannot merge".into() });
+        assert!(e.to_string().contains("cannot merge"));
+        assert!(e.source().is_some());
     }
 }

@@ -614,10 +614,14 @@ impl TrafficDataset {
     ///
     /// Row-sparse: of the per-service tables (national hourly, commune
     /// weekly, class hourly), only the head-service rows that `other`
-    /// has written are added — each is one contiguous slice per direction
-    /// and table. A streaming-fold shard writes a single head service, so
-    /// merging its partial costs one row instead of all of them. The tail
-    /// and unclassified cells are added densely.
+    /// has written are added, so the cost is O(rows `other` wrote), one
+    /// add of 2 × (5 × 168 + communes) cells per row (≈ 0.6 MB at the
+    /// france geography): a streaming-fold shard writes a single head
+    /// service, and merging its partial costs one row instead of all of
+    /// them. The tail and unclassified cells are added densely. To
+    /// bring an earlier merge of several partials up to date when some
+    /// of them changed, rebuild just their rows with
+    /// [`rebuild_service_rows`](Self::rebuild_service_rows) instead.
     ///
     /// The result is bit-identical to adding every cell. A row `other`
     /// never wrote holds only `+0.0`, and `x + 0.0 == x` bit for bit
@@ -629,57 +633,137 @@ impl TrafficDataset {
     /// `+0.0`; a dataset read from CSV counts every row as written, so as
     /// `other` it always merges densely.
     pub fn merge(&mut self, other: &TrafficDataset) -> Result<(), DatasetError> {
-        if self.n_services != other.n_services {
-            return Err(DatasetError::at(
-                0,
-                format!(
-                    "cannot merge: {} head services vs {}",
-                    self.n_services, other.n_services
-                ),
-            ));
+        self.check_shape(other)?;
+        for service in 0..self.n_services {
+            self.add_service_rows(other, service);
         }
-        if self.n_communes != other.n_communes {
-            return Err(DatasetError::at(
-                0,
-                format!(
-                    "cannot merge: {} communes vs {}",
-                    self.n_communes, other.n_communes
-                ),
-            ));
+        self.add_tail_and_unclassified(other);
+        Ok(())
+    }
+
+    /// Checks that `other` has this dataset's shape (head services,
+    /// communes, tail length), as [`merge`](Self::merge) and the
+    /// per-service row primitives require.
+    pub fn check_shape(&self, other: &TrafficDataset) -> Result<(), DatasetError> {
+        let mismatch = if self.n_services != other.n_services {
+            format!("{} head services vs {}", self.n_services, other.n_services)
+        } else if self.n_communes != other.n_communes {
+            format!("{} communes vs {}", self.n_communes, other.n_communes)
+        } else if self.tail_weekly.len() != other.tail_weekly.len() {
+            format!("{} tail services vs {}", self.n_tail(), other.n_tail())
+        } else {
+            return Ok(());
+        };
+        Err(DatasetError::at(0, format!("cannot merge: {mismatch}")))
+    }
+
+    /// Whether any of head service `service`'s rows in the three
+    /// per-service tables may hold a value other than `+0.0`.
+    pub fn service_written(&self, service: usize) -> bool {
+        self.written[service]
+    }
+
+    /// Rebuilds head service `service`'s rows in the three per-service
+    /// tables as `+0.0` plus the rows of each of `parts` that wrote them,
+    /// in order: bit for bit the rows a merge of `parts` into an empty
+    /// dataset makes. The first writer's rows are added to `+0.0` in the
+    /// same pass that overwrites the old cells, so a row with one writer
+    /// costs one read and one write of it. With no writer left, rows
+    /// written before are reset to `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// If a part's shape differs (see [`check_shape`](Self::check_shape)).
+    pub fn rebuild_service_rows<'a>(
+        &mut self,
+        service: usize,
+        parts: impl IntoIterator<Item = &'a TrafficDataset>,
+    ) {
+        let mut writers = parts.into_iter().filter(|p| p.written[service]);
+        let Some(first) = writers.next() else {
+            if std::mem::take(&mut self.written[service]) {
+                for d in 0..2 {
+                    let nh = self.nh_index(d, service, 0);
+                    self.national_hourly[nh..nh + HOURS_PER_WEEK].fill(0.0);
+                    let cw = self.cw_index(d, service, 0);
+                    self.commune_weekly[cw..cw + self.n_communes].fill(0.0);
+                    let ch = self.ch_index(d, service, 0, 0);
+                    self.class_hourly[ch..ch + 4 * HOURS_PER_WEEK].fill(0.0);
+                }
+            }
+            return;
+        };
+        self.zip_service_rows(first, service, |a, b| *a = 0.0 + b);
+        for part in writers {
+            self.add_service_rows(part, service);
         }
-        if self.tail_weekly.len() != other.tail_weekly.len() {
-            return Err(DatasetError::at(
-                0,
-                format!(
-                    "cannot merge: {} tail services vs {}",
-                    self.n_tail(),
-                    other.n_tail()
-                ),
-            ));
+    }
+
+    /// Adds `other`'s rows of head service `service` in the three
+    /// per-service tables into this dataset's, cell by cell — a no-op
+    /// when `other` never wrote them.
+    fn add_service_rows(&mut self, other: &TrafficDataset, service: usize) {
+        if other.written[service] {
+            self.zip_service_rows(other, service, |a, b| *a += b);
         }
-        fn add_rows(dst: &mut [f64], src: &[f64], start: usize, len: usize) {
-            let range = start..start + len;
-            for (a, b) in dst[range.clone()].iter_mut().zip(&src[range]) {
-                *a += b;
+    }
+
+    /// Sets each cell of head service `service`'s rows in the three
+    /// per-service tables to `op(cell, other's cell)` and marks the rows
+    /// written.
+    fn zip_service_rows(
+        &mut self,
+        other: &TrafficDataset,
+        service: usize,
+        op: impl Fn(&mut f64, f64) + Copy,
+    ) {
+        assert!(
+            self.n_services == other.n_services && self.n_communes == other.n_communes,
+            "per-service rows of datasets of different shapes"
+        );
+        fn zip(dst: &mut [f64], src: &[f64], start: usize, len: usize, op: impl Fn(&mut f64, f64)) {
+            for (a, &b) in dst[start..start + len].iter_mut().zip(&src[start..start + len]) {
+                op(a, b);
             }
         }
-        for s in (0..self.n_services).filter(|&s| other.written[s]) {
-            for d in 0..2 {
-                let nh = self.nh_index(d, s, 0);
-                add_rows(&mut self.national_hourly, &other.national_hourly, nh, HOURS_PER_WEEK);
-                let cw = self.cw_index(d, s, 0);
-                add_rows(&mut self.commune_weekly, &other.commune_weekly, cw, self.n_communes);
-                let ch = self.ch_index(d, s, 0, 0);
-                add_rows(&mut self.class_hourly, &other.class_hourly, ch, 4 * HOURS_PER_WEEK);
-            }
-            self.written[s] = true;
+        for d in 0..2 {
+            let nh = self.nh_index(d, service, 0);
+            zip(&mut self.national_hourly, &other.national_hourly, nh, HOURS_PER_WEEK, op);
+            let cw = self.cw_index(d, service, 0);
+            zip(&mut self.commune_weekly, &other.commune_weekly, cw, self.n_communes, op);
+            let ch = self.ch_index(d, service, 0, 0);
+            zip(&mut self.class_hourly, &other.class_hourly, ch, 4 * HOURS_PER_WEEK, op);
         }
+        self.written[service] = true;
+    }
+
+    /// Rebuilds the tail table and the unclassified volumes as `+0.0`
+    /// plus those of each of `parts`, in order: bit for bit what a merge
+    /// of `parts` into an empty dataset holds there.
+    ///
+    /// # Panics
+    ///
+    /// If a part's tail length differs (see [`check_shape`](Self::check_shape)).
+    pub fn rebuild_tail_and_unclassified<'a>(
+        &mut self,
+        parts: impl IntoIterator<Item = &'a TrafficDataset>,
+    ) {
+        self.tail_weekly.fill(0.0);
+        self.unclassified = [0.0; 2];
+        for part in parts {
+            self.add_tail_and_unclassified(part);
+        }
+    }
+
+    /// Adds `other`'s tail table and unclassified volumes into this
+    /// dataset's, cell by cell.
+    fn add_tail_and_unclassified(&mut self, other: &TrafficDataset) {
+        assert_eq!(self.tail_weekly.len(), other.tail_weekly.len(), "tail lengths differ");
         for (a, b) in self.tail_weekly.iter_mut().zip(&other.tail_weekly) {
             *a += b;
         }
         self.unclassified[0] += other.unclassified[0];
         self.unclassified[1] += other.unclassified[1];
-        Ok(())
     }
 }
 
@@ -1134,6 +1218,42 @@ mod tests {
                     prop_assert!(bits(&target) == before);
                     prop_assert_eq!(&target.written, &written);
                 }
+            }
+
+            #[test]
+            fn rebuilt_rows_match_a_fresh_merge_bitwise(seed in prop::num::u64::ANY) {
+                // A merged dataset brought up to date the way an incremental
+                // merge does it: every row an old or a replacement partial
+                // wrote is rebuilt from the current partials in order, and
+                // so are the tail and unclassified cells.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut partials: Vec<TrafficDataset> =
+                    (0..rng.gen_range(1usize..5)).map(|_| random_dataset(&mut rng)).collect();
+                let fresh = |partials: &[TrafficDataset]| {
+                    let mut ds = TrafficDataset::new(country(), SERVICES, TAIL, 0.5);
+                    for p in partials {
+                        ds.merge(p).expect("same shape");
+                    }
+                    ds
+                };
+                let mut merged = fresh(&partials);
+                let mut dirty = [false; SERVICES];
+                for p in &mut partials {
+                    if rng.gen_bool(0.5) {
+                        let next = random_dataset(&mut rng);
+                        for (s, d) in dirty.iter_mut().enumerate() {
+                            *d |= p.service_written(s) || next.service_written(s);
+                        }
+                        *p = next;
+                    }
+                }
+                for s in (0..SERVICES).filter(|&s| dirty[s]) {
+                    merged.rebuild_service_rows(s, &partials);
+                }
+                merged.rebuild_tail_and_unclassified(&partials);
+                let reference = fresh(&partials);
+                prop_assert!(bits(&merged) == bits(&reference), "rebuilt rows diverged");
+                prop_assert_eq!(&merged.written, &reference.written);
             }
         }
     }

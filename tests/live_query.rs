@@ -8,13 +8,20 @@
 //! * mid-stream snapshots are consistent and monotone: version, watermark
 //!   and folded session counts never go backwards, and the final
 //!   snapshot converges to the batch output;
+//! * snapshots built back to back while ingestion runs, each updating
+//!   the previous one's dataset, end byte-equal to batch collection at 1,
+//!   2 and 8 threads, with and without faults, and a snapshot a reader
+//!   holds is never written by a later build;
+//! * concurrent queries at one version share one build;
 //! * the TCP server answers well-framed responses to at least four
 //!   concurrent clients **while ingestion is running**, and a post-ingest
 //!   `DATASET` response carries exactly the batch CSV.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 
+use mobilenet::netsim::collect_with_options;
 use mobilenet::par::set_thread_override;
 use mobilenet::serve::LiveState;
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
@@ -111,6 +118,88 @@ fn mid_stream_snapshots_are_monotone_and_converge() {
     // joined, so the version cannot have moved.
     let again = state.snapshot();
     assert!(std::sync::Arc::ptr_eq(&final_snap, &again), "cached snapshot was rebuilt");
+}
+
+/// FNV-1a over a dataset's CSV export.
+fn digest(dataset: &mobilenet::traffic::TrafficDataset) -> u64 {
+    dataset.to_csv().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn back_to_back_snapshots_during_ingest_end_equal_to_batch_and_spare_held_ones() {
+    for faults in [FaultPlan::none(), FaultPlan::degraded(3)] {
+        let config = Scale::Small.config().with_faults(faults.clone());
+        let model = config.demand_model(DEFAULT_SEED);
+        let reference = collect_with_options(
+            &model,
+            &config.netsim,
+            &config.collect_options(),
+            DEFAULT_SEED,
+        )
+        .expect("batch collection succeeds")
+        .dataset
+        .to_csv();
+        for threads in [1usize, 2, 8] {
+            set_thread_override(Some(threads));
+            let label = format!("{threads} threads, faults active: {}", !faults.is_none());
+            let state = live_state(faults.clone(), DEFAULT_SEED);
+            let ingest_state = state.clone();
+            let ingest = std::thread::spawn(move || ingest_state.run_ingestion());
+            // One mid-ingest snapshot is held (with its digest) while
+            // later builds run: the first of them must copy it, and none
+            // may write into it.
+            let mut held = None;
+            let mut builds = 0u32;
+            while !state.complete() {
+                let snap = state.snapshot();
+                builds += 1;
+                if held.is_none() && !snap.complete && snap.stats.sessions > 0 {
+                    let print = digest(&snap.dataset);
+                    held = Some((snap, print));
+                }
+            }
+            ingest.join().expect("ingestion thread").expect("live ingestion succeeds");
+            let last = state.snapshot();
+            assert!(last.complete, "{label}");
+            assert!(last.dataset.to_csv() == reference, "live differs from batch, {label}");
+            let (held, print) = held.expect("a snapshot was taken mid-ingest");
+            assert!(builds > 1, "{label}");
+            assert!(!Arc::ptr_eq(&held, &last), "{label}");
+            assert_eq!(digest(&held.dataset), print, "a held snapshot was written, {label}");
+        }
+    }
+    set_thread_override(None);
+}
+
+#[test]
+fn concurrent_snapshots_at_one_version_share_one_build() {
+    const READERS: usize = 6;
+    let state = live_state(FaultPlan::none(), DEFAULT_SEED);
+    // Once before ingestion (version 0) and once after it: no ingest
+    // runs meanwhile, so every reader asks at the same version.
+    for phase in ["before ingestion", "after ingestion"] {
+        if phase == "after ingestion" {
+            state.run_ingestion().expect("live ingestion succeeds");
+        }
+        let start = Barrier::new(READERS);
+        let snaps: Vec<_> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        state.snapshot()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader thread")).collect()
+        });
+        for snap in &snaps[1..] {
+            assert!(Arc::ptr_eq(&snaps[0], snap), "{phase}: a second build at one version");
+        }
+        assert_eq!(snaps[0].version, state.version(), "{phase}");
+    }
 }
 
 /// Sends one protocol line and reads one framed response.

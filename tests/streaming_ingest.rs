@@ -12,6 +12,8 @@
 //! * a merge taken mid-ingest, under every shard lock, is bit-identical
 //!   to a dense cell-by-cell sum of the locked partials — the row-sparse
 //!   merge skips only rows that hold `+0.0`, with and without faults;
+//! * a merge cut brought up to date at every batch boundary, and again
+//!   after a reset, is byte-equal to a fresh merge of the same partials;
 //! * the ingest counters reported through the observability layer agree
 //!   with the stats the pipeline returns;
 //! * the sharded-fold engine reports the first failing shard's error and
@@ -25,7 +27,7 @@ use mobilenet::geo::UsageClass;
 use mobilenet::netsim::records::FlowSignature;
 use mobilenet::netsim::{
     aggregate_batch, Capture, ChunkSink, CollectionOutput, CollectionStats, FoldStrategy,
-    IngestError, Interface, RecordSource, SessionRecord, ShardedFold, ERROR_SAMPLE_CAP,
+    IngestError, Interface, MergeCut, RecordSource, SessionRecord, ShardedFold, ERROR_SAMPLE_CAP,
 };
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::{Direction, TrafficDataset};
@@ -292,6 +294,112 @@ fn mid_ingest_merges_match_a_dense_sum_of_the_locked_partials() {
             let label = format!("{plan} at {threads} threads");
             assert!(merges.load(Ordering::Relaxed) > 10, "too few mid-ingest merges, {label}");
             assert_eq!(mismatches.load(Ordering::Relaxed), 0, "merge diverged, {label}");
+        }
+    }
+    set_thread_override(None);
+}
+
+/// Per-shard record streams held in memory, replayed shard by shard.
+struct ShardRecords(Vec<Vec<SessionRecord>>);
+
+impl RecordSource for ShardRecords {
+    fn shards(&self) -> usize {
+        self.0.len()
+    }
+
+    fn stream_shard(
+        &self,
+        shard: usize,
+        _stats: &mut CollectionStats,
+        sink: &mut ChunkSink<'_>,
+    ) -> Result<(), IngestError> {
+        for record in &self.0[shard] {
+            sink.push(record);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn merge_cuts_kept_up_to_date_match_fresh_merges_byte_for_byte() {
+    // The incremental merge a live snapshot makes: one cut, brought up
+    // to date at every batch boundary of a 1-thread run and once more
+    // after a reset, each time compared with a fresh merge of the same
+    // partials, made under the same locks by `TrafficDataset::merge`
+    // alone, so it shares no version bookkeeping with the cut. Each shard
+    // replays a prefix of its captured stream, one and a half chunks
+    // long, so a shard's second batch moves rows an earlier cut already
+    // holds, while the comparisons stay few.
+    let plans = [("fault-free", FaultPlan::none()), ("degraded", FaultPlan::degraded(3))];
+    set_thread_override(Some(1));
+    for (plan, faults) in plans {
+        let config = StudyConfig::small().with_faults(faults);
+        let model = config.demand_model(DEFAULT_SEED);
+        let options = config.collect_options();
+        let capture = Capture::build(&model, &config.netsim, DEFAULT_SEED).expect("valid config");
+        let source = capture.source(&model, &options, DEFAULT_SEED);
+        let captured: Vec<Mutex<Vec<SessionRecord>>> =
+            (0..source.shards()).map(|_| Mutex::new(Vec::new())).collect();
+        ShardedFold::new(&model, source.shards(), options.chunk_size)
+            .run(
+                &source,
+                |_, _, _| {},
+                |shard, batch| {
+                    let mut records = captured[shard].lock().unwrap();
+                    records.extend((0..batch.len()).map(|i| batch.row(i)));
+                },
+                |_, _| {},
+            )
+            .expect("synthetic shards stream");
+        let captured: Vec<Vec<SessionRecord>> =
+            captured.into_iter().map(|m| m.into_inner().unwrap()).collect();
+
+        for chunk in [1usize, 97, 8192] {
+            let prefix = chunk + chunk.div_ceil(2);
+            let replay = ShardRecords(
+                captured.iter().map(|r| r[..r.len().min(prefix)].to_vec()).collect(),
+            );
+            let engine = ShardedFold::new(&model, replay.shards(), chunk);
+            let cut = Mutex::new((MergeCut::default(), engine.empty_dataset()));
+            let checks = AtomicUsize::new(0);
+            let check = |when: &str| {
+                let mut guard = cut.lock().unwrap();
+                let (cut, dataset) = &mut *guard;
+                let (stats, _, (mut fresh, fresh_stats)) = engine
+                    .merge_into(cut, dataset, |partials| {
+                        let mut fresh = engine.empty_dataset();
+                        let mut stats = CollectionStats::default();
+                        for partial in partials {
+                            fresh.merge(&partial.dataset).expect("partials share one shape");
+                            stats.merge(&partial.stats);
+                        }
+                        (fresh, stats)
+                    })
+                    .expect("partials share one shape");
+                model.fill_tail(&mut fresh);
+                assert!(
+                    dataset.to_csv() == fresh.to_csv(),
+                    "{plan}, chunk {chunk}: cut differs from a fresh merge {when}"
+                );
+                assert_eq!(format!("{stats:?}"), format!("{fresh_stats:?}"), "{plan} {when}");
+                checks.fetch_add(1, Ordering::Relaxed);
+            };
+            engine
+                .run(
+                    &replay,
+                    |batch, ds, st| {
+                        let classifier = capture.classifier();
+                        aggregate_batch(batch, classifier, FoldStrategy::Batched, false, ds, st)
+                    },
+                    |shard, _| check(&format!("after a batch of shard {shard}")),
+                    |_, _| {},
+                )
+                .expect("replayed shards stream");
+            check("after the run");
+            engine.reset(|| ());
+            check("after a reset");
+            let batches = replay.0.iter().map(|r| r.len().div_ceil(chunk)).sum::<usize>();
+            assert_eq!(checks.load(Ordering::Relaxed), batches + 2, "{plan}, chunk {chunk}");
         }
     }
     set_thread_override(None);
