@@ -20,10 +20,15 @@
 //!
 //! [`PipelineBuilder::run`] validates the configuration up front and
 //! returns a typed [`Error`] instead of panicking; the resulting [`Run`]
-//! exposes the study plus the observability snapshot of the build.
+//! exposes the study plus the observability snapshot of the build. The
+//! build records into a registry of its own, so that snapshot holds this
+//! run's metrics alone even while other runs share the process; the run
+//! then folds it into the enclosing registry (normally
+//! [`mobilenet_obs::global`]), where process-wide reports still see it.
 
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use mobilenet_geo::Country;
 use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats};
@@ -199,7 +204,9 @@ impl PipelineBuilder {
     /// Validates the configuration and assembles the study.
     ///
     /// Output is deterministic in `(config, seed)` and bit-identical at
-    /// any thread count, with or without observability.
+    /// any thread count, with or without observability. With collection
+    /// enabled, the build records into a fresh registry that becomes
+    /// [`Run::obs_snapshot`] and is then merged into the enclosing one.
     pub fn run(self) -> Result<Run, Error> {
         self.config.netsim.validate().map_err(Error::Config)?;
         self.config.collect_options().validate().map_err(Error::Config)?;
@@ -209,14 +216,24 @@ impl PipelineBuilder {
         if let Some(threads) = self.threads {
             mobilenet_par::set_thread_override(Some(threads));
         }
-        let study = Study::generate_inner(&self.config, self.seed);
-        Ok(Run { study })
+        if !mobilenet_obs::enabled() {
+            let study = Study::generate_inner(&self.config, self.seed);
+            return Ok(Run { study, obs: mobilenet_obs::Snapshot::default() });
+        }
+        let registry = Arc::new(mobilenet_obs::Registry::new());
+        let study = mobilenet_obs::scoped(Some(registry.clone()), || {
+            Study::generate_inner(&self.config, self.seed)
+        });
+        let obs = registry.snapshot();
+        mobilenet_obs::merge(&obs);
+        Ok(Run { study, obs })
     }
 }
 
 /// A completed pipeline run.
 pub struct Run {
     study: Study,
+    obs: mobilenet_obs::Snapshot,
 }
 
 impl Run {
@@ -256,15 +273,16 @@ impl Run {
         self.study.ingest_stats()
     }
 
-    /// A snapshot of everything the observability layer recorded so far
-    /// in this process (empty when collection is disabled).
+    /// What the observability layer recorded while building this run,
+    /// and nothing recorded by other runs or later analyses (empty when
+    /// collection was disabled).
     pub fn obs_snapshot(&self) -> mobilenet_obs::Snapshot {
-        mobilenet_obs::snapshot()
+        self.obs.clone()
     }
 
-    /// Writes the current observability snapshot as JSON to `path`.
+    /// Writes this run's [`Run::obs_snapshot`] as JSON to `path`.
     pub fn write_obs_json(&self, path: &Path) -> Result<(), Error> {
-        mobilenet_obs::write_json(path).map_err(Error::Io)
+        std::fs::write(path, self.obs.to_json()).map_err(Error::Io)
     }
 }
 
@@ -325,6 +343,39 @@ mod tests {
         assert!(whole.ingest_stats().is_some());
         let expected = Pipeline::builder().seed(9).expected().run().unwrap();
         assert!(expected.ingest_stats().is_none());
+    }
+
+    #[test]
+    fn concurrent_runs_each_report_only_their_own_ingest_counters() {
+        // Each run also sits inside an enclosing registry, which must
+        // receive exactly that run's counters when it ends.
+        let runs: Vec<(Run, mobilenet_obs::Snapshot)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = [64usize, 1000]
+                .into_iter()
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let enclosing = Arc::new(mobilenet_obs::Registry::new());
+                        let run = mobilenet_obs::scoped(Some(enclosing.clone()), || {
+                            Pipeline::builder().seed(3).chunk_size(chunk).obs(true).run().unwrap()
+                        });
+                        (run, enclosing.snapshot())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        mobilenet_obs::set_enabled(None);
+        for (run, enclosing) in &runs {
+            let ingest = run.ingest_stats().unwrap();
+            let snap = run.obs_snapshot();
+            assert_eq!(snap.counter("netsim.ingest.chunks"), Some(ingest.chunks));
+            assert_eq!(snap.counter("netsim.ingest.records"), Some(ingest.records));
+            assert_eq!(snap.counter("netsim.ingest.batches"), Some(ingest.chunks));
+            assert_eq!(snap.span("generate").map(|s| s.count), Some(1));
+            assert_eq!(enclosing.counters, snap.counters);
+        }
+        let chunks = |i: usize| runs[i].0.ingest_stats().unwrap().chunks;
+        assert_ne!(chunks(0), chunks(1));
     }
 
     #[test]

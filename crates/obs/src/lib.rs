@@ -14,9 +14,15 @@
 //! * **histograms** — fixed-bucket distributions ([`observe`]), e.g. the
 //!   ULI localization-error displacement histogram.
 //!
-//! Everything funnels into one process-wide thread-safe [`Registry`];
-//! [`snapshot`] returns an immutable [`Snapshot`] that renders to a
-//! human-readable report ([`Snapshot::render`]) or machine-readable JSON
+//! Everything lands in a thread-safe [`Registry`]: the one installed on
+//! the recording thread by [`scoped`] if any, else the process-wide
+//! [`global`] registry. A pipeline run records into its own registry
+//! (so its report holds only its own metrics, however many runs share
+//! the process) and folds it into the enclosing one when it ends;
+//! `mobilenet-par` hands the caller's registry to every worker of a
+//! parallel region. [`snapshot`] returns an immutable [`Snapshot`] of
+//! the global registry that renders to a human-readable report
+//! ([`Snapshot::render`]) or machine-readable JSON
 //! ([`Snapshot::to_json`]).
 //!
 //! # Determinism contract
@@ -35,7 +41,8 @@
 //!
 //! Collection is **off by default**: every instrumentation entry point
 //! first reads one relaxed atomic and returns immediately when disabled,
-//! so the instrumented hot paths pay no measurable cost. Enable with the
+//! so the instrumented hot paths pay no measurable cost; only enabled
+//! recording looks up the thread's scoped registry. Enable with the
 //! `MOBILENET_OBS` environment variable (any value other than
 //! `0`/`off`/`false`; a value that looks like a path additionally names
 //! the JSON report file the binaries write) or programmatically with
@@ -65,7 +72,7 @@ pub use registry::{HistStat, Registry, Snapshot, SpanStat};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Name of the environment variable that enables collection (and may name
@@ -124,10 +131,48 @@ pub fn env_output_path() -> Option<PathBuf> {
     }
 }
 
-/// The process-wide registry every free function records into.
+/// The process-wide registry the free functions record into on a thread
+/// with no [`scoped`] registry installed.
 pub fn global() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::new)
+}
+
+thread_local! {
+    /// The registry [`scoped`] installed on this thread, if any.
+    static CURRENT: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with `registry` installed as this thread's recording target:
+/// every span, counter, gauge and histogram recorded on this thread
+/// inside `f` lands there instead of in [`global`] (`None` records into
+/// [`global`]). The previous target is restored when `f` returns or
+/// unwinds. Worker threads start with no target, so code that spawns
+/// threads passes [`current`] on to them (`mobilenet-par` does).
+pub fn scoped<R>(registry: Option<Arc<Registry>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<Registry>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.0.take();
+            CURRENT.with(|c| *c.borrow_mut() = previous);
+        }
+    }
+    let _restore = Restore(CURRENT.with(|c| c.replace(registry)));
+    f()
+}
+
+/// The registry [`scoped`] installed on this thread, if any.
+pub fn current() -> Option<Arc<Registry>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Calls `f` on this thread's recording target: the [`scoped`] registry
+/// if one is installed, else [`global`].
+fn with_target(f: impl FnOnce(&Registry)) {
+    CURRENT.with(|c| match c.borrow().as_deref() {
+        Some(scoped) => f(scoped),
+        None => f(global()),
+    });
 }
 
 thread_local! {
@@ -168,7 +213,7 @@ impl Drop for Span {
             SPAN_STACK.with(|s| {
                 s.borrow_mut().pop();
             });
-            global().record_span(&path, ns);
+            with_target(|r| r.record_span(&path, ns));
         }
     }
 }
@@ -177,7 +222,7 @@ impl Drop for Span {
 #[inline]
 pub fn add(name: &str, delta: u64) {
     if enabled() {
-        global().add(name, delta);
+        with_target(|r| r.add(name, delta));
     }
 }
 
@@ -189,7 +234,7 @@ pub fn add(name: &str, delta: u64) {
 #[inline]
 pub fn add_f64(name: &str, delta: f64) {
     if enabled() {
-        global().add_f64(name, delta);
+        with_target(|r| r.add_f64(name, delta));
     }
 }
 
@@ -197,7 +242,7 @@ pub fn add_f64(name: &str, delta: f64) {
 #[inline]
 pub fn gauge(name: &str, value: f64) {
     if enabled() {
-        global().gauge(name, value);
+        with_target(|r| r.gauge(name, value));
     }
 }
 
@@ -209,7 +254,7 @@ pub fn gauge(name: &str, value: f64) {
 #[inline]
 pub fn observe(name: &str, value: f64, edges: &[f64]) {
     if enabled() {
-        global().observe(name, value, edges);
+        with_target(|r| r.observe(name, value, edges));
     }
 }
 
@@ -219,11 +264,20 @@ pub fn observe(name: &str, value: f64, edges: &[f64]) {
 #[inline]
 pub fn record_span_ns(path: &str, ns: u64) {
     if enabled() {
-        global().record_span(path, ns);
+        with_target(|r| r.record_span(path, ns));
     }
 }
 
-/// An immutable copy of everything recorded so far.
+/// Folds `snapshot` into this thread's recording target (the [`scoped`]
+/// registry, else [`global`]) — how a finished run's own registry joins
+/// the enclosing one. Unlike the recording functions it does not check
+/// [`enabled`]: the snapshot was recorded while collection was on.
+pub fn merge(snapshot: &Snapshot) {
+    with_target(|r| r.merge(snapshot));
+}
+
+/// An immutable copy of everything recorded so far into the [`global`]
+/// registry, which includes every pipeline run that has ended.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
 }
@@ -401,6 +455,54 @@ mod tests {
         assert_eq!(m.histogram("h").unwrap().counts, vec![1, 1]);
         let s = m.span("s").unwrap();
         assert_eq!((s.count, s.total_ns, s.max_ns), (2, 150, 100));
+    }
+
+    #[test]
+    fn scoped_registry_takes_records_and_is_restored_after_a_panic() {
+        with_global_obs(|| {
+            let outer = Arc::new(Registry::new());
+            let inner = Arc::new(Registry::new());
+            scoped(Some(outer.clone()), || {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    scoped(Some(inner.clone()), || {
+                        drop(span("stage"));
+                        add("x", 1);
+                        panic!("recorder failure");
+                    })
+                }));
+                assert!(caught.is_err());
+                let restored = current().expect("outer scope restored after the unwind");
+                assert!(Arc::ptr_eq(&restored, &outer));
+                add("x", 10);
+            });
+            assert!(current().is_none(), "leaving the outer scope restores global");
+            add("x", 100);
+            let inner = inner.snapshot();
+            assert_eq!(inner.counter("x"), Some(1));
+            assert_eq!(inner.span("stage").map(|s| s.count), Some(1));
+            assert_eq!(outer.snapshot().counter("x"), Some(10));
+            assert_eq!(snapshot().counter("x"), Some(100));
+            assert!(snapshot().span("stage").is_none());
+        });
+    }
+
+    #[test]
+    fn registry_merge_adds_counts_and_keeps_the_longest_span() {
+        let run = Registry::new();
+        run.add("c", 2);
+        run.observe("h", 1.0, &[2.0]);
+        run.record_span("s", 100);
+        let enclosing = Registry::new();
+        enclosing.add("c", 5);
+        enclosing.observe("h", 3.0, &[2.0]);
+        enclosing.record_span("s", 40);
+        enclosing.merge(&run.snapshot());
+        let m = enclosing.snapshot();
+        assert_eq!(m.counter("c"), Some(7));
+        let h = m.histogram("h").unwrap();
+        assert_eq!((h.counts.as_slice(), h.count), (&[1, 1][..], 2));
+        let s = m.span("s").unwrap();
+        assert_eq!((s.count, s.total_ns, s.max_ns), (2, 140, 100));
     }
 
     #[test]

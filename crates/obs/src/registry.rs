@@ -1,12 +1,12 @@
 //! The thread-safe metric registry and its immutable snapshots.
 //!
-//! One [`Registry`] aggregates everything: recording locks a single
-//! mutex, which is fine because the workspace instruments at *stage* and
-//! *shard* granularity (tens to thousands of records per run), never per
-//! session. Per-worker shards of a parallel region therefore merge
-//! through the same ordered structure — `u64` additions commute exactly,
-//! so counter and histogram values are independent of which worker
-//! recorded first.
+//! A [`Registry`] aggregates everything recorded into it: recording
+//! locks a single mutex, which is fine because the workspace instruments
+//! at *stage* and *shard* granularity (tens to thousands of records per
+//! run), never per session. Per-worker shards of a parallel region
+//! therefore merge through the same ordered structure — `u64` additions
+//! commute exactly, so counter and histogram values are independent of
+//! which worker recorded first.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -75,21 +75,14 @@ impl HistStat {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Inner {
-    spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, u64>,
-    fcounters: BTreeMap<String, f64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistStat>,
-}
-
-/// A thread-safe metric store. The workspace normally uses the single
-/// [`global`](crate::global) registry through the crate's free
-/// functions; standalone registries exist for tests and embedding.
+/// A thread-safe metric store. The crate's free functions record into
+/// the registry installed on the calling thread by
+/// [`scoped`](crate::scoped) — e.g. the one a pipeline run owns — and
+/// into the process-wide [`global`](crate::global) registry when none
+/// is installed.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    inner: Mutex<Snapshot>,
 }
 
 impl Registry {
@@ -98,7 +91,7 @@ impl Registry {
         Registry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Snapshot> {
         // A panicking recorder must not take observability down with it.
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -145,19 +138,19 @@ impl Registry {
 
     /// An immutable copy of the current state.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.lock();
-        Snapshot {
-            spans: inner.spans.clone(),
-            counters: inner.counters.clone(),
-            fcounters: inner.fcounters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner.histograms.clone(),
-        }
+        self.lock().clone()
+    }
+
+    /// Folds `snapshot` into this registry with [`Snapshot::merge`]'s
+    /// rules — how a finished run's own registry joins the enclosing
+    /// one.
+    pub fn merge(&self, snapshot: &Snapshot) {
+        self.lock().merge(snapshot);
     }
 
     /// Clears every metric.
     pub fn reset(&self) {
-        *self.lock() = Inner::default();
+        *self.lock() = Snapshot::default();
     }
 }
 

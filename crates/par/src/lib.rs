@@ -23,7 +23,9 @@
 //! a region with one worker or one item never spawns at all and runs the
 //! caller's closures inline. Determinism therefore never depends on the
 //! pool: threads race only over *which* worker computes an item, never
-//! over where its result lands.
+//! over where its result lands. Each worker records observability into
+//! the caller's [`mobilenet_obs::scoped`] registry, so a region's metrics
+//! belong to whatever run started it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -128,7 +130,9 @@ impl Pool {
     /// `par.workers` gauge, and per-worker `par/worker_wait` (spawn
     /// latency) and `par/worker_busy` spans. Worker-level timing lives in
     /// the span section, which is excluded from the determinism
-    /// fingerprint because scheduling shapes it.
+    /// fingerprint because scheduling shapes it. Workers record into the
+    /// calling thread's [`mobilenet_obs::current`] registry, like the
+    /// caller itself.
     pub fn map_collect<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -154,36 +158,37 @@ impl Pool {
         let cursor = AtomicUsize::new(0);
         let chunk = n.div_ceil(workers * 4).max(1);
         let region_start = std::time::Instant::now();
+        let worker = || {
+            let spawned = std::time::Instant::now();
+            let mut processed = 0u64;
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                for (i, slot) in slots.iter().enumerate().take(n.min(start + chunk)).skip(start) {
+                    let result = f(i);
+                    *slot.lock().expect("result slot poisoned") = Some(result);
+                    processed += 1;
+                }
+            }
+            if observing {
+                // The per-worker item split is scheduling-dependent;
+                // only the total (always exactly `n`) is counted.
+                mobilenet_obs::add("par.worker_items", processed);
+                let wait = spawned.duration_since(region_start);
+                mobilenet_obs::record_span_ns("par/worker_wait", wait.as_nanos() as u64);
+                mobilenet_obs::record_span_ns(
+                    "par/worker_busy",
+                    spawned.elapsed().as_nanos() as u64,
+                );
+            }
+        };
+        // Workers record into the caller's registry, not the global one.
+        let registry = mobilenet_obs::current();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let spawned = std::time::Instant::now();
-                    let mut processed = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for (i, slot) in
-                            slots.iter().enumerate().take(n.min(start + chunk)).skip(start)
-                        {
-                            let result = f(i);
-                            *slot.lock().expect("result slot poisoned") = Some(result);
-                            processed += 1;
-                        }
-                    }
-                    if observing {
-                        // The per-worker item split is scheduling-dependent;
-                        // only the total (always exactly `n`) is counted.
-                        mobilenet_obs::add("par.worker_items", processed);
-                        let wait = spawned.duration_since(region_start);
-                        mobilenet_obs::record_span_ns("par/worker_wait", wait.as_nanos() as u64);
-                        mobilenet_obs::record_span_ns(
-                            "par/worker_busy",
-                            spawned.elapsed().as_nanos() as u64,
-                        );
-                    }
-                });
+                scope.spawn(|| mobilenet_obs::scoped(registry.clone(), worker));
             }
         });
         slots
@@ -369,6 +374,28 @@ mod tests {
         assert_eq!(Pool::global().threads(), 3);
         set_thread_override(None);
         assert!(current_threads() >= 1);
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_scoped_registry() {
+        // Other tests may run regions while collection is on, so global
+        // leakage is checked on a name only this region records.
+        mobilenet_obs::set_enabled(Some(true));
+        let registry = std::sync::Arc::new(mobilenet_obs::Registry::new());
+        let out = mobilenet_obs::scoped(Some(registry.clone()), || {
+            Pool::new(4).map_collect(1000, |i| {
+                mobilenet_obs::add("par_test.scoped_items", 1);
+                i
+            })
+        });
+        mobilenet_obs::set_enabled(None);
+        assert_eq!(out.len(), 1000);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("par.items"), Some(1000));
+        assert_eq!(snap.counter("par.worker_items"), snap.counter("par.items"));
+        assert_eq!(snap.counter("par_test.scoped_items"), Some(1000));
+        assert_eq!(snap.span("par/worker_busy").map(|s| s.count), Some(4));
+        assert_eq!(mobilenet_obs::snapshot().counter("par_test.scoped_items"), None);
     }
 
     #[test]

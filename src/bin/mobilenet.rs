@@ -355,14 +355,15 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     // Observability report: JSON when a path was given, and a
-    // human-readable summary on stderr.
+    // human-readable summary on stderr. It reads the process-wide
+    // registry, which holds the finished run plus the analysis stages
+    // the subcommand recorded after it.
     if mobilenet::obs::enabled() {
-        let snapshot = run.obs_snapshot();
         if let Some(path) = obs_path {
-            run.write_obs_json(&path)?;
+            mobilenet::obs::write_json(&path).map_err(Error::Io)?;
             eprintln!("observability report written to {}", path.display());
         } else {
-            eprint!("{}", snapshot.render());
+            eprint!("{}", mobilenet::obs::snapshot().render());
         }
     }
     Ok(())
