@@ -204,9 +204,10 @@ impl PipelineBuilder {
     /// Validates the configuration and assembles the study.
     ///
     /// Output is deterministic in `(config, seed)` and bit-identical at
-    /// any thread count, with or without observability. With collection
-    /// enabled, the build records into a fresh registry that becomes
-    /// [`Run::obs_snapshot`] and is then merged into the enclosing one.
+    /// any thread count, with or without observability. The build
+    /// records into a fresh registry that becomes [`Run::obs_snapshot`]
+    /// (empty when collection is off) and is then merged into the
+    /// enclosing one.
     pub fn run(self) -> Result<Run, Error> {
         self.config.netsim.validate().map_err(Error::Config)?;
         self.config.collect_options().validate().map_err(Error::Config)?;
@@ -215,10 +216,6 @@ impl PipelineBuilder {
         }
         if let Some(threads) = self.threads {
             mobilenet_par::set_thread_override(Some(threads));
-        }
-        if !mobilenet_obs::enabled() {
-            let study = Study::generate_inner(&self.config, self.seed);
-            return Ok(Run { study, obs: mobilenet_obs::Snapshot::default() });
         }
         let registry = Arc::new(mobilenet_obs::Registry::new());
         let study = mobilenet_obs::scoped(Some(registry.clone()), || {
