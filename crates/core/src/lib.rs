@@ -77,6 +77,6 @@ pub use mobilenet_netsim::{
 };
 pub use pipeline::{Pipeline, PipelineBuilder, Run, Scale, DEFAULT_SEED};
 pub use ranking::{service_ranking_of, top_k_services};
-pub use spatial::{spatial_correlation_of, PairAccumulator};
+pub use spatial::spatial_correlation_of;
 pub use study::{Study, StudyConfig};
 pub use topical::{profile_service, topical_profiles_of};

@@ -10,7 +10,7 @@
 //!   correlate strongly (mean r² ≈ 0.60 DL / 0.53 UL), with Netflix and
 //!   iCloud as outliers (Figure 10).
 
-use mobilenet_timeseries::stats::{concentration_curve, r_squared, share_of_top, Ecdf};
+use mobilenet_timeseries::stats::{concentration_curve, mean, share_of_top, Ecdf};
 use mobilenet_traffic::{Direction, TrafficDataset};
 
 use crate::study::Study;
@@ -20,6 +20,12 @@ use crate::study::Study;
 /// catalog yields 190) run inline, where they are faster than any
 /// spawn/steal schedule.
 const R2_MIN_PAIRS_PER_WORKER: usize = 256;
+
+/// Pairs one pass of the pairwise kernel serves: one service against up
+/// to this many others. Their dot products are independent sums over the
+/// same communes, so their additions overlap in the pipeline while each
+/// keeps `pearson_r`'s summation order.
+const R2_LANES: usize = 4;
 
 /// Figure 8 for one service.
 #[derive(Debug, Clone)]
@@ -118,29 +124,35 @@ pub fn spatial_correlation_of(
     let users = ds.commune_users();
     let keep: Vec<usize> = (0..ds.n_communes()).filter(|&c| users[c] > 0.0).collect();
     // Per-subscriber volumes of the kept communes, divided in place
-    // rather than through a full-length `per_user_commune_vector`: one
-    // commune-length allocation per service instead of two.
-    let vectors: Vec<Vec<f64>> = (0..n)
+    // rather than through a full-length `per_user_commune_vector`, then
+    // centred once per service instead of once per pair.
+    let centred: Vec<Centred> = (0..n)
         .map(|s| {
             let volumes = ds.commune_vector(dir, s);
-            keep.iter().map(|&c| volumes[c] / users[c]).collect()
+            Centred::new(keep.iter().map(|&c| volumes[c] / users[c]).collect())
         })
         .collect();
 
-    // The O(S²·C) pairwise block, parallelized over the upper-triangle
-    // pair list; results come back in pair order, so matrix and CDF are
-    // identical at any thread count. The 20-service catalog yields only
-    // 190 pairs — far below the per-worker threshold — so the standard
-    // run stays inline instead of paying spawn/steal overhead that made
-    // `--threads 8` slower than serial.
-    let pairs: Vec<(usize, usize)> =
-        (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))).collect();
-    let pair_values = mobilenet_par::par_map_min(&pairs, R2_MIN_PAIRS_PER_WORKER, |&(i, j)| {
-        r_squared(&vectors[i], &vectors[j])
-    });
-    mobilenet_obs::add("core.r2_pairs", pairs.len() as u64);
+    // The O(S²·C) pairwise block, parallelized over runs of up to
+    // `R2_LANES` upper-triangle pairs `(i, j..j + R2_LANES)`; results
+    // come back in pair order, so matrix and CDF are identical at any
+    // thread count. The 20-service catalog yields only 190 pairs — far
+    // below the per-worker threshold — so the standard run stays inline
+    // instead of paying spawn/steal overhead that made `--threads 8`
+    // slower than serial.
+    let runs: Vec<(usize, usize)> =
+        (0..n).flat_map(|i| ((i + 1)..n).step_by(R2_LANES).map(move |j| (i, j))).collect();
+    let min_runs = R2_MIN_PAIRS_PER_WORKER / R2_LANES;
+    let pair_values: Vec<f64> = mobilenet_par::par_map_min(&runs, min_runs, |&(i, j)| {
+        centred[i].r_squared_each(&centred[j..(j + R2_LANES).min(n)])
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    mobilenet_obs::add("core.r2_pairs", pair_values.len() as u64);
+    let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
     let mut matrix = vec![vec![1.0; n]; n];
-    for (&(i, j), &r2) in pairs.iter().zip(pair_values.iter()) {
+    for ((i, j), &r2) in pairs.zip(pair_values.iter()) {
         matrix[i][j] = r2;
         matrix[j][i] = r2;
     }
@@ -148,84 +160,61 @@ pub fn spatial_correlation_of(
     SpatialCorrelation { direction: dir, names, matrix, pair_values, mean_r2 }
 }
 
-/// Mergeable sufficient statistics of one (x, y) pair — the incremental
-/// building block behind streaming pairwise r².
-///
-/// Holds the five raw moments (`Σx`, `Σy`, `Σx²`, `Σy²`, `Σxy`) plus the
-/// count, so partial accumulators over disjoint observation sets
-/// [`merge`](PairAccumulator::merge) into the statistics of the union.
-/// The derived [`r_squared`](PairAccumulator::r_squared) agrees with the
-/// batch [`r_squared`] up to floating-point accumulation order (merging
-/// reorders the additions, so equality is to ~1e-12, not bitwise).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[non_exhaustive]
-pub struct PairAccumulator {
-    /// Observations folded in.
-    pub n: u64,
-    /// `Σx`.
-    pub sx: f64,
-    /// `Σy`.
-    pub sy: f64,
-    /// `Σx²`.
-    pub sxx: f64,
-    /// `Σy²`.
-    pub syy: f64,
-    /// `Σxy`.
-    pub sxy: f64,
+/// One sample less its mean, with its sum of squared deviations: the
+/// per-sample half of [`r_squared`], computed once so that each pair
+/// costs one dot product.
+struct Centred {
+    deviations: Vec<f64>,
+    sum_sq: f64,
 }
 
-impl PairAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        PairAccumulator::default()
-    }
-
-    /// Folds one paired observation in.
-    #[inline]
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        self.sx += x;
-        self.sy += y;
-        self.sxx += x * x;
-        self.syy += y * y;
-        self.sxy += x * y;
-    }
-
-    /// The accumulator of two paired slices (panics if lengths differ).
-    pub fn from_slices(xs: &[f64], ys: &[f64]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "paired slices must have equal length");
-        let mut acc = PairAccumulator::new();
-        for (&x, &y) in xs.iter().zip(ys.iter()) {
-            acc.push(x, y);
+impl Centred {
+    /// Centres `xs` with `pearson_r`'s mean, subtraction and summation
+    /// order.
+    fn new(mut xs: Vec<f64>) -> Self {
+        let m = mean(&xs);
+        let mut sum_sq = 0.0;
+        for x in &mut xs {
+            *x -= m;
+            sum_sq += *x * *x;
         }
-        acc
+        Centred { deviations: xs, sum_sq }
     }
 
-    /// Folds another accumulator (over a disjoint observation set) in.
-    pub fn merge(&mut self, other: &PairAccumulator) {
-        self.n += other.n;
-        self.sx += other.sx;
-        self.sy += other.sy;
-        self.sxx += other.sxx;
-        self.syy += other.syy;
-        self.sxy += other.sxy;
-    }
-
-    /// The squared Pearson correlation of everything folded in so far;
-    /// 0.0 when either marginal is constant (no signal to correlate).
-    pub fn r_squared(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
+    /// [`r_squared`] of this sample against each of `others` (one to
+    /// [`R2_LANES`] samples), bit for bit: the same deviations, each
+    /// `Σdx·dy` summed in the same order, and the same degenerate cases.
+    /// Fewer than [`R2_LANES`] others fill the spare lanes with the last
+    /// one, whose sums are dropped.
+    ///
+    /// # Panics
+    ///
+    /// If `others` is empty or holds a sample of a different length.
+    fn r_squared_each(&self, others: &[Centred]) -> Vec<f64> {
+        let xs = &self.deviations[..];
+        let len = xs.len();
+        let lane = |k: usize| &others[k.min(others.len() - 1)].deviations[..len];
+        let [a, b, c, d] = [0, 1, 2, 3].map(lane);
+        let mut sxy = [0.0; R2_LANES];
+        for k in 0..len {
+            let x = xs[k];
+            sxy[0] += x * a[k];
+            sxy[1] += x * b[k];
+            sxy[2] += x * c[k];
+            sxy[3] += x * d[k];
         }
-        let n = self.n as f64;
-        let cov = self.sxy - self.sx * self.sy / n;
-        let vx = self.sxx - self.sx * self.sx / n;
-        let vy = self.syy - self.sy * self.sy / n;
-        if vx <= 0.0 || vy <= 0.0 {
-            return 0.0;
-        }
-        let r = cov / (vx * vy).sqrt();
-        r * r
+        others
+            .iter()
+            .zip(sxy)
+            .map(|(other, sxy)| {
+                let (sxx, syy) = (self.sum_sq, other.sum_sq);
+                if len < 2 || sxx <= f64::EPSILON || syy <= f64::EPSILON {
+                    return 0.0;
+                }
+                let r = (sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0);
+                r * r
+            })
+            .collect()
     }
 }
 
@@ -298,6 +287,7 @@ pub fn morans_i(country: &mobilenet_geo::Country, values: &[f64], k: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobilenet_timeseries::stats::r_squared;
 
     /// Measured study: collection artefacts included.
     fn study() -> &'static Study {
@@ -429,49 +419,36 @@ mod tests {
     }
 
     #[test]
-    fn pair_accumulator_agrees_with_batch_r_squared() {
-        let s = expected();
-        let ds = s.dataset();
-        let xs = ds.per_user_commune_vector(Direction::Down, 0);
-        let ys = ds.per_user_commune_vector(Direction::Down, 1);
-        let keep: Vec<(f64, f64)> = xs
-            .iter()
-            .zip(ys.iter())
-            .filter(|(x, y)| x.is_finite() && y.is_finite())
-            .map(|(&x, &y)| (x, y))
-            .collect();
-        let (kx, ky): (Vec<f64>, Vec<f64>) = keep.into_iter().unzip();
-        let batch = r_squared(&kx, &ky);
-        let acc = PairAccumulator::from_slices(&kx, &ky);
-        assert!(
-            (acc.r_squared() - batch).abs() < 1e-9,
-            "incremental {} vs batch {batch}",
-            acc.r_squared()
-        );
-    }
-
-    #[test]
-    fn pair_accumulator_merge_is_the_statistics_of_the_union() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() + i as f64 / 50.0).collect();
-        let ys: Vec<f64> = (0..100).map(|i| (i as f64).cos() + i as f64 / 30.0).collect();
-        let whole = PairAccumulator::from_slices(&xs, &ys);
-        let mut merged = PairAccumulator::from_slices(&xs[..37], &ys[..37]);
-        merged.merge(&PairAccumulator::from_slices(&xs[37..], &ys[37..]));
-        assert_eq!(merged.n, whole.n);
-        // Merging reorders the floating-point additions, so agreement is
-        // to tolerance, not bitwise.
-        assert!((merged.r_squared() - whole.r_squared()).abs() < 1e-12);
-        assert!((merged.sxy - whole.sxy).abs() < 1e-9 * whole.sxy.abs().max(1.0));
-    }
-
-    #[test]
-    fn pair_accumulator_degenerate_inputs_are_zero() {
-        assert_eq!(PairAccumulator::new().r_squared(), 0.0);
-        let mut one = PairAccumulator::new();
-        one.push(1.0, 2.0);
-        assert_eq!(one.r_squared(), 0.0);
-        let constant = PairAccumulator::from_slices(&[3.0, 3.0, 3.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(constant.r_squared(), 0.0, "constant marginal has no signal");
+    fn every_pair_value_is_bitwise_the_pairwise_r_squared() {
+        for (s, dir) in [(study(), Direction::Down), (expected(), Direction::Up)] {
+            let ds = s.dataset();
+            let corr = spatial_correlation_of(ds, s.service_names(), dir);
+            let users = ds.commune_users();
+            let vectors: Vec<Vec<f64>> = (0..ds.n_services())
+                .map(|svc| {
+                    let volumes = ds.commune_vector(dir, svc);
+                    (0..ds.n_communes())
+                        .filter(|&c| users[c] > 0.0)
+                        .map(|c| volumes[c] / users[c])
+                        .collect()
+                })
+                .collect();
+            let n = vectors.len();
+            let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
+            let mut checked = 0;
+            for ((i, j), &got) in pairs.zip(&corr.pair_values) {
+                let want = r_squared(&vectors[i], &vectors[j]);
+                assert_eq!(got.to_bits(), want.to_bits(), "pair ({i}, {j}): {got} vs {want}");
+                checked += 1;
+            }
+            assert_eq!(checked, n * (n - 1) / 2);
+        }
+        // Degenerate samples keep `r_squared`'s conventions.
+        let flat = Centred::new(vec![3.0; 5]);
+        let ramp = Centred::new((0..5).map(f64::from).collect());
+        let want = r_squared(&[3.0; 5], &[0.0, 1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(flat.r_squared_each(&[ramp]), [want]);
+        assert_eq!(Centred::new(vec![1.0]).r_squared_each(&[Centred::new(vec![2.0])]), [0.0]);
     }
 
     #[test]

@@ -334,8 +334,8 @@ pub struct ShardPartial {
 }
 
 impl ShardPartial {
-    fn empty(model: &DemandModel, version: u64) -> Self {
-        ShardPartial { dataset: empty_dataset(model), stats: CollectionStats::default(), version }
+    fn empty(dataset: TrafficDataset, version: u64) -> Self {
+        ShardPartial { dataset, stats: CollectionStats::default(), version }
     }
 }
 
@@ -353,6 +353,10 @@ impl ShardPartial {
 pub struct MergeCut {
     /// One mark per shard; `None` until the first merge.
     shards: Option<Vec<ShardMark>>,
+    /// The merged diagnostics of shards `0..stats_prefix_len`, none of
+    /// which has moved since they were merged.
+    stats_prefix: CollectionStats,
+    stats_prefix_len: usize,
 }
 
 /// One shard's entry in a [`MergeCut`].
@@ -362,17 +366,6 @@ struct ShardMark {
     version: Option<u64>,
     /// Per head service: whether the partial had written its rows.
     rows: Vec<bool>,
-}
-
-/// An all-zero dataset shaped like `model`'s country and catalog.
-fn empty_dataset(model: &DemandModel) -> TrafficDataset {
-    let catalog = model.catalog();
-    TrafficDataset::new(
-        model.country(),
-        catalog.head().len(),
-        catalog.tail_len(),
-        model.config().subscriber_share,
-    )
 }
 
 /// The sharded fold: the one engine behind batch collection
@@ -394,6 +387,9 @@ fn empty_dataset(model: &DemandModel) -> TrafficDataset {
 /// `M` is the demand model, owned or borrowed.
 pub struct ShardedFold<M: Borrow<DemandModel>> {
     model: M,
+    /// An all-`+0.0` dataset shaped like the model; partials and merge
+    /// targets are its clones and share its per-commune constants.
+    empty: TrafficDataset,
     partials: Vec<Mutex<ShardPartial>>,
     chunk_size: usize,
     ledger: IngestLedger,
@@ -405,10 +401,18 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
     /// An engine of `shards` empty partials shaped like `model`, chunking
     /// records `chunk_size` at a time.
     pub fn new(model: M, shards: usize, chunk_size: usize) -> Self {
+        let catalog = model.borrow().catalog();
+        let empty = TrafficDataset::new(
+            model.borrow().country(),
+            catalog.head().len(),
+            catalog.tail_len(),
+            model.borrow().config().subscriber_share,
+        );
         let partials =
-            (0..shards).map(|_| Mutex::new(ShardPartial::empty(model.borrow(), 0))).collect();
+            (0..shards).map(|_| Mutex::new(ShardPartial::empty(empty.clone(), 0))).collect();
         ShardedFold {
             model,
+            empty,
             partials,
             chunk_size,
             ledger: IngestLedger::default(),
@@ -524,7 +528,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
 
     /// An all-`+0.0` dataset shaped like the partials.
     pub fn empty_dataset(&self) -> TrafficDataset {
-        empty_dataset(self.model())
+        self.empty.clone()
     }
 
     /// Merges the partials in shard order into a fresh dataset, fills its
@@ -553,15 +557,19 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
     ///
     /// Under the locks, only the head-service rows that a shard whose
     /// version stamp moved since `cut` wrote then or writes now are
-    /// rebuilt, each as `+0.0` plus its writers' rows in shard order
-    /// ([`TrafficDataset::rebuild_service_rows`]): the additions a fresh
-    /// merge makes for that row. A shard partial writes one head
-    /// service's rows, so a rebuilt row costs one read and one write of
-    /// 2 × (5 × 168 + communes) cells (≈ 0.6 MB at the france geography),
-    /// and a cut taken while two shards fold rebuilds about two rows
-    /// instead of the whole table. The tail and unclassified cells and
-    /// the diagnostics are re-summed in shard order on every call; they
-    /// are small.
+    /// rebuilt ([`TrafficDataset::rebuild_service_rows`]). A row with one
+    /// writer — a synthetic shard partial writes one head service — is
+    /// not copied: the partial's block is shared into `dataset` by
+    /// reference count, and the folding worker copies it, under its own
+    /// shard lock, only if it writes that block again while `dataset`
+    /// (or a clone of it) still holds it. A row with several writers is
+    /// rebuilt as `+0.0` plus its writers' rows in shard order. So a
+    /// merge moves no row data under the locks unless a row has several
+    /// writers. The tail and unclassified cells are re-summed in shard
+    /// order, skipping the tail tables of partials that never wrote one.
+    /// The diagnostics of the leading shards whose stamp has not moved are
+    /// kept in `cut` from the previous merge, and only the shards from the
+    /// first moved one on are merged again.
     ///
     /// A shape mismatch between `dataset` and a partial is reported
     /// before anything is written.
@@ -572,9 +580,8 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
     ) -> Result<(CollectionStats, IngestStats, R), IngestError> {
         let services = dataset.n_services();
-        let mut stats = CollectionStats::default();
-        let (ingest, caller) = {
-            let guards = self.lock_all();
+        let (stats, ingest, caller) = {
+            let mut guards = self.lock_all();
             for partial in &guards {
                 dataset.check_shape(&partial.dataset)?;
             }
@@ -588,10 +595,12 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
                     (shards.insert(vec![unseen; guards.len()]), written)
                 }
             };
-            for (mark, partial) in marks.iter_mut().zip(&guards) {
+            let mut first_moved = guards.len();
+            for (shard, (mark, partial)) in marks.iter_mut().zip(&guards).enumerate() {
                 if mark.version == Some(partial.version) {
                     continue;
                 }
+                first_moved = first_moved.min(shard);
                 mark.version = Some(partial.version);
                 for (s, (was, row_dirty)) in mark.rows.iter_mut().zip(&mut dirty).enumerate() {
                     let now = partial.dataset.service_written(s);
@@ -599,15 +608,26 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
                     *was = now;
                 }
             }
-            let parts = || guards.iter().map(|partial| &partial.dataset);
             for s in (0..services).filter(|&s| dirty[s]) {
-                dataset.rebuild_service_rows(s, parts());
+                dataset.rebuild_service_rows(s, guards.iter_mut().map(|p| &mut p.dataset));
             }
-            dataset.rebuild_tail_and_unclassified(parts());
-            for partial in &guards {
+            dataset.rebuild_tail_and_unclassified(guards.iter().map(|p| &p.dataset));
+            // The kept prefix of the diagnostics sum, extended up to the
+            // first moved shard, then the rest merged onto a copy of it:
+            // the same merges in the same order as summing every shard.
+            if cut.stats_prefix_len > first_moved {
+                cut.stats_prefix = CollectionStats::default();
+                cut.stats_prefix_len = 0;
+            }
+            for partial in &guards[cut.stats_prefix_len..first_moved] {
+                cut.stats_prefix.merge(&partial.stats);
+            }
+            cut.stats_prefix_len = first_moved;
+            let mut stats = cut.stats_prefix.clone();
+            for partial in &guards[first_moved..] {
                 stats.merge(&partial.stats);
             }
-            (self.stats(), under_locks(&guards))
+            (stats, self.stats(), under_locks(&guards))
         };
         // Tail services: their national weekly totals come straight from
         // the demand model (they carry no spatial structure the analyses
@@ -622,7 +642,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
     pub fn reset<R>(&self, under_locks: impl FnOnce() -> R) -> R {
         let mut guards = self.lock_all();
         for partial in guards.iter_mut() {
-            **partial = ShardPartial::empty(self.model(), partial.version + 1);
+            **partial = ShardPartial::empty(self.empty_dataset(), partial.version + 1);
         }
         under_locks()
     }
@@ -650,9 +670,12 @@ where
     drop(merge_span);
     record_ingest_metrics(&out.ingest);
     if mobilenet_obs::enabled() {
-        // Footprint of one dense fold partial (every shard partial and
-        // the merge target share this shape). A gauge: it describes the
-        // configuration, not the record stream.
+        // Footprint of the merged tables with every head-service block
+        // written. A shard partial allocates only the blocks it writes
+        // (one per synthetic shard), and the merged dataset shares each
+        // single-writer block with its partial instead of holding a
+        // second copy. A gauge: it describes the configuration, not the
+        // record stream.
         mobilenet_obs::gauge("netsim.ingest.accumulator_bytes", out.dataset.dense_bytes() as f64);
     }
     Ok(out)

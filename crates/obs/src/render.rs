@@ -122,8 +122,14 @@ impl Snapshot {
         out
     }
 
-    /// A human-readable report: the span tree (indented by path depth)
-    /// followed by counters, gauges and histograms.
+    /// A human-readable report: the span tree followed by counters,
+    /// gauges and histograms.
+    ///
+    /// A span is indented once per recorded ancestor and named by its
+    /// path below the nearest one. A span whose parent path was never
+    /// recorded (`par/worker_busy` is recorded with no `par` span) is
+    /// therefore shown at its own depth in that tree, with the path that
+    /// places it, not as a child of whichever span sorts before it.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -133,8 +139,13 @@ impl Snapshot {
         if !self.spans.is_empty() {
             out.push_str("spans (wall clock):\n");
             for (path, s) in &self.spans {
-                let depth = path.matches('/').count();
-                let name = path.rsplit('/').next().unwrap_or(path);
+                let ancestors: Vec<usize> = path
+                    .match_indices('/')
+                    .map(|(at, _)| at)
+                    .filter(|&at| self.spans.contains_key(&path[..at]))
+                    .collect();
+                let depth = ancestors.len();
+                let name = ancestors.last().map_or(path.as_str(), |&at| &path[at + 1..]);
                 let _ = writeln!(
                     out,
                     "  {:indent$}{name:<width$} {:>6}x {:>10.2} ms  (mean {:.2} ms, max {:.2} ms)",
@@ -199,6 +210,40 @@ mod tests {
         assert!(json.contains("\"spans\": {}"));
         assert!(json.contains("\"counters\": {}"));
         assert!(snap.render().contains("nothing recorded"));
+    }
+
+    #[test]
+    fn a_span_without_a_recorded_parent_is_not_nested_under_another() {
+        let registry = Registry::new();
+        for path in ["generate", "generate/collect", "generate/collect/merge", "par/worker_busy"] {
+            registry.record_span(path, 2_000_000);
+        }
+        // `a/b/c` under a recorded `a` but no `a/b`: one level in, named
+        // by the path below `a`.
+        registry.record_span("a", 1_000_000);
+        registry.record_span("a/b/c", 1_000_000);
+        let text = registry.snapshot().render();
+        let names: Vec<String> = text
+            .lines()
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .map(|l| {
+                let name = l.split_whitespace().next().unwrap();
+                format!("{}{name}", " ".repeat(l.len() - l.trim_start().len()))
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "  a",
+                "    b/c",
+                "  generate",
+                "    collect",
+                "      merge",
+                "  par/worker_busy",
+            ],
+            "{text}"
+        );
     }
 
     #[test]

@@ -413,14 +413,15 @@ impl LiveState {
     /// are serialized: queries that arrive at a new version while one
     /// builds wait for it and share its result.
     ///
-    /// A build brings the previous snapshot's dataset up to date through
-    /// [`ShardedFold::merge_into`], which blocks ingest while it holds
-    /// every shard lock and rebuilds only the head-service rows of shards
-    /// that folded since the previous build (one read and one write of
-    /// ≈ 0.6 MB per row at the france geography). When no reader holds
-    /// the previous snapshot any more, its dataset is updated in place;
-    /// otherwise it is cloned first, outside the shard locks. A snapshot
-    /// a reader holds is never written.
+    /// A build brings a clone of the previous snapshot's dataset up to
+    /// date through [`ShardedFold::merge_into`], which blocks ingest
+    /// while it holds every shard lock. The clone is cheap: the
+    /// dataset's head-service blocks are shared by reference count with
+    /// the shard partials that wrote them, and the merge only re-shares
+    /// the blocks of shards that folded since the previous build. A
+    /// folding worker copies a block that a snapshot still holds before
+    /// writing it, under its own shard lock, so a snapshot a reader holds
+    /// is never written.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
         if let Some(snap) = self.cached() {
             return snap;
@@ -433,10 +434,7 @@ impl LiveState {
         let _span = mobilenet_obs::span("live_snapshot");
         let previous = self.cache.lock().expect("snapshot cache poisoned").take();
         let mut dataset = match previous {
-            Some((_, snap)) => match Arc::try_unwrap(snap) {
-                Ok(snap) => snap.dataset,
-                Err(held) => held.dataset.clone(),
-            },
+            Some((_, snap)) => snap.dataset.clone(),
             None => {
                 *cut = MergeCut::default();
                 self.engine.empty_dataset()

@@ -11,6 +11,15 @@
 //!
 //! plus the weekly national totals of the ~480 tail services (Figure 2)
 //! and the per-commune subscriber counts used for per-user normalization.
+//!
+//! The three per-service tables are stored per head service, as one
+//! copy-on-write block holding that service's rows of all three tables
+//! in both directions — exactly what one streaming-fold shard writes.
+//! A block nobody wrote reads as `+0.0` and allocates nothing; a block
+//! can be shared between datasets and is copied only when one of them
+//! writes to it.
+
+use std::sync::Arc;
 
 use mobilenet_geo::{CommuneId, Country, UsageClass};
 
@@ -47,66 +56,181 @@ impl Direction {
     }
 }
 
+/// Offset of the usage-class hourly rows (4 × 168 cells, class-major)
+/// within one direction's half of a service block; the national hourly
+/// row (168 cells) comes first.
+const CLASS_OFFSET: usize = HOURS_PER_WEEK;
+/// Offset of the commune weekly row (one cell per commune) within one
+/// direction's half of a service block.
+const COMMUNE_OFFSET: usize = 5 * HOURS_PER_WEEK;
+
+/// One head service's rows of the three per-service tables, both
+/// directions: `[dir][national hourly | class hourly | commune weekly]`.
+#[derive(Debug, Clone)]
+enum Block {
+    /// Never written: every cell reads as `+0.0`.
+    Zero,
+    /// Held by this dataset alone.
+    Owned(Vec<f64>),
+    /// Possibly held by other datasets too; copied before it is written
+    /// unless this is the last holder.
+    Shared(Arc<Vec<f64>>),
+}
+
+/// The per-country constants of a dataset, shared by every dataset cloned
+/// from one [`TrafficDataset::new`] (fold partials, merge targets,
+/// snapshots).
+#[derive(Debug)]
+struct Communes {
+    /// Average subscribers per commune.
+    users: Vec<f64>,
+    /// Usage class of each commune, by [`UsageClass::index`].
+    class: Vec<u8>,
+    /// Subscribers per usage class.
+    class_users: [f64; 4],
+    /// One all-`+0.0` block, what a [`Block::Zero`] reads as.
+    zeros: Vec<f64>,
+}
+
+impl Communes {
+    fn new(users: Vec<f64>, class: Vec<u8>) -> Self {
+        let mut class_users = [0.0; 4];
+        for (u, &cls) in users.iter().zip(class.iter()) {
+            class_users[cls as usize] += u;
+        }
+        let zeros = vec![0.0; block_len(users.len())];
+        Communes { users, class, class_users, zeros }
+    }
+}
+
+/// Cells in one service block of a `n_communes`-commune dataset.
+fn block_len(n_communes: usize) -> usize {
+    2 * (COMMUNE_OFFSET + n_communes)
+}
+
 /// Aggregated measurement tables for one week of traffic.
 ///
 /// All volumes are in MB. `service` indices refer to the head catalog;
 /// tail services only appear in the national weekly ranking table.
+///
+/// Cloning is cheap for blocks that are shared and for the per-country
+/// constants (reference counts); an owned block is copied.
 #[derive(Debug, Clone)]
 pub struct TrafficDataset {
     n_services: usize,
     n_communes: usize,
-    /// `[dir][service][hour]`, flattened.
-    national_hourly: Vec<f64>,
-    /// `[dir][service][commune]`, flattened.
-    commune_weekly: Vec<f64>,
-    /// `[dir][service][class][hour]`, flattened.
-    class_hourly: Vec<f64>,
+    /// One block per head service (see [`Block`]).
+    blocks: Vec<Block>,
     /// `[dir][tail rank]`, flattened: weekly national volumes of tail
     /// services.
     tail_weekly: Vec<f64>,
+    /// Whether any tail cell may hold a value other than `+0.0`.
+    tail_written: bool,
     /// Unclassified volume per direction (the DPI residue).
     unclassified: [f64; 2],
-    /// Average subscribers per commune.
-    commune_users: Vec<f64>,
-    /// Usage class of each commune, by [`UsageClass::index`].
-    commune_class: Vec<u8>,
-    /// Subscribers per usage class.
-    class_users: [f64; 4],
-    /// Per head service: whether any of its rows in the three per-service
-    /// tables may hold a value other than `+0.0`. Set by the adders, by
-    /// [`TrafficDataset::merge`] and (for every row) by
-    /// [`TrafficDataset::read_from`]; `merge` skips the rows unset here.
-    written: Vec<bool>,
+    communes: Arc<Communes>,
+    /// Whether every block cell was built from `+0.0` by additions alone.
+    /// Such a cell never holds `-0.0` (that needs two `-0.0` operands) or
+    /// a signalling NaN (no addition yields one), so `+0.0 + x` has the
+    /// bits of `x` and a merge may share the block instead of adding it.
+    /// False for a dataset read from CSV, which may hold a literal `-0`.
+    additive: bool,
+}
+
+/// Mutable access to one head service's rows, borrowed once for a run of
+/// that service's records ([`TrafficDataset::service_rows_mut`]).
+pub struct ServiceRowsMut<'a> {
+    block: &'a mut [f64],
+    commune_class: &'a [u8],
+}
+
+impl ServiceRowsMut<'_> {
+    /// Records `mb` of traffic in `dir` for `(commune, hour)`.
+    #[inline]
+    pub fn add(&mut self, dir: Direction, commune: usize, hour: usize, mb: f64) {
+        debug_assert!(hour < HOURS_PER_WEEK);
+        // Negative volume is a caller bug; NaN is tolerated (it can reach
+        // here from degraded inputs) and handled by NaN-safe consumers.
+        debug_assert!(mb.is_nan() || mb >= 0.0, "negative volume {mb}");
+        let class = self.commune_class[commune] as usize;
+        let half = self.block.len() / 2;
+        let rows = &mut self.block[dir.index() * half..(dir.index() + 1) * half];
+        rows[hour] += mb;
+        rows[COMMUNE_OFFSET + commune] += mb;
+        rows[CLASS_OFFSET + class * HOURS_PER_WEEK + hour] += mb;
+    }
+
+    /// Records one record's downlink and uplink volumes for
+    /// `(commune, hour)` — the columnar fold's per-record step.
+    ///
+    /// Bit-identical to `add(Down, …, dl_mb)` followed by
+    /// `add(Up, …, ul_mb)`: the six cells touched are pairwise distinct,
+    /// so fusing the two calls never regroups a floating-point sum.
+    #[inline]
+    pub fn add_both(&mut self, commune: usize, hour: usize, dl_mb: f64, ul_mb: f64) {
+        debug_assert!(hour < HOURS_PER_WEEK);
+        debug_assert!(dl_mb.is_nan() || dl_mb >= 0.0, "negative volume {dl_mb}");
+        debug_assert!(ul_mb.is_nan() || ul_mb >= 0.0, "negative volume {ul_mb}");
+        let class = self.commune_class[commune] as usize;
+        let (down, up) = self.block.split_at_mut(self.block.len() / 2);
+        let ch = CLASS_OFFSET + class * HOURS_PER_WEEK + hour;
+        down[hour] += dl_mb;
+        down[COMMUNE_OFFSET + commune] += dl_mb;
+        down[ch] += dl_mb;
+        up[hour] += ul_mb;
+        up[COMMUNE_OFFSET + commune] += ul_mb;
+        up[ch] += ul_mb;
+    }
+}
+
+/// `block` as an owned buffer: a never-written block becomes `+0.0`s, and
+/// a shared one is copied unless its last holder is this dataset. Either
+/// happens once; after that this is one match on an owned block, with no
+/// atomic operation.
+#[inline]
+fn owned(block: &mut Block, len: usize) -> &mut Vec<f64> {
+    if !matches!(block, Block::Owned(_)) {
+        take_ownership(block, len);
+    }
+    match block {
+        Block::Owned(rows) => rows,
+        _ => unreachable!("the block was just made owned"),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn take_ownership(block: &mut Block, len: usize) {
+    let rows = match std::mem::replace(block, Block::Zero) {
+        Block::Zero => vec![0.0; len],
+        Block::Owned(rows) => rows,
+        Block::Shared(rows) => Arc::try_unwrap(rows).unwrap_or_else(|rows| rows.to_vec()),
+    };
+    *block = Block::Owned(rows);
 }
 
 impl TrafficDataset {
     /// Creates an empty dataset shaped for `country` with `n_services` head
     /// services, `n_tail` tail services, and the given subscriber share.
+    ///
+    /// Its clones share the per-country constants, so building many
+    /// datasets of one shape costs one `new` and cheap clones.
     pub fn new(country: &Country, n_services: usize, n_tail: usize, subscriber_share: f64) -> Self {
-        let n_communes = country.communes().len();
-        let commune_users: Vec<f64> = country
+        let users = country
             .communes()
             .iter()
             .map(|c| c.population as f64 * subscriber_share)
             .collect();
-        let commune_class: Vec<u8> =
-            country.communes().iter().map(|c| c.usage_class().index() as u8).collect();
-        let mut class_users = [0.0; 4];
-        for (u, &cls) in commune_users.iter().zip(commune_class.iter()) {
-            class_users[cls as usize] += u;
-        }
+        let class = country.communes().iter().map(|c| c.usage_class().index() as u8).collect();
         TrafficDataset {
             n_services,
-            n_communes,
-            national_hourly: vec![0.0; 2 * n_services * HOURS_PER_WEEK],
-            commune_weekly: vec![0.0; 2 * n_services * n_communes],
-            class_hourly: vec![0.0; 2 * n_services * 4 * HOURS_PER_WEEK],
+            n_communes: country.communes().len(),
+            blocks: vec![Block::Zero; n_services],
             tail_weekly: vec![0.0; 2 * n_tail],
+            tail_written: false,
             unclassified: [0.0; 2],
-            commune_users,
-            commune_class,
-            class_users,
-            written: vec![false; n_services],
+            communes: Arc::new(Communes::new(users, class)),
+            additive: true,
         }
     }
 
@@ -125,19 +249,32 @@ impl TrafficDataset {
         self.tail_weekly.len() / 2
     }
 
-    #[inline]
-    fn nh_index(&self, dir: usize, service: usize, hour: usize) -> usize {
-        (dir * self.n_services + service) * HOURS_PER_WEEK + hour
+    /// Head service `service`'s block.
+    fn block(&self, service: usize) -> &[f64] {
+        match &self.blocks[service] {
+            Block::Zero => &self.communes.zeros,
+            Block::Owned(rows) => rows,
+            Block::Shared(rows) => rows,
+        }
     }
 
-    #[inline]
-    fn cw_index(&self, dir: usize, service: usize, commune: usize) -> usize {
-        (dir * self.n_services + service) * self.n_communes + commune
+    /// Direction `dir`'s half of head service `service`'s block.
+    fn rows(&self, dir: Direction, service: usize) -> &[f64] {
+        let half = COMMUNE_OFFSET + self.n_communes;
+        &self.block(service)[dir.index() * half..(dir.index() + 1) * half]
     }
 
+    /// Mutable access to head service `service`'s rows in the three
+    /// per-service tables, marking them written. The first write to a
+    /// block allocates it (never written) or copies it (still shared with
+    /// another dataset); borrow it once per run of the service's records.
     #[inline]
-    fn ch_index(&self, dir: usize, service: usize, class: usize, hour: usize) -> usize {
-        ((dir * self.n_services + service) * 4 + class) * HOURS_PER_WEEK + hour
+    pub fn service_rows_mut(&mut self, service: usize) -> ServiceRowsMut<'_> {
+        let len = block_len(self.n_communes);
+        ServiceRowsMut {
+            block: owned(&mut self.blocks[service], len),
+            commune_class: &self.communes.class,
+        }
     }
 
     /// Records `mb` of classified traffic for `(service, commune, hour)`.
@@ -149,21 +286,7 @@ impl TrafficDataset {
         hour: usize,
         mb: f64,
     ) {
-        debug_assert!(service < self.n_services);
-        debug_assert!(hour < HOURS_PER_WEEK);
-        // Negative volume is a caller bug; NaN is tolerated (it can reach
-        // here from degraded inputs) and handled by NaN-safe consumers.
-        debug_assert!(mb.is_nan() || mb >= 0.0, "negative volume {mb}");
-        self.written[service] = true;
-        let d = dir.index();
-        let c = commune.index();
-        let class = self.commune_class[c] as usize;
-        let nh = self.nh_index(d, service, hour);
-        let cw = self.cw_index(d, service, c);
-        let ch = self.ch_index(d, service, class, hour);
-        self.national_hourly[nh] += mb;
-        self.commune_weekly[cw] += mb;
-        self.class_hourly[ch] += mb;
+        self.service_rows_mut(service).add(dir, commune.index(), hour, mb);
     }
 
     /// Records `mb` of traffic the classifier could not attribute.
@@ -176,56 +299,16 @@ impl TrafficDataset {
     pub fn add_tail(&mut self, dir: Direction, tail_rank: usize, mb: f64) {
         let n = self.n_tail();
         debug_assert!(tail_rank < n);
+        self.tail_written = true;
         self.tail_weekly[dir.index() * n + tail_rank] += mb;
     }
 
-    /// Records one classified record's downlink and uplink volumes for
-    /// `(service, commune, hour)` in a single call — the columnar fold's
-    /// per-record accumulation step.
-    ///
-    /// Bit-identical to `add(Down, …, dl_mb)` followed by
-    /// `add(Up, …, ul_mb)`: the six dense cells touched are pairwise
-    /// distinct (downlink and uplink tables are disjoint halves), so
-    /// fusing the two calls never regroups a floating-point sum. Taking
-    /// the commune as a raw index skips the `CommuneId` wrapper the
-    /// columnar batch does not store.
-    #[inline]
-    pub fn add_classified_both(
-        &mut self,
-        service: usize,
-        commune: usize,
-        hour: usize,
-        dl_mb: f64,
-        ul_mb: f64,
-    ) {
-        debug_assert!(service < self.n_services);
-        debug_assert!(hour < HOURS_PER_WEEK);
-        debug_assert!(dl_mb.is_nan() || dl_mb >= 0.0, "negative volume {dl_mb}");
-        debug_assert!(ul_mb.is_nan() || ul_mb >= 0.0, "negative volume {ul_mb}");
-        // Marked before the adds: measured cheaper in the fold's hot loop
-        // than after them.
-        self.written[service] = true;
-        let class = self.commune_class[commune] as usize;
-        let nh = self.nh_index(0, service, hour);
-        let cw = self.cw_index(0, service, commune);
-        let ch = self.ch_index(0, service, class, hour);
-        self.national_hourly[nh] += dl_mb;
-        self.commune_weekly[cw] += dl_mb;
-        self.class_hourly[ch] += dl_mb;
-        let nh = self.nh_index(1, service, hour);
-        let cw = self.cw_index(1, service, commune);
-        let ch = self.ch_index(1, service, class, hour);
-        self.national_hourly[nh] += ul_mb;
-        self.commune_weekly[cw] += ul_mb;
-        self.class_hourly[ch] += ul_mb;
-    }
-
-    /// Records one tail record's volumes in both directions (see
-    /// [`TrafficDataset::add_classified_both`]).
+    /// Records one tail record's volumes in both directions.
     #[inline]
     pub fn add_tail_both(&mut self, tail_rank: usize, dl_mb: f64, ul_mb: f64) {
         let n = self.n_tail();
         debug_assert!(tail_rank < n);
+        self.tail_written = true;
         self.tail_weekly[tail_rank] += dl_mb;
         self.tail_weekly[n + tail_rank] += ul_mb;
     }
@@ -237,23 +320,22 @@ impl TrafficDataset {
         self.unclassified[1] += ul_mb;
     }
 
-    /// Bytes held by the dense accumulation tables (national-hourly,
-    /// commune-weekly, class-hourly, tail, unclassified) — the footprint
-    /// of one streaming-fold partial, reported through the
-    /// `netsim.ingest.accumulator_bytes` gauge.
+    /// Bytes of the dense tables (national-hourly, commune-weekly,
+    /// class-hourly, tail, unclassified) with every head-service block
+    /// written — the footprint of a merge target, reported through the
+    /// `netsim.ingest.accumulator_bytes` gauge. A fold partial allocates
+    /// only the blocks of the services it writes, and a merged dataset
+    /// shares the blocks that have one writer.
     pub fn dense_bytes(&self) -> usize {
         std::mem::size_of::<f64>()
-            * (self.national_hourly.len()
-                + self.commune_weekly.len()
-                + self.class_hourly.len()
+            * (self.n_services * block_len(self.n_communes)
                 + self.tail_weekly.len()
                 + self.unclassified.len())
     }
 
     /// The 168-hour national series of a head service.
     pub fn national_series(&self, dir: Direction, service: usize) -> &[f64] {
-        let start = self.nh_index(dir.index(), service, 0);
-        &self.national_hourly[start..start + HOURS_PER_WEEK]
+        &self.rows(dir, service)[..HOURS_PER_WEEK]
     }
 
     /// Weekly national total of a head service.
@@ -280,8 +362,7 @@ impl TrafficDataset {
 
     /// The per-commune weekly totals of a head service.
     pub fn commune_vector(&self, dir: Direction, service: usize) -> &[f64] {
-        let start = self.cw_index(dir.index(), service, 0);
-        &self.commune_weekly[start..start + self.n_communes]
+        &self.rows(dir, service)[COMMUNE_OFFSET..]
     }
 
     /// Weekly per-subscriber volume in every commune (0 where a commune has
@@ -290,15 +371,15 @@ impl TrafficDataset {
     pub fn per_user_commune_vector(&self, dir: Direction, service: usize) -> Vec<f64> {
         self.commune_vector(dir, service)
             .iter()
-            .zip(self.commune_users.iter())
+            .zip(self.communes.users.iter())
             .map(|(v, u)| if *u > 0.0 { v / u } else { 0.0 })
             .collect()
     }
 
     /// The 168-hour series of a head service within one usage class.
     pub fn class_series(&self, dir: Direction, service: usize, class: UsageClass) -> &[f64] {
-        let start = self.ch_index(dir.index(), service, class.index(), 0);
-        &self.class_hourly[start..start + HOURS_PER_WEEK]
+        let start = CLASS_OFFSET + class.index() * HOURS_PER_WEEK;
+        &self.rows(dir, service)[start..start + HOURS_PER_WEEK]
     }
 
     /// Per-subscriber hourly series of a head service within one usage
@@ -309,7 +390,7 @@ impl TrafficDataset {
         service: usize,
         class: UsageClass,
     ) -> Vec<f64> {
-        let users = self.class_users[class.index()];
+        let users = self.communes.class_users[class.index()];
         self.class_series(dir, service, class)
             .iter()
             .map(|v| if users > 0.0 { v / users } else { 0.0 })
@@ -355,12 +436,12 @@ impl TrafficDataset {
 
     /// Average subscribers per commune.
     pub fn commune_users(&self) -> &[f64] {
-        &self.commune_users
+        &self.communes.users
     }
 
     /// Subscribers per usage class, by [`UsageClass::index`].
     pub fn class_users(&self) -> [f64; 4] {
-        self.class_users
+        self.communes.class_users
     }
 
     /// Streams the dataset's sectioned CSV format to any writer, one
@@ -387,39 +468,29 @@ impl TrafficDataset {
         let join = |xs: &[f64]| {
             xs.iter().map(|v| format!("{v:e}")).collect::<Vec<_>>().join(",")
         };
-        writeln!(writer, "commune_users,{}", join(&self.commune_users))?;
+        writeln!(writer, "commune_users,{}", join(&self.communes.users))?;
         let classes: Vec<String> =
-            self.commune_class.iter().map(|c| c.to_string()).collect();
+            self.communes.class.iter().map(|c| c.to_string()).collect();
         writeln!(writer, "commune_class,{}", classes.join(","))?;
-        for d in 0..2 {
+        for dir in Direction::BOTH {
+            let d = dir.index();
             for s in 0..self.n_services {
-                let start = self.nh_index(d, s, 0);
                 writeln!(
                     writer,
                     "national_hourly,{d},{s},{}",
-                    join(&self.national_hourly[start..start + HOURS_PER_WEEK])
+                    join(self.national_series(dir, s))
                 )?;
-                let cw = self.cw_index(d, s, 0);
-                writeln!(
-                    writer,
-                    "commune_weekly,{d},{s},{}",
-                    join(&self.commune_weekly[cw..cw + self.n_communes])
-                )?;
-                for class in 0..4 {
-                    let ch = self.ch_index(d, s, class, 0);
+                writeln!(writer, "commune_weekly,{d},{s},{}", join(self.commune_vector(dir, s)))?;
+                for class in UsageClass::ALL {
                     writeln!(
                         writer,
-                        "class_hourly,{d},{s},{class},{}",
-                        join(&self.class_hourly[ch..ch + HOURS_PER_WEEK])
+                        "class_hourly,{d},{s},{},{}",
+                        class.index(),
+                        join(self.class_series(dir, s, class))
                     )?;
                 }
             }
-            let n = self.n_tail();
-            writeln!(
-                writer,
-                "tail_weekly,{d},{}",
-                join(&self.tail_weekly[d * n..(d + 1) * n])
-            )?;
+            writeln!(writer, "tail_weekly,{d},{}", join(self.tail_weekly(dir)))?;
         }
         Ok(())
     }
@@ -474,36 +545,32 @@ impl TrafficDataset {
         }
         let (n_services, n_communes, n_tail) = (dims[0], dims[1], dims[2]);
 
+        let mut users = vec![0.0; n_communes];
+        let mut class = vec![0u8; n_communes];
         let mut ds = TrafficDataset {
             n_services,
             n_communes,
-            national_hourly: vec![0.0; 2 * n_services * HOURS_PER_WEEK],
-            commune_weekly: vec![0.0; 2 * n_services * n_communes],
-            class_hourly: vec![0.0; 2 * n_services * 4 * HOURS_PER_WEEK],
+            // Any block of a file may be set, or hold a literal `-0`.
+            blocks: vec![Block::Owned(vec![0.0; block_len(n_communes)]); n_services],
             tail_weekly: vec![0.0; 2 * n_tail],
+            tail_written: true,
             unclassified: [0.0; 2],
-            commune_users: vec![0.0; n_communes],
-            commune_class: vec![0; n_communes],
-            class_users: [0.0; 4],
-            // Any row of a file may be set (or hold a literal `-0`).
-            written: vec![true; n_services],
+            // Replaced once the per-commune rows have been read.
+            communes: Arc::new(Communes::new(Vec::new(), Vec::new())),
+            additive: false,
         };
 
         let mut line_no = 1usize;
         while read_line(&mut reader, &mut line, line_no)? {
             line_no += 1;
-            ds.apply_csv_line(&line, n_tail).map_err(|m| DatasetError::at(line_no, m))?;
+            ds.apply_csv_line(&line, &mut users, &mut class)
+                .map_err(|m| DatasetError::at(line_no, m))?;
         }
-
-        // Recompute the derived class_users table.
-        let mut class_users = [0.0; 4];
-        for (u, &c) in ds.commune_users.iter().zip(ds.commune_class.iter()) {
-            if c as usize >= 4 {
-                return Err(DatasetError::at(0, "commune class out of range"));
-            }
-            class_users[c as usize] += u;
+        if class.iter().any(|&c| c as usize >= 4) {
+            return Err(DatasetError::at(0, "commune class out of range"));
         }
-        ds.class_users = class_users;
+        // The derived class_users table is recomputed from the two rows.
+        ds.communes = Arc::new(Communes::new(users, class));
         Ok(ds)
     }
 
@@ -513,92 +580,99 @@ impl TrafficDataset {
         TrafficDataset::read_from(text.as_bytes())
     }
 
-    /// Applies one body row of the CSV format to `self`.
-    fn apply_csv_line(&mut self, line: &str, n_tail: usize) -> Result<(), String> {
-        let (n_services, n_communes) = (self.n_services, self.n_communes);
+    /// Applies one body row of the CSV format to `self`, or to the
+    /// per-commune rows being read.
+    fn apply_csv_line(
+        &mut self,
+        line: &str,
+        users: &mut Vec<f64>,
+        class: &mut Vec<u8>,
+    ) -> Result<(), String> {
+        let (n_services, n_communes, n_tail) = (self.n_services, self.n_communes, self.n_tail());
         let parse_floats = |s: &str| -> Result<Vec<f64>, String> {
             s.split(',')
                 .map(|x| x.parse::<f64>().map_err(|e| format!("bad float {x:?}: {e}")))
                 .collect()
         };
-        {
-            let ds = self;
-            let (section, rest) = line.split_once(',').ok_or("malformed line")?;
-            match section {
-                "unclassified" => {
-                    let v = parse_floats(rest)?;
-                    if v.len() != 2 {
-                        return Err("unclassified needs 2 values".into());
-                    }
-                    ds.unclassified = [v[0], v[1]];
-                }
-                "commune_users" => {
-                    let v = parse_floats(rest)?;
-                    if v.len() != n_communes {
-                        return Err("commune_users length mismatch".into());
-                    }
-                    ds.commune_users = v;
-                }
-                "commune_class" => {
-                    let v: Vec<u8> = rest
-                        .split(',')
-                        .map(|x| x.parse().map_err(|e| format!("bad class: {e}")))
-                        .collect::<Result<_, _>>()?;
-                    if v.len() != n_communes {
-                        return Err("commune_class length mismatch".into());
-                    }
-                    ds.commune_class = v;
-                }
-                "national_hourly" => {
-                    let (d, rest) = rest.split_once(',').ok_or("missing dir")?;
-                    let (s, values) = rest.split_once(',').ok_or("missing service")?;
-                    let d: usize = d.parse().map_err(|_| "bad dir")?;
-                    let s: usize = s.parse().map_err(|_| "bad service")?;
-                    let v = parse_floats(values)?;
-                    if d >= 2 || s >= n_services || v.len() != HOURS_PER_WEEK {
-                        return Err("national_hourly row out of range".into());
-                    }
-                    let start = ds.nh_index(d, s, 0);
-                    ds.national_hourly[start..start + HOURS_PER_WEEK].copy_from_slice(&v);
-                }
-                "commune_weekly" => {
-                    let (d, rest) = rest.split_once(',').ok_or("missing dir")?;
-                    let (s, values) = rest.split_once(',').ok_or("missing service")?;
-                    let d: usize = d.parse().map_err(|_| "bad dir")?;
-                    let s: usize = s.parse().map_err(|_| "bad service")?;
-                    let v = parse_floats(values)?;
-                    if d >= 2 || s >= n_services || v.len() != n_communes {
-                        return Err("commune_weekly row out of range".into());
-                    }
-                    let start = ds.cw_index(d, s, 0);
-                    ds.commune_weekly[start..start + n_communes].copy_from_slice(&v);
-                }
-                "class_hourly" => {
-                    let (d, rest) = rest.split_once(',').ok_or("missing dir")?;
-                    let (s, rest) = rest.split_once(',').ok_or("missing service")?;
-                    let (class, values) = rest.split_once(',').ok_or("missing class")?;
-                    let d: usize = d.parse().map_err(|_| "bad dir")?;
-                    let s: usize = s.parse().map_err(|_| "bad service")?;
-                    let class: usize = class.parse().map_err(|_| "bad class")?;
-                    let v = parse_floats(values)?;
-                    if d >= 2 || s >= n_services || class >= 4 || v.len() != HOURS_PER_WEEK {
-                        return Err("class_hourly row out of range".into());
-                    }
-                    let start = ds.ch_index(d, s, class, 0);
-                    ds.class_hourly[start..start + HOURS_PER_WEEK].copy_from_slice(&v);
-                }
-                "tail_weekly" => {
-                    let (d, values) = rest.split_once(',').ok_or("missing dir")?;
-                    let d: usize = d.parse().map_err(|_| "bad dir")?;
-                    let v = parse_floats(values)?;
-                    if d >= 2 || v.len() != n_tail {
-                        return Err("tail_weekly row out of range".into());
-                    }
-                    ds.tail_weekly[d * n_tail..(d + 1) * n_tail].copy_from_slice(&v);
-                }
-                other => return Err(format!("unknown section {other:?}")),
-            }
+        // The `dir,service,` key of a per-service row, and the rest.
+        fn service_row(rest: &str) -> Result<(usize, usize, &str), String> {
+            let (d, rest) = rest.split_once(',').ok_or("missing dir")?;
+            let (s, rest) = rest.split_once(',').ok_or("missing service")?;
+            let d: usize = d.parse().map_err(|_| "bad dir")?;
+            let s: usize = s.parse().map_err(|_| "bad service")?;
+            Ok((d, s, rest))
         }
+        let half = COMMUNE_OFFSET + n_communes;
+        let (section, rest) = line.split_once(',').ok_or("malformed line")?;
+        // Per-service rows: where they start in the service's block.
+        let (service, start, values) = match section {
+            "unclassified" => {
+                let v = parse_floats(rest)?;
+                if v.len() != 2 {
+                    return Err("unclassified needs 2 values".into());
+                }
+                self.unclassified = [v[0], v[1]];
+                return Ok(());
+            }
+            "commune_users" => {
+                let v = parse_floats(rest)?;
+                if v.len() != n_communes {
+                    return Err("commune_users length mismatch".into());
+                }
+                *users = v;
+                return Ok(());
+            }
+            "commune_class" => {
+                let v: Vec<u8> = rest
+                    .split(',')
+                    .map(|x| x.parse().map_err(|e| format!("bad class: {e}")))
+                    .collect::<Result<_, _>>()?;
+                if v.len() != n_communes {
+                    return Err("commune_class length mismatch".into());
+                }
+                *class = v;
+                return Ok(());
+            }
+            "tail_weekly" => {
+                let (d, values) = rest.split_once(',').ok_or("missing dir")?;
+                let d: usize = d.parse().map_err(|_| "bad dir")?;
+                let v = parse_floats(values)?;
+                if d >= 2 || v.len() != n_tail {
+                    return Err("tail_weekly row out of range".into());
+                }
+                self.tail_weekly[d * n_tail..(d + 1) * n_tail].copy_from_slice(&v);
+                return Ok(());
+            }
+            "national_hourly" => {
+                let (d, s, values) = service_row(rest)?;
+                let v = parse_floats(values)?;
+                if d >= 2 || s >= n_services || v.len() != HOURS_PER_WEEK {
+                    return Err("national_hourly row out of range".into());
+                }
+                (s, d * half, v)
+            }
+            "commune_weekly" => {
+                let (d, s, values) = service_row(rest)?;
+                let v = parse_floats(values)?;
+                if d >= 2 || s >= n_services || v.len() != n_communes {
+                    return Err("commune_weekly row out of range".into());
+                }
+                (s, d * half + COMMUNE_OFFSET, v)
+            }
+            "class_hourly" => {
+                let (d, s, rest) = service_row(rest)?;
+                let (class, values) = rest.split_once(',').ok_or("missing class")?;
+                let class: usize = class.parse().map_err(|_| "bad class")?;
+                let v = parse_floats(values)?;
+                if d >= 2 || s >= n_services || class >= 4 || v.len() != HOURS_PER_WEEK {
+                    return Err("class_hourly row out of range".into());
+                }
+                (s, d * half + CLASS_OFFSET + class * HOURS_PER_WEEK, v)
+            }
+            other => return Err(format!("unknown section {other:?}")),
+        };
+        let block = owned(&mut self.blocks[service], block_len(n_communes));
+        block[start..start + values.len()].copy_from_slice(&values);
         Ok(())
     }
 
@@ -612,32 +686,37 @@ impl TrafficDataset {
     /// scales can no longer silently mis-merge or panic deep inside a
     /// pipeline.
     ///
-    /// Row-sparse: of the per-service tables (national hourly, commune
-    /// weekly, class hourly), only the head-service rows that `other`
-    /// has written are added, so the cost is O(rows `other` wrote), one
-    /// add of 2 × (5 × 168 + communes) cells per row (≈ 0.6 MB at the
-    /// france geography): a streaming-fold shard writes a single head
-    /// service, and merging its partial costs one row instead of all of
-    /// them. The tail and unclassified cells are added densely. To
-    /// bring an earlier merge of several partials up to date when some
-    /// of them changed, rebuild just their rows with
-    /// [`rebuild_service_rows`](Self::rebuild_service_rows) instead.
+    /// Row-sparse: only the head-service blocks that `other` has written
+    /// are added, so the cost is O(blocks `other` wrote), one add of
+    /// 2 × (5 × 168 + communes) cells per block (≈ 0.6 MB at the france
+    /// geography): a streaming-fold shard writes a single head service,
+    /// and merging its partial costs one block instead of all of them.
+    /// The tail and unclassified cells are added densely. This is the add
+    /// path: it never shares a block, since a CSV-read dataset may hold a
+    /// literal `-0`. To bring an earlier merge of several fold partials
+    /// up to date when some of them changed, rebuild just their blocks
+    /// with [`rebuild_service_rows`](Self::rebuild_service_rows) instead.
     ///
-    /// The result is bit-identical to adding every cell. A row `other`
+    /// The result is bit-identical to adding every cell. A block `other`
     /// never wrote holds only `+0.0`, and `x + 0.0 == x` bit for bit
     /// unless `x` is `-0.0`. No dataset built by the adders or by merges
     /// holds a `-0.0`: every cell starts at `+0.0`, and adding any
     /// volume, `-0.0` included, to `+0.0` never yields `-0.0`. Only a
     /// hand-written CSV with a literal `-0` can carry one into `self`,
     /// and such a cell keeps its sign where a dense add would flip it to
-    /// `+0.0`; a dataset read from CSV counts every row as written, so as
-    /// `other` it always merges densely.
+    /// `+0.0`; a dataset read from CSV counts every block as written, so
+    /// as `other` it always merges densely.
     pub fn merge(&mut self, other: &TrafficDataset) -> Result<(), DatasetError> {
         self.check_shape(other)?;
         for service in 0..self.n_services {
             self.add_service_rows(other, service);
         }
-        self.add_tail_and_unclassified(other);
+        for (a, b) in self.tail_weekly.iter_mut().zip(&other.tail_weekly) {
+            *a += b;
+        }
+        self.tail_written |= other.tail_written;
+        self.unclassified[0] += other.unclassified[0];
+        self.unclassified[1] += other.unclassified[1];
         Ok(())
     }
 
@@ -660,16 +739,23 @@ impl TrafficDataset {
     /// Whether any of head service `service`'s rows in the three
     /// per-service tables may hold a value other than `+0.0`.
     pub fn service_written(&self, service: usize) -> bool {
-        self.written[service]
+        !matches!(self.blocks[service], Block::Zero)
     }
 
     /// Rebuilds head service `service`'s rows in the three per-service
-    /// tables as `+0.0` plus the rows of each of `parts` that wrote them,
-    /// in order: bit for bit the rows a merge of `parts` into an empty
-    /// dataset makes. The first writer's rows are added to `+0.0` in the
-    /// same pass that overwrites the old cells, so a row with one writer
-    /// costs one read and one write of it. With no writer left, rows
-    /// written before are reset to `+0.0`.
+    /// tables from `parts`: afterwards they equal, bit for bit, the rows a
+    /// merge of `parts` in order into an empty dataset makes, `+0.0` plus
+    /// each writer's rows.
+    ///
+    /// A sole writer whose cells were all built by additions from `+0.0`
+    /// (every fold partial; not a dataset read from CSV) is shared, not
+    /// copied: its block moves behind a reference count that both
+    /// datasets hold, and whichever writes to it next copies it first.
+    /// That is exact because such a cell `x` never holds `-0.0` or a
+    /// signalling NaN, so `+0.0 + x` has the bits of `x`. Otherwise the
+    /// first writer's rows are added to `+0.0` in the same pass that
+    /// overwrites the old cells, and the others are added in order. With
+    /// no writer left, the rows read as `+0.0` again.
     ///
     /// # Panics
     ///
@@ -677,25 +763,44 @@ impl TrafficDataset {
     pub fn rebuild_service_rows<'a>(
         &mut self,
         service: usize,
-        parts: impl IntoIterator<Item = &'a TrafficDataset>,
+        parts: impl IntoIterator<Item = &'a mut TrafficDataset>,
     ) {
-        let mut writers = parts.into_iter().filter(|p| p.written[service]);
+        let mut writers = parts.into_iter().filter(|p| p.service_written(service));
         let Some(first) = writers.next() else {
-            if std::mem::take(&mut self.written[service]) {
-                for d in 0..2 {
-                    let nh = self.nh_index(d, service, 0);
-                    self.national_hourly[nh..nh + HOURS_PER_WEEK].fill(0.0);
-                    let cw = self.cw_index(d, service, 0);
-                    self.commune_weekly[cw..cw + self.n_communes].fill(0.0);
-                    let ch = self.ch_index(d, service, 0, 0);
-                    self.class_hourly[ch..ch + 4 * HOURS_PER_WEEK].fill(0.0);
-                }
-            }
+            self.blocks[service] = Block::Zero;
             return;
         };
-        self.zip_service_rows(first, service, |a, b| *a = 0.0 + b);
-        for part in writers {
+        self.assert_same_blocks(first);
+        let second = writers.next();
+        if second.is_none() && first.additive {
+            self.blocks[service] = Block::Shared(first.share_block(service));
+            return;
+        }
+        let rows = first.block(service);
+        match &mut self.blocks[service] {
+            // `0.0 + b`, not `b`: it turns a `-0.0` into `+0.0`.
+            Block::Owned(cells) => {
+                for (a, &b) in cells.iter_mut().zip(rows) {
+                    *a = 0.0 + b;
+                }
+            }
+            block => *block = Block::Owned(rows.iter().map(|&b| 0.0 + b).collect()),
+        }
+        for part in second.into_iter().chain(writers) {
             self.add_service_rows(part, service);
+        }
+    }
+
+    /// Head service `service`'s block behind a reference count, moving an
+    /// owned block there first. The block must have been written.
+    fn share_block(&mut self, service: usize) -> Arc<Vec<f64>> {
+        let block = &mut self.blocks[service];
+        if let Block::Owned(rows) = block {
+            *block = Block::Shared(Arc::new(std::mem::take(rows)));
+        }
+        match block {
+            Block::Shared(rows) => rows.clone(),
+            _ => unreachable!("an unwritten block is never shared"),
         }
     }
 
@@ -703,43 +808,28 @@ impl TrafficDataset {
     /// per-service tables into this dataset's, cell by cell — a no-op
     /// when `other` never wrote them.
     fn add_service_rows(&mut self, other: &TrafficDataset, service: usize) {
-        if other.written[service] {
-            self.zip_service_rows(other, service, |a, b| *a += b);
+        if !other.service_written(service) {
+            return;
+        }
+        self.assert_same_blocks(other);
+        let len = block_len(self.n_communes);
+        for (a, &b) in owned(&mut self.blocks[service], len).iter_mut().zip(other.block(service)) {
+            *a += b;
         }
     }
 
-    /// Sets each cell of head service `service`'s rows in the three
-    /// per-service tables to `op(cell, other's cell)` and marks the rows
-    /// written.
-    fn zip_service_rows(
-        &mut self,
-        other: &TrafficDataset,
-        service: usize,
-        op: impl Fn(&mut f64, f64) + Copy,
-    ) {
+    fn assert_same_blocks(&self, other: &TrafficDataset) {
         assert!(
             self.n_services == other.n_services && self.n_communes == other.n_communes,
             "per-service rows of datasets of different shapes"
         );
-        fn zip(dst: &mut [f64], src: &[f64], start: usize, len: usize, op: impl Fn(&mut f64, f64)) {
-            for (a, &b) in dst[start..start + len].iter_mut().zip(&src[start..start + len]) {
-                op(a, b);
-            }
-        }
-        for d in 0..2 {
-            let nh = self.nh_index(d, service, 0);
-            zip(&mut self.national_hourly, &other.national_hourly, nh, HOURS_PER_WEEK, op);
-            let cw = self.cw_index(d, service, 0);
-            zip(&mut self.commune_weekly, &other.commune_weekly, cw, self.n_communes, op);
-            let ch = self.ch_index(d, service, 0, 0);
-            zip(&mut self.class_hourly, &other.class_hourly, ch, 4 * HOURS_PER_WEEK, op);
-        }
-        self.written[service] = true;
     }
 
     /// Rebuilds the tail table and the unclassified volumes as `+0.0`
     /// plus those of each of `parts`, in order: bit for bit what a merge
-    /// of `parts` into an empty dataset holds there.
+    /// of `parts` into an empty dataset holds there. A part that never
+    /// wrote its tail table is skipped there: adding its `+0.0`s to cells
+    /// built up from `+0.0` changes no bit.
     ///
     /// # Panics
     ///
@@ -749,21 +839,19 @@ impl TrafficDataset {
         parts: impl IntoIterator<Item = &'a TrafficDataset>,
     ) {
         self.tail_weekly.fill(0.0);
+        self.tail_written = false;
         self.unclassified = [0.0; 2];
         for part in parts {
-            self.add_tail_and_unclassified(part);
+            assert_eq!(self.tail_weekly.len(), part.tail_weekly.len(), "tail lengths differ");
+            if part.tail_written {
+                for (a, b) in self.tail_weekly.iter_mut().zip(&part.tail_weekly) {
+                    *a += b;
+                }
+                self.tail_written = true;
+            }
+            self.unclassified[0] += part.unclassified[0];
+            self.unclassified[1] += part.unclassified[1];
         }
-    }
-
-    /// Adds `other`'s tail table and unclassified volumes into this
-    /// dataset's, cell by cell.
-    fn add_tail_and_unclassified(&mut self, other: &TrafficDataset) {
-        assert_eq!(self.tail_weekly.len(), other.tail_weekly.len(), "tail lengths differ");
-        for (a, b) in self.tail_weekly.iter_mut().zip(&other.tail_weekly) {
-            *a += b;
-        }
-        self.unclassified[0] += other.unclassified[0];
-        self.unclassified[1] += other.unclassified[1];
     }
 }
 
@@ -822,7 +910,7 @@ mod tests {
             a.add_tail(Direction::Up, i % 10, ul);
             a.add_unclassified(Direction::Down, dl);
             a.add_unclassified(Direction::Up, ul);
-            b.add_classified_both(s, commune.index(), h, dl, ul);
+            b.service_rows_mut(s).add_both(commune.index(), h, dl, ul);
             b.add_tail_both(i % 10, dl, ul);
             b.add_unclassified_both(dl, ul);
         }
@@ -990,13 +1078,78 @@ mod tests {
         assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
 
         let mut partial = TrafficDataset::new(&country, 3, 10, 0.5);
-        partial.add_classified_both(2, 0, 0, 1.5, 0.5);
+        partial.service_rows_mut(2).add_both(0, 0, 1.5, 0.5);
         a.merge(&partial).expect("same shape");
         assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
 
         // A dataset read from CSV counts every row as written.
         a.merge(&TrafficDataset::from_csv(&empty.to_csv()).unwrap()).expect("same shape");
         assert_eq!(negative_zero(&a).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_shared_block_is_unchanged_by_later_writes_to_the_original() {
+        let (country, mut partial) = dataset();
+        let commune = country.communes()[4].id;
+        partial.add(Direction::Down, 1, commune, 7, 2.5);
+        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
+        merged.rebuild_service_rows(1, [&mut partial]);
+        assert!(matches!(merged.blocks[1], Block::Shared(_)), "a sole fold writer is shared");
+        let before = merged.to_csv();
+
+        partial.add(Direction::Down, 1, commune, 7, 1.0);
+        partial.service_rows_mut(1).add_both(0, 0, 3.0, 1.0);
+        assert_eq!(merged.to_csv(), before, "a write to the original reached its shared copy");
+        assert_eq!(partial.national_series(Direction::Down, 1)[7], 3.5);
+        assert_eq!(merged.national_series(Direction::Down, 1)[7], 2.5);
+
+        // The other way round: the merged dataset's writes stay its own.
+        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
+        merged.rebuild_service_rows(1, [&mut partial]);
+        merged.add(Direction::Up, 1, commune, 9, 4.0);
+        assert_eq!(partial.national_series(Direction::Up, 1)[9], 0.0);
+        assert_eq!(merged.national_series(Direction::Up, 1)[9], 4.0);
+    }
+
+    #[test]
+    fn writing_a_block_nobody_else_holds_does_not_copy_it() {
+        let (country, mut partial) = dataset();
+        partial.service_rows_mut(2).add_both(3, 4, 1.0, 0.5);
+        let at = partial.block(2).as_ptr();
+        partial.service_rows_mut(2).add_both(5, 6, 1.0, 0.5);
+        assert_eq!(partial.block(2).as_ptr(), at, "an owned block was copied");
+
+        // Sharing moves the block behind a reference count without a copy,
+        // and once the other holder is gone, writing takes it back as is.
+        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
+        merged.rebuild_service_rows(2, [&mut partial]);
+        assert_eq!(merged.block(2).as_ptr(), at, "sharing copied the block");
+        drop(merged);
+        partial.service_rows_mut(2).add_both(7, 8, 1.0, 0.5);
+        assert_eq!(partial.block(2).as_ptr(), at, "the last holder's write copied the block");
+
+        // While another dataset holds it, the writer copies it once.
+        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
+        merged.rebuild_service_rows(2, [&mut partial]);
+        partial.service_rows_mut(2).add_both(9, 10, 1.0, 0.5);
+        let copy = partial.block(2).as_ptr();
+        assert_ne!(copy, at);
+        assert_eq!(merged.block(2).as_ptr(), at);
+        partial.service_rows_mut(2).add_both(11, 12, 1.0, 0.5);
+        assert_eq!(partial.block(2).as_ptr(), copy, "the copy was copied again");
+    }
+
+    #[test]
+    fn a_csv_read_writer_is_added_not_shared() {
+        // A literal `-0` read from CSV must come out of a rebuild as the
+        // `+0.0` a fresh merge makes, so such a writer is never shared.
+        let (country, empty) = dataset();
+        let text = empty.to_csv().replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
+        let mut read = TrafficDataset::from_csv(&text).expect("parse");
+        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
+        merged.rebuild_service_rows(1, [&mut read]);
+        assert!(matches!(merged.blocks[1], Block::Owned(_)));
+        assert_eq!(merged.commune_vector(Direction::Down, 1)[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1132,7 +1285,7 @@ mod tests {
                 if !rows.is_empty() {
                     let s = rows[rng.gen_range(0..rows.len())];
                     if rng.gen_bool(0.5) {
-                        ds.add_classified_both(s, commune, hour, volume(rng), volume(rng));
+                        ds.service_rows_mut(s).add_both(commune, hour, volume(rng), volume(rng));
                     } else {
                         let dir = if rng.gen_bool(0.5) { Direction::Down } else { Direction::Up };
                         ds.add(dir, s, country.communes()[commune].id, hour, volume(rng));
@@ -1153,16 +1306,14 @@ mod tests {
 
         /// The dense-add oracle: every cell of `other` added into `into`.
         fn dense_merge(into: &mut TrafficDataset, other: &TrafficDataset) {
-            let tables = [
-                (&mut into.national_hourly, &other.national_hourly),
-                (&mut into.commune_weekly, &other.commune_weekly),
-                (&mut into.class_hourly, &other.class_hourly),
-                (&mut into.tail_weekly, &other.tail_weekly),
-            ];
-            for (a, b) in tables {
-                for (x, y) in a.iter_mut().zip(b) {
+            let len = block_len(into.n_communes);
+            for s in 0..SERVICES {
+                for (x, y) in owned(&mut into.blocks[s], len).iter_mut().zip(other.block(s)) {
                     *x += y;
                 }
+            }
+            for (x, y) in into.tail_weekly.iter_mut().zip(&other.tail_weekly) {
+                *x += y;
             }
             into.unclassified[0] += other.unclassified[0];
             into.unclassified[1] += other.unclassified[1];
@@ -1170,14 +1321,17 @@ mod tests {
 
         /// Every table cell, as bits.
         fn bits(ds: &TrafficDataset) -> Vec<u64> {
-            ds.national_hourly
-                .iter()
-                .chain(&ds.commune_weekly)
-                .chain(&ds.class_hourly)
+            (0..ds.n_services)
+                .flat_map(|s| ds.block(s).iter())
                 .chain(&ds.tail_weekly)
                 .chain(&ds.unclassified)
                 .map(|v| v.to_bits())
                 .collect()
+        }
+
+        /// Per head service: whether its rows are written.
+        fn written(ds: &TrafficDataset) -> Vec<bool> {
+            (0..ds.n_services).map(|s| ds.service_written(s)).collect()
         }
 
         proptest! {
@@ -1199,24 +1353,24 @@ mod tests {
                     let (other, other_oracle) = pool.swap_remove(j);
                     let i = rng.gen_range(0..pool.len());
                     let (sparse, oracle) = &mut pool[i];
-                    let written: Vec<bool> =
-                        sparse.written.iter().zip(&other.written).map(|(a, b)| a | b).collect();
+                    let expected: Vec<bool> =
+                        written(sparse).iter().zip(written(&other)).map(|(a, b)| a | b).collect();
                     sparse.merge(&other).expect("same shape");
                     dense_merge(oracle, &other_oracle);
                     prop_assert!(bits(sparse) == bits(oracle), "sparse merge diverged");
-                    prop_assert_eq!(&sparse.written, &written);
+                    prop_assert_eq!(written(sparse), expected);
                 }
 
                 // A shape mismatch errs and leaves the target, mask included,
                 // untouched.
                 let (mut target, _) = pool.pop().unwrap();
-                let (before, written) = (bits(&target), target.written.clone());
+                let (before, mask) = (bits(&target), written(&target));
                 for (services, tail) in [(SERVICES + 1, TAIL), (SERVICES, TAIL + 1)] {
                     let mut other = TrafficDataset::new(country(), services, tail, 0.5);
-                    other.add_classified_both(0, 0, 0, 1.0, 1.0);
+                    other.service_rows_mut(0).add_both(0, 0, 1.0, 1.0);
                     prop_assert!(target.merge(&other).is_err());
                     prop_assert!(bits(&target) == before);
-                    prop_assert_eq!(&target.written, &written);
+                    prop_assert_eq!(written(&target), mask.clone());
                 }
             }
 
@@ -1248,12 +1402,12 @@ mod tests {
                     }
                 }
                 for s in (0..SERVICES).filter(|&s| dirty[s]) {
-                    merged.rebuild_service_rows(s, &partials);
+                    merged.rebuild_service_rows(s, partials.iter_mut());
                 }
                 merged.rebuild_tail_and_unclassified(&partials);
                 let reference = fresh(&partials);
                 prop_assert!(bits(&merged) == bits(&reference), "rebuilt rows diverged");
-                prop_assert_eq!(&merged.written, &reference.written);
+                prop_assert_eq!(written(&merged), written(&reference));
             }
         }
     }

@@ -49,6 +49,9 @@ pub struct DemandModel {
     /// Event-adjusted hourly weights per affected `(service, commune)`:
     /// the stored weights sum to the weekly uplift factor (≥ 1).
     event_overrides: HashMap<(usize, usize), (Vec<f64>, f64)>,
+    /// National weekly volume of each tail service, by tail rank, per
+    /// direction: what [`DemandModel::fill_tail`] writes.
+    tail_mb: [Vec<f64>; 2],
 }
 
 impl DemandModel {
@@ -145,6 +148,18 @@ impl DemandModel {
             }
         }
 
+        // Tail volumes are catalog constants scaled by the national
+        // subscriber base.
+        let national_users: f64 = users.iter().sum();
+        let tail = |per_user: &[f64]| -> Vec<f64> {
+            per_user
+                .iter()
+                .enumerate()
+                .map(|(rank, &mb)| mb * national_users * tail_damp(rank))
+                .collect()
+        };
+        let tail_mb = [tail(catalog.tail_dl_mb()), tail(catalog.tail_ul_mb())];
+
         DemandModel {
             country,
             catalog,
@@ -154,6 +169,7 @@ impl DemandModel {
             taste,
             users,
             event_overrides,
+            tail_mb,
         }
     }
 
@@ -255,11 +271,11 @@ impl DemandModel {
     pub fn expected_dataset(&self) -> TrafficDataset {
         let n_services = self.catalog.head().len();
         let n_tail = self.catalog.tail_len();
-        let new_dataset = || {
-            TrafficDataset::new(&self.country, n_services, n_tail, self.config.subscriber_share)
-        };
+        // Clones share the per-commune constants.
+        let empty =
+            TrafficDataset::new(&self.country, n_services, n_tail, self.config.subscriber_share);
         let partials = mobilenet_par::par_map_collect(n_services, |s| {
-            let mut ds = new_dataset();
+            let mut ds = empty.clone();
             for (ci, commune) in self.country.communes().iter().enumerate() {
                 let dl = self.weekly_dl_mb(s, ci);
                 if dl <= 0.0 {
@@ -279,7 +295,7 @@ impl DemandModel {
             }
             ds
         });
-        let mut ds = new_dataset();
+        let mut ds = empty;
         for partial in &partials {
             ds.merge(partial).expect("partials share one shape by construction");
         }
@@ -289,14 +305,13 @@ impl DemandModel {
 
     /// Writes the tail-service national weekly volumes into a dataset.
     /// Tail volumes are catalog constants scaled by the national subscriber
-    /// base, so both generation paths share this step.
+    /// base, computed once with the model, so both generation paths share
+    /// this step and a live snapshot pays only the additions.
     pub fn fill_tail(&self, ds: &mut TrafficDataset) {
-        let national_users: f64 = self.users.iter().sum();
-        for (rank, &mb) in self.catalog.tail_dl_mb().iter().enumerate() {
-            ds.add_tail(Direction::Down, rank, mb * national_users * tail_damp(rank));
-        }
-        for (rank, &mb) in self.catalog.tail_ul_mb().iter().enumerate() {
-            ds.add_tail(Direction::Up, rank, mb * national_users * tail_damp(rank));
+        for dir in Direction::BOTH {
+            for (rank, &mb) in self.tail_mb[dir.index()].iter().enumerate() {
+                ds.add_tail(dir, rank, mb);
+            }
         }
     }
 }
