@@ -8,16 +8,14 @@
 //! same code ranks SBD-based (k-shape) and Euclidean (k-means)
 //! clusterings.
 //!
-//! Each index also has a `_from` variant consuming **precomputed distance
-//! tables** instead of a distance closure. The closure forms are thin
-//! wrappers that materialize the tables and delegate, so the two forms are
-//! bit-identical; the `_from` forms exist so batched callers (the Fig-5
-//! sweep) can fill the tables once from cached spectra and score many
-//! clusterings without recomputing a single distance. Because a distance
-//! need not be symmetric at the bit level (SBD's FFT evaluates
-//! `d(x, y)` and `d(y, x)` in different orders), the tables are **ordered**:
-//! entry `[i][j]` must hold the distance as evaluated with `i` as the first
-//! argument, which is the orientation the original loops used.
+//! Every index reads **precomputed distance tables**, so batched callers
+//! (the Fig-5 sweep) fill the tables once from cached spectra and score
+//! many clusterings without recomputing a single distance. [`silhouette`]
+//! also has a closure form, a thin wrapper that materializes its table and
+//! delegates to [`silhouette_from`]. Because a distance need not be
+//! symmetric at the bit level (SBD's FFT evaluates `d(x, y)` and `d(y, x)`
+//! in different orders), the tables are **ordered**: entry `[i][j]` must
+//! hold the distance as evaluated with `i` as the first argument.
 
 use crate::Clustering;
 
@@ -35,36 +33,6 @@ fn scatter_from(own_dist: &[f64], clustering: &Clustering) -> Vec<f64> {
         .zip(counts.iter())
         .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
         .collect()
-}
-
-/// `own_dist[i] = dist(series[i], centroid_of(i))`.
-fn own_distances<D: Fn(&[f64], &[f64]) -> f64>(
-    series: &[Vec<f64>],
-    clustering: &Clustering,
-    dist: &D,
-) -> Vec<f64> {
-    series
-        .iter()
-        .zip(clustering.assignments.iter())
-        .map(|(s, &a)| dist(s, &clustering.centroids[a]))
-        .collect()
-}
-
-/// Ordered `k × k` centroid-centroid table; the (never-read) diagonal is 0.
-fn centroid_distances<D: Fn(&[f64], &[f64]) -> f64>(
-    clustering: &Clustering,
-    dist: &D,
-) -> Vec<Vec<f64>> {
-    let k = clustering.k();
-    let mut t = vec![vec![0.0; k]; k];
-    for (i, row) in t.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            if i != j {
-                *v = dist(&clustering.centroids[i], &clustering.centroids[j]);
-            }
-        }
-    }
-    t
 }
 
 /// Ordered `n × n` series-series table; the (never-read) diagonal is 0.
@@ -85,25 +53,12 @@ fn pairwise_distances<D: Fn(&[f64], &[f64]) -> f64>(
 }
 
 /// Davies-Bouldin index (lower is better):
-/// `DB = (1/k) Σᵢ maxⱼ≠ᵢ (Sᵢ + Sⱼ) / d(cᵢ, cⱼ)`.
+/// `DB = (1/k) Σᵢ maxⱼ≠ᵢ (Sᵢ + Sⱼ) / d(cᵢ, cⱼ)`, from tables: `own_dist[i]`
+/// is each series' distance to its own centroid, `centroid_dist[i][j]` the
+/// ordered centroid pair distance.
 ///
 /// Returns `f64::INFINITY` when two centroids coincide; `k < 2` is
 /// rejected because the index is undefined there.
-pub fn davies_bouldin<D: Fn(&[f64], &[f64]) -> f64>(
-    series: &[Vec<f64>],
-    clustering: &Clustering,
-    dist: D,
-) -> f64 {
-    davies_bouldin_from(
-        &own_distances(series, clustering, &dist),
-        &centroid_distances(clustering, &dist),
-        clustering,
-    )
-}
-
-/// [`davies_bouldin`] from tables: `own_dist[i]` is each series' distance
-/// to its own centroid, `centroid_dist[i][j]` the ordered centroid pair
-/// distance.
 pub fn davies_bouldin_from(
     own_dist: &[f64],
     centroid_dist: &[Vec<f64>],
@@ -132,21 +87,8 @@ pub fn davies_bouldin_from(
 
 /// Modified Davies-Bouldin index DB\* (Kim & Ramakrishna; lower is
 /// better): the worst *cohesion* pair over the best *separation*,
-/// `DB* = (1/k) Σᵢ [maxⱼ≠ᵢ (Sᵢ + Sⱼ)] / [minⱼ≠ᵢ d(cᵢ, cⱼ)]`.
-pub fn davies_bouldin_star<D: Fn(&[f64], &[f64]) -> f64>(
-    series: &[Vec<f64>],
-    clustering: &Clustering,
-    dist: D,
-) -> f64 {
-    davies_bouldin_star_from(
-        &own_distances(series, clustering, &dist),
-        &centroid_distances(clustering, &dist),
-        clustering,
-    )
-}
-
-/// [`davies_bouldin_star`] from the same tables as
-/// [`davies_bouldin_from`].
+/// `DB* = (1/k) Σᵢ [maxⱼ≠ᵢ (Sᵢ + Sⱼ)] / [minⱼ≠ᵢ d(cᵢ, cⱼ)]`, from the same
+/// tables as [`davies_bouldin_from`].
 pub fn davies_bouldin_star_from(
     own_dist: &[f64],
     centroid_dist: &[Vec<f64>],
@@ -174,17 +116,8 @@ pub fn davies_bouldin_star_from(
 }
 
 /// Dunn index (higher is better): smallest between-cluster member
-/// distance over the largest within-cluster diameter.
-pub fn dunn<D: Fn(&[f64], &[f64]) -> f64>(
-    series: &[Vec<f64>],
-    clustering: &Clustering,
-    dist: D,
-) -> f64 {
-    dunn_from(&pairwise_distances(series, &dist), clustering)
-}
-
-/// [`dunn`] from the ordered series-series table (only the `i < j`
-/// triangle is read).
+/// distance over the largest within-cluster diameter, from the ordered
+/// series-series table (only the `i < j` triangle is read).
 pub fn dunn_from(pair_dist: &[Vec<f64>], clustering: &Clustering) -> f64 {
     let k = clustering.k();
     assert!(k >= 2, "Dunn requires k >= 2");
@@ -289,6 +222,28 @@ mod tests {
         (series, clustering)
     }
 
+    /// Davies-Bouldin tables under `euclid`: each series' distance to its
+    /// own centroid, and the ordered centroid pair table.
+    fn db_tables(series: &[Vec<f64>], c: &Clustering) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let own = series.iter().zip(&c.assignments).map(|(s, &a)| euclid(s, &c.centroids[a]));
+        let pairs = c.centroids.iter().map(|a| c.centroids.iter().map(|b| euclid(a, b)).collect());
+        (own.collect(), pairs.collect())
+    }
+
+    fn davies_bouldin(series: &[Vec<f64>], c: &Clustering) -> f64 {
+        let (own, pairs) = db_tables(series, c);
+        davies_bouldin_from(&own, &pairs, c)
+    }
+
+    fn davies_bouldin_star(series: &[Vec<f64>], c: &Clustering) -> f64 {
+        let (own, pairs) = db_tables(series, c);
+        davies_bouldin_star_from(&own, &pairs, c)
+    }
+
+    fn dunn(series: &[Vec<f64>], c: &Clustering) -> f64 {
+        dunn_from(&pairwise_distances(series, &euclid), c)
+    }
+
     /// The same points split badly (mixing the blobs).
     fn bad_split() -> (Vec<Vec<f64>>, Clustering) {
         let (series, _) = blobs();
@@ -306,15 +261,10 @@ mod tests {
         let (series, good) = blobs();
         let (_, bad) = bad_split();
         // Lower is better.
-        assert!(
-            davies_bouldin(&series, &good, euclid) < davies_bouldin(&series, &bad, euclid)
-        );
-        assert!(
-            davies_bouldin_star(&series, &good, euclid)
-                < davies_bouldin_star(&series, &bad, euclid)
-        );
+        assert!(davies_bouldin(&series, &good) < davies_bouldin(&series, &bad));
+        assert!(davies_bouldin_star(&series, &good) < davies_bouldin_star(&series, &bad));
         // Higher is better.
-        assert!(dunn(&series, &good, euclid) > dunn(&series, &bad, euclid));
+        assert!(dunn(&series, &good) > dunn(&series, &bad));
         assert!(silhouette(&series, &good, euclid) > silhouette(&series, &bad, euclid));
     }
 
@@ -328,7 +278,7 @@ mod tests {
     #[test]
     fn dunn_rewards_wide_separation() {
         let (series, good) = blobs();
-        let d = dunn(&series, &good, euclid);
+        let d = dunn(&series, &good);
         // Separation ≈ 14 vs diameter ≈ 0.14 → large ratio.
         assert!(d > 50.0, "dunn {d}");
     }
@@ -340,8 +290,8 @@ mod tests {
         let (series, _) = blobs();
         for k in 2..=3 {
             let c = kmeans(&series, k, 1);
-            let db = davies_bouldin(&series, &c, euclid);
-            let dbs = davies_bouldin_star(&series, &c, euclid);
+            let db = davies_bouldin(&series, &c);
+            let dbs = davies_bouldin_star(&series, &c);
             assert!(dbs >= db - 1e-12, "k={k}: DB*={dbs} < DB={db}");
         }
     }
@@ -350,7 +300,7 @@ mod tests {
     fn coincident_centroids_blow_up_db() {
         let (series, mut clustering) = blobs();
         clustering.centroids[1] = clustering.centroids[0].clone();
-        assert_eq!(davies_bouldin(&series, &clustering, euclid), f64::INFINITY);
+        assert_eq!(davies_bouldin(&series, &clustering), f64::INFINITY);
     }
 
     #[test]
@@ -362,17 +312,17 @@ mod tests {
             iterations: 1,
             converged: true,
         };
-        assert_eq!(dunn(&series, &clustering, euclid), f64::INFINITY);
+        assert_eq!(dunn(&series, &clustering), f64::INFINITY);
         // Silhouette of all-singletons is 0 by convention.
         assert_eq!(silhouette(&series, &clustering, euclid), 0.0);
     }
 
     #[test]
-    fn table_forms_match_closure_forms_bitwise() {
+    fn silhouette_closure_matches_table_form_bitwise() {
         use mobilenet_timeseries::sbd::shape_based_distance;
         // SBD is the asymmetric-at-the-bit distance the ordered-table
-        // contract exists for; check all four indices on a k-shape-style
-        // input against hand-built ordered tables.
+        // contract exists for: the closure form must fill row `i` with `i`
+        // as the first argument.
         let series: Vec<Vec<f64>> = (0..7)
             .map(|s| (0..24).map(|t| ((t + s * 3) as f64 * 0.37).sin() + s as f64 * 0.05).collect())
             .collect();
@@ -382,22 +332,18 @@ mod tests {
             iterations: 1,
             converged: true,
         };
-        let dist = |a: &[f64], b: &[f64]| shape_based_distance(a, b);
-        let own = own_distances(&series, &clustering, &dist);
-        let cc = centroid_distances(&clustering, &dist);
-        let ss = pairwise_distances(&series, &dist);
-        let pairs = [
-            (davies_bouldin(&series, &clustering, dist), davies_bouldin_from(&own, &cc, &clustering)),
-            (
-                davies_bouldin_star(&series, &clustering, dist),
-                davies_bouldin_star_from(&own, &cc, &clustering),
-            ),
-            (dunn(&series, &clustering, dist), dunn_from(&ss, &clustering)),
-            (silhouette(&series, &clustering, dist), silhouette_from(&ss, &clustering)),
-        ];
-        for (closure, table) in pairs {
-            assert_eq!(closure.to_bits(), table.to_bits());
-        }
+        let ordered: Vec<Vec<f64>> = series
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let row = series.iter().enumerate();
+                row.map(|(j, b)| if i == j { 0.0 } else { shape_based_distance(a, b) }).collect()
+            })
+            .collect();
+        assert_eq!(
+            silhouette(&series, &clustering, shape_based_distance).to_bits(),
+            silhouette_from(&ordered, &clustering).to_bits()
+        );
     }
 
     #[test]
@@ -410,6 +356,6 @@ mod tests {
             iterations: 1,
             converged: true,
         };
-        davies_bouldin(&series, &clustering, euclid);
+        davies_bouldin(&series, &clustering);
     }
 }

@@ -16,7 +16,7 @@
 //!   matrix, via power iteration).
 //! * [`kmeans`](mod@kmeans) — Lloyd's algorithm on z-normalized series, the baseline
 //!   the ablation benches compare against.
-//! * [`indices`] — the four quality indices, parametric in the distance.
+//! * [`indices`] — the four quality indices, over precomputed distance tables.
 //! * [`linalg`] — the small dense-matrix kernel (power iteration) that
 //!   shape extraction needs.
 
@@ -31,8 +31,7 @@ pub mod linalg;
 
 pub use hierarchy::{agglomerate, Dendrogram, Linkage};
 pub use indices::{
-    davies_bouldin, davies_bouldin_from, davies_bouldin_star, davies_bouldin_star_from, dunn,
-    dunn_from, silhouette, silhouette_from,
+    davies_bouldin_from, davies_bouldin_star_from, dunn_from, silhouette, silhouette_from,
 };
 #[doc(inline)]
 pub use kmeans::kmeans;

@@ -18,16 +18,6 @@ impl SquareMatrix {
         SquareMatrix { n, data: vec![0.0; n * n] }
     }
 
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n * n`.
-    pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "need n² entries");
-        SquareMatrix { n, data }
-    }
-
     /// Dimension.
     pub fn n(&self) -> usize {
         self.n
@@ -153,7 +143,7 @@ mod tests {
 
     #[test]
     fn mul_vec_matches_hand_computation() {
-        let m = SquareMatrix::from_rows(2, vec![1.0, 2.0, 3.0, 4.0]);
+        let m = SquareMatrix { n: 2, data: vec![1.0, 2.0, 3.0, 4.0] };
         assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
         assert_eq!(m.get(1, 0), 3.0);
     }
@@ -214,16 +204,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "n² entries")]
-    fn from_rows_validates_length() {
-        SquareMatrix::from_rows(2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn mul_vec_into_matches_mul_vec_bitwise() {
         let n = 7;
         let data: Vec<f64> = (0..n * n).map(|i| ((i * 13) % 17) as f64 * 0.3 - 2.0).collect();
-        let m = SquareMatrix::from_rows(n, data);
+        let m = SquareMatrix { n, data };
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).cos()).collect();
         let mut y = vec![f64::NAN; n];
         m.mul_vec_into(&x, &mut y);

@@ -81,13 +81,6 @@ pub struct PeakDetection {
     pub peaks: Vec<PeakInterval>,
 }
 
-impl PeakDetection {
-    /// Rising-front sample indices of all positive peaks.
-    pub fn rising_fronts(&self) -> Vec<usize> {
-        self.peaks.iter().map(|p| p.start).collect()
-    }
-}
-
 /// Runs the smoothed z-score detector over `series`.
 ///
 /// # Panics
@@ -177,14 +170,19 @@ mod tests {
             .collect()
     }
 
+    /// Rising-front sample indices of all positive peaks.
+    fn rising_fronts(det: &PeakDetection) -> Vec<usize> {
+        det.peaks.iter().map(|p| p.start).collect()
+    }
+
     #[test]
     fn detects_a_sharp_bump() {
         let series = bumpy(48, 24, 3.0);
         let det = detect_peaks(&series, &PeakConfig::paper());
         assert!(
-            det.rising_fronts().contains(&24),
+            rising_fronts(&det).contains(&24),
             "bump front not detected: {:?}",
-            det.rising_fronts()
+            rising_fronts(&det)
         );
         let main = det.peaks.iter().find(|p| p.start == 24).unwrap();
         assert!(main.len() >= 2);
@@ -216,7 +214,7 @@ mod tests {
             *v += 3.0;
         }
         let det = detect_peaks(&series, &PeakConfig::paper());
-        let fronts = det.rising_fronts();
+        let fronts = rising_fronts(&det);
         assert!(fronts.contains(&20), "fronts {fronts:?}");
         assert!(fronts.contains(&30), "fronts {fronts:?}");
     }
@@ -250,7 +248,7 @@ mod tests {
             detect_peaks(&series, &PeakConfig { threshold: 1e9, ..PeakConfig::paper() });
         assert!(lax.peaks.len() > strict.peaks.len());
         assert!(strict.peaks.is_empty());
-        assert!(lax.rising_fronts().contains(&60));
+        assert!(rising_fronts(&lax).contains(&60));
     }
 
     #[test]

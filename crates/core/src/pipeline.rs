@@ -26,7 +26,6 @@
 //! then folds it into the enclosing registry (normally
 //! [`mobilenet_obs::global`]), where process-wide reports still see it.
 
-use std::path::Path;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -275,11 +274,6 @@ impl Run {
     /// collection was disabled).
     pub fn obs_snapshot(&self) -> mobilenet_obs::Snapshot {
         self.obs.clone()
-    }
-
-    /// Writes this run's [`Run::obs_snapshot`] as JSON to `path`.
-    pub fn write_obs_json(&self, path: &Path) -> Result<(), Error> {
-        std::fs::write(path, self.obs.to_json()).map_err(Error::Io)
     }
 }
 

@@ -143,7 +143,8 @@ pub fn spatial_correlation_of(
     let runs: Vec<(usize, usize)> =
         (0..n).flat_map(|i| ((i + 1)..n).step_by(R2_LANES).map(move |j| (i, j))).collect();
     let min_runs = R2_MIN_PAIRS_PER_WORKER / R2_LANES;
-    let pair_values: Vec<f64> = mobilenet_par::par_map_min(&runs, min_runs, |&(i, j)| {
+    let pair_values: Vec<f64> = mobilenet_par::par_map_collect_min(runs.len(), min_runs, |run| {
+        let (i, j) = runs[run];
         centred[i].r_squared_each(&centred[j..(j + R2_LANES).min(n)])
     })
     .into_iter()

@@ -162,7 +162,8 @@ pub fn sweep_series(
         .iter()
         .flat_map(|&k| (0..r as u64).map(move |restart| (k, restart)))
         .collect();
-    let runs = mobilenet_par::par_map(&jobs, |&(k, restart)| {
+    let runs = mobilenet_par::par_map_collect(jobs.len(), |job| {
+        let (k, restart) = jobs[job];
         // Worker threads have a fresh span stack, so this records at the
         // root; its count equals ks × restarts at any thread count, but
         // the durations are per-worker wall clock.

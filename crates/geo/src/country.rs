@@ -81,25 +81,6 @@ impl Country {
         self.index.within(p, radius_km).into_iter().map(|i| CommuneId(i as u32)).collect()
     }
 
-    /// Number of communes in each usage class, indexed by
-    /// [`UsageClass::index`].
-    pub fn class_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for c in &self.communes {
-            counts[c.usage_class().index()] += 1;
-        }
-        counts
-    }
-
-    /// Population in each usage class, indexed by [`UsageClass::index`].
-    pub fn class_populations(&self) -> [u64; 4] {
-        let mut pops = [0u64; 4];
-        for c in &self.communes {
-            pops[c.usage_class().index()] += c.population;
-        }
-        pops
-    }
-
     /// Ids of communes in the given usage class.
     pub fn communes_in_class(&self, class: UsageClass) -> Vec<CommuneId> {
         self.communes
@@ -158,9 +139,10 @@ mod tests {
 
     #[test]
     fn all_classes_are_present() {
-        let counts = small_country().class_counts();
-        for (i, &n) in counts.iter().enumerate() {
-            assert!(n > 0, "usage class {i} is empty");
+        let country = small_country();
+        let counts = UsageClass::ALL.map(|class| country.communes_in_class(class).len());
+        for (class, &n) in UsageClass::ALL.iter().zip(&counts) {
+            assert!(n > 0, "usage class {class:?} is empty");
         }
         // Rural communes dominate the count, as in France.
         assert!(counts[2] > counts[0], "rural should outnumber urban: {counts:?}");
@@ -220,7 +202,11 @@ mod tests {
     #[test]
     fn class_populations_sum_to_total() {
         let country = small_country();
-        let sum: u64 = country.class_populations().iter().sum();
+        let sum: u64 = UsageClass::ALL
+            .iter()
+            .flat_map(|&class| country.communes_in_class(class))
+            .map(|id| country.commune(id).population)
+            .sum();
         assert_eq!(sum, country.total_population());
     }
 

@@ -41,11 +41,6 @@ impl TgvLine {
         self.distance_to(p) <= corridor_km
     }
 
-    /// Total length of the polyline, km.
-    pub fn length_km(&self) -> f64 {
-        self.waypoints.windows(2).map(|w| w[0].distance(&w[1])).sum()
-    }
-
     /// Unit tangent of the segment closest to `p` — the local direction of
     /// travel. Used to displace train passengers' ULI fixes *along* the
     /// track rather than isotropically.
@@ -102,16 +97,6 @@ mod tests {
         assert!((line.distance_to(&p) - 2.0).abs() < 1e-12);
         assert!(line.covers(&p, 2.5));
         assert!(!line.covers(&p, 1.5));
-    }
-
-    #[test]
-    fn length_sums_segments() {
-        let line = TgvLine::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(3.0, 4.0),
-            Point::new(3.0, 10.0),
-        ]);
-        assert!((line.length_km() - 11.0).abs() < 1e-12);
     }
 
     #[test]

@@ -47,10 +47,8 @@ pub struct DpiClassifier {
     keys: Vec<u64>,
     /// Slot values: a service code, or [`UNCLASSIFIED_CODE`] for empty.
     codes: Vec<u32>,
-    /// `capacity - 1`; capacity is a power of two ≥ 2 × entries.
+    /// `capacity - 1`; capacity is a power of two ≥ 2 × fingerprints.
     mask: usize,
-    /// Occupied slots.
-    entries: usize,
     n_head: u32,
     n_tail: u32,
     /// Fraction of sessions stamped with an opaque signature at the wire.
@@ -86,7 +84,6 @@ impl DpiClassifier {
             keys: vec![0; capacity],
             codes: vec![UNCLASSIFIED_CODE; capacity],
             mask: capacity - 1,
-            entries: 0,
             n_head: n_head as u32,
             n_tail: n_tail as u32,
             opaque_fraction: 1.0 - classified_fraction,
@@ -116,7 +113,6 @@ impl DpiClassifier {
             if self.codes[i] == UNCLASSIFIED_CODE {
                 self.keys[i] = key;
                 self.codes[i] = code;
-                self.entries += 1;
                 return;
             }
             if self.keys[i] == key {
@@ -204,11 +200,6 @@ impl DpiClassifier {
     pub fn classify(&self, signature: FlowSignature) -> ServiceLabel {
         self.label_of_code(self.code_of(signature.0))
     }
-
-    /// Number of fingerprints in the table.
-    pub fn table_len(&self) -> usize {
-        self.entries
-    }
 }
 
 #[cfg(test)]
@@ -251,8 +242,9 @@ mod tests {
     #[test]
     fn head_and_tail_keyspaces_do_not_collide() {
         let c = DpiClassifier::new(200, 500, 1.0);
-        // 700 services × 4 fingerprints, all distinct.
-        assert_eq!(c.table_len(), 700 * 4);
+        // 700 services × 4 fingerprints, all distinct: one occupied slot each.
+        let occupied = c.codes.iter().filter(|&&code| code != UNCLASSIFIED_CODE).count();
+        assert_eq!(occupied, 700 * 4);
     }
 
     #[test]

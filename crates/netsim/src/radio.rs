@@ -31,8 +31,6 @@ pub struct BaseStation {
 pub struct RadioNetwork {
     stations: Vec<BaseStation>,
     index: SpatialIndex,
-    /// Centroid of each routing area (for stale-ULI displacement).
-    ra_centroids: Vec<Point>,
 }
 
 impl RadioNetwork {
@@ -67,28 +65,7 @@ impl RadioNetwork {
         }
         let points: Vec<Point> = stations.iter().map(|s| s.position).collect();
         let index = SpatialIndex::build(&points);
-
-        // Routing-area centroids (mean of member stations).
-        let max_ra = stations.iter().map(|s| s.routing_area).max().unwrap_or(0) as usize;
-        let mut sums = vec![(0.0f64, 0.0f64, 0usize); max_ra + 1];
-        for s in &stations {
-            let e = &mut sums[s.routing_area as usize];
-            e.0 += s.position.x;
-            e.1 += s.position.y;
-            e.2 += 1;
-        }
-        let ra_centroids = sums
-            .into_iter()
-            .map(|(x, y, n)| {
-                if n > 0 {
-                    Point::new(x / n as f64, y / n as f64)
-                } else {
-                    Point::new(0.0, 0.0)
-                }
-            })
-            .collect();
-
-        RadioNetwork { stations, index, ra_centroids }
+        RadioNetwork { stations, index }
     }
 
     /// All deployed stations.
@@ -105,19 +82,6 @@ impl RadioNetwork {
     /// hosting commune (the paper's ULI → station → commune chain).
     pub fn commune_of_fix(&self, fix: &Point) -> CommuneId {
         self.serving_station(fix).commune
-    }
-
-    /// Centroid of a routing area.
-    pub fn routing_area_centroid(&self, ra: u32) -> Point {
-        self.ra_centroids[ra as usize]
-    }
-
-    /// Number of distinct routing areas containing stations.
-    pub fn routing_area_count(&self) -> usize {
-        let mut ras: Vec<u32> = self.stations.iter().map(|s| s.routing_area).collect();
-        ras.sort_unstable();
-        ras.dedup();
-        ras.len()
     }
 }
 
@@ -199,11 +163,20 @@ mod tests {
     #[test]
     fn routing_areas_partition_the_stations() {
         let (_, net) = network();
-        let n = net.routing_area_count();
+        // Mean position of each routing area's member stations.
+        let mut sums = std::collections::BTreeMap::<u32, (f64, f64, usize)>::new();
+        for s in net.stations() {
+            let e = sums.entry(s.routing_area).or_default();
+            e.0 += s.position.x;
+            e.1 += s.position.y;
+            e.2 += 1;
+        }
+        let n = sums.len();
         // 160 km plane with 40 km cells → at most ~16 populated areas.
         assert!((4..=32).contains(&n), "{n} routing areas");
         for s in net.stations().iter().take(100) {
-            let centroid = net.routing_area_centroid(s.routing_area);
+            let (x, y, count) = sums[&s.routing_area];
+            let centroid = Point::new(x / count as f64, y / count as f64);
             assert!(s.position.distance(&centroid) < 80.0);
         }
     }

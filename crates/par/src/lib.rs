@@ -8,15 +8,16 @@
 //! more, on `std` alone:
 //!
 //! - [`par_map_collect`] — run `f(0..n)` across a scoped worker pool,
-//!   dynamically chunked, results reassembled **in index order**;
-//! - [`par_map`] — the same over a slice; callers that combine the
-//!   results fold them left-to-right in that order, so even
-//!   non-associative-in-practice operations (floating-point `+`) give one
-//!   canonical answer;
+//!   dynamically chunked, results reassembled **in index order**; callers
+//!   that combine the results fold them left-to-right in that order, so
+//!   even non-associative-in-practice operations (floating-point `+`) give
+//!   one canonical answer;
+//! - [`par_map_collect_min`] — the same with a serial-fallback work
+//!   threshold for regions too small to amortize a spawn;
 //! - [`seed_for`] — splitmix-style derivation of independent per-shard
 //!   RNG stream seeds from a master seed, so shard *i* draws the same
 //!   stream whether it runs first, last, serial, or parallel;
-//! - [`Pool`] and the `MOBILENET_THREADS` environment override (plus
+//! - the `MOBILENET_THREADS` environment override (plus
 //!   [`set_thread_override`] for tests and CLI flags).
 //!
 //! Workers are `std::thread::scope` threads spawned per parallel region;
@@ -77,68 +78,44 @@ pub fn current_threads() -> usize {
     }
 }
 
-/// A handle fixing the worker count for a series of parallel regions.
-///
-/// [`Pool::global`] re-reads the ambient configuration on every call, so
-/// constructing one is free; holding a `Pool` pins the count it resolved.
+/// A worker count and serial-fallback threshold for one parallel region.
 #[derive(Debug, Clone, Copy)]
-pub struct Pool {
+struct Pool {
     threads: usize,
     min_items_per_worker: usize,
 }
 
 impl Pool {
     /// A pool with an explicit worker count (minimum 1).
-    pub fn new(threads: usize) -> Self {
+    fn new(threads: usize) -> Self {
         Pool { threads: threads.max(1), min_items_per_worker: 1 }
     }
 
     /// A pool using the ambient configuration (see [`current_threads`]).
-    pub fn global() -> Self {
+    fn global() -> Self {
         Pool::new(current_threads())
     }
 
-    /// Sets the serial-fallback work threshold: a region spawns at most
-    /// `n / min_items` workers, so each worker has at least `min_items`
-    /// items to amortize its spawn cost against — below `2 × min_items`
-    /// total the region runs inline on the caller's thread. The default
-    /// of 1 keeps historical behavior (spawn whenever `n > 1`).
-    ///
-    /// Output is unaffected: worker count never changes results, only
-    /// where they are computed.
-    pub fn with_min_items_per_worker(mut self, min_items: usize) -> Self {
+    /// Sets the serial-fallback work threshold (see
+    /// [`par_map_collect_min`]); the default of 1 spawns whenever `n > 1`.
+    fn with_min_items_per_worker(mut self, min_items: usize) -> Self {
         self.min_items_per_worker = min_items.max(1);
         self
     }
 
-    /// This pool's worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// Workers a region over `n` items spawns; 0 or 1 runs it inline.
+    fn workers(&self, n: usize) -> usize {
+        self.threads.min(n).min(n / self.min_items_per_worker)
     }
 
-    /// The serial-fallback threshold (see
-    /// [`Pool::with_min_items_per_worker`]).
-    pub fn min_items_per_worker(&self) -> usize {
-        self.min_items_per_worker
-    }
-
-    /// Maps `f` over `0..n` on this pool; results in index order.
-    ///
-    /// When observability is enabled ([`mobilenet_obs::enabled`]) the
-    /// region records `par.regions` / `par.items` / `par.worker_items`
-    /// counters (totals, identical at any thread count), the
-    /// `par.workers` gauge, and per-worker `par/worker_wait` (spawn
-    /// latency) and `par/worker_busy` spans. Worker-level timing lives in
-    /// the span section, which is excluded from the determinism
-    /// fingerprint because scheduling shapes it. Workers record into the
-    /// calling thread's [`mobilenet_obs::current`] registry, like the
-    /// caller itself.
-    pub fn map_collect<R, F>(&self, n: usize, f: F) -> Vec<R>
+    /// Maps `f` over `0..n` on this pool; results in index order (see
+    /// [`par_map_collect`]).
+    fn map_collect<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.threads.min(n).min(n / self.min_items_per_worker);
+        let workers = self.workers(n);
         let observing = mobilenet_obs::enabled();
         if observing {
             mobilenet_obs::add("par.regions", 1);
@@ -198,20 +175,19 @@ impl Pool {
             })
             .collect()
     }
-
-    /// Maps `f` over a slice on this pool; results in element order.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.map_collect(items.len(), |i| f(&items[i]))
-    }
 }
 
-/// [`Pool::map_collect`] on the ambient pool: `f` over `0..n`, results in
-/// index order.
+/// Maps `f` over `0..n` on the ambient worker count (see
+/// [`current_threads`]); results in index order.
+///
+/// When observability is enabled ([`mobilenet_obs::enabled`]) the region
+/// records `par.regions` / `par.items` / `par.worker_items` counters
+/// (totals, identical at any thread count), the `par.workers` gauge, and
+/// per-worker `par/worker_wait` (spawn latency) and `par/worker_busy`
+/// spans. Worker-level timing lives in the span section, which is
+/// excluded from the determinism fingerprint because scheduling shapes
+/// it. Workers record into the calling thread's
+/// [`mobilenet_obs::current`] registry, like the caller itself.
 pub fn par_map_collect<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -220,40 +196,18 @@ where
     Pool::global().map_collect(n, f)
 }
 
-/// [`Pool::map`] on the ambient pool: `f` over a slice, results in
-/// element order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global().map(items, f)
-}
-
-/// [`Pool::map_collect`] on the ambient pool with a serial-fallback work
-/// threshold: spawns only workers that will each process at least
-/// `min_items` items, running tiny regions inline (see
-/// [`Pool::with_min_items_per_worker`]).
+/// [`par_map_collect`] with a serial-fallback work threshold: a region
+/// spawns at most `n / min_items` workers, so each has at least
+/// `min_items` items to amortize its spawn cost against, and below
+/// `2 × min_items` the region runs inline on the caller's thread. Output
+/// is unaffected: worker count never changes results, only where they
+/// are computed.
 pub fn par_map_collect_min<R, F>(n: usize, min_items: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     Pool::global().with_min_items_per_worker(min_items).map_collect(n, f)
-}
-
-/// [`Pool::map`] on the ambient pool with a serial-fallback work
-/// threshold: spawns only workers that will each process at least
-/// `min_items` slice elements, running tiny inputs inline (see
-/// [`Pool::with_min_items_per_worker`]).
-pub fn par_map_min<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global().with_min_items_per_worker(min_items).map(items, f)
 }
 
 /// Derives the RNG stream seed for shard `stream` of a computation keyed
@@ -289,11 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_serial_iteration() {
+    fn map_collect_matches_serial_iteration() {
         let items: Vec<f64> = (0..500).map(|i| i as f64 * 0.37).collect();
         let serial: Vec<f64> = items.iter().map(|v| v.sin()).collect();
         for threads in [1, 2, 8] {
-            assert_eq!(Pool::new(threads).map(&items, |v| v.sin()), serial);
+            assert_eq!(Pool::new(threads).map_collect(items.len(), |i| items[i].sin()), serial);
         }
     }
 
@@ -302,7 +256,7 @@ mod tests {
         let empty: Vec<u32> = Pool::new(8).map_collect(0, |_| unreachable!("no items"));
         assert!(empty.is_empty());
         assert_eq!(Pool::new(8).map_collect(1, |i| i + 41), vec![41]);
-        assert_eq!(par_map(&[] as &[u8], |_| 0u8), Vec::<u8>::new());
+        assert_eq!(par_map_collect(0, |_| 0u8), Vec::<u8>::new());
     }
 
     #[test]
@@ -341,37 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn slice_min_items_threshold_matches_parallel_results() {
-        // The slice-input twin of the threshold guarantee: par_map_min
-        // must equal par_map for every input size and threshold.
-        let work = |x: &f64| (x.sin() * 1e6, x.to_bits());
-        for n in [0usize, 1, 31, 190, 257] {
-            let items: Vec<f64> = (0..n).map(|i| i as f64 + 0.3).collect();
-            let reference = Pool::new(1).map(&items, work);
-            for min_items in [1usize, 32, 256, 1000] {
-                assert_eq!(par_map_min(&items, min_items, work), reference, "n={n} min={min_items}");
-            }
-        }
-    }
-
-    #[test]
     fn min_items_gates_worker_spawning() {
         // n / min_items bounds the workers: below 2×min_items the region
         // must degrade to exactly one (inline) worker.
         let pool = Pool::new(8).with_min_items_per_worker(32);
-        assert_eq!(pool.min_items_per_worker(), 32);
-        let workers = |n: usize| pool.threads().min(n).min(n / pool.min_items_per_worker());
-        assert_eq!(workers(20), 0); // inline path
-        assert_eq!(workers(64), 2); // two workers
-        // Default keeps historical behavior.
-        assert_eq!(Pool::new(8).min_items_per_worker(), 1);
+        assert_eq!(pool.workers(20), 0); // inline path
+        assert_eq!(pool.workers(64), 2); // two workers
+        // Default keeps historical behavior: spawn whenever n > 1.
+        assert_eq!(Pool::new(8).workers(2), 2);
     }
 
     #[test]
     fn pool_respects_runtime_override() {
         set_thread_override(Some(3));
         assert_eq!(current_threads(), 3);
-        assert_eq!(Pool::global().threads(), 3);
+        assert_eq!(Pool::global().threads, 3);
         set_thread_override(None);
         assert!(current_threads() >= 1);
     }

@@ -378,13 +378,21 @@ mod tests {
             prop_assert_eq!(n % 2, 0);
             prop_assert_ne!(n % 2, 1);
         }
+    }
 
-        #[test]
-        fn any_strategies_sample(bit in prop::bool::ANY, word in prop::num::u64::ANY) {
-            // Touch both values so the sampler runs; any outcome is valid.
-            prop_assert!(bit || !bit);
-            prop_assert!(word == word);
-        }
+    #[test]
+    fn any_strategies_cover_their_domains() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // A fair coin shows both faces within 64 flips.
+        let bits: Vec<bool> = (0..64).map(|_| prop::bool::ANY.sample(&mut rng)).collect();
+        assert!(bits.contains(&true) && bits.contains(&false), "{bits:?}");
+        // Uniform words are distinct and reach both halves of the domain.
+        let mut words: Vec<u64> = (0..64).map(|_| prop::num::u64::ANY.sample(&mut rng)).collect();
+        assert!(words.iter().any(|w| w >> 63 == 1) && words.iter().any(|w| w >> 63 == 0));
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), 64);
     }
 
     #[test]

@@ -166,6 +166,32 @@ pub fn dir_token(dir: Direction) -> &'static str {
     }
 }
 
+/// Each of the first `n_head` services' [`hour_lag_autocorr`] over the
+/// snapshot's observed national window, in service order, and the mean of
+/// the defined ones, summed in service order (`None` until the window can
+/// support the lag). The `AUTOCORR` answer and the subscription's autocorr
+/// event both read it, so they agree bit for bit.
+pub(crate) fn head_autocorrs(
+    snap: &LiveSnapshot,
+    n_head: usize,
+    dir: Direction,
+    lag: usize,
+) -> (Vec<Option<f64>>, Option<f64>) {
+    let per_service: Vec<Option<f64>> = (0..n_head)
+        .map(|service| {
+            let series = snap.dataset.national_series_window(dir, service, 0, snap.watermark_hour);
+            hour_lag_autocorr(series, lag)
+        })
+        .collect();
+    let mut sum = 0.0;
+    let mut defined = 0usize;
+    for r in per_service.iter().flatten() {
+        sum += r;
+        defined += 1;
+    }
+    (per_service, (defined > 0).then(|| sum / defined as f64))
+}
+
 /// Pearson autocorrelation of `series` at `lag` hours: the correlation
 /// between the series and itself shifted by `lag`. `None` when the
 /// series is shorter than `lag + 2` points or either window is
@@ -376,29 +402,13 @@ fn answer_snapshot(
             if *lag == 0 {
                 return Err("lag must be at least 1".into());
             }
-            let window = snap.watermark_hour;
-            let mut lines = Vec::with_capacity(head.len() + 1);
-            let mut sum = 0.0;
-            let mut defined = 0usize;
-            let mut body = Vec::with_capacity(head.len());
-            for (service, spec) in head.iter().enumerate() {
-                let series = snap.dataset.national_series_window(*dir, service, 0, window);
-                match hour_lag_autocorr(series, *lag) {
-                    Some(r) => {
-                        sum += r;
-                        defined += 1;
-                        body.push(format!("{} {:e}", spec.name, r));
-                    }
-                    None => body.push(format!("{} -", spec.name)),
-                }
-            }
-            let mean = if defined > 0 {
-                format!("{:e}", sum / defined as f64)
-            } else {
-                "-".to_string()
-            };
-            lines.push(format!("lag {lag} window {window} mean {mean}"));
-            lines.extend(body);
+            let (per_service, mean) = head_autocorrs(snap, head.len(), *dir, *lag);
+            let mean = mean.map_or_else(|| "-".to_string(), |m| format!("{m:e}"));
+            let mut lines = vec![format!("lag {lag} window {} mean {mean}", snap.watermark_hour)];
+            lines.extend(head.iter().zip(per_service).map(|(spec, r)| match r {
+                Some(r) => format!("{} {r:e}", spec.name),
+                None => format!("{} -", spec.name),
+            }));
             Ok(lines)
         }
         SnapshotQuery::Watermark => Ok(vec![format!(

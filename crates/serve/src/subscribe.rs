@@ -36,7 +36,7 @@ use mobilenet_core::top_k_services;
 use mobilenet_traffic::Direction;
 
 use crate::live::LiveState;
-use crate::query::{dir_token, hour_lag_autocorr, parse_dir};
+use crate::query::{dir_token, head_autocorrs, parse_dir};
 
 /// Most events a subscriber's queue buffers before the publisher starts
 /// dropping (and counting) instead of blocking.
@@ -495,24 +495,6 @@ fn rank_entries(state: &LiveState, snap: &crate::live::LiveSnapshot, dir: Direct
         .collect()
 }
 
-/// Mean hour-lag autocorrelation over the head services' national
-/// series within the observed window; `None` until the window can
-/// support the lag.
-fn mean_autocorr(state: &LiveState, snap: &crate::live::LiveSnapshot, dir: Direction) -> Option<f64> {
-    let head_len = state.catalog().head().len();
-    let window = snap.watermark_hour;
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for service in 0..head_len {
-        let series = snap.dataset.national_series_window(dir, service, 0, window);
-        if let Some(r) = hour_lag_autocorr(series, AUTOCORR_LAG_HOURS) {
-            sum += r;
-            n += 1;
-        }
-    }
-    (n > 0).then(|| sum / n as f64)
-}
-
 /// One study's publisher loop: waits for version notifications, builds
 /// the round's delta events from the version-cached snapshot, and offers
 /// them to every subscriber (baseline first for fresh subscriptions).
@@ -579,7 +561,8 @@ fn publish_round(state: &LiveState, hub: &DeltaHub, memory: &mut PublishMemory, 
         memory.rank_names[slot] = Some(names);
 
         if mark_advanced || completing {
-            if let Some(mean) = mean_autocorr(state, &snap, dir) {
+            let n_head = state.catalog().head().len();
+            if let (_, Some(mean)) = head_autocorrs(&snap, n_head, dir, AUTOCORR_LAG_HOURS) {
                 let event = DeltaEvent::Autocorr {
                     dir,
                     lag: AUTOCORR_LAG_HOURS,

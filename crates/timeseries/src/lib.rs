@@ -5,8 +5,8 @@
 //! by the Python scientific stack. This crate reimplements them from scratch:
 //!
 //! * [`complex`] — a minimal complex-number type used by the FFT.
-//! * [`fft`] — an iterative radix-2 fast Fourier transform and the
-//!   convolution / cross-correlation helpers built on it.
+//! * [`fft`] — an iterative radix-2 fast Fourier transform with precomputed
+//!   plans, the kernel under the SBD engine.
 //! * [`norm`] — z-normalization and related scalings of series.
 //! * [`sbd`] — the normalized cross-correlation coefficient (NCC-c) and the
 //!   shape-based distance (SBD) of Paparrizos & Gravano's *k-Shape*

@@ -24,20 +24,22 @@
 //! (which this definition agrees with: a z-normalized constant is the
 //! zero series, whose norm is zero).
 //!
-//! # Batched evaluation
+//! # One kernel
 //!
-//! [`ncc_c`]/[`shape_based_distance`] are one-shot conveniences. The hot
-//! paths (k-Shape assignment, pairwise matrices, cluster-quality indices)
-//! go through [`SbdEngine`]: each series' z-padded spectrum and norm are
-//! computed **once** ([`SbdEngine::spectrum`]), after which every distance
-//! costs one inverse transform — no forward FFTs, no heap allocation
-//! (caller-owned [`SbdScratch`]). Engine results are bit-identical to the
-//! one-shot functions.
+//! [`SbdEngine`] is the only correlation path. Each series' zero-padded
+//! spectrum and norm are computed **once** ([`SbdEngine::spectrum`]),
+//! after which every distance costs one inverse transform — no forward
+//! FFTs, no heap allocation (caller-owned [`SbdScratch`]). The hot paths
+//! (k-Shape assignment, the Fig-5 sweep's distance tables) hold an engine
+//! and its spectra. [`ncc_c`]/[`shape_based_distance`] are per-pair
+//! conveniences over a thread-local engine per series length, so no call
+//! after a thread's first at a length builds a plan.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use crate::complex::Complex;
-use crate::fft::{
-    cross_correlation_spectra, forward_spectrum, next_pow2, with_cached_plan, FftPlan,
-};
+use crate::fft::{next_pow2, Direction, FftPlan};
 
 /// Result of an NCC-c maximization: the best-aligned correlation value and
 /// the shift that achieves it.
@@ -64,18 +66,6 @@ pub struct Spectrum {
     bins: Vec<Complex>,
 }
 
-impl Spectrum {
-    /// Euclidean norm of the series this spectrum was computed from.
-    pub fn norm(&self) -> f64 {
-        self.norm
-    }
-
-    /// Whether the series is flat (no shape): zero norm or constant.
-    pub fn is_flat(&self) -> bool {
-        self.flat
-    }
-}
-
 /// Caller-owned buffer for the engine's inverse transforms, grown on
 /// first use and reused thereafter.
 #[derive(Debug, Default, Clone)]
@@ -96,7 +86,7 @@ impl SbdScratch {
 /// `next_pow2(2m − 1)`. Precompute one [`Spectrum`] per series, then
 /// every pairwise [`SbdEngine::ncc_c`]/[`SbdEngine::sbd`] costs a single
 /// inverse transform over a caller-owned [`SbdScratch`] — zero per-call
-/// heap allocation, bit-identical to the one-shot [`ncc_c`].
+/// heap allocation.
 #[derive(Debug, Clone)]
 pub struct SbdEngine {
     m: usize,
@@ -119,11 +109,6 @@ impl SbdEngine {
         self.m
     }
 
-    /// The padded FFT length.
-    pub fn fft_len(&self) -> usize {
-        self.plan.len()
-    }
-
     /// Computes a series' spectrum (one forward FFT plus norm and
     /// flatness checks). Allocates the spectrum's buffer — do this once
     /// per series, outside the hot loop.
@@ -144,11 +129,17 @@ impl SbdEngine {
         assert_eq!(series.len(), self.m, "engine built for length {}", self.m);
         out.norm = series.iter().map(|v| v * v).sum::<f64>().sqrt();
         out.flat = out.norm <= f64::EPSILON || series.windows(2).all(|w| w[0] == w[1]);
-        forward_spectrum(&self.plan, series, &mut out.bins);
+        out.bins.clear();
+        out.bins.resize(self.plan.len(), Complex::ZERO);
+        for (b, &x) in out.bins.iter_mut().zip(series) {
+            *b = Complex::from_real(x);
+        }
+        self.plan.fft_in_place(&mut out.bins, Direction::Forward);
     }
 
-    /// The maximizing [`Alignment`] of two prepared series — the batched
-    /// form of [`ncc_c`], bit-identical to it.
+    /// The maximizing [`Alignment`] of two prepared series: the maximum of
+    /// their cross-correlation sequence `IFFT(X · conj(Y))` over the
+    /// product of their norms (see [`ncc_c`]).
     pub fn ncc_c(&self, x: &Spectrum, y: &Spectrum, scratch: &mut SbdScratch) -> Alignment {
         if x.flat || y.flat {
             return FLAT;
@@ -160,13 +151,12 @@ impl SbdEngine {
         for (a, b) in scratch.buf.iter_mut().zip(y.bins.iter()) {
             *a = *a * b.conj();
         }
-        self.plan.fft_in_place(&mut scratch.buf, crate::fft::Direction::Inverse);
+        self.plan.fft_in_place(&mut scratch.buf, Direction::Inverse);
 
-        // Scan the circular buffer in output order (lag −(m−1) ..= m−1) —
+        // Scan the circular buffer in lag order (−(m−1) ..= m−1) —
         // negative lags live at the tail `n−(m−1)..n`, non-negative at the
-        // head `0..m` — visiting candidates in exactly the order the
-        // one-shot path scans its materialized sequence, so the strict
-        // `>` keeps the same winner.
+        // head `0..m` — so the strict `>` keeps the first maximum in lag
+        // order.
         let neg = self.m - 1;
         let mut best = Alignment { ncc: f64::NEG_INFINITY, shift: 0 };
         for (off, c) in scratch.buf[n - neg..n].iter().enumerate() {
@@ -190,41 +180,26 @@ impl SbdEngine {
     }
 }
 
+thread_local! {
+    /// Per-thread engines keyed by series length, for the per-pair free
+    /// functions (workers each build their own — no locks).
+    static ENGINES: RefCell<HashMap<usize, SbdEngine>> = RefCell::new(HashMap::new());
+}
+
 /// Computes the full coefficient-normalized cross-correlation sequence
-/// `NCC_c(x, y)` and returns the maximizing [`Alignment`].
+/// `NCC_c(x, y)` and returns the maximizing [`Alignment`] — the first
+/// maximum in lag order.
 ///
 /// If either series is flat — zero norm *or* constant (see the module
-/// docs) — the correlation is defined as 0 at shift 0.
+/// docs) — the correlation is defined as 0 at shift 0. One-off pairs run
+/// through this thread's cached [`SbdEngine`] for `x.len()`; loops over
+/// many pairs should hold an engine and reuse spectra instead.
 pub fn ncc_c(x: &[f64], y: &[f64]) -> Alignment {
     assert_eq!(x.len(), y.len(), "NCC-c requires equal-length series");
-    assert!(!x.is_empty(), "NCC-c of empty series");
-    let nx = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let ny = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if nx <= f64::EPSILON || ny <= f64::EPSILON {
-        return FLAT;
-    }
-    if x.windows(2).all(|w| w[0] == w[1]) || y.windows(2).all(|w| w[0] == w[1]) {
-        return FLAT; // constant series carry no shape
-    }
-    let denom = nx * ny;
-    let out_len = 2 * x.len() - 1;
-    let n = next_pow2(out_len);
-    with_cached_plan(n, |plan| {
-        let mut fx = Vec::new();
-        let mut fy = Vec::new();
-        forward_spectrum(plan, x, &mut fx);
-        forward_spectrum(plan, y, &mut fy);
-        let mut cc = Vec::new();
-        cross_correlation_spectra(plan, &fy, y.len(), &mut fx, out_len, &mut cc);
-        let mut best = Alignment { ncc: f64::NEG_INFINITY, shift: 0 };
-        let zero_index = y.len() as isize - 1;
-        for (k, &v) in cc.iter().enumerate() {
-            let ncc = v / denom;
-            if ncc > best.ncc {
-                best = Alignment { ncc, shift: k as isize - zero_index };
-            }
-        }
-        best
+    ENGINES.with(|engines| {
+        let mut engines = engines.borrow_mut();
+        let engine = engines.entry(x.len()).or_insert_with(|| SbdEngine::new(x.len()));
+        engine.ncc_c(&engine.spectrum(x), &engine.spectrum(y), &mut SbdScratch::new())
     })
 }
 
@@ -245,32 +220,6 @@ pub fn shift_series(y: &[f64], shift: isize) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Pairwise SBD matrix of a set of equal-length series.
-///
-/// The result is symmetric with a zero diagonal. Batched: each series'
-/// spectrum is computed once (`O(n)` forward transforms), and each of the
-/// `n(n−1)/2` pairs costs one inverse transform.
-pub fn sbd_matrix(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let n = series.len();
-    let mut m = vec![vec![0.0; n]; n];
-    if n == 0 {
-        return m;
-    }
-    let len = series[0].len();
-    assert!(series.iter().all(|s| s.len() == len), "series lengths must match");
-    let engine = SbdEngine::new(len);
-    let spectra: Vec<Spectrum> = series.iter().map(|s| engine.spectrum(s)).collect();
-    let mut scratch = SbdScratch::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = engine.sbd(&spectra[i], &spectra[j], &mut scratch);
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -354,35 +303,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_one_shot_functions_bitwise() {
-        let m = 37;
-        let series: Vec<Vec<f64>> = (0..6)
-            .map(|s| (0..m).map(|i| ((i + s * 5) as f64 * 0.41).sin() + s as f64 * 0.1).collect())
-            .collect();
-        let engine = SbdEngine::new(m);
-        let spectra: Vec<Spectrum> = series.iter().map(|s| engine.spectrum(s)).collect();
-        let mut scratch = SbdScratch::new();
-        for i in 0..series.len() {
-            for j in 0..series.len() {
-                let fast = engine.ncc_c(&spectra[i], &spectra[j], &mut scratch);
-                let slow = ncc_c(&series[i], &series[j]);
-                assert_eq!(fast.ncc.to_bits(), slow.ncc.to_bits(), "({i},{j})");
-                assert_eq!(fast.shift, slow.shift, "({i},{j})");
-                let d_fast = engine.sbd(&spectra[i], &spectra[j], &mut scratch);
-                assert_eq!(d_fast.to_bits(), shape_based_distance(&series[i], &series[j]).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn engine_flags_flat_series() {
         let engine = SbdEngine::new(8);
-        assert!(engine.spectrum(&[0.0; 8]).is_flat());
-        assert!(engine.spectrum(&[7.25; 8]).is_flat());
+        assert!(engine.spectrum(&[0.0; 8]).flat);
+        assert!(engine.spectrum(&[7.25; 8]).flat);
         let wave: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
         let spec = engine.spectrum(&wave);
-        assert!(!spec.is_flat());
-        assert!(spec.norm() > 0.0);
+        assert!(!spec.flat);
+        assert!(spec.norm > 0.0);
         let mut scratch = SbdScratch::new();
         assert_eq!(engine.sbd(&engine.spectrum(&[7.25; 8]), &spec, &mut scratch), 1.0);
     }
@@ -395,7 +323,7 @@ mod tests {
         let mut spec = engine.spectrum(&a);
         engine.spectrum_into(&b, &mut spec);
         let fresh = engine.spectrum(&b);
-        assert_eq!(spec.norm().to_bits(), fresh.norm().to_bits());
+        assert_eq!(spec.norm.to_bits(), fresh.norm.to_bits());
         let mut scratch = SbdScratch::new();
         let wave = engine.spectrum(&a);
         assert_eq!(
@@ -411,35 +339,5 @@ mod tests {
         assert_eq!(shift_series(&y, -2), vec![3.0, 4.0, 0.0, 0.0]);
         assert_eq!(shift_series(&y, 0), y);
         assert_eq!(shift_series(&y, 10), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn sbd_matrix_is_symmetric_with_zero_diagonal() {
-        let series: Vec<Vec<f64>> = (0..4)
-            .map(|s| (0..16).map(|i| ((i + s * 3) as f64 * 0.4).sin()).collect())
-            .collect();
-        let m = sbd_matrix(&series);
-        for (i, row) in m.iter().enumerate() {
-            assert!(row[i] < 1e-12);
-            for (j, &v) in row.iter().enumerate() {
-                assert!((v - m[j][i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn sbd_matrix_matches_pairwise_calls_bitwise() {
-        let series: Vec<Vec<f64>> = (0..5)
-            .map(|s| (0..21).map(|i| ((i * (s + 2)) % 9) as f64 - 4.0).collect())
-            .collect();
-        let m = sbd_matrix(&series);
-        for i in 0..series.len() {
-            for j in (i + 1)..series.len() {
-                assert_eq!(
-                    m[i][j].to_bits(),
-                    shape_based_distance(&series[i], &series[j]).to_bits()
-                );
-            }
-        }
     }
 }

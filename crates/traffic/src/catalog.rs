@@ -117,11 +117,6 @@ impl ServiceSpec {
         self.weekly_dl_mb_per_user * self.ul_ratio
     }
 
-    /// Expected sessions per subscriber per week.
-    pub fn sessions_per_user_week(&self) -> f64 {
-        self.weekly_dl_mb_per_user / self.session_dl_mb
-    }
-
     /// The ground-truth peak intensity at a topical time, if any.
     pub fn peak_at(&self, time: TopicalTime) -> Option<f64> {
         self.peaks.iter().find(|p| p.time == time).map(|p| p.intensity)
@@ -208,17 +203,6 @@ impl ServiceCatalog {
     /// Tail weekly uplink volumes in rank order (MB).
     pub fn tail_ul_mb(&self) -> &[f64] {
         &self.tail_ul_mb
-    }
-
-    /// Sum of head per-user weekly downlink volumes (MB) — the urban
-    /// subscriber's total head-service demand.
-    pub fn head_weekly_dl_mb(&self) -> f64 {
-        self.head.iter().map(|s| s.weekly_dl_mb_per_user).sum()
-    }
-
-    /// Sum of head per-user weekly uplink volumes (MB).
-    pub fn head_weekly_ul_mb(&self) -> f64 {
-        self.head.iter().map(|s| s.weekly_ul_mb_per_user()).sum()
     }
 }
 
@@ -531,7 +515,8 @@ mod tests {
             .filter(|s| s.category == Category::VideoStreaming)
             .map(|s| s.weekly_dl_mb_per_user)
             .sum();
-        let share = video / c.head_weekly_dl_mb();
+        let head_dl: f64 = c.head().iter().map(|s| s.weekly_dl_mb_per_user).sum();
+        let share = video / head_dl;
         // Paper: video ≈ 46% of total ≈ 3/4 of the head selection.
         assert!(share > 0.6 && share < 0.85, "video share {share}");
         // YouTube is the dominant provider, iTunes follows at a distance.
@@ -560,8 +545,8 @@ mod tests {
     #[test]
     fn uplink_is_a_small_fraction_of_the_load() {
         let c = catalog();
-        let dl = c.head_weekly_dl_mb();
-        let ul = c.head_weekly_ul_mb();
+        let dl: f64 = c.head().iter().map(|s| s.weekly_dl_mb_per_user).sum();
+        let ul: f64 = c.head().iter().map(|s| s.weekly_ul_mb_per_user()).sum();
         // Paper (§3 footnote): uplink accounts for less than one twentieth
         // of the total network load.
         assert!(ul / (ul + dl) < 0.07, "uplink share {}", ul / (ul + dl));
@@ -645,7 +630,7 @@ mod tests {
     #[test]
     fn sessions_per_week_are_plausible() {
         for s in catalog().head() {
-            let n = s.sessions_per_user_week();
+            let n = s.weekly_dl_mb_per_user / s.session_dl_mb;
             assert!(n > 0.3 && n < 30.0, "{}: {} sessions/week", s.name, n);
         }
     }

@@ -103,11 +103,6 @@ impl MobilityModel {
         self.flows.is_empty()
     }
 
-    /// The cumulative flow distribution of a home commune.
-    pub fn flows_of(&self, home: usize) -> &[(u32, f64)] {
-        &self.flows[home]
-    }
-
     /// Samples a work commune for a resident of `home`.
     pub fn sample_work(&self, home: usize, rng: &mut StdRng) -> u32 {
         let flows = &self.flows[home];
@@ -116,19 +111,6 @@ impl MobilityModel {
             Ok(i) => flows[(i + 1).min(flows.len() - 1)].0,
             Err(i) => flows[i.min(flows.len() - 1)].0,
         }
-    }
-
-    /// Expected fraction of `home`'s workers who stay in their own commune.
-    pub fn self_containment(&self, home: usize) -> f64 {
-        let flows = &self.flows[home];
-        let mut prev = 0.0;
-        for &(id, cum) in flows {
-            if id as usize == home {
-                return cum - prev;
-            }
-            prev = cum;
-        }
-        0.0
     }
 }
 
@@ -144,12 +126,24 @@ mod tests {
         (country, mobility)
     }
 
+    /// Expected fraction of `home`'s workers who stay in their own commune.
+    fn self_containment(m: &MobilityModel, home: usize) -> f64 {
+        let mut prev = 0.0;
+        for &(id, cum) in &m.flows[home] {
+            if id as usize == home {
+                return cum - prev;
+            }
+            prev = cum;
+        }
+        0.0
+    }
+
     #[test]
     fn flows_are_cumulative_distributions() {
         let (country, m) = model();
         assert_eq!(m.len(), country.communes().len());
         for home in 0..m.len() {
-            let flows = m.flows_of(home);
+            let flows = &m.flows[home];
             assert!(!flows.is_empty());
             assert!(flows.len() <= TOP_K);
             let mut prev = 0.0;
@@ -199,7 +193,7 @@ mod tests {
         // Averaged over communes, the self-flow dominates any single
         // remote destination.
         let mean_self: f64 =
-            (0..m.len()).map(|h| m.self_containment(h)).sum::<f64>() / m.len() as f64;
+            (0..m.len()).map(|h| self_containment(&m, h)).sum::<f64>() / m.len() as f64;
         assert!(mean_self > 0.15, "mean self-containment {mean_self}");
     }
 
@@ -207,7 +201,7 @@ mod tests {
     fn sampling_matches_the_distribution() {
         let (_, m) = model();
         let home = 100;
-        let flows = m.flows_of(home);
+        let flows = &m.flows[home];
         let first = flows[0].0;
         let p_first = flows[0].1;
         let mut rng = StdRng::seed_from_u64(9);
@@ -228,7 +222,7 @@ mod tests {
         let a = MobilityModel::gravity(&country, 35.0, 2.0);
         let b = MobilityModel::gravity(&country, 35.0, 2.0);
         for h in (0..a.len()).step_by(97) {
-            assert_eq!(a.flows_of(h), b.flows_of(h));
+            assert_eq!(a.flows[h], b.flows[h]);
         }
     }
 

@@ -12,9 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use mobilenet::timeseries::fft::{
-    cross_correlation_with_plan, CorrScratch, Direction, FftPlan,
-};
+use mobilenet::timeseries::fft::{Direction, FftPlan};
 use mobilenet::timeseries::sbd::{SbdEngine, SbdScratch};
 use mobilenet::timeseries::Complex;
 
@@ -86,19 +84,14 @@ fn warmed_sbd_and_fft_kernels_do_not_allocate() {
     });
     assert_eq!(sbd_allocs, 0, "warmed SbdEngine path allocated {sbd_allocs} times");
 
-    // Planned FFT + cross-correlation with caller-owned scratch.
+    // A planned FFT transforms in place.
     let plan = FftPlan::new(256);
     let mut data: Vec<Complex> =
         (0..256).map(|i| Complex::new((i as f64 * 0.11).sin(), 0.0)).collect();
-    let mut corr_scratch = CorrScratch::new();
-    let mut out = Vec::new();
-    cross_correlation_with_plan(&plan, &x, &y, &mut corr_scratch, &mut out);
-
     let fft_allocs = allocations_in(|| {
         for _ in 0..100 {
             plan.fft_in_place(&mut data, Direction::Forward);
             plan.fft_in_place(&mut data, Direction::Inverse);
-            cross_correlation_with_plan(&plan, &x, &y, &mut corr_scratch, &mut out);
         }
     });
     assert_eq!(fft_allocs, 0, "warmed planned-FFT path allocated {fft_allocs} times");

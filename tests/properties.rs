@@ -4,10 +4,7 @@
 use proptest::prelude::*;
 
 use mobilenet::cluster::{kmeans, kshape};
-use mobilenet::timeseries::fft::{
-    cross_correlation, cross_correlation_naive, cross_correlation_with_plan, fft_in_place,
-    next_pow2, CorrScratch, Direction, FftPlan,
-};
+use mobilenet::timeseries::fft::{next_pow2, Direction, FftPlan};
 use mobilenet::timeseries::norm::{min_max_normalize, to_shares, z_normalize};
 use mobilenet::timeseries::sbd::{
     ncc_c, shape_based_distance, shift_series, SbdEngine, SbdScratch,
@@ -22,6 +19,134 @@ fn finite_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>>
     prop::collection::vec(-1e6f64..1e6, len)
 }
 
+/// One-shot radix-2 FFT: recomputes the bit-reversal permutation and the
+/// twiddle recurrence on every call. The oracle `FftPlan` must match.
+fn oneshot_fft(data: &mut [Complex], dir: Direction) {
+    let n = data.len();
+    assert!(n.is_power_of_two());
+    if n <= 1 {
+        return;
+    }
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> (usize::BITS - bits);
+        if i < j {
+            data.swap(i, j);
+        }
+    }
+    let sign = match dir {
+        Direction::Forward => -1.0,
+        Direction::Inverse => 1.0,
+    };
+    let mut len = 2;
+    while len <= n {
+        let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+        for start in (0..n).step_by(len) {
+            let mut w = Complex::ONE;
+            for k in 0..len / 2 {
+                let u = data[start + k];
+                let v = data[start + k + len / 2] * w;
+                data[start + k] = u + v;
+                data[start + k + len / 2] = u - v;
+                w = w * wlen;
+            }
+        }
+        len <<= 1;
+    }
+    if dir == Direction::Inverse {
+        for z in data.iter_mut() {
+            *z = z.scale(1.0 / n as f64);
+        }
+    }
+}
+
+#[test]
+fn planned_fft_is_bit_identical_to_oneshot_at_every_small_power_of_two() {
+    // Deterministic companion to the property below: every length from 1 to
+    // 512, complex input (non-zero imaginary parts), both directions.
+    for bits in 0..10u32 {
+        let n = 1usize << bits;
+        let plan = FftPlan::new(n);
+        let orig: Vec<Complex> = (0..n)
+            .map(|i| Complex::new((i as f64 * 0.37).sin() * 3.0, (i as f64 * 1.1).cos()))
+            .collect();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut oneshot = orig.clone();
+            let mut planned = orig.clone();
+            oneshot_fft(&mut oneshot, dir);
+            plan.fft_in_place(&mut planned, dir);
+            for (i, (x, y)) in oneshot.iter().zip(planned.iter()).enumerate() {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n} {dir:?} re[{i}]");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n} {dir:?} im[{i}]");
+            }
+        }
+    }
+}
+
+/// Lag of index `k` in a full cross-correlation sequence of `x` against a
+/// series of `y_len` samples: `k − (y_len − 1)`.
+fn lag_of(k: usize, y_len: usize) -> isize {
+    k as isize - (y_len as isize - 1)
+}
+
+/// Direct `O(n·m)` cross-correlation, `r[k] = Σ_i x[i + lag] · y[i]`.
+fn naive_cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
+    (0..x.len() + y.len() - 1)
+        .map(|k| {
+            let lag = lag_of(k, y.len());
+            let pairs = y.iter().enumerate().filter_map(|(i, &yv)| {
+                let xi = i as isize + lag;
+                (0..x.len() as isize).contains(&xi).then(|| x[xi as usize] * yv)
+            });
+            pairs.fold(0.0, |acc, v| acc + v)
+        })
+        .collect()
+}
+
+/// The same sequence through the one-shot FFT: `IFFT(FFT(x) · conj(FFT(y)))`
+/// unrolled from the circular buffer into lag order.
+fn oneshot_cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
+    let n = next_pow2(x.len() + y.len() - 1);
+    let spectrum = |s: &[f64]| {
+        let mut buf = vec![Complex::ZERO; n];
+        for (b, &v) in buf.iter_mut().zip(s) {
+            *b = Complex::from_real(v);
+        }
+        oneshot_fft(&mut buf, Direction::Forward);
+        buf
+    };
+    let mut fx = spectrum(x);
+    for (a, b) in fx.iter_mut().zip(spectrum(y)) {
+        *a = *a * b.conj();
+    }
+    oneshot_fft(&mut fx, Direction::Inverse);
+    (0..x.len() + y.len() - 1)
+        .map(|k| {
+            let lag = lag_of(k, y.len());
+            fx[if lag >= 0 { lag as usize } else { n - lag.unsigned_abs() }].re
+        })
+        .collect()
+}
+
+/// NCC-c over a materialized correlation sequence: `(0, 0)` when either
+/// series is flat (zero norm or constant), else the first strict maximum
+/// of `cc / (‖x‖·‖y‖)` in lag order, with its lag.
+fn ncc_of(x: &[f64], y: &[f64], cc: &[f64]) -> (f64, isize) {
+    let norm = |s: &[f64]| s.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let flat = |s: &[f64]| norm(s) <= f64::EPSILON || s.windows(2).all(|w| w[0] == w[1]);
+    if flat(x) || flat(y) {
+        return (0.0, 0);
+    }
+    let denom = norm(x) * norm(y);
+    let mut best = (f64::NEG_INFINITY, 0);
+    for (k, &v) in cc.iter().enumerate() {
+        if v / denom > best.0 {
+            best = (v / denom, lag_of(k, y.len()));
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -30,14 +155,18 @@ proptest! {
         x in finite_series(1..48),
         y in finite_series(1..48),
     ) {
-        let fast = cross_correlation(&x, &y);
-        let slow = cross_correlation_naive(&x, &y);
-        prop_assert_eq!(fast.len(), slow.len());
-        let scale = x.iter().chain(y.iter()).fold(1.0f64, |a, &v| a.max(v.abs()));
-        for (a, b) in fast.iter().zip(slow.iter()) {
-            prop_assert!((a - b).abs() <= 1e-6 * scale * scale * 48.0,
-                "{} vs {}", a, b);
-        }
+        // The engine's NCC against the NCC of a direct correlation: the
+        // same maximum, and the engine's shift scores that maximum too.
+        let m = x.len().min(y.len());
+        let (x, y) = (&x[..m], &y[..m]);
+        let engine = SbdEngine::new(m);
+        let fast = engine.ncc_c(&engine.spectrum(x), &engine.spectrum(y), &mut SbdScratch::new());
+        let naive = naive_cross_correlation(x, y);
+        let (best, _) = ncc_of(x, y, &naive);
+        prop_assert!((fast.ncc - best).abs() <= 1e-9, "{} vs {}", fast.ncc, best);
+        let k = (fast.shift + m as isize - 1) as usize;
+        let (at_shift, _) = ncc_of(x, y, &naive[k..=k]);
+        prop_assert!((at_shift - best).abs() <= 1e-9, "{} vs {}", at_shift, best);
     }
 
     #[test]
@@ -68,7 +197,7 @@ proptest! {
 
     #[test]
     fn planned_fft_matches_oneshot_oracle_bitwise(
-        x in finite_series(1..130),
+        x in finite_series(1..300),
     ) {
         // The cached-plan transform must be BIT-identical to the one-shot
         // reference, both directions — the twiddle tables are filled by
@@ -81,30 +210,10 @@ proptest! {
         let mut oneshot = planned.clone();
         for dir in [Direction::Forward, Direction::Inverse] {
             plan.fft_in_place(&mut planned, dir);
-            fft_in_place(&mut oneshot, dir);
+            oneshot_fft(&mut oneshot, dir);
             for (a, b) in planned.iter().zip(oneshot.iter()) {
                 prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_cross_correlation_matches_allocating_form_bitwise(
-        x in finite_series(1..80),
-        y in finite_series(1..80),
-    ) {
-        let plan = FftPlan::new(next_pow2(x.len() + y.len() - 1));
-        let mut scratch = CorrScratch::new();
-        let mut out = Vec::new();
-        // Twice through the same scratch: the warmed second pass must
-        // also match (stale buffer contents must not leak through).
-        for _ in 0..2 {
-            cross_correlation_with_plan(&plan, &x, &y, &mut scratch, &mut out);
-            let oracle = cross_correlation(&x, &y);
-            prop_assert_eq!(out.len(), oracle.len());
-            for (a, b) in out.iter().zip(oracle.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
@@ -115,7 +224,8 @@ proptest! {
         m in 4usize..32,
     ) {
         // Re-cut the generated rows to a common length m, then check the
-        // batched engine against the per-call kernels bit-for-bit.
+        // engine and the per-pair functions against the one-shot oracle
+        // bit-for-bit.
         let rows: Vec<Vec<f64>> = series
             .iter()
             .map(|s| (0..m).map(|i| s[i % s.len()] * (1.0 + i as f64 * 0.01)).collect())
@@ -125,9 +235,14 @@ proptest! {
         let mut scratch = SbdScratch::new();
         for (i, a) in rows.iter().enumerate() {
             for (j, b) in rows.iter().enumerate() {
+                let (ncc, shift) = ncc_of(a, b, &oneshot_cross_correlation(a, b));
+                for got in [engine.ncc_c(&specs[i], &specs[j], &mut scratch), ncc_c(a, b)] {
+                    prop_assert_eq!(got.ncc.to_bits(), ncc.to_bits());
+                    prop_assert_eq!(got.shift, shift);
+                }
                 let batched = engine.sbd(&specs[i], &specs[j], &mut scratch);
-                let oneshot = shape_based_distance(a, b);
-                prop_assert_eq!(batched.to_bits(), oneshot.to_bits());
+                prop_assert_eq!(batched.to_bits(), (1.0 - ncc).to_bits());
+                prop_assert_eq!(shape_based_distance(a, b).to_bits(), (1.0 - ncc).to_bits());
             }
         }
     }
