@@ -72,7 +72,10 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { reader, writer: stream })
+        Ok(Client {
+            reader,
+            writer: stream,
+        })
     }
 
     fn read_line(&mut self) -> Result<String, ClientError> {
@@ -135,7 +138,11 @@ impl Client {
                     .map_err(|_| ClientError::Protocol(format!("bad study count {n:?}")))?;
             }
         }
-        Ok(Hello { version, capabilities, studies })
+        Ok(Hello {
+            version,
+            capabilities,
+            studies,
+        })
     }
 
     /// `LIST`: every registered study's description.
@@ -187,11 +194,16 @@ impl Client {
     /// event) to get the connection back for further requests.
     pub fn subscribe(&mut self, topics: Vec<Topic>) -> Result<Subscription<'_>, ClientError> {
         if topics.is_empty() {
-            return Err(ClientError::Protocol("SUBSCRIBE needs at least one topic".into()));
+            return Err(ClientError::Protocol(
+                "SUBSCRIBE needs at least one topic".into(),
+            ));
         }
         let tokens: Vec<&str> = topics.iter().map(|t| t.token()).collect();
         self.request(&format!("SUBSCRIBE {}", tokens.join(",")))?;
-        Ok(Subscription { client: self, done: false })
+        Ok(Subscription {
+            client: self,
+            done: false,
+        })
     }
 
     /// `SHUTDOWN`: stops the server (and consumes this client — the
@@ -211,8 +223,7 @@ impl Client {
 
 /// An active `SUBSCRIBE` stream: iterates `(seq, event)` pairs until the
 /// stream's `end` event (after which the underlying [`Client`] is usable
-/// again). A gap in `seq` means the subscriber lagged and events were
-/// dropped (`serve.subscriber_lagged` on the server side).
+/// again). Seqs run from 0 without gaps: the server drops no event.
 pub struct Subscription<'a> {
     client: &'a mut Client,
     done: bool,

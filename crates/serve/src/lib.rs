@@ -21,7 +21,10 @@
 //! `HELLO`/`LIST`/`USE` select a study per connection, snapshot verbs
 //! answer against it, and `SUBSCRIBE` streams framed [`DeltaEvent`]s
 //! (watermark advances, version bumps, rank churn, hour-lag
-//! autocorrelation) with bounded, drop-and-count backpressure.
+//! autocorrelation). Each subscribed connection derives its own deltas
+//! from the cached snapshot, so there is no per-subscriber queue and no
+//! event is dropped: a slow reader gets the changes it missed merged
+//! into its next round.
 //! [`spawn_server`] keeps the single-study v1 entry point; [`Client`]
 //! is the typed counterpart for talking to either:
 //!
@@ -61,7 +64,4 @@ pub use query::{answer, hour_lag_autocorr, Command, SnapshotQuery, PROTOCOL_VERS
 pub use registry::{StudyEntry, StudyInfo, StudyRegistry};
 pub use server::{spawn_registry_server, spawn_server, ServerHandle, MAX_LINE_BYTES};
 pub use session::Session;
-pub use subscribe::{
-    DeltaEvent, DeltaHub, RankEntry, Subscriber, Topic, AUTOCORR_LAG_HOURS,
-    SUBSCRIBER_QUEUE_EVENTS,
-};
+pub use subscribe::{DeltaEvent, RankEntry, Topic, AUTOCORR_LAG_HOURS};

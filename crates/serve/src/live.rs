@@ -79,15 +79,16 @@ pub fn week_seed(base: u64, week: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A wait/notify rendezvous between the ingest path and delta
-/// subscribers.
+/// A wait/notify rendezvous between the ingest path and subscribed
+/// connections.
 ///
 /// The ingest path calls [`notify`](VersionNotifier::notify) after every
 /// version bump — a bare `Condvar::notify_all`, so it can never block on
-/// a slow consumer. Waiters ([`crate::subscribe`]'s publisher loops) poll
-/// with [`wait_timeout`](VersionNotifier::wait_timeout); because every
-/// wait is timeout-bounded, a notification racing past an about-to-wait
-/// consumer costs at most one tick, never a lost wake-up.
+/// a slow consumer. Waiters (each subscribed connection's streaming loop
+/// in [`crate::server`]) poll with
+/// [`wait_timeout`](VersionNotifier::wait_timeout); because every wait is
+/// timeout-bounded, a notification racing past an about-to-wait consumer
+/// costs at most one tick, never a lost wake-up.
 #[derive(Debug, Default)]
 pub struct VersionNotifier {
     lock: Mutex<()>,
@@ -136,7 +137,7 @@ pub struct LiveState {
     cursor: Mutex<WeekCursor>,
     /// Bumped on every fold and shard close; snapshot cache key.
     version: AtomicU64,
-    /// Woken on every version bump; what delta publishers wait on.
+    /// Woken on every version bump; what subscribed connections wait on.
     notifier: VersionNotifier,
     /// What the cached snapshot's dataset reflects of each shard partial.
     /// Held for a whole snapshot build, so builds are serialized.
@@ -240,8 +241,8 @@ impl LiveState {
         week_seed(self.seed, week)
     }
 
-    /// The notifier woken on every version bump; delta publishers wait on
-    /// it instead of polling snapshots.
+    /// The notifier woken on every version bump; subscribed connections
+    /// wait on it instead of polling snapshots.
     pub fn notifier(&self) -> &VersionNotifier {
         &self.notifier
     }
@@ -342,7 +343,14 @@ impl LiveState {
         self.engine.run(
             &source,
             |batch, ds, st| {
-                aggregate_batch(batch, capture.classifier(), FoldStrategy::Batched, false, ds, st)
+                aggregate_batch(
+                    batch,
+                    capture.classifier(),
+                    FoldStrategy::Batched,
+                    false,
+                    ds,
+                    st,
+                )
             },
             |shard, batch| {
                 if let Some(h) = batch.start_hours().iter().copied().max() {
@@ -362,7 +370,7 @@ impl LiveState {
         Ok(self.ingest_stats())
     }
 
-    /// Bumps the state version and wakes delta subscribers.
+    /// Bumps the state version and wakes subscribed connections.
     fn bump_version(&self) {
         self.version.fetch_add(1, Ordering::Release);
         self.notifier.notify();
@@ -448,7 +456,13 @@ impl LiveState {
         let (stats, ingest, (version, watermark_hour, week, weeks, complete)) = self
             .engine
             .merge_into(&mut cut, &mut dataset, |_| {
-                (self.version(), self.watermark_hour(), self.week(), self.weeks(), self.complete())
+                (
+                    self.version(),
+                    self.watermark_hour(),
+                    self.week(),
+                    self.weeks(),
+                    self.complete(),
+                )
             })
             .expect("shard partials share one shape");
         let snap = Arc::new(LiveSnapshot {

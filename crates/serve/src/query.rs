@@ -38,9 +38,10 @@
 //! `SUBSCRIBE` answers `OK 0` and then switches the connection to event
 //! framing: one `EVENT <seq> <payload>` line per delta (payload codec in
 //! [`crate::subscribe::DeltaEvent`]), terminated by an `end` event after
-//! which the connection returns to command mode. `<seq>` is a
-//! per-subscription counter that *advances on drops*, so a gap tells the
-//! client it lagged (see `serve.subscriber_lagged`).
+//! which the connection returns to command mode. `<seq>` counts the
+//! subscription's events from 0 without gaps: no event is dropped, and
+//! a reader that falls behind gets the changes it missed merged into
+//! later events.
 //!
 //! Queries need a selected study: connections start on the only
 //! registered study when there is exactly one (the v1-compatible case)
@@ -179,7 +180,9 @@ pub(crate) fn head_autocorrs(
 ) -> (Vec<Option<f64>>, Option<f64>) {
     let per_service: Vec<Option<f64>> = (0..n_head)
         .map(|service| {
-            let series = snap.dataset.national_series_window(dir, service, 0, snap.watermark_hour);
+            let series = snap
+                .dataset
+                .national_series_window(dir, service, 0, snap.watermark_hour);
             hour_lag_autocorr(series, lag)
         })
         .collect();
@@ -260,17 +263,24 @@ impl Command {
                 let scale = operand("<scale>")?.to_string();
                 let seed = match tokens.next() {
                     None => None,
-                    Some(t) => Some(t.parse::<u64>().map_err(|_| {
-                        format!("bad START: {t} (expected an integer seed)")
-                    })?),
+                    Some(t) => Some(
+                        t.parse::<u64>()
+                            .map_err(|_| format!("bad START: {t} (expected an integer seed)"))?,
+                    ),
                 };
-                let weeks = match tokens.next() {
-                    None => None,
-                    Some(t) => Some(t.parse::<usize>().map_err(|_| {
-                        format!("bad START: {t} (expected an integer week count)")
-                    })?),
-                };
-                Command::Start { name, scale, seed, weeks }
+                let weeks =
+                    match tokens.next() {
+                        None => None,
+                        Some(t) => Some(t.parse::<usize>().map_err(|_| {
+                            format!("bad START: {t} (expected an integer week count)")
+                        })?),
+                    };
+                Command::Start {
+                    name,
+                    scale,
+                    seed,
+                    weeks,
+                }
             }
             "SUBSCRIBE" => Command::Subscribe(Topic::parse_list(operand("<topics>")?)?),
             "RANK" => {
@@ -304,9 +314,9 @@ impl Command {
                     .and_then(|t| parse_dir(t).map_err(|e| format!("bad AUTOCORR: {e}")))?;
                 let lag = match tokens.next() {
                     None => AUTOCORR_LAG_HOURS,
-                    Some(t) => t.parse::<usize>().map_err(|_| {
-                        format!("bad AUTOCORR: {t} (expected an integer hour lag)")
-                    })?,
+                    Some(t) => t
+                        .parse::<usize>()
+                        .map_err(|_| format!("bad AUTOCORR: {t} (expected an integer hour lag)"))?,
                 };
                 Command::Query(SnapshotQuery::Autocorr { dir, lag })
             }
@@ -374,14 +384,22 @@ fn answer_snapshot(
             Ok(lines)
         }
         SnapshotQuery::Peaks { dir } => {
-            let profiles =
-                topical_profiles_of(&snap.dataset, state.service_names(), *dir, &PeakConfig::paper());
+            let profiles = topical_profiles_of(
+                &snap.dataset,
+                state.service_names(),
+                *dir,
+                &PeakConfig::paper(),
+            );
             Ok(profiles
                 .iter()
                 .map(|p| {
                     let times: Vec<String> =
                         p.peak_times().iter().map(|t| format!("{t:?}")).collect();
-                    let times = if times.is_empty() { "-".to_string() } else { times.join(",") };
+                    let times = if times.is_empty() {
+                        "-".to_string()
+                    } else {
+                        times.join(",")
+                    };
                     format!("{} {times}", p.name)
                 })
                 .collect())
@@ -394,9 +412,14 @@ fn answer_snapshot(
                 ));
             }
             let window =
-                snap.dataset.national_series_window(*dir, *service, 0, snap.watermark_hour);
+                snap.dataset
+                    .national_series_window(*dir, *service, 0, snap.watermark_hour);
             let values: Vec<String> = window.iter().map(|v| format!("{v:e}")).collect();
-            Ok(vec![format!("{} {}", head[*service].name, values.join(" "))])
+            Ok(vec![format!(
+                "{} {}",
+                head[*service].name,
+                values.join(" ")
+            )])
         }
         SnapshotQuery::Autocorr { dir, lag } => {
             if *lag == 0 {
@@ -404,7 +427,10 @@ fn answer_snapshot(
             }
             let (per_service, mean) = head_autocorrs(snap, head.len(), *dir, *lag);
             let mean = mean.map_or_else(|| "-".to_string(), |m| format!("{m:e}"));
-            let mut lines = vec![format!("lag {lag} window {} mean {mean}", snap.watermark_hour)];
+            let mut lines = vec![format!(
+                "lag {lag} window {} mean {mean}",
+                snap.watermark_hour
+            )];
             lines.extend(head.iter().zip(per_service).map(|(spec, r)| match r {
                 Some(r) => format!("{} {r:e}", spec.name),
                 None => format!("{} -", spec.name),
@@ -430,9 +456,7 @@ fn answer_snapshot(
                 format!("lost_records {}", snap.stats.faults.lost_total()),
             ])
         }
-        SnapshotQuery::Dataset => {
-            Ok(snap.dataset.to_csv().lines().map(str::to_string).collect())
-        }
+        SnapshotQuery::Dataset => Ok(snap.dataset.to_csv().lines().map(str::to_string).collect()),
         SnapshotQuery::Health => {
             let health = mobilenet_obs::snapshot().filtered(&["serve.", "netsim.ingest."]);
             let mut lines = Vec::new();
@@ -458,10 +482,18 @@ mod tests {
     fn v2_verbs_parse_and_errors_carry_the_offending_token() {
         assert_eq!(Command::parse("hello").unwrap(), Command::Hello);
         assert_eq!(Command::parse("LIST").unwrap(), Command::List);
-        assert_eq!(Command::parse("USE alpha").unwrap(), Command::Use("alpha".into()));
+        assert_eq!(
+            Command::parse("USE alpha").unwrap(),
+            Command::Use("alpha".into())
+        );
         assert_eq!(
             Command::parse("START beta small 7 2").unwrap(),
-            Command::Start { name: "beta".into(), scale: "small".into(), seed: Some(7), weeks: Some(2) }
+            Command::Start {
+                name: "beta".into(),
+                scale: "small".into(),
+                seed: Some(7),
+                weeks: Some(2)
+            }
         );
         assert_eq!(
             Command::parse("SUBSCRIBE rank,watermark").unwrap(),
@@ -469,19 +501,37 @@ mod tests {
         );
         assert_eq!(
             Command::parse("AUTOCORR dl").unwrap(),
-            Command::Query(SnapshotQuery::Autocorr { dir: Direction::Down, lag: AUTOCORR_LAG_HOURS })
+            Command::Query(SnapshotQuery::Autocorr {
+                dir: Direction::Down,
+                lag: AUTOCORR_LAG_HOURS
+            })
         );
 
         let err = Command::parse("RANK dl twenty").unwrap_err();
-        assert!(err.starts_with("bad RANK: twenty"), "unexpected message {err:?}");
+        assert!(
+            err.starts_with("bad RANK: twenty"),
+            "unexpected message {err:?}"
+        );
         let err = Command::parse("RANK sideways 3").unwrap_err();
-        assert!(err.starts_with("bad RANK: sideways"), "unexpected message {err:?}");
+        assert!(
+            err.starts_with("bad RANK: sideways"),
+            "unexpected message {err:?}"
+        );
         let err = Command::parse("USE").unwrap_err();
-        assert!(err.starts_with("bad USE: missing"), "unexpected message {err:?}");
+        assert!(
+            err.starts_with("bad USE: missing"),
+            "unexpected message {err:?}"
+        );
         let err = Command::parse("WATERMARK extra").unwrap_err();
-        assert!(err.starts_with("bad WATERMARK: extra"), "unexpected message {err:?}");
+        assert!(
+            err.starts_with("bad WATERMARK: extra"),
+            "unexpected message {err:?}"
+        );
         let err = Command::parse("FROBNICATE").unwrap_err();
-        assert!(err.starts_with("bad verb: FROBNICATE"), "unexpected message {err:?}");
+        assert!(
+            err.starts_with("bad verb: FROBNICATE"),
+            "unexpected message {err:?}"
+        );
     }
 
     #[test]
@@ -496,7 +546,9 @@ mod tests {
         assert_eq!(hour_lag_autocorr(&periodic[..25], 24), None);
         assert_eq!(hour_lag_autocorr(&periodic, 0), None);
         // An alternating series anti-correlates at lag 1.
-        let alternating: Vec<f64> = (0..48).map(|h| if h % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let alternating: Vec<f64> = (0..48)
+            .map(|h| if h % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let r = hour_lag_autocorr(&alternating, 1).unwrap();
         assert!((r + 1.0).abs() < 1e-12, "alternating series lag-1 r = {r}");
     }

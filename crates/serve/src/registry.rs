@@ -1,12 +1,13 @@
 //! The multi-study registry: named [`LiveState`]s served side by side.
 //!
 //! A [`StudyRegistry`] owns one [`StudyEntry`] per registered study —
-//! its live state, its delta hub, its ingestion thread — plus the
-//! server-wide stop flag. Studies register at startup (CLI
-//! `serve --study`) or at runtime via the admin `START` verb; every
-//! registration spawns that study's **publisher thread**
-//! (`subscribe::publish_loop`), so subscriptions work the
-//! moment the study exists, even before (or after) its ingestion runs.
+//! its live state and its ingestion thread — plus the server-wide stop
+//! flag. Studies register at startup (CLI `serve --study`) or at runtime
+//! via the admin `START` verb. Registration spawns nothing: a study's
+//! only thread is its ingestion, started by [`StudyRegistry::start`].
+//! Subscriptions work the moment the study exists, even before (or
+//! after) its ingestion runs, because each subscribed connection derives
+//! its own deltas from the state's snapshots (see [`crate::subscribe`]).
 //!
 //! Connections select a study per session (`USE`); when exactly one
 //! study is registered, queries auto-select it — which is what keeps
@@ -20,16 +21,12 @@ use std::thread::JoinHandle;
 use mobilenet_core::{Scale, StudyConfig};
 
 use crate::live::LiveState;
-use crate::subscribe::{publish_loop, DeltaHub};
 
-/// One registered study: a named live state plus its delta hub and
-/// ingestion driver.
+/// One registered study: a named live state plus its ingestion driver.
 pub struct StudyEntry {
     name: String,
     scale: String,
-    weeks: usize,
     state: Arc<LiveState>,
-    hub: Arc<DeltaHub>,
     /// The ingestion thread, once started (idempotence guard).
     ingest: Mutex<Option<JoinHandle<()>>>,
 }
@@ -45,19 +42,9 @@ impl StudyEntry {
         &self.scale
     }
 
-    /// Scheduled ring weeks of this study's run.
-    pub fn weeks(&self) -> usize {
-        self.weeks
-    }
-
     /// The study's live state.
     pub fn state(&self) -> &Arc<LiveState> {
         &self.state
-    }
-
-    /// The study's delta hub (subscription fan-out point).
-    pub fn hub(&self) -> &Arc<DeltaHub> {
-        &self.hub
     }
 
     /// A point-in-time description of this study (the `LIST` body).
@@ -66,7 +53,7 @@ impl StudyEntry {
             name: self.name.clone(),
             scale: self.scale.clone(),
             seed: self.state.seed(),
-            weeks: self.weeks,
+            weeks: self.state.weeks(),
             week: self.state.week(),
             watermark_hour: self.state.watermark_hour(),
             complete: self.state.complete(),
@@ -80,7 +67,7 @@ impl std::fmt::Debug for StudyEntry {
         f.debug_struct("StudyEntry")
             .field("name", &self.name)
             .field("scale", &self.scale)
-            .field("weeks", &self.weeks)
+            .field("weeks", &self.state.weeks())
             .finish_non_exhaustive()
     }
 }
@@ -131,7 +118,10 @@ impl StudyInfo {
     /// [`protocol_line`](StudyInfo::protocol_line)).
     pub fn parse(line: &str) -> Result<StudyInfo, String> {
         let mut tokens = line.split_whitespace();
-        let name = tokens.next().ok_or_else(|| "empty study line".to_string())?.to_string();
+        let name = tokens
+            .next()
+            .ok_or_else(|| "empty study line".to_string())?
+            .to_string();
         let mut field = |key: &str| -> Result<&str, String> {
             match (tokens.next(), tokens.next()) {
                 (Some(k), Some(v)) if k == key => Ok(v),
@@ -139,26 +129,43 @@ impl StudyInfo {
             }
         };
         let scale = field("scale")?.to_string();
-        let seed = field("seed")?.parse().map_err(|_| "bad study line: seed".to_string())?;
-        let weeks = field("weeks")?.parse().map_err(|_| "bad study line: weeks".to_string())?;
-        let week = field("week")?.parse().map_err(|_| "bad study line: week".to_string())?;
-        let watermark_hour =
-            field("hour")?.parse().map_err(|_| "bad study line: hour".to_string())?;
-        let complete =
-            field("complete")?.parse().map_err(|_| "bad study line: complete".to_string())?;
-        let version =
-            field("version")?.parse().map_err(|_| "bad study line: version".to_string())?;
-        Ok(StudyInfo { name, scale, seed, weeks, week, watermark_hour, complete, version })
+        let seed = field("seed")?
+            .parse()
+            .map_err(|_| "bad study line: seed".to_string())?;
+        let weeks = field("weeks")?
+            .parse()
+            .map_err(|_| "bad study line: weeks".to_string())?;
+        let week = field("week")?
+            .parse()
+            .map_err(|_| "bad study line: week".to_string())?;
+        let watermark_hour = field("hour")?
+            .parse()
+            .map_err(|_| "bad study line: hour".to_string())?;
+        let complete = field("complete")?
+            .parse()
+            .map_err(|_| "bad study line: complete".to_string())?;
+        let version = field("version")?
+            .parse()
+            .map_err(|_| "bad study line: version".to_string())?;
+        Ok(StudyInfo {
+            name,
+            scale,
+            seed,
+            weeks,
+            week,
+            watermark_hour,
+            complete,
+            version,
+        })
     }
 }
 
 /// The set of studies one server instance serves, with the server-wide
-/// stop flag and the per-study publisher threads.
+/// stop flag.
 #[derive(Debug, Default)]
 pub struct StudyRegistry {
     entries: Mutex<Vec<Arc<StudyEntry>>>,
     stop: AtomicBool,
-    publishers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl StudyRegistry {
@@ -167,20 +174,22 @@ impl StudyRegistry {
         Arc::new(StudyRegistry::default())
     }
 
-    /// Registers `state` under `name` and spawns its publisher thread.
+    /// Registers `state` under `name`.
     ///
     /// `scale` is a display label; `weeks` schedules the ring
     /// ([`LiveState::set_weeks`]). Names must be unique, non-empty and
     /// contain no whitespace (they are wire tokens).
     pub fn register_state(
-        self: &Arc<Self>,
+        &self,
         name: &str,
         scale: &str,
         state: Arc<LiveState>,
         weeks: usize,
     ) -> Result<Arc<StudyEntry>, String> {
         if name.is_empty() || name.chars().any(char::is_whitespace) {
-            return Err(format!("bad study name {name:?} (one non-empty wire token)"));
+            return Err(format!(
+                "bad study name {name:?} (one non-empty wire token)"
+            ));
         }
         // Only reschedule when the registration actually changes the
         // week count: registering an externally-driven state (the v1
@@ -196,31 +205,17 @@ impl StudyRegistry {
         let entry = Arc::new(StudyEntry {
             name: name.to_string(),
             scale: scale.to_string(),
-            weeks,
             state,
-            hub: Arc::new(DeltaHub::new()),
             ingest: Mutex::new(None),
         });
         entries.push(entry.clone());
-        drop(entries);
-        // Initialize the lag counter at 0 so health checks can assert on
-        // it even when no subscriber ever lagged.
-        mobilenet_obs::add("serve.subscriber_lagged", 0);
-        mobilenet_obs::gauge("serve.studies", self.len() as f64);
-        let publisher = {
-            let registry = self.clone();
-            let entry = entry.clone();
-            std::thread::spawn(move || {
-                publish_loop(entry.state(), entry.hub(), &registry.stop);
-            })
-        };
-        self.publishers.lock().expect("publisher list poisoned").push(publisher);
+        mobilenet_obs::gauge("serve.studies", entries.len() as f64);
         Ok(entry)
     }
 
     /// Registers a study built from a [`StudyConfig`] (label `scale`).
     pub fn register_config(
-        self: &Arc<Self>,
+        &self,
         name: &str,
         scale: &str,
         config: &StudyConfig,
@@ -234,7 +229,7 @@ impl StudyRegistry {
     /// Registers a study from a scale token (`small`/`medium`/`france`/
     /// `national`) — the `START` verb's entry point.
     pub fn register_scale(
-        self: &Arc<Self>,
+        &self,
         name: &str,
         scale: &str,
         seed: u64,
@@ -244,24 +239,20 @@ impl StudyRegistry {
         self.register_config(name, scale.name(), &scale.config(), seed, weeks)
     }
 
-    /// Starts a registered study's ingestion on a dedicated thread
-    /// (errors if it already started). Ingestion failures are counted on
-    /// `serve.ingest_errors`; the study stays queryable at its last
-    /// state.
+    /// Starts a registered study's ingestion of all its scheduled weeks
+    /// on a dedicated thread (errors if it already started). Ingestion
+    /// failures are counted on `serve.ingest_errors`; the study stays
+    /// queryable at its last state.
     pub fn start(&self, entry: &Arc<StudyEntry>) -> Result<(), String> {
         let mut ingest = entry.ingest.lock().expect("ingest handle poisoned");
         if ingest.is_some() {
             return Err(format!("study {} already started", entry.name));
         }
         let state = entry.state.clone();
-        let weeks = entry.weeks;
         *ingest = Some(std::thread::spawn(move || {
-            for _ in 0..weeks {
-                if let Err(e) = state.run_next_week() {
-                    mobilenet_obs::add("serve.ingest_errors", 1);
-                    eprintln!("mobilenet-serve: ingestion failed: {e}");
-                    return;
-                }
+            if let Err(e) = state.run_weeks(state.weeks()) {
+                mobilenet_obs::add("serve.ingest_errors", 1);
+                eprintln!("mobilenet-serve: ingestion failed: {e}");
             }
         }));
         Ok(())
@@ -305,14 +296,12 @@ impl StudyRegistry {
             .collect()
     }
 
-    /// Raises the server-wide stop flag and wakes everything that might
-    /// be waiting on it: publisher loops (notifier waits) and streaming
-    /// subscriber writers (queue waits).
+    /// Raises the server-wide stop flag and wakes every subscribed
+    /// connection waiting on a study's version notifier.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         for entry in self.entries.lock().expect("study registry poisoned").iter() {
             entry.state.notifier().notify();
-            entry.hub.wake_all();
         }
     }
 
@@ -326,17 +315,17 @@ impl StudyRegistry {
         &self.stop
     }
 
-    /// Stops and joins every publisher and ingestion thread. An
-    /// in-flight week runs to completion first (ingestion has no
-    /// mid-week cancellation point); queries served elsewhere remain
-    /// valid throughout.
+    /// Stops and joins every ingestion thread. Ingestion has no
+    /// cancellation point, so this waits for each started study's
+    /// scheduled weeks to finish; queries served elsewhere remain valid
+    /// throughout.
     pub fn shutdown(&self) {
         self.request_stop();
-        for publisher in self.publishers.lock().expect("publisher list poisoned").drain(..) {
-            let _ = publisher.join();
-        }
-        let entries: Vec<Arc<StudyEntry>> =
-            self.entries.lock().expect("study registry poisoned").clone();
+        let entries: Vec<Arc<StudyEntry>> = self
+            .entries
+            .lock()
+            .expect("study registry poisoned")
+            .clone();
         for entry in entries {
             let handle = entry.ingest.lock().expect("ingest handle poisoned").take();
             if let Some(handle) = handle {
@@ -371,11 +360,22 @@ mod tests {
     fn registry_rejects_duplicate_and_malformed_names() {
         let registry = StudyRegistry::new();
         let config = StudyConfig::small();
-        registry.register_config("alpha", "small", &config, 1, 1).expect("first registration");
-        let err = registry.register_config("alpha", "small", &config, 2, 1).unwrap_err();
-        assert!(err.contains("already registered"), "unexpected message {err:?}");
-        assert!(registry.register_config("two words", "small", &config, 2, 1).is_err());
-        assert!(registry.register_config("", "small", &config, 2, 1).is_err());
+        registry
+            .register_config("alpha", "small", &config, 1, 1)
+            .expect("first registration");
+        let err = registry
+            .register_config("alpha", "small", &config, 2, 1)
+            .unwrap_err();
+        assert!(
+            err.contains("already registered"),
+            "unexpected message {err:?}"
+        );
+        assert!(registry
+            .register_config("two words", "small", &config, 2, 1)
+            .is_err());
+        assert!(registry
+            .register_config("", "small", &config, 2, 1)
+            .is_err());
         assert!(registry.register_scale("beta", "galactic", 1, 1).is_err());
         assert_eq!(registry.len(), 1);
         assert!(registry.single().is_some());

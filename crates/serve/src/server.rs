@@ -13,30 +13,31 @@
 //! for the v2 grammar): each request line is answered with `OK <n>` plus
 //! `n` body lines, or `ERR <message>`. `QUIT` ends the connection;
 //! `SHUTDOWN` ends the connection and stops the server. `SUBSCRIBE`
-//! switches the connection into **event mode**: the worker streams
-//! `EVENT <seq> <payload>` lines from its subscriber queue until the
-//! stream's `end` event (connection returns to command mode) or server
-//! stop (connection closes). The streaming write loop waits on the
-//! subscriber queue with the same bounded tick as reads
-//! (`READ_TIMEOUT`) and re-checks the stop flag every tick — a
-//! `SHUTDOWN` from *another* connection wakes mid-`SUBSCRIBE` writers
-//! too, it never strands them on an idle queue.
+//! switches the connection into **event mode**: the worker keeps a
+//! `DeltaCursor` and, each time the study's version moves past it,
+//! writes the round of `EVENT <seq> <payload>` lines the cursor derives
+//! from the current snapshot, until the stream's `end` event
+//! (connection returns to command mode) or server stop (connection
+//! closes). Between rounds it waits on the study's version notifier
+//! with the same bounded tick as reads (`READ_TIMEOUT`) and re-checks
+//! the stop flag every tick — a `SHUTDOWN` from *another* connection
+//! wakes mid-`SUBSCRIBE` writers too.
 //!
 //! The server defends itself against misbehaving clients: protocol lines
 //! are capped at [`MAX_LINE_BYTES`] (an overlong line is answered with
-//! `ERR line too long` and drained without ever buffering it), client
-//! sockets carry a read timeout so idle connections periodically re-check
-//! the stop flag instead of pinning their threads past `SHUTDOWN`, and
-//! slow subscribers lose events (counted on `serve.subscriber_lagged`)
-//! rather than ever back-pressuring ingestion.
+//! `ERR line too long` and drained without ever buffering it), and
+//! client sockets carry a read timeout so idle connections periodically
+//! re-check the stop flag instead of pinning their threads past
+//! `SHUTDOWN`. A slow subscriber holds no snapshot while its socket
+//! write blocks, and it never back-pressures ingestion: it only computes
+//! its next round later, with the changes it missed merged in.
 //!
 //! The server publishes its own observability metrics:
 //! `serve.connections`, `serve.queries`, `serve.query_errors`,
-//! `serve.dropped_lines`, `serve.subscriptions`,
-//! `serve.subscriber_lagged`, `serve.events` (counters) and
-//! `serve.active_clients`, `serve.subscribers`, `serve.studies` (gauges)
-//! — all visible through the `HEALTH` verb alongside the
-//! `netsim.ingest.*` family.
+//! `serve.dropped_lines`, `serve.subscriptions`, `serve.events`
+//! (counters) and `serve.active_clients`, `serve.subscribers`,
+//! `serve.studies` (gauges) — all visible through the `HEALTH` verb
+//! alongside the `netsim.ingest.*` family.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -47,9 +48,9 @@ use std::time::Duration;
 
 use crate::live::LiveState;
 use crate::query::{answer, Command};
-use crate::registry::{StudyEntry, StudyRegistry};
+use crate::registry::StudyRegistry;
 use crate::session::Session;
-use crate::subscribe::{DeltaEvent, Subscriber};
+use crate::subscribe::{DeltaCursor, Topic};
 
 /// Longest accepted protocol request line, bytes (newline included).
 /// Every valid query fits in well under 100 bytes; the cap only exists so
@@ -57,7 +58,7 @@ use crate::subscribe::{DeltaEvent, Subscriber};
 /// without bound.
 pub const MAX_LINE_BYTES: usize = 4096;
 
-/// How long a client read (or a streaming writer's queue wait) blocks
+/// How long a client read (or a streaming writer's version wait) blocks
 /// before waking to re-check the server stop flag. Keeps `SHUTDOWN`
 /// effective even with idle or subscribed clients attached.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
@@ -66,6 +67,8 @@ const READ_TIMEOUT: Duration = Duration::from_millis(250);
 struct ServerShared {
     registry: Arc<StudyRegistry>,
     active_clients: AtomicU64,
+    /// Connections currently in event mode.
+    subscribers: AtomicU64,
 }
 
 /// A running query server; dropping the handle does **not** stop it —
@@ -97,7 +100,7 @@ impl ServerHandle {
     }
 
     /// Stops accepting connections, joins the accept thread, and shuts
-    /// the registry down (publisher and ingestion threads joined).
+    /// the registry down (ingestion threads joined).
     ///
     /// In-flight client threads finish their current request and exit at
     /// the next read (or streaming-tick). Idempotent.
@@ -116,18 +119,23 @@ impl ServerHandle {
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
 /// `registry`'s studies until [`ServerHandle::shutdown`] or a client's
 /// `SHUTDOWN`.
-pub fn spawn_registry_server(
-    registry: Arc<StudyRegistry>,
-    addr: &str,
-) -> io::Result<ServerHandle> {
+pub fn spawn_registry_server(registry: Arc<StudyRegistry>, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let shared = Arc::new(ServerShared { registry, active_clients: AtomicU64::new(0) });
+    let shared = Arc::new(ServerShared {
+        registry,
+        active_clients: AtomicU64::new(0),
+        subscribers: AtomicU64::new(0),
+    });
     let accept_shared = shared.clone();
     let accept_thread = std::thread::Builder::new()
         .name("serve-accept".into())
         .spawn(move || accept_loop(listener, accept_shared))?;
-    Ok(ServerHandle { addr: local, shared, accept_thread: Some(accept_thread) })
+    Ok(ServerHandle {
+        addr: local,
+        shared,
+        accept_thread: Some(accept_thread),
+    })
 }
 
 /// Binds `addr` and serves snapshot queries against a single `state` —
@@ -261,33 +269,47 @@ enum StreamOutcome {
 }
 
 /// Streams a subscription's events to the client until the stream ends
-/// or the server stops. Every queue wait is bounded by [`READ_TIMEOUT`]
-/// and followed by a stop-flag recheck — the regression PR 8 fixed on
-/// the read path, mirrored here on the write path: a `SHUTDOWN` issued
-/// elsewhere wakes this writer within one tick even if no event ever
-/// arrives.
+/// or the server stops. Each round is derived from a snapshot that is
+/// dropped before the round is written, so a reader that blocks the
+/// write pins no snapshot. Every version wait is bounded by
+/// [`READ_TIMEOUT`] and followed by a stop-flag recheck, as reads are: a
+/// `SHUTDOWN` issued elsewhere wakes this writer within one tick even if
+/// the study never changes again.
 fn stream_events(
     writer: &mut TcpStream,
     registry: &StudyRegistry,
-    entry: &Arc<StudyEntry>,
-    sub: &Arc<Subscriber>,
+    state: &LiveState,
+    topics: &[Topic],
 ) -> io::Result<StreamOutcome> {
-    let outcome = loop {
+    let mut cursor = DeltaCursor::default();
+    let mut seq = 0u64;
+    loop {
         if registry.stopping() {
-            break StreamOutcome::Stopped;
+            return Ok(StreamOutcome::Stopped);
         }
-        let Some((seq, event)) = sub.pop_wait(READ_TIMEOUT) else {
+        if cursor.version() == Some(state.version()) {
+            state.notifier().wait_timeout(READ_TIMEOUT);
             continue;
-        };
-        let ended = matches!(event, DeltaEvent::End { .. });
-        writeln!(writer, "EVENT {seq} {}", event.to_wire())?;
-        writer.flush()?;
-        if ended {
-            break StreamOutcome::Ended;
         }
-    };
-    entry.hub().unsubscribe(sub);
-    Ok(outcome)
+        let snap = state.snapshot();
+        let round = cursor.round(state, &snap);
+        drop(snap);
+        let mut lines = String::new();
+        let before = seq;
+        for event in round
+            .iter()
+            .filter(|e| e.topic().is_none_or(|t| topics.contains(&t)))
+        {
+            lines.push_str(&format!("EVENT {seq} {}\n", event.to_wire()));
+            seq += 1;
+        }
+        mobilenet_obs::add("serve.events", seq - before);
+        writer.write_all(lines.as_bytes())?;
+        writer.flush()?;
+        if cursor.ended() {
+            return Ok(StreamOutcome::Ended);
+        }
+    }
 }
 
 /// Serves one connection until `QUIT`/`SHUTDOWN`/EOF/server stop.
@@ -315,9 +337,9 @@ fn serve_client(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()>
         let outcome = match Command::parse(&line) {
             Ok(Command::Quit) => return Ok(()),
             Ok(Command::Shutdown) => {
-                // `request_stop` wakes publisher waits and subscriber
-                // queues along with raising the flag, so connections
-                // mid-`SUBSCRIBE` notice within one tick.
+                // `request_stop` wakes every version wait along with
+                // raising the flag, so connections mid-`SUBSCRIBE`
+                // notice within one tick.
                 shared.registry.request_stop();
                 // Wake the accept loop so it observes the flag.
                 let _ = TcpStream::connect(writer.local_addr()?);
@@ -331,16 +353,26 @@ fn serve_client(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()>
                 Ok(body) => write_ok(&mut writer, &body),
                 Err(msg) => write_err(&mut writer, &msg),
             },
-            Ok(Command::Start { name, scale, seed, weeks }) => {
-                match session.start(&name, &scale, seed, weeks) {
-                    Ok(body) => write_ok(&mut writer, &body),
-                    Err(msg) => write_err(&mut writer, &msg),
-                }
-            }
-            Ok(Command::Subscribe(topics)) => match session.subscribe(topics) {
-                Ok((entry, sub)) => {
+            Ok(Command::Start {
+                name,
+                scale,
+                seed,
+                weeks,
+            }) => match session.start(&name, &scale, seed, weeks) {
+                Ok(body) => write_ok(&mut writer, &body),
+                Err(msg) => write_err(&mut writer, &msg),
+            },
+            Ok(Command::Subscribe(topics)) => match session.current() {
+                Ok(entry) => {
                     write_ok(&mut writer, &[])?;
-                    match stream_events(&mut writer, &shared.registry, &entry, &sub)? {
+                    mobilenet_obs::add("serve.subscriptions", 1);
+                    let n = shared.subscribers.fetch_add(1, Ordering::SeqCst) + 1;
+                    mobilenet_obs::gauge("serve.subscribers", n as f64);
+                    let streamed =
+                        stream_events(&mut writer, &shared.registry, entry.state(), &topics);
+                    let n = shared.subscribers.fetch_sub(1, Ordering::SeqCst) - 1;
+                    mobilenet_obs::gauge("serve.subscribers", n as f64);
+                    match streamed? {
                         StreamOutcome::Ended => Ok(()),
                         StreamOutcome::Stopped => return Ok(()),
                     }

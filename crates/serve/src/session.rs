@@ -17,7 +17,6 @@ use mobilenet_core::DEFAULT_SEED;
 
 use crate::query::PROTOCOL_VERSION;
 use crate::registry::{StudyEntry, StudyRegistry};
-use crate::subscribe::{Subscriber, Topic};
 
 /// The verbs this server understands, in grammar order — the `HELLO`
 /// capability list.
@@ -34,7 +33,10 @@ pub struct Session {
 impl Session {
     /// A fresh session with no study selected.
     pub fn new(registry: Arc<StudyRegistry>) -> Session {
-        Session { registry, study: None }
+        Session {
+            registry,
+            study: None,
+        }
     }
 
     /// The registry this session speaks for.
@@ -53,7 +55,11 @@ impl Session {
 
     /// `LIST`: one body line per registered study.
     pub fn list(&self) -> Vec<String> {
-        self.registry.list().iter().map(|info| info.protocol_line()).collect()
+        self.registry
+            .list()
+            .iter()
+            .map(|info| info.protocol_line())
+            .collect()
     }
 
     /// `USE <study>`: selects a study for this connection; the body
@@ -100,22 +106,9 @@ impl Session {
                 self.study = Some(entry.clone());
                 Ok(entry)
             }
-            None if self.registry.is_empty() => {
-                Err("no study registered (START one)".to_string())
-            }
+            None if self.registry.is_empty() => Err("no study registered (START one)".to_string()),
             None => Err("several studies registered; USE one (try LIST)".to_string()),
         }
-    }
-
-    /// `SUBSCRIBE <topics>`: registers a subscription on the selected
-    /// study and returns it with its hub entry for the streaming loop.
-    pub fn subscribe(
-        &mut self,
-        topics: Vec<Topic>,
-    ) -> Result<(Arc<StudyEntry>, Arc<Subscriber>), String> {
-        let entry = self.current()?;
-        let sub = entry.hub().subscribe(topics);
-        Ok((entry, sub))
     }
 }
 
@@ -133,10 +126,18 @@ mod tests {
         assert!(err.contains("no study"), "unexpected message {err:?}");
 
         let config = StudyConfig::small();
-        registry.register_config("alpha", "small", &config, 1, 1).unwrap();
-        assert_eq!(session.current().unwrap().name(), "alpha", "single study auto-selects");
+        registry
+            .register_config("alpha", "small", &config, 1, 1)
+            .unwrap();
+        assert_eq!(
+            session.current().unwrap().name(),
+            "alpha",
+            "single study auto-selects"
+        );
 
-        registry.register_config("beta", "small", &config, 2, 1).unwrap();
+        registry
+            .register_config("beta", "small", &config, 2, 1)
+            .unwrap();
         let mut fresh = Session::new(registry.clone());
         let err = fresh.current().unwrap_err();
         assert!(err.contains("USE one"), "unexpected message {err:?}");

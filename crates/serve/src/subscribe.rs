@@ -1,14 +1,14 @@
 //! Delta subscriptions: framed change events pushed to clients instead
 //! of polled snapshots.
 //!
-//! A `SUBSCRIBE` turns a protocol connection into an event stream. One
-//! **publisher thread per study** (spawned by the
-//! [`StudyRegistry`](crate::registry::StudyRegistry) at registration)
-//! waits on the state's [`VersionNotifier`](crate::live::VersionNotifier), and on every change builds
-//! the round's [`DeltaEvent`]s from the version-cached snapshot:
+//! A `SUBSCRIBE` turns a protocol connection into an event stream. The
+//! connection keeps its own `DeltaCursor`, the record of what it has
+//! already told its client. Whenever the study's version moves past the
+//! cursor's, the connection takes the version-cached snapshot and the
+//! cursor turns it into one round of [`DeltaEvent`]s:
 //!
 //! * watermark advances (`(week, hour)` lexicographic, plus completion);
-//! * version bumps (coalesced — one event per publish round);
+//! * version bumps (coalesced — one event per round);
 //! * per-direction **rank churn**: the full head ranking, emitted when
 //!   the *order* changes (and always once at completion, so replaying a
 //!   subscription ends bit-identical to a polled `RANK`);
@@ -17,39 +17,29 @@
 //!   diurnal autocorrelation of the head services' national series over
 //!   the observed window, re-derived per watermark advance.
 //!
-//! # Backpressure
+//! A fresh cursor has sent nothing, so its first round is the baseline:
+//! the watermark, the version, both full rankings and the
+//! autocorrelations, plus `end` on a completed study.
 //!
-//! Every subscriber owns a **bounded queue**
-//! ([`SUBSCRIBER_QUEUE_EVENTS`]). The publisher never blocks on a
-//! client: a full queue drops the event and counts it on the
-//! subscriber's lag counter and the `serve.subscriber_lagged` obs
-//! counter; per-subscriber sequence numbers make the gap visible to the
-//! client. The ingest path itself only ever *notifies* — it never
-//! touches a queue, a socket, or a snapshot.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+//! # No queue, no drops
+//!
+//! Nothing is buffered per subscriber. A connection computes its next
+//! round only once it has written the previous one, so a slow reader
+//! falls behind by whole rounds: the cursor compares the next snapshot
+//! with what it last sent, which merges every change the reader missed
+//! into that round, and no event is ever dropped. The ingest path only
+//! *notifies* ([`VersionNotifier`](crate::live::VersionNotifier)); it
+//! never touches a socket or builds a snapshot for a subscriber.
 
 use mobilenet_core::top_k_services;
 use mobilenet_traffic::Direction;
 
-use crate::live::LiveState;
+use crate::live::{LiveSnapshot, LiveState};
 use crate::query::{dir_token, head_autocorrs, parse_dir};
-
-/// Most events a subscriber's queue buffers before the publisher starts
-/// dropping (and counting) instead of blocking.
-pub const SUBSCRIBER_QUEUE_EVENTS: usize = 256;
 
 /// Hour lag of the subscription autocorrelation statistic: one day, the
 /// diurnal period the paper's temporal analyses revolve around.
 pub const AUTOCORR_LAG_HOURS: usize = 24;
-
-/// Publisher idle tick: how long a publisher waits for a version
-/// notification before re-checking the stop flag (and how stale a
-/// missed wake-up can go at worst).
-const PUBLISH_TICK: Duration = Duration::from_millis(100);
 
 /// One subscribable event family.
 ///
@@ -60,7 +50,8 @@ const PUBLISH_TICK: Duration = Duration::from_millis(100);
 pub enum Topic {
     /// Watermark advances (week, hour, completion).
     Watermark,
-    /// State version bumps (coalesced per publish round).
+    /// State version bumps (coalesced: at most one per round a
+    /// subscription sends).
     Version,
     /// Per-direction rank churn.
     Rank,
@@ -70,7 +61,12 @@ pub enum Topic {
 
 impl Topic {
     /// Every topic, in wire order.
-    pub const ALL: [Topic; 4] = [Topic::Watermark, Topic::Version, Topic::Rank, Topic::Autocorr];
+    pub const ALL: [Topic; 4] = [
+        Topic::Watermark,
+        Topic::Version,
+        Topic::Rank,
+        Topic::Autocorr,
+    ];
 
     /// The wire token of this topic.
     pub fn token(self) -> &'static str {
@@ -152,7 +148,7 @@ pub enum DeltaEvent {
         /// Whether the final scheduled week has fully closed.
         complete: bool,
     },
-    /// The state version moved (coalesced: one per publish round).
+    /// The state version moved (coalesced: at most one per round).
     Version {
         /// Current state version.
         version: u64,
@@ -162,7 +158,7 @@ pub enum DeltaEvent {
     Rank {
         /// Direction ranked.
         dir: Direction,
-        /// Positions whose service differs from the previously published
+        /// Positions whose service differs from the previously sent
         /// ranking (= the churn; `entries.len()` on a baseline).
         churn: usize,
         /// The full head ranking, best first.
@@ -205,14 +201,22 @@ impl DeltaEvent {
     /// Renders the wire payload (everything after `EVENT <seq> `).
     ///
     /// Floats use `{:e}` — Rust's round-trip-exact float notation — so a
-    /// parsed event reconstructs the published value bit for bit.
+    /// parsed event reconstructs the sent value bit for bit.
     pub fn to_wire(&self) -> String {
         match self {
-            DeltaEvent::Watermark { week, hour, complete } => {
+            DeltaEvent::Watermark {
+                week,
+                hour,
+                complete,
+            } => {
                 format!("watermark week {week} hour {hour} complete {complete}")
             }
             DeltaEvent::Version { version } => format!("version {version}"),
-            DeltaEvent::Rank { dir, churn, entries } => {
+            DeltaEvent::Rank {
+                dir,
+                churn,
+                entries,
+            } => {
                 let body = if entries.is_empty() {
                     "-".to_string()
                 } else {
@@ -224,8 +228,16 @@ impl DeltaEvent {
                 };
                 format!("rank {} churn {churn} {body}", dir_token(*dir))
             }
-            DeltaEvent::Autocorr { dir, lag, window, mean } => {
-                format!("autocorr {} lag {lag} window {window} mean {mean:e}", dir_token(*dir))
+            DeltaEvent::Autocorr {
+                dir,
+                lag,
+                window,
+                mean,
+            } => {
+                format!(
+                    "autocorr {} lag {lag} window {window} mean {mean:e}",
+                    dir_token(*dir)
+                )
             }
             DeltaEvent::End { version } => format!("end {version}"),
         }
@@ -234,9 +246,13 @@ impl DeltaEvent {
     /// Parses a wire payload rendered by [`DeltaEvent::to_wire`].
     pub fn parse_wire(payload: &str) -> Result<DeltaEvent, String> {
         let mut tokens = payload.split_whitespace();
-        let kind = tokens.next().ok_or_else(|| "empty event payload".to_string())?;
+        let kind = tokens
+            .next()
+            .ok_or_else(|| "empty event payload".to_string())?;
         let mut expect = |name: &str| {
-            tokens.next().ok_or_else(|| format!("bad event: truncated {kind} (missing {name})"))
+            tokens
+                .next()
+                .ok_or_else(|| format!("bad event: truncated {kind} (missing {name})"))
         };
         let event = match kind {
             "watermark" => {
@@ -248,7 +264,11 @@ impl DeltaEvent {
                 let complete = expect("complete")?
                     .parse::<bool>()
                     .map_err(|_| "bad event: watermark complete flag".to_string())?;
-                DeltaEvent::Watermark { week, hour, complete }
+                DeltaEvent::Watermark {
+                    week,
+                    hour,
+                    complete,
+                }
             }
             "version" => {
                 let version = parse_num(expect("version")?, "version")?;
@@ -267,27 +287,38 @@ impl DeltaEvent {
                 let mean = expect("mean")?
                     .parse::<f64>()
                     .map_err(|_| "bad event: autocorr mean".to_string())?;
-                DeltaEvent::Autocorr { dir, lag, window, mean }
+                DeltaEvent::Autocorr {
+                    dir,
+                    lag,
+                    window,
+                    mean,
+                }
             }
-            "end" => DeltaEvent::End { version: parse_num(expect("version")?, "version")? },
+            "end" => DeltaEvent::End {
+                version: parse_num(expect("version")?, "version")?,
+            },
             other => return Err(format!("bad event: unknown kind {other:?}")),
         };
         Ok(event)
     }
 }
 
-/// The wire tokens a rank event must not contain inside a service name
-/// or category: [`DeltaEvent::to_wire`] separates entries with `|`,
-/// fields with `=` and events never span lines. The standard catalog
-/// satisfies this (names and labels use letters, digits, spaces and
-/// `/`), pinned by a unit test below.
+/// Parses one numeric event field, naming the field in the error.
 fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String> {
-    token.parse::<T>().map_err(|_| format!("bad event: {what} {token:?}"))
+    token
+        .parse::<T>()
+        .map_err(|_| format!("bad event: {what} {token:?}"))
 }
 
 /// Parses a `rank` payload off the raw string: the entry body is taken
 /// verbatim after the churn token (service names and category labels
 /// contain spaces, so whitespace tokenization would shred it).
+///
+/// Names and labels must not contain the separators
+/// [`DeltaEvent::to_wire`] uses: `|` between entries, `=` between
+/// fields, and no newline. The standard catalog satisfies this (names
+/// and labels use letters, digits, spaces and `/`), pinned by a unit
+/// test below.
 fn parse_rank(payload: &str) -> Result<DeltaEvent, String> {
     let truncated = || "bad event: truncated rank".to_string();
     let rest = payload.strip_prefix("rank ").ok_or_else(truncated)?;
@@ -301,10 +332,12 @@ fn parse_rank(payload: &str) -> Result<DeltaEvent, String> {
         for part in body.split('|') {
             let mut fields = part.splitn(3, '=');
             let name = fields.next().unwrap_or_default();
-            let share =
-                fields.next().ok_or_else(|| format!("bad event: rank entry {part:?}"))?;
-            let category =
-                fields.next().ok_or_else(|| format!("bad event: rank entry {part:?}"))?;
+            let share = fields
+                .next()
+                .ok_or_else(|| format!("bad event: rank entry {part:?}"))?;
+            let category = fields
+                .next()
+                .ok_or_else(|| format!("bad event: rank entry {part:?}"))?;
             entries.push(RankEntry {
                 name: name.to_string(),
                 share: share
@@ -314,289 +347,117 @@ fn parse_rank(payload: &str) -> Result<DeltaEvent, String> {
             });
         }
     }
-    Ok(DeltaEvent::Rank { dir, churn, entries })
+    Ok(DeltaEvent::Rank {
+        dir,
+        churn,
+        entries,
+    })
 }
 
-/// What a subscriber queue holds besides events.
+/// What one subscription has sent its client so far, from which the
+/// next round's deltas are derived. A fresh cursor has sent nothing.
 #[derive(Debug, Default)]
-struct SubscriberQueue {
-    queue: VecDeque<(u64, DeltaEvent)>,
-    /// Next sequence number to assign (per subscriber; drops leave gaps).
-    next_seq: u64,
-}
-
-/// One client's subscription: a bounded event queue the publisher pushes
-/// into and the connection's writer thread drains.
-#[derive(Debug)]
-pub struct Subscriber {
-    topics: Vec<Topic>,
-    inner: Mutex<SubscriberQueue>,
-    cv: Condvar,
-    /// Set once the publisher has sent this subscriber its baseline.
-    primed: AtomicBool,
-    lagged: AtomicU64,
-}
-
-impl Subscriber {
-    fn new(topics: Vec<Topic>) -> Subscriber {
-        Subscriber {
-            topics,
-            inner: Mutex::new(SubscriberQueue::default()),
-            cv: Condvar::new(),
-            primed: AtomicBool::new(false),
-            lagged: AtomicU64::new(0),
-        }
-    }
-
-    /// The topics this subscription selected.
-    pub fn topics(&self) -> &[Topic] {
-        &self.topics
-    }
-
-    /// Events dropped because the queue was full when the publisher
-    /// tried to push (also counted on `serve.subscriber_lagged`).
-    pub fn lagged(&self) -> u64 {
-        self.lagged.load(Ordering::Relaxed)
-    }
-
-    /// Offers one event: filtered by topic, then enqueued — or, if the
-    /// queue is at [`SUBSCRIBER_QUEUE_EVENTS`], dropped and counted.
-    /// Never blocks beyond the queue mutex.
-    fn offer(&self, event: &DeltaEvent) {
-        if let Some(topic) = event.topic() {
-            if !self.topics.contains(&topic) {
-                return;
-            }
-        }
-        let mut inner = self.inner.lock().expect("subscriber queue poisoned");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.queue.len() >= SUBSCRIBER_QUEUE_EVENTS {
-            drop(inner);
-            self.lagged.fetch_add(1, Ordering::Relaxed);
-            mobilenet_obs::add("serve.subscriber_lagged", 1);
-            return;
-        }
-        inner.queue.push_back((seq, event.clone()));
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Pops the next queued event, waiting at most `timeout` — `None` on
-    /// timeout so the caller can re-check its stop flag.
-    pub fn pop_wait(&self, timeout: Duration) -> Option<(u64, DeltaEvent)> {
-        let mut inner = self.inner.lock().expect("subscriber queue poisoned");
-        if inner.queue.is_empty() {
-            let (guard, _) =
-                self.cv.wait_timeout(inner, timeout).expect("subscriber queue poisoned");
-            inner = guard;
-        }
-        inner.queue.pop_front()
-    }
-
-    /// Wakes a blocked [`pop_wait`](Subscriber::pop_wait) without
-    /// queueing anything (stop-flag propagation).
-    pub fn wake(&self) {
-        self.cv.notify_all();
-    }
-
-    fn primed(&self) -> bool {
-        self.primed.load(Ordering::Acquire)
-    }
-
-    fn set_primed(&self) {
-        self.primed.store(true, Ordering::Release);
-    }
-}
-
-/// The fan-out point of one study's delta stream: the set of live
-/// subscribers the publisher loop pushes into.
-#[derive(Debug, Default)]
-pub struct DeltaHub {
-    subscribers: Mutex<Vec<Arc<Subscriber>>>,
-}
-
-impl DeltaHub {
-    /// A hub with no subscribers.
-    pub fn new() -> DeltaHub {
-        DeltaHub::default()
-    }
-
-    /// Registers a new subscription and returns its queue handle.
-    pub fn subscribe(&self, topics: Vec<Topic>) -> Arc<Subscriber> {
-        let sub = Arc::new(Subscriber::new(topics));
-        let mut subs = self.subscribers.lock().expect("subscriber list poisoned");
-        subs.push(sub.clone());
-        mobilenet_obs::add("serve.subscriptions", 1);
-        mobilenet_obs::gauge("serve.subscribers", subs.len() as f64);
-        sub
-    }
-
-    /// Removes a subscription (by handle identity).
-    pub fn unsubscribe(&self, sub: &Arc<Subscriber>) {
-        let mut subs = self.subscribers.lock().expect("subscriber list poisoned");
-        subs.retain(|s| !Arc::ptr_eq(s, sub));
-        mobilenet_obs::gauge("serve.subscribers", subs.len() as f64);
-    }
-
-    /// Whether any subscription is live.
-    pub fn has_subscribers(&self) -> bool {
-        !self.subscribers.lock().expect("subscriber list poisoned").is_empty()
-    }
-
-    fn snapshot_subs(&self) -> Vec<Arc<Subscriber>> {
-        self.subscribers.lock().expect("subscriber list poisoned").clone()
-    }
-
-    fn has_unprimed(&self) -> bool {
-        self.subscribers
-            .lock()
-            .expect("subscriber list poisoned")
-            .iter()
-            .any(|s| !s.primed())
-    }
-
-    /// Wakes every subscriber's queue wait (stop-flag propagation).
-    pub fn wake_all(&self) {
-        for sub in self.snapshot_subs() {
-            sub.wake();
-        }
-    }
-}
-
-/// What the publisher remembers between rounds to derive deltas.
-#[derive(Default)]
-struct PublishMemory {
+pub(crate) struct DeltaCursor {
     version: Option<u64>,
     mark: Option<(usize, usize, bool)>,
-    /// Last published ranking order per direction (service names).
+    /// Last sent ranking order per direction (service names).
     rank_names: [Option<Vec<String>>; 2],
     autocorr_bits: [Option<u64>; 2],
     ended: bool,
 }
 
-fn dir_slot(dir: Direction) -> usize {
-    match dir {
-        Direction::Down => 0,
-        Direction::Up => 1,
+impl DeltaCursor {
+    /// The state version of the last round (`None` before the first).
+    pub(crate) fn version(&self) -> Option<u64> {
+        self.version
     }
-}
 
-/// Builds the full head ranking of one direction as rank entries.
-fn rank_entries(state: &LiveState, snap: &crate::live::LiveSnapshot, dir: Direction) -> Vec<RankEntry> {
-    let head = state.catalog().head();
-    top_k_services(&snap.dataset, head, dir, head.len())
-        .iter()
-        .map(|s| RankEntry {
-            name: s.name.to_string(),
-            share: s.share_of_total,
-            category: s.category.label().to_string(),
-        })
-        .collect()
-}
+    /// Whether a round has carried `end`: the stream is over.
+    pub(crate) fn ended(&self) -> bool {
+        self.ended
+    }
 
-/// One study's publisher loop: waits for version notifications, builds
-/// the round's delta events from the version-cached snapshot, and offers
-/// them to every subscriber (baseline first for fresh subscriptions).
-/// Runs until `stop`; spawned by the registry at registration.
-pub(crate) fn publish_loop(state: &LiveState, hub: &DeltaHub, stop: &AtomicBool) {
-    let mut memory = PublishMemory::default();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            hub.wake_all();
-            return;
+    /// The events that bring the client from what this cursor last sent
+    /// up to `snap`, in wire order: watermark, version, then rank and
+    /// autocorr for `dl` and for `ul`, then `end`.
+    pub(crate) fn round(&mut self, state: &LiveState, snap: &LiveSnapshot) -> Vec<DeltaEvent> {
+        let (week, hour, complete) = (snap.week, snap.watermark_hour, snap.complete);
+        // Lexicographic advance only: the watermark a client sees never
+        // goes backwards within a week.
+        let mark_advanced = self
+            .mark
+            .is_none_or(|(w, h, c)| (week, hour) > (w, h) || (complete && !c));
+        let completing = complete && !self.ended;
+
+        let mut round = Vec::new();
+        if mark_advanced {
+            round.push(DeltaEvent::Watermark {
+                week,
+                hour,
+                complete,
+            });
+            self.mark = Some((week, hour, complete));
         }
-        if !hub.has_subscribers() {
-            state.notifier().wait_timeout(PUBLISH_TICK);
-            continue;
+        if self.version != Some(snap.version) {
+            round.push(DeltaEvent::Version {
+                version: snap.version,
+            });
+            self.version = Some(snap.version);
         }
-        let version = state.version();
-        let fresh = hub.has_unprimed();
-        if !fresh && memory.version == Some(version) {
-            state.notifier().wait_timeout(PUBLISH_TICK);
-            continue;
-        }
-        publish_round(state, hub, &mut memory, version);
-    }
-}
-
-/// One publish round: derive the deltas at `version` and fan them out.
-fn publish_round(state: &LiveState, hub: &DeltaHub, memory: &mut PublishMemory, version: u64) {
-    let snap = state.snapshot();
-    let mark = (snap.week, snap.watermark_hour, snap.complete);
-    // Lexicographic advance only: a roll-over transiently exposes the
-    // reset watermark before the week counter, which must not be
-    // published as a regression.
-    let mark_advanced = memory.mark.is_none_or(|(w, h, c)| {
-        (snap.week, snap.watermark_hour) > (w, h) || (snap.complete && !c)
-    });
-    let completing = snap.complete && !memory.ended;
-
-    let mut round: Vec<DeltaEvent> = Vec::new();
-    if mark_advanced {
-        round.push(DeltaEvent::Watermark { week: mark.0, hour: mark.1, complete: mark.2 });
-    }
-    if memory.version != Some(version) {
-        round.push(DeltaEvent::Version { version });
-    }
-    let mut baseline: Vec<DeltaEvent> =
-        vec![DeltaEvent::Watermark { week: mark.0, hour: mark.1, complete: mark.2 }, DeltaEvent::Version { version }];
-    for dir in [Direction::Down, Direction::Up] {
-        let slot = dir_slot(dir);
-        let entries = rank_entries(state, &snap, dir);
-        let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
-        let churn = match &memory.rank_names[slot] {
-            None => entries.len(),
-            Some(prev) => names
+        let head = state.catalog().head();
+        for (slot, dir) in [Direction::Down, Direction::Up].into_iter().enumerate() {
+            let entries: Vec<RankEntry> = top_k_services(&snap.dataset, head, dir, head.len())
                 .iter()
-                .enumerate()
-                .filter(|(i, name)| prev.get(*i) != Some(name))
-                .count()
-                .max(prev.len().saturating_sub(names.len())),
-        };
-        if churn > 0 || completing {
-            round.push(DeltaEvent::Rank { dir, churn, entries: entries.clone() });
-        }
-        baseline.push(DeltaEvent::Rank { dir, churn: entries.len(), entries });
-        memory.rank_names[slot] = Some(names);
-
-        if mark_advanced || completing {
-            let n_head = state.catalog().head().len();
-            if let (_, Some(mean)) = head_autocorrs(&snap, n_head, dir, AUTOCORR_LAG_HOURS) {
-                let event = DeltaEvent::Autocorr {
-                    dir,
-                    lag: AUTOCORR_LAG_HOURS,
-                    window: snap.watermark_hour,
-                    mean,
-                };
-                if memory.autocorr_bits[slot] != Some(mean.to_bits()) {
-                    round.push(event.clone());
+                .map(|s| RankEntry {
+                    name: s.name.to_string(),
+                    share: s.share_of_total,
+                    category: s.category.label().to_string(),
+                })
+                .collect();
+            let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
+            let churn = match &self.rank_names[slot] {
+                None => Some(entries.len()),
+                Some(prev) => {
+                    let moved = names
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, name)| prev.get(*i) != Some(name))
+                        .count()
+                        .max(prev.len().saturating_sub(names.len()));
+                    (moved > 0 || completing).then_some(moved)
                 }
-                baseline.push(event);
-                memory.autocorr_bits[slot] = Some(mean.to_bits());
+            };
+            if let Some(churn) = churn {
+                round.push(DeltaEvent::Rank {
+                    dir,
+                    churn,
+                    entries,
+                });
+            }
+            self.rank_names[slot] = Some(names);
+
+            if mark_advanced || completing {
+                if let (_, Some(mean)) = head_autocorrs(snap, head.len(), dir, AUTOCORR_LAG_HOURS) {
+                    if self.autocorr_bits[slot] != Some(mean.to_bits()) {
+                        round.push(DeltaEvent::Autocorr {
+                            dir,
+                            lag: AUTOCORR_LAG_HOURS,
+                            window: hour,
+                            mean,
+                        });
+                        self.autocorr_bits[slot] = Some(mean.to_bits());
+                    }
+                }
             }
         }
-    }
-    if completing {
-        round.push(DeltaEvent::End { version });
-    }
-    if snap.complete {
-        baseline.push(DeltaEvent::End { version });
-        memory.ended = true;
-    }
-
-    let mut offered = 0u64;
-    for sub in hub.snapshot_subs() {
-        let events = if sub.primed() { &round } else { &baseline };
-        for event in events {
-            sub.offer(event);
-            offered += 1;
+        if completing {
+            round.push(DeltaEvent::End {
+                version: snap.version,
+            });
+            self.ended = true;
         }
-        sub.set_primed();
+        round
     }
-    mobilenet_obs::add("serve.events", offered);
-    memory.version = Some(version);
-    memory.mark = Some(mark);
 }
 
 #[cfg(test)]
@@ -612,13 +473,20 @@ mod tests {
         );
         assert_eq!(Topic::parse_list("rank,rank").unwrap(), vec![Topic::Rank]);
         let err = Topic::parse_list("rank,nope").unwrap_err();
-        assert!(err.contains("bad SUBSCRIBE: nope"), "unexpected message {err:?}");
+        assert!(
+            err.contains("bad SUBSCRIBE: nope"),
+            "unexpected message {err:?}"
+        );
     }
 
     #[test]
     fn events_round_trip_the_wire_codec_bit_for_bit() {
         let events = vec![
-            DeltaEvent::Watermark { week: 2, hour: 167, complete: false },
+            DeltaEvent::Watermark {
+                week: 2,
+                hour: 167,
+                complete: false,
+            },
             DeltaEvent::Version { version: 991 },
             DeltaEvent::Rank {
                 dir: Direction::Down,
@@ -649,7 +517,11 @@ mod tests {
             let parsed = DeltaEvent::parse_wire(&wire).expect("codec round-trips");
             assert_eq!(parsed, event, "wire {wire:?}");
         }
-        let empty = DeltaEvent::Rank { dir: Direction::Up, churn: 0, entries: vec![] };
+        let empty = DeltaEvent::Rank {
+            dir: Direction::Up,
+            churn: 0,
+            entries: vec![],
+        };
         assert_eq!(DeltaEvent::parse_wire(&empty.to_wire()).unwrap(), empty);
         assert!(DeltaEvent::parse_wire("rank dl churn x y").is_err());
         assert!(DeltaEvent::parse_wire("nope 1").is_err());
@@ -659,33 +531,84 @@ mod tests {
     fn catalog_tokens_never_collide_with_the_rank_wire_separators() {
         let catalog = mobilenet_traffic::ServiceCatalog::standard(16);
         for spec in catalog.head() {
-            assert!(!spec.name.contains(['|', '=']), "service name {:?}", spec.name);
+            assert!(
+                !spec.name.contains(['|', '=']),
+                "service name {:?}",
+                spec.name
+            );
             let label = spec.category.label();
             assert!(!label.contains(['|', '=']), "category label {label:?}");
         }
     }
 
+    /// The kind (and direction) of each event in a round.
+    fn kinds(round: &[DeltaEvent]) -> Vec<String> {
+        round
+            .iter()
+            .map(|event| match event {
+                DeltaEvent::Watermark { .. } => "watermark".to_string(),
+                DeltaEvent::Version { .. } => "version".to_string(),
+                DeltaEvent::Rank { dir, .. } => format!("rank {}", dir_token(*dir)),
+                DeltaEvent::Autocorr { dir, .. } => format!("autocorr {}", dir_token(*dir)),
+                DeltaEvent::End { .. } => "end".to_string(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn slow_subscribers_drop_and_count_instead_of_blocking() {
-        let hub = DeltaHub::new();
-        let sub = hub.subscribe(vec![Topic::Version]);
-        for v in 0..(SUBSCRIBER_QUEUE_EVENTS as u64 + 10) {
-            sub.offer(&DeltaEvent::Version { version: v });
+    fn a_fresh_cursor_opens_with_the_baseline_and_repeats_nothing() {
+        let state =
+            LiveState::from_config(&mobilenet_core::StudyConfig::small(), 3).expect("valid config");
+        // Before ingestion the window is too short for the lag and the
+        // study is not complete: no autocorrelation, no end.
+        let mut early = DeltaCursor::default();
+        let snap = state.snapshot();
+        assert_eq!(
+            kinds(&early.round(&state, &snap)),
+            ["watermark", "version", "rank dl", "rank ul"]
+        );
+        assert!(
+            early.round(&state, &snap).is_empty(),
+            "same version, nothing new"
+        );
+        assert_eq!(early.version(), Some(snap.version));
+        assert!(!early.ended());
+
+        state.run_ingestion().expect("ingestion succeeds");
+        let snap = state.snapshot();
+        assert!(snap.complete);
+        let baseline = [
+            "watermark",
+            "version",
+            "rank dl",
+            "autocorr dl",
+            "rank ul",
+            "autocorr ul",
+            "end",
+        ];
+        let mut fresh = DeltaCursor::default();
+        let opening = fresh.round(&state, &snap);
+        assert_eq!(kinds(&opening), baseline);
+        assert!(fresh.ended());
+        assert!(
+            fresh.round(&state, &snap).is_empty(),
+            "same version, nothing new"
+        );
+
+        // A cursor that fell behind catches up in one merged round that
+        // ends on the same final events a fresh cursor opens with.
+        let catch_up = early.round(&state, &snap);
+        assert_eq!(kinds(&catch_up), baseline);
+        for (caught, opened) in catch_up.iter().zip(&opening) {
+            // Only the churn count differs: it is measured against what
+            // each cursor sent before.
+            if let (DeltaEvent::Rank { entries: a, .. }, DeltaEvent::Rank { entries: b, .. }) =
+                (caught, opened)
+            {
+                assert_eq!(a, b);
+            } else {
+                assert_eq!(caught, opened);
+            }
         }
-        assert_eq!(sub.lagged(), 10, "events past the bound are dropped and counted");
-        // Sequence numbers keep advancing across drops, so the consumer
-        // sees the gap.
-        let mut seen = Vec::new();
-        while let Some((seq, _)) = sub.pop_wait(Duration::from_millis(1)) {
-            seen.push(seq);
-        }
-        assert_eq!(seen.len(), SUBSCRIBER_QUEUE_EVENTS);
-        assert_eq!(seen.first().copied(), Some(0));
-        assert_eq!(seen.last().copied(), Some(SUBSCRIBER_QUEUE_EVENTS as u64 - 1));
-        // Topic filtering never consumes sequence numbers.
-        sub.offer(&DeltaEvent::Watermark { week: 0, hour: 1, complete: false });
-        assert!(sub.pop_wait(Duration::from_millis(1)).is_none());
-        hub.unsubscribe(&sub);
-        assert!(!hub.has_subscribers());
     }
 }
