@@ -96,8 +96,10 @@ impl DpiClassifier {
         }
         for t in 0..n_tail {
             for v in 0..fingerprints_per_service {
-                classifier
-                    .insert(fingerprint(TAIL_KEY_BASE + t as u64, v).0, n_head as u32 + t as u32);
+                classifier.insert(
+                    fingerprint(TAIL_KEY_BASE + t as u64, v).0,
+                    n_head as u32 + t as u32,
+                );
             }
         }
         classifier
@@ -243,7 +245,11 @@ mod tests {
     fn head_and_tail_keyspaces_do_not_collide() {
         let c = DpiClassifier::new(200, 500, 1.0);
         // 700 services × 4 fingerprints, all distinct: one occupied slot each.
-        let occupied = c.codes.iter().filter(|&&code| code != UNCLASSIFIED_CODE).count();
+        let occupied = c
+            .codes
+            .iter()
+            .filter(|&&code| code != UNCLASSIFIED_CODE)
+            .count();
         assert_eq!(occupied, 700 * 4);
     }
 
@@ -260,7 +266,10 @@ mod tests {
     #[test]
     fn unknown_signature_is_unclassified() {
         let c = DpiClassifier::new(5, 5, 1.0);
-        assert_eq!(c.classify(FlowSignature(0xDEAD_BEEF)), ServiceLabel::Unclassified);
+        assert_eq!(
+            c.classify(FlowSignature(0xDEAD_BEEF)),
+            ServiceLabel::Unclassified
+        );
     }
 
     #[test]

@@ -98,7 +98,10 @@ impl FaultPlan {
     pub fn degraded(seed: u64) -> Self {
         FaultPlan {
             seed,
-            outages: vec![OutageWindow { interface: Interface::Gn, hours: 33..37 }],
+            outages: vec![OutageWindow {
+                interface: Interface::Gn,
+                hours: 33..37,
+            }],
             loss_prob: 0.02,
             dup_prob: 0.01,
             truncate_prob: 0.01,
@@ -173,7 +176,8 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec {part:?}: expected key=value"))?;
             let prob = |v: &str| -> Result<f64, String> {
-                v.parse::<f64>().map_err(|e| format!("fault spec {key}={v}: {e}"))
+                v.parse::<f64>()
+                    .map_err(|e| format!("fault spec {key}={v}: {e}"))
             };
             match key {
                 "seed" => {
@@ -228,9 +232,16 @@ fn parse_outage(value: &str) -> Result<OutageWindow, String> {
     let (start, end) = range
         .split_once('-')
         .ok_or_else(|| format!("outage range {range:?}: expected START-END"))?;
-    let start: u16 = start.parse().map_err(|e| format!("outage start {start:?}: {e}"))?;
-    let end: u16 = end.parse().map_err(|e| format!("outage end {end:?}: {e}"))?;
-    Ok(OutageWindow { interface, hours: start..end })
+    let start: u16 = start
+        .parse()
+        .map_err(|e| format!("outage start {start:?}: {e}"))?;
+    let end: u16 = end
+        .parse()
+        .map_err(|e| format!("outage end {end:?}: {e}"))?;
+    Ok(OutageWindow {
+        interface,
+        hours: start..end,
+    })
 }
 
 /// Counters of the degradation one fault plan inflicted on a stream.
@@ -325,10 +336,7 @@ impl<'a> FaultInjector<'a> {
             degraded.ul_mb *= plan.truncate_keep;
             stats.truncated_records += 1;
         }
-        if plan.skew_prob > 0.0
-            && plan.skew_max_hours > 0
-            && rng.gen::<f64>() < plan.skew_prob
-        {
+        if plan.skew_prob > 0.0 && plan.skew_max_hours > 0 && rng.gen::<f64>() < plan.skew_prob {
             let delta = rng.gen_range(1..plan.skew_max_hours + 1);
             degraded.start_hour = (degraded.start_hour + delta) % HOURS_PER_WEEK as u16;
             stats.skewed_records += 1;
@@ -385,7 +393,10 @@ mod tests {
     #[test]
     fn outage_drops_exactly_the_window_on_one_interface() {
         let mut plan = FaultPlan::none();
-        plan.outages.push(OutageWindow { interface: Interface::Gn, hours: 10..20 });
+        plan.outages.push(OutageWindow {
+            interface: Interface::Gn,
+            hours: 10..20,
+        });
         plan.validate().unwrap();
         let mut records = Vec::new();
         for h in 0..168 {
@@ -410,10 +421,15 @@ mod tests {
         plan.skew_prob = 0.06;
         plan.skew_max_hours = 3;
         plan.validate().unwrap();
-        let records: Vec<_> = (0..20_000).map(|i| record(Interface::S5S8, i % 168)).collect();
+        let records: Vec<_> = (0..20_000)
+            .map(|i| record(Interface::S5S8, i % 168))
+            .collect();
         let (out, stats) = run_plan(&plan, &records);
         let n = records.len() as f64;
-        assert!((stats.lost_records as f64 / n - 0.1).abs() < 0.02, "{stats:?}");
+        assert!(
+            (stats.lost_records as f64 / n - 0.1).abs() < 0.02,
+            "{stats:?}"
+        );
         let survivors = n - stats.lost_records as f64;
         assert!((stats.duplicated_records as f64 / survivors - 0.05).abs() < 0.02);
         assert!((stats.truncated_records as f64 / survivors - 0.08).abs() < 0.02);
@@ -449,10 +465,16 @@ mod tests {
         p.truncate_keep = -0.1;
         assert!(p.validate().is_err());
         let mut p = FaultPlan::none();
-        p.outages.push(OutageWindow { interface: Interface::Gn, hours: 30..30 });
+        p.outages.push(OutageWindow {
+            interface: Interface::Gn,
+            hours: 30..30,
+        });
         assert!(p.validate().is_err());
         let mut p = FaultPlan::none();
-        p.outages.push(OutageWindow { interface: Interface::Gn, hours: 160..169 });
+        p.outages.push(OutageWindow {
+            interface: Interface::Gn,
+            hours: 160..169,
+        });
         assert!(p.validate().is_err());
         let mut p = FaultPlan::none();
         p.skew_max_hours = 168;
@@ -468,8 +490,14 @@ mod tests {
         assert_eq!(plan.truncate_keep, 0.5);
         assert_eq!(plan.skew_max_hours, 4);
         assert_eq!(plan.outages.len(), 2);
-        assert_eq!(FaultPlan::parse("degraded").unwrap(), FaultPlan::degraded(0));
-        assert_eq!(FaultPlan::parse("seed=5,degraded").unwrap(), FaultPlan::degraded(5));
+        assert_eq!(
+            FaultPlan::parse("degraded").unwrap(),
+            FaultPlan::degraded(0)
+        );
+        assert_eq!(
+            FaultPlan::parse("seed=5,degraded").unwrap(),
+            FaultPlan::degraded(5)
+        );
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
         // `trunc`/`skew` alone get usable defaults for keep/skewh.
         let t = FaultPlan::parse("trunc=0.1,skew=0.1").unwrap();

@@ -74,8 +74,7 @@ pub enum FoldStrategy {
 /// Bucket edges of the `netsim.ingest.batch_records` histogram: batch
 /// (= flushed chunk) sizes from single-record worst cases up past the
 /// default chunk budget.
-const BATCH_RECORDS_EDGES: [f64; 8] =
-    [1.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 8192.0, 32768.0];
+const BATCH_RECORDS_EDGES: [f64; 8] = [1.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 8192.0, 32768.0];
 
 /// Options of one collection/ingestion run — the single knob set behind
 /// [`collect_with_options`](crate::pipeline::collect_with_options),
@@ -98,14 +97,20 @@ pub struct CollectOptions {
 
 impl Default for CollectOptions {
     fn default() -> Self {
-        CollectOptions { faults: FaultPlan::none(), chunk_size: DEFAULT_CHUNK_SIZE }
+        CollectOptions {
+            faults: FaultPlan::none(),
+            chunk_size: DEFAULT_CHUNK_SIZE,
+        }
     }
 }
 
 impl CollectOptions {
     /// Default options with the given fault plan.
     pub fn with_faults(faults: FaultPlan) -> Self {
-        CollectOptions { faults, ..CollectOptions::default() }
+        CollectOptions {
+            faults,
+            ..CollectOptions::default()
+        }
     }
 
     /// Sets the records-per-chunk budget.
@@ -240,7 +245,12 @@ impl<'a> ChunkSink<'a> {
         // Cap the pre-allocation: `chunk_size ≥ input` is a legitimate
         // way to ask for one chunk per shard without reserving the moon.
         let cap = chunk_size.min(DEFAULT_CHUNK_SIZE);
-        ChunkSink { batch: RecordBatch::with_capacity(cap), chunk_size, ledger, consume }
+        ChunkSink {
+            batch: RecordBatch::with_capacity(cap),
+            chunk_size,
+            ledger,
+            consume,
+        }
     }
 
     /// Appends one record to the batch columns; flushes the chunk to the
@@ -275,7 +285,11 @@ impl<'a> ChunkSink<'a> {
         // deterministic count fingerprint.
         if mobilenet_obs::enabled() {
             mobilenet_obs::add("netsim.ingest.batches", 1);
-            mobilenet_obs::observe("netsim.ingest.batch_records", n as f64, &BATCH_RECORDS_EDGES);
+            mobilenet_obs::observe(
+                "netsim.ingest.batch_records",
+                n as f64,
+                &BATCH_RECORDS_EDGES,
+            );
         }
         (self.consume)(&mut self.batch);
         self.batch.clear();
@@ -335,7 +349,11 @@ pub struct ShardPartial {
 
 impl ShardPartial {
     fn empty(dataset: TrafficDataset, version: u64) -> Self {
-        ShardPartial { dataset, stats: CollectionStats::default(), version }
+        ShardPartial {
+            dataset,
+            stats: CollectionStats::default(),
+            version,
+        }
     }
 }
 
@@ -408,8 +426,9 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             catalog.tail_len(),
             model.borrow().config().subscriber_share,
         );
-        let partials =
-            (0..shards).map(|_| Mutex::new(ShardPartial::empty(empty.clone(), 0))).collect();
+        let partials = (0..shards)
+            .map(|_| Mutex::new(ShardPartial::empty(empty.clone(), 0)))
+            .collect();
         ShardedFold {
             model,
             empty,
@@ -469,7 +488,9 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         M: Sync,
     {
         if self.chunk_size == 0 {
-            return Err(IngestError::Config("chunk_size must be at least 1 record".into()));
+            return Err(IngestError::Config(
+                "chunk_size must be at least 1 record".into(),
+            ));
         }
         let shards = self.partials.len();
         if source.shards() != shards {
@@ -484,8 +505,10 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         self.workers.fetch_max(workers, Ordering::Relaxed);
         self.ledger.cycles.fetch_add(1, Ordering::Relaxed);
         let bytes_base = self.bytes_read.load(Ordering::Relaxed);
-        let note_bytes =
-            || self.bytes_read.fetch_max(bytes_base + source.bytes_read(), Ordering::Relaxed);
+        let note_bytes = || {
+            self.bytes_read
+                .fetch_max(bytes_base + source.bytes_read(), Ordering::Relaxed)
+        };
 
         let results = mobilenet_par::par_map_collect(shards, |shard| {
             let partial = &self.partials[shard];
@@ -523,7 +546,10 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
 
     /// Locks every partial, in shard order.
     fn lock_all(&self) -> Vec<MutexGuard<'_, ShardPartial>> {
-        self.partials.iter().map(|p| p.lock().expect("shard partial poisoned")).collect()
+        self.partials
+            .iter()
+            .map(|p| p.lock().expect("shard partial poisoned"))
+            .collect()
     }
 
     /// An all-`+0.0` dataset shaped like the partials.
@@ -542,7 +568,14 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         let mut dataset = self.empty_dataset();
         let (stats, ingest, caller) =
             self.merge_into(&mut MergeCut::default(), &mut dataset, under_locks)?;
-        Ok((CollectionOutput { dataset, stats, ingest }, caller))
+        Ok((
+            CollectionOutput {
+                dataset,
+                stats,
+                ingest,
+            },
+            caller,
+        ))
     }
 
     /// Brings `dataset`, last merged at `cut`, up to date with the
@@ -590,7 +623,10 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             let (marks, mut dirty) = match &mut cut.shards {
                 Some(marks) if marks.len() == guards.len() => (marks, vec![false; services]),
                 shards => {
-                    let unseen = ShardMark { version: None, rows: vec![false; services] };
+                    let unseen = ShardMark {
+                        version: None,
+                        rows: vec![false; services],
+                    };
                     let written = (0..services).map(|s| dataset.service_written(s)).collect();
                     (shards.insert(vec![unseen; guards.len()]), written)
                 }
@@ -676,7 +712,10 @@ where
         // single-writer block with its partial instead of holding a
         // second copy. A gauge: it describes the configuration, not the
         // record stream.
-        mobilenet_obs::gauge("netsim.ingest.accumulator_bytes", out.dataset.dense_bytes() as f64);
+        mobilenet_obs::gauge(
+            "netsim.ingest.accumulator_bytes",
+            out.dataset.dense_bytes() as f64,
+        );
     }
     Ok(out)
 }
@@ -817,7 +856,10 @@ impl<R: BufRead + Send> RecordSource for TraceSource<R> {
                 Ok(record) => sink.push(&record),
                 Err(err) => {
                     stats.skipped_lines += 1;
-                    self.skipped.lock().expect("skipped list poisoned").push(err);
+                    self.skipped
+                        .lock()
+                        .expect("skipped list poisoned")
+                        .push(err);
                 }
             }
             Ok(())
@@ -886,7 +928,10 @@ mod tests {
 
     #[test]
     fn trace_source_counts_bytes_and_rejects_double_use() {
-        let body = format!("{TRACE_HEADER}\n{}\n", crate::trace::record_to_line(&record(5)));
+        let body = format!(
+            "{TRACE_HEADER}\n{}\n",
+            crate::trace::record_to_line(&record(5))
+        );
         let source = TraceSource::new(body.as_bytes());
         let ledger = IngestLedger::default();
         let mut stats = CollectionStats::default();
@@ -894,7 +939,9 @@ mod tests {
         {
             let mut consume = |batch: &mut RecordBatch| n += batch.len();
             let mut sink = ChunkSink::new(4, &ledger, &mut consume);
-            source.stream_shard(0, &mut stats, &mut sink).expect("clean trace");
+            source
+                .stream_shard(0, &mut stats, &mut sink)
+                .expect("clean trace");
             sink.flush();
         }
         assert_eq!(n, 1);
@@ -911,13 +958,19 @@ mod tests {
     #[test]
     fn ingest_error_display_and_sources_chain() {
         use std::error::Error as _;
-        let e = IngestError::from(TraceError { line: 3, message: "bad hour".into() });
+        let e = IngestError::from(TraceError {
+            line: 3,
+            message: "bad hour".into(),
+        });
         assert!(e.to_string().contains("trace line 3"));
         assert!(e.source().is_some());
         let e = IngestError::Config("chunk_size must be at least 1 record".into());
         assert!(e.to_string().contains("chunk_size"));
         assert!(e.source().is_none());
-        let e = IngestError::from(DatasetError { line: 0, message: "cannot merge".into() });
+        let e = IngestError::from(DatasetError {
+            line: 0,
+            message: "cannot merge".into(),
+        });
         assert!(e.to_string().contains("cannot merge"));
         assert!(e.source().is_some());
     }

@@ -67,9 +67,9 @@ pub use pipeline::{
 };
 pub use probe::Probe;
 pub use radio::RadioNetwork;
+pub use records::{Interface, RecordBatch, SessionRecord};
 pub use trace::{
     observe_with_options, read_trace_from, replay_from, trace_to_csv, write_trace_to,
     CaptureSummary, LossyReplay, TraceError,
 };
-pub use records::{Interface, RecordBatch, SessionRecord};
 pub use uli::UliModel;

@@ -95,7 +95,8 @@ impl CollectionStats {
         self.unclassified_mb += other.unclassified_mb;
         self.misassigned_sessions += other.misassigned_sessions;
         self.stale_fixes += other.stale_fixes;
-        self.sampled_errors_km.extend_from_slice(&other.sampled_errors_km);
+        self.sampled_errors_km
+            .extend_from_slice(&other.sampled_errors_km);
         self.error_samples_seen += other.error_samples_seen;
         self.error_sample_thin = self.error_sample_thin.max(other.error_sample_thin);
         self.faults.merge(&other.faults);
@@ -117,7 +118,10 @@ impl CollectionStats {
         if self.error_sample_thin == 0 {
             self.error_sample_thin = 1;
         }
-        if self.error_samples_seen.is_multiple_of(self.error_sample_thin) {
+        if self
+            .error_samples_seen
+            .is_multiple_of(self.error_sample_thin)
+        {
             self.sampled_errors_km.push(km);
             if self.sampled_errors_km.len() >= ERROR_SAMPLE_CAP {
                 let mut i = 0usize;
@@ -340,11 +344,7 @@ pub struct Capture {
 impl Capture {
     /// Deploys the apparatus for `model` under `config`; fails on an
     /// invalid configuration instead of panicking.
-    pub fn build(
-        model: &DemandModel,
-        config: &NetsimConfig,
-        seed: u64,
-    ) -> Result<Capture, String> {
+    pub fn build(model: &DemandModel, config: &NetsimConfig, seed: u64) -> Result<Capture, String> {
         config.validate()?;
         let country = model.country();
         let radio = RadioNetwork::deploy(country, config, seed ^ 0x7261_6469_6f00_0001);
@@ -366,7 +366,12 @@ impl Capture {
                 }
             })
             .collect();
-        Ok(Capture { radio, classifier, directions, config: config.clone() })
+        Ok(Capture {
+            radio,
+            classifier,
+            directions,
+            config: config.clone(),
+        })
     }
 
     /// The DPI stage of this apparatus — the classifier every aggregation
@@ -460,10 +465,11 @@ impl SyntheticSource<'_> {
                     stats.push_error_sample(session.position.distance(&recorded.centroid));
                 }
                 if self.faulted {
-                    self.injector.apply(&record, &mut fault_rng, &mut stats.faults, |degraded| {
-                        delivered += 1;
-                        emit(degraded);
-                    });
+                    self.injector
+                        .apply(&record, &mut fault_rng, &mut stats.faults, |degraded| {
+                            delivered += 1;
+                            emit(degraded);
+                        });
                 } else {
                     delivered += 1;
                     emit(&record);
@@ -539,7 +545,14 @@ pub fn collect_with_options(
     drop(capture_span);
 
     let out = fold_source(&source, model, options.chunk_size, |batch, ds, st| {
-        aggregate_batch(batch, capture.classifier(), FoldStrategy::Batched, false, ds, st)
+        aggregate_batch(
+            batch,
+            capture.classifier(),
+            FoldStrategy::Batched,
+            false,
+            ds,
+            st,
+        )
     })?;
     record_collection_metrics(&out.stats, source.faulted);
     Ok(out)
@@ -571,8 +584,14 @@ fn record_collection_metrics(stats: &CollectionStats, faulted: bool) {
     if faulted {
         mobilenet_obs::add("netsim.faults.lost_outage", stats.faults.lost_outage);
         mobilenet_obs::add("netsim.faults.lost_records", stats.faults.lost_records);
-        mobilenet_obs::add("netsim.faults.duplicated_records", stats.faults.duplicated_records);
-        mobilenet_obs::add("netsim.faults.truncated_records", stats.faults.truncated_records);
+        mobilenet_obs::add(
+            "netsim.faults.duplicated_records",
+            stats.faults.duplicated_records,
+        );
+        mobilenet_obs::add(
+            "netsim.faults.truncated_records",
+            stats.faults.truncated_records,
+        );
         mobilenet_obs::add("netsim.faults.skewed_records", stats.faults.skewed_records);
     }
     for &err in &stats.sampled_errors_km {
@@ -642,7 +661,10 @@ mod tests {
         let out = run(&m, &NetsimConfig::standard(), 7);
         assert!(out.stats.gn_records > 0, "no 3G records");
         assert!(out.stats.s5s8_records > 0, "no 4G records");
-        assert!(out.stats.stale_fixes > 0, "no stale ULI fixes at 12% probability");
+        assert!(
+            out.stats.stale_fixes > 0,
+            "no stale ULI fixes at 12% probability"
+        );
     }
 
     #[test]
@@ -689,7 +711,10 @@ mod tests {
             ..CollectionStats::default()
         };
         let median = stats.median_error_km();
-        assert_eq!(median, 3.0, "NaNs sort last; the middle of 5 samples is the finite max");
+        assert_eq!(
+            median, 3.0,
+            "NaNs sort last; the middle of 5 samples is the finite max"
+        );
         let empty = CollectionStats::default();
         assert_eq!(empty.median_error_km(), 0.0);
     }
@@ -716,16 +741,21 @@ mod tests {
         let clean = run(&m, &cfg, 13);
         let mut plan = crate::FaultPlan::degraded(13);
         plan.loss_prob = 0.10;
-        let out =
-            collect_with_options(&m, &cfg, &CollectOptions::with_faults(plan), 13).unwrap();
+        let out = collect_with_options(&m, &cfg, &CollectOptions::with_faults(plan), 13).unwrap();
         let f = &out.stats.faults;
-        assert!(f.lost_outage > 0, "Gn outage window must drop records: {f:?}");
+        assert!(
+            f.lost_outage > 0,
+            "Gn outage window must drop records: {f:?}"
+        );
         assert!(f.lost_records > 0 && f.duplicated_records > 0);
         assert!(f.truncated_records > 0 && f.skewed_records > 0);
         // Sessions are a pre-fault diagnostic; aggregated records shrink.
         assert_eq!(out.stats.sessions, clean.stats.sessions);
         let kept = out.stats.gn_records + out.stats.s5s8_records;
-        assert_eq!(kept, out.stats.sessions - f.lost_total() + f.duplicated_records);
+        assert_eq!(
+            kept,
+            out.stats.sessions - f.lost_total() + f.duplicated_records
+        );
         assert!(
             out.dataset.total(mobilenet_traffic::Direction::Down)
                 < clean.dataset.total(mobilenet_traffic::Direction::Down),
@@ -779,7 +809,10 @@ mod tests {
                 out.ingest.peak_resident_records,
                 out.ingest.resident_budget()
             );
-            assert_eq!(out.ingest.records, out.stats.gn_records + out.stats.s5s8_records);
+            assert_eq!(
+                out.ingest.records,
+                out.stats.gn_records + out.stats.s5s8_records
+            );
             let record_bytes = std::mem::size_of::<SessionRecord>() as u64;
             assert_eq!(
                 out.ingest.bytes_read,
@@ -845,7 +878,14 @@ mod tests {
         }
         let mut ds = TrafficDataset::new(m.country(), 3, m.catalog().tail_len(), 0.5);
         let mut stats = CollectionStats::default();
-        aggregate_batch(&mut batch, &classifier, FoldStrategy::Batched, false, &mut ds, &mut stats);
+        aggregate_batch(
+            &mut batch,
+            &classifier,
+            FoldStrategy::Batched,
+            false,
+            &mut ds,
+            &mut stats,
+        );
         assert!(stats.classified_mb.is_nan(), "NaN volumes were folded");
 
         let negative_zero =

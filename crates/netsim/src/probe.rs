@@ -38,7 +38,12 @@ pub struct Probe<'a> {
 impl<'a> Probe<'a> {
     /// Wires a probe to the radio network and classifier.
     pub fn new(radio: &'a RadioNetwork, uli: UliModel, classifier: &'a DpiClassifier) -> Self {
-        Probe { radio, uli, classifier, movement_directions: Vec::new() }
+        Probe {
+            radio,
+            uli,
+            classifier,
+            movement_directions: Vec::new(),
+        }
     }
 
     /// Sets per-commune movement directions for anisotropic ULI noise.
@@ -135,7 +140,10 @@ impl ProbeBlock {
     pub(crate) fn records(&self) -> impl Iterator<Item = (&Session, SessionRecord)> + '_ {
         self.sessions.iter().enumerate().map(|(i, session)| {
             let (_, stale) = self.fixes[i];
-            (session, record_of(session, stale, self.communes[i], self.signatures[i]))
+            (
+                session,
+                record_of(session, stale, self.communes[i], self.signatures[i]),
+            )
         })
     }
 }
@@ -236,22 +244,40 @@ mod tests {
                 hits += 1;
             }
         }
-        assert!(hits * 10 >= total * 6, "only {hits}/{total} correct communes");
+        assert!(
+            hits * 10 >= total * 6,
+            "only {hits}/{total} correct communes"
+        );
     }
 
     #[test]
     fn blocked_observation_matches_one_session_at_a_time() {
         let (country, radio, classifier) = fixture();
-        let probe = Probe::new(&radio, UliModel::new(&NetsimConfig::standard()), &classifier);
+        let probe = Probe::new(
+            &radio,
+            UliModel::new(&NetsimConfig::standard()),
+            &classifier,
+        );
         let mut block = ProbeBlock::with_capacity(4);
         for (i, c) in country.communes().iter().take(300).enumerate() {
-            let tech = if i % 3 == 0 { Technology::G3 } else { Technology::G4 };
-            let s = Session { commune: c.id, position: c.centroid, ..session(&country, tech) };
+            let tech = if i % 3 == 0 {
+                Technology::G3
+            } else {
+                Technology::G4
+            };
+            let s = Session {
+                commune: c.id,
+                position: c.centroid,
+                ..session(&country, tech)
+            };
             block.sessions.push(s);
         }
         let mut one = StdRng::seed_from_u64(8);
-        let want: Vec<SessionRecord> =
-            block.sessions.iter().map(|s| probe.observe(s, &mut one)).collect();
+        let want: Vec<SessionRecord> = block
+            .sessions
+            .iter()
+            .map(|s| probe.observe(s, &mut one))
+            .collect();
         let mut blocked = StdRng::seed_from_u64(8);
         probe.observe_block(&mut block, &mut blocked);
         let got: Vec<SessionRecord> = block.records().map(|(_, r)| r).collect();
@@ -263,7 +289,11 @@ mod tests {
     #[test]
     fn observation_is_deterministic_in_rng_state() {
         let (country, radio, classifier) = fixture();
-        let probe = Probe::new(&radio, UliModel::new(&NetsimConfig::standard()), &classifier);
+        let probe = Probe::new(
+            &radio,
+            UliModel::new(&NetsimConfig::standard()),
+            &classifier,
+        );
         let s = session(&country, Technology::G4);
         let mut a = StdRng::seed_from_u64(6);
         let mut b = StdRng::seed_from_u64(6);

@@ -43,8 +43,8 @@ impl RadioNetwork {
 
         let mut stations = Vec::new();
         for commune in country.communes() {
-            let n = ((commune.population as f64 / 10_000.0 * config.stations_per_10k_pop)
-                .round() as usize)
+            let n = ((commune.population as f64 / 10_000.0 * config.stations_per_10k_pop).round()
+                as usize)
                 .max(1);
             let radius = (commune.area_km2 / std::f64::consts::PI).sqrt();
             for _ in 0..n {
@@ -157,7 +157,10 @@ mod tests {
                 hits += 1;
             }
         }
-        assert!(hits as f64 / total as f64 > 0.6, "only {hits}/{total} self-hits");
+        assert!(
+            hits as f64 / total as f64 > 0.6,
+            "only {hits}/{total} self-hits"
+        );
     }
 
     #[test]

@@ -236,7 +236,11 @@ mod tests {
     fn batch_round_trips_rows_and_retains_capacity_across_clear() {
         let records: Vec<SessionRecord> = (0..10)
             .map(|i| SessionRecord {
-                interface: if i % 2 == 0 { Interface::Gn } else { Interface::S5S8 },
+                interface: if i % 2 == 0 {
+                    Interface::Gn
+                } else {
+                    Interface::S5S8
+                },
                 start_hour: i as u16 * 7,
                 dl_mb: i as f64 + 0.25,
                 ul_mb: i as f64 * 0.5,

@@ -213,9 +213,10 @@ pub(crate) fn walk_trace<R: BufRead>(
     let mut line_no = 0usize;
     let read_line = |reader: &mut R, line: &mut String, line_no: usize| {
         line.clear();
-        let n = reader
-            .read_line(line)
-            .map_err(|e| TraceError { line: line_no + 1, message: format!("i/o error: {e}") })?;
+        let n = reader.read_line(line).map_err(|e| TraceError {
+            line: line_no + 1,
+            message: format!("i/o error: {e}"),
+        })?;
         bytes.fetch_add(n as u64, Ordering::Relaxed);
         // Same semantics as `str::lines`: strip one `\n`, then at most
         // one `\r` before it.
@@ -236,9 +237,10 @@ pub(crate) fn walk_trace<R: BufRead>(
     line_no = 1;
     while read_line(&mut reader, &mut line, line_no)? {
         line_no += 1;
-        on_row(
-            record_from_line(&line).map_err(|message| TraceError { line: line_no, message }),
-        )?;
+        on_row(record_from_line(&line).map_err(|message| TraceError {
+            line: line_no,
+            message,
+        }))?;
     }
     Ok(())
 }
@@ -441,12 +443,12 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.dup_prob = -0.5;
         let opts = CollectOptions::with_faults(plan);
-        let err = observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {})
-            .unwrap_err();
+        let err =
+            observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {}).unwrap_err();
         assert!(err.contains("dup_prob"), "{err}");
         let opts = CollectOptions::default().chunk_size(0);
-        let err = observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {})
-            .unwrap_err();
+        let err =
+            observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {}).unwrap_err();
         assert!(err.contains("chunk_size"), "{err}");
     }
 
@@ -476,7 +478,11 @@ mod tests {
                 let a = direct.dataset.national_series(dir, s);
                 let b = replayed.national_series(dir, s);
                 for (x, y) in a.iter().zip(b.iter()) {
-                    assert!((x - y).abs() < 1e-9, "{} service {s}: {x} vs {y}", dir.label());
+                    assert!(
+                        (x - y).abs() < 1e-9,
+                        "{} service {s}: {x} vs {y}",
+                        dir.label()
+                    );
                 }
             }
         }
@@ -519,12 +525,19 @@ mod tests {
         assert!(!skipped.is_empty());
         let frac = skipped.len() as f64 / records.len() as f64;
         assert!((frac - 0.05).abs() < 0.02, "corrupted fraction {frac}");
-        assert_eq!(replayed.stats.sessions as usize + skipped.len(), records.len());
+        assert_eq!(
+            replayed.stats.sessions as usize + skipped.len(),
+            records.len()
+        );
         let lines: Vec<&str> = csv.lines().collect();
         for err in skipped {
             assert!(err.line >= 2, "header is line 1");
             let line_in_file = lines[err.line - 1];
-            assert!(record_from_line(line_in_file).is_err(), "line {}: {line_in_file}", err.line);
+            assert!(
+                record_from_line(line_in_file).is_err(),
+                "line {}: {line_in_file}",
+                err.line
+            );
         }
         assert_eq!(replayed.stats.skipped_lines, skipped.len() as u64);
         assert!(replayed.dataset.total(Direction::Down) > 0.0);
@@ -637,11 +650,10 @@ mod tests {
         let via_options = capture(&m, &cfg, 17);
         let plan = FaultPlan::degraded(3);
         let mut faulted = Vec::new();
-        let summary =
-            observe_with_options(&m, &cfg, &CollectOptions::with_faults(plan), 17, |r| {
-                faulted.push(r.clone())
-            })
-            .unwrap();
+        let summary = observe_with_options(&m, &cfg, &CollectOptions::with_faults(plan), 17, |r| {
+            faulted.push(r.clone())
+        })
+        .unwrap();
         assert_eq!(summary.sessions, via_options.len() as u64);
         assert_eq!(summary.emitted, faulted.len() as u64);
         assert_eq!(

@@ -63,7 +63,11 @@ impl UliModel {
         rng: &mut StdRng,
     ) -> (Point, bool) {
         let stale = self.stale_prob > 0.0 && rng.gen::<f64>() < self.stale_prob;
-        let sigma = if stale { self.stale_sigma_km } else { self.sigma_km };
+        let sigma = if stale {
+            self.stale_sigma_km
+        } else {
+            self.sigma_km
+        };
         if sigma <= 0.0 {
             return (*true_position, stale);
         }
@@ -75,7 +79,10 @@ impl UliModel {
                 (gx * ux - 0.1 * gy * uy, gx * uy + 0.1 * gy * ux)
             }
         };
-        (Point::new(true_position.x + dx, true_position.y + dy), stale)
+        (
+            Point::new(true_position.x + dx, true_position.y + dy),
+            stale,
+        )
     }
 
     /// The Rayleigh scale of fresh fixes, km.

@@ -119,7 +119,10 @@ impl ServiceSpec {
 
     /// The ground-truth peak intensity at a topical time, if any.
     pub fn peak_at(&self, time: TopicalTime) -> Option<f64> {
-        self.peaks.iter().find(|p| p.time == time).map(|p| p.intensity)
+        self.peaks
+            .iter()
+            .find(|p| p.time == time)
+            .map(|p| p.intensity)
     }
 }
 
@@ -136,7 +139,9 @@ pub struct ServiceCatalog {
 
 /// Shorthand used by the static table below.
 fn peaks(list: &[(TopicalTime, f64)]) -> Vec<PeakSpec> {
-    list.iter().map(|&(time, intensity)| PeakSpec { time, intensity }).collect()
+    list.iter()
+        .map(|&(time, intensity)| PeakSpec { time, intensity })
+        .collect()
 }
 
 impl ServiceCatalog {
@@ -162,7 +167,11 @@ impl ServiceCatalog {
         let v_last_ul = head.last().unwrap().weekly_ul_mb_per_user();
         let tail_dl_mb = tail_volumes(n_tail, Self::HEAD_LEN, v_last_dl, 1.69);
         let tail_ul_mb = tail_volumes(n_tail, Self::HEAD_LEN, v_last_ul, 1.55);
-        ServiceCatalog { head, tail_dl_mb, tail_ul_mb }
+        ServiceCatalog {
+            head,
+            tail_dl_mb,
+            tail_ul_mb,
+        }
     }
 
     /// The head services, in catalog (≈ downlink-rank) order.
@@ -241,7 +250,15 @@ fn tail_volumes(n_tail: usize, head_len: usize, v_anchor: f64, s: f64) -> Vec<f6
 /// Netflix high-end, iCloud uniform, Adult avoiding TGV).
 /// One row of the head-service table: name, category, weekly DL volume,
 /// uplink ratio, mean session size, peak palette, spatial profile.
-type HeadRow = (&'static str, Category, f64, f64, f64, Vec<PeakSpec>, SpatialProfile);
+type HeadRow = (
+    &'static str,
+    Category,
+    f64,
+    f64,
+    f64,
+    Vec<PeakSpec>,
+    SpatialProfile,
+);
 
 fn head_services() -> Vec<ServiceSpec> {
     use Category::*;
@@ -273,7 +290,11 @@ fn head_services() -> Vec<ServiceSpec> {
             40.0,
             0.03,
             8.0,
-            peaks(&[(Midday, 0.80), (AfternoonCommute, 0.35), (WeekendMidday, 0.22)]),
+            peaks(&[
+                (Midday, 0.80),
+                (AfternoonCommute, 0.35),
+                (WeekendMidday, 0.22),
+            ]),
             t(),
         ),
         (
@@ -300,7 +321,11 @@ fn head_services() -> Vec<ServiceSpec> {
             14.0,
             0.012,
             9.0,
-            peaks(&[(MorningCommute, 0.95), (Midday, 0.50), (AfternoonCommute, 0.30)]),
+            peaks(&[
+                (MorningCommute, 0.95),
+                (Midday, 0.50),
+                (AfternoonCommute, 0.30),
+            ]),
             t(),
         ),
         (
@@ -323,11 +348,7 @@ fn head_services() -> Vec<ServiceSpec> {
             11.0,
             0.108,
             1.2,
-            peaks(&[
-                (Midday, 0.90),
-                (MorningBreak, 0.55),
-                (Evening, 0.55),
-            ]),
+            peaks(&[(Midday, 0.90), (MorningBreak, 0.55), (Evening, 0.55)]),
             t(),
         ),
         (
@@ -336,7 +357,11 @@ fn head_services() -> Vec<ServiceSpec> {
             10.0,
             0.072,
             2.0,
-            peaks(&[(Midday, 0.70), (MorningCommute, 0.60), (AfternoonCommute, 0.25)]),
+            peaks(&[
+                (Midday, 0.70),
+                (MorningCommute, 0.60),
+                (AfternoonCommute, 0.25),
+            ]),
             t(),
         ),
         (
@@ -359,7 +384,11 @@ fn head_services() -> Vec<ServiceSpec> {
             7.5,
             0.018,
             1.0,
-            peaks(&[(MorningCommute, 1.15), (Midday, 0.55), (AfternoonCommute, 0.20)]),
+            peaks(&[
+                (MorningCommute, 1.15),
+                (Midday, 0.55),
+                (AfternoonCommute, 0.20),
+            ]),
             t(),
         ),
         (
@@ -433,7 +462,11 @@ fn head_services() -> Vec<ServiceSpec> {
             3.0,
             0.21,
             0.4,
-            peaks(&[(MorningCommute, 0.85), (Midday, 0.60), (AfternoonCommute, 0.18)]),
+            peaks(&[
+                (MorningCommute, 0.85),
+                (Midday, 0.60),
+                (AfternoonCommute, 0.18),
+            ]),
             t(),
         ),
         (
@@ -464,16 +497,18 @@ fn head_services() -> Vec<ServiceSpec> {
     table
         .into_iter()
         .enumerate()
-        .map(|(i, (name, category, dl, ul_ratio, session_dl_mb, peaks, spatial))| ServiceSpec {
-            id: ServiceId(i as u16),
-            name,
-            category,
-            weekly_dl_mb_per_user: dl,
-            ul_ratio,
-            session_dl_mb,
-            peaks,
-            spatial,
-        })
+        .map(
+            |(i, (name, category, dl, ul_ratio, session_dl_mb, peaks, spatial))| ServiceSpec {
+                id: ServiceId(i as u16),
+                name,
+                category,
+                weekly_dl_mb_per_user: dl,
+                ul_ratio,
+                session_dl_mb,
+                peaks,
+                spatial,
+            },
+        )
         .collect()
 }
 
@@ -530,7 +565,9 @@ mod tests {
         let c = catalog();
         let mut by_ul: Vec<&ServiceSpec> = c.head().iter().collect();
         by_ul.sort_by(|a, b| {
-            b.weekly_ul_mb_per_user().partial_cmp(&a.weekly_ul_mb_per_user()).unwrap()
+            b.weekly_ul_mb_per_user()
+                .partial_cmp(&a.weekly_ul_mb_per_user())
+                .unwrap()
         });
         for s in &by_ul[..3] {
             assert!(

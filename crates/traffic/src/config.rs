@@ -75,7 +75,11 @@ impl TrafficConfig {
     /// A lighter configuration for unit tests: fewer tail services and
     /// stronger thinning.
     pub fn fast() -> Self {
-        TrafficConfig { n_tail_services: 80, volume_scale: 200.0, ..Self::standard() }
+        TrafficConfig {
+            n_tail_services: 80,
+            volume_scale: 200.0,
+            ..Self::standard()
+        }
     }
 
     /// The national measurement tier: [`TrafficConfig::standard`] with
@@ -84,7 +88,10 @@ impl TrafficConfig {
     /// the paper's order of magnitude — ~10⁸ over the week — instead of
     /// the figure-generation tier's ~10⁶–10⁷.
     pub fn national() -> Self {
-        TrafficConfig { volume_scale: 10.0, ..Self::standard() }
+        TrafficConfig {
+            volume_scale: 10.0,
+            ..Self::standard()
+        }
     }
 
     /// Validates internal consistency.
@@ -108,7 +115,9 @@ impl TrafficConfig {
             return Err("commute_radius_km must be positive".into());
         }
         for event in &self.events {
-            event.validate().map_err(|e| format!("event {:?}: {e}", event.name))?;
+            event
+                .validate()
+                .map_err(|e| format!("event {:?}: {e}", event.name))?;
         }
         for (name, sigma) in [
             ("commune_taste_sigma", self.commune_taste_sigma),

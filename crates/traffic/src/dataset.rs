@@ -99,7 +99,12 @@ impl Communes {
             class_users[cls as usize] += u;
         }
         let zeros = vec![0.0; block_len(users.len())];
-        Communes { users, class, class_users, zeros }
+        Communes {
+            users,
+            class,
+            class_users,
+            zeros,
+        }
     }
 }
 
@@ -221,7 +226,11 @@ impl TrafficDataset {
             .iter()
             .map(|c| c.population as f64 * subscriber_share)
             .collect();
-        let class = country.communes().iter().map(|c| c.usage_class().index() as u8).collect();
+        let class = country
+            .communes()
+            .iter()
+            .map(|c| c.usage_class().index() as u8)
+            .collect();
         TrafficDataset {
             n_services,
             n_communes: country.communes().len(),
@@ -286,7 +295,8 @@ impl TrafficDataset {
         hour: usize,
         mb: f64,
     ) {
-        self.service_rows_mut(service).add(dir, commune.index(), hour, mb);
+        self.service_rows_mut(service)
+            .add(dir, commune.index(), hour, mb);
     }
 
     /// Records `mb` of traffic the classifier could not attribute.
@@ -410,8 +420,9 @@ impl TrafficDataset {
     /// ([`f64::total_cmp`] orders NaN ahead of every finite value in the
     /// descending ranking instead of aborting).
     pub fn full_ranking(&self, dir: Direction) -> Vec<f64> {
-        let mut all: Vec<f64> =
-            (0..self.n_services).map(|s| self.national_weekly(dir, s)).collect();
+        let mut all: Vec<f64> = (0..self.n_services)
+            .map(|s| self.national_weekly(dir, s))
+            .collect();
         all.extend_from_slice(self.tail_weekly(dir));
         all.sort_by(|a, b| b.total_cmp(a));
         all
@@ -419,7 +430,9 @@ impl TrafficDataset {
 
     /// Total classified volume in a direction (head + tail), MB.
     pub fn total_classified(&self, dir: Direction) -> f64 {
-        let head: f64 = (0..self.n_services).map(|s| self.national_weekly(dir, s)).sum();
+        let head: f64 = (0..self.n_services)
+            .map(|s| self.national_weekly(dir, s))
+            .sum();
         let tail: f64 = self.tail_weekly(dir).iter().sum();
         head + tail
     }
@@ -466,11 +479,13 @@ impl TrafficDataset {
             self.unclassified[0], self.unclassified[1]
         )?;
         let join = |xs: &[f64]| {
-            xs.iter().map(|v| format!("{v:e}")).collect::<Vec<_>>().join(",")
+            xs.iter()
+                .map(|v| format!("{v:e}"))
+                .collect::<Vec<_>>()
+                .join(",")
         };
         writeln!(writer, "commune_users,{}", join(&self.communes.users))?;
-        let classes: Vec<String> =
-            self.communes.class.iter().map(|c| c.to_string()).collect();
+        let classes: Vec<String> = self.communes.class.iter().map(|c| c.to_string()).collect();
         writeln!(writer, "commune_class,{}", classes.join(","))?;
         for dir in Direction::BOTH {
             let d = dir.index();
@@ -480,7 +495,11 @@ impl TrafficDataset {
                     "national_hourly,{d},{s},{}",
                     join(self.national_series(dir, s))
                 )?;
-                writeln!(writer, "commune_weekly,{d},{s},{}", join(self.commune_vector(dir, s)))?;
+                writeln!(
+                    writer,
+                    "commune_weekly,{d},{s},{}",
+                    join(self.commune_vector(dir, s))
+                )?;
                 for class in UsageClass::ALL {
                     writeln!(
                         writer,
@@ -500,7 +519,8 @@ impl TrafficDataset {
     /// callers that want the text itself.
     pub fn to_csv(&self) -> String {
         let mut out = Vec::new();
-        self.write_to(&mut out).expect("writing a dataset to memory cannot fail");
+        self.write_to(&mut out)
+            .expect("writing a dataset to memory cannot fail");
         String::from_utf8(out).expect("dataset CSV is ASCII")
     }
 
@@ -515,9 +535,9 @@ impl TrafficDataset {
         let mut line = String::new();
         let read_line = |reader: &mut R, line: &mut String, line_no: usize| {
             line.clear();
-            let n = reader.read_line(line).map_err(|e| {
-                DatasetError::at(line_no + 1, format!("i/o error: {e}"))
-            })?;
+            let n = reader
+                .read_line(line)
+                .map_err(|e| DatasetError::at(line_no + 1, format!("i/o error: {e}")))?;
             // Same semantics as `str::lines`: strip one `\n`, then at
             // most one `\r` before it.
             if line.ends_with('\n') {
@@ -537,7 +557,8 @@ impl TrafficDataset {
         let dims: Vec<usize> = header
             .split(',')
             .map(|x| {
-                x.parse().map_err(|e| DatasetError::at(1, format!("bad dimension: {e}")))
+                x.parse()
+                    .map_err(|e| DatasetError::at(1, format!("bad dimension: {e}")))
             })
             .collect::<Result<_, _>>()?;
         if dims.len() != 3 {
@@ -591,7 +612,10 @@ impl TrafficDataset {
         let (n_services, n_communes, n_tail) = (self.n_services, self.n_communes, self.n_tail());
         let parse_floats = |s: &str| -> Result<Vec<f64>, String> {
             s.split(',')
-                .map(|x| x.parse::<f64>().map_err(|e| format!("bad float {x:?}: {e}")))
+                .map(|x| {
+                    x.parse::<f64>()
+                        .map_err(|e| format!("bad float {x:?}: {e}"))
+                })
                 .collect()
         };
         // The `dir,service,` key of a per-service row, and the rest.
@@ -813,7 +837,10 @@ impl TrafficDataset {
         }
         self.assert_same_blocks(other);
         let len = block_len(self.n_communes);
-        for (a, &b) in owned(&mut self.blocks[service], len).iter_mut().zip(other.block(service)) {
+        for (a, &b) in owned(&mut self.blocks[service], len)
+            .iter_mut()
+            .zip(other.block(service))
+        {
             *a += b;
         }
     }
@@ -842,7 +869,11 @@ impl TrafficDataset {
         self.tail_written = false;
         self.unclassified = [0.0; 2];
         for part in parts {
-            assert_eq!(self.tail_weekly.len(), part.tail_weekly.len(), "tail lengths differ");
+            assert_eq!(
+                self.tail_weekly.len(),
+                part.tail_weekly.len(),
+                "tail lengths differ"
+            );
             if part.tail_written {
                 for (a, b) in self.tail_weekly.iter_mut().zip(&part.tail_weekly) {
                     *a += b;
@@ -868,7 +899,10 @@ pub struct DatasetError {
 
 impl DatasetError {
     fn at(line: usize, message: impl Into<String>) -> Self {
-        DatasetError { line, message: message.into() }
+        DatasetError {
+            line,
+            message: message.into(),
+        }
     }
 }
 
@@ -937,12 +971,20 @@ mod tests {
     fn window_accessors_clamp_and_match_the_weekly_total() {
         let (country, mut ds) = dataset();
         for (i, c) in country.communes().iter().enumerate().take(100) {
-            ds.add(Direction::Down, 0, c.id, (i * 7) % HOURS_PER_WEEK, 0.3 + i as f64 * 0.17);
+            ds.add(
+                Direction::Down,
+                0,
+                c.id,
+                (i * 7) % HOURS_PER_WEEK,
+                0.3 + i as f64 * 0.17,
+            );
         }
         // The full window is the weekly total, bit for bit (same
         // left-to-right additions).
-        let full: f64 =
-            ds.national_series_window(Direction::Down, 0, 0, HOURS_PER_WEEK).iter().sum();
+        let full: f64 = ds
+            .national_series_window(Direction::Down, 0, 0, HOURS_PER_WEEK)
+            .iter()
+            .sum();
         assert_eq!(full, ds.national_weekly(Direction::Down, 0));
         // Disjoint windows partition the series.
         let a = ds.national_series_window(Direction::Down, 0, 0, 50);
@@ -950,9 +992,17 @@ mod tests {
         assert_eq!(a.len() + b.len(), HOURS_PER_WEEK);
         assert_eq!(a[49], ds.national_series(Direction::Down, 0)[49]);
         // Out-of-range bounds clamp instead of panicking.
-        assert_eq!(ds.national_series_window(Direction::Down, 0, 0, 10_000).len(), 168);
-        assert!(ds.national_series_window(Direction::Down, 0, 80, 20).is_empty());
-        assert!(ds.national_series_window(Direction::Down, 0, 168, 168).is_empty());
+        assert_eq!(
+            ds.national_series_window(Direction::Down, 0, 0, 10_000)
+                .len(),
+            168
+        );
+        assert!(ds
+            .national_series_window(Direction::Down, 0, 80, 20)
+            .is_empty());
+        assert!(ds
+            .national_series_window(Direction::Down, 0, 168, 168)
+            .is_empty());
     }
 
     #[test]
@@ -1072,7 +1122,9 @@ mod tests {
         // hand-written CSV put into `self` keeps its sign when `other`
         // never wrote that row, and flips to `+0.0` when it did.
         let (country, empty) = dataset();
-        let text = empty.to_csv().replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
+        let text = empty
+            .to_csv()
+            .replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
         let negative_zero = |ds: &TrafficDataset| ds.commune_vector(Direction::Down, 1)[0];
         let mut a = TrafficDataset::from_csv(&text).expect("parse");
         assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
@@ -1083,7 +1135,8 @@ mod tests {
         assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
 
         // A dataset read from CSV counts every row as written.
-        a.merge(&TrafficDataset::from_csv(&empty.to_csv()).unwrap()).expect("same shape");
+        a.merge(&TrafficDataset::from_csv(&empty.to_csv()).unwrap())
+            .expect("same shape");
         assert_eq!(negative_zero(&a).to_bits(), 0.0f64.to_bits());
     }
 
@@ -1094,12 +1147,19 @@ mod tests {
         partial.add(Direction::Down, 1, commune, 7, 2.5);
         let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
         merged.rebuild_service_rows(1, [&mut partial]);
-        assert!(matches!(merged.blocks[1], Block::Shared(_)), "a sole fold writer is shared");
+        assert!(
+            matches!(merged.blocks[1], Block::Shared(_)),
+            "a sole fold writer is shared"
+        );
         let before = merged.to_csv();
 
         partial.add(Direction::Down, 1, commune, 7, 1.0);
         partial.service_rows_mut(1).add_both(0, 0, 3.0, 1.0);
-        assert_eq!(merged.to_csv(), before, "a write to the original reached its shared copy");
+        assert_eq!(
+            merged.to_csv(),
+            before,
+            "a write to the original reached its shared copy"
+        );
         assert_eq!(partial.national_series(Direction::Down, 1)[7], 3.5);
         assert_eq!(merged.national_series(Direction::Down, 1)[7], 2.5);
 
@@ -1126,7 +1186,11 @@ mod tests {
         assert_eq!(merged.block(2).as_ptr(), at, "sharing copied the block");
         drop(merged);
         partial.service_rows_mut(2).add_both(7, 8, 1.0, 0.5);
-        assert_eq!(partial.block(2).as_ptr(), at, "the last holder's write copied the block");
+        assert_eq!(
+            partial.block(2).as_ptr(),
+            at,
+            "the last holder's write copied the block"
+        );
 
         // While another dataset holds it, the writer copies it once.
         let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
@@ -1144,19 +1208,30 @@ mod tests {
         // A literal `-0` read from CSV must come out of a rebuild as the
         // `+0.0` a fresh merge makes, so such a writer is never shared.
         let (country, empty) = dataset();
-        let text = empty.to_csv().replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
+        let text = empty
+            .to_csv()
+            .replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
         let mut read = TrafficDataset::from_csv(&text).expect("parse");
         let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
         merged.rebuild_service_rows(1, [&mut read]);
         assert!(matches!(merged.blocks[1], Block::Owned(_)));
-        assert_eq!(merged.commune_vector(Direction::Down, 1)[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            merged.commune_vector(Direction::Down, 1)[0].to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]
     fn reader_and_writer_apis_match_the_string_forms() {
         let (country, mut ds) = dataset();
         for (i, c) in country.communes().iter().enumerate().take(25) {
-            ds.add(Direction::Down, i % 3, c.id, i % HOURS_PER_WEEK, 1.0 + i as f64);
+            ds.add(
+                Direction::Down,
+                i % 3,
+                c.id,
+                i % HOURS_PER_WEEK,
+                1.0 + i as f64,
+            );
         }
         let mut buf = Vec::new();
         ds.write_to(&mut buf).expect("write to memory");
@@ -1167,7 +1242,10 @@ mod tests {
         assert_eq!(via_reader.to_csv(), text);
         // \r\n line endings parse identically.
         let crlf = text.replace('\n', "\r\n");
-        assert_eq!(TrafficDataset::read_from(crlf.as_bytes()).unwrap().to_csv(), text);
+        assert_eq!(
+            TrafficDataset::read_from(crlf.as_bytes()).unwrap().to_csv(),
+            text
+        );
         // Errors still carry the 1-based line number.
         let mut broken = text.clone();
         broken.push_str("bogus,1,2\n");
@@ -1187,8 +1265,20 @@ mod tests {
     fn csv_round_trip_is_exact() {
         let (country, mut ds) = dataset();
         for (i, c) in country.communes().iter().enumerate().take(40) {
-            ds.add(Direction::Down, i % 3, c.id, (i * 7) % HOURS_PER_WEEK, 0.1 + i as f64);
-            ds.add(Direction::Up, (i + 1) % 3, c.id, (i * 5) % HOURS_PER_WEEK, 0.01 * i as f64);
+            ds.add(
+                Direction::Down,
+                i % 3,
+                c.id,
+                (i * 7) % HOURS_PER_WEEK,
+                0.1 + i as f64,
+            );
+            ds.add(
+                Direction::Up,
+                (i + 1) % 3,
+                c.id,
+                (i * 5) % HOURS_PER_WEEK,
+                0.01 * i as f64,
+            );
         }
         ds.add_unclassified(Direction::Down, 3.25);
         for r in 0..10 {
@@ -1221,17 +1311,13 @@ mod tests {
         assert!(TrafficDataset::from_csv("").is_err());
         assert!(TrafficDataset::from_csv("not a dataset").is_err());
         assert!(TrafficDataset::from_csv("#mobilenet-dataset v1,2,3").is_err());
+        assert!(TrafficDataset::from_csv("#mobilenet-dataset v1,1,1,1\nbogus,1,2").is_err());
         assert!(
-            TrafficDataset::from_csv("#mobilenet-dataset v1,1,1,1\nbogus,1,2").is_err()
+            TrafficDataset::from_csv("#mobilenet-dataset v1,1,2,0\ncommune_users,1.0").is_err()
         );
-        assert!(TrafficDataset::from_csv(
-            "#mobilenet-dataset v1,1,2,0\ncommune_users,1.0"
-        )
-        .is_err());
-        assert!(TrafficDataset::from_csv(
-            "#mobilenet-dataset v1,1,1,0\nunclassified,1.0,abc"
-        )
-        .is_err());
+        assert!(
+            TrafficDataset::from_csv("#mobilenet-dataset v1,1,1,0\nunclassified,1.0,abc").is_err()
+        );
     }
 
     #[test]
@@ -1285,9 +1371,14 @@ mod tests {
                 if !rows.is_empty() {
                     let s = rows[rng.gen_range(0..rows.len())];
                     if rng.gen_bool(0.5) {
-                        ds.service_rows_mut(s).add_both(commune, hour, volume(rng), volume(rng));
+                        ds.service_rows_mut(s)
+                            .add_both(commune, hour, volume(rng), volume(rng));
                     } else {
-                        let dir = if rng.gen_bool(0.5) { Direction::Down } else { Direction::Up };
+                        let dir = if rng.gen_bool(0.5) {
+                            Direction::Down
+                        } else {
+                            Direction::Up
+                        };
                         ds.add(dir, s, country.communes()[commune].id, hour, volume(rng));
                     }
                 }
@@ -1308,7 +1399,10 @@ mod tests {
         fn dense_merge(into: &mut TrafficDataset, other: &TrafficDataset) {
             let len = block_len(into.n_communes);
             for s in 0..SERVICES {
-                for (x, y) in owned(&mut into.blocks[s], len).iter_mut().zip(other.block(s)) {
+                for (x, y) in owned(&mut into.blocks[s], len)
+                    .iter_mut()
+                    .zip(other.block(s))
+                {
                     *x += y;
                 }
             }

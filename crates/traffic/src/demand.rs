@@ -132,8 +132,7 @@ impl DemandModel {
                         continue;
                     }
                     let entry = event_overrides.entry((s, ci)).or_insert_with(|| {
-                        let base = if country.communes()[ci].usage_class() == UsageClass::Tgv
-                        {
+                        let base = if country.communes()[ci].usage_class() == UsageClass::Tgv {
                             tgv_profiles[s].hourly().to_vec()
                         } else {
                             profiles[s].hourly().to_vec()
@@ -272,8 +271,12 @@ impl DemandModel {
         let n_services = self.catalog.head().len();
         let n_tail = self.catalog.tail_len();
         // Clones share the per-commune constants.
-        let empty =
-            TrafficDataset::new(&self.country, n_services, n_tail, self.config.subscriber_share);
+        let empty = TrafficDataset::new(
+            &self.country,
+            n_services,
+            n_tail,
+            self.config.subscriber_share,
+        );
         let partials = mobilenet_par::par_map_collect(n_services, |s| {
             let mut ds = empty.clone();
             for (ci, commune) in self.country.communes().iter().enumerate() {
@@ -297,7 +300,8 @@ impl DemandModel {
         });
         let mut ds = empty;
         for partial in &partials {
-            ds.merge(partial).expect("partials share one shape by construction");
+            ds.merge(partial)
+                .expect("partials share one shape by construction");
         }
         self.fill_tail(&mut ds);
         ds
@@ -351,7 +355,10 @@ mod tests {
         // (up to the taste factor).
         let per_user = dl / m.users()[urban.id.index()];
         let want = m.catalog().head()[service].weekly_dl_mb_per_user;
-        assert!(per_user > want * 0.2 && per_user < want * 5.0, "{per_user} vs {want}");
+        assert!(
+            per_user > want * 0.2 && per_user < want * 5.0,
+            "{per_user} vs {want}"
+        );
     }
 
     #[test]
@@ -368,7 +375,10 @@ mod tests {
             .iter()
             .position(|c| c.usage_class() == UsageClass::Rural)
             .unwrap();
-        assert_ne!(m.profile_for(0, tgv).hourly(), m.profile_for(0, rural).hourly());
+        assert_ne!(
+            m.profile_for(0, tgv).hourly(),
+            m.profile_for(0, rural).hourly()
+        );
         assert_eq!(
             m.profile_for(0, rural).hourly(),
             m.national_profile(0).hourly()
@@ -384,7 +394,10 @@ mod tests {
                 .map(|c| m.weekly_dl_mb(s, c))
                 .sum();
             let got = ds.national_weekly(Direction::Down, s);
-            assert!((got - want).abs() / want < 1e-9, "service {s}: {got} vs {want}");
+            assert!(
+                (got - want).abs() / want < 1e-9,
+                "service {s}: {got} vs {want}"
+            );
         }
     }
 
@@ -450,10 +463,10 @@ mod tests {
         let catalog = Arc::new(ServiceCatalog::standard(10));
         let capital = country.cities()[0].center;
         let mut cfg = TrafficConfig::fast();
-        cfg.events.push(crate::events::EventSpec::stadium_match(capital));
+        cfg.events
+            .push(crate::events::EventSpec::stadium_match(capital));
         let with = DemandModel::new(country.clone(), catalog.clone(), cfg, 11);
-        let without =
-            DemandModel::new(country.clone(), catalog, TrafficConfig::fast(), 11);
+        let without = DemandModel::new(country.clone(), catalog, TrafficConfig::fast(), 11);
 
         let host = country.commune_at(&capital).index();
         let facebook = with
@@ -462,16 +475,22 @@ mod tests {
             .iter()
             .position(|s| s.name == "Facebook")
             .unwrap();
-        let mail = with.catalog().head().iter().position(|s| s.name == "Mail").unwrap();
+        let mail = with
+            .catalog()
+            .head()
+            .iter()
+            .position(|s| s.name == "Mail")
+            .unwrap();
 
         // Affected category at the epicenter: clear uplift.
         assert!(with.weekly_uplift(facebook, host) > 1.02);
-        assert!(
-            with.weekly_dl_mb(facebook, host) > 1.02 * without.weekly_dl_mb(facebook, host)
-        );
+        assert!(with.weekly_dl_mb(facebook, host) > 1.02 * without.weekly_dl_mb(facebook, host));
         // Unaffected category: untouched.
         assert_eq!(with.weekly_uplift(mail, host), 1.0);
-        assert_eq!(with.weekly_dl_mb(mail, host), without.weekly_dl_mb(mail, host));
+        assert_eq!(
+            with.weekly_dl_mb(mail, host),
+            without.weekly_dl_mb(mail, host)
+        );
         // Far away: untouched.
         let far = country
             .communes()
@@ -481,16 +500,20 @@ mod tests {
         assert_eq!(with.weekly_uplift(facebook, far), 1.0);
 
         // The uplift is concentrated in the event hours.
-        let event_hours: f64 =
-            (19..22).map(|h| with.hourly_weight(facebook, host, h)).sum();
-        let base_hours: f64 =
-            (19..22).map(|h| without.hourly_weight(facebook, host, h)).sum();
-        assert!(event_hours > 2.0 * base_hours, "{event_hours} vs {base_hours}");
+        let event_hours: f64 = (19..22)
+            .map(|h| with.hourly_weight(facebook, host, h))
+            .sum();
+        let base_hours: f64 = (19..22)
+            .map(|h| without.hourly_weight(facebook, host, h))
+            .sum();
+        assert!(
+            event_hours > 2.0 * base_hours,
+            "{event_hours} vs {base_hours}"
+        );
         // Off-event hours identical.
         assert!(
-            (with.hourly_weight(facebook, host, 100)
-                - without.hourly_weight(facebook, host, 100))
-            .abs()
+            (with.hourly_weight(facebook, host, 100) - without.hourly_weight(facebook, host, 100))
+                .abs()
                 < 1e-12
         );
     }
@@ -501,15 +524,17 @@ mod tests {
         let catalog = Arc::new(ServiceCatalog::standard(10));
         let capital = country.cities()[0].center;
         let mut cfg = TrafficConfig::fast();
-        cfg.events.push(crate::events::EventSpec::stadium_match(capital));
+        cfg.events
+            .push(crate::events::EventSpec::stadium_match(capital));
         let m = DemandModel::new(country, catalog, cfg, 11);
         let ds = m.expected_dataset();
         // National weekly totals still equal the (uplifted) per-commune
         // sums, so event traffic flows through the whole pipeline
         // consistently.
         for s in [2usize, 6] {
-            let want: f64 =
-                (0..m.country().communes().len()).map(|c| m.weekly_dl_mb(s, c)).sum();
+            let want: f64 = (0..m.country().communes().len())
+                .map(|c| m.weekly_dl_mb(s, c))
+                .sum();
             let got = ds.national_weekly(Direction::Down, s);
             assert!((got - want).abs() / want < 1e-9, "service {s}");
         }

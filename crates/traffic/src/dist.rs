@@ -82,7 +82,10 @@ impl Categorical {
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for &w in weights {
-            assert!(w >= 0.0 && w.is_finite(), "weights must be finite and non-negative");
+            assert!(
+                w >= 0.0 && w.is_finite(),
+                "weights must be finite and non-negative"
+            );
             acc += w;
             cumulative.push(acc);
         }
@@ -104,7 +107,9 @@ impl Categorical {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let u: f64 = rng.gen_range(0.0..total);
-        self.cumulative.partition_point(|&c| c <= u).min(self.cumulative.len() - 1)
+        self.cumulative
+            .partition_point(|&c| c <= u)
+            .min(self.cumulative.len() - 1)
     }
 }
 
@@ -134,8 +139,10 @@ mod tests {
         let mut r = rng();
         for sigma in [0.1, 0.5, 1.0] {
             let n = 200_000;
-            let mean: f64 =
-                (0..n).map(|_| unit_mean_log_normal(&mut r, sigma)).sum::<f64>() / n as f64;
+            let mean: f64 = (0..n)
+                .map(|_| unit_mean_log_normal(&mut r, sigma))
+                .sum::<f64>()
+                / n as f64;
             assert!((mean - 1.0).abs() < 0.03, "sigma {sigma}: mean {mean}");
         }
     }
@@ -144,8 +151,10 @@ mod tests {
     fn log_normal_with_mean_scales() {
         let mut r = rng();
         let n = 100_000;
-        let mean: f64 =
-            (0..n).map(|_| log_normal_with_mean(&mut r, 250.0, 0.7)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|_| log_normal_with_mean(&mut r, 250.0, 0.7))
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 250.0).abs() / 250.0 < 0.05, "mean {mean}");
     }
 
@@ -156,10 +165,15 @@ mod tests {
             let n = 50_000;
             let samples: Vec<f64> = (0..n).map(|_| poisson(&mut r, lambda) as f64).collect();
             let mean = samples.iter().sum::<f64>() / n as f64;
-            let var =
-                samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-            assert!((mean - lambda).abs() / lambda < 0.05, "λ {lambda}: mean {mean}");
-            assert!((var - lambda).abs() / lambda < 0.10, "λ {lambda}: var {var}");
+            let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+            assert!(
+                (mean - lambda).abs() / lambda < 0.05,
+                "λ {lambda}: mean {mean}"
+            );
+            assert!(
+                (var - lambda).abs() / lambda < 0.10,
+                "λ {lambda}: var {var}"
+            );
         }
     }
 

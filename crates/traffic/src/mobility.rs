@@ -165,8 +165,7 @@ mod tests {
             .communes()
             .iter()
             .find(|c| {
-                c.usage_class() == UsageClass::Rural
-                    && c.centroid.distance(&capital.center) < 25.0
+                c.usage_class() == UsageClass::Rural && c.centroid.distance(&capital.center) < 25.0
             })
             .expect("rural commune near the capital");
         let mut rng = StdRng::seed_from_u64(3);

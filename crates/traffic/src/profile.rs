@@ -29,8 +29,8 @@ use crate::week::{split_hour, HOURS_PER_DAY, HOURS_PER_WEEK};
 /// topical-time bumps — the paper's own decomposition of traffic into
 /// "classic patterns" plus service-specific peaks.
 const WEEKDAY_BASE: [f64; HOURS_PER_DAY] = [
-    0.254, 0.212, 0.171, 0.131, 0.092, 0.178, 0.235, 0.30, 0.355, 0.395, 0.42, 0.396, 0.415,
-    0.429, 0.408, 0.391, 0.377, 0.388, 0.394, 0.379, 0.385, 0.388, 0.341, 0.297,
+    0.254, 0.212, 0.171, 0.131, 0.092, 0.178, 0.235, 0.30, 0.355, 0.395, 0.42, 0.396, 0.415, 0.429,
+    0.408, 0.391, 0.377, 0.388, 0.394, 0.379, 0.385, 0.388, 0.341, 0.297,
 ];
 
 /// Morning-ramp override for commute-peaked services: their day starts
@@ -42,14 +42,13 @@ const COMMUTE_RAMP: [(usize, f64); 3] = [(5, 0.105), (6, 0.1175), (7, 0.27)];
 /// Morning-ramp override for morning-break-peaked services (the paper's
 /// "student" services): near-silence until classes start, then an abrupt
 /// surge at 9–10 am whose front snaps to the morning break.
-const BREAK_RAMP: [(usize, f64); 5] =
-    [(5, 0.10), (6, 0.085), (7, 0.071), (8, 0.058), (9, 0.23)];
+const BREAK_RAMP: [(usize, f64); 5] = [(5, 0.10), (6, 0.085), (7, 0.071), (8, 0.058), (9, 0.23)];
 
 /// Baseline weekend hourly weights (hour-of-day 0–23); same construction,
 /// with a later morning and flatter day.
 const WEEKEND_BASE: [f64; HOURS_PER_DAY] = [
-    0.262, 0.224, 0.187, 0.151, 0.116, 0.18, 0.242, 0.30, 0.35, 0.388, 0.412, 0.39, 0.407,
-    0.419, 0.40, 0.384, 0.371, 0.381, 0.387, 0.373, 0.379, 0.382, 0.34, 0.30,
+    0.262, 0.224, 0.187, 0.151, 0.116, 0.18, 0.242, 0.30, 0.35, 0.388, 0.412, 0.39, 0.407, 0.419,
+    0.40, 0.384, 0.371, 0.381, 0.387, 0.373, 0.379, 0.382, 0.34, 0.30,
 ];
 
 /// Width (hours) of a peak bump.
@@ -75,10 +74,12 @@ impl WeekProfile {
         let gamma = 0.85 + 0.30 * unit(h); // in [0.85, 1.15]
         let weekend_scale = 0.75 + 0.50 * unit(fxhash(h)); // in [0.75, 1.25]
 
-        let commute_service =
-            spec.peak_at(crate::week::TopicalTime::MorningCommute).is_some();
-        let break_service =
-            spec.peak_at(crate::week::TopicalTime::MorningBreak).is_some();
+        let commute_service = spec
+            .peak_at(crate::week::TopicalTime::MorningCommute)
+            .is_some();
+        let break_service = spec
+            .peak_at(crate::week::TopicalTime::MorningBreak)
+            .is_some();
         let mut hourly = Vec::with_capacity(HOURS_PER_WEEK);
         for how in 0..HOURS_PER_WEEK {
             let (day, hod) = split_hour(how);
@@ -129,18 +130,18 @@ impl WeekProfile {
     pub fn tgv() -> Self {
         /// Working-day train wave (commute-heavy, midday-light).
         const WD: [f64; HOURS_PER_DAY] = [
-            0.10, 0.085, 0.072, 0.062, 0.05, 0.115, 0.19, 0.27, 0.34, 0.38, 0.35, 0.30,
-            0.31, 0.315, 0.295, 0.27, 0.25, 0.30, 0.35, 0.32, 0.33, 0.335, 0.22, 0.15,
+            0.10, 0.085, 0.072, 0.062, 0.05, 0.115, 0.19, 0.27, 0.34, 0.38, 0.35, 0.30, 0.31,
+            0.315, 0.295, 0.27, 0.25, 0.30, 0.35, 0.32, 0.33, 0.335, 0.22, 0.15,
         ];
         /// Saturday: morning departures dominate.
         const SAT: [f64; HOURS_PER_DAY] = [
-            0.11, 0.095, 0.08, 0.068, 0.055, 0.12, 0.20, 0.29, 0.36, 0.40, 0.37, 0.32,
-            0.33, 0.335, 0.315, 0.29, 0.27, 0.29, 0.31, 0.29, 0.30, 0.305, 0.21, 0.15,
+            0.11, 0.095, 0.08, 0.068, 0.055, 0.12, 0.20, 0.29, 0.36, 0.40, 0.37, 0.32, 0.33, 0.335,
+            0.315, 0.29, 0.27, 0.29, 0.31, 0.29, 0.30, 0.305, 0.21, 0.15,
         ];
         /// Sunday: the evening return wave dominates.
         const SUN: [f64; HOURS_PER_DAY] = [
-            0.11, 0.095, 0.08, 0.068, 0.055, 0.10, 0.15, 0.21, 0.26, 0.29, 0.27, 0.24,
-            0.25, 0.255, 0.245, 0.235, 0.23, 0.32, 0.42, 0.40, 0.43, 0.445, 0.30, 0.18,
+            0.11, 0.095, 0.08, 0.068, 0.055, 0.10, 0.15, 0.21, 0.26, 0.29, 0.27, 0.24, 0.25, 0.255,
+            0.245, 0.235, 0.23, 0.32, 0.42, 0.40, 0.43, 0.445, 0.30, 0.18,
         ];
         let mut hourly = Vec::with_capacity(HOURS_PER_WEEK);
         for how in 0..HOURS_PER_WEEK {
@@ -162,7 +163,11 @@ impl WeekProfile {
     /// Panics unless exactly [`HOURS_PER_WEEK`] non-negative weights with a
     /// positive sum are supplied.
     pub fn from_weights(weights: Vec<f64>) -> Self {
-        assert_eq!(weights.len(), HOURS_PER_WEEK, "need one weight per hour of the week");
+        assert_eq!(
+            weights.len(),
+            HOURS_PER_WEEK,
+            "need one weight per hour of the week"
+        );
         assert!(
             weights.iter().all(|w| *w >= 0.0 && w.is_finite()),
             "weights must be finite and non-negative"
@@ -274,8 +279,7 @@ mod tests {
     #[test]
     fn service_profiles_are_distinct() {
         let c = catalog();
-        let profiles: Vec<WeekProfile> =
-            c.head().iter().map(WeekProfile::for_service).collect();
+        let profiles: Vec<WeekProfile> = c.head().iter().map(WeekProfile::for_service).collect();
         for i in 0..profiles.len() {
             for j in (i + 1)..profiles.len() {
                 let max_diff = profiles[i]
@@ -301,7 +305,11 @@ mod tests {
         for s in c.head() {
             let p = WeekProfile::for_service(s);
             let corr = mobilenet_timeseries::stats::pearson_r(tgv.hourly(), p.hourly());
-            assert!(corr < 0.9, "TGV profile too close to {}: r = {corr}", s.name);
+            assert!(
+                corr < 0.9,
+                "TGV profile too close to {}: r = {corr}",
+                s.name
+            );
         }
     }
 
@@ -313,8 +321,14 @@ mod tests {
         let sun_evening = t.value(HOURS_PER_DAY + 20);
         let tue_evening = t.value(3 * HOURS_PER_DAY + 20);
         let sat_evening = t.value(20);
-        assert!(sun_evening > tue_evening, "{sun_evening} vs tue {tue_evening}");
-        assert!(sun_evening > sat_evening, "{sun_evening} vs sat {sat_evening}");
+        assert!(
+            sun_evening > tue_evening,
+            "{sun_evening} vs tue {tue_evening}"
+        );
+        assert!(
+            sun_evening > sat_evening,
+            "{sun_evening} vs sat {sat_evening}"
+        );
         // And Saturday morning departures outweigh Sunday morning.
         assert!(t.value(8) > t.value(HOURS_PER_DAY + 8));
     }

@@ -124,7 +124,9 @@ impl<'a> SessionGenerator<'a> {
     ///
     /// Returns the number of sessions generated.
     pub fn generate(&self, mut sink: impl FnMut(&Session)) -> u64 {
-        (0..self.shards()).map(|shard| self.generate_shard(shard, &mut sink)).sum()
+        (0..self.shards())
+            .map(|shard| self.generate_shard(shard, &mut sink))
+            .sum()
     }
 
     /// Generates one shard — service `shard` over every commune — from the
@@ -137,8 +139,7 @@ impl<'a> SessionGenerator<'a> {
     /// count.
     pub fn generate_shard(&self, shard: usize, mut sink: impl FnMut(&Session)) -> u64 {
         assert!(shard < self.shards(), "shard {shard} out of range");
-        let mut rng =
-            StdRng::seed_from_u64(mobilenet_par::seed_for(self.seed, shard as u64));
+        let mut rng = StdRng::seed_from_u64(mobilenet_par::seed_for(self.seed, shard as u64));
         let n_communes = self.model.country().communes().len();
         let mut count = 0u64;
         for ci in 0..n_communes {
@@ -156,7 +157,13 @@ impl<'a> SessionGenerator<'a> {
         rng: &mut StdRng,
         sink: &mut impl FnMut(&Session),
     ) -> u64 {
-        let Self { model, national_hours, tgv_hours, mobility, .. } = self;
+        let Self {
+            model,
+            national_hours,
+            tgv_hours,
+            mobility,
+            ..
+        } = self;
         let model = *model;
         let cfg = model.config();
         let spec = &model.catalog().head()[service];
@@ -198,8 +205,7 @@ impl<'a> SessionGenerator<'a> {
                 _ => info,
             };
             let radius = (info.area_km2 / std::f64::consts::PI).sqrt();
-            let dl_mb =
-                log_normal_with_mean(&mut *rng, mean_session_dl, cfg.session_volume_sigma);
+            let dl_mb = log_normal_with_mean(&mut *rng, mean_session_dl, cfg.session_volume_sigma);
             let ul_mb = dl_mb * spec.ul_ratio;
             // Technology: the 4G-dependent demand share rides 4G where
             // available; without 4G everything falls back to 3G (the
@@ -292,7 +298,10 @@ mod tests {
         for (s, &got) in dl_by_service.iter().enumerate().take(3) {
             let want = expected.national_weekly(Direction::Down, s);
             let err = (got - want).abs() / want;
-            assert!(err < 0.15, "service {s}: got {got}, want {want} (err {err:.3})");
+            assert!(
+                err < 0.15,
+                "service {s}: got {got}, want {want} (err {err:.3})"
+            );
         }
     }
 
@@ -327,9 +336,18 @@ mod tests {
     #[test]
     fn netflix_sessions_prefer_4g() {
         let m = model();
-        let netflix =
-            m.catalog().head().iter().position(|s| s.name == "Netflix").unwrap() as u16;
-        let mms = m.catalog().head().iter().position(|s| s.name == "MMS").unwrap() as u16;
+        let netflix = m
+            .catalog()
+            .head()
+            .iter()
+            .position(|s| s.name == "Netflix")
+            .unwrap() as u16;
+        let mms = m
+            .catalog()
+            .head()
+            .iter()
+            .position(|s| s.name == "MMS")
+            .unwrap() as u16;
         let mut netflix_4g = (0u64, 0u64);
         let mut mms_4g = (0u64, 0u64);
         SessionGenerator::new(&m, 5).generate(|s| {
@@ -371,8 +389,7 @@ mod tests {
                 let weekday = s.start_hour >= 48;
                 if weekday && (9..18).contains(&hod) {
                     total += s.dl_mb;
-                    let class =
-                        m.country().communes()[s.commune.index()].usage_class();
+                    let class = m.country().communes()[s.commune.index()].usage_class();
                     if class == mobilenet_geo::UsageClass::Urban {
                         urban += s.dl_mb;
                     }
@@ -401,6 +418,9 @@ mod tests {
         });
         let profile = m.national_profile(0).hourly().to_vec();
         let r = mobilenet_timeseries::stats::pearson_r(&counts, &profile);
-        assert!(r > 0.9, "hour histogram does not follow the profile: r = {r}");
+        assert!(
+            r > 0.9,
+            "hour histogram does not follow the profile: r = {r}"
+        );
     }
 }

@@ -27,28 +27,43 @@ impl SpatialProfile {
     /// The typical profile of Figure 11: semi-urban ≈ urban, rural ≈ half,
     /// TGV ≥ 2×, mild 4G dependence.
     pub fn typical() -> Self {
-        SpatialProfile { class_mult: [1.0, 0.95, 0.5, 3.2], fourg_share: 0.30 }
+        SpatialProfile {
+            class_mult: [1.0, 0.95, 0.5, 3.2],
+            fourg_share: 0.30,
+        }
     }
 
     /// Netflix-like: high-end service, nearly absent in rural France,
     /// strongly 4G-dependent.
     pub fn high_end_urban() -> Self {
-        SpatialProfile { class_mult: [1.0, 0.75, 0.06, 3.4], fourg_share: 0.85 }
+        SpatialProfile {
+            class_mult: [1.0, 0.75, 0.06, 3.4],
+            fourg_share: 0.85,
+        }
     }
 
     /// iCloud-like: background sync from every handset, nearly uniform.
     pub fn uniform() -> Self {
-        SpatialProfile { class_mult: [1.0, 1.0, 0.92, 1.15], fourg_share: 0.15 }
+        SpatialProfile {
+            class_mult: [1.0, 1.0, 0.92, 1.15],
+            fourg_share: 0.15,
+        }
     }
 
     /// A custom profile.
     pub fn new(class_mult: [f64; 4], fourg_share: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fourg_share), "fourg_share must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&fourg_share),
+            "fourg_share must be in [0,1]"
+        );
         assert!(
             class_mult.iter().all(|m| *m >= 0.0 && m.is_finite()),
             "class multipliers must be finite and non-negative"
         );
-        SpatialProfile { class_mult, fourg_share }
+        SpatialProfile {
+            class_mult,
+            fourg_share,
+        }
     }
 
     /// Multiplier for a usage class.
@@ -66,7 +81,11 @@ impl SpatialProfile {
             return 0.0;
         }
         let base = self.multiplier(commune.usage_class());
-        let tech = if commune.coverage.has_4g { 1.0 } else { 1.0 - self.fourg_share };
+        let tech = if commune.coverage.has_4g {
+            1.0
+        } else {
+            1.0 - self.fourg_share
+        };
         base * tech
     }
 }

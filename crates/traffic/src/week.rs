@@ -36,7 +36,10 @@ impl Day {
 #[inline]
 pub fn split_hour(hour_of_week: usize) -> (Day, usize) {
     debug_assert!(hour_of_week < HOURS_PER_WEEK);
-    (Day(hour_of_week / HOURS_PER_DAY), hour_of_week % HOURS_PER_DAY)
+    (
+        Day(hour_of_week / HOURS_PER_DAY),
+        hour_of_week % HOURS_PER_DAY,
+    )
 }
 
 /// Whether an hour-of-week falls on a weekend.
@@ -117,13 +120,20 @@ impl TopicalTime {
 
     /// Whether this topical time belongs to weekend days.
     pub fn is_weekend(self) -> bool {
-        matches!(self, TopicalTime::WeekendMidday | TopicalTime::WeekendEvening)
+        matches!(
+            self,
+            TopicalTime::WeekendMidday | TopicalTime::WeekendEvening
+        )
     }
 
     /// All hour-of-week slots at which this topical time occurs.
     pub fn hours(self) -> Vec<usize> {
         let hod = self.hour_of_day();
-        let days: &[usize] = if self.is_weekend() { &[0, 1] } else { &[2, 3, 4, 5, 6] };
+        let days: &[usize] = if self.is_weekend() {
+            &[0, 1]
+        } else {
+            &[2, 3, 4, 5, 6]
+        };
         days.iter().map(|d| d * HOURS_PER_DAY + hod).collect()
     }
 
@@ -173,7 +183,10 @@ mod tests {
     #[test]
     fn topical_hours_land_on_expected_slots() {
         assert_eq!(TopicalTime::WeekendMidday.hours(), vec![13, 37]);
-        assert_eq!(TopicalTime::MorningCommute.hours(), vec![56, 80, 104, 128, 152]);
+        assert_eq!(
+            TopicalTime::MorningCommute.hours(),
+            vec![56, 80, 104, 128, 152]
+        );
         assert_eq!(TopicalTime::Evening.hours(), vec![69, 93, 117, 141, 165]);
     }
 
@@ -201,7 +214,10 @@ mod tests {
         // 3 am Monday is nowhere near a topical time.
         assert_eq!(TopicalTime::classify(2 * HOURS_PER_DAY + 3, 1), None);
         // 1 pm Saturday is weekend midday, never weekday midday.
-        assert_eq!(TopicalTime::classify(13, 1), Some(TopicalTime::WeekendMidday));
+        assert_eq!(
+            TopicalTime::classify(13, 1),
+            Some(TopicalTime::WeekendMidday)
+        );
     }
 
     #[test]
