@@ -55,20 +55,16 @@ pub const DEFAULT_CHUNK_SIZE: usize = 8192;
 /// How [`aggregate_batch`](crate::pipeline::aggregate_batch) folds a
 /// flushed [`RecordBatch`] into a shard partial.
 ///
-/// Both strategies fold records in exactly the same order and perform the
-/// same floating-point additions per record, so their outputs are
-/// **bit-identical**; the batched path only removes per-record overhead
-/// (hash probing, row reconstruction). Every engine path folds
-/// [`Batched`](FoldStrategy::Batched); the row fold is the test oracle.
+/// There is one strategy. The enum stays because the benchmark package
+/// (`perfbench/`) passes it to `aggregate_batch`. The row-at-a-time
+/// reference fold the batched one is pinned against lives in the tests
+/// (`tests/streaming_ingest.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldStrategy {
     /// Columnar fold: dictionary-encode the batch's signatures once
     /// through the DPI table, then accumulate dense columns in a tight
     /// loop.
     Batched,
-    /// Reassemble each row and fold it through the per-record path — the
-    /// reference implementation the batched fold is pinned against.
-    RowAtATime,
 }
 
 /// Bucket edges of the `netsim.ingest.batch_records` histogram: batch
@@ -331,12 +327,6 @@ pub trait RecordSource: Sync {
 }
 
 /// One shard's partial aggregate inside a [`ShardedFold`].
-///
-/// Besides the tables and diagnostics it carries a private version
-/// stamp, bumped under the shard's lock on every fold, at shard close and
-/// on [`reset`](ShardedFold::reset). A [`MergeCut`] remembers the stamp
-/// it last merged, so [`merge_into`](ShardedFold::merge_into) touches
-/// only the rows of shards whose stamp moved.
 #[derive(Debug)]
 pub struct ShardPartial {
     /// The tables this shard's batches folded into.
@@ -344,46 +334,15 @@ pub struct ShardPartial {
     /// Fold-side diagnostics, plus the source-side ones once the shard
     /// has closed.
     pub stats: CollectionStats,
-    version: u64,
 }
 
 impl ShardPartial {
-    fn empty(dataset: TrafficDataset, version: u64) -> Self {
+    fn empty(dataset: TrafficDataset) -> Self {
         ShardPartial {
             dataset,
             stats: CollectionStats::default(),
-            version,
         }
     }
-}
-
-/// What a merged dataset reflects of each shard partial of one
-/// [`ShardedFold`]: per shard, the version stamp and the head-service
-/// rows the partial had written at the last
-/// [`merge_into`](ShardedFold::merge_into) that brought the dataset up
-/// to date.
-///
-/// The default cut reflects nothing, so its first `merge_into` rebuilds
-/// every row that the dataset or any partial has written: it pairs with
-/// any dataset of the engine's shape. After that, a cut pairs only with
-/// the dataset it was last merged into, and only with that engine.
-#[derive(Debug, Default)]
-pub struct MergeCut {
-    /// One mark per shard; `None` until the first merge.
-    shards: Option<Vec<ShardMark>>,
-    /// The merged diagnostics of shards `0..stats_prefix_len`, none of
-    /// which has moved since they were merged.
-    stats_prefix: CollectionStats,
-    stats_prefix_len: usize,
-}
-
-/// One shard's entry in a [`MergeCut`].
-#[derive(Debug, Clone)]
-struct ShardMark {
-    /// The partial's stamp when last merged; `None` before that.
-    version: Option<u64>,
-    /// Per head service: whether the partial had written its rows.
-    rows: Vec<bool>,
 }
 
 /// The sharded fold: the one engine behind batch collection
@@ -395,18 +354,18 @@ struct ShardMark {
 /// streams every shard of a [`RecordSource`] on the ambient
 /// `mobilenet-par` pool, exactly one worker per shard, folding each
 /// flushed batch into that shard's partial under its lock.
-/// [`merge_into`](Self::merge_into) brings a caller-held merged dataset
-/// up to date with the partials in shard order and fills the tail table
-/// from the demand model ([`merge`](Self::merge) does so on a fresh
-/// one); [`reset`](Self::reset) empties the partials for the next cycle.
-/// Both hold every shard lock while they work, so a reader sees either
-/// all of a fold or none of it.
+/// [`merge`](Self::merge) merges the partials in shard order into a
+/// fresh dataset and fills its tail table from the demand model;
+/// [`reset`](Self::reset) empties the partials for the next cycle. Both
+/// hold every shard lock while they work, so a reader sees either all of
+/// a fold or none of it.
 ///
 /// `M` is the demand model, owned or borrowed.
 pub struct ShardedFold<M: Borrow<DemandModel>> {
     model: M,
-    /// An all-`+0.0` dataset shaped like the model; partials and merge
-    /// targets are its clones and share its per-commune constants.
+    /// An all-`+0.0` dataset shaped like the model; partials are its
+    /// clones, and merges are shaped by it, sharing its per-commune
+    /// constants.
     empty: TrafficDataset,
     partials: Vec<Mutex<ShardPartial>>,
     chunk_size: usize,
@@ -427,7 +386,7 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             model.borrow().config().subscriber_share,
         );
         let partials = (0..shards)
-            .map(|_| Mutex::new(ShardPartial::empty(empty.clone(), 0)))
+            .map(|_| Mutex::new(ShardPartial::empty(empty.clone())))
             .collect();
         ShardedFold {
             model,
@@ -519,7 +478,6 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
                         let mut guard = partial.lock().expect("shard partial poisoned");
                         let p = &mut *guard;
                         fold(batch, &mut p.dataset, &mut p.stats);
-                        p.version += 1;
                     }
                     on_batch(shard, batch);
                 };
@@ -531,11 +489,11 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             // Source-side (session-level) and fold-side (record-level)
             // diagnostics accumulate in disjoint fields, so merging them
             // at shard close reproduces single-struct accounting exactly.
-            {
-                let mut p = partial.lock().expect("shard partial poisoned");
-                p.stats.merge(&source_stats);
-                p.version += 1;
-            }
+            partial
+                .lock()
+                .expect("shard partial poisoned")
+                .stats
+                .merge(&source_stats);
             note_bytes();
             on_close(shard, &streamed);
             streamed
@@ -552,22 +510,49 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
             .collect()
     }
 
-    /// An all-`+0.0` dataset shaped like the partials.
-    pub fn empty_dataset(&self) -> TrafficDataset {
-        self.empty.clone()
-    }
-
     /// Merges the partials in shard order into a fresh dataset, fills its
     /// tail table from the demand model, and returns it with the merged
-    /// diagnostics and the accounting so far: [`merge_into`](Self::merge_into)
-    /// on a default [`MergeCut`] and an empty dataset.
+    /// diagnostics and the accounting so far.
+    ///
+    /// Every shard lock is held for the whole merge, and `under_locks`
+    /// runs before they are released: anything it reads is consistent
+    /// with the merged data, since no batch can fold in between.
+    ///
+    /// Under the locks the merge moves no row data unless a row has
+    /// several writers ([`TrafficDataset::merged`]). A row with one
+    /// writer — a synthetic shard partial writes one head service — is
+    /// shared with the partial by reference count, and the folding
+    /// worker copies it, under its own shard lock, only if it writes that
+    /// row again while the merged dataset (or a clone of it) still holds
+    /// it. A row with several writers, the tail table and the
+    /// unclassified cells are summed from `+0.0` in shard order. The
+    /// diagnostics are merged in shard order too, into an error-sample
+    /// reservoir allocated once at its final length. The tail fill runs
+    /// after the locks.
+    ///
+    /// A shape mismatch between the engine and a partial is reported
+    /// before anything is shared.
     pub fn merge<R>(
         &self,
         under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
     ) -> Result<(CollectionOutput, R), IngestError> {
-        let mut dataset = self.empty_dataset();
-        let (stats, ingest, caller) =
-            self.merge_into(&mut MergeCut::default(), &mut dataset, under_locks)?;
+        let (mut dataset, stats, ingest, caller) = {
+            let mut guards = self.lock_all();
+            let dataset = self
+                .empty
+                .merged(guards.iter_mut().map(|p| &mut p.dataset))?;
+            let mut stats = CollectionStats::default();
+            let samples = guards.iter().map(|p| p.stats.sampled_errors_km.len());
+            stats.sampled_errors_km.reserve_exact(samples.sum());
+            for partial in &guards {
+                stats.merge(&partial.stats);
+            }
+            (dataset, stats, self.stats(), under_locks(&guards))
+        };
+        // Tail services: their national weekly totals come straight from
+        // the demand model (they carry no spatial structure the analyses
+        // use).
+        self.model().fill_tail(&mut dataset);
         Ok((
             CollectionOutput {
                 dataset,
@@ -578,107 +563,13 @@ impl<M: Borrow<DemandModel>> ShardedFold<M> {
         ))
     }
 
-    /// Brings `dataset`, last merged at `cut`, up to date with the
-    /// partials: afterwards it equals, bit for bit, a fresh merge of the
-    /// partials in shard order with the tail table filled from the demand
-    /// model, and `cut` reflects the partials as merged. Returns the
-    /// merged diagnostics and the accounting so far.
-    ///
-    /// Every shard lock is held for the whole merge, and `under_locks`
-    /// runs before they are released: anything it reads is consistent
-    /// with the merged data, since no batch can fold in between.
-    ///
-    /// Under the locks, only the head-service rows that a shard whose
-    /// version stamp moved since `cut` wrote then or writes now are
-    /// rebuilt ([`TrafficDataset::rebuild_service_rows`]). A row with one
-    /// writer — a synthetic shard partial writes one head service — is
-    /// not copied: the partial's block is shared into `dataset` by
-    /// reference count, and the folding worker copies it, under its own
-    /// shard lock, only if it writes that block again while `dataset`
-    /// (or a clone of it) still holds it. A row with several writers is
-    /// rebuilt as `+0.0` plus its writers' rows in shard order. So a
-    /// merge moves no row data under the locks unless a row has several
-    /// writers. The tail and unclassified cells are re-summed in shard
-    /// order, skipping the tail tables of partials that never wrote one.
-    /// The diagnostics of the leading shards whose stamp has not moved are
-    /// kept in `cut` from the previous merge, and only the shards from the
-    /// first moved one on are merged again.
-    ///
-    /// A shape mismatch between `dataset` and a partial is reported
-    /// before anything is written.
-    pub fn merge_into<R>(
-        &self,
-        cut: &mut MergeCut,
-        dataset: &mut TrafficDataset,
-        under_locks: impl FnOnce(&[MutexGuard<'_, ShardPartial>]) -> R,
-    ) -> Result<(CollectionStats, IngestStats, R), IngestError> {
-        let services = dataset.n_services();
-        let (stats, ingest, caller) = {
-            let mut guards = self.lock_all();
-            for partial in &guards {
-                dataset.check_shape(&partial.dataset)?;
-            }
-            // A default cut has no marks: whatever `dataset` holds is
-            // rebuilt, and every shard counts as moved.
-            let (marks, mut dirty) = match &mut cut.shards {
-                Some(marks) if marks.len() == guards.len() => (marks, vec![false; services]),
-                shards => {
-                    let unseen = ShardMark {
-                        version: None,
-                        rows: vec![false; services],
-                    };
-                    let written = (0..services).map(|s| dataset.service_written(s)).collect();
-                    (shards.insert(vec![unseen; guards.len()]), written)
-                }
-            };
-            let mut first_moved = guards.len();
-            for (shard, (mark, partial)) in marks.iter_mut().zip(&guards).enumerate() {
-                if mark.version == Some(partial.version) {
-                    continue;
-                }
-                first_moved = first_moved.min(shard);
-                mark.version = Some(partial.version);
-                for (s, (was, row_dirty)) in mark.rows.iter_mut().zip(&mut dirty).enumerate() {
-                    let now = partial.dataset.service_written(s);
-                    *row_dirty |= *was || now;
-                    *was = now;
-                }
-            }
-            for s in (0..services).filter(|&s| dirty[s]) {
-                dataset.rebuild_service_rows(s, guards.iter_mut().map(|p| &mut p.dataset));
-            }
-            dataset.rebuild_tail_and_unclassified(guards.iter().map(|p| &p.dataset));
-            // The kept prefix of the diagnostics sum, extended up to the
-            // first moved shard, then the rest merged onto a copy of it:
-            // the same merges in the same order as summing every shard.
-            if cut.stats_prefix_len > first_moved {
-                cut.stats_prefix = CollectionStats::default();
-                cut.stats_prefix_len = 0;
-            }
-            for partial in &guards[cut.stats_prefix_len..first_moved] {
-                cut.stats_prefix.merge(&partial.stats);
-            }
-            cut.stats_prefix_len = first_moved;
-            let mut stats = cut.stats_prefix.clone();
-            for partial in &guards[first_moved..] {
-                stats.merge(&partial.stats);
-            }
-            (stats, self.stats(), under_locks(&guards))
-        };
-        // Tail services: their national weekly totals come straight from
-        // the demand model (they carry no spatial structure the analyses
-        // use).
-        self.model().fill_tail(dataset);
-        Ok((stats, ingest, caller))
-    }
-
     /// Empties every partial for the next cycle, running `under_locks`
     /// before the shard locks are released. The accounting stays
     /// cumulative.
     pub fn reset<R>(&self, under_locks: impl FnOnce() -> R) -> R {
         let mut guards = self.lock_all();
         for partial in guards.iter_mut() {
-            **partial = ShardPartial::empty(self.empty_dataset(), partial.version + 1);
+            **partial = ShardPartial::empty(self.empty.clone());
         }
         under_locks()
     }

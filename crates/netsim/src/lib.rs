@@ -58,8 +58,8 @@ pub use classifier::{DpiClassifier, UNCLASSIFIED_CODE};
 pub use config::NetsimConfig;
 pub use faults::{FaultInjector, FaultPlan, FaultStats, OutageWindow};
 pub use ingest::{
-    ingest, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, MergeCut,
-    RecordSource, ShardPartial, ShardedFold, SliceSource, TraceSource, DEFAULT_CHUNK_SIZE,
+    ingest, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, RecordSource,
+    ShardPartial, ShardedFold, SliceSource, TraceSource, DEFAULT_CHUNK_SIZE,
 };
 pub use pipeline::{
     aggregate_batch, collect_with_options, Capture, CollectionOutput, CollectionStats,

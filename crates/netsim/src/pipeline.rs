@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use mobilenet_traffic::{DemandModel, Direction, SessionGenerator, TrafficDataset};
+use mobilenet_traffic::{DemandModel, SessionGenerator, TrafficDataset};
 
-use crate::classifier::{DpiClassifier, ServiceLabel, UNCLASSIFIED_CODE};
+use crate::classifier::{DpiClassifier, UNCLASSIFIED_CODE};
 use crate::config::NetsimConfig;
 use crate::faults::{FaultInjector, FaultStats};
 use crate::ingest::{
@@ -187,61 +187,6 @@ fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
     ))
 }
 
-/// Classifies one record and folds it into a partial dataset and
-/// diagnostics — the row-at-a-time reference fold of [`aggregate_batch`].
-/// With `replay_mode` every record also counts as one session (and its
-/// stale-ULI flag as a stale fix), since a replayed trace has no session
-/// stream of its own.
-fn aggregate_record(
-    record: &SessionRecord,
-    classifier: &DpiClassifier,
-    replay_mode: bool,
-    dataset: &mut TrafficDataset,
-    stats: &mut CollectionStats,
-) {
-    if replay_mode {
-        stats.sessions += 1;
-    }
-    match record.interface {
-        Interface::Gn => stats.gn_records += 1,
-        Interface::S5S8 => stats.s5s8_records += 1,
-    }
-    if replay_mode && record.stale_uli {
-        stats.stale_fixes += 1;
-    }
-    match classifier.classify(record.signature) {
-        ServiceLabel::Head(s) => {
-            stats.classified_mb += record.dl_mb + record.ul_mb;
-            dataset.add(
-                Direction::Down,
-                s as usize,
-                record.commune,
-                record.start_hour as usize,
-                record.dl_mb,
-            );
-            dataset.add(
-                Direction::Up,
-                s as usize,
-                record.commune,
-                record.start_hour as usize,
-                record.ul_mb,
-            );
-        }
-        ServiceLabel::Tail(t) => {
-            // Tail sessions are not generated by the session sampler;
-            // reaching this arm would indicate a fingerprint collision.
-            stats.classified_mb += record.dl_mb + record.ul_mb;
-            dataset.add_tail(Direction::Down, t as usize, record.dl_mb);
-            dataset.add_tail(Direction::Up, t as usize, record.ul_mb);
-        }
-        ServiceLabel::Unclassified => {
-            stats.unclassified_mb += record.dl_mb + record.ul_mb;
-            dataset.add_unclassified(Direction::Down, record.dl_mb);
-            dataset.add_unclassified(Direction::Up, record.ul_mb);
-        }
-    }
-}
-
 /// Folds one flushed [`RecordBatch`] into a shard's partial dataset and
 /// diagnostics — the streaming engine's per-chunk accumulation step,
 /// shared by collection ([`collect_with_options`], the live service) and
@@ -249,17 +194,16 @@ fn aggregate_record(
 /// additionally counts every record as a session and its stale-ULI flag
 /// as a stale fix).
 ///
-/// With [`FoldStrategy::Batched`] the batch's signatures are
-/// dictionary-encoded once ([`RecordBatch::resolve_codes`]) and the loop
-/// accumulates dense columns straight into the dataset's tables,
-/// borrowing a head service's block once per run of its records
+/// The batch's signatures are dictionary-encoded once
+/// ([`RecordBatch::resolve_codes`]) and the loop accumulates dense
+/// columns straight into the dataset's tables, borrowing a head
+/// service's block once per run of its records
 /// ([`TrafficDataset::service_rows_mut`]), so the per-record step is six
-/// additions with no atomic operation and no allocation;
-/// with [`FoldStrategy::RowAtATime`] each row is reassembled and folded
-/// through the per-record reference fold. Both walk records in batch
-/// order and perform identical floating-point additions per record, so
-/// the two strategies are bit-identical — pinned by
-/// `tests/streaming_ingest.rs`.
+/// additions with no atomic operation and no allocation. Records are
+/// walked in batch order with the same floating-point additions per
+/// record as a row-at-a-time fold through [`DpiClassifier::classify`]
+/// and the dataset's adders, which `tests/streaming_ingest.rs` pins bit
+/// for bit.
 pub fn aggregate_batch(
     batch: &mut RecordBatch,
     classifier: &DpiClassifier,
@@ -268,60 +212,52 @@ pub fn aggregate_batch(
     dataset: &mut TrafficDataset,
     stats: &mut CollectionStats,
 ) {
-    match strategy {
-        FoldStrategy::RowAtATime => {
-            for i in 0..batch.len() {
-                aggregate_record(&batch.row(i), classifier, replay_mode, dataset, stats);
-            }
+    let FoldStrategy::Batched = strategy;
+    batch.resolve_codes(classifier);
+    let n_head = classifier.n_head();
+    let n_services = n_head + classifier.n_tail();
+    let interfaces = batch.interfaces();
+    let hours = batch.start_hours();
+    let dl = batch.dl_mb();
+    let ul = batch.ul_mb();
+    let communes = batch.communes();
+    let stale = batch.stale_uli();
+    let codes = batch.codes();
+    let count = |i: usize, stats: &mut CollectionStats| {
+        match interfaces[i] {
+            Interface::Gn => stats.gn_records += 1,
+            Interface::S5S8 => stats.s5s8_records += 1,
         }
-        FoldStrategy::Batched => {
-            batch.resolve_codes(classifier);
-            let n_head = classifier.n_head();
-            let n_services = n_head + classifier.n_tail();
-            let interfaces = batch.interfaces();
-            let hours = batch.start_hours();
-            let dl = batch.dl_mb();
-            let ul = batch.ul_mb();
-            let communes = batch.communes();
-            let stale = batch.stale_uli();
-            let codes = batch.codes();
-            let count = |i: usize, stats: &mut CollectionStats| {
-                match interfaces[i] {
-                    Interface::Gn => stats.gn_records += 1,
-                    Interface::S5S8 => stats.s5s8_records += 1,
-                }
-                if replay_mode {
-                    stats.sessions += 1;
-                    stats.stale_fixes += stale[i] as u64;
-                }
-            };
-            let mut i = 0;
-            while i < batch.len() {
-                let code = codes[i];
-                if code < n_head {
-                    // A shard's records are mostly one head service: its
-                    // block is borrowed once for the whole run of them.
-                    let mut rows = dataset.service_rows_mut(code as usize);
-                    while i < batch.len() && codes[i] == code {
-                        count(i, stats);
-                        stats.classified_mb += dl[i] + ul[i];
-                        rows.add_both(communes[i] as usize, hours[i] as usize, dl[i], ul[i]);
-                        i += 1;
-                    }
-                    continue;
-                }
+        if replay_mode {
+            stats.sessions += 1;
+            stats.stale_fixes += stale[i] as u64;
+        }
+    };
+    let mut i = 0;
+    while i < batch.len() {
+        let code = codes[i];
+        if code < n_head {
+            // A shard's records are mostly one head service: its block is
+            // borrowed once for the whole run of them.
+            let mut rows = dataset.service_rows_mut(code as usize);
+            while i < batch.len() && codes[i] == code {
                 count(i, stats);
-                if code < n_services {
-                    stats.classified_mb += dl[i] + ul[i];
-                    dataset.add_tail_both((code - n_head) as usize, dl[i], ul[i]);
-                } else {
-                    debug_assert_eq!(code, UNCLASSIFIED_CODE);
-                    stats.unclassified_mb += dl[i] + ul[i];
-                    dataset.add_unclassified_both(dl[i], ul[i]);
-                }
+                stats.classified_mb += dl[i] + ul[i];
+                rows.add_both(communes[i] as usize, hours[i] as usize, dl[i], ul[i]);
                 i += 1;
             }
+            continue;
         }
+        count(i, stats);
+        if code < n_services {
+            stats.classified_mb += dl[i] + ul[i];
+            dataset.add_tail_both((code - n_head) as usize, dl[i], ul[i]);
+        } else {
+            debug_assert_eq!(code, UNCLASSIFIED_CODE);
+            stats.unclassified_mb += dl[i] + ul[i];
+            dataset.add_unclassified_both(dl[i], ul[i]);
+        }
+        i += 1;
     }
 }
 
@@ -603,7 +539,7 @@ fn record_collection_metrics(stats: &CollectionStats, faulted: bool) {
 mod tests {
     use super::*;
     use mobilenet_geo::{Country, CountryConfig};
-    use mobilenet_traffic::{ServiceCatalog, TrafficConfig, HOURS_PER_WEEK};
+    use mobilenet_traffic::{Direction, ServiceCatalog, TrafficConfig, HOURS_PER_WEEK};
     use std::sync::Arc;
 
     fn model() -> DemandModel {
@@ -890,9 +826,15 @@ mod tests {
 
         let negative_zero =
             |cells: &[f64]| cells.iter().any(|v| v.to_bits() == (-0.0f64).to_bits());
+        for s in 0..3 {
+            let written = ds
+                .national_series(Direction::Up, s)
+                .iter()
+                .any(|v| v.is_nan());
+            assert!(written, "the fold wrote service {s}'s rows");
+        }
         for dir in Direction::BOTH {
             for s in 0..3 {
-                assert!(ds.service_written(s));
                 assert!(!negative_zero(ds.national_series(dir, s)), "national {s}");
                 assert!(!negative_zero(ds.commune_vector(dir, s)), "commune {s}");
                 for class in mobilenet_geo::UsageClass::ALL {

@@ -14,8 +14,8 @@
 //! [`Capture`]/[`SyntheticSource`](mobilenet_netsim::SyntheticSource)
 //! streams run through the same engine with the same [`aggregate_batch`]
 //! fold, and a snapshot is the engine's shard-ordered
-//! [`merge_into`](ShardedFold::merge_into), which brings the previous
-//! snapshot's dataset up to date. The live layer only adds
+//! [`merge`](ShardedFold::merge) into a fresh dataset. The live layer
+//! only adds
 //! what batch collection has no use for: watermarks, a version counter
 //! with its notifier, the week ring and the snapshot cache, all driven
 //! from the engine's per-batch and per-shard hooks.
@@ -58,7 +58,7 @@ use std::time::Duration;
 use mobilenet_core::StudyConfig;
 use mobilenet_netsim::{
     aggregate_batch, Capture, CollectOptions, CollectionStats, FoldStrategy, IngestError,
-    IngestStats, MergeCut, NetsimConfig, ShardedFold,
+    IngestStats, NetsimConfig, ShardedFold,
 };
 use mobilenet_traffic::{DemandModel, ServiceCatalog, TrafficDataset, HOURS_PER_WEEK};
 
@@ -139,9 +139,8 @@ pub struct LiveState {
     version: AtomicU64,
     /// Woken on every version bump; what subscribed connections wait on.
     notifier: VersionNotifier,
-    /// What the cached snapshot's dataset reflects of each shard partial.
     /// Held for a whole snapshot build, so builds are serialized.
-    cut: Mutex<MergeCut>,
+    build: Mutex<()>,
     /// The last snapshot built, keyed by the state version it was built
     /// at.
     cache: Mutex<Option<(u64, Arc<LiveSnapshot>)>>,
@@ -203,7 +202,7 @@ impl LiveState {
             cursor: Mutex::new(WeekCursor::default()),
             version: AtomicU64::new(0),
             notifier: VersionNotifier::default(),
-            cut: Mutex::new(MergeCut::default()),
+            build: Mutex::new(()),
             cache: Mutex::new(None),
         }))
     }
@@ -421,41 +420,34 @@ impl LiveState {
     /// are serialized: queries that arrive at a new version while one
     /// builds wait for it and share its result.
     ///
-    /// A build brings a clone of the previous snapshot's dataset up to
-    /// date through [`ShardedFold::merge_into`], which blocks ingest
-    /// while it holds every shard lock. The clone is cheap: the
-    /// dataset's head-service blocks are shared by reference count with
-    /// the shard partials that wrote them, and the merge only re-shares
-    /// the blocks of shards that folded since the previous build. A
-    /// folding worker copies a block that a snapshot still holds before
-    /// writing it, under its own shard lock, so a snapshot a reader holds
-    /// is never written.
+    /// A build is [`ShardedFold::merge`] into a fresh dataset, which
+    /// blocks ingest while it holds every shard lock. It moves no row
+    /// data: each synthetic shard writes one head service, and a row with
+    /// one writer is shared by reference count with the partial that
+    /// wrote it. A folding worker copies a row that a snapshot still
+    /// holds before writing it, under its own shard lock, so a snapshot a
+    /// reader holds is never written.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
         if let Some(snap) = self.cached() {
             return snap;
         }
-        let mut cut = self.cut.lock().expect("snapshot cut poisoned");
+        let _build = self.build.lock().expect("snapshot build poisoned");
         // The build this one waited for may have made the snapshot.
         if let Some(snap) = self.cached() {
             return snap;
         }
         let _span = mobilenet_obs::span("live_snapshot");
-        let previous = self.cache.lock().expect("snapshot cache poisoned").take();
-        let mut dataset = match previous {
-            Some((_, snap)) => snap.dataset.clone(),
-            None => {
-                *cut = MergeCut::default();
-                self.engine.empty_dataset()
-            }
-        };
+        // The cached snapshot is stale. Dropping it first lets the build
+        // reuse its memory (unless a reader still holds it).
+        drop(self.cache.lock().expect("snapshot cache poisoned").take());
         // The engine merges under every shard lock and reads the flags
         // there too: the result is a consistent cut — no fold can land in
         // any shard mid-merge, and a `complete` read under the locks
         // guarantees the merged data is final (every fold of a closed
         // shard happens-before the close it reports).
-        let (stats, ingest, (version, watermark_hour, week, weeks, complete)) = self
+        let (out, (version, watermark_hour, week, weeks, complete)) = self
             .engine
-            .merge_into(&mut cut, &mut dataset, |_| {
+            .merge(|_| {
                 (
                     self.version(),
                     self.watermark_hour(),
@@ -466,9 +458,9 @@ impl LiveState {
             })
             .expect("shard partials share one shape");
         let snap = Arc::new(LiveSnapshot {
-            dataset,
-            stats,
-            ingest,
+            dataset: out.dataset,
+            stats: out.stats,
+            ingest: out.ingest,
             watermark_hour,
             week,
             weeks,

@@ -452,11 +452,6 @@ impl TrafficDataset {
         &self.communes.users
     }
 
-    /// Subscribers per usage class, by [`UsageClass::index`].
-    pub fn class_users(&self) -> [f64; 4] {
-        self.communes.class_users
-    }
-
     /// Streams the dataset's sectioned CSV format to any writer, one
     /// logical row at a time — a dataset export never materializes the
     /// full text in memory.
@@ -717,9 +712,8 @@ impl TrafficDataset {
     /// and merging its partial costs one block instead of all of them.
     /// The tail and unclassified cells are added densely. This is the add
     /// path: it never shares a block, since a CSV-read dataset may hold a
-    /// literal `-0`. To bring an earlier merge of several fold partials
-    /// up to date when some of them changed, rebuild just their blocks
-    /// with [`rebuild_service_rows`](Self::rebuild_service_rows) instead.
+    /// literal `-0`. To merge fold partials without copying their
+    /// blocks, use [`merged`](Self::merged).
     ///
     /// The result is bit-identical to adding every cell. A block `other`
     /// never wrote holds only `+0.0`, and `x + 0.0 == x` bit for bit
@@ -745,9 +739,9 @@ impl TrafficDataset {
     }
 
     /// Checks that `other` has this dataset's shape (head services,
-    /// communes, tail length), as [`merge`](Self::merge) and the
-    /// per-service row primitives require.
-    pub fn check_shape(&self, other: &TrafficDataset) -> Result<(), DatasetError> {
+    /// communes, tail length), as [`merge`](Self::merge) and
+    /// [`merged`](Self::merged) require.
+    fn check_shape(&self, other: &TrafficDataset) -> Result<(), DatasetError> {
         let mismatch = if self.n_services != other.n_services {
             format!("{} head services vs {}", self.n_services, other.n_services)
         } else if self.n_communes != other.n_communes {
@@ -762,57 +756,70 @@ impl TrafficDataset {
 
     /// Whether any of head service `service`'s rows in the three
     /// per-service tables may hold a value other than `+0.0`.
-    pub fn service_written(&self, service: usize) -> bool {
+    fn service_written(&self, service: usize) -> bool {
         !matches!(self.blocks[service], Block::Zero)
     }
 
-    /// Rebuilds head service `service`'s rows in the three per-service
-    /// tables from `parts`: afterwards they equal, bit for bit, the rows a
-    /// merge of `parts` in order into an empty dataset makes, `+0.0` plus
-    /// each writer's rows.
+    /// Merges `parts` in order into a fresh dataset shaped like this one
+    /// (whose own cells are not read): bit for bit what
+    /// [`merge`](Self::merge) of each part, in order, into an empty
+    /// dataset makes.
     ///
-    /// A sole writer whose cells were all built by additions from `+0.0`
-    /// (every fold partial; not a dataset read from CSV) is shared, not
-    /// copied: its block moves behind a reference count that both
-    /// datasets hold, and whichever writes to it next copies it first.
-    /// That is exact because such a cell `x` never holds `-0.0` or a
-    /// signalling NaN, so `+0.0 + x` has the bits of `x`. Otherwise the
-    /// first writer's rows are added to `+0.0` in the same pass that
-    /// overwrites the old cells, and the others are added in order. With
-    /// no writer left, the rows read as `+0.0` again.
+    /// A head-service block with one writer whose cells were all built by
+    /// additions from `+0.0` (every fold partial; not a dataset read from
+    /// CSV) is shared, not copied: the writer's block moves behind a
+    /// reference count that both datasets hold, and whichever writes to
+    /// it next copies it first. That is exact because such a cell `x`
+    /// never holds `-0.0` or a signalling NaN, so `+0.0 + x` has the bits
+    /// of `x`. Any other written block is built as `+0.0` plus each
+    /// writer's rows in order, and so are the tail table (skipping parts
+    /// that never wrote one: their `+0.0`s change no bit) and the
+    /// unclassified volumes.
     ///
-    /// # Panics
-    ///
-    /// If a part's shape differs (see [`check_shape`](Self::check_shape)).
-    pub fn rebuild_service_rows<'a>(
-        &mut self,
-        service: usize,
+    /// A shape mismatch between this dataset and a part is reported
+    /// before any block is shared.
+    pub fn merged<'a>(
+        &self,
         parts: impl IntoIterator<Item = &'a mut TrafficDataset>,
-    ) {
-        let mut writers = parts.into_iter().filter(|p| p.service_written(service));
-        let Some(first) = writers.next() else {
-            self.blocks[service] = Block::Zero;
-            return;
-        };
-        self.assert_same_blocks(first);
-        let second = writers.next();
-        if second.is_none() && first.additive {
-            self.blocks[service] = Block::Shared(first.share_block(service));
-            return;
+    ) -> Result<TrafficDataset, DatasetError> {
+        let mut parts: Vec<&mut TrafficDataset> = parts.into_iter().collect();
+        for part in &parts {
+            self.check_shape(part)?;
         }
-        let rows = first.block(service);
-        match &mut self.blocks[service] {
-            // `0.0 + b`, not `b`: it turns a `-0.0` into `+0.0`.
-            Block::Owned(cells) => {
-                for (a, &b) in cells.iter_mut().zip(rows) {
-                    *a = 0.0 + b;
+        let mut out = TrafficDataset {
+            n_services: self.n_services,
+            n_communes: self.n_communes,
+            blocks: vec![Block::Zero; self.n_services],
+            tail_weekly: vec![0.0; self.tail_weekly.len()],
+            tail_written: false,
+            unclassified: [0.0; 2],
+            communes: Arc::clone(&self.communes),
+            additive: true,
+        };
+        for service in 0..self.n_services {
+            let mut writers = parts.iter_mut().filter(|p| p.service_written(service));
+            match (writers.next(), writers.next()) {
+                (Some(sole), None) if sole.additive => {
+                    out.blocks[service] = Block::Shared(sole.share_block(service));
+                }
+                (first, second) => {
+                    for part in first.into_iter().chain(second).chain(writers) {
+                        out.add_service_rows(part, service);
+                    }
                 }
             }
-            block => *block = Block::Owned(rows.iter().map(|&b| 0.0 + b).collect()),
         }
-        for part in second.into_iter().chain(writers) {
-            self.add_service_rows(part, service);
+        for part in &parts {
+            if part.tail_written {
+                for (a, b) in out.tail_weekly.iter_mut().zip(&part.tail_weekly) {
+                    *a += b;
+                }
+                out.tail_written = true;
+            }
+            out.unclassified[0] += part.unclassified[0];
+            out.unclassified[1] += part.unclassified[1];
         }
+        Ok(out)
     }
 
     /// Head service `service`'s block behind a reference count, moving an
@@ -830,58 +837,18 @@ impl TrafficDataset {
 
     /// Adds `other`'s rows of head service `service` in the three
     /// per-service tables into this dataset's, cell by cell — a no-op
-    /// when `other` never wrote them.
+    /// when `other` never wrote them. The shapes must match (see
+    /// [`check_shape`](Self::check_shape)).
     fn add_service_rows(&mut self, other: &TrafficDataset, service: usize) {
         if !other.service_written(service) {
             return;
         }
-        self.assert_same_blocks(other);
         let len = block_len(self.n_communes);
         for (a, &b) in owned(&mut self.blocks[service], len)
             .iter_mut()
             .zip(other.block(service))
         {
             *a += b;
-        }
-    }
-
-    fn assert_same_blocks(&self, other: &TrafficDataset) {
-        assert!(
-            self.n_services == other.n_services && self.n_communes == other.n_communes,
-            "per-service rows of datasets of different shapes"
-        );
-    }
-
-    /// Rebuilds the tail table and the unclassified volumes as `+0.0`
-    /// plus those of each of `parts`, in order: bit for bit what a merge
-    /// of `parts` into an empty dataset holds there. A part that never
-    /// wrote its tail table is skipped there: adding its `+0.0`s to cells
-    /// built up from `+0.0` changes no bit.
-    ///
-    /// # Panics
-    ///
-    /// If a part's tail length differs (see [`check_shape`](Self::check_shape)).
-    pub fn rebuild_tail_and_unclassified<'a>(
-        &mut self,
-        parts: impl IntoIterator<Item = &'a TrafficDataset>,
-    ) {
-        self.tail_weekly.fill(0.0);
-        self.tail_written = false;
-        self.unclassified = [0.0; 2];
-        for part in parts {
-            assert_eq!(
-                self.tail_weekly.len(),
-                part.tail_weekly.len(),
-                "tail lengths differ"
-            );
-            if part.tail_written {
-                for (a, b) in self.tail_weekly.iter_mut().zip(&part.tail_weekly) {
-                    *a += b;
-                }
-                self.tail_written = true;
-            }
-            self.unclassified[0] += part.unclassified[0];
-            self.unclassified[1] += part.unclassified[1];
         }
     }
 }
@@ -1145,8 +1112,8 @@ mod tests {
         let (country, mut partial) = dataset();
         let commune = country.communes()[4].id;
         partial.add(Direction::Down, 1, commune, 7, 2.5);
-        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
-        merged.rebuild_service_rows(1, [&mut partial]);
+        let shape = TrafficDataset::new(&country, 3, 10, 0.5);
+        let merged = shape.merged([&mut partial]).expect("same shape");
         assert!(
             matches!(merged.blocks[1], Block::Shared(_)),
             "a sole fold writer is shared"
@@ -1164,8 +1131,7 @@ mod tests {
         assert_eq!(merged.national_series(Direction::Down, 1)[7], 2.5);
 
         // The other way round: the merged dataset's writes stay its own.
-        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
-        merged.rebuild_service_rows(1, [&mut partial]);
+        let mut merged = shape.merged([&mut partial]).expect("same shape");
         merged.add(Direction::Up, 1, commune, 9, 4.0);
         assert_eq!(partial.national_series(Direction::Up, 1)[9], 0.0);
         assert_eq!(merged.national_series(Direction::Up, 1)[9], 4.0);
@@ -1181,8 +1147,8 @@ mod tests {
 
         // Sharing moves the block behind a reference count without a copy,
         // and once the other holder is gone, writing takes it back as is.
-        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
-        merged.rebuild_service_rows(2, [&mut partial]);
+        let shape = TrafficDataset::new(&country, 3, 10, 0.5);
+        let merged = shape.merged([&mut partial]).expect("same shape");
         assert_eq!(merged.block(2).as_ptr(), at, "sharing copied the block");
         drop(merged);
         partial.service_rows_mut(2).add_both(7, 8, 1.0, 0.5);
@@ -1193,8 +1159,7 @@ mod tests {
         );
 
         // While another dataset holds it, the writer copies it once.
-        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
-        merged.rebuild_service_rows(2, [&mut partial]);
+        let merged = shape.merged([&mut partial]).expect("same shape");
         partial.service_rows_mut(2).add_both(9, 10, 1.0, 0.5);
         let copy = partial.block(2).as_ptr();
         assert_ne!(copy, at);
@@ -1205,15 +1170,16 @@ mod tests {
 
     #[test]
     fn a_csv_read_writer_is_added_not_shared() {
-        // A literal `-0` read from CSV must come out of a rebuild as the
-        // `+0.0` a fresh merge makes, so such a writer is never shared.
+        // A literal `-0` read from CSV must come out of `merged` as the
+        // `+0.0` an add merge makes, so such a writer is never shared.
         let (country, empty) = dataset();
         let text = empty
             .to_csv()
             .replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
         let mut read = TrafficDataset::from_csv(&text).expect("parse");
-        let mut merged = TrafficDataset::new(&country, 3, 10, 0.5);
-        merged.rebuild_service_rows(1, [&mut read]);
+        let merged = TrafficDataset::new(&country, 3, 10, 0.5)
+            .merged([&mut read])
+            .expect("same shape");
         assert!(matches!(merged.blocks[1], Block::Owned(_)));
         assert_eq!(
             merged.commune_vector(Direction::Down, 1)[0].to_bits(),
@@ -1256,7 +1222,7 @@ mod tests {
     #[test]
     fn class_users_sum_to_total_subscribers() {
         let (country, ds) = dataset();
-        let total: f64 = ds.class_users().iter().sum();
+        let total: f64 = ds.communes.class_users.iter().sum();
         let want = country.total_population() as f64 * 0.5;
         assert!((total - want).abs() < 1.0);
     }
@@ -1302,7 +1268,7 @@ mod tests {
             assert_eq!(back.tail_weekly(dir), ds.tail_weekly(dir));
             assert_eq!(back.unclassified(dir), ds.unclassified(dir));
         }
-        assert_eq!(back.class_users(), ds.class_users());
+        assert_eq!(back.communes.class_users, ds.communes.class_users);
         assert_eq!(back.commune_users(), ds.commune_users());
     }
 
@@ -1469,39 +1435,40 @@ mod tests {
             }
 
             #[test]
-            fn rebuilt_rows_match_a_fresh_merge_bitwise(seed in prop::num::u64::ANY) {
-                // A merged dataset brought up to date the way an incremental
-                // merge does it: every row an old or a replacement partial
-                // wrote is rebuilt from the current partials in order, and
-                // so are the tail and unclassified cells.
+            fn shared_merges_match_add_merges_bitwise(seed in prop::num::u64::ANY) {
+                // The engine's merge of fold partials into a fresh
+                // dataset, sharing sole-writer blocks, against the add
+                // path; the partials keep their cells, and a later write
+                // to a partial leaves the merged dataset as it was.
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut partials: Vec<TrafficDataset> =
                     (0..rng.gen_range(1usize..5)).map(|_| random_dataset(&mut rng)).collect();
-                let fresh = |partials: &[TrafficDataset]| {
-                    let mut ds = TrafficDataset::new(country(), SERVICES, TAIL, 0.5);
-                    for p in partials {
-                        ds.merge(p).expect("same shape");
-                    }
-                    ds
-                };
-                let mut merged = fresh(&partials);
-                let mut dirty = [false; SERVICES];
-                for p in &mut partials {
-                    if rng.gen_bool(0.5) {
-                        let next = random_dataset(&mut rng);
-                        for (s, d) in dirty.iter_mut().enumerate() {
-                            *d |= p.service_written(s) || next.service_written(s);
-                        }
-                        *p = next;
-                    }
+                let before: Vec<Vec<u64>> = partials.iter().map(bits).collect();
+                let shape = TrafficDataset::new(country(), SERVICES, TAIL, 0.5);
+                let mut reference = shape.clone();
+                for p in &partials {
+                    reference.merge(p).expect("same shape");
                 }
-                for s in (0..SERVICES).filter(|&s| dirty[s]) {
-                    merged.rebuild_service_rows(s, partials.iter_mut());
-                }
-                merged.rebuild_tail_and_unclassified(&partials);
-                let reference = fresh(&partials);
-                prop_assert!(bits(&merged) == bits(&reference), "rebuilt rows diverged");
+                let merged = shape.merged(partials.iter_mut()).expect("same shape");
+                prop_assert!(bits(&merged) == bits(&reference), "shared merge diverged");
                 prop_assert_eq!(written(&merged), written(&reference));
+                let after: Vec<Vec<u64>> = partials.iter().map(bits).collect();
+                prop_assert!(after == before, "merging changed a partial");
+                for p in &mut partials {
+                    for s in 0..SERVICES {
+                        p.service_rows_mut(s).add_both(0, 0, 1.0, 1.0);
+                    }
+                }
+                prop_assert!(bits(&merged) == bits(&reference), "a partial's write reached the merge");
+
+                // A shape mismatch errs before any block is shared.
+                let mut other = TrafficDataset::new(country(), SERVICES + 1, TAIL, 0.5);
+                other.service_rows_mut(0).add_both(0, 0, 1.0, 1.0);
+                let mut parts: Vec<&mut TrafficDataset> = partials.iter_mut().collect();
+                parts.push(&mut other);
+                prop_assert!(shape.merged(parts).is_err());
+                prop_assert!(partials.iter().all(|p| (0..SERVICES)
+                    .all(|s| !matches!(p.blocks[s], Block::Shared(_)))));
             }
         }
     }

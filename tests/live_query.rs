@@ -4,14 +4,15 @@
 //!
 //! * a snapshot taken after live ingestion completes is **bit-identical**
 //!   to the batch pipeline on the same `(config, seed)` — at 1, 2 and 8
-//!   threads, with and without an injected fault plan;
+//!   threads, with and without an injected fault plan, its collection
+//!   diagnostics included field by field;
 //! * mid-stream snapshots are consistent and monotone: version, watermark
 //!   and folded session counts never go backwards, and the final
 //!   snapshot converges to the batch output;
-//! * snapshots built back to back while ingestion runs, each updating
-//!   the previous one's dataset, end byte-equal to batch collection at 1,
-//!   2 and 8 threads, with and without faults, and a snapshot a reader
-//!   holds is never written by a later build;
+//! * snapshots built back to back while ingestion runs, each sharing
+//!   rows with the partials a later fold writes, end byte-equal to batch
+//!   collection at 1, 2 and 8 threads, with and without faults, and a
+//!   snapshot a reader holds is never written by a later build;
 //! * concurrent queries at one version share one build;
 //! * the TCP server answers well-framed responses to at least four
 //!   concurrent clients **while ingestion is running**, and a post-ingest
@@ -25,6 +26,8 @@ use mobilenet::netsim::collect_with_options;
 use mobilenet::par::set_thread_override;
 use mobilenet::serve::LiveState;
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
+
+mod common;
 
 /// The batch reference for a small study with the given fault plan.
 fn batch_csv(faults: FaultPlan, seed: u64) -> (String, mobilenet::netsim::CollectionStats) {
@@ -73,6 +76,8 @@ fn complete_snapshots_are_bit_identical_to_batch_collection() {
             assert_eq!(snap.stats.gn_records, reference_stats.gn_records);
             assert_eq!(snap.stats.s5s8_records, reference_stats.s5s8_records);
             assert_eq!(snap.stats.faults.lost_total(), reference_stats.faults.lost_total());
+            let label = format!("{threads} threads, faults active: {}", !faults.is_none());
+            common::assert_same_stats(&snap.stats, &reference_stats, &label);
             assert_eq!(snap.ingest.records, ingest.records);
         }
     }

@@ -12,8 +12,9 @@
 //! * a merge taken mid-ingest, under every shard lock, is bit-identical
 //!   to a dense cell-by-cell sum of the locked partials — the row-sparse
 //!   merge skips only rows that hold `+0.0`, with and without faults;
-//! * a merge cut brought up to date at every batch boundary, and again
-//!   after a reset, is byte-equal to a fresh merge of the same partials;
+//! * the engine's merge, which shares single-writer rows with the
+//!   partials, taken at every batch boundary and again after a reset, is
+//!   byte-equal to an add-path merge of the same partials;
 //! * the ingest counters reported through the observability layer agree
 //!   with the stats the pipeline returns;
 //! * the sharded-fold engine reports the first failing shard's error and
@@ -24,10 +25,12 @@ use std::sync::Mutex;
 
 use mobilenet::core::study::StudyConfig;
 use mobilenet::geo::UsageClass;
+use mobilenet::netsim::classifier::ServiceLabel;
 use mobilenet::netsim::records::FlowSignature;
 use mobilenet::netsim::{
-    aggregate_batch, Capture, ChunkSink, CollectionOutput, CollectionStats, FoldStrategy,
-    IngestError, Interface, MergeCut, RecordSource, SessionRecord, ShardedFold, ERROR_SAMPLE_CAP,
+    aggregate_batch, Capture, ChunkSink, CollectionOutput, CollectionStats, DpiClassifier,
+    FoldStrategy, IngestError, Interface, RecordSource, SessionRecord, ShardedFold,
+    ERROR_SAMPLE_CAP,
 };
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::{Direction, TrafficDataset};
@@ -40,6 +43,42 @@ fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> mobilenet::Ru
         builder = builder.chunk_size(n);
     }
     builder.run().expect("valid configuration")
+}
+
+/// The row-at-a-time reference fold: each record classified alone and
+/// folded through the public adders, with the same floating-point
+/// additions per record, in the same order, as the batched fold.
+fn fold_rows(
+    batch: &mut mobilenet::netsim::RecordBatch,
+    classifier: &DpiClassifier,
+    ds: &mut TrafficDataset,
+    st: &mut CollectionStats,
+) {
+    for i in 0..batch.len() {
+        let record = batch.row(i);
+        match record.interface {
+            Interface::Gn => st.gn_records += 1,
+            Interface::S5S8 => st.s5s8_records += 1,
+        }
+        let hour = record.start_hour as usize;
+        match classifier.classify(record.signature) {
+            ServiceLabel::Head(s) => {
+                st.classified_mb += record.dl_mb + record.ul_mb;
+                ds.add(Direction::Down, s as usize, record.commune, hour, record.dl_mb);
+                ds.add(Direction::Up, s as usize, record.commune, hour, record.ul_mb);
+            }
+            ServiceLabel::Tail(t) => {
+                st.classified_mb += record.dl_mb + record.ul_mb;
+                ds.add_tail(Direction::Down, t as usize, record.dl_mb);
+                ds.add_tail(Direction::Up, t as usize, record.ul_mb);
+            }
+            ServiceLabel::Unclassified => {
+                st.unclassified_mb += record.dl_mb + record.ul_mb;
+                ds.add_unclassified(Direction::Down, record.dl_mb);
+                ds.add_unclassified(Direction::Up, record.ul_mb);
+            }
+        }
+    }
 }
 
 /// The row-at-a-time oracle: the same small-scale collection as [`run`],
@@ -58,10 +97,7 @@ fn row_oracle(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> Collec
     engine
         .run(
             &source,
-            |batch, ds, st| {
-                let classifier = capture.classifier();
-                aggregate_batch(batch, classifier, FoldStrategy::RowAtATime, false, ds, st)
-            },
+            |batch, ds, st| fold_rows(batch, capture.classifier(), ds, st),
             |_, _| {},
             |_, _| {},
         )
@@ -171,20 +207,17 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
         // Chunk size 1 (worst case), a small prime, the default-ish, and
         // one larger than the whole input (the materialized path).
         for chunk in [1usize, 251, 8192, total_records as usize + 1] {
-            for fold in [FoldStrategy::Batched, FoldStrategy::RowAtATime] {
-                let (csv, stats) = match fold {
-                    FoldStrategy::Batched => {
-                        let out = run(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
-                        (out.dataset().to_csv(), out.collection_stats().expect("measured").clone())
-                    }
-                    FoldStrategy::RowAtATime => {
-                        let out = row_oracle(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
-                        (out.dataset.to_csv(), out.stats)
-                    }
+            for fold in ["batched", "row-at-a-time"] {
+                let (csv, stats) = if fold == "batched" {
+                    let out = run(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
+                    (out.dataset().to_csv(), out.collection_stats().expect("measured").clone())
+                } else {
+                    let out = row_oracle(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
+                    (out.dataset.to_csv(), out.stats)
                 };
                 assert!(
                     csv == reference_csv,
-                    "{fold:?} dataset differs at {threads} threads, chunk {chunk}"
+                    "{fold} dataset differs at {threads} threads, chunk {chunk}"
                 );
                 assert_eq!(stats.sessions, reference_stats.sessions);
                 assert_eq!(stats.gn_records, reference_stats.gn_records);
@@ -194,12 +227,12 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
                 assert_eq!(
                     stats.classified_mb.to_bits(),
                     reference_stats.classified_mb.to_bits(),
-                    "{fold:?} classified_mb bits differ at {threads} threads, chunk {chunk}"
+                    "{fold} classified_mb bits differ at {threads} threads, chunk {chunk}"
                 );
                 assert_eq!(
                     stats.unclassified_mb.to_bits(),
                     reference_stats.unclassified_mb.to_bits(),
-                    "{fold:?} unclassified_mb bits differ at {threads} threads, chunk {chunk}"
+                    "{fold} unclassified_mb bits differ at {threads} threads, chunk {chunk}"
                 );
                 assert_eq!(stats.faults, reference_stats.faults);
             }
@@ -321,15 +354,15 @@ impl RecordSource for ShardRecords {
 }
 
 #[test]
-fn merge_cuts_kept_up_to_date_match_fresh_merges_byte_for_byte() {
-    // The incremental merge a live snapshot makes: one cut, brought up
-    // to date at every batch boundary of a 1-thread run and once more
-    // after a reset, each time compared with a fresh merge of the same
-    // partials, made under the same locks by `TrafficDataset::merge`
-    // alone, so it shares no version bookkeeping with the cut. Each shard
-    // replays a prefix of its captured stream, one and a half chunks
-    // long, so a shard's second batch moves rows an earlier cut already
-    // holds, while the comparisons stay few.
+fn engine_merges_match_add_merges_byte_for_byte() {
+    // The merge a live snapshot makes, which shares single-writer rows
+    // with the partials: taken at every batch boundary of a 1-thread run
+    // and once more after a reset, each time compared with a merge of the
+    // same partials, made under the same locks by `TrafficDataset::merge`
+    // alone, which adds every written row. Each shard replays a prefix of
+    // its captured stream, one and a half chunks long, so a shard's
+    // second batch writes rows an earlier merge still shares, while the
+    // comparisons stay few.
     let plans = [("fault-free", FaultPlan::none()), ("degraded", FaultPlan::degraded(3))];
     set_thread_override(Some(1));
     for (plan, faults) in plans {
@@ -360,28 +393,38 @@ fn merge_cuts_kept_up_to_date_match_fresh_merges_byte_for_byte() {
                 captured.iter().map(|r| r[..r.len().min(prefix)].to_vec()).collect(),
             );
             let engine = ShardedFold::new(&model, replay.shards(), chunk);
-            let cut = Mutex::new((MergeCut::default(), engine.empty_dataset()));
+            let catalog = model.catalog();
+            let empty = TrafficDataset::new(
+                model.country(),
+                catalog.head().len(),
+                catalog.tail_len(),
+                model.config().subscriber_share,
+            );
+            // The last merge is held until the next check, as the live
+            // snapshot cache holds it, so the folds in between write rows
+            // it still shares.
+            let held = Mutex::new(None);
             let checks = AtomicUsize::new(0);
             let check = |when: &str| {
-                let mut guard = cut.lock().unwrap();
-                let (cut, dataset) = &mut *guard;
-                let (stats, _, (mut fresh, fresh_stats)) = engine
-                    .merge_into(cut, dataset, |partials| {
-                        let mut fresh = engine.empty_dataset();
+                let (out, (mut added, added_stats)) = engine
+                    .merge(|partials| {
+                        let mut added = empty.clone();
                         let mut stats = CollectionStats::default();
                         for partial in partials {
-                            fresh.merge(&partial.dataset).expect("partials share one shape");
+                            added.merge(&partial.dataset).expect("partials share one shape");
                             stats.merge(&partial.stats);
                         }
-                        (fresh, stats)
+                        (added, stats)
                     })
                     .expect("partials share one shape");
-                model.fill_tail(&mut fresh);
+                model.fill_tail(&mut added);
                 assert!(
-                    dataset.to_csv() == fresh.to_csv(),
-                    "{plan}, chunk {chunk}: cut differs from a fresh merge {when}"
+                    out.dataset.to_csv() == added.to_csv(),
+                    "{plan}, chunk {chunk}: the engine merge differs from an add merge {when}"
                 );
-                assert_eq!(format!("{stats:?}"), format!("{fresh_stats:?}"), "{plan} {when}");
+                let stats = &out.stats;
+                assert_eq!(format!("{stats:?}"), format!("{added_stats:?}"), "{plan} {when}");
+                *held.lock().unwrap() = Some(out.dataset);
                 checks.fetch_add(1, Ordering::Relaxed);
             };
             engine

@@ -24,6 +24,8 @@ use mobilenet::par::set_thread_override;
 use mobilenet::serve::{week_seed, LiveState};
 use mobilenet::{FaultPlan, Scale, DEFAULT_SEED};
 
+mod common;
+
 /// The batch reference CSV for the small study's model at `seed`,
 /// collected at capture seed `capture_seed` (they differ for week ≥ 1).
 fn batch_reference(
@@ -77,6 +79,8 @@ fn weekly_snapshots_are_bit_identical_to_batch_runs_over_folded_records() {
                     reference_stats.faults.lost_total(),
                     "week {week}"
                 );
+                let label = format!("week {week} at {threads} threads");
+                common::assert_same_stats(&snap.stats, &reference_stats, &label);
             }
             // The scheduled weeks are consumed: a further week is an error.
             assert!(state.run_next_week().is_err());
@@ -131,7 +135,7 @@ fn multi_week_runs_hold_one_week_of_memory() {
 
     // And the final week equals its batch reference (the ring holds one
     // week, not a blend).
-    let (reference_csv, _) = {
+    let (reference_csv, reference_stats) = {
         let model = config.demand_model(DEFAULT_SEED);
         let out = collect_with_options(
             &model,
@@ -143,5 +147,6 @@ fn multi_week_runs_hold_one_week_of_memory() {
         (out.dataset.to_csv(), out.stats)
     };
     assert!(snap.dataset.to_csv() == reference_csv, "final ring week equals its batch run");
+    common::assert_same_stats(&snap.stats, &reference_stats, "final ring week");
     set_thread_override(None);
 }
