@@ -59,7 +59,11 @@ fn main() {
 /// builder (the ablation sweeps each re-collect their own variants via
 /// [`Study::from_parts`]).
 fn small_study(seed: u64) -> Study {
-    Pipeline::builder().seed(seed).run().expect("small config is valid").into_study()
+    Pipeline::builder()
+        .seed(seed)
+        .run()
+        .expect("small config is valid")
+        .into_study()
 }
 
 /// Ablation 1: ULI localization error vs spatial statistics.
@@ -88,7 +92,9 @@ fn localization_sweep(seed: u64) {
         let conc = concentration(&study, twitter);
         let moran = mobilenet_core::spatial::morans_i(
             study.country(),
-            &study.dataset().per_user_commune_vector(Direction::Down, twitter),
+            &study
+                .dataset()
+                .per_user_commune_vector(Direction::Down, twitter),
             6,
         );
         println!(
@@ -116,8 +122,13 @@ fn classification_sweep(seed: u64) {
         let mut tc = TrafficConfig::fast();
         tc.classified_fraction = rate;
         let model = DemandModel::new(country.clone(), catalog.clone(), tc, seed);
-        let out = collect_with_options(&model, &NetsimConfig::standard(), &CollectOptions::default(), seed)
-            .expect("standard config is valid");
+        let out = collect_with_options(
+            &model,
+            &NetsimConfig::standard(),
+            &CollectOptions::default(),
+            seed,
+        )
+        .expect("standard config is valid");
         let study = Study::from_parts(model.clone(), out);
         let ranking = service_ranking(&study, Direction::Down);
         let video = ranking
@@ -139,13 +150,41 @@ fn detector_sweep(seed: u64) {
     println!("lag  threshold  influence  midday_peaks  off_topical");
     let study = small_study(seed);
     let configs = [
-        PeakConfig { lag: 2, threshold: 3.0, influence: 0.4 }, // the paper's
-        PeakConfig { lag: 2, threshold: 2.0, influence: 0.4 },
-        PeakConfig { lag: 2, threshold: 4.0, influence: 0.4 },
-        PeakConfig { lag: 4, threshold: 3.0, influence: 0.4 },
-        PeakConfig { lag: 8, threshold: 3.0, influence: 0.4 },
-        PeakConfig { lag: 2, threshold: 3.0, influence: 0.1 },
-        PeakConfig { lag: 2, threshold: 3.0, influence: 0.8 },
+        PeakConfig {
+            lag: 2,
+            threshold: 3.0,
+            influence: 0.4,
+        }, // the paper's
+        PeakConfig {
+            lag: 2,
+            threshold: 2.0,
+            influence: 0.4,
+        },
+        PeakConfig {
+            lag: 2,
+            threshold: 4.0,
+            influence: 0.4,
+        },
+        PeakConfig {
+            lag: 4,
+            threshold: 3.0,
+            influence: 0.4,
+        },
+        PeakConfig {
+            lag: 8,
+            threshold: 3.0,
+            influence: 0.4,
+        },
+        PeakConfig {
+            lag: 2,
+            threshold: 3.0,
+            influence: 0.1,
+        },
+        PeakConfig {
+            lag: 2,
+            threshold: 3.0,
+            influence: 0.8,
+        },
     ];
     for cfg in configs {
         let profiles = topical_profiles(&study, Direction::Down, &cfg);
@@ -172,7 +211,12 @@ fn kshape_vs_kmeans(seed: u64) {
         let best = sweep
             .points
             .iter()
-            .max_by(|a, b| a.scores.silhouette.partial_cmp(&b.scores.silhouette).unwrap())
+            .max_by(|a, b| {
+                a.scores
+                    .silhouette
+                    .partial_cmp(&b.scores.silhouette)
+                    .unwrap()
+            })
             .unwrap();
         println!(
             "{:<9}  {:>10}  {:>10.3}  {:>5.2}  {:>15.2}",
@@ -199,8 +243,13 @@ fn mobility_sweep(seed: u64) {
         let mut tc = TrafficConfig::fast();
         tc.commuter_share = share;
         let model = DemandModel::new(country.clone(), catalog.clone(), tc, seed);
-        let out = collect_with_options(&model, &NetsimConfig::standard(), &CollectOptions::default(), seed)
-            .expect("standard config is valid");
+        let out = collect_with_options(
+            &model,
+            &NetsimConfig::standard(),
+            &CollectOptions::default(),
+            seed,
+        )
+        .expect("standard config is valid");
         let study = Study::from_parts(model.clone(), out);
         let twitter = study
             .catalog()
@@ -210,7 +259,9 @@ fn mobility_sweep(seed: u64) {
             .unwrap();
         let moran = mobilenet_core::spatial::morans_i(
             study.country(),
-            &study.dataset().per_user_commune_vector(Direction::Down, twitter),
+            &study
+                .dataset()
+                .per_user_commune_vector(Direction::Down, twitter),
             6,
         );
         let ratios = mean_volume_ratios(&urbanization_profiles(&study, Direction::Down));
@@ -246,7 +297,12 @@ fn hierarchical_check(seed: u64) {
                 best = (k, sil);
             }
         }
-        println!("{:<8}  {:>6}  {:>10.3}", format!("{linkage:?}"), best.0, best.1);
+        println!(
+            "{:<8}  {:>6}  {:>10.3}",
+            format!("{linkage:?}"),
+            best.0,
+            best.1
+        );
     }
     println!("(low silhouettes across all three linkages confirm Figure 5's finding)");
     println!();
@@ -277,9 +333,19 @@ fn fault_sweep(seed: u64) {
         (0.10, 0.05),
         (0.25, 0.10),
     ] {
-        let plan = FaultPlan { seed, loss_prob: loss, dup_prob: dup, ..FaultPlan::none() };
-        let out = collect_with_options(&model, &netsim, &CollectOptions::with_faults(plan.clone()), seed)
-            .expect("plan is valid");
+        let plan = FaultPlan {
+            seed,
+            loss_prob: loss,
+            dup_prob: dup,
+            ..FaultPlan::none()
+        };
+        let out = collect_with_options(
+            &model,
+            &netsim,
+            &CollectOptions::with_faults(plan.clone()),
+            seed,
+        )
+        .expect("plan is valid");
         let lost_frac = out.stats.faults.lost_total() as f64 / out.stats.sessions as f64;
         let study = Study::from_parts(model.clone(), out);
         let corr = spatial_correlation(&study, Direction::Down);

@@ -49,7 +49,13 @@ use std::sync::Arc;
 
 /// Stage span names, in pipeline order. Each pass opens exactly these
 /// five root spans, so the snapshot is the timing source of truth.
-const STAGES: [&str; 5] = ["generation", "aggregation", "pairwise_r2", "kshape_sweep", "peaks"];
+const STAGES: [&str; 5] = [
+    "generation",
+    "aggregation",
+    "pairwise_r2",
+    "kshape_sweep",
+    "peaks",
+];
 
 /// Timed record-replay passes; the gate reads their median, because one
 /// pass's time swings by more than the gate's 25% bound on a busy host.
@@ -90,8 +96,7 @@ fn parse_args() -> Args {
             }
             "--out" => args.out = PathBuf::from(it.next().expect("--out needs a value")),
             "--compare" => {
-                args.compare =
-                    Some(PathBuf::from(it.next().expect("--compare needs a value")))
+                args.compare = Some(PathBuf::from(it.next().expect("--compare needs a value")))
             }
             "--threads" => {
                 args.threads = it
@@ -149,13 +154,19 @@ fn main() {
     // National runs skip the analysis-stage passes entirely: each would
     // hold a fully materialized study, and the tier's contract is that
     // nothing proportional to the record count is ever resident.
-    let stage_passes: Vec<(&str, usize)> =
-        if national { Vec::new() } else { vec![("serial", 1), ("parallel", args.threads)] };
+    let stage_passes: Vec<(&str, usize)> = if national {
+        Vec::new()
+    } else {
+        vec![("serial", 1), ("parallel", args.threads)]
+    };
     for (pass, threads) in stage_passes {
         mobilenet_par::set_thread_override(Some(threads));
         mobilenet_obs::set_enabled(Some(true));
         mobilenet_obs::reset();
-        println!("-- {pass} pass ({threads} thread{})", if threads == 1 { "" } else { "s" });
+        println!(
+            "-- {pass} pass ({threads} thread{})",
+            if threads == 1 { "" } else { "s" }
+        );
 
         // Stage 1: demand evaluation (noise-free expected cube, parallel
         // over services).
@@ -168,8 +179,13 @@ fn main() {
         // aggregation, parallel over per-service shards).
         let output = {
             let _s = mobilenet_obs::span("aggregation");
-            collect_with_options(&model, &config.netsim, &CollectOptions::default(), args.seed)
-                .expect("scale configs are valid")
+            collect_with_options(
+                &model,
+                &config.netsim,
+                &CollectOptions::default(),
+                args.seed,
+            )
+            .expect("scale configs are valid")
         };
         let study = Study::from_parts(model.clone(), output);
 
@@ -215,7 +231,10 @@ fn main() {
                 ^ study.dataset().national_series(Direction::Down, 0)[0].to_bits(),
             corr.mean_r2.to_bits(),
             sweep.best_k_by_silhouette(),
-            profiles.iter().filter(|p| p.has_peak.iter().any(|&b| b)).count(),
+            profiles
+                .iter()
+                .filter(|p| p.has_peak.iter().any(|&b| b))
+                .count(),
             study.dataset().to_csv().len(),
         );
         digests.push(digest);
@@ -233,7 +252,11 @@ fn main() {
     let mut ingest_entries: Vec<String> = Vec::new();
     let mut ingest_rps: Vec<(String, f64)> = Vec::new();
     let mut record_ingest = |mode: &str, secs: f64, ingest: &IngestStats| {
-        let throughput = if secs > 0.0 { ingest.records as f64 / secs } else { 0.0 };
+        let throughput = if secs > 0.0 {
+            ingest.records as f64 / secs
+        } else {
+            0.0
+        };
         println!(
             "   {mode:<14} {secs:>8.2}s  {throughput:>12.0} rec/s  peak resident {:>10}",
             ingest.peak_resident_records
@@ -246,8 +269,13 @@ fn main() {
         ingest_rps.push((mode.to_string(), throughput));
     };
     let t0 = std::time::Instant::now();
-    let out = collect_with_options(&model, &config.netsim, &CollectOptions::default(), args.seed)
-        .expect("scale configs are valid");
+    let out = collect_with_options(
+        &model,
+        &config.netsim,
+        &CollectOptions::default(),
+        args.seed,
+    )
+    .expect("scale configs are valid");
     record_ingest("streaming", t0.elapsed().as_secs_f64(), &out.ingest);
 
     // Pure record-aggregation replay: capture the record stream once,
@@ -259,9 +287,13 @@ fn main() {
     // where the whole record set fits comfortably.
     if !national {
         let mut captured: Vec<mobilenet_netsim::SessionRecord> = Vec::new();
-        observe_with_options(&model, &config.netsim, &CollectOptions::default(), args.seed, |r| {
-            captured.push(r.clone())
-        })
+        observe_with_options(
+            &model,
+            &config.netsim,
+            &CollectOptions::default(),
+            args.seed,
+            |r| captured.push(r.clone()),
+        )
         .expect("scale configs are valid");
         let options = CollectOptions::default();
         let source = SliceSource::new(&captured);
@@ -298,13 +330,20 @@ fn main() {
             "obs counters diverged between serial and parallel passes — \
              a probe is recording scheduling-dependent counts"
         );
-        println!("-- output digests and obs fingerprints match: {}", digests[0]);
+        println!(
+            "-- output digests and obs fingerprints match: {}",
+            digests[0]
+        );
     }
 
     let mut stages_json = String::new();
     if !national {
         for (i, name) in STAGES.iter().enumerate() {
-            let speedup = if parallel_s[i] > 0.0 { serial_s[i] / parallel_s[i] } else { 0.0 };
+            let speedup = if parallel_s[i] > 0.0 {
+                serial_s[i] / parallel_s[i]
+            } else {
+                0.0
+            };
             stages_json.push_str(&format!(
                 "    {{ \"stage\": \"{name}\", \"serial_s\": {:.4}, \"parallel_s\": {:.4}, \"speedup\": {:.2} }}{}\n",
                 serial_s[i],
@@ -332,14 +371,13 @@ fn main() {
         if total_parallel > 0.0 { total_serial / total_parallel } else { 0.0 },
         obs_nested,
     );
-    fs::write(&args.out, &json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out.display()));
+    fs::write(&args.out, &json).unwrap_or_else(|e| panic!("writing {}: {e}", args.out.display()));
     println!("baseline written to {}", args.out.display());
 
     if let Some(path) = &args.compare {
         let mut failed = false;
-        let text = fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let text =
+            fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
         // National baselines carry no stage timings — only the ingest
         // throughput side of the gate applies.
         if !national {
@@ -356,7 +394,11 @@ fn main() {
                     println!("   {:<12} (not measured this run)", base.stage);
                     continue;
                 };
-                let ratio = if base.serial_s > 0.0 { cur / base.serial_s } else { 0.0 };
+                let ratio = if base.serial_s > 0.0 {
+                    cur / base.serial_s
+                } else {
+                    0.0
+                };
                 println!(
                     "   {:<12} {:>8.4}s -> {:>8.4}s  ({:.2}x baseline)",
                     base.stage, base.serial_s, cur, ratio
@@ -383,20 +425,26 @@ fn main() {
         // than 25% of their baseline records/s.
         let ingest_baseline = mobilenet_bench::parse_ingest_baselines(&text)
             .unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
-        println!("-- comparing ingestion throughput against {}", path.display());
+        println!(
+            "-- comparing ingestion throughput against {}",
+            path.display()
+        );
         for base in &ingest_baseline {
             let Some((_, cur)) = ingest_rps.iter().find(|(n, _)| *n == base.mode) else {
                 println!("   {:<14} (not measured this run)", base.mode);
                 continue;
             };
-            let ratio = if base.records_per_s > 0.0 { cur / base.records_per_s } else { 0.0 };
+            let ratio = if base.records_per_s > 0.0 {
+                cur / base.records_per_s
+            } else {
+                0.0
+            };
             println!(
                 "   {:<14} {:>12.0} -> {:>12.0} rec/s  ({:.2}x baseline)",
                 base.mode, base.records_per_s, cur, ratio
             );
         }
-        let ingest_regressions =
-            mobilenet_bench::compare_ingest(&ingest_baseline, &ingest_rps);
+        let ingest_regressions = mobilenet_bench::compare_ingest(&ingest_baseline, &ingest_rps);
         if ingest_regressions.is_empty() {
             println!("-- no ingestion mode lost more than 25% throughput");
         } else {

@@ -23,9 +23,7 @@ use mobilenet_core::report;
 use mobilenet_core::spatial::{concentration, spatial_correlation};
 use mobilenet_core::temporal::{clustering_sweep, Algorithm};
 use mobilenet_core::topical::topical_profiles;
-use mobilenet_core::urbanization::{
-    mean_temporal_r2, mean_volume_ratios, urbanization_profiles,
-};
+use mobilenet_core::urbanization::{mean_temporal_r2, mean_volume_ratios, urbanization_profiles};
 use mobilenet_core::{maps, maps::coverage_map, Pipeline, Scale};
 use mobilenet_traffic::Direction;
 
@@ -94,7 +92,10 @@ fn main() {
     let args = parse_args();
     fs::create_dir_all(&args.out).expect("creating output directory");
 
-    let mut builder = Pipeline::builder().scale(args.scale).seed(args.seed).obs(true);
+    let mut builder = Pipeline::builder()
+        .scale(args.scale)
+        .seed(args.seed)
+        .obs(true);
     if args.expected {
         builder = builder.expected();
     }
@@ -124,11 +125,17 @@ fn main() {
     let study = run.into_study();
 
     // Overview (§3 headline numbers).
-    write(&args.out.join("overview.txt"), &report::overview_text(&study));
+    write(
+        &args.out.join("overview.txt"),
+        &report::overview_text(&study),
+    );
 
     // Figure 2 — Zipf ranking.
     let fig2 = zipf_ranking(&study);
-    write(&args.out.join("fig2_zipf_ranking.csv"), &report::zipf_csv(&fig2));
+    write(
+        &args.out.join("fig2_zipf_ranking.csv"),
+        &report::zipf_csv(&fig2),
+    );
     if let (Some(dl), Some(ul)) = (&fig2.dl_fit, &fig2.ul_fit) {
         println!(
             "fig2: zipf exponents dl {:.2} (paper 1.69), ul {:.2} (paper 1.55), span {:.1} orders (paper ~10)",
@@ -142,7 +149,11 @@ fn main() {
         let name = format!("fig3_ranking_{}.csv", short(dir));
         write(&args.out.join(name), &report::ranking_csv(&r));
         if dir == Direction::Down {
-            let video = r.category_shares.get("video streaming").copied().unwrap_or(0.0);
+            let video = r
+                .category_shares
+                .get("video streaming")
+                .copied()
+                .unwrap_or(0.0);
             println!(
                 "fig3: video {:.0}% of downlink (paper >46%), top-20 {:.0}% of total (paper >60%), unclassified {:.0}% (paper 12%)",
                 video * 100.0,
@@ -165,13 +176,19 @@ fn main() {
             .iter()
             .position(|s| s.name == name)
             .expect("sample service exists");
-        let series = study.dataset().national_series(Direction::Down, idx).to_vec();
+        let series = study
+            .dataset()
+            .national_series(Direction::Down, idx)
+            .to_vec();
         let det = detect_peaks(&series, &peak_cfg);
         let file = format!(
             "fig4_timeseries_{}.csv",
             name.to_lowercase().replace(' ', "_")
         );
-        write(&args.out.join(file), &report::peaks_csv(name, &series, &det, peak_cfg.threshold));
+        write(
+            &args.out.join(file),
+            &report::peaks_csv(name, &series, &det, peak_cfg.threshold),
+        );
     }
 
     // Figure 5 — clustering quality sweep.
@@ -190,8 +207,14 @@ fn main() {
 
     // Figures 6 & 7 — topical peaks and intensities.
     let profiles = topical_profiles(&study, Direction::Down, &peak_cfg);
-    write(&args.out.join("fig6_topical_peaks.csv"), &report::topical_matrix_csv(&profiles));
-    write(&args.out.join("fig7_peak_intensity.csv"), &report::intensity_csv(&profiles));
+    write(
+        &args.out.join("fig6_topical_peaks.csv"),
+        &report::topical_matrix_csv(&profiles),
+    );
+    write(
+        &args.out.join("fig7_peak_intensity.csv"),
+        &report::intensity_csv(&profiles),
+    );
     let midday = profiles
         .iter()
         .filter(|p| p.has_peak[mobilenet_traffic::TopicalTime::Midday.index()])
@@ -229,11 +252,23 @@ fn main() {
         .expect("Netflix in catalog");
     let width = 120;
     let twitter_map = maps::per_user_map(&study, Direction::Down, twitter, width);
-    write(&args.out.join("fig9_map_twitter.pgm"), &twitter_map.to_pgm());
-    write(&args.out.join("fig9_map_twitter.txt"), &twitter_map.to_ascii());
+    write(
+        &args.out.join("fig9_map_twitter.pgm"),
+        &twitter_map.to_pgm(),
+    );
+    write(
+        &args.out.join("fig9_map_twitter.txt"),
+        &twitter_map.to_ascii(),
+    );
     let netflix_map = maps::per_user_map(&study, Direction::Down, netflix, width);
-    write(&args.out.join("fig9_map_netflix.pgm"), &netflix_map.to_pgm());
-    write(&args.out.join("fig9_map_netflix.txt"), &netflix_map.to_ascii());
+    write(
+        &args.out.join("fig9_map_netflix.pgm"),
+        &netflix_map.to_pgm(),
+    );
+    write(
+        &args.out.join("fig9_map_netflix.txt"),
+        &netflix_map.to_ascii(),
+    );
     let cover = coverage_map(study.country(), width);
     write(&args.out.join("fig9_map_coverage.pgm"), &cover.to_pgm());
 
@@ -257,7 +292,10 @@ fn main() {
 
     // Figure 11 — urbanization.
     let urb = urbanization_profiles(&study, Direction::Down);
-    write(&args.out.join("fig11_urbanization.csv"), &report::urbanization_csv(&urb));
+    write(
+        &args.out.join("fig11_urbanization.csv"),
+        &report::urbanization_csv(&urb),
+    );
     let ratios = mean_volume_ratios(&urb);
     let r2s = mean_temporal_r2(&urb);
     println!(
@@ -271,7 +309,10 @@ fn main() {
 
     // Extensions beyond the paper's evaluation.
     let forecast = mobilenet_core::forecast::forecast_report(&study, Direction::Down, 120);
-    write(&args.out.join("ext_forecast.csv"), &report::forecast_csv(&forecast));
+    write(
+        &args.out.join("ext_forecast.csv"),
+        &report::forecast_csv(&forecast),
+    );
     let median_smape = {
         let mut v: Vec<f64> = forecast.iter().map(|f| f.holt_winters.smape).collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -283,7 +324,9 @@ fn main() {
     );
     let twitter_moran = mobilenet_core::spatial::morans_i(
         study.country(),
-        &study.dataset().per_user_commune_vector(Direction::Down, twitter),
+        &study
+            .dataset()
+            .per_user_commune_vector(Direction::Down, twitter),
         6,
     );
     println!(

@@ -33,17 +33,36 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it.next().expect("--scale needs a value").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+                scale = it
+                    .next()
+                    .expect("--scale needs a value")
+                    .parse()
+                    .unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    })
             }
-            "--seed" => seed = it.next().unwrap().parse().expect("--seed must be an integer"),
+            "--seed" => {
+                seed = it
+                    .next()
+                    .unwrap()
+                    .parse()
+                    .expect("--seed must be an integer")
+            }
             "--restarts" => {
-                restarts = it.next().unwrap().parse().expect("--restarts must be an integer")
+                restarts = it
+                    .next()
+                    .unwrap()
+                    .parse()
+                    .expect("--restarts must be an integer")
             }
             "--threads" => {
-                threads = Some(it.next().unwrap().parse().expect("--threads must be an integer"))
+                threads = Some(
+                    it.next()
+                        .unwrap()
+                        .parse()
+                        .expect("--threads must be an integer"),
+                )
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -65,10 +84,13 @@ fn main() {
 
     println!("# golden kshape capture: scale={scale} seed={seed} restarts={restarts}");
     for p in &sweep.points {
-        let assignments: Vec<String> =
-            p.clustering.assignments.iter().map(|a| a.to_string()).collect();
-        let centroid_hash =
-            fnv1a(p.clustering.centroids.iter().flatten().map(|v| v.to_bits()));
+        let assignments: Vec<String> = p
+            .clustering
+            .assignments
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        let centroid_hash = fnv1a(p.clustering.centroids.iter().flatten().map(|v| v.to_bits()));
         println!(
             "k={} iters={} converged={} assignments={} centroid_bits={:016x} db={:016x} dbstar={:016x} dunn={:016x} sil={:016x}",
             p.k,

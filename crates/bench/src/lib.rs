@@ -88,7 +88,9 @@ fn json_num(obj: &str, key: &str) -> Option<f64> {
 /// emits one `{ ... }` object per line inside the array, and this reader
 /// accepts any formatting where stage objects don't nest.
 pub fn parse_stage_baselines(json: &str) -> Result<Vec<StageBaseline>, String> {
-    let start = json.find("\"stages\"").ok_or("no \"stages\" key in baseline file")?;
+    let start = json
+        .find("\"stages\"")
+        .ok_or("no \"stages\" key in baseline file")?;
     let rest = &json[start..];
     let open = rest.find('[').ok_or("no stages array")?;
     let close = rest[open..].find(']').ok_or("unterminated stages array")? + open;
@@ -105,8 +107,7 @@ pub fn parse_stage_baselines(json: &str) -> Result<Vec<StageBaseline>, String> {
         stages.push(StageBaseline {
             stage: json_str(obj, "stage").ok_or("stage object missing \"stage\"")?,
             serial_s: json_num(obj, "serial_s").ok_or("stage object missing \"serial_s\"")?,
-            parallel_s: json_num(obj, "parallel_s")
-                .ok_or("stage object missing \"parallel_s\"")?,
+            parallel_s: json_num(obj, "parallel_s").ok_or("stage object missing \"parallel_s\"")?,
         });
         cursor = &cursor[obj_end + 1..];
     }
@@ -177,19 +178,14 @@ pub fn compare_ingest(
 /// [`COMPARE_MAX_RELATIVE_SLOWDOWN`] relative AND [`COMPARE_MIN_DELTA_S`]
 /// absolute. Stages present on only one side are ignored (renames and new
 /// stages don't fail the gate; the baseline should be refreshed instead).
-pub fn compare_stages(
-    baseline: &[StageBaseline],
-    current: &[(String, f64)],
-) -> Vec<Regression> {
+pub fn compare_stages(baseline: &[StageBaseline], current: &[(String, f64)]) -> Vec<Regression> {
     let mut regressions = Vec::new();
     for base in baseline {
         let Some((_, cur)) = current.iter().find(|(name, _)| *name == base.stage) else {
             continue;
         };
         let delta = cur - base.serial_s;
-        if delta > COMPARE_MIN_DELTA_S
-            && delta > COMPARE_MAX_RELATIVE_SLOWDOWN * base.serial_s
-        {
+        if delta > COMPARE_MIN_DELTA_S && delta > COMPARE_MAX_RELATIVE_SLOWDOWN * base.serial_s {
             regressions.push(Regression {
                 stage: base.stage.clone(),
                 baseline_s: base.serial_s,
@@ -267,7 +263,10 @@ mod tests {
         assert_eq!(modes[1].mode, "replay_batched");
         assert_eq!(modes[1].records_per_s, 22_000_000.0);
         // Pre-ingest baselines gate nothing instead of erroring.
-        assert_eq!(parse_ingest_baselines("{\"stages\": []}").unwrap(), Vec::new());
+        assert_eq!(
+            parse_ingest_baselines("{\"stages\": []}").unwrap(),
+            Vec::new()
+        );
     }
 
     #[test]

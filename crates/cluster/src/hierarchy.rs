@@ -104,8 +104,7 @@ impl Dendrogram {
         let assignments = self.cut(k);
         let mut centroids = Vec::with_capacity(k);
         for c in 0..k {
-            let members: Vec<usize> =
-                (0..self.n).filter(|&i| assignments[i] == c).collect();
+            let members: Vec<usize> = (0..self.n).filter(|&i| assignments[i] == c).collect();
             let medoid = members
                 .iter()
                 .copied()
@@ -117,7 +116,12 @@ impl Dendrogram {
                 .expect("cut never produces empty clusters");
             centroids.push(series[medoid].clone());
         }
-        Clustering { assignments, centroids, iterations: self.n - k, converged: true }
+        Clustering {
+            assignments,
+            centroids,
+            iterations: self.n - k,
+            converged: true,
+        }
     }
 }
 
@@ -134,7 +138,10 @@ pub fn agglomerate<D: Fn(&[f64], &[f64]) -> f64>(
 ) -> Dendrogram {
     let n = series.len();
     assert!(n >= 1, "cannot cluster zero series");
-    assert!(series.iter().all(|s| s.len() == series[0].len()), "series lengths must match");
+    assert!(
+        series.iter().all(|s| s.len() == series[0].len()),
+        "series lengths must match"
+    );
 
     // Active clusters: (forest id, member leaf indices).
     let mut active: Vec<(usize, Vec<usize>)> = (0..n).map(|i| (i, vec![i])).collect();
@@ -177,7 +184,11 @@ pub fn agglomerate<D: Fn(&[f64], &[f64]) -> f64>(
         let (i, j, height) = best;
         let (id_b, members_b) = active.remove(j);
         let (id_a, members_a) = active.remove(i);
-        merges.push(Merge { a: id_a, b: id_b, height });
+        merges.push(Merge {
+            a: id_a,
+            b: id_b,
+            height,
+        });
         let mut merged = members_a;
         merged.extend(members_b);
         active.push((next_id, merged));
@@ -192,7 +203,11 @@ mod tests {
     use super::*;
 
     fn euclid(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+        a.iter()
+            .zip(b.iter())
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
     }
 
     fn blobs() -> Vec<Vec<f64>> {

@@ -77,7 +77,11 @@ pub fn davies_bouldin_from(
                 continue;
             }
             let sep = centroid_dist[i][j];
-            let r = if sep > 0.0 { (s[i] + s[j]) / sep } else { f64::INFINITY };
+            let r = if sep > 0.0 {
+                (s[i] + s[j]) / sep
+            } else {
+                f64::INFINITY
+            };
             worst = worst.max(r);
         }
         total += worst;
@@ -110,7 +114,11 @@ pub fn davies_bouldin_star_from(
             max_cohesion = max_cohesion.max(s[i] + s[j]);
             min_sep = min_sep.min(centroid_dist[i][j]);
         }
-        total += if min_sep > 0.0 { max_cohesion / min_sep } else { f64::INFINITY };
+        total += if min_sep > 0.0 {
+            max_cohesion / min_sep
+        } else {
+            f64::INFINITY
+        };
     }
     total / k as f64
 }
@@ -225,8 +233,14 @@ mod tests {
     /// Davies-Bouldin tables under `euclid`: each series' distance to its
     /// own centroid, and the ordered centroid pair table.
     fn db_tables(series: &[Vec<f64>], c: &Clustering) -> (Vec<f64>, Vec<Vec<f64>>) {
-        let own = series.iter().zip(&c.assignments).map(|(s, &a)| euclid(s, &c.centroids[a]));
-        let pairs = c.centroids.iter().map(|a| c.centroids.iter().map(|b| euclid(a, b)).collect());
+        let own = series
+            .iter()
+            .zip(&c.assignments)
+            .map(|(s, &a)| euclid(s, &c.centroids[a]));
+        let pairs = c
+            .centroids
+            .iter()
+            .map(|a| c.centroids.iter().map(|b| euclid(a, b)).collect());
         (own.collect(), pairs.collect())
     }
 
@@ -324,7 +338,11 @@ mod tests {
         // contract exists for: the closure form must fill row `i` with `i`
         // as the first argument.
         let series: Vec<Vec<f64>> = (0..7)
-            .map(|s| (0..24).map(|t| ((t + s * 3) as f64 * 0.37).sin() + s as f64 * 0.05).collect())
+            .map(|s| {
+                (0..24)
+                    .map(|t| ((t + s * 3) as f64 * 0.37).sin() + s as f64 * 0.05)
+                    .collect()
+            })
             .collect();
         let clustering = Clustering {
             assignments: vec![0, 0, 1, 1, 2, 2, 0],
@@ -337,7 +355,14 @@ mod tests {
             .enumerate()
             .map(|(i, a)| {
                 let row = series.iter().enumerate();
-                row.map(|(j, b)| if i == j { 0.0 } else { shape_based_distance(a, b) }).collect()
+                row.map(|(j, b)| {
+                    if i == j {
+                        0.0
+                    } else {
+                        shape_based_distance(a, b)
+                    }
+                })
+                .collect()
             })
             .collect();
         assert_eq!(

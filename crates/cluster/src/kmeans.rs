@@ -26,7 +26,10 @@ pub fn kmeans(series: &[Vec<f64>], k: usize, seed: u64) -> Clustering {
     assert!(!series.is_empty(), "cannot cluster zero series");
     let m = series[0].len();
     assert!(m > 0, "series must be non-empty");
-    assert!(series.iter().all(|s| s.len() == m), "series lengths must match");
+    assert!(
+        series.iter().all(|s| s.len() == m),
+        "series lengths must match"
+    );
     assert!(k >= 1 && k <= series.len(), "k must be in 1..=n");
 
     let z: Vec<Vec<f64>> = series.iter().map(|s| z_normalize(s)).collect();
@@ -107,7 +110,12 @@ pub fn kmeans(series: &[Vec<f64>], k: usize, seed: u64) -> Clustering {
         }
     }
 
-    Clustering { assignments, centroids, iterations, converged }
+    Clustering {
+        assignments,
+        centroids,
+        iterations,
+        converged,
+    }
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -162,7 +170,10 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let (series, _) = two_blobs();
-        assert_eq!(kmeans(&series, 3, 9).assignments, kmeans(&series, 3, 9).assignments);
+        assert_eq!(
+            kmeans(&series, 3, 9).assignments,
+            kmeans(&series, 3, 9).assignments
+        );
     }
 
     #[test]

@@ -78,10 +78,10 @@ fn kshape_mode(series: &[Vec<f64>], k: usize, seed: u64, mode: ExtractionMode) -
     let mut shape_scratch = ShapeScratch::default();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6b73_6861_7065_3031); // "kshape01"
-    // Fully random initial assignment, as in the original algorithm; the
-    // empty-cluster repair below guarantees every cluster ends populated.
-    // (Forcing a deterministic prefix split here would make restarts
-    // near-identical and defeat the best-of-restarts search.)
+                                                                       // Fully random initial assignment, as in the original algorithm; the
+                                                                       // empty-cluster repair below guarantees every cluster ends populated.
+                                                                       // (Forcing a deterministic prefix split here would make restarts
+                                                                       // near-identical and defeat the best-of-restarts search.)
     let mut assignments: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
     let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
     let mut cent_specs: Vec<Spectrum> = centroids.iter().map(|c| engine.spectrum(c)).collect();
@@ -168,7 +168,12 @@ fn kshape_mode(series: &[Vec<f64>], k: usize, seed: u64, mode: ExtractionMode) -
         }
     }
 
-    Clustering { assignments, centroids, iterations, converged }
+    Clustering {
+        assignments,
+        centroids,
+        iterations,
+        converged,
+    }
 }
 
 /// Buffers reused across shape-extraction calls: the flat aligned-member
@@ -202,7 +207,11 @@ fn shape_extraction(
     scratch.aligned.resize(nm * m, 0.0);
     for (row, &idx) in members.iter().enumerate() {
         let a = engine.ncc_c(reference, &z_specs[idx], sbd_scratch);
-        shift_into(&z[idx], a.shift, &mut scratch.aligned[row * m..(row + 1) * m]);
+        shift_into(
+            &z[idx],
+            a.shift,
+            &mut scratch.aligned[row * m..(row + 1) * m],
+        );
     }
     let aligned = &scratch.aligned[..nm * m];
 
@@ -287,7 +296,11 @@ fn shift_into(y: &[f64], shift: isize, out: &mut [f64]) {
     let n = y.len();
     for (i, o) in out.iter_mut().enumerate() {
         let src = i as isize - shift;
-        *o = if src >= 0 && (src as usize) < n { y[src as usize] } else { 0.0 };
+        *o = if src >= 0 && (src as usize) < n {
+            y[src as usize]
+        } else {
+            0.0
+        };
     }
 }
 
@@ -331,7 +344,10 @@ fn validate(series: &[Vec<f64>], k: usize) {
     assert!(!series.is_empty(), "cannot cluster zero series");
     let m = series[0].len();
     assert!(m > 0, "series must be non-empty");
-    assert!(series.iter().all(|s| s.len() == m), "series lengths must match");
+    assert!(
+        series.iter().all(|s| s.len() == m),
+        "series lengths must match"
+    );
     assert!(k >= 1 && k <= series.len(), "k must be in 1..=n");
 }
 
@@ -467,7 +483,11 @@ mod tests {
     fn converges_within_the_cap() {
         let (series, _) = labelled_shapes(6, 48);
         let c = kshape(&series, 3, 0);
-        assert!(c.converged, "did not converge in {} iterations", c.iterations);
+        assert!(
+            c.converged,
+            "did not converge in {} iterations",
+            c.iterations
+        );
         assert!(c.iterations < MAX_ITER);
     }
 

@@ -15,7 +15,10 @@ pub struct SquareMatrix {
 impl SquareMatrix {
     /// Creates an `n × n` zero matrix.
     pub fn zeros(n: usize) -> Self {
-        SquareMatrix { n, data: vec![0.0; n * n] }
+        SquareMatrix {
+            n,
+            data: vec![0.0; n * n],
+        }
     }
 
     /// Dimension.
@@ -119,7 +122,10 @@ pub fn dominant_eigenpair_of(
             break;
         }
     }
-    Some(EigenPair { value: lambda, vector: v })
+    Some(EigenPair {
+        value: lambda,
+        vector: v,
+    })
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -143,7 +149,10 @@ mod tests {
 
     #[test]
     fn mul_vec_matches_hand_computation() {
-        let m = SquareMatrix { n: 2, data: vec![1.0, 2.0, 3.0, 4.0] };
+        let m = SquareMatrix {
+            n: 2,
+            data: vec![1.0, 2.0, 3.0, 4.0],
+        };
         assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
         assert_eq!(m.get(1, 0), 3.0);
     }
@@ -206,7 +215,9 @@ mod tests {
     #[test]
     fn mul_vec_into_matches_mul_vec_bitwise() {
         let n = 7;
-        let data: Vec<f64> = (0..n * n).map(|i| ((i * 13) % 17) as f64 * 0.3 - 2.0).collect();
+        let data: Vec<f64> = (0..n * n)
+            .map(|i| ((i * 13) % 17) as f64 * 0.3 - 2.0)
+            .collect();
         let m = SquareMatrix { n, data };
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).cos()).collect();
         let mut y = vec![f64::NAN; n];

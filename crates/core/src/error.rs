@@ -85,21 +85,39 @@ mod tests {
 
     #[test]
     fn display_is_actionable() {
-        let e = Error::from(DatasetError { line: 7, message: "bad float".into() });
+        let e = Error::from(DatasetError {
+            line: 7,
+            message: "bad float".into(),
+        });
         assert_eq!(e.to_string(), "dataset line 7: bad float");
-        let e = Error::from(TraceError { line: 2, message: "bad hour".into() });
+        let e = Error::from(TraceError {
+            line: 2,
+            message: "bad hour".into(),
+        });
         assert!(e.to_string().contains("trace line 2"));
-        assert!(Error::UnknownScale("big".into()).to_string().contains("small|medium|france"));
-        assert!(Error::Config("negative radius".into()).to_string().contains("negative radius"));
+        assert!(Error::UnknownScale("big".into())
+            .to_string()
+            .contains("small|medium|france"));
+        assert!(Error::Config("negative radius".into())
+            .to_string()
+            .contains("negative radius"));
     }
 
     #[test]
     fn ingest_errors_map_onto_existing_variants() {
-        let e = Error::from(IngestError::Trace(TraceError { line: 4, message: "x".into() }));
+        let e = Error::from(IngestError::Trace(TraceError {
+            line: 4,
+            message: "x".into(),
+        }));
         assert!(matches!(e, Error::Trace(_)));
-        let e = Error::from(IngestError::Config("chunk_size must be at least 1 record".into()));
+        let e = Error::from(IngestError::Config(
+            "chunk_size must be at least 1 record".into(),
+        ));
         assert!(matches!(e, Error::Config(_)));
-        let e = Error::from(IngestError::Shape(DatasetError { line: 0, message: "y".into() }));
+        let e = Error::from(IngestError::Shape(DatasetError {
+            line: 0,
+            message: "y".into(),
+        }));
         assert!(matches!(e, Error::Dataset(_)));
     }
 

@@ -44,7 +44,11 @@ pub fn score(actual: &[f64], forecast: &[f64]) -> ForecastScore {
         }
     }
     ForecastScore {
-        mape: if mape_n > 0 { mape_sum / mape_n as f64 } else { 0.0 },
+        mape: if mape_n > 0 {
+            mape_sum / mape_n as f64
+        } else {
+            0.0
+        },
         smape: smape_sum / actual.len() as f64,
     }
 }
@@ -55,7 +59,10 @@ pub fn score(actual: &[f64], forecast: &[f64]) -> ForecastScore {
 ///
 /// Panics unless `history.len() >= period` and `horizon >= 1`.
 pub fn seasonal_naive(history: &[f64], period: usize, horizon: usize) -> Vec<f64> {
-    assert!(period >= 1 && history.len() >= period, "need one full period of history");
+    assert!(
+        period >= 1 && history.len() >= period,
+        "need one full period of history"
+    );
     assert!(horizon >= 1, "horizon must be positive");
     let last = &history[history.len() - period..];
     (0..horizon).map(|h| last[h % period]).collect()
@@ -78,7 +85,12 @@ impl HoltWintersConfig {
     /// Defaults tuned for hourly mobile-traffic series with daily
     /// seasonality.
     pub fn hourly() -> Self {
-        HoltWintersConfig { alpha: 0.35, beta: 0.02, gamma: 0.25, period: HOURS_PER_DAY }
+        HoltWintersConfig {
+            alpha: 0.35,
+            beta: 0.02,
+            gamma: 0.25,
+            period: HOURS_PER_DAY,
+        }
     }
 
     /// Validates parameter ranges.
@@ -112,7 +124,12 @@ impl HoltWintersConfig {
 pub fn holt_winters(history: &[f64], config: &HoltWintersConfig, horizon: usize) -> Vec<f64> {
     config.validate().expect("invalid HoltWintersConfig");
     let m = config.period;
-    assert!(history.len() >= 2 * m, "need two periods of history ({} < {})", history.len(), 2 * m);
+    assert!(
+        history.len() >= 2 * m,
+        "need two periods of history ({} < {})",
+        history.len(),
+        2 * m
+    );
     assert!(horizon >= 1, "horizon must be positive");
 
     // Initialization.
@@ -161,7 +178,10 @@ pub struct ServiceForecast {
 /// days.
 pub fn forecast_report(study: &Study, dir: Direction, train_hours: usize) -> Vec<ServiceForecast> {
     let total = mobilenet_traffic::HOURS_PER_WEEK;
-    assert!(train_hours >= 2 * HOURS_PER_DAY && train_hours < total, "bad split");
+    assert!(
+        train_hours >= 2 * HOURS_PER_DAY && train_hours < total,
+        "bad split"
+    );
     let horizon = total - train_hours;
     let cfg = HoltWintersConfig::hourly();
     study
@@ -174,7 +194,12 @@ pub fn forecast_report(study: &Study, dir: Direction, train_hours: usize) -> Vec
             let (train, test) = series.split_at(train_hours);
             let naive = score(test, &seasonal_naive(train, HOURS_PER_DAY, horizon));
             let hw = score(test, &holt_winters(train, &cfg, horizon));
-            ServiceForecast { service: s, name: spec.name, naive, holt_winters: hw }
+            ServiceForecast {
+                service: s,
+                name: spec.name,
+                naive,
+                holt_winters: hw,
+            }
         })
         .collect()
 }
@@ -199,7 +224,11 @@ mod tests {
 
     #[test]
     fn holt_winters_tracks_seasonality_with_trend() {
-        let s: Vec<f64> = daily(240).iter().enumerate().map(|(i, v)| v + i as f64 * 0.5).collect();
+        let s: Vec<f64> = daily(240)
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + i as f64 * 0.5)
+            .collect();
         let f = holt_winters(&s[..192], &HoltWintersConfig::hourly(), 48);
         let sc = score(&s[192..], &f);
         assert!(sc.mape < 0.05, "mape {}", sc.mape);

@@ -57,8 +57,6 @@
 pub mod error;
 pub mod forecast;
 pub mod maps;
-#[cfg(test)]
-pub(crate) mod testutil;
 pub mod peaks;
 pub mod pipeline;
 pub mod ranking;
@@ -67,6 +65,8 @@ pub mod slicing;
 pub mod spatial;
 pub mod study;
 pub mod temporal;
+#[cfg(test)]
+pub(crate) mod testutil;
 pub mod topical;
 pub mod urbanization;
 pub mod verdict;

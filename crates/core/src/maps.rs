@@ -26,7 +26,11 @@ impl MapGrid {
     /// Rasterizes per-commune `values` over the country: each cell takes
     /// the value of the commune nearest to its centre.
     pub fn rasterize(country: &Country, values: &[f64], width: usize) -> Self {
-        assert_eq!(values.len(), country.communes().len(), "one value per commune");
+        assert_eq!(
+            values.len(),
+            country.communes().len(),
+            "one value per commune"
+        );
         assert!(width >= 2, "width must be at least 2");
         let w_km = country.config().width_km;
         let h_km = country.config().height_km;
@@ -41,7 +45,11 @@ impl MapGrid {
                 cells.push(values[commune.index()]);
             }
         }
-        MapGrid { width, height, cells }
+        MapGrid {
+            width,
+            height,
+            cells,
+        }
     }
 
     /// Cell accessor.
@@ -171,7 +179,10 @@ mod tests {
         let pgm = grid.to_pgm();
         let mut lines = pgm.lines();
         assert_eq!(lines.next(), Some("P2"));
-        assert_eq!(lines.next(), Some(format!("{} {}", grid.width, grid.height).as_str()));
+        assert_eq!(
+            lines.next(),
+            Some(format!("{} {}", grid.width, grid.height).as_str())
+        );
         assert_eq!(lines.next(), Some("255"));
         let pixels: usize = lines.map(|l| l.split_whitespace().count()).sum();
         assert_eq!(pixels, grid.width * grid.height);
@@ -182,7 +193,10 @@ mod tests {
         let s = study();
         let grid = coverage_map(s.country(), 50);
         // All values in {0, 1, 2}.
-        assert!(grid.cells.iter().all(|v| *v == 0.0 || *v == 1.0 || *v == 2.0));
+        assert!(grid
+            .cells
+            .iter()
+            .all(|v| *v == 0.0 || *v == 1.0 || *v == 2.0));
         // 4G present somewhere, and 3G-only areas exist too.
         assert!(grid.cells.contains(&2.0));
         assert!(grid.cells.contains(&1.0));
@@ -191,18 +205,28 @@ mod tests {
     #[test]
     fn netflix_map_is_darker_in_rural_cells_than_twitter() {
         let s = study();
-        let netflix = s.catalog().head().iter().position(|x| x.name == "Netflix").unwrap();
-        let twitter = s.catalog().head().iter().position(|x| x.name == "Twitter").unwrap();
-        let nf = s.dataset().per_user_commune_vector(Direction::Down, netflix);
-        let tw = s.dataset().per_user_commune_vector(Direction::Down, twitter);
+        let netflix = s
+            .catalog()
+            .head()
+            .iter()
+            .position(|x| x.name == "Netflix")
+            .unwrap();
+        let twitter = s
+            .catalog()
+            .head()
+            .iter()
+            .position(|x| x.name == "Twitter")
+            .unwrap();
+        let nf = s
+            .dataset()
+            .per_user_commune_vector(Direction::Down, netflix);
+        let tw = s
+            .dataset()
+            .per_user_commune_vector(Direction::Down, twitter);
         // Fraction of rural communes with near-zero demand.
         let rural = s.country().communes_in_class(UsageClass::Rural);
         let dark = |v: &[f64]| {
-            rural
-                .iter()
-                .filter(|id| v[id.index()] < 1e-6)
-                .count() as f64
-                / rural.len() as f64
+            rural.iter().filter(|id| v[id.index()] < 1e-6).count() as f64 / rural.len() as f64
         };
         assert!(
             dark(&nf) > dark(&tw),

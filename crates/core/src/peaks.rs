@@ -22,7 +22,11 @@ pub struct PeakConfig {
 impl PeakConfig {
     /// The paper's tuned parameters.
     pub fn paper() -> Self {
-        PeakConfig { lag: 2, threshold: 3.0, influence: 0.4 }
+        PeakConfig {
+            lag: 2,
+            threshold: 3.0,
+            influence: 0.4,
+        }
     }
 
     /// Validates internal consistency.
@@ -121,7 +125,12 @@ pub fn detect_peaks(series: &[f64], config: &PeakConfig) -> PeakDetection {
     }
 
     let peaks = intervals_of(&signals);
-    PeakDetection { signals, smoothed_mean, smoothed_std, peaks }
+    PeakDetection {
+        signals,
+        smoothed_mean,
+        smoothed_std,
+        peaks,
+    }
 }
 
 /// Contiguous `+1` runs.
@@ -140,7 +149,10 @@ fn intervals_of(signals: &[i8]) -> Vec<PeakInterval> {
         }
     }
     if let Some(st) = start {
-        peaks.push(PeakInterval { start: st, end: signals.len() });
+        peaks.push(PeakInterval {
+            start: st,
+            end: signals.len(),
+        });
     }
     peaks
 }
@@ -164,7 +176,11 @@ mod tests {
         (0..n)
             .map(|i| {
                 let texture = if i % 2 == 0 { 0.025 } else { -0.025 };
-                let b = if i >= bump_at && i < bump_at + 3 { bump } else { 0.0 };
+                let b = if i >= bump_at && i < bump_at + 3 {
+                    bump
+                } else {
+                    0.0
+                };
                 1.0 + texture + b
             })
             .collect()
@@ -243,9 +259,20 @@ mod tests {
         for v in &mut series[60..63] {
             *v += 2.0;
         }
-        let lax = detect_peaks(&series, &PeakConfig { threshold: 2.0, ..PeakConfig::paper() });
-        let strict =
-            detect_peaks(&series, &PeakConfig { threshold: 1e9, ..PeakConfig::paper() });
+        let lax = detect_peaks(
+            &series,
+            &PeakConfig {
+                threshold: 2.0,
+                ..PeakConfig::paper()
+            },
+        );
+        let strict = detect_peaks(
+            &series,
+            &PeakConfig {
+                threshold: 1e9,
+                ..PeakConfig::paper()
+            },
+        );
         assert!(lax.peaks.len() > strict.peaks.len());
         assert!(strict.peaks.is_empty());
         assert!(rising_fronts(&lax).contains(&60));
@@ -266,9 +293,24 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(PeakConfig { lag: 0, ..PeakConfig::paper() }.validate().is_err());
-        assert!(PeakConfig { threshold: -1.0, ..PeakConfig::paper() }.validate().is_err());
-        assert!(PeakConfig { influence: 1.5, ..PeakConfig::paper() }.validate().is_err());
+        assert!(PeakConfig {
+            lag: 0,
+            ..PeakConfig::paper()
+        }
+        .validate()
+        .is_err());
+        assert!(PeakConfig {
+            threshold: -1.0,
+            ..PeakConfig::paper()
+        }
+        .validate()
+        .is_err());
+        assert!(PeakConfig {
+            influence: 1.5,
+            ..PeakConfig::paper()
+        }
+        .validate()
+        .is_err());
         assert!(PeakConfig::paper().validate().is_ok());
     }
 }

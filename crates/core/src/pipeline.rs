@@ -209,7 +209,10 @@ impl PipelineBuilder {
     /// enclosing one.
     pub fn run(self) -> Result<Run, Error> {
         self.config.netsim.validate().map_err(Error::Config)?;
-        self.config.collect_options().validate().map_err(Error::Config)?;
+        self.config
+            .collect_options()
+            .validate()
+            .map_err(Error::Config)?;
         if let Some(enabled) = self.obs {
             mobilenet_obs::set_enabled(Some(enabled));
         }
@@ -288,12 +291,18 @@ mod tests {
             assert_eq!(scale.name().parse::<Scale>().unwrap(), scale);
         }
         assert_eq!("france-scale".parse::<Scale>().unwrap(), Scale::France);
-        assert!(matches!("big".parse::<Scale>(), Err(Error::UnknownScale(_))));
+        assert!(matches!(
+            "big".parse::<Scale>(),
+            Err(Error::UnknownScale(_))
+        ));
     }
 
     #[test]
     fn builder_matches_direct_generation() {
-        let run = Pipeline::builder().seed(5).run().expect("small config is valid");
+        let run = Pipeline::builder()
+            .seed(5)
+            .run()
+            .expect("small config is valid");
         let direct = Study::generate_inner(&StudyConfig::small(), 5);
         assert_eq!(
             run.dataset().national_weekly(Direction::Down, 0),
@@ -327,7 +336,9 @@ mod tests {
         let whole = Pipeline::builder().seed(9).run().unwrap();
         let chunked = Pipeline::builder().seed(9).chunk_size(17).run().unwrap();
         assert_eq!(whole.dataset().to_csv(), chunked.dataset().to_csv());
-        let ingest = chunked.ingest_stats().expect("measured run has ingest stats");
+        let ingest = chunked
+            .ingest_stats()
+            .expect("measured run has ingest stats");
         assert_eq!(ingest.chunk_size, 17);
         assert!(ingest.chunks >= 1);
         assert!(ingest.peak_resident_records <= ingest.resident_budget());
@@ -347,7 +358,12 @@ mod tests {
                     scope.spawn(move || {
                         let enclosing = Arc::new(mobilenet_obs::Registry::new());
                         let run = mobilenet_obs::scoped(Some(enclosing.clone()), || {
-                            Pipeline::builder().seed(3).chunk_size(chunk).obs(true).run().unwrap()
+                            Pipeline::builder()
+                                .seed(3)
+                                .chunk_size(chunk)
+                                .obs(true)
+                                .run()
+                                .unwrap()
                         });
                         (run, enclosing.snapshot())
                     })
@@ -378,7 +394,10 @@ mod tests {
     #[test]
     fn invalid_fault_plan_is_rejected_not_panicked() {
         let result = Pipeline::builder()
-            .faults(FaultPlan { loss_prob: 1.5, ..FaultPlan::none() })
+            .faults(FaultPlan {
+                loss_prob: 1.5,
+                ..FaultPlan::none()
+            })
             .run();
         assert!(matches!(result, Err(Error::Config(_))));
     }
@@ -386,16 +405,30 @@ mod tests {
     #[test]
     fn zero_fault_plan_matches_the_default_pipeline() {
         let plain = Pipeline::builder().seed(11).run().unwrap();
-        let zeroed = Pipeline::builder().seed(11).faults(FaultPlan::none()).run().unwrap();
+        let zeroed = Pipeline::builder()
+            .seed(11)
+            .faults(FaultPlan::none())
+            .run()
+            .unwrap();
         assert_eq!(plain.dataset().to_csv(), zeroed.dataset().to_csv());
     }
 
     #[test]
     fn faulted_pipeline_degrades_and_reports_counters() {
-        let run = Pipeline::builder().seed(11).faults(FaultPlan::degraded(3)).run().unwrap();
+        let run = Pipeline::builder()
+            .seed(11)
+            .faults(FaultPlan::degraded(3))
+            .run()
+            .unwrap();
         let stats = run.collection_stats().expect("measured run has stats");
-        assert!(stats.faults.any(), "degraded plan must register fault events");
+        assert!(
+            stats.faults.any(),
+            "degraded plan must register fault events"
+        );
         assert!(stats.faults.lost_total() > 0);
-        assert!(run.dataset().total(Direction::Down) > 0.0, "degraded ≠ empty");
+        assert!(
+            run.dataset().total(Direction::Down) > 0.0,
+            "degraded ≠ empty"
+        );
     }
 }

@@ -36,13 +36,23 @@ pub fn zipf_ranking(study: &Study) -> ZipfRanking {
     let ul = rank(Direction::Up);
     let dl_fit = fit_zipf_ranked(&dl[..dl.len() / 2]);
     let ul_fit = fit_zipf_ranked(&ul[..ul.len() / 2]);
-    let positive_min = dl.iter().copied().filter(|v| *v > 0.0).fold(f64::INFINITY, f64::min);
+    let positive_min = dl
+        .iter()
+        .copied()
+        .filter(|v| *v > 0.0)
+        .fold(f64::INFINITY, f64::min);
     let dl_span_orders = if dl.is_empty() || positive_min <= 0.0 {
         0.0
     } else {
         (dl[0] / positive_min).log10()
     };
-    ZipfRanking { dl_normalized: dl, ul_normalized: ul, dl_fit, ul_fit, dl_span_orders }
+    ZipfRanking {
+        dl_normalized: dl,
+        ul_normalized: ul,
+        dl_fit,
+        ul_fit,
+        dl_span_orders,
+    }
 }
 
 /// One row of Figure 3: a head service's share of traffic.
@@ -213,8 +223,16 @@ mod tests {
         let ul = z.ul_fit.expect("uplink fit");
         // Paper: −1.69 downlink, −1.55 uplink. The synthetic catalog
         // reproduces the neighbourhood, not the exact digits.
-        assert!((dl.exponent - 1.69).abs() < 0.45, "dl exponent {}", dl.exponent);
-        assert!((ul.exponent - 1.55).abs() < 0.45, "ul exponent {}", ul.exponent);
+        assert!(
+            (dl.exponent - 1.69).abs() < 0.45,
+            "dl exponent {}",
+            dl.exponent
+        );
+        assert!(
+            (ul.exponent - 1.55).abs() < 0.45,
+            "ul exponent {}",
+            ul.exponent
+        );
         // The span covers many orders of magnitude (paper: ~10).
         assert!(z.dl_span_orders > 6.0, "span {} orders", z.dl_span_orders);
     }
@@ -223,7 +241,11 @@ mod tests {
     fn video_dominates_downlink_shares() {
         let s = study();
         let r = service_ranking(s, Direction::Down);
-        let video = r.category_shares.get("video streaming").copied().unwrap_or(0.0);
+        let video = r
+            .category_shares
+            .get("video streaming")
+            .copied()
+            .unwrap_or(0.0);
         // Paper: ≈ 46% of total downlink.
         assert!(video > 0.30 && video < 0.75, "video share {video}");
         assert_eq!(r.services[0].name, "YouTube");

@@ -35,7 +35,12 @@ pub fn zipf_csv(z: &ZipfRanking) -> String {
         );
     }
     let _ = writeln!(out, "rank,dl_share,ul_share");
-    for (i, (dl, ul)) in z.dl_normalized.iter().zip(z.ul_normalized.iter()).enumerate() {
+    for (i, (dl, ul)) in z
+        .dl_normalized
+        .iter()
+        .zip(z.ul_normalized.iter())
+        .enumerate()
+    {
         let _ = writeln!(out, "{},{:.6e},{:.6e}", i + 1, dl, ul);
     }
     out
@@ -190,7 +195,10 @@ pub fn concentration_csv_sampled(
         .iter()
         .any(|s| s.len() > max_points);
     if sampled {
-        let _ = writeln!(out, "# sampled max_points_per_section={max_points} seed={seed}");
+        let _ = writeln!(
+            out,
+            "# sampled max_points_per_section={max_points} seed={seed}"
+        );
     }
     let _ = writeln!(out, "section,x,y");
     let mut section = |name: &str, points: &[(f64, f64)], tag: u64, precision: usize| {
@@ -294,7 +302,8 @@ pub fn urbanization_csv(profiles: &[UrbanizationProfile]) -> String {
 
 /// Extension: forecast report CSV (`service,naive_mape,naive_smape,hw_mape,hw_smape`).
 pub fn forecast_csv(report: &[crate::forecast::ServiceForecast]) -> String {
-    let mut out = String::from("service,naive_mape,naive_smape,holt_winters_mape,holt_winters_smape\n");
+    let mut out =
+        String::from("service,naive_mape,naive_smape,holt_winters_mape,holt_winters_smape\n");
     for f in report {
         let _ = writeln!(
             out,
@@ -314,7 +323,12 @@ pub fn overview_text(study: &crate::study::Study) -> String {
     let mut out = String::new();
     let ds = study.dataset();
     let _ = writeln!(out, "communes: {}", ds.n_communes());
-    let _ = writeln!(out, "services: {} head + {} tail", ds.n_services(), ds.n_tail());
+    let _ = writeln!(
+        out,
+        "services: {} head + {} tail",
+        ds.n_services(),
+        ds.n_tail()
+    );
     let _ = writeln!(
         out,
         "population: {} (subscribers per commune avg {:.0})",
@@ -338,9 +352,21 @@ pub fn overview_text(study: &crate::study::Study) -> String {
     );
     if let Some(stats) = study.collection_stats() {
         let _ = writeln!(out, "sessions: {}", stats.sessions);
-        let _ = writeln!(out, "classification rate: {:.4}", stats.classification_rate());
-        let _ = writeln!(out, "median localization error: {:.2} km", stats.median_error_km());
-        let _ = writeln!(out, "commune misassignment: {:.4}", stats.misassignment_rate());
+        let _ = writeln!(
+            out,
+            "classification rate: {:.4}",
+            stats.classification_rate()
+        );
+        let _ = writeln!(
+            out,
+            "median localization error: {:.2} km",
+            stats.median_error_km()
+        );
+        let _ = writeln!(
+            out,
+            "commune misassignment: {:.4}",
+            stats.misassignment_rate()
+        );
         if stats.faults.any() || stats.skipped_lines > 0 {
             let f = &stats.faults;
             let _ = writeln!(
@@ -443,16 +469,23 @@ mod tests {
         let a = concentration_csv_sampled(&report, 64, 42);
         let b = concentration_csv_sampled(&report, 64, 42);
         assert_eq!(a, b, "sampling must be deterministic in the seed");
-        let dl_rows = a.lines().filter(|l| l.starts_with("dl_concentration")).count();
+        let dl_rows = a
+            .lines()
+            .filter(|l| l.starts_with("dl_concentration"))
+            .count();
         assert_eq!(dl_rows, 64);
         assert!(a.contains("# sampled max_points_per_section=64"));
         // Endpoints survive: the sampled dl section starts and ends on the
         // full export's first and last dl rows.
         let full = concentration_csv(&report);
-        let dl_full: Vec<&str> =
-            full.lines().filter(|l| l.starts_with("dl_concentration")).collect();
-        let dl_sampled: Vec<&str> =
-            a.lines().filter(|l| l.starts_with("dl_concentration")).collect();
+        let dl_full: Vec<&str> = full
+            .lines()
+            .filter(|l| l.starts_with("dl_concentration"))
+            .collect();
+        let dl_sampled: Vec<&str> = a
+            .lines()
+            .filter(|l| l.starts_with("dl_concentration"))
+            .collect();
         assert_eq!(dl_sampled.first(), dl_full.first());
         assert_eq!(dl_sampled.last(), dl_full.last());
         // A different seed selects a different interior.
@@ -475,7 +508,10 @@ mod tests {
             assert_eq!(idx.len(), 10);
             assert_eq!(idx[0], 0);
             assert_eq!(idx[9], 999);
-            assert!(idx.windows(2).all(|w| w[0] < w[1]), "sorted, unique: {idx:?}");
+            assert!(
+                idx.windows(2).all(|w| w[0] < w[1]),
+                "sorted, unique: {idx:?}"
+            );
         }
     }
 
@@ -512,10 +548,7 @@ mod tests {
     fn overview_reports_degraded_capture() {
         use crate::study::StudyConfig;
         use mobilenet_netsim::FaultPlan;
-        let s = Study::generate_inner(
-            &StudyConfig::small().with_faults(FaultPlan::degraded(7)),
-            7,
-        );
+        let s = Study::generate_inner(&StudyConfig::small().with_faults(FaultPlan::degraded(7)), 7);
         let text = overview_text(&s);
         assert!(text.contains("degraded capture:"), "{text}");
         assert!(text.contains("duplicated"));

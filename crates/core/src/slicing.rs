@@ -78,7 +78,11 @@ fn analyze(groups: Vec<(String, Vec<f64>)>) -> SlicingReport {
     let mut slices: Vec<SliceReport> = groups
         .into_iter()
         .map(|(name, series)| {
-            assert_eq!(series.len(), HOURS_PER_WEEK, "{name}: need one week of hours");
+            assert_eq!(
+                series.len(),
+                HOURS_PER_WEEK,
+                "{name}: need one week of hours"
+            );
             for (acc, v) in total.iter_mut().zip(series.iter()) {
                 *acc += v;
             }
@@ -89,13 +93,22 @@ fn analyze(groups: Vec<(String, Vec<f64>)>) -> SlicingReport {
                 .map(|(h, &v)| (h, v))
                 .unwrap_or((0, 0.0));
             let mean = series.iter().sum::<f64>() / series.len() as f64;
-            SliceReport { name, peak, mean, peak_hour }
+            SliceReport {
+                name,
+                peak,
+                mean,
+                peak_hour,
+            }
         })
         .collect();
     slices.sort_by(|a, b| b.peak.partial_cmp(&a.peak).unwrap());
     let sum_of_peaks = slices.iter().map(|s| s.peak).sum();
     let shared_peak = total.iter().cloned().fold(0.0f64, f64::max);
-    SlicingReport { slices, sum_of_peaks, shared_peak }
+    SlicingReport {
+        slices,
+        sum_of_peaks,
+        shared_peak,
+    }
 }
 
 /// One slice per head **service**.
@@ -106,7 +119,10 @@ pub fn per_service_slicing(study: &Study, dir: Direction) -> SlicingReport {
         .iter()
         .enumerate()
         .map(|(s, spec)| {
-            (spec.name.to_string(), study.dataset().national_series(dir, s).to_vec())
+            (
+                spec.name.to_string(),
+                study.dataset().national_series(dir, s).to_vec(),
+            )
         })
         .collect();
     analyze(groups)

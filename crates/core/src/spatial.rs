@@ -85,7 +85,10 @@ impl SpatialCorrelation {
     /// outliers the paper names (Netflix, iCloud).
     pub fn service_mean_r2(&self, service: usize) -> f64 {
         let n = self.matrix.len();
-        let sum: f64 = (0..n).filter(|&j| j != service).map(|j| self.matrix[service][j]).sum();
+        let sum: f64 = (0..n)
+            .filter(|&j| j != service)
+            .map(|j| self.matrix[service][j])
+            .sum();
         sum / (n - 1) as f64
     }
 
@@ -140,8 +143,9 @@ pub fn spatial_correlation_of(
     // below the per-worker threshold — so the standard run stays inline
     // instead of paying spawn/steal overhead that made `--threads 8`
     // slower than serial.
-    let runs: Vec<(usize, usize)> =
-        (0..n).flat_map(|i| ((i + 1)..n).step_by(R2_LANES).map(move |j| (i, j))).collect();
+    let runs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).step_by(R2_LANES).map(move |j| (i, j)))
+        .collect();
     let min_runs = R2_MIN_PAIRS_PER_WORKER / R2_LANES;
     let pair_values: Vec<f64> = mobilenet_par::par_map_collect_min(runs.len(), min_runs, |run| {
         let (i, j) = runs[run];
@@ -158,7 +162,13 @@ pub fn spatial_correlation_of(
         matrix[j][i] = r2;
     }
     let mean_r2 = pair_values.iter().sum::<f64>() / pair_values.len().max(1) as f64;
-    SpatialCorrelation { direction: dir, names, matrix, pair_values, mean_r2 }
+    SpatialCorrelation {
+        direction: dir,
+        names,
+        matrix,
+        pair_values,
+        mean_r2,
+    }
 }
 
 /// One sample less its mean, with its sum of squared deviations: the
@@ -179,7 +189,10 @@ impl Centred {
             *x -= m;
             sum_sq += *x * *x;
         }
-        Centred { deviations: xs, sum_sq }
+        Centred {
+            deviations: xs,
+            sum_sq,
+        }
     }
 
     /// [`r_squared`] of this sample against each of `others` (one to
@@ -265,8 +278,12 @@ pub fn morans_i(country: &mobilenet_geo::Country, values: &[f64], k: usize) -> f
             radius *= 1.6;
         }
         neighbours.sort_by(|&a, &b| {
-            let da = country.communes()[a].centroid.distance_sq(&commune.centroid);
-            let db = country.communes()[b].centroid.distance_sq(&commune.centroid);
+            let da = country.communes()[a]
+                .centroid
+                .distance_sq(&commune.centroid);
+            let db = country.communes()[b]
+                .centroid
+                .distance_sq(&commune.centroid);
             da.partial_cmp(&db).unwrap()
         });
         neighbours.truncate(k);
@@ -400,7 +417,10 @@ mod tests {
             })
             .collect();
         let unstructured = morans_i(country, &random, 6);
-        assert!(unstructured.abs() < 0.1, "random field Moran's I {unstructured}");
+        assert!(
+            unstructured.abs() < 0.1,
+            "random field Moran's I {unstructured}"
+        );
         assert!(structured > unstructured + 0.05);
 
         // Constant fields are defined as zero.
@@ -412,8 +432,7 @@ mod tests {
     fn dataset_level_correlation_matches_the_study_path() {
         let s = study();
         let via_study = spatial_correlation(s, Direction::Down);
-        let via_dataset =
-            spatial_correlation_of(s.dataset(), s.service_names(), Direction::Down);
+        let via_dataset = spatial_correlation_of(s.dataset(), s.service_names(), Direction::Down);
         assert_eq!(via_study.pair_values, via_dataset.pair_values);
         assert_eq!(via_study.names, via_dataset.names);
         assert_eq!(via_study.mean_r2, via_dataset.mean_r2);
@@ -439,7 +458,11 @@ mod tests {
             let mut checked = 0;
             for ((i, j), &got) in pairs.zip(&corr.pair_values) {
                 let want = r_squared(&vectors[i], &vectors[j]);
-                assert_eq!(got.to_bits(), want.to_bits(), "pair ({i}, {j}): {got} vs {want}");
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "pair ({i}, {j}): {got} vs {want}"
+                );
                 checked += 1;
             }
             assert_eq!(checked, n * (n - 1) / 2);
@@ -449,7 +472,10 @@ mod tests {
         let ramp = Centred::new((0..5).map(f64::from).collect());
         let want = r_squared(&[3.0; 5], &[0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(flat.r_squared_each(&[ramp]), [want]);
-        assert_eq!(Centred::new(vec![1.0]).r_squared_each(&[Centred::new(vec![2.0])]), [0.0]);
+        assert_eq!(
+            Centred::new(vec![1.0]).r_squared_each(&[Centred::new(vec![2.0])]),
+            [0.0]
+        );
     }
 
     #[test]

@@ -154,8 +154,12 @@ impl Study {
         drop(country_span);
         let model_span = mobilenet_obs::span("demand_model");
         let catalog = Arc::new(ServiceCatalog::standard(config.traffic.n_tail_services));
-        let model =
-            DemandModel::new(country.clone(), catalog.clone(), config.traffic.clone(), seed);
+        let model = DemandModel::new(
+            country.clone(),
+            catalog.clone(),
+            config.traffic.clone(),
+            seed,
+        );
         drop(model_span);
         let (dataset, collection_stats, ingest) = if config.measured {
             let out = collect_with_options(&model, &config.netsim, &config.collect_options(), seed)
@@ -165,7 +169,14 @@ impl Study {
             let _expected_span = mobilenet_obs::span("expected_dataset");
             (model.expected_dataset(), None, None)
         };
-        Study { country, catalog, model, dataset, collection_stats, ingest }
+        Study {
+            country,
+            catalog,
+            model,
+            dataset,
+            collection_stats,
+            ingest,
+        }
     }
 
     /// Assembles a study from an existing demand model and a collection
@@ -228,7 +239,9 @@ mod tests {
     fn measured_study_reports_collection_stats() {
         let study = Study::generate_inner(&StudyConfig::small(), 1);
         let stats = study.collection_stats().expect("measured study has stats");
-        let ingest = study.ingest_stats().expect("measured study has ingest stats");
+        let ingest = study
+            .ingest_stats()
+            .expect("measured study has ingest stats");
         assert_eq!(ingest.chunk_size, DEFAULT_CHUNK_SIZE);
         assert!(ingest.records > 0);
         assert!(ingest.peak_resident_records <= ingest.resident_budget());

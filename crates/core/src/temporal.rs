@@ -79,7 +79,12 @@ impl ClusteringSweep {
     pub fn best_k_by_silhouette(&self) -> usize {
         self.points
             .iter()
-            .max_by(|a, b| a.scores.silhouette.partial_cmp(&b.scores.silhouette).unwrap())
+            .max_by(|a, b| {
+                a.scores
+                    .silhouette
+                    .partial_cmp(&b.scores.silhouette)
+                    .unwrap()
+            })
             .map(|p| p.k)
             .unwrap_or(0)
     }
@@ -143,7 +148,10 @@ pub fn sweep_series(
     algorithm: Algorithm,
     restarts: u64,
 ) -> ClusteringSweep {
-    assert!(series.len() >= 3, "need at least 3 series to sweep k in 2..n");
+    assert!(
+        series.len() >= 3,
+        "need at least 3 series to sweep k in 2..n"
+    );
     let z: Vec<Vec<f64>> = series.iter().map(|s| z_normalize(s)).collect();
     let n = z.len();
     let m = z[0].len();
@@ -178,8 +186,11 @@ pub fn sweep_series(
                 // forward transforms for the centroids, then one inverse
                 // per series.
                 let mut scratch = SbdScratch::new();
-                let cent_specs: Vec<Spectrum> =
-                    clustering.centroids.iter().map(|c| engine.spectrum(c)).collect();
+                let cent_specs: Vec<Spectrum> = clustering
+                    .centroids
+                    .iter()
+                    .map(|c| engine.spectrum(c))
+                    .collect();
                 let mut sum = 0.0;
                 for (spec, &a) in z_specs.iter().zip(clustering.assignments.iter()) {
                     sum += engine.sbd(spec, &cent_specs[a], &mut scratch);
@@ -234,8 +245,11 @@ pub fn sweep_series(
         let mut centroid_dist = vec![vec![0.0; k_clusters]; k_clusters];
         match algorithm {
             Algorithm::KShape => {
-                let cent_specs: Vec<Spectrum> =
-                    clustering.centroids.iter().map(|c| engine.spectrum(c)).collect();
+                let cent_specs: Vec<Spectrum> = clustering
+                    .centroids
+                    .iter()
+                    .map(|c| engine.spectrum(c))
+                    .collect();
                 for (i, d) in own_dist.iter_mut().enumerate() {
                     *d = engine.sbd(
                         &z_specs[i],
@@ -270,15 +284,23 @@ pub fn sweep_series(
             dunn: dunn_from(&pair_dist, &clustering),
             silhouette: silhouette_from(&pair_dist, &clustering),
         };
-        points.push(SweepPoint { k, scores, clustering });
+        points.push(SweepPoint {
+            k,
+            scores,
+            clustering,
+        });
     }
-    ClusteringSweep { direction: dir, algorithm, points }
+    ClusteringSweep {
+        direction: dir,
+        algorithm,
+        points,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+
     #[test]
     fn sweep_covers_k_2_to_n_minus_1() {
         let study = crate::testutil::measured_study();
@@ -332,10 +354,23 @@ mod tests {
         let best = sweep
             .points
             .iter()
-            .max_by(|a, b| a.scores.silhouette.partial_cmp(&b.scores.silhouette).unwrap())
+            .max_by(|a, b| {
+                a.scores
+                    .silhouette
+                    .partial_cmp(&b.scores.silhouette)
+                    .unwrap()
+            })
             .unwrap();
-        assert_eq!(best.k, 3, "true k not found (silhouettes: {:?})",
-            sweep.points.iter().map(|p| (p.k, p.scores.silhouette)).collect::<Vec<_>>());
+        assert_eq!(
+            best.k,
+            3,
+            "true k not found (silhouettes: {:?})",
+            sweep
+                .points
+                .iter()
+                .map(|p| (p.k, p.scores.silhouette))
+                .collect::<Vec<_>>()
+        );
         assert!(best.scores.silhouette > 0.6);
     }
 
@@ -365,6 +400,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 3 series")]
     fn tiny_inputs_are_rejected() {
-        sweep_series(&[vec![1.0, 2.0], vec![2.0, 1.0]], Direction::Down, Algorithm::KShape, 1);
+        sweep_series(
+            &[vec![1.0, 2.0], vec![2.0, 1.0]],
+            Direction::Down,
+            Algorithm::KShape,
+            1,
+        );
     }
 }

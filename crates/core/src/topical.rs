@@ -77,7 +77,11 @@ pub fn profile_service(
     name: &'static str,
     config: &PeakConfig,
 ) -> ServiceTopicalProfile {
-    assert_eq!(series.len(), HOURS_PER_WEEK, "need one week of hourly samples");
+    assert_eq!(
+        series.len(),
+        HOURS_PER_WEEK,
+        "need one week of hourly samples"
+    );
     let detection = detect_peaks(series, config);
 
     let mut front_counts = [0usize; 7];
@@ -109,7 +113,14 @@ pub fn profile_service(
         }
     }
 
-    ServiceTopicalProfile { service, name, has_peak, front_counts, intensity, off_topical_fronts: off_topical }
+    ServiceTopicalProfile {
+        service,
+        name,
+        has_peak,
+        front_counts,
+        intensity,
+        off_topical_fronts: off_topical,
+    }
 }
 
 /// Snaps a peak's **rising front** to a topical time — the paper's
@@ -218,8 +229,7 @@ mod tests {
             .map(|h| {
                 let hod = h % HOURS_PER_DAY;
                 let texture = if h % 2 == 0 { 0.1 } else { -0.1 };
-                1.0 + 0.2 * ((hod as f64 - 4.0) / 24.0 * std::f64::consts::TAU).sin()
-                    + texture
+                1.0 + 0.2 * ((hod as f64 - 4.0) / 24.0 * std::f64::consts::TAU).sin() + texture
             })
             .collect();
         for &(at, amp) in bumps {
@@ -283,8 +293,14 @@ mod tests {
         assert!(times.contains(&TopicalTime::Midday), "{times:?}");
         assert!(times.contains(&TopicalTime::Evening), "{times:?}");
         // Ring order: midday before evening.
-        let midday_pos = times.iter().position(|t| *t == TopicalTime::Midday).unwrap();
-        let evening_pos = times.iter().position(|t| *t == TopicalTime::Evening).unwrap();
+        let midday_pos = times
+            .iter()
+            .position(|t| *t == TopicalTime::Midday)
+            .unwrap();
+        let evening_pos = times
+            .iter()
+            .position(|t| *t == TopicalTime::Evening)
+            .unwrap();
         assert!(midday_pos < evening_pos);
     }
 
@@ -299,7 +315,10 @@ mod tests {
             .iter()
             .filter(|p| p.has_peak[TopicalTime::Midday.index()])
             .count();
-        assert!(with_midday >= 14, "only {with_midday}/20 midday peaks detected");
+        assert!(
+            with_midday >= 14,
+            "only {with_midday}/20 midday peaks detected"
+        );
         // Every service has at least one peak somewhere.
         for p in &profiles {
             assert!(

@@ -67,7 +67,12 @@ pub fn urbanization_profiles(study: &Study, dir: Direction) -> Vec<UrbanizationP
                 temporal_r2[i] = others.iter().sum::<f64>() / others.len() as f64;
             }
 
-            UrbanizationProfile { service: s, name: spec.name, volume_ratio, temporal_r2 }
+            UrbanizationProfile {
+                service: s,
+                name: spec.name,
+                volume_ratio,
+                temporal_r2,
+            }
         })
         .collect()
 }

@@ -37,9 +37,7 @@ pub struct PaperClaim {
 impl PaperClaim {
     /// Whether the measured value falls inside the band.
     pub fn pass(&self) -> bool {
-        self.measured.is_finite()
-            && self.measured >= self.band.0
-            && self.measured <= self.band.1
+        self.measured.is_finite() && self.measured >= self.band.0 && self.measured <= self.band.1
     }
 }
 
@@ -112,8 +110,7 @@ pub fn evaluate(study: &Study) -> Vec<PaperClaim> {
         .filter(|s| {
             matches!(
                 s.category,
-                mobilenet_traffic::Category::SocialNetwork
-                    | mobilenet_traffic::Category::Messaging
+                mobilenet_traffic::Category::SocialNetwork | mobilenet_traffic::Category::Messaging
             )
         })
         .count() as f64;
@@ -139,8 +136,7 @@ pub fn evaluate(study: &Study) -> Vec<PaperClaim> {
         measured: max_sil,
         band: (-1.0, 0.7),
     });
-    let disagreement =
-        (sweep.best_k_by_db() as f64 - sweep.best_k_by_silhouette() as f64).abs();
+    let disagreement = (sweep.best_k_by_db() as f64 - sweep.best_k_by_silhouette() as f64).abs();
     claims.push(PaperClaim {
         id: "fig5-indices-disagree",
         paper: "quality indices do not agree on a winner k",
@@ -301,7 +297,13 @@ mod tests {
                     | "fig11-tgv-timing-gap"
                     | "fig3-video-share"
             ) {
-                assert!(c.pass(), "{}: measured {} outside {:?}", c.id, c.measured, c.band);
+                assert!(
+                    c.pass(),
+                    "{}: measured {} outside {:?}",
+                    c.id,
+                    c.measured,
+                    c.band
+                );
             }
         }
     }

@@ -52,12 +52,19 @@ pub(crate) fn generate(config: &CountryConfig, seed: u64) -> Country {
         .collect();
 
     // Stage 5: rail corridors.
-    let hubs: Vec<Point> =
-        cities.iter().take(config.tgv_city_count).map(|c| c.center).collect();
+    let hubs: Vec<Point> = cities
+        .iter()
+        .take(config.tgv_city_count)
+        .map(|c| c.center)
+        .collect();
     let tgv_lines: Vec<TgvLine> = hub_and_spoke(&hubs);
     let on_corridor: Vec<bool> = centroids
         .iter()
-        .map(|p| tgv_lines.iter().any(|l| l.covers(p, config.tgv_corridor_km)))
+        .map(|p| {
+            tgv_lines
+                .iter()
+                .any(|l| l.covers(p, config.tgv_corridor_km))
+        })
         .collect();
 
     // Stage 6: coverage.
@@ -83,7 +90,13 @@ pub(crate) fn generate(config: &CountryConfig, seed: u64) -> Country {
         })
         .collect();
 
-    Country { config: config.clone(), communes, cities, tgv_lines, index }
+    Country {
+        config: config.clone(),
+        communes,
+        cities,
+        tgv_lines,
+        index,
+    }
 }
 
 /// Stage 1: jittered-lattice tessellation.
@@ -146,8 +159,9 @@ fn place_cities(config: &CountryConfig, centroids: &[Point], rng: &mut StdRng) -
     }
 
     let city_pop = (config.total_population as f64 * config.city_population_share).round();
-    let mut weights: Vec<f64> =
-        (1..=config.n_cities).map(|r| (r as f64).powf(-config.city_zipf_exponent)).collect();
+    let mut weights: Vec<f64> = (1..=config.n_cities)
+        .map(|r| (r as f64).powf(-config.city_zipf_exponent))
+        .collect();
     let wsum: f64 = weights.iter().sum();
     for w in &mut weights {
         *w /= wsum;
@@ -221,7 +235,10 @@ fn spread_population(
         }
     }
 
-    field.into_iter().map(|f| f.round().max(0.0) as u64).collect()
+    field
+        .into_iter()
+        .map(|f| f.round().max(0.0) as u64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -272,8 +289,7 @@ mod tests {
         let cities = place_cities(&cfg, &pts, &mut rng);
         let pops = spread_population(&cfg, &pts, &cities, &index, &mut rng);
         let total: u64 = pops.iter().sum();
-        let err = (total as f64 - cfg.total_population as f64).abs()
-            / cfg.total_population as f64;
+        let err = (total as f64 - cfg.total_population as f64).abs() / cfg.total_population as f64;
         assert!(err < 0.01, "total {total}");
     }
 

@@ -49,8 +49,12 @@ pub enum UsageClass {
 
 impl UsageClass {
     /// All classes in the display order of Figure 11.
-    pub const ALL: [UsageClass; 4] =
-        [UsageClass::Urban, UsageClass::SemiUrban, UsageClass::Rural, UsageClass::Tgv];
+    pub const ALL: [UsageClass; 4] = [
+        UsageClass::Urban,
+        UsageClass::SemiUrban,
+        UsageClass::Rural,
+        UsageClass::Tgv,
+    ];
 
     /// Human-readable label.
     pub fn label(self) -> &'static str {
@@ -88,11 +92,20 @@ pub struct Coverage {
 
 impl Coverage {
     /// Coverage by both technologies.
-    pub const FULL: Coverage = Coverage { has_3g: true, has_4g: true };
+    pub const FULL: Coverage = Coverage {
+        has_3g: true,
+        has_4g: true,
+    };
     /// 3G only.
-    pub const G3_ONLY: Coverage = Coverage { has_3g: true, has_4g: false };
+    pub const G3_ONLY: Coverage = Coverage {
+        has_3g: true,
+        has_4g: false,
+    };
     /// No cellular service (rare dead zones).
-    pub const NONE: Coverage = Coverage { has_3g: false, has_4g: false };
+    pub const NONE: Coverage = Coverage {
+        has_3g: false,
+        has_4g: false,
+    };
 
     /// Whether any technology covers the commune.
     #[inline]
@@ -162,10 +175,22 @@ mod tests {
 
     #[test]
     fn usage_class_splits_tgv_out_of_rural_only() {
-        assert_eq!(commune(Urbanization::Rural, true).usage_class(), UsageClass::Tgv);
-        assert_eq!(commune(Urbanization::Rural, false).usage_class(), UsageClass::Rural);
-        assert_eq!(commune(Urbanization::Urban, true).usage_class(), UsageClass::Urban);
-        assert_eq!(commune(Urbanization::SemiUrban, true).usage_class(), UsageClass::SemiUrban);
+        assert_eq!(
+            commune(Urbanization::Rural, true).usage_class(),
+            UsageClass::Tgv
+        );
+        assert_eq!(
+            commune(Urbanization::Rural, false).usage_class(),
+            UsageClass::Rural
+        );
+        assert_eq!(
+            commune(Urbanization::Urban, true).usage_class(),
+            UsageClass::Urban
+        );
+        assert_eq!(
+            commune(Urbanization::SemiUrban, true).usage_class(),
+            UsageClass::SemiUrban
+        );
     }
 
     #[test]

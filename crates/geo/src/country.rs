@@ -78,7 +78,11 @@ impl Country {
 
     /// Communes whose centroids lie within `radius_km` of `p`.
     pub fn communes_within(&self, p: &Point, radius_km: f64) -> Vec<CommuneId> {
-        self.index.within(p, radius_km).into_iter().map(|i| CommuneId(i as u32)).collect()
+        self.index
+            .within(p, radius_km)
+            .into_iter()
+            .map(|i| CommuneId(i as u32))
+            .collect()
     }
 
     /// Ids of communes in the given usage class.
@@ -124,7 +128,10 @@ mod tests {
             .zip(b.communes.iter())
             .filter(|(x, y)| x.population == y.population)
             .count();
-        assert!(same < a.communes.len(), "seeds must change the population field");
+        assert!(
+            same < a.communes.len(),
+            "seeds must change the population field"
+        );
     }
 
     #[test]
@@ -145,7 +152,10 @@ mod tests {
             assert!(n > 0, "usage class {class:?} is empty");
         }
         // Rural communes dominate the count, as in France.
-        assert!(counts[2] > counts[0], "rural should outnumber urban: {counts:?}");
+        assert!(
+            counts[2] > counts[0],
+            "rural should outnumber urban: {counts:?}"
+        );
     }
 
     #[test]
@@ -183,8 +193,10 @@ mod tests {
         let country = Country::generate(&CountryConfig::medium(), 11);
         let rate_4g = |class: UsageClass| {
             let ids = country.communes_in_class(class);
-            let covered =
-                ids.iter().filter(|id| country.commune(**id).coverage.has_4g).count();
+            let covered = ids
+                .iter()
+                .filter(|id| country.commune(**id).coverage.has_4g)
+                .count();
             covered as f64 / ids.len() as f64
         };
         assert!(rate_4g(UsageClass::Urban) > rate_4g(UsageClass::Rural) + 0.2);

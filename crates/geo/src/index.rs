@@ -124,14 +124,25 @@ impl SpatialIndex {
             cell_start[c + 1] += cell_start[c];
         }
         let mut cursor = cell_start.clone();
-        let mut entries = vec![Entry { site: Point::default(), index: 0 }; sites.len()];
+        let mut entries = vec![
+            Entry {
+                site: Point::default(),
+                index: 0
+            };
+            sites.len()
+        ];
         for (i, p) in sites.iter().enumerate() {
             let slot = &mut cursor[cell_of_site(p)];
-            entries[*slot as usize] = Entry { site: *p, index: i as u32 };
+            entries[*slot as usize] = Entry {
+                site: *p,
+                index: i as u32,
+            };
             *slot += 1;
         }
 
-        let magnitude = [min_x, min_y, max_x, max_y].iter().fold(cell_km, |m, v| m.max(v.abs()));
+        let magnitude = [min_x, min_y, max_x, max_y]
+            .iter()
+            .fold(cell_km, |m, v| m.max(v.abs()));
         SpatialIndex {
             entries,
             cell_start,
@@ -212,7 +223,10 @@ impl SpatialIndex {
         let y_hi = (cy + 1).min(self.ny - 1);
         // Starting from (∞, 0) keeps the argmin exact when every distance
         // is infinite: site 0 is then the lowest-index minimum.
-        let mut best = Best { d: f64::INFINITY, index: 0 };
+        let mut best = Best {
+            d: f64::INFINITY,
+            index: 0,
+        };
         // The fix's own row first; a neighbouring row is scanned only when
         // its edge is not already strictly farther than the best hit.
         best.offer(self.row(cy, x_lo, x_hi), p);
@@ -304,7 +318,10 @@ mod tests {
     fn linear_nearest(sites: &[Point], p: &Point) -> usize {
         (0..sites.len())
             .min_by(|&a, &b| {
-                sites[a].distance_sq(p).total_cmp(&sites[b].distance_sq(p)).then(a.cmp(&b))
+                sites[a]
+                    .distance_sq(p)
+                    .total_cmp(&sites[b].distance_sq(p))
+                    .then(a.cmp(&b))
             })
             .unwrap()
     }

@@ -49,7 +49,7 @@ pub mod index;
 pub mod point;
 pub mod rail;
 
-pub use commune::{Commune, CommuneId, Coverage, UsageClass, Urbanization};
+pub use commune::{Commune, CommuneId, Coverage, Urbanization, UsageClass};
 pub use config::CountryConfig;
 pub use country::{City, Country};
 pub use index::SpatialIndex;

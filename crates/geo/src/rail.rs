@@ -24,7 +24,10 @@ impl TgvLine {
     ///
     /// Panics when fewer than two waypoints are supplied.
     pub fn new(waypoints: Vec<Point>) -> Self {
-        assert!(waypoints.len() >= 2, "a rail line needs at least two waypoints");
+        assert!(
+            waypoints.len() >= 2,
+            "a rail line needs at least two waypoints"
+        );
         TgvLine { waypoints }
     }
 
@@ -78,7 +81,10 @@ pub fn hub_and_spoke(cities: &[Point]) -> Vec<TgvLine> {
         return Vec::new();
     }
     let hub = cities[0];
-    cities[1..].iter().map(|&c| TgvLine::new(vec![hub, c])).collect()
+    cities[1..]
+        .iter()
+        .map(|&c| TgvLine::new(vec![hub, c]))
+        .collect()
 }
 
 #[cfg(test)]

@@ -203,7 +203,9 @@ pub fn span(name: &'static str) -> Span {
         s.push(name);
         s.join("/")
     });
-    Span { inner: Some((path, Instant::now())) }
+    Span {
+        inner: Some((path, Instant::now())),
+    }
 }
 
 impl Drop for Span {
@@ -373,7 +375,10 @@ mod tests {
             assert!(health.span("serve").is_some());
             assert!(health.span("collect").is_none());
             // Filtering an already-filtered snapshot is idempotent.
-            assert_eq!(health.filtered(&["serve.", "netsim.ingest.", "serve"]), health);
+            assert_eq!(
+                health.filtered(&["serve.", "netsim.ingest.", "serve"]),
+                health
+            );
         });
     }
 
@@ -406,9 +411,16 @@ mod tests {
         assert_eq!(reference.counter("items"), Some(ITEMS));
         for threads in [2usize, 8] {
             let snap = run(threads);
-            assert_eq!(snap.counter("items"), reference.counter("items"), "{threads} threads");
+            assert_eq!(
+                snap.counter("items"),
+                reference.counter("items"),
+                "{threads} threads"
+            );
             assert_eq!(snap.counter("weighted"), reference.counter("weighted"));
-            let (a, b) = (snap.histogram("dist").unwrap(), reference.histogram("dist").unwrap());
+            let (a, b) = (
+                snap.histogram("dist").unwrap(),
+                reference.histogram("dist").unwrap(),
+            );
             assert_eq!(a.counts, b.counts, "{threads} threads");
             assert_eq!(a.count, b.count);
             assert_eq!(
@@ -475,7 +487,10 @@ mod tests {
                 assert!(Arc::ptr_eq(&restored, &outer));
                 add("x", 10);
             });
-            assert!(current().is_none(), "leaving the outer scope restores global");
+            assert!(
+                current().is_none(),
+                "leaving the outer scope restores global"
+            );
             add("x", 100);
             let inner = inner.snapshot();
             assert_eq!(inner.counter("x"), Some(1));
@@ -540,7 +555,10 @@ mod tests {
         }
         let text = snap.render();
         assert!(text.contains("generate"));
-        assert!(text.contains("  collect"), "nested span not indented:\n{text}");
+        assert!(
+            text.contains("  collect"),
+            "nested span not indented:\n{text}"
+        );
         assert!(text.contains("pipeline.sessions"));
         // Fingerprint covers counts but not wall-clock fields.
         let fp = snap.counts_fingerprint();

@@ -93,7 +93,9 @@ impl Registry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Snapshot> {
         // A panicking recorder must not take observability down with it.
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Adds `delta` to counter `name`.

@@ -145,7 +145,9 @@ impl Snapshot {
                     .filter(|&at| self.spans.contains_key(&path[..at]))
                     .collect();
                 let depth = ancestors.len();
-                let name = ancestors.last().map_or(path.as_str(), |&at| &path[at + 1..]);
+                let name = ancestors
+                    .last()
+                    .map_or(path.as_str(), |&at| &path[at + 1..]);
                 let _ = writeln!(
                     out,
                     "  {:indent$}{name:<width$} {:>6}x {:>10.2} ms  (mean {:.2} ms, max {:.2} ms)",
@@ -181,7 +183,11 @@ impl Snapshot {
                     out,
                     "  {name} (n={}, mean={:.3}):",
                     h.count,
-                    if h.count > 0 { h.sum / h.count as f64 } else { 0.0 }
+                    if h.count > 0 {
+                        h.sum / h.count as f64
+                    } else {
+                        0.0
+                    }
                 );
                 for (i, c) in h.counts.iter().enumerate() {
                     let label = if i < h.edges.len() {
@@ -215,7 +221,12 @@ mod tests {
     #[test]
     fn a_span_without_a_recorded_parent_is_not_nested_under_another() {
         let registry = Registry::new();
-        for path in ["generate", "generate/collect", "generate/collect/merge", "par/worker_busy"] {
+        for path in [
+            "generate",
+            "generate/collect",
+            "generate/collect/merge",
+            "par/worker_busy",
+        ] {
             registry.record_span(path, 2_000_000);
         }
         // `a/b/c` under a recorded `a` but no `a/b`: one level in, named

@@ -44,19 +44,19 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 fn default_threads() -> usize {
-    *DEFAULT_THREADS.get_or_init(|| {
-        match std::env::var(THREADS_ENV) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => available_parallelism(),
-            },
-            Err(_) => available_parallelism(),
-        }
+    *DEFAULT_THREADS.get_or_init(|| match std::env::var(THREADS_ENV) {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => available_parallelism(),
+        },
+        Err(_) => available_parallelism(),
     })
 }
 
 fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Forces the worker count for subsequent parallel regions, taking
@@ -88,7 +88,10 @@ struct Pool {
 impl Pool {
     /// A pool with an explicit worker count (minimum 1).
     fn new(threads: usize) -> Self {
-        Pool { threads: threads.max(1), min_items_per_worker: 1 }
+        Pool {
+            threads: threads.max(1),
+            min_items_per_worker: 1,
+        }
     }
 
     /// A pool using the ambient configuration (see [`current_threads`]).
@@ -143,7 +146,12 @@ impl Pool {
                 if start >= n {
                     break;
                 }
-                for (i, slot) in slots.iter().enumerate().take(n.min(start + chunk)).skip(start) {
+                for (i, slot) in slots
+                    .iter()
+                    .enumerate()
+                    .take(n.min(start + chunk))
+                    .skip(start)
+                {
                     let result = f(i);
                     *slot.lock().expect("result slot poisoned") = Some(result);
                     processed += 1;
@@ -171,7 +179,9 @@ impl Pool {
         slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner().expect("result slot poisoned").expect("slot filled by scope end")
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("slot filled by scope end")
             })
             .collect()
     }
@@ -207,7 +217,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    Pool::global().with_min_items_per_worker(min_items).map_collect(n, f)
+    Pool::global()
+        .with_min_items_per_worker(min_items)
+        .map_collect(n, f)
 }
 
 /// Derives the RNG stream seed for shard `stream` of a computation keyed
@@ -247,7 +259,10 @@ mod tests {
         let items: Vec<f64> = (0..500).map(|i| i as f64 * 0.37).collect();
         let serial: Vec<f64> = items.iter().map(|v| v.sin()).collect();
         for threads in [1, 2, 8] {
-            assert_eq!(Pool::new(threads).map_collect(items.len(), |i| items[i].sin()), serial);
+            assert_eq!(
+                Pool::new(threads).map_collect(items.len(), |i| items[i].sin()),
+                serial
+            );
         }
     }
 
@@ -301,7 +316,7 @@ mod tests {
         let pool = Pool::new(8).with_min_items_per_worker(32);
         assert_eq!(pool.workers(20), 0); // inline path
         assert_eq!(pool.workers(64), 2); // two workers
-        // Default keeps historical behavior: spawn whenever n > 1.
+                                         // Default keeps historical behavior: spawn whenever n > 1.
         assert_eq!(Pool::new(8).workers(2), 2);
     }
 
@@ -333,7 +348,10 @@ mod tests {
         assert_eq!(snap.counter("par.worker_items"), snap.counter("par.items"));
         assert_eq!(snap.counter("par_test.scoped_items"), Some(1000));
         assert_eq!(snap.span("par/worker_busy").map(|s| s.count), Some(4));
-        assert_eq!(mobilenet_obs::snapshot().counter("par_test.scoped_items"), None);
+        assert_eq!(
+            mobilenet_obs::snapshot().counter("par_test.scoped_items"),
+            None
+        );
     }
 
     #[test]

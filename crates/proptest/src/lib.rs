@@ -181,7 +181,10 @@ pub mod test_runner {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            TestRunner { cases: config.cases, rng: StdRng::seed_from_u64(h) }
+            TestRunner {
+                cases: config.cases,
+                rng: StdRng::seed_from_u64(h),
+            }
         }
 
         /// The number of cases to run.
@@ -312,12 +315,15 @@ macro_rules! prop_assert_eq {
         let left = &$left;
         let right = &$right;
         if !(*left == *right) {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    concat!(stringify!($left), " != ", stringify!($right), " ({:?} vs {:?})"),
-                    left, right,
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                concat!(
+                    stringify!($left),
+                    " != ",
+                    stringify!($right),
+                    " ({:?} vs {:?})"
                 ),
-            ));
+                left, right,
+            )));
         }
     }};
 }
@@ -329,12 +335,10 @@ macro_rules! prop_assert_ne {
         let left = &$left;
         let right = &$right;
         if *left == *right {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    concat!(stringify!($left), " == ", stringify!($right), " ({:?})"),
-                    left,
-                ),
-            ));
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                concat!(stringify!($left), " == ", stringify!($right), " ({:?})"),
+                left,
+            )));
         }
     }};
 }
@@ -388,7 +392,9 @@ mod tests {
         let bits: Vec<bool> = (0..64).map(|_| prop::bool::ANY.sample(&mut rng)).collect();
         assert!(bits.contains(&true) && bits.contains(&false), "{bits:?}");
         // Uniform words are distinct and reach both halves of the domain.
-        let mut words: Vec<u64> = (0..64).map(|_| prop::num::u64::ANY.sample(&mut rng)).collect();
+        let mut words: Vec<u64> = (0..64)
+            .map(|_| prop::num::u64::ANY.sample(&mut rng))
+            .collect();
         assert!(words.iter().any(|w| w >> 63 == 1) && words.iter().any(|w| w >> 63 == 0));
         words.sort_unstable();
         words.dedup();

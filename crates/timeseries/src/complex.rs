@@ -35,13 +35,19 @@ impl Complex {
     /// `e^{iθ}`: the unit complex number at angle `theta` radians.
     #[inline]
     pub fn cis(theta: f64) -> Self {
-        Complex { re: theta.cos(), im: theta.sin() }
+        Complex {
+            re: theta.cos(),
+            im: theta.sin(),
+        }
     }
 
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
+        Complex {
+            re: self.re,
+            im: -self.im,
+        }
     }
 
     /// Squared magnitude `re² + im²`.
@@ -59,7 +65,10 @@ impl Complex {
     /// Scales both components by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
-        Complex { re: self.re * k, im: self.im * k }
+        Complex {
+            re: self.re * k,
+            im: self.im * k,
+        }
     }
 }
 
@@ -67,7 +76,10 @@ impl Add for Complex {
     type Output = Complex;
     #[inline]
     fn add(self, rhs: Complex) -> Complex {
-        Complex { re: self.re + rhs.re, im: self.im + rhs.im }
+        Complex {
+            re: self.re + rhs.re,
+            im: self.im + rhs.im,
+        }
     }
 }
 
@@ -83,7 +95,10 @@ impl Sub for Complex {
     type Output = Complex;
     #[inline]
     fn sub(self, rhs: Complex) -> Complex {
-        Complex { re: self.re - rhs.re, im: self.im - rhs.im }
+        Complex {
+            re: self.re - rhs.re,
+            im: self.im - rhs.im,
+        }
     }
 }
 
@@ -102,7 +117,10 @@ impl Neg for Complex {
     type Output = Complex;
     #[inline]
     fn neg(self) -> Complex {
-        Complex { re: -self.re, im: -self.im }
+        Complex {
+            re: -self.re,
+            im: -self.im,
+        }
     }
 }
 

@@ -54,7 +54,10 @@ impl FftPlan {
     ///
     /// Panics if `n` is not a power of two.
     pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
+        assert!(
+            n.is_power_of_two(),
+            "FFT length must be a power of two, got {n}"
+        );
         let mut swaps = Vec::new();
         if n > 1 {
             let bits = n.trailing_zeros();
@@ -81,7 +84,12 @@ impl FftPlan {
             }
             out
         };
-        FftPlan { n, swaps, fwd: table(-1.0), inv: table(1.0) }
+        FftPlan {
+            n,
+            swaps,
+            fwd: table(-1.0),
+            inv: table(1.0),
+        }
     }
 
     /// The transform length this plan was built for.
@@ -176,8 +184,9 @@ mod tests {
 
     #[test]
     fn inverse_undoes_forward() {
-        let orig: Vec<Complex> =
-            (0..32).map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.7).cos())).collect();
+        let orig: Vec<Complex> = (0..32)
+            .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.7).cos()))
+            .collect();
         let plan = FftPlan::new(32);
         let mut data = orig.clone();
         plan.fft_in_place(&mut data, Direction::Forward);
@@ -207,7 +216,9 @@ mod tests {
 
     #[test]
     fn parseval_energy_is_preserved() {
-        let signal: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 0.2 * i as f64).collect();
+        let signal: Vec<f64> = (0..64)
+            .map(|i| (i as f64 * 0.3).sin() + 0.2 * i as f64)
+            .collect();
         let spec = spectrum(&signal, 64);
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
         let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 64.0;

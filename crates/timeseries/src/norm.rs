@@ -58,7 +58,9 @@ mod tests {
 
     #[test]
     fn z_normalized_has_zero_mean_unit_variance() {
-        let s: Vec<f64> = (0..100).map(|i| (i as f64 * 0.17).sin() * 3.0 + 5.0).collect();
+        let s: Vec<f64> = (0..100)
+            .map(|i| (i as f64 * 0.17).sin() * 3.0 + 5.0)
+            .collect();
         let z = z_normalize(&s);
         let mean = z.iter().sum::<f64>() / z.len() as f64;
         let var = z.iter().map(|x| x * x).sum::<f64>() / z.len() as f64;

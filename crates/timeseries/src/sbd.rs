@@ -101,7 +101,10 @@ impl SbdEngine {
     /// Panics if `m == 0`.
     pub fn new(m: usize) -> Self {
         assert!(m > 0, "NCC-c of empty series");
-        SbdEngine { m, plan: FftPlan::new(next_pow2(2 * m - 1)) }
+        SbdEngine {
+            m,
+            plan: FftPlan::new(next_pow2(2 * m - 1)),
+        }
     }
 
     /// The series length this engine was built for.
@@ -117,7 +120,11 @@ impl SbdEngine {
     ///
     /// Panics if `series.len()` differs from the engine length.
     pub fn spectrum(&self, series: &[f64]) -> Spectrum {
-        let mut s = Spectrum { norm: 0.0, flat: true, bins: Vec::new() };
+        let mut s = Spectrum {
+            norm: 0.0,
+            flat: true,
+            bins: Vec::new(),
+        };
         self.spectrum_into(series, &mut s);
         s
     }
@@ -158,17 +165,26 @@ impl SbdEngine {
         // head `0..m` — so the strict `>` keeps the first maximum in lag
         // order.
         let neg = self.m - 1;
-        let mut best = Alignment { ncc: f64::NEG_INFINITY, shift: 0 };
+        let mut best = Alignment {
+            ncc: f64::NEG_INFINITY,
+            shift: 0,
+        };
         for (off, c) in scratch.buf[n - neg..n].iter().enumerate() {
             let ncc = c.re / denom;
             if ncc > best.ncc {
-                best = Alignment { ncc, shift: off as isize - neg as isize };
+                best = Alignment {
+                    ncc,
+                    shift: off as isize - neg as isize,
+                };
             }
         }
         for (lag, c) in scratch.buf[..self.m].iter().enumerate() {
             let ncc = c.re / denom;
             if ncc > best.ncc {
-                best = Alignment { ncc, shift: lag as isize };
+                best = Alignment {
+                    ncc,
+                    shift: lag as isize,
+                };
             }
         }
         best
@@ -198,8 +214,14 @@ pub fn ncc_c(x: &[f64], y: &[f64]) -> Alignment {
     assert_eq!(x.len(), y.len(), "NCC-c requires equal-length series");
     ENGINES.with(|engines| {
         let mut engines = engines.borrow_mut();
-        let engine = engines.entry(x.len()).or_insert_with(|| SbdEngine::new(x.len()));
-        engine.ncc_c(&engine.spectrum(x), &engine.spectrum(y), &mut SbdScratch::new())
+        let engine = engines
+            .entry(x.len())
+            .or_insert_with(|| SbdEngine::new(x.len()));
+        engine.ncc_c(
+            &engine.spectrum(x),
+            &engine.spectrum(y),
+            &mut SbdScratch::new(),
+        )
     })
 }
 
@@ -299,7 +321,10 @@ mod tests {
         }
         // Consistent with the z-normalize route: a z-normalized constant
         // is the zero series, which hits the zero-norm rule.
-        assert_eq!(shape_based_distance(&z_normalize(&c), &z_normalize(&y)), 1.0);
+        assert_eq!(
+            shape_based_distance(&z_normalize(&c), &z_normalize(&y)),
+            1.0
+        );
     }
 
     #[test]
@@ -312,7 +337,10 @@ mod tests {
         assert!(!spec.flat);
         assert!(spec.norm > 0.0);
         let mut scratch = SbdScratch::new();
-        assert_eq!(engine.sbd(&engine.spectrum(&[7.25; 8]), &spec, &mut scratch), 1.0);
+        assert_eq!(
+            engine.sbd(&engine.spectrum(&[7.25; 8]), &spec, &mut scratch),
+            1.0
+        );
     }
 
     #[test]

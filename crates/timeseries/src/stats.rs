@@ -74,7 +74,11 @@ pub struct LinearFit {
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LinearFit {
     assert_eq!(xs.len(), ys.len(), "linear_fit requires equal lengths");
     if xs.len() < 2 {
-        return LinearFit { slope: 0.0, intercept: mean(ys), r2: 0.0 };
+        return LinearFit {
+            slope: 0.0,
+            intercept: mean(ys),
+            r2: 0.0,
+        };
     }
     let mx = mean(xs);
     let my = mean(ys);
@@ -85,11 +89,19 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LinearFit {
         sxx += (x - mx) * (x - mx);
     }
     if sxx <= f64::EPSILON {
-        return LinearFit { slope: 0.0, intercept: my, r2: 0.0 };
+        return LinearFit {
+            slope: 0.0,
+            intercept: my,
+            r2: 0.0,
+        };
     }
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    LinearFit { slope, intercept, r2: r_squared(xs, ys) }
+    LinearFit {
+        slope,
+        intercept,
+        r2: r_squared(xs, ys),
+    }
 }
 
 /// Least-squares slope of `y` on `x` **through the origin**:
@@ -98,7 +110,11 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LinearFit {
 /// Figure 11 (top) regresses per-subscriber time series of one urbanization
 /// class on another; a ratio of demands is a line through the origin.
 pub fn slope_through_origin(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "slope_through_origin requires equal lengths");
+    assert_eq!(
+        xs.len(),
+        ys.len(),
+        "slope_through_origin requires equal lengths"
+    );
     let sxx: f64 = xs.iter().map(|x| x * x).sum();
     if sxx <= f64::EPSILON {
         return 0.0;
@@ -243,7 +259,10 @@ pub fn share_of_top(values: &[f64], fraction: f64) -> f64 {
 /// Panics if `max_lag >= xs.len()` or the series is empty.
 pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
     assert!(!xs.is_empty(), "autocorrelation of empty series");
-    assert!(max_lag < xs.len(), "max_lag must be below the series length");
+    assert!(
+        max_lag < xs.len(),
+        "max_lag must be below the series length"
+    );
     let n = xs.len();
     let m = mean(xs);
     let denom: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();

@@ -55,7 +55,11 @@ pub fn fit_zipf_ranked(sorted_desc: &[f64]) -> Option<ZipfFit> {
         return None;
     }
     let fit = linear_fit(&log_rank, &log_val);
-    Some(ZipfFit { exponent: -fit.slope, log10_scale: fit.intercept, r2: fit.r2 })
+    Some(ZipfFit {
+        exponent: -fit.slope,
+        log10_scale: fit.intercept,
+        r2: fit.r2,
+    })
 }
 
 /// Generates ideal Zipf weights `rank^(−s)` for `n` ranks, normalized to sum
@@ -126,6 +130,9 @@ mod tests {
         let head = fit_zipf_ranked(&values[..40]).unwrap();
         assert!((head.exponent - 1.5).abs() < 1e-9);
         let full = fit_zipf_ranked(&values).unwrap();
-        assert!(full.exponent > head.exponent, "tail steepens the overall fit");
+        assert!(
+            full.exponent > head.exponent,
+            "tail steepens the overall fit"
+        );
     }
 }

@@ -42,7 +42,10 @@ fn main() {
             winner
         );
     }
-    println!("\nHolt-Winters wins on {hw_wins}/{} services.", report.len());
+    println!(
+        "\nHolt-Winters wins on {hw_wins}/{} services.",
+        report.len()
+    );
 
     // Provisioning: forecast the total downlink demand and compare the
     // implied peak-hour capacity against what actually happened.
@@ -66,6 +69,10 @@ fn main() {
     let headroom = predicted_peak * 1.15;
     println!(
         "provisioning at forecast +15% headroom ({headroom:.0} MB/h) {} the actual peak",
-        if headroom >= actual_peak { "covers" } else { "misses" }
+        if headroom >= actual_peak {
+            "covers"
+        } else {
+            "misses"
+        }
     );
 }

@@ -44,13 +44,17 @@ fn main() {
         .iter()
         .position(|s| s.name == "Facebook")
         .unwrap();
-    let before = clean.dataset().per_user_commune_vector(Direction::Up, facebook)
-        [host.index()];
-    let after = event.dataset().per_user_commune_vector(Direction::Up, facebook)
-        [host.index()];
+    let before = clean
+        .dataset()
+        .per_user_commune_vector(Direction::Up, facebook)[host.index()];
+    let after = event
+        .dataset()
+        .per_user_commune_vector(Direction::Up, facebook)[host.index()];
     println!("== host-commune effect (Facebook uplink, per subscriber) ==");
-    println!("clean week: {before:.2} MB/week   event week: {after:.2} MB/week   ({:+.0}%)",
-        (after / before - 1.0) * 100.0);
+    println!(
+        "clean week: {before:.2} MB/week   event week: {after:.2} MB/week   ({:+.0}%)",
+        (after / before - 1.0) * 100.0
+    );
 
     // Effect 2: the national series of affected services pick up peaks at
     // the event hour (Saturday 19:00–22:00 is near no weekday topical
@@ -69,7 +73,10 @@ fn main() {
         let we = mobilenet::traffic::TopicalTime::WeekendEvening.index();
         println!(
             "{:<17} {:>14} {:>14} {:>11} {:>11}",
-            name, c.front_counts[we], e.front_counts[we], c.off_topical_fronts,
+            name,
+            c.front_counts[we],
+            e.front_counts[we],
+            c.off_topical_fronts,
             e.off_topical_fronts
         );
     }

@@ -30,7 +30,10 @@ fn main() {
     let report = per_category_slicing(&study, Direction::Down);
 
     println!("== per-slice (static) dimensioning ==");
-    println!("{:<16} {:>12} {:>12} {:>8}", "slice", "peak MB/h", "mean MB/h", "peak/mean");
+    println!(
+        "{:<16} {:>12} {:>12} {:>8}",
+        "slice", "peak MB/h", "mean MB/h", "peak/mean"
+    );
     for slice in &report.slices {
         println!(
             "{:<16} {:>12.0} {:>12.0} {:>8.2}",
@@ -42,7 +45,10 @@ fn main() {
     }
 
     println!("\n== pooling gain from temporal complementarity ==");
-    println!("sum of per-slice peaks : {:>12.0} MB/h", report.sum_of_peaks);
+    println!(
+        "sum of per-slice peaks : {:>12.0} MB/h",
+        report.sum_of_peaks
+    );
     println!("peak of the shared pool: {:>12.0} MB/h", report.shared_peak);
     println!(
         "static slicing over-provisions by {:.1}% — the temporal heterogeneity of §4 is the saving",

@@ -44,7 +44,11 @@ fn main() {
             s.share_of_total * 100.0
         );
     }
-    let video = ranking.category_shares.get("video streaming").copied().unwrap_or(0.0);
+    let video = ranking
+        .category_shares
+        .get("video streaming")
+        .copied()
+        .unwrap_or(0.0);
     println!(
         "  video streaming carries {:.0}% of downlink (paper: >46%)",
         video * 100.0

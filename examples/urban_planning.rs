@@ -7,9 +7,7 @@
 
 use mobilenet::core::maps::{coverage_map, per_user_map};
 use mobilenet::core::spatial::{concentration, spatial_correlation};
-use mobilenet::core::urbanization::{
-    mean_temporal_r2, mean_volume_ratios, urbanization_profiles,
-};
+use mobilenet::core::urbanization::{mean_temporal_r2, mean_volume_ratios, urbanization_profiles};
 use mobilenet::geo::UsageClass;
 use mobilenet::traffic::Direction;
 use mobilenet::{Pipeline, Scale};
@@ -65,7 +63,10 @@ fn main() {
     let ratios = mean_volume_ratios(&urb);
     let r2 = mean_temporal_r2(&urb);
     println!("== urbanization (Figure 11) ==");
-    println!("{:<12} {:>14} {:>14}", "class", "volume ratio", "temporal r²");
+    println!(
+        "{:<12} {:>14} {:>14}",
+        "class", "volume ratio", "temporal r²"
+    );
     for class in UsageClass::ALL {
         println!(
             "{:<12} {:>14.2} {:>14.2}",
@@ -78,7 +79,10 @@ fn main() {
 
     // Figure 9: the maps, rendered as ASCII (cities and corridors glow).
     println!("== per-subscriber Twitter downlink (Figure 9 left) ==");
-    println!("{}", per_user_map(&study, Direction::Down, twitter, 72).to_ascii());
+    println!(
+        "{}",
+        per_user_map(&study, Direction::Down, twitter, 72).to_ascii()
+    );
 
     println!("== 3G/4G coverage (Figure 9 right; ' '=none, ':'=3G, '@'=4G) ==");
     let grid = coverage_map(study.country(), 72);

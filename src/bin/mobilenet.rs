@@ -248,7 +248,11 @@ fn run(args: &Args) -> Result<(), CliError> {
         "watch" => return run_watch(args),
         _ => {}
     }
-    let dir = if args.uplink { Direction::Up } else { Direction::Down };
+    let dir = if args.uplink {
+        Direction::Up
+    } else {
+        Direction::Down
+    };
 
     eprintln!("generating {} study (seed {})...", args.scale, args.seed);
     let mut builder = Pipeline::builder().scale(args.scale).seed(args.seed);
@@ -275,7 +279,10 @@ fn run(args: &Args) -> Result<(), CliError> {
         }
         "ranking" => {
             let r = service_ranking(study, dir);
-            println!("{:<4} {:<17} {:<16} {:>8}", "#", "service", "category", "share");
+            println!(
+                "{:<4} {:<17} {:<16} {:>8}",
+                "#", "service", "category", "share"
+            );
             for (i, s) in r.services.iter().enumerate() {
                 println!(
                     "{:<4} {:<17} {:<16} {:>7.2}%",
@@ -301,10 +308,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             for p in &profiles {
                 print!("{:<17}", p.name);
                 for t in TopicalTime::ALL {
-                    print!(
-                        " {:>10}",
-                        if p.has_peak[t.index()] { "peak" } else { "·" }
-                    );
+                    print!(" {:>10}", if p.has_peak[t.index()] { "peak" } else { "·" });
                 }
                 println!();
             }
@@ -323,10 +327,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         }
         "forecast" => {
             let report = forecast::forecast_report(study, dir, 120);
-            println!(
-                "{:<17} {:>12} {:>12}",
-                "service", "naive sMAPE", "HW sMAPE"
-            );
+            println!("{:<17} {:>12} {:>12}", "service", "naive sMAPE", "HW sMAPE");
             for f in &report {
                 println!(
                     "{:<17} {:>11.1}% {:>11.1}%",
@@ -379,7 +380,11 @@ struct StudySpec {
 
 /// Parses a `--study` spec; seed and weeks fall back to the global
 /// `--seed`/`--weeks` flags.
-fn parse_study_spec(spec: &str, default_seed: u64, default_weeks: usize) -> Result<StudySpec, String> {
+fn parse_study_spec(
+    spec: &str,
+    default_seed: u64,
+    default_weeks: usize,
+) -> Result<StudySpec, String> {
     let (name, rest) = spec
         .split_once('=')
         .ok_or_else(|| format!("bad --study {spec:?} (expected NAME=SCALE[:SEED[:WEEKS]])"))?;
@@ -391,19 +396,30 @@ fn parse_study_spec(spec: &str, default_seed: u64, default_weeks: usize) -> Resu
         .map_err(|e: Error| format!("bad --study {spec:?}: {e}"))?;
     let seed = match parts.next() {
         None => default_seed,
-        Some(t) => t.parse().map_err(|_| format!("bad --study {spec:?}: seed {t:?}"))?,
+        Some(t) => t
+            .parse()
+            .map_err(|_| format!("bad --study {spec:?}: seed {t:?}"))?,
     };
     let weeks = match parts.next() {
         None => default_weeks,
-        Some(t) => t.parse().map_err(|_| format!("bad --study {spec:?}: weeks {t:?}"))?,
+        Some(t) => t
+            .parse()
+            .map_err(|_| format!("bad --study {spec:?}: weeks {t:?}"))?,
     };
     if weeks == 0 {
         return Err(format!("bad --study {spec:?}: weeks must be at least 1"));
     }
     if parts.next().is_some() {
-        return Err(format!("bad --study {spec:?} (expected NAME=SCALE[:SEED[:WEEKS]])"));
+        return Err(format!(
+            "bad --study {spec:?} (expected NAME=SCALE[:SEED[:WEEKS]])"
+        ));
     }
-    Ok(StudySpec { name: name.to_string(), scale, seed, weeks })
+    Ok(StudySpec {
+        name: name.to_string(),
+        scale,
+        seed,
+        weeks,
+    })
 }
 
 /// `mobilenet serve`: register every requested study, bind the query
@@ -445,7 +461,13 @@ fn run_serve(args: &Args) -> Result<(), CliError> {
             spec.scale, spec.name, spec.seed, spec.weeks
         );
         let entry = registry
-            .register_config(&spec.name, spec.scale.name(), &config, spec.seed, spec.weeks)
+            .register_config(
+                &spec.name,
+                spec.scale.name(),
+                &config,
+                spec.seed,
+                spec.weeks,
+            )
             .map_err(config_err)?;
         entries.push(entry);
     }
@@ -459,7 +481,9 @@ fn run_serve(args: &Args) -> Result<(), CliError> {
     }
     server.wait();
     registry.shutdown();
-    let failures = mobilenet::obs::snapshot().counter("serve.ingest_errors").unwrap_or(0);
+    let failures = mobilenet::obs::snapshot()
+        .counter("serve.ingest_errors")
+        .unwrap_or(0);
     if failures > 0 {
         return Err(Error::Config(format!("{failures} ingestion run(s) failed")).into());
     }

@@ -60,6 +60,6 @@ pub use mobilenet_core::{
     PipelineBuilder, Run, Scale, DEFAULT_CHUNK_SIZE, DEFAULT_SEED,
 };
 pub use mobilenet_serve::{
-    spawn_registry_server, spawn_server, Client, DeltaEvent, LiveSnapshot, LiveState,
-    ServerHandle, SnapshotQuery, StudyInfo, StudyRegistry, Topic, PROTOCOL_VERSION,
+    spawn_registry_server, spawn_server, Client, DeltaEvent, LiveSnapshot, LiveState, ServerHandle,
+    SnapshotQuery, StudyInfo, StudyRegistry, Topic, PROTOCOL_VERSION,
 };

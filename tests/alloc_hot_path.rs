@@ -55,7 +55,9 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 fn series(m: usize, phase: f64) -> Vec<f64> {
-    (0..m).map(|i| (i as f64 * 0.37 + phase).sin() + 0.2 * (i as f64 * 1.7).cos()).collect()
+    (0..m)
+        .map(|i| (i as f64 * 0.37 + phase).sin() + 0.2 * (i as f64 * 1.7).cos())
+        .collect()
 }
 
 #[test]
@@ -82,17 +84,24 @@ fn warmed_sbd_and_fft_kernels_do_not_allocate() {
             engine.spectrum_into(&y, &mut fy);
         }
     });
-    assert_eq!(sbd_allocs, 0, "warmed SbdEngine path allocated {sbd_allocs} times");
+    assert_eq!(
+        sbd_allocs, 0,
+        "warmed SbdEngine path allocated {sbd_allocs} times"
+    );
 
     // A planned FFT transforms in place.
     let plan = FftPlan::new(256);
-    let mut data: Vec<Complex> =
-        (0..256).map(|i| Complex::new((i as f64 * 0.11).sin(), 0.0)).collect();
+    let mut data: Vec<Complex> = (0..256)
+        .map(|i| Complex::new((i as f64 * 0.11).sin(), 0.0))
+        .collect();
     let fft_allocs = allocations_in(|| {
         for _ in 0..100 {
             plan.fft_in_place(&mut data, Direction::Forward);
             plan.fft_in_place(&mut data, Direction::Inverse);
         }
     });
-    assert_eq!(fft_allocs, 0, "warmed planned-FFT path allocated {fft_allocs} times");
+    assert_eq!(
+        fft_allocs, 0,
+        "warmed planned-FFT path allocated {fft_allocs} times"
+    );
 }

@@ -93,7 +93,11 @@ fn warmed_batch_aggregation_does_not_allocate() {
                 _ => classifier.stamp_head((i % n_head) as u16, &mut rng),
             };
             (
-                if i % 2 == 0 { Interface::Gn } else { Interface::S5S8 },
+                if i % 2 == 0 {
+                    Interface::Gn
+                } else {
+                    Interface::S5S8
+                },
                 (i % 168) as u16,
                 0.25 + i as f64 * 0.001,
                 0.05 + i as f64 * 0.0003,
@@ -114,7 +118,14 @@ fn warmed_batch_aggregation_does_not_allocate() {
 
     // Warm every column and the codes scratch to the chunk size.
     fill(&mut batch);
-    aggregate_batch(&mut batch, &classifier, FoldStrategy::Batched, true, &mut dataset, &mut stats);
+    aggregate_batch(
+        &mut batch,
+        &classifier,
+        FoldStrategy::Batched,
+        true,
+        &mut dataset,
+        &mut stats,
+    );
 
     let allocs = allocations_in(|| {
         for _ in 0..50 {
@@ -129,7 +140,10 @@ fn warmed_batch_aggregation_does_not_allocate() {
             );
         }
     });
-    assert_eq!(allocs, 0, "warmed batch fill+fold cycle allocated {allocs} times");
+    assert_eq!(
+        allocs, 0,
+        "warmed batch fill+fold cycle allocated {allocs} times"
+    );
     assert!(stats.sessions as usize == 51 * CHUNK);
     assert!(stats.classified_mb > 0.0 && stats.unclassified_mb > 0.0);
 }

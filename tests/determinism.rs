@@ -11,7 +11,12 @@ use mobilenet::traffic::Direction;
 use mobilenet::{Pipeline, Scale};
 
 fn small(seed: u64) -> Study {
-    Pipeline::builder().scale(Scale::Small).seed(seed).run().unwrap().into_study()
+    Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(seed)
+        .run()
+        .unwrap()
+        .into_study()
 }
 
 #[test]
@@ -27,7 +32,10 @@ fn identical_seeds_give_identical_figures() {
     // Figure 6 byte-for-byte.
     let pa = topical_profiles(&a, Direction::Down, &PeakConfig::paper());
     let pb = topical_profiles(&b, Direction::Down, &PeakConfig::paper());
-    assert_eq!(report::topical_matrix_csv(&pa), report::topical_matrix_csv(&pb));
+    assert_eq!(
+        report::topical_matrix_csv(&pa),
+        report::topical_matrix_csv(&pb)
+    );
     // Figure 5 byte-for-byte (k-shape restarts are seeded).
     let sa = clustering_sweep(&a, Direction::Down, Algorithm::KShape, 2);
     let sb = clustering_sweep(&b, Direction::Down, Algorithm::KShape, 2);
@@ -57,5 +65,8 @@ fn different_seeds_give_different_data_but_the_same_findings() {
 
     let ra = mobilenet::core::ranking::service_ranking(&a, Direction::Down);
     let rb = mobilenet::core::ranking::service_ranking(&b, Direction::Down);
-    assert_eq!(ra.services[0].name, rb.services[0].name, "top service is stable");
+    assert_eq!(
+        ra.services[0].name, rb.services[0].name,
+        "top service is stable"
+    );
 }

@@ -19,7 +19,12 @@ use mobilenet::{Pipeline, Scale};
 fn study() -> &'static Study {
     static S: OnceLock<Study> = OnceLock::new();
     S.get_or_init(|| {
-        Pipeline::builder().scale(Scale::Small).seed(1234).run().unwrap().into_study()
+        Pipeline::builder()
+            .scale(Scale::Small)
+            .seed(1234)
+            .run()
+            .unwrap()
+            .into_study()
     })
 }
 
@@ -167,9 +172,17 @@ fn the_dataset_supports_the_papers_three_headline_claims() {
     //    regime), still clearly positive through the noisy small-scale
     //    measurement pipeline.
     let corr = spatial_correlation(&expected, Direction::Down);
-    assert!(corr.mean_r2 > 0.35, "expected-path mean r² {}", corr.mean_r2);
+    assert!(
+        corr.mean_r2 > 0.35,
+        "expected-path mean r² {}",
+        corr.mean_r2
+    );
     let measured_corr = spatial_correlation(s, Direction::Down);
-    assert!(measured_corr.mean_r2 > 0.08, "measured mean r² {}", measured_corr.mean_r2);
+    assert!(
+        measured_corr.mean_r2 > 0.08,
+        "measured mean r² {}",
+        measured_corr.mean_r2
+    );
 
     // 3. Urbanization: rural volume ratio clearly below urban.
     let urb = urbanization_profiles(s, Direction::Down);

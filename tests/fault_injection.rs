@@ -78,11 +78,20 @@ fn faulted_run_reports_counters_through_stats_and_obs() {
         .unwrap();
 
     let stats = run.collection_stats().expect("measured run has stats");
-    assert!(stats.faults.any(), "degraded plan must register fault events");
-    assert!(stats.faults.lost_outage > 0, "Gn outage window must drop records");
+    assert!(
+        stats.faults.any(),
+        "degraded plan must register fault events"
+    );
+    assert!(
+        stats.faults.lost_outage > 0,
+        "Gn outage window must drop records"
+    );
     assert!(stats.faults.lost_records > 0);
     assert!(stats.faults.duplicated_records > 0);
-    assert!(run.dataset().total(Direction::Down) > 0.0, "degraded ≠ empty");
+    assert!(
+        run.dataset().total(Direction::Down) > 0.0,
+        "degraded ≠ empty"
+    );
 
     let snapshot = run.obs_snapshot();
     for name in [
@@ -107,7 +116,11 @@ fn faulted_run_reports_counters_through_stats_and_obs() {
 
 #[test]
 fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
-    let run = Pipeline::builder().scale(Scale::Small).seed(5).run().unwrap();
+    let run = Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(5)
+        .run()
+        .unwrap();
     let model = run.study().model();
 
     let mut records = Vec::new();
@@ -140,7 +153,10 @@ fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
     // … while the lossy replay skips-and-counts it and still yields a
     // usable dataset.
     let lossy = replay_from(corrupted.as_bytes(), model, &options).expect("header intact");
-    assert!(!lossy.skipped.is_empty(), "5% corruption must hit some lines");
+    assert!(
+        !lossy.skipped.is_empty(),
+        "5% corruption must hit some lines"
+    );
     assert_eq!(lossy.stats.skipped_lines, lossy.skipped.len() as u64);
     assert!(lossy.dataset.total(Direction::Down) > 0.0);
     for e in &lossy.skipped {

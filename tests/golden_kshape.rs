@@ -29,24 +29,110 @@ const RESTARTS: u64 = 3;
 
 /// (k, iterations, assignments) captured from the pre-rewrite kernels.
 const EXPECTED: &[(usize, usize, &[usize])] = &[
-    (2, 2, &[0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1]),
-    (3, 3, &[0, 0, 1, 0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 1, 0, 2, 2, 1, 1]),
-    (4, 4, &[0, 3, 1, 0, 2, 2, 0, 0, 1, 0, 1, 2, 3, 3, 1, 0, 0, 1, 0, 0]),
-    (5, 4, &[3, 4, 1, 0, 2, 2, 0, 0, 1, 0, 2, 3, 4, 4, 1, 0, 1, 1, 0, 1]),
-    (6, 2, &[4, 4, 2, 4, 2, 3, 1, 1, 0, 3, 2, 4, 5, 5, 2, 1, 1, 0, 0, 1]),
-    (7, 1, &[4, 5, 2, 5, 3, 3, 1, 1, 4, 4, 2, 5, 6, 6, 2, 1, 1, 0, 0, 1]),
-    (8, 2, &[1, 0, 5, 4, 2, 5, 1, 1, 5, 1, 5, 6, 0, 4, 3, 7, 1, 5, 1, 4]),
-    (9, 3, &[1, 0, 5, 3, 3, 6, 8, 8, 1, 2, 5, 7, 0, 4, 3, 8, 1, 6, 3, 5]),
-    (10, 2, &[7, 8, 3, 8, 4, 5, 1, 1, 6, 6, 0, 7, 9, 9, 3, 1, 2, 0, 0, 2]),
-    (11, 2, &[2, 0, 6, 1, 3, 7, 1, 1, 2, 2, 7, 8, 0, 5, 4, 10, 9, 7, 4, 6]),
-    (12, 2, &[8, 9, 4, 9, 5, 6, 2, 2, 8, 7, 0, 1, 11, 10, 4, 2, 2, 0, 0, 3]),
-    (13, 2, &[9, 10, 4, 10, 5, 7, 2, 2, 9, 8, 0, 1, 12, 11, 4, 2, 3, 0, 0, 6]),
-    (14, 2, &[9, 11, 4, 8, 6, 7, 2, 2, 1, 9, 5, 10, 13, 12, 5, 2, 3, 0, 0, 3]),
-    (15, 2, &[10, 12, 5, 12, 6, 8, 2, 2, 7, 9, 4, 1, 14, 13, 5, 2, 3, 0, 0, 11]),
-    (16, 2, &[11, 13, 5, 15, 7, 8, 3, 3, 12, 10, 6, 1, 14, 9, 5, 2, 3, 0, 0, 4]),
-    (17, 2, &[13, 14, 5, 16, 7, 9, 3, 3, 11, 10, 2, 12, 15, 8, 6, 3, 4, 0, 0, 1]),
-    (18, 2, &[15, 14, 10, 8, 7, 9, 3, 3, 12, 11, 2, 13, 16, 5, 6, 3, 4, 17, 0, 1]),
-    (19, 2, &[13, 15, 6, 11, 8, 10, 3, 3, 9, 12, 2, 1, 17, 5, 7, 18, 4, 16, 0, 14]),
+    (
+        2,
+        2,
+        &[0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1],
+    ),
+    (
+        3,
+        3,
+        &[0, 0, 1, 0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 1, 0, 2, 2, 1, 1],
+    ),
+    (
+        4,
+        4,
+        &[0, 3, 1, 0, 2, 2, 0, 0, 1, 0, 1, 2, 3, 3, 1, 0, 0, 1, 0, 0],
+    ),
+    (
+        5,
+        4,
+        &[3, 4, 1, 0, 2, 2, 0, 0, 1, 0, 2, 3, 4, 4, 1, 0, 1, 1, 0, 1],
+    ),
+    (
+        6,
+        2,
+        &[4, 4, 2, 4, 2, 3, 1, 1, 0, 3, 2, 4, 5, 5, 2, 1, 1, 0, 0, 1],
+    ),
+    (
+        7,
+        1,
+        &[4, 5, 2, 5, 3, 3, 1, 1, 4, 4, 2, 5, 6, 6, 2, 1, 1, 0, 0, 1],
+    ),
+    (
+        8,
+        2,
+        &[1, 0, 5, 4, 2, 5, 1, 1, 5, 1, 5, 6, 0, 4, 3, 7, 1, 5, 1, 4],
+    ),
+    (
+        9,
+        3,
+        &[1, 0, 5, 3, 3, 6, 8, 8, 1, 2, 5, 7, 0, 4, 3, 8, 1, 6, 3, 5],
+    ),
+    (
+        10,
+        2,
+        &[7, 8, 3, 8, 4, 5, 1, 1, 6, 6, 0, 7, 9, 9, 3, 1, 2, 0, 0, 2],
+    ),
+    (
+        11,
+        2,
+        &[2, 0, 6, 1, 3, 7, 1, 1, 2, 2, 7, 8, 0, 5, 4, 10, 9, 7, 4, 6],
+    ),
+    (
+        12,
+        2,
+        &[8, 9, 4, 9, 5, 6, 2, 2, 8, 7, 0, 1, 11, 10, 4, 2, 2, 0, 0, 3],
+    ),
+    (
+        13,
+        2,
+        &[
+            9, 10, 4, 10, 5, 7, 2, 2, 9, 8, 0, 1, 12, 11, 4, 2, 3, 0, 0, 6,
+        ],
+    ),
+    (
+        14,
+        2,
+        &[
+            9, 11, 4, 8, 6, 7, 2, 2, 1, 9, 5, 10, 13, 12, 5, 2, 3, 0, 0, 3,
+        ],
+    ),
+    (
+        15,
+        2,
+        &[
+            10, 12, 5, 12, 6, 8, 2, 2, 7, 9, 4, 1, 14, 13, 5, 2, 3, 0, 0, 11,
+        ],
+    ),
+    (
+        16,
+        2,
+        &[
+            11, 13, 5, 15, 7, 8, 3, 3, 12, 10, 6, 1, 14, 9, 5, 2, 3, 0, 0, 4,
+        ],
+    ),
+    (
+        17,
+        2,
+        &[
+            13, 14, 5, 16, 7, 9, 3, 3, 11, 10, 2, 12, 15, 8, 6, 3, 4, 0, 0, 1,
+        ],
+    ),
+    (
+        18,
+        2,
+        &[
+            15, 14, 10, 8, 7, 9, 3, 3, 12, 11, 2, 13, 16, 5, 6, 3, 4, 17, 0, 1,
+        ],
+    ),
+    (
+        19,
+        2,
+        &[
+            13, 15, 6, 11, 8, 10, 3, 3, 9, 12, 2, 1, 17, 5, 7, 18, 4, 16, 0, 14,
+        ],
+    ),
 ];
 
 /// FNV-1a over every centroid bit and score bit of the whole sweep.
@@ -79,8 +165,12 @@ fn bits_digest(sweep: &ClusteringSweep) -> u64 {
 
 fn sweep_at(threads: usize) -> ClusteringSweep {
     set_thread_override(Some(threads));
-    let study =
-        Pipeline::builder().scale(Scale::Small).seed(SEED).run().unwrap().into_study();
+    let study = Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(SEED)
+        .run()
+        .unwrap()
+        .into_study();
     clustering_sweep(&study, Direction::Down, Algorithm::KShape, RESTARTS)
 }
 
@@ -95,7 +185,10 @@ fn kshape_sweep_matches_golden_fixture_at_1_2_and_8_threads() {
         assert_eq!(p.k, k);
         assert_eq!(p.clustering.iterations, iters, "iterations at k={k}");
         assert!(p.clustering.converged, "k={k} did not converge");
-        assert_eq!(p.clustering.assignments, assignments, "assignments at k={k}");
+        assert_eq!(
+            p.clustering.assignments, assignments,
+            "assignments at k={k}"
+        );
     }
     assert_eq!(
         bits_digest(&reference),
@@ -112,7 +205,12 @@ fn kshape_sweep_matches_golden_fixture_at_1_2_and_8_threads() {
         for (a, b) in run.points.iter().zip(reference.points.iter()) {
             assert_eq!(a.clustering.assignments, b.clustering.assignments);
             assert_eq!(a.clustering.iterations, b.clustering.iterations);
-            for (ca, cb) in a.clustering.centroids.iter().zip(b.clustering.centroids.iter()) {
+            for (ca, cb) in a
+                .clustering
+                .centroids
+                .iter()
+                .zip(b.clustering.centroids.iter())
+            {
                 for (x, y) in ca.iter().zip(cb.iter()) {
                     assert_eq!(
                         x.to_bits(),
@@ -128,7 +226,11 @@ fn kshape_sweep_matches_golden_fixture_at_1_2_and_8_threads() {
                 (a.scores.dunn, b.scores.dunn),
                 (a.scores.silhouette, b.scores.silhouette),
             ] {
-                assert_eq!(x.to_bits(), y.to_bits(), "score bits differ at {threads} threads");
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "score bits differ at {threads} threads"
+                );
             }
         }
     }

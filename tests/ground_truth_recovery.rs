@@ -35,7 +35,12 @@ fn expected() -> &'static Study {
 fn measured() -> &'static Study {
     static S: OnceLock<Study> = OnceLock::new();
     S.get_or_init(|| {
-        Pipeline::builder().scale(Scale::Small).seed(99).run().unwrap().into_study()
+        Pipeline::builder()
+            .scale(Scale::Small)
+            .seed(99)
+            .run()
+            .unwrap()
+            .into_study()
     })
 }
 

@@ -75,7 +75,10 @@ fn complete_snapshots_are_bit_identical_to_batch_collection() {
             assert_eq!(snap.stats.sessions, reference_stats.sessions);
             assert_eq!(snap.stats.gn_records, reference_stats.gn_records);
             assert_eq!(snap.stats.s5s8_records, reference_stats.s5s8_records);
-            assert_eq!(snap.stats.faults.lost_total(), reference_stats.faults.lost_total());
+            assert_eq!(
+                snap.stats.faults.lost_total(),
+                reference_stats.faults.lost_total()
+            );
             let label = format!("{threads} threads, faults active: {}", !faults.is_none());
             common::assert_same_stats(&snap.stats, &reference_stats, &label);
             assert_eq!(snap.ingest.records, ingest.records);
@@ -98,8 +101,14 @@ fn mid_stream_snapshots_are_monotone_and_converge() {
     while !state.complete() {
         let snap = state.snapshot();
         assert!(snap.version >= last_version, "version went backwards");
-        assert!(snap.watermark_hour >= last_watermark, "watermark went backwards");
-        assert!(snap.stats.sessions >= last_sessions, "folded sessions went backwards");
+        assert!(
+            snap.watermark_hour >= last_watermark,
+            "watermark went backwards"
+        );
+        assert!(
+            snap.stats.sessions >= last_sessions,
+            "folded sessions went backwards"
+        );
         if !snap.complete {
             observed_partial = true;
         }
@@ -107,13 +116,19 @@ fn mid_stream_snapshots_are_monotone_and_converge() {
         last_watermark = snap.watermark_hour;
         last_sessions = snap.stats.sessions;
     }
-    ingest.join().expect("ingestion thread").expect("live ingestion succeeds");
+    ingest
+        .join()
+        .expect("ingestion thread")
+        .expect("live ingestion succeeds");
 
     let final_snap = state.snapshot();
     assert!(final_snap.complete);
     assert!(final_snap.version >= last_version);
     assert!(final_snap.watermark_hour == mobilenet::traffic::HOURS_PER_WEEK);
-    assert!(final_snap.dataset.to_csv() == reference_csv, "live result converges to batch");
+    assert!(
+        final_snap.dataset.to_csv() == reference_csv,
+        "live result converges to batch"
+    );
     // The whole point of querying mid-stream: at least one snapshot must
     // have been taken before completion (small scale still folds many
     // chunks, so the polling loop always lands inside the run).
@@ -122,14 +137,20 @@ fn mid_stream_snapshots_are_monotone_and_converge() {
     // the same Arc, not a recomputed merge. The ingest thread has been
     // joined, so the version cannot have moved.
     let again = state.snapshot();
-    assert!(std::sync::Arc::ptr_eq(&final_snap, &again), "cached snapshot was rebuilt");
+    assert!(
+        std::sync::Arc::ptr_eq(&final_snap, &again),
+        "cached snapshot was rebuilt"
+    );
 }
 
 /// FNV-1a over a dataset's CSV export.
 fn digest(dataset: &mobilenet::traffic::TrafficDataset) -> u64 {
-    dataset.to_csv().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    dataset
+        .to_csv()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[test]
@@ -165,14 +186,24 @@ fn back_to_back_snapshots_during_ingest_end_equal_to_batch_and_spare_held_ones()
                     held = Some((snap, print));
                 }
             }
-            ingest.join().expect("ingestion thread").expect("live ingestion succeeds");
+            ingest
+                .join()
+                .expect("ingestion thread")
+                .expect("live ingestion succeeds");
             let last = state.snapshot();
             assert!(last.complete, "{label}");
-            assert!(last.dataset.to_csv() == reference, "live differs from batch, {label}");
+            assert!(
+                last.dataset.to_csv() == reference,
+                "live differs from batch, {label}"
+            );
             let (held, print) = held.expect("a snapshot was taken mid-ingest");
             assert!(builds > 1, "{label}");
             assert!(!Arc::ptr_eq(&held, &last), "{label}");
-            assert_eq!(digest(&held.dataset), print, "a held snapshot was written, {label}");
+            assert_eq!(
+                digest(&held.dataset),
+                print,
+                "a held snapshot was written, {label}"
+            );
         }
     }
     set_thread_override(None);
@@ -198,10 +229,16 @@ fn concurrent_snapshots_at_one_version_share_one_build() {
                     })
                 })
                 .collect();
-            readers.into_iter().map(|r| r.join().expect("reader thread")).collect()
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader thread"))
+                .collect()
         });
         for snap in &snaps[1..] {
-            assert!(Arc::ptr_eq(&snaps[0], snap), "{phase}: a second build at one version");
+            assert!(
+                Arc::ptr_eq(&snaps[0], snap),
+                "{phase}: a second build at one version"
+            );
         }
         assert_eq!(snaps[0].version, state.version(), "{phase}");
     }
@@ -258,15 +295,14 @@ fn server_answers_concurrent_clients_during_ingestion() {
                 let mut writer = stream;
                 let mut rounds = 0u32;
                 while !(state.complete() && rounds >= 3) {
-                    let rank = request(&mut reader, &mut writer, "RANK dl 5")
-                        .expect("ranking answers");
+                    let rank =
+                        request(&mut reader, &mut writer, "RANK dl 5").expect("ranking answers");
                     assert!(rank.len() <= 5);
-                    let watermark = request(&mut reader, &mut writer, "WATERMARK")
-                        .expect("watermark answers");
+                    let watermark =
+                        request(&mut reader, &mut writer, "WATERMARK").expect("watermark answers");
                     assert_eq!(watermark.len(), 1);
                     assert!(watermark[0].starts_with("hour "));
-                    let stats =
-                        request(&mut reader, &mut writer, "STATS").expect("stats answers");
+                    let stats = request(&mut reader, &mut writer, "STATS").expect("stats answers");
                     assert!(stats.iter().any(|l| l.starts_with("records ")));
                     if client == 0 {
                         let health =
@@ -289,7 +325,10 @@ fn server_answers_concurrent_clients_during_ingestion() {
     for c in clients {
         c.join().expect("client thread");
     }
-    ingest.join().expect("ingestion thread").expect("live ingestion succeeds");
+    ingest
+        .join()
+        .expect("ingestion thread")
+        .expect("live ingestion succeeds");
 
     // Post-ingest, the wire-format dataset is exactly the batch CSV.
     let stream = TcpStream::connect(addr).expect("connect");
@@ -298,7 +337,10 @@ fn server_answers_concurrent_clients_during_ingestion() {
     let body = request(&mut reader, &mut writer, "DATASET").expect("dataset answers");
     let mut wire = body.join("\n");
     wire.push('\n');
-    assert!(wire == reference_csv, "DATASET response is the batch export");
+    assert!(
+        wire == reference_csv,
+        "DATASET response is the batch export"
+    );
     let watermark = request(&mut reader, &mut writer, "WATERMARK").expect("watermark");
     assert!(watermark[0].contains("complete true"));
 
@@ -329,11 +371,15 @@ fn protocol_edges_err_and_never_panic() {
     // themselves are fine.
     let err = request(&mut reader, &mut writer, "RANK dl 0").expect_err("k=0 is rejected");
     assert!(err.contains("at least 1"), "unexpected message {err:?}");
-    let err = request(&mut reader, &mut writer, &format!("RANK dl {}", head_len + 1))
-        .expect_err("k>n is rejected");
+    let err = request(
+        &mut reader,
+        &mut writer,
+        &format!("RANK dl {}", head_len + 1),
+    )
+    .expect_err("k>n is rejected");
     assert!(err.contains("out of range"), "unexpected message {err:?}");
-    let full = request(&mut reader, &mut writer, &format!("RANK dl {head_len}"))
-        .expect("k=n answers");
+    let full =
+        request(&mut reader, &mut writer, &format!("RANK dl {head_len}")).expect("k=n answers");
     assert_eq!(full.len(), head_len);
     // An absurd k parses as usize but is out of range; a non-numeric k
     // fails the parse. Both are ERRs, not panics.
@@ -345,7 +391,12 @@ fn protocol_edges_err_and_never_panic() {
     let err = request(&mut reader, &mut writer, &format!("SERIES dl {head_len}"))
         .expect_err("service>=n is rejected");
     assert!(err.contains("out of range"), "unexpected message {err:?}");
-    assert!(request(&mut reader, &mut writer, &format!("SERIES dl {}", head_len - 1)).is_ok());
+    assert!(request(
+        &mut reader,
+        &mut writer,
+        &format!("SERIES dl {}", head_len - 1)
+    )
+    .is_ok());
 
     // A no-newline flood far past the line cap: the server drains it,
     // answers one ERR, and the connection keeps working.
@@ -355,7 +406,10 @@ fn protocol_edges_err_and_never_panic() {
     writer.flush().expect("flush flood");
     let mut head = String::new();
     reader.read_line(&mut head).expect("flood response");
-    assert!(head.starts_with("ERR line too long"), "unexpected response {head:?}");
+    assert!(
+        head.starts_with("ERR line too long"),
+        "unexpected response {head:?}"
+    );
     let watermark =
         request(&mut reader, &mut writer, "WATERMARK").expect("connection survives the flood");
     assert!(watermark[0].contains("complete true"));
@@ -376,14 +430,16 @@ fn shutdown_disconnects_idle_clients() {
     // of a connection pinned forever.
     let state = live_state(FaultPlan::none(), DEFAULT_SEED);
     state.run_ingestion().expect("live ingestion succeeds");
-    let mut server =
-        mobilenet::spawn_server(state, "127.0.0.1:0").expect("bind ephemeral port");
+    let mut server = mobilenet::spawn_server(state, "127.0.0.1:0").expect("bind ephemeral port");
     let idle = TcpStream::connect(server.addr()).expect("connect");
-    idle.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    idle.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
     // Give the accept loop a moment to hand the connection off.
     let mut probe = BufReader::new(idle.try_clone().expect("clone"));
     server.shutdown();
     let mut line = String::new();
-    let n = probe.read_line(&mut line).expect("idle client sees EOF, not a timeout");
+    let n = probe
+        .read_line(&mut line)
+        .expect("idle client sees EOF, not a timeout");
     assert_eq!(n, 0, "server closed the idle connection after shutdown");
 }

@@ -100,7 +100,10 @@ fn national_smoke() {
         // end of the measurement week.
         let frontier = frontiers[i].load(Ordering::Relaxed);
         assert_eq!(frontier, 168, "shard {shard} never reached hour 168");
-        assert!(shard_stats[i].sessions > 0, "shard {shard} produced no sessions");
+        assert!(
+            shard_stats[i].sessions > 0,
+            "shard {shard} produced no sessions"
+        );
         assert!(
             shard_stats[i].sampled_errors_km.len() < ERROR_SAMPLE_CAP,
             "shard {shard} reservoir broke its cap"
@@ -143,19 +146,33 @@ fn sampled_exports_are_identical_at_any_thread_count() {
     // the process-global override is never raced by a sibling test.
     set_thread_override(Some(1));
     let reference = {
-        let run = Pipeline::builder().scale(Scale::Small).seed(DEFAULT_SEED).run().unwrap();
+        let run = Pipeline::builder()
+            .scale(Scale::Small)
+            .seed(DEFAULT_SEED)
+            .run()
+            .unwrap();
         let study = run.into_study();
         let conc = concentration(&study, 0);
-        assert!(conc.dl_curve.len() > 64, "study too small to engage sampling");
+        assert!(
+            conc.dl_curve.len() > 64,
+            "study too small to engage sampling"
+        );
         report::concentration_csv_sampled(&conc, 64, DEFAULT_SEED)
     };
     assert!(reference.contains("# sampled max_points_per_section=64"));
     for threads in [2usize, 8] {
         set_thread_override(Some(threads));
-        let run = Pipeline::builder().scale(Scale::Small).seed(DEFAULT_SEED).run().unwrap();
+        let run = Pipeline::builder()
+            .scale(Scale::Small)
+            .seed(DEFAULT_SEED)
+            .run()
+            .unwrap();
         let study = run.into_study();
         let csv = report::concentration_csv_sampled(&concentration(&study, 0), 64, DEFAULT_SEED);
-        assert_eq!(csv, reference, "sampled export differs at {threads} threads");
+        assert_eq!(
+            csv, reference,
+            "sampled export differs at {threads} threads"
+        );
     }
     set_thread_override(None);
 }

@@ -19,7 +19,12 @@ fn run(threads: usize, observing: bool) -> (String, obs::Snapshot) {
     set_thread_override(Some(threads));
     obs::set_enabled(Some(observing));
     obs::reset();
-    let study = Pipeline::builder().scale(Scale::Small).seed(314).run().unwrap().into_study();
+    let study = Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(314)
+        .run()
+        .unwrap()
+        .into_study();
     // One parallel analysis so the `core.*` probes are exercised too.
     let corr = spatial_correlation(&study, Direction::Down);
     assert!(corr.mean_r2.is_finite());
@@ -34,7 +39,10 @@ fn instrumentation_is_invisible_and_count_exact() {
     assert!(clean_snap.is_empty(), "disabled obs must record nothing");
 
     let (csv, reference) = run(2, true);
-    assert_eq!(csv, clean_csv, "instrumented run diverged from uninstrumented run");
+    assert_eq!(
+        csv, clean_csv,
+        "instrumented run diverged from uninstrumented run"
+    );
 
     // Count-exactness across worker counts.
     for threads in [1usize, 8] {
@@ -60,7 +68,9 @@ fn instrumentation_is_invisible_and_count_exact() {
     ] {
         assert!(reference.span(span).is_some(), "span {span:?} missing");
     }
-    let sessions = reference.counter("traffic.sessions").expect("traffic.sessions");
+    let sessions = reference
+        .counter("traffic.sessions")
+        .expect("traffic.sessions");
     assert!(sessions > 1_000);
     // Every generated session passes through the measurement pipeline.
     assert_eq!(reference.counter("netsim.sessions"), Some(sessions));
@@ -68,8 +78,13 @@ fn instrumentation_is_invisible_and_count_exact() {
     // 20 head services → 190 unordered pairs in the r² matrix.
     assert_eq!(reference.counter("core.r2_pairs"), Some(190));
     // Total parallel items are scheduling-independent.
-    assert_eq!(reference.counter("par.items"), reference.counter("par.worker_items"));
-    let uli = reference.histogram("netsim.uli_error_km").expect("ULI histogram");
+    assert_eq!(
+        reference.counter("par.items"),
+        reference.counter("par.worker_items")
+    );
+    let uli = reference
+        .histogram("netsim.uli_error_km")
+        .expect("ULI histogram");
     assert!(uli.count > 0);
 
     set_thread_override(None);

@@ -21,7 +21,12 @@ fn all_paper_claims_hold_at_figure_scale() {
     let failures: Vec<String> = claims
         .iter()
         .filter(|c| !c.pass())
-        .map(|c| format!("{}: measured {:.3} outside [{}, {}]", c.id, c.measured, c.band.0, c.band.1))
+        .map(|c| {
+            format!(
+                "{}: measured {:.3} outside [{}, {}]",
+                c.id, c.measured, c.band.0, c.band.1
+            )
+        })
         .collect();
     assert!(
         failures.is_empty(),

@@ -5,11 +5,11 @@
 //! sharded with per-shard RNG streams (`seed_for`) and results are merged
 //! in submission order, so thread count is invisible in every artifact.
 
+use mobilenet::core::peaks::PeakConfig;
 use mobilenet::core::report;
 use mobilenet::core::spatial::spatial_correlation;
 use mobilenet::core::temporal::{clustering_sweep, Algorithm};
 use mobilenet::core::topical::topical_profiles;
-use mobilenet::core::peaks::PeakConfig;
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::Direction;
 use mobilenet::{Pipeline, Scale, DEFAULT_SEED};
@@ -25,8 +25,12 @@ struct Snapshot {
 }
 
 fn snapshot() -> Snapshot {
-    let study =
-        Pipeline::builder().scale(Scale::Small).seed(SEED).run().unwrap().into_study();
+    let study = Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(SEED)
+        .run()
+        .unwrap()
+        .into_study();
     let sweep = clustering_sweep(&study, Direction::Down, Algorithm::KShape, 3);
     let corr = spatial_correlation(&study, Direction::Down);
     let profiles = topical_profiles(&study, Direction::Down, &PeakConfig::paper());

@@ -9,11 +9,11 @@ use mobilenet::timeseries::norm::{min_max_normalize, to_shares, z_normalize};
 use mobilenet::timeseries::sbd::{
     ncc_c, shape_based_distance, shift_series, SbdEngine, SbdScratch,
 };
-use mobilenet::timeseries::Complex;
 use mobilenet::timeseries::stats::{
     concentration_curve, linear_fit, pearson_r, quantile, r_squared, share_of_top, Ecdf,
 };
 use mobilenet::timeseries::zipf::{fit_zipf, zipf_weights};
+use mobilenet::timeseries::Complex;
 
 fn finite_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len)
@@ -96,7 +96,9 @@ fn naive_cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
             let lag = lag_of(k, y.len());
             let pairs = y.iter().enumerate().filter_map(|(i, &yv)| {
                 let xi = i as isize + lag;
-                (0..x.len() as isize).contains(&xi).then(|| x[xi as usize] * yv)
+                (0..x.len() as isize)
+                    .contains(&xi)
+                    .then(|| x[xi as usize] * yv)
             });
             pairs.fold(0.0, |acc, v| acc + v)
         })
@@ -123,7 +125,12 @@ fn oneshot_cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
     (0..x.len() + y.len() - 1)
         .map(|k| {
             let lag = lag_of(k, y.len());
-            fx[if lag >= 0 { lag as usize } else { n - lag.unsigned_abs() }].re
+            fx[if lag >= 0 {
+                lag as usize
+            } else {
+                n - lag.unsigned_abs()
+            }]
+            .re
         })
         .collect()
 }

@@ -49,10 +49,11 @@ fn serve_studies(
     let config = Scale::Small.config().with_faults(faults.clone());
     for (name, seed) in studies {
         let state = LiveState::from_config(&config, *seed).expect("valid config");
-        registry.register_state(name, "small", state, 1).expect("registration succeeds");
+        registry
+            .register_state(name, "small", state, 1)
+            .expect("registration succeeds");
     }
-    let server =
-        mobilenet::spawn_registry_server(registry.clone(), "127.0.0.1:0").expect("bind");
+    let server = mobilenet::spawn_registry_server(registry.clone(), "127.0.0.1:0").expect("bind");
     (registry, server)
 }
 
@@ -71,7 +72,10 @@ fn wait_complete(client: &mut Client) {
 fn studies_never_mix_across_use_switches() {
     let (registry, mut server) = serve_studies(&[("alpha", 11), ("beta", 23)], &FaultPlan::none());
     let addr = server.addr().to_string();
-    for entry in [registry.get("alpha").unwrap(), registry.get("beta").unwrap()] {
+    for entry in [
+        registry.get("alpha").unwrap(),
+        registry.get("beta").unwrap(),
+    ] {
         registry.start(&entry).expect("ingestion starts");
     }
 
@@ -79,7 +83,10 @@ fn studies_never_mix_across_use_switches() {
     let hello = client.hello().expect("hello answers");
     assert_eq!(hello.version, PROTOCOL_VERSION);
     assert_eq!(hello.studies, 2);
-    assert!(hello.capabilities.iter().any(|c| c == "SUBSCRIBE"), "caps: {hello:?}");
+    assert!(
+        hello.capabilities.iter().any(|c| c == "SUBSCRIBE"),
+        "caps: {hello:?}"
+    );
 
     let listed = client.list().expect("list answers");
     assert_eq!(listed.len(), 2);
@@ -98,13 +105,18 @@ fn studies_never_mix_across_use_switches() {
 
     let reference_alpha = batch_csv(FaultPlan::none(), 11);
     let reference_beta = batch_csv(FaultPlan::none(), 23);
-    assert!(reference_alpha != reference_beta, "seeds must differ for isolation to mean anything");
+    assert!(
+        reference_alpha != reference_beta,
+        "seeds must differ for isolation to mean anything"
+    );
 
     // Switch back and forth on ONE connection: each DATASET must be the
     // USE'd study's own batch export, never the other's.
-    for (study, reference) in
-        [("alpha", &reference_alpha), ("beta", &reference_beta), ("alpha", &reference_alpha)]
-    {
+    for (study, reference) in [
+        ("alpha", &reference_alpha),
+        ("beta", &reference_beta),
+        ("alpha", &reference_alpha),
+    ] {
         let info = client.use_study(study).expect("use answers");
         assert_eq!(info.name, study);
         wait_complete(&mut client);
@@ -129,7 +141,9 @@ fn assert_delta_replay_matches_poll(faults: &FaultPlan, threads: usize) {
     let mut client = Client::connect(&addr).expect("connect");
     // Subscribe BEFORE ingestion starts: the stream must cover the whole
     // run and terminate itself at completion.
-    let subscription = client.subscribe(vec![Topic::Rank, Topic::Watermark]).expect("subscribe");
+    let subscription = client
+        .subscribe(vec![Topic::Rank, Topic::Watermark])
+        .expect("subscribe");
     let entry = registry.get("solo").unwrap();
 
     let registry_start = registry.clone();
@@ -154,8 +168,7 @@ fn assert_delta_replay_matches_poll(faults: &FaultPlan, threads: usize) {
                     mobilenet::traffic::Direction::Down => 0,
                     mobilenet::traffic::Direction::Up => 1,
                 };
-                last_rank[slot] =
-                    Some(entries.iter().map(|e| e.protocol_line()).collect());
+                last_rank[slot] = Some(entries.iter().map(|e| e.protocol_line()).collect());
             }
             DeltaEvent::End { .. } => saw_end = true,
             _ => {}
@@ -202,7 +215,12 @@ fn subscribing_after_completion_yields_baseline_and_end() {
     wait_complete(&mut client);
 
     let events: Vec<_> = client
-        .subscribe(vec![Topic::Watermark, Topic::Version, Topic::Rank, Topic::Autocorr])
+        .subscribe(vec![
+            Topic::Watermark,
+            Topic::Version,
+            Topic::Rank,
+            Topic::Autocorr,
+        ])
         .expect("subscribe")
         .map(|item| item.expect("well-formed event").1)
         .collect();
@@ -213,13 +231,18 @@ fn subscribing_after_completion_yields_baseline_and_end() {
     let weeks_complete = events
         .iter()
         .any(|e| matches!(e, DeltaEvent::Watermark { complete: true, .. }));
-    assert!(weeks_complete, "baseline carries the completed watermark: {events:?}");
+    assert!(
+        weeks_complete,
+        "baseline carries the completed watermark: {events:?}"
+    );
     assert!(
         events.iter().any(|e| matches!(e, DeltaEvent::Rank { .. })),
         "baseline carries the final rankings: {events:?}"
     );
     assert!(
-        events.iter().any(|e| matches!(e, DeltaEvent::Autocorr { lag: 24, .. })),
+        events
+            .iter()
+            .any(|e| matches!(e, DeltaEvent::Autocorr { lag: 24, .. })),
         "baseline carries the hour-lag autocorrelation: {events:?}"
     );
 

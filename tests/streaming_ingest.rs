@@ -38,7 +38,10 @@ use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
 
 /// One pipeline run: dataset CSV, collection stats and ingest stats.
 fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> mobilenet::Run {
-    let mut builder = Pipeline::builder().scale(Scale::Small).seed(seed).faults(faults);
+    let mut builder = Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(seed)
+        .faults(faults);
     if let Some(n) = chunk_size {
         builder = builder.chunk_size(n);
     }
@@ -64,8 +67,20 @@ fn fold_rows(
         match classifier.classify(record.signature) {
             ServiceLabel::Head(s) => {
                 st.classified_mb += record.dl_mb + record.ul_mb;
-                ds.add(Direction::Down, s as usize, record.commune, hour, record.dl_mb);
-                ds.add(Direction::Up, s as usize, record.commune, hour, record.ul_mb);
+                ds.add(
+                    Direction::Down,
+                    s as usize,
+                    record.commune,
+                    hour,
+                    record.dl_mb,
+                );
+                ds.add(
+                    Direction::Up,
+                    s as usize,
+                    record.commune,
+                    hour,
+                    record.ul_mb,
+                );
             }
             ServiceLabel::Tail(t) => {
                 st.classified_mb += record.dl_mb + record.ul_mb;
@@ -166,7 +181,10 @@ fn degraded_streaming_matches_degraded_materialized() {
     let reference = run(FaultPlan::degraded(3), None, DEFAULT_SEED);
     let reference_csv = reference.dataset().to_csv();
     let reference_faults = reference.collection_stats().expect("measured").faults;
-    assert!(reference_faults.any(), "degraded plan must register fault events");
+    assert!(
+        reference_faults.any(),
+        "degraded plan must register fault events"
+    );
 
     for threads in [1usize, 2, 8] {
         set_thread_override(Some(threads));
@@ -210,7 +228,10 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
             for fold in ["batched", "row-at-a-time"] {
                 let (csv, stats) = if fold == "batched" {
                     let out = run(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
-                    (out.dataset().to_csv(), out.collection_stats().expect("measured").clone())
+                    (
+                        out.dataset().to_csv(),
+                        out.collection_stats().expect("measured").clone(),
+                    )
                 } else {
                     let out = row_oracle(FaultPlan::degraded(3), Some(chunk), DEFAULT_SEED);
                     (out.dataset.to_csv(), out.stats)
@@ -222,7 +243,10 @@ fn batched_fold_matches_row_at_a_time_reference_under_faults() {
                 assert_eq!(stats.sessions, reference_stats.sessions);
                 assert_eq!(stats.gn_records, reference_stats.gn_records);
                 assert_eq!(stats.s5s8_records, reference_stats.s5s8_records);
-                assert_eq!(stats.misassigned_sessions, reference_stats.misassigned_sessions);
+                assert_eq!(
+                    stats.misassigned_sessions,
+                    reference_stats.misassigned_sessions
+                );
                 assert_eq!(stats.stale_fixes, reference_stats.stale_fixes);
                 assert_eq!(
                     stats.classified_mb.to_bits(),
@@ -269,7 +293,10 @@ fn mid_ingest_merges_match_a_dense_sum_of_the_locked_partials() {
     // every partial in shard order — the dense merge the row-sparse one
     // must reproduce bit for bit.
     const EVERY: usize = 32;
-    let plans = [("fault-free", FaultPlan::none()), ("degraded", FaultPlan::degraded(3))];
+    let plans = [
+        ("fault-free", FaultPlan::none()),
+        ("degraded", FaultPlan::degraded(3)),
+    ];
     for (plan, faults) in plans {
         let config = StudyConfig::small().with_faults(faults).with_chunk_size(97);
         let model = config.demand_model(DEFAULT_SEED);
@@ -278,13 +305,18 @@ fn mid_ingest_merges_match_a_dense_sum_of_the_locked_partials() {
         let source = capture.source(&model, &options, DEFAULT_SEED);
         // A merge of no partials is the model's tail fill over empty
         // tables: what every merge adds after the dense sum.
-        let (empty, ()) = ShardedFold::new(&model, 0, 1).merge(|_| ()).expect("no partials");
+        let (empty, ()) = ShardedFold::new(&model, 0, 1)
+            .merge(|_| ())
+            .expect("no partials");
         let tail = cells(&empty.dataset);
         for threads in [1usize, 2] {
             set_thread_override(Some(threads));
             let engine = ShardedFold::new(&model, source.shards(), options.chunk_size);
-            let (batches, merges, mismatches) =
-                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let (batches, merges, mismatches) = (
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+            );
             let merge_and_check = || {
                 let (out, dense) = engine
                     .merge(|partials| {
@@ -325,8 +357,15 @@ fn mid_ingest_merges_match_a_dense_sum_of_the_locked_partials() {
                 .expect("synthetic shards stream");
             merge_and_check();
             let label = format!("{plan} at {threads} threads");
-            assert!(merges.load(Ordering::Relaxed) > 10, "too few mid-ingest merges, {label}");
-            assert_eq!(mismatches.load(Ordering::Relaxed), 0, "merge diverged, {label}");
+            assert!(
+                merges.load(Ordering::Relaxed) > 10,
+                "too few mid-ingest merges, {label}"
+            );
+            assert_eq!(
+                mismatches.load(Ordering::Relaxed),
+                0,
+                "merge diverged, {label}"
+            );
         }
     }
     set_thread_override(None);
@@ -363,7 +402,10 @@ fn engine_merges_match_add_merges_byte_for_byte() {
     // its captured stream, one and a half chunks long, so a shard's
     // second batch writes rows an earlier merge still shares, while the
     // comparisons stay few.
-    let plans = [("fault-free", FaultPlan::none()), ("degraded", FaultPlan::degraded(3))];
+    let plans = [
+        ("fault-free", FaultPlan::none()),
+        ("degraded", FaultPlan::degraded(3)),
+    ];
     set_thread_override(Some(1));
     for (plan, faults) in plans {
         let config = StudyConfig::small().with_faults(faults);
@@ -371,8 +413,9 @@ fn engine_merges_match_add_merges_byte_for_byte() {
         let options = config.collect_options();
         let capture = Capture::build(&model, &config.netsim, DEFAULT_SEED).expect("valid config");
         let source = capture.source(&model, &options, DEFAULT_SEED);
-        let captured: Vec<Mutex<Vec<SessionRecord>>> =
-            (0..source.shards()).map(|_| Mutex::new(Vec::new())).collect();
+        let captured: Vec<Mutex<Vec<SessionRecord>>> = (0..source.shards())
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
         ShardedFold::new(&model, source.shards(), options.chunk_size)
             .run(
                 &source,
@@ -384,13 +427,18 @@ fn engine_merges_match_add_merges_byte_for_byte() {
                 |_, _| {},
             )
             .expect("synthetic shards stream");
-        let captured: Vec<Vec<SessionRecord>> =
-            captured.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        let captured: Vec<Vec<SessionRecord>> = captured
+            .into_iter()
+            .map(|m| m.into_inner().unwrap())
+            .collect();
 
         for chunk in [1usize, 97, 8192] {
             let prefix = chunk + chunk.div_ceil(2);
             let replay = ShardRecords(
-                captured.iter().map(|r| r[..r.len().min(prefix)].to_vec()).collect(),
+                captured
+                    .iter()
+                    .map(|r| r[..r.len().min(prefix)].to_vec())
+                    .collect(),
             );
             let engine = ShardedFold::new(&model, replay.shards(), chunk);
             let catalog = model.catalog();
@@ -411,7 +459,9 @@ fn engine_merges_match_add_merges_byte_for_byte() {
                         let mut added = empty.clone();
                         let mut stats = CollectionStats::default();
                         for partial in partials {
-                            added.merge(&partial.dataset).expect("partials share one shape");
+                            added
+                                .merge(&partial.dataset)
+                                .expect("partials share one shape");
                             stats.merge(&partial.stats);
                         }
                         (added, stats)
@@ -423,7 +473,11 @@ fn engine_merges_match_add_merges_byte_for_byte() {
                     "{plan}, chunk {chunk}: the engine merge differs from an add merge {when}"
                 );
                 let stats = &out.stats;
-                assert_eq!(format!("{stats:?}"), format!("{added_stats:?}"), "{plan} {when}");
+                assert_eq!(
+                    format!("{stats:?}"),
+                    format!("{added_stats:?}"),
+                    "{plan} {when}"
+                );
                 *held.lock().unwrap() = Some(out.dataset);
                 checks.fetch_add(1, Ordering::Relaxed);
             };
@@ -441,8 +495,16 @@ fn engine_merges_match_add_merges_byte_for_byte() {
             check("after the run");
             engine.reset(|| ());
             check("after a reset");
-            let batches = replay.0.iter().map(|r| r.len().div_ceil(chunk)).sum::<usize>();
-            assert_eq!(checks.load(Ordering::Relaxed), batches + 2, "{plan}, chunk {chunk}");
+            let batches = replay
+                .0
+                .iter()
+                .map(|r| r.len().div_ceil(chunk))
+                .sum::<usize>();
+            assert_eq!(
+                checks.load(Ordering::Relaxed),
+                batches + 2,
+                "{plan}, chunk {chunk}"
+            );
         }
     }
     set_thread_override(None);
@@ -519,14 +581,20 @@ fn virtual_records_past_u32_max_do_not_wrap_any_counter() {
     // every diagnostic must stay exact.
     let merged = out.stats;
     assert_eq!(merged.sessions, 3 * VIRTUAL_SESSIONS);
-    assert_eq!(merged.gn_records + merged.s5s8_records, 3 * VIRTUAL_SESSIONS);
+    assert_eq!(
+        merged.gn_records + merged.s5s8_records,
+        3 * VIRTUAL_SESSIONS
+    );
     assert!(merged.sessions > u32::MAX as u64);
     assert!(merged.misassigned_sessions > u32::MAX as u64);
     assert!(merged.stale_fixes > u32::MAX as u64);
     assert!(merged.misassignment_rate() > 0.99 && merged.misassignment_rate() <= 1.0);
     assert!(merged.median_error_km().is_finite());
     let ingest = out.ingest;
-    assert_eq!(ingest.records, 12, "the engine folded only the real records");
+    assert_eq!(
+        ingest.records, 12,
+        "the engine folded only the real records"
+    );
     assert!(ingest.peak_resident_records <= ingest.resident_budget());
 }
 
@@ -574,8 +642,13 @@ fn sharded_fold_reports_the_first_failing_shard_and_keeps_clean_partials() {
     // A zero chunk budget is rejected before any shard streams.
     let source = FailingSource::default();
     let engine = ShardedFold::new(&model, source.shards(), 0);
-    let err = engine.run(&source, count_records, |_, _| {}, |_, _| {}).unwrap_err();
-    assert!(matches!(&err, IngestError::Config(m) if m.contains("chunk_size")), "{err}");
+    let err = engine
+        .run(&source, count_records, |_, _| {}, |_, _| {})
+        .unwrap_err();
+    assert!(
+        matches!(&err, IngestError::Config(m) if m.contains("chunk_size")),
+        "{err}"
+    );
     assert_eq!(source.streamed.load(Ordering::SeqCst), 0);
 
     for threads in [1usize, 2, 8] {
@@ -584,9 +657,14 @@ fn sharded_fold_reports_the_first_failing_shard_and_keeps_clean_partials() {
         let engine = ShardedFold::new(&model, source.shards(), 2);
         let closed = Mutex::new(Vec::new());
         let err = engine
-            .run(&source, count_records, |_, _| {}, |shard, streamed| {
-                closed.lock().unwrap().push((shard, streamed.is_ok()));
-            })
+            .run(
+                &source,
+                count_records,
+                |_, _| {},
+                |shard, streamed| {
+                    closed.lock().unwrap().push((shard, streamed.is_ok()));
+                },
+            )
             .unwrap_err();
         assert!(
             matches!(&err, IngestError::Config(m) if m == "shard 1 failed"),
@@ -600,11 +678,22 @@ fn sharded_fold_reports_the_first_failing_shard_and_keeps_clean_partials() {
 
         let (out, partials) = engine
             .merge(|partials| {
-                partials.iter().map(|p| (p.stats.sessions, p.stats.gn_records)).collect::<Vec<_>>()
+                partials
+                    .iter()
+                    .map(|p| (p.stats.sessions, p.stats.gn_records))
+                    .collect::<Vec<_>>()
             })
             .expect("partials share one shape");
-        assert_eq!(partials[0], (1, 1), "shard 0's partial at {threads} threads");
-        assert_eq!(partials[2], (4, 3), "shard 2's partial at {threads} threads");
+        assert_eq!(
+            partials[0],
+            (1, 1),
+            "shard 0's partial at {threads} threads"
+        );
+        assert_eq!(
+            partials[2],
+            (4, 3),
+            "shard 2's partial at {threads} threads"
+        );
         assert_eq!(out.stats.sessions, 0b1111);
         assert_eq!(out.stats.gn_records, 1 + 2 + 3 + 4);
         assert_eq!(out.ingest.records, 1 + 2 + 3 + 4);
@@ -624,14 +713,23 @@ fn ingest_obs_counters_agree_with_reported_stats() {
         .unwrap();
     let ingest = *out.ingest_stats().expect("measured run has ingest stats");
     let snapshot = out.obs_snapshot();
-    assert_eq!(snapshot.counter("netsim.ingest.chunks"), Some(ingest.chunks));
-    assert_eq!(snapshot.counter("netsim.ingest.records"), Some(ingest.records));
+    assert_eq!(
+        snapshot.counter("netsim.ingest.chunks"),
+        Some(ingest.chunks)
+    );
+    assert_eq!(
+        snapshot.counter("netsim.ingest.records"),
+        Some(ingest.records)
+    );
     assert_eq!(
         snapshot.counter("netsim.ingest.bytes_read"),
         Some(ingest.bytes_read)
     );
     // Every chunk flush emits exactly one batch on the columnar path.
-    assert_eq!(snapshot.counter("netsim.ingest.batches"), Some(ingest.chunks));
+    assert_eq!(
+        snapshot.counter("netsim.ingest.batches"),
+        Some(ingest.chunks)
+    );
     assert_eq!(ingest.chunk_size, 64);
     assert!(ingest.workers >= 1);
     assert!(ingest.peak_resident_records <= ingest.resident_budget());

@@ -15,7 +15,12 @@ use mobilenet::traffic::{DemandModel, Direction, ServiceCatalog, TrafficConfig, 
 use mobilenet::{Pipeline, Scale};
 
 fn small(seed: u64) -> Study {
-    Pipeline::builder().scale(Scale::Small).seed(seed).run().unwrap().into_study()
+    Pipeline::builder()
+        .scale(Scale::Small)
+        .seed(seed)
+        .run()
+        .unwrap()
+        .into_study()
 }
 
 fn study() -> &'static Study {
@@ -57,24 +62,26 @@ fn probe_trace_capture_and_replay_match_the_pipeline() {
         .expect("standard config is valid");
 
     let mut records = Vec::new();
-    let capture =
-        observe_with_options(&model, &netsim, &CollectOptions::default(), 9, |r| {
-            records.push(r.clone())
-        })
-        .expect("standard config is valid");
+    let capture = observe_with_options(&model, &netsim, &CollectOptions::default(), 9, |r| {
+        records.push(r.clone())
+    })
+    .expect("standard config is valid");
     assert_eq!(capture.emitted as usize, records.len());
     assert_eq!(capture.sessions, direct.stats.sessions);
 
     // Round-trip the trace through its CSV form before replaying.
     let parsed = read_trace_from(trace_to_csv(&records).as_bytes()).expect("trace parses");
-    let replayed = ingest(&SliceSource::new(&parsed), &model, &CollectOptions::default())
-        .expect("default options are valid")
-        .dataset;
+    let replayed = ingest(
+        &SliceSource::new(&parsed),
+        &model,
+        &CollectOptions::default(),
+    )
+    .expect("default options are valid")
+    .dataset;
 
     for dir in Direction::BOTH {
         assert!(
-            (direct.dataset.total_classified(dir) - replayed.total_classified(dir)).abs()
-                < 1e-6
+            (direct.dataset.total_classified(dir) - replayed.total_classified(dir)).abs() < 1e-6
         );
         assert!((direct.dataset.unclassified(dir) - replayed.unclassified(dir)).abs() < 1e-6);
     }
@@ -97,8 +104,9 @@ fn analyses_on_restored_data_keep_their_findings() {
     let corr_before = spatial_correlation(s, Direction::Down).mean_r2;
     // Hand-rolled mean pairwise r² on the restored tables.
     let n = restored.n_services();
-    let keep: Vec<usize> =
-        (0..restored.n_communes()).filter(|&c| restored.commune_users()[c] > 0.0).collect();
+    let keep: Vec<usize> = (0..restored.n_communes())
+        .filter(|&c| restored.commune_users()[c] > 0.0)
+        .collect();
     let vectors: Vec<Vec<f64>> = (0..n)
         .map(|svc| {
             let v = restored.per_user_commune_vector(Direction::Down, svc);

@@ -35,8 +35,13 @@ fn batch_reference(
 ) -> (String, mobilenet::netsim::CollectionStats) {
     let config = Scale::Small.config().with_faults(faults.clone());
     let model = config.demand_model(model_seed);
-    let out = collect_with_options(&model, &config.netsim, &config.collect_options(), capture_seed)
-        .expect("batch collection succeeds");
+    let out = collect_with_options(
+        &model,
+        &config.netsim,
+        &config.collect_options(),
+        capture_seed,
+    )
+    .expect("batch collection succeeds");
     (out.dataset.to_csv(), out.stats)
 }
 
@@ -48,7 +53,9 @@ fn weekly_snapshots_are_bit_identical_to_batch_runs_over_folded_records() {
             set_thread_override(Some(threads));
             let config = Scale::Small.config().with_faults(faults.clone());
             let state = LiveState::from_config(&config, DEFAULT_SEED).expect("valid config");
-            state.set_weeks(WEEKS).expect("weeks scheduled before start");
+            state
+                .set_weeks(WEEKS)
+                .expect("weeks scheduled before start");
             for week in 0..WEEKS {
                 state.run_next_week().expect("week ingestion succeeds");
                 let snap = state.snapshot();
@@ -59,7 +66,11 @@ fn weekly_snapshots_are_bit_identical_to_batch_runs_over_folded_records() {
                     mobilenet::traffic::HOURS_PER_WEEK,
                     "week {week} fully observed"
                 );
-                assert_eq!(snap.complete, week + 1 == WEEKS, "complete only at the final week");
+                assert_eq!(
+                    snap.complete,
+                    week + 1 == WEEKS,
+                    "complete only at the final week"
+                );
                 let capture_seed = week_seed(DEFAULT_SEED, week);
                 assert_eq!(state.week_seed(week), capture_seed);
                 let (reference_csv, reference_stats) =
@@ -73,7 +84,10 @@ fn weekly_snapshots_are_bit_identical_to_batch_runs_over_folded_records() {
                 // Diagnostics describe only the ring week: expired weeks
                 // were retired at roll-over.
                 assert_eq!(snap.stats.sessions, reference_stats.sessions, "week {week}");
-                assert_eq!(snap.stats.gn_records, reference_stats.gn_records, "week {week}");
+                assert_eq!(
+                    snap.stats.gn_records, reference_stats.gn_records,
+                    "week {week}"
+                );
                 assert_eq!(
                     snap.stats.faults.lost_total(),
                     reference_stats.faults.lost_total(),
@@ -98,25 +112,38 @@ fn multi_week_runs_hold_one_week_of_memory() {
     // week-count-independent dataset shape.
     let config = Scale::Small.config();
     let single = LiveState::from_config(&config, DEFAULT_SEED).expect("valid config");
-    single.run_ingestion().expect("single-week ingestion succeeds");
+    single
+        .run_ingestion()
+        .expect("single-week ingestion succeeds");
     let single_snap = single.snapshot();
     let single_csv_bytes = single_snap.dataset.to_csv().len();
     let single_rows = single_snap.dataset.to_csv().lines().count();
 
     let state = LiveState::from_config(&config, DEFAULT_SEED).expect("valid config");
-    let ingest = state.run_weeks(WEEKS).expect("multi-week ingestion succeeds");
+    let ingest = state
+        .run_weeks(WEEKS)
+        .expect("multi-week ingestion succeeds");
 
     // Cumulative accounting: every week folded, counted, and bounded by
     // the one-week residency budget — the ring never holds two weeks.
-    assert_eq!(ingest.cycles, WEEKS as u64, "each week folded through the ring");
-    assert!(ingest.records > single_snap.ingest.records, "later weeks kept streaming");
+    assert_eq!(
+        ingest.cycles, WEEKS as u64,
+        "each week folded through the ring"
+    );
+    assert!(
+        ingest.records > single_snap.ingest.records,
+        "later weeks kept streaming"
+    );
     assert!(
         ingest.peak_resident_records <= ingest.resident_budget(),
         "peak resident {} exceeds the one-week budget {} over {WEEKS} weeks",
         ingest.peak_resident_records,
         ingest.resident_budget()
     );
-    assert_eq!(ingest.resident_budget(), single_snap.ingest.resident_budget());
+    assert_eq!(
+        ingest.resident_budget(),
+        single_snap.ingest.resident_budget()
+    );
 
     // Snapshot memory is independent of week count: the dense dataset
     // has exactly the single-week shape (same commune × hour grid, same
@@ -146,7 +173,10 @@ fn multi_week_runs_hold_one_week_of_memory() {
         .expect("batch collection succeeds");
         (out.dataset.to_csv(), out.stats)
     };
-    assert!(snap.dataset.to_csv() == reference_csv, "final ring week equals its batch run");
+    assert!(
+        snap.dataset.to_csv() == reference_csv,
+        "final ring week equals its batch run"
+    );
     common::assert_same_stats(&snap.stats, &reference_stats, "final ring week");
     set_thread_override(None);
 }
