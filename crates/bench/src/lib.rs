@@ -56,12 +56,12 @@ pub struct IngestRegression {
 /// Relative slowdown (fraction of baseline) above which a stage counts as
 /// regressed. 25% rides comfortably above shared-runner timing noise for
 /// stages long enough to clear [`COMPARE_MIN_DELTA_S`].
-pub const COMPARE_MAX_RELATIVE_SLOWDOWN: f64 = 0.25;
+pub(crate) const COMPARE_MAX_RELATIVE_SLOWDOWN: f64 = 0.25;
 
 /// Absolute slowdown floor: stages that regress by less than this many
 /// seconds never fail the gate, so microsecond-scale stages (where 25%
 /// is pure jitter) cannot flake the build.
-pub const COMPARE_MIN_DELTA_S: f64 = 0.05;
+pub(crate) const COMPARE_MIN_DELTA_S: f64 = 0.05;
 
 /// Extracts the first string value of `key` inside `obj`.
 fn json_str(obj: &str, key: &str) -> Option<String> {

@@ -24,7 +24,7 @@ pub enum Linkage {
 /// One merge step of the dendrogram: clusters `a` and `b` (ids in the
 /// merge forest) joined at `height`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Merge {
+pub(crate) struct Merge {
     /// First cluster id (leaves are `0..n`, merges are `n..2n-1`).
     pub a: usize,
     /// Second cluster id.
@@ -42,17 +42,17 @@ pub struct Dendrogram {
 
 impl Dendrogram {
     /// Number of leaves.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
     /// True when the dendrogram has no leaves (never by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 
     /// The merge sequence, in non-decreasing height order.
-    pub fn merges(&self) -> &[Merge] {
+    pub(crate) fn merges(&self) -> &[Merge] {
         &self.merges
     }
 
@@ -62,7 +62,7 @@ impl Dendrogram {
     /// # Panics
     ///
     /// Panics unless `1 <= k <= n`.
-    pub fn cut(&self, k: usize) -> Vec<usize> {
+    pub(crate) fn cut(&self, k: usize) -> Vec<usize> {
         assert!(k >= 1 && k <= self.n, "k must be in 1..=n");
         // Union-find over the first n - k merges.
         let mut parent: Vec<usize> = (0..2 * self.n - 1).collect();

@@ -24,12 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod hierarchy;
-pub mod indices;
+mod indices;
 pub mod kmeans;
 pub mod kshape;
-pub mod linalg;
+mod linalg;
 
-pub use hierarchy::{agglomerate, Dendrogram, Linkage};
 pub use indices::{
     davies_bouldin_from, davies_bouldin_star_from, dunn_from, silhouette, silhouette_from,
 };
@@ -58,7 +57,7 @@ impl Clustering {
     }
 
     /// Indices of the members of cluster `c`.
-    pub fn members(&self, c: usize) -> Vec<usize> {
+    pub(crate) fn members(&self, c: usize) -> Vec<usize> {
         self.assignments
             .iter()
             .enumerate()

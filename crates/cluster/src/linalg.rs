@@ -7,14 +7,14 @@
 
 /// A dense row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SquareMatrix {
+pub(crate) struct SquareMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
 impl SquareMatrix {
     /// Creates an `n × n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         SquareMatrix {
             n,
             data: vec![0.0; n * n],
@@ -22,30 +22,30 @@ impl SquareMatrix {
     }
 
     /// Dimension.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
     }
 
     /// Adds `v` to element `(i, j)`.
     #[inline]
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn add(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] += v;
     }
 
     /// Matrix–vector product `self · x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n];
         self.mul_vec_into(x, &mut y);
         y
@@ -54,7 +54,7 @@ impl SquareMatrix {
     /// Matrix–vector product into a caller-owned buffer — the
     /// allocation-free form of [`SquareMatrix::mul_vec`]; identical
     /// accumulation order, so results are bit-identical.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         for (i, yi) in y.iter_mut().enumerate() {
@@ -70,7 +70,7 @@ impl SquareMatrix {
 
 /// Result of a dominant-eigenpair computation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EigenPair {
+pub(crate) struct EigenPair {
     /// The dominant eigenvalue (largest in magnitude).
     pub value: f64,
     /// The corresponding unit eigenvector.
@@ -82,7 +82,7 @@ pub struct EigenPair {
 ///
 /// Returns `None` when the iteration degenerates (zero matrix). The
 /// starting vector is deterministic, so results are reproducible.
-pub fn dominant_eigenpair(m: &SquareMatrix, max_iter: usize, tol: f64) -> Option<EigenPair> {
+pub(crate) fn dominant_eigenpair(m: &SquareMatrix, max_iter: usize, tol: f64) -> Option<EigenPair> {
     dominant_eigenpair_of(m.n(), |v, w| m.mul_vec_into(v, w), max_iter, tol)
 }
 
@@ -95,7 +95,7 @@ pub fn dominant_eigenpair(m: &SquareMatrix, max_iter: usize, tol: f64) -> Option
 /// operator that performs the same floating-point accumulation produce
 /// bit-identical results. The two buffers handed to `apply` are reused
 /// across iterations — the whole computation allocates exactly twice.
-pub fn dominant_eigenpair_of(
+pub(crate) fn dominant_eigenpair_of(
     n: usize,
     mut apply: impl FnMut(&[f64], &mut [f64]),
     max_iter: usize,

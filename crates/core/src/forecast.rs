@@ -27,7 +27,7 @@ pub struct ForecastScore {
 }
 
 /// Scores a forecast against actuals.
-pub fn score(actual: &[f64], forecast: &[f64]) -> ForecastScore {
+pub(crate) fn score(actual: &[f64], forecast: &[f64]) -> ForecastScore {
     assert_eq!(actual.len(), forecast.len(), "length mismatch");
     assert!(!actual.is_empty(), "cannot score an empty horizon");
     let mut mape_sum = 0.0;
@@ -58,7 +58,7 @@ pub fn score(actual: &[f64], forecast: &[f64]) -> ForecastScore {
 /// # Panics
 ///
 /// Panics unless `history.len() >= period` and `horizon >= 1`.
-pub fn seasonal_naive(history: &[f64], period: usize, horizon: usize) -> Vec<f64> {
+pub(crate) fn seasonal_naive(history: &[f64], period: usize, horizon: usize) -> Vec<f64> {
     assert!(
         period >= 1 && history.len() >= period,
         "need one full period of history"
@@ -94,7 +94,7 @@ impl HoltWintersConfig {
     }
 
     /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.alpha) || self.alpha == 0.0 {
             return Err("alpha must be in (0,1)".into());
         }

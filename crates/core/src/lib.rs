@@ -54,11 +54,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
+mod error;
 pub mod forecast;
 pub mod maps;
 pub mod peaks;
-pub mod pipeline;
+mod pipeline;
 pub mod ranking;
 pub mod report;
 pub mod slicing;
@@ -66,7 +66,7 @@ pub mod spatial;
 pub mod study;
 pub mod temporal;
 #[cfg(test)]
-pub(crate) mod testutil;
+mod testutil;
 pub mod topical;
 pub mod urbanization;
 pub mod verdict;
@@ -79,4 +79,4 @@ pub use pipeline::{Pipeline, PipelineBuilder, Run, Scale, DEFAULT_SEED};
 pub use ranking::{service_ranking_of, top_k_services};
 pub use spatial::spatial_correlation_of;
 pub use study::{Study, StudyConfig};
-pub use topical::{profile_service, topical_profiles_of};
+pub use topical::topical_profiles_of;

@@ -25,7 +25,7 @@ pub struct MapGrid {
 impl MapGrid {
     /// Rasterizes per-commune `values` over the country: each cell takes
     /// the value of the commune nearest to its centre.
-    pub fn rasterize(country: &Country, values: &[f64], width: usize) -> Self {
+    pub(crate) fn rasterize(country: &Country, values: &[f64], width: usize) -> Self {
         assert_eq!(
             values.len(),
             country.communes().len(),
@@ -53,7 +53,7 @@ impl MapGrid {
     }
 
     /// Cell accessor.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn get(&self, row: usize, col: usize) -> f64 {
         self.cells[row * self.width + col]
     }
 

@@ -30,7 +30,7 @@ impl PeakConfig {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.lag == 0 {
             return Err("lag must be at least 1".into());
         }
@@ -61,12 +61,12 @@ pub struct PeakInterval {
 
 impl PeakInterval {
     /// Number of samples in the peak.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the interval is degenerate (never produced by detection).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.end <= self.start
     }
 }

@@ -140,7 +140,7 @@ impl PipelineBuilder {
     }
 
     /// Replaces the whole configuration.
-    pub fn config(mut self, config: StudyConfig) -> Self {
+    pub(crate) fn config(mut self, config: StudyConfig) -> Self {
         self.config = config;
         self
     }
@@ -247,12 +247,12 @@ impl Run {
     }
 
     /// The generated country.
-    pub fn country(&self) -> &Country {
+    pub(crate) fn country(&self) -> &Country {
         self.study.country()
     }
 
     /// The service catalog.
-    pub fn catalog(&self) -> &ServiceCatalog {
+    pub(crate) fn catalog(&self) -> &ServiceCatalog {
         self.study.catalog()
     }
 

@@ -65,7 +65,7 @@ impl SlicingReport {
 
     /// Number of distinct peak hours among slices — another measure of
     /// temporal spread.
-    pub fn distinct_peak_hours(&self) -> usize {
+    pub(crate) fn distinct_peak_hours(&self) -> usize {
         let mut hours: Vec<usize> = self.slices.iter().map(|s| s.peak_hour).collect();
         hours.sort_unstable();
         hours.dedup();
@@ -112,7 +112,7 @@ fn analyze(groups: Vec<(String, Vec<f64>)>) -> SlicingReport {
 }
 
 /// One slice per head **service**.
-pub fn per_service_slicing(study: &Study, dir: Direction) -> SlicingReport {
+pub(crate) fn per_service_slicing(study: &Study, dir: Direction) -> SlicingReport {
     let groups = study
         .catalog()
         .head()

@@ -95,7 +95,7 @@ impl StudyConfig {
     }
 
     /// The same scale without measurement noise (expectations only).
-    pub fn expected(mut self) -> Self {
+    pub(crate) fn expected(mut self) -> Self {
         self.measured = false;
         self
     }

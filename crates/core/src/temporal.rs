@@ -142,7 +142,7 @@ fn euclid(a: &[f64], b: &[f64]) -> f64 {
 /// did. Index scores are computed from distance tables filled once per
 /// sweep (series-series) and once per `k` (centroid tables) through one
 /// plan-cached [`SbdEngine`], so no distance is evaluated twice.
-pub fn sweep_series(
+pub(crate) fn sweep_series(
     series: &[Vec<f64>],
     dir: Direction,
     algorithm: Algorithm,

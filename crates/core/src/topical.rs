@@ -71,7 +71,7 @@ impl ServiceTopicalProfile {
 }
 
 /// Computes the topical profile of one service's national series.
-pub fn profile_service(
+pub(crate) fn profile_service(
     series: &[f64],
     service: usize,
     name: &'static str,

@@ -137,7 +137,7 @@ pub struct Commune {
 impl Commune {
     /// Population density in inhabitants per km².
     #[inline]
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         if self.area_km2 <= 0.0 {
             return 0.0;
         }

@@ -123,7 +123,7 @@ impl CountryConfig {
 
     /// Validates internal consistency; returns a description of the first
     /// violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.width_km <= 0.0 || self.height_km <= 0.0 {
             return Err("country dimensions must be positive".into());
         }

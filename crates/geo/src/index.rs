@@ -156,12 +156,12 @@ impl SpatialIndex {
     }
 
     /// Number of indexed sites.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True when the index holds no sites (never, by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -279,7 +279,7 @@ impl SpatialIndex {
     }
 
     /// Indices of all sites within `radius_km` of `p`, ascending.
-    pub fn within(&self, p: &Point, radius_km: f64) -> Vec<usize> {
+    pub(crate) fn within(&self, p: &Point, radius_km: f64) -> Vec<usize> {
         let r2 = radius_km * radius_km;
         let (cx, cy) = self.cell_of(p);
         let ring = ((radius_km / self.cell_km).ceil() as usize).saturating_add(1);

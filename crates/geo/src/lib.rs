@@ -41,12 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod commune;
-pub mod config;
-pub mod country;
-pub mod index;
-pub mod point;
+mod builder;
+mod commune;
+mod config;
+mod country;
+mod index;
+mod point;
 pub mod rail;
 
 pub use commune::{Commune, CommuneId, Coverage, Urbanization, UsageClass};
@@ -54,4 +54,3 @@ pub use config::CountryConfig;
 pub use country::{City, Country};
 pub use index::SpatialIndex;
 pub use point::Point;
-pub use rail::TgvLine;

@@ -38,7 +38,7 @@ impl Point {
     /// Distance from this point to the segment `[a, b]`, in km.
     ///
     /// Used to test whether a commune lies inside a TGV corridor.
-    pub fn distance_to_segment(&self, a: &Point, b: &Point) -> f64 {
+    pub(crate) fn distance_to_segment(&self, a: &Point, b: &Point) -> f64 {
         let abx = b.x - a.x;
         let aby = b.y - a.y;
         let len_sq = abx * abx + aby * aby;

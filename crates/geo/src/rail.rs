@@ -23,7 +23,7 @@ impl TgvLine {
     /// # Panics
     ///
     /// Panics when fewer than two waypoints are supplied.
-    pub fn new(waypoints: Vec<Point>) -> Self {
+    pub(crate) fn new(waypoints: Vec<Point>) -> Self {
         assert!(
             waypoints.len() >= 2,
             "a rail line needs at least two waypoints"
@@ -32,7 +32,7 @@ impl TgvLine {
     }
 
     /// Minimum distance from `p` to any segment of the line, km.
-    pub fn distance_to(&self, p: &Point) -> f64 {
+    pub(crate) fn distance_to(&self, p: &Point) -> f64 {
         self.waypoints
             .windows(2)
             .map(|w| p.distance_to_segment(&w[0], &w[1]))
@@ -40,14 +40,14 @@ impl TgvLine {
     }
 
     /// Whether `p` lies within `corridor_km` of the line.
-    pub fn covers(&self, p: &Point, corridor_km: f64) -> bool {
+    pub(crate) fn covers(&self, p: &Point, corridor_km: f64) -> bool {
         self.distance_to(p) <= corridor_km
     }
 
     /// Unit tangent of the segment closest to `p` — the local direction of
     /// travel. Used to displace train passengers' ULI fixes *along* the
     /// track rather than isotropically.
-    pub fn direction_at(&self, p: &Point) -> (f64, f64) {
+    pub(crate) fn direction_at(&self, p: &Point) -> (f64, f64) {
         let mut best = (f64::INFINITY, (1.0, 0.0));
         for w in self.waypoints.windows(2) {
             let d = p.distance_to_segment(&w[0], &w[1]);
@@ -76,7 +76,7 @@ pub fn nearest_line_direction(lines: &[TgvLine], p: &Point) -> Option<(f64, f64)
 /// importance): a trunk through all of them in nearest-neighbour order plus
 /// direct spurs from the first city (the capital) to each other city —
 /// a stylized version of France's hub-and-spoke TGV map centred on Paris.
-pub fn hub_and_spoke(cities: &[Point]) -> Vec<TgvLine> {
+pub(crate) fn hub_and_spoke(cities: &[Point]) -> Vec<TgvLine> {
     if cities.len() < 2 {
         return Vec::new();
     }

@@ -30,7 +30,7 @@ pub enum ServiceLabel {
 /// tail services (by rank), and this sentinel names the unclassified rest
 /// — the encoding [`DpiClassifier::classify_batch`] emits and the batched
 /// aggregation fold branches on.
-pub const UNCLASSIFIED_CODE: u32 = u32::MAX;
+pub(crate) const UNCLASSIFIED_CODE: u32 = u32::MAX;
 
 /// Fingerprint-table classifier.
 ///
@@ -128,7 +128,7 @@ impl DpiClassifier {
     /// Looks a raw signature up to its dictionary code
     /// ([`UNCLASSIFIED_CODE`] when no fingerprint matches).
     #[inline]
-    pub fn code_of(&self, signature: u64) -> u32 {
+    pub(crate) fn code_of(&self, signature: u64) -> u32 {
         let mut i = (signature as usize) & self.mask;
         loop {
             let code = self.codes[i];
@@ -153,7 +153,7 @@ impl DpiClassifier {
 
     /// Expands a dictionary code back into a [`ServiceLabel`].
     #[inline]
-    pub fn label_of_code(&self, code: u32) -> ServiceLabel {
+    pub(crate) fn label_of_code(&self, code: u32) -> ServiceLabel {
         if code < self.n_head {
             ServiceLabel::Head(code as u16)
         } else if code < self.n_head + self.n_tail {
@@ -164,12 +164,12 @@ impl DpiClassifier {
     }
 
     /// Number of head services (codes `0..n_head` are head codes).
-    pub fn n_head(&self) -> u32 {
+    pub(crate) fn n_head(&self) -> u32 {
         self.n_head
     }
 
     /// Number of tail services (codes `n_head..n_head + n_tail`).
-    pub fn n_tail(&self) -> u32 {
+    pub(crate) fn n_tail(&self) -> u32 {
         self.n_tail
     }
 

@@ -30,7 +30,7 @@ impl NetsimConfig {
     }
 
     /// A perfect-localization variant used by ablations and tests.
-    pub fn ideal() -> Self {
+    pub(crate) fn ideal() -> Self {
         NetsimConfig {
             uli_median_error_km: 0.0,
             uli_stale_prob: 0.0,

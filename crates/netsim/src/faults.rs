@@ -44,7 +44,7 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// Whether `record` is captured by the downed probe.
-    pub fn covers(&self, record: &SessionRecord) -> bool {
+    pub(crate) fn covers(&self, record: &SessionRecord) -> bool {
         record.interface == self.interface && self.hours.contains(&record.start_hour)
     }
 }
@@ -121,7 +121,7 @@ impl FaultPlan {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("loss_prob", self.loss_prob),
             ("dup_prob", self.dup_prob),
@@ -261,7 +261,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Folds another stream's counters into this one.
-    pub fn merge(&mut self, other: &FaultStats) {
+    pub(crate) fn merge(&mut self, other: &FaultStats) {
         self.lost_outage += other.lost_outage;
         self.lost_records += other.lost_records;
         self.duplicated_records += other.duplicated_records;
@@ -282,25 +282,25 @@ impl FaultStats {
 
 /// Applies a [`FaultPlan`] to a record stream, shard by shard.
 #[derive(Debug, Clone)]
-pub struct FaultInjector<'a> {
+pub(crate) struct FaultInjector<'a> {
     plan: &'a FaultPlan,
 }
 
 impl<'a> FaultInjector<'a> {
     /// Wires an injector to a plan.
-    pub fn new(plan: &'a FaultPlan) -> Self {
+    pub(crate) fn new(plan: &'a FaultPlan) -> Self {
         FaultInjector { plan }
     }
 
     /// The plan being applied.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         self.plan
     }
 
     /// The fault RNG of one shard: a stream derived from the pipeline's
     /// master seed, the plan seed, and the shard index — independent of
     /// the probe and session streams, and of which worker runs the shard.
-    pub fn shard_rng(&self, master_seed: u64, shard: usize) -> StdRng {
+    pub(crate) fn shard_rng(&self, master_seed: u64, shard: usize) -> StdRng {
         StdRng::seed_from_u64(mobilenet_par::seed_for(
             master_seed ^ self.plan.seed.rotate_left(17) ^ 0x6661_756c_7472_6e67, // "faultrng"
             shard as u64,
@@ -314,7 +314,7 @@ impl<'a> FaultInjector<'a> {
     /// duplication — and each probabilistic stage draws from `rng` only
     /// when its probability is nonzero, so a plan's decisions depend on
     /// nothing but `(plan, rng state, record order)`.
-    pub fn apply(
+    pub(crate) fn apply(
         &self,
         record: &SessionRecord,
         rng: &mut StdRng,

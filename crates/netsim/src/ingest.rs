@@ -702,7 +702,7 @@ impl RecordSource for SliceSource<'_> {
 /// line-numbered details retrievable via [`TraceSource::take_skipped`]
 /// afterwards. Only a missing header or an I/O failure is fatal: it fails
 /// the stream as [`IngestError::Trace`] at the line where reading failed.
-pub struct TraceSource<R> {
+pub(crate) struct TraceSource<R> {
     reader: Mutex<Option<R>>,
     bytes: AtomicU64,
     skipped: Mutex<Vec<TraceError>>,
@@ -710,7 +710,7 @@ pub struct TraceSource<R> {
 
 impl<R: BufRead> TraceSource<R> {
     /// A trace source over `reader`.
-    pub fn new(reader: R) -> Self {
+    pub(crate) fn new(reader: R) -> Self {
         TraceSource {
             reader: Mutex::new(Some(reader)),
             bytes: AtomicU64::new(0),
@@ -720,7 +720,7 @@ impl<R: BufRead> TraceSource<R> {
 
     /// The line-numbered errors of every row skipped so far, leaving the
     /// source's list empty.
-    pub fn take_skipped(&self) -> Vec<TraceError> {
+    pub(crate) fn take_skipped(&self) -> Vec<TraceError> {
         std::mem::take(&mut *self.skipped.lock().expect("skipped list poisoned"))
     }
 }

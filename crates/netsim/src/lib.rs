@@ -44,32 +44,28 @@
 #![warn(missing_docs)]
 
 pub mod classifier;
-pub mod config;
-pub mod faults;
-pub mod ingest;
+mod config;
+mod faults;
+mod ingest;
 pub mod pipeline;
-pub mod probe;
-pub mod radio;
+mod probe;
+mod radio;
 pub mod records;
 pub mod trace;
-pub mod uli;
+mod uli;
 
-pub use classifier::{DpiClassifier, UNCLASSIFIED_CODE};
+pub use classifier::DpiClassifier;
 pub use config::NetsimConfig;
-pub use faults::{FaultInjector, FaultPlan, FaultStats, OutageWindow};
+pub use faults::{FaultPlan, FaultStats, OutageWindow};
 pub use ingest::{
     ingest, ChunkSink, CollectOptions, FoldStrategy, IngestError, IngestStats, RecordSource,
-    ShardPartial, ShardedFold, SliceSource, TraceSource, DEFAULT_CHUNK_SIZE,
+    ShardPartial, ShardedFold, SliceSource, DEFAULT_CHUNK_SIZE,
 };
 pub use pipeline::{
     aggregate_batch, collect_with_options, Capture, CollectionOutput, CollectionStats,
     SyntheticSource, ERROR_SAMPLE_CAP,
 };
-pub use probe::Probe;
 pub use radio::RadioNetwork;
 pub use records::{Interface, RecordBatch, SessionRecord};
-pub use trace::{
-    observe_with_options, read_trace_from, replay_from, trace_to_csv, write_trace_to,
-    CaptureSummary, LossyReplay, TraceError,
-};
+pub use trace::{observe_with_options, read_trace_from, replay_from, trace_to_csv, TraceError};
 pub use uli::UliModel;

@@ -25,7 +25,7 @@ use crate::records::{FlowSignature, Interface, SessionRecord};
 use crate::uli::UliModel;
 
 /// A probe pair covering both core interfaces.
-pub struct Probe<'a> {
+pub(crate) struct Probe<'a> {
     radio: &'a RadioNetwork,
     uli: UliModel,
     classifier: &'a DpiClassifier,
@@ -37,7 +37,11 @@ pub struct Probe<'a> {
 
 impl<'a> Probe<'a> {
     /// Wires a probe to the radio network and classifier.
-    pub fn new(radio: &'a RadioNetwork, uli: UliModel, classifier: &'a DpiClassifier) -> Self {
+    pub(crate) fn new(
+        radio: &'a RadioNetwork,
+        uli: UliModel,
+        classifier: &'a DpiClassifier,
+    ) -> Self {
         Probe {
             radio,
             uli,
@@ -47,7 +51,7 @@ impl<'a> Probe<'a> {
     }
 
     /// Sets per-commune movement directions for anisotropic ULI noise.
-    pub fn with_movement_directions(mut self, directions: Vec<Option<(f64, f64)>>) -> Self {
+    pub(crate) fn with_movement_directions(mut self, directions: Vec<Option<(f64, f64)>>) -> Self {
         self.movement_directions = directions;
         self
     }
@@ -55,7 +59,7 @@ impl<'a> Probe<'a> {
     /// Observes one session, producing the operator-side record: the
     /// reference the blocked path is checked against.
     #[cfg(test)]
-    pub fn observe(&self, session: &Session, rng: &mut StdRng) -> SessionRecord {
+    pub(crate) fn observe(&self, session: &Session, rng: &mut StdRng) -> SessionRecord {
         let (fix, signature) = self.sense(session, rng);
         record_of(session, fix.1, self.radio.commune_of_fix(&fix.0), signature)
     }

@@ -15,7 +15,7 @@ use crate::config::NetsimConfig;
 
 /// A deployed base station.
 #[derive(Debug, Clone)]
-pub struct BaseStation {
+pub(crate) struct BaseStation {
     /// Dense station identifier.
     pub id: u32,
     /// Position on the country plane.
@@ -69,12 +69,12 @@ impl RadioNetwork {
     }
 
     /// All deployed stations.
-    pub fn stations(&self) -> &[BaseStation] {
+    pub(crate) fn stations(&self) -> &[BaseStation] {
         &self.stations
     }
 
     /// The station nearest to a (possibly noisy) position fix.
-    pub fn serving_station(&self, fix: &Point) -> &BaseStation {
+    pub(crate) fn serving_station(&self, fix: &Point) -> &BaseStation {
         &self.stations[self.index.nearest(fix)]
     }
 

@@ -17,7 +17,7 @@ pub enum Interface {
 
 impl Interface {
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Interface::Gn => "Gn",
             Interface::S5S8 => "S5/S8",
@@ -101,7 +101,7 @@ impl RecordBatch {
     }
 
     /// Whether the batch holds no records.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.start_hours.is_empty()
     }
 
@@ -119,7 +119,7 @@ impl RecordBatch {
 
     /// Appends one record, splitting its fields across the columns.
     #[inline]
-    pub fn push(&mut self, r: &SessionRecord) {
+    pub(crate) fn push(&mut self, r: &SessionRecord) {
         self.interfaces.push(r.interface);
         self.start_hours.push(r.start_hour);
         self.dl_mb.push(r.dl_mb);
@@ -170,12 +170,12 @@ impl RecordBatch {
     /// Dictionary-encodes every signature into the `codes` column in one
     /// pass over the DPI table (see [`DpiClassifier::classify_batch`]).
     /// Reuses the column's capacity: allocation-free once warmed.
-    pub fn resolve_codes(&mut self, classifier: &DpiClassifier) {
+    pub(crate) fn resolve_codes(&mut self, classifier: &DpiClassifier) {
         classifier.classify_batch(&self.signatures, &mut self.codes);
     }
 
     /// The interface column.
-    pub fn interfaces(&self) -> &[Interface] {
+    pub(crate) fn interfaces(&self) -> &[Interface] {
         &self.interfaces
     }
 
@@ -185,17 +185,17 @@ impl RecordBatch {
     }
 
     /// The downlink-volume column (MB).
-    pub fn dl_mb(&self) -> &[f64] {
+    pub(crate) fn dl_mb(&self) -> &[f64] {
         &self.dl_mb
     }
 
     /// The uplink-volume column (MB).
-    pub fn ul_mb(&self) -> &[f64] {
+    pub(crate) fn ul_mb(&self) -> &[f64] {
         &self.ul_mb
     }
 
     /// The commune-index column.
-    pub fn communes(&self) -> &[u32] {
+    pub(crate) fn communes(&self) -> &[u32] {
         &self.communes
     }
 
@@ -205,13 +205,13 @@ impl RecordBatch {
     }
 
     /// The stale-ULI diagnostic column.
-    pub fn stale_uli(&self) -> &[bool] {
+    pub(crate) fn stale_uli(&self) -> &[bool] {
         &self.stale_uli
     }
 
     /// The dictionary-encoded service codes of the last
     /// [`RecordBatch::resolve_codes`] call (empty until then).
-    pub fn codes(&self) -> &[u32] {
+    pub(crate) fn codes(&self) -> &[u32] {
         &self.codes
     }
 }

@@ -39,7 +39,7 @@ use crate::pipeline::{Capture, CollectionStats};
 use crate::records::{FlowSignature, Interface, SessionRecord};
 
 /// CSV header of a trace file.
-pub const TRACE_HEADER: &str = "#mobilenet-trace v1";
+pub(crate) const TRACE_HEADER: &str = "#mobilenet-trace v1";
 
 /// What one capture run saw and emitted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,7 +162,7 @@ pub fn record_from_line(line: &str) -> Result<SessionRecord, String> {
 /// Streams a whole trace (header + one line per record) to any writer —
 /// records are serialized one at a time, so a capture can be piped
 /// straight to disk without materializing the trace text.
-pub fn write_trace_to<'a, W: Write>(
+pub(crate) fn write_trace_to<'a, W: Write>(
     mut writer: W,
     records: impl IntoIterator<Item = &'a SessionRecord>,
 ) -> std::io::Result<()> {

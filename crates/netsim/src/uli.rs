@@ -44,7 +44,7 @@ impl UliModel {
     /// Reports a (noisy) position fix for a true position.
     ///
     /// Returns the fix and whether it was stale.
-    pub fn fix(&self, true_position: &Point, rng: &mut StdRng) -> (Point, bool) {
+    pub(crate) fn fix(&self, true_position: &Point, rng: &mut StdRng) -> (Point, bool) {
         self.fix_along(true_position, None, rng)
     }
 
@@ -86,7 +86,7 @@ impl UliModel {
     }
 
     /// The Rayleigh scale of fresh fixes, km.
-    pub fn sigma_km(&self) -> f64 {
+    pub(crate) fn sigma_km(&self) -> f64 {
         self.sigma_km
     }
 }

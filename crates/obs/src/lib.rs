@@ -77,7 +77,7 @@ use std::time::Instant;
 
 /// Name of the environment variable that enables collection (and may name
 /// the JSON output file, see [`env_output_path`]).
-pub const OBS_ENV: &str = "MOBILENET_OBS";
+pub(crate) const OBS_ENV: &str = "MOBILENET_OBS";
 
 /// Process-wide runtime override; 0 = unset, 1 = disabled, 2 = enabled.
 static ENABLE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -133,7 +133,7 @@ pub fn env_output_path() -> Option<PathBuf> {
 
 /// The process-wide registry the free functions record into on a thread
 /// with no [`scoped`] registry installed.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::new)
 }

@@ -24,12 +24,12 @@ pub struct SpanStat {
 
 impl SpanStat {
     /// Total wall-clock time, milliseconds.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
     }
 
     /// Mean wall-clock time per run, milliseconds.
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -99,26 +99,26 @@ impl Registry {
     }
 
     /// Adds `delta` to counter `name`.
-    pub fn add(&self, name: &str, delta: u64) {
+    pub(crate) fn add(&self, name: &str, delta: u64) {
         let mut inner = self.lock();
         *entry_or_insert(&mut inner.counters, name, 0) += delta;
     }
 
     /// Adds `delta` to `f64` counter `name`.
-    pub fn add_f64(&self, name: &str, delta: f64) {
+    pub(crate) fn add_f64(&self, name: &str, delta: f64) {
         let mut inner = self.lock();
         *entry_or_insert(&mut inner.fcounters, name, 0.0) += delta;
     }
 
     /// Sets gauge `name` to `value`.
-    pub fn gauge(&self, name: &str, value: f64) {
+    pub(crate) fn gauge(&self, name: &str, value: f64) {
         let mut inner = self.lock();
         *entry_or_insert(&mut inner.gauges, name, 0.0) = value;
     }
 
     /// Records `value` into histogram `name` with the given bucket edges
     /// (fixed at first use).
-    pub fn observe(&self, name: &str, value: f64, edges: &[f64]) {
+    pub(crate) fn observe(&self, name: &str, value: f64, edges: &[f64]) {
         let mut inner = self.lock();
         if let Some(h) = inner.histograms.get_mut(name) {
             h.record(value);
@@ -130,7 +130,7 @@ impl Registry {
     }
 
     /// Folds a `ns` run into span `path`.
-    pub fn record_span(&self, path: &str, ns: u64) {
+    pub(crate) fn record_span(&self, path: &str, ns: u64) {
         let mut inner = self.lock();
         let stat = entry_or_insert(&mut inner.spans, path, SpanStat::default());
         stat.count += 1;
@@ -146,12 +146,12 @@ impl Registry {
     /// Folds `snapshot` into this registry with [`Snapshot::merge`]'s
     /// rules — how a finished run's own registry joins the enclosing
     /// one.
-    pub fn merge(&self, snapshot: &Snapshot) {
+    pub(crate) fn merge(&self, snapshot: &Snapshot) {
         self.lock().merge(snapshot);
     }
 
     /// Clears every metric.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         *self.lock() = Snapshot::default();
     }
 }
@@ -194,7 +194,7 @@ impl Snapshot {
     }
 
     /// The value of gauge `name`, if recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
@@ -240,7 +240,7 @@ impl Snapshot {
     /// Folds `other` into `self`: counters and histograms add, gauges
     /// take `other`'s value, spans accumulate. Histograms whose bucket
     /// edges disagree adopt `other`'s layout wholesale.
-    pub fn merge(&mut self, other: &Snapshot) {
+    pub(crate) fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *entry_or_insert(&mut self.counters, k, 0) += v;
         }

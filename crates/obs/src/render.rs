@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use crate::registry::Snapshot;
 
 /// Schema identifier embedded in every JSON report.
-pub const JSON_SCHEMA: &str = "mobilenet-obs/v1";
+pub(crate) const JSON_SCHEMA: &str = "mobilenet-obs/v1";
 
 /// Minimal JSON string escaping (metric names are plain identifiers, but
 /// the format must stay valid for any input).

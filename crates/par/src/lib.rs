@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Name of the environment variable overriding the worker count.
-pub const THREADS_ENV: &str = "MOBILENET_THREADS";
+pub(crate) const THREADS_ENV: &str = "MOBILENET_THREADS";
 
 /// Process-wide runtime override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);

@@ -164,7 +164,7 @@ impl Client {
 
     /// `START <study> <scale> [seed [weeks]]`: registers, starts and
     /// selects a new study.
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         name: &str,
         scale: &str,

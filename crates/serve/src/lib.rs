@@ -50,18 +50,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod live;
-pub mod query;
-pub mod registry;
-pub mod server;
-pub mod session;
-pub mod subscribe;
+mod client;
+mod live;
+mod query;
+mod registry;
+mod server;
+mod session;
+mod subscribe;
 
 pub use client::{Client, ClientError, Hello, Subscription};
-pub use live::{week_seed, LiveSnapshot, LiveState, VersionNotifier};
-pub use query::{answer, hour_lag_autocorr, Command, SnapshotQuery, PROTOCOL_VERSION};
+pub use live::{week_seed, LiveSnapshot, LiveState};
+pub use query::{answer, Command, SnapshotQuery, PROTOCOL_VERSION};
 pub use registry::{StudyEntry, StudyInfo, StudyRegistry};
 pub use server::{spawn_registry_server, spawn_server, ServerHandle, MAX_LINE_BYTES};
-pub use session::Session;
-pub use subscribe::{DeltaEvent, RankEntry, Topic, AUTOCORR_LAG_HOURS};
+pub use subscribe::{DeltaEvent, RankEntry, Topic};

@@ -90,19 +90,19 @@ pub fn week_seed(base: u64, week: usize) -> u64 {
 /// timeout-bounded, a notification racing past an about-to-wait consumer
 /// costs at most one tick, never a lost wake-up.
 #[derive(Debug, Default)]
-pub struct VersionNotifier {
+pub(crate) struct VersionNotifier {
     lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl VersionNotifier {
     /// Wakes every waiter (non-blocking; safe from the ingest hot path).
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         self.cv.notify_all();
     }
 
     /// Blocks for at most `timeout` or until a notification arrives.
-    pub fn wait_timeout(&self, timeout: Duration) {
+    pub(crate) fn wait_timeout(&self, timeout: Duration) {
         let guard = self.lock.lock().expect("notifier lock poisoned");
         let _ = self.cv.wait_timeout(guard, timeout);
     }
@@ -225,12 +225,12 @@ impl LiveState {
     }
 
     /// Head-service names in dataset order.
-    pub fn service_names(&self) -> Vec<&'static str> {
+    pub(crate) fn service_names(&self) -> Vec<&'static str> {
         self.catalog().head().iter().map(|s| s.name).collect()
     }
 
     /// The base seed of this run (week 0's capture/session seed).
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -242,7 +242,7 @@ impl LiveState {
 
     /// The notifier woken on every version bump; subscribed connections
     /// wait on it instead of polling snapshots.
-    pub fn notifier(&self) -> &VersionNotifier {
+    pub(crate) fn notifier(&self) -> &VersionNotifier {
         &self.notifier
     }
 
@@ -377,7 +377,7 @@ impl LiveState {
 
     /// Global observed frontier within the current week, hours
     /// (`0..=168`).
-    pub fn watermark_hour(&self) -> usize {
+    pub(crate) fn watermark_hour(&self) -> usize {
         self.watermarks
             .iter()
             .map(|w| w.load(Ordering::Acquire))
@@ -386,12 +386,12 @@ impl LiveState {
     }
 
     /// Ring week currently being folded (`0`-based).
-    pub fn week(&self) -> usize {
+    pub(crate) fn week(&self) -> usize {
         self.week.load(Ordering::SeqCst)
     }
 
     /// Scheduled weeks of this run.
-    pub fn weeks(&self) -> usize {
+    pub(crate) fn weeks(&self) -> usize {
         self.weeks_total.load(Ordering::SeqCst)
     }
 
@@ -402,7 +402,7 @@ impl LiveState {
     }
 
     /// Streaming-engine accounting so far (cumulative across weeks).
-    pub fn ingest_stats(&self) -> IngestStats {
+    pub(crate) fn ingest_stats(&self) -> IngestStats {
         self.engine.stats()
     }
 

@@ -151,7 +151,7 @@ pub enum Command {
 }
 
 /// Parses a wire direction token (`dl`/`ul`).
-pub fn parse_dir(token: &str) -> Result<Direction, String> {
+pub(crate) fn parse_dir(token: &str) -> Result<Direction, String> {
     match token.to_ascii_lowercase().as_str() {
         "dl" => Ok(Direction::Down),
         "ul" => Ok(Direction::Up),
@@ -160,7 +160,7 @@ pub fn parse_dir(token: &str) -> Result<Direction, String> {
 }
 
 /// The wire token of a direction (inverse of [`parse_dir`]).
-pub fn dir_token(dir: Direction) -> &'static str {
+pub(crate) fn dir_token(dir: Direction) -> &'static str {
     match dir {
         Direction::Down => "dl",
         Direction::Up => "ul",
@@ -203,7 +203,7 @@ pub(crate) fn head_autocorrs(
 /// This is the Jo-style handset-usage temporal statistic (PAPERS.md):
 /// at lag 24 it measures how faithfully a service repeats its diurnal
 /// rhythm day over day.
-pub fn hour_lag_autocorr(series: &[f64], lag: usize) -> Option<f64> {
+pub(crate) fn hour_lag_autocorr(series: &[f64], lag: usize) -> Option<f64> {
     if lag == 0 || series.len() < lag + 2 {
         return None;
     }

@@ -33,22 +33,22 @@ pub struct StudyEntry {
 
 impl StudyEntry {
     /// The registry name of this study.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The scale label this study was registered under.
-    pub fn scale(&self) -> &str {
+    pub(crate) fn scale(&self) -> &str {
         &self.scale
     }
 
     /// The study's live state.
-    pub fn state(&self) -> &Arc<LiveState> {
+    pub(crate) fn state(&self) -> &Arc<LiveState> {
         &self.state
     }
 
     /// A point-in-time description of this study (the `LIST` body).
-    pub fn info(&self) -> StudyInfo {
+    pub(crate) fn info(&self) -> StudyInfo {
         StudyInfo {
             name: self.name.clone(),
             scale: self.scale.clone(),
@@ -228,7 +228,7 @@ impl StudyRegistry {
 
     /// Registers a study from a scale token (`small`/`medium`/`france`/
     /// `national`) — the `START` verb's entry point.
-    pub fn register_scale(
+    pub(crate) fn register_scale(
         &self,
         name: &str,
         scale: &str,
@@ -270,24 +270,24 @@ impl StudyRegistry {
 
     /// The only registered study, when exactly one exists — the
     /// v1-compatible auto-selection.
-    pub fn single(&self) -> Option<Arc<StudyEntry>> {
+    pub(crate) fn single(&self) -> Option<Arc<StudyEntry>> {
         let entries = self.entries.lock().expect("study registry poisoned");
         (entries.len() == 1).then(|| entries[0].clone())
     }
 
     /// Registered study count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().expect("study registry poisoned").len()
     }
 
     /// Whether no study is registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Point-in-time descriptions of every registered study, in
     /// registration order (the `LIST` body).
-    pub fn list(&self) -> Vec<StudyInfo> {
+    pub(crate) fn list(&self) -> Vec<StudyInfo> {
         self.entries
             .lock()
             .expect("study registry poisoned")
@@ -298,7 +298,7 @@ impl StudyRegistry {
 
     /// Raises the server-wide stop flag and wakes every subscribed
     /// connection waiting on a study's version notifier.
-    pub fn request_stop(&self) {
+    pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         for entry in self.entries.lock().expect("study registry poisoned").iter() {
             entry.state.notifier().notify();
@@ -306,7 +306,7 @@ impl StudyRegistry {
     }
 
     /// Whether a stop was requested.
-    pub fn stopping(&self) -> bool {
+    pub(crate) fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 

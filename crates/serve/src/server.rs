@@ -86,7 +86,7 @@ impl ServerHandle {
     }
 
     /// The registry this server serves.
-    pub fn registry(&self) -> &Arc<StudyRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<StudyRegistry> {
         &self.shared.registry
     }
 

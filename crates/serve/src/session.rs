@@ -20,19 +20,20 @@ use crate::registry::{StudyEntry, StudyRegistry};
 
 /// The verbs this server understands, in grammar order — the `HELLO`
 /// capability list.
-pub const CAPABILITIES: &str = "HELLO LIST USE START SUBSCRIBE RANK R2 PEAKS SERIES AUTOCORR \
+pub(crate) const CAPABILITIES: &str =
+    "HELLO LIST USE START SUBSCRIBE RANK R2 PEAKS SERIES AUTOCORR \
                                 WATERMARK STATS DATASET HEALTH QUIT SHUTDOWN";
 
 /// One connection's protocol state: the registry plus the selected
 /// study.
-pub struct Session {
+pub(crate) struct Session {
     registry: Arc<StudyRegistry>,
     study: Option<Arc<StudyEntry>>,
 }
 
 impl Session {
     /// A fresh session with no study selected.
-    pub fn new(registry: Arc<StudyRegistry>) -> Session {
+    pub(crate) fn new(registry: Arc<StudyRegistry>) -> Session {
         Session {
             registry,
             study: None,
@@ -40,12 +41,12 @@ impl Session {
     }
 
     /// The registry this session speaks for.
-    pub fn registry(&self) -> &Arc<StudyRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<StudyRegistry> {
         &self.registry
     }
 
     /// `HELLO`: protocol version, capabilities and study count.
-    pub fn hello(&self) -> Vec<String> {
+    pub(crate) fn hello(&self) -> Vec<String> {
         vec![
             PROTOCOL_VERSION.to_string(),
             format!("capabilities {CAPABILITIES}"),
@@ -54,7 +55,7 @@ impl Session {
     }
 
     /// `LIST`: one body line per registered study.
-    pub fn list(&self) -> Vec<String> {
+    pub(crate) fn list(&self) -> Vec<String> {
         self.registry
             .list()
             .iter()
@@ -64,7 +65,7 @@ impl Session {
 
     /// `USE <study>`: selects a study for this connection; the body
     /// echoes its info line.
-    pub fn use_study(&mut self, name: &str) -> Result<Vec<String>, String> {
+    pub(crate) fn use_study(&mut self, name: &str) -> Result<Vec<String>, String> {
         let entry = self
             .registry
             .get(name)
@@ -76,7 +77,7 @@ impl Session {
 
     /// `START <study> <scale> [seed [weeks]]`: registers a new study,
     /// starts its ingestion, and selects it for this connection.
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         name: &str,
         scale: &str,
@@ -97,7 +98,7 @@ impl Session {
 
     /// The study this connection operates on: the `USE`d one, or the
     /// implicit single registered study.
-    pub fn current(&mut self) -> Result<Arc<StudyEntry>, String> {
+    pub(crate) fn current(&mut self) -> Result<Arc<StudyEntry>, String> {
         if let Some(entry) = &self.study {
             return Ok(entry.clone());
         }

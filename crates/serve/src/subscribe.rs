@@ -39,7 +39,7 @@ use crate::query::{dir_token, head_autocorrs, parse_dir};
 
 /// Hour lag of the subscription autocorrelation statistic: one day, the
 /// diurnal period the paper's temporal analyses revolve around.
-pub const AUTOCORR_LAG_HOURS: usize = 24;
+pub(crate) const AUTOCORR_LAG_HOURS: usize = 24;
 
 /// One subscribable event family.
 ///
@@ -69,7 +69,7 @@ impl Topic {
     ];
 
     /// The wire token of this topic.
-    pub fn token(self) -> &'static str {
+    pub(crate) fn token(self) -> &'static str {
         match self {
             Topic::Watermark => "watermark",
             Topic::Version => "version",
@@ -188,7 +188,7 @@ pub enum DeltaEvent {
 impl DeltaEvent {
     /// The topic this event belongs to (`None` for [`DeltaEvent::End`],
     /// which bypasses filtering).
-    pub fn topic(&self) -> Option<Topic> {
+    pub(crate) fn topic(&self) -> Option<Topic> {
         match self {
             DeltaEvent::Watermark { .. } => Some(Topic::Watermark),
             DeltaEvent::Version { .. } => Some(Topic::Version),

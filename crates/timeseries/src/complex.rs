@@ -52,13 +52,13 @@ impl Complex {
 
     /// Squared magnitude `re² + im²`.
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude `√(re² + im²)`.
     #[inline]
-    pub fn abs(self) -> f64 {
+    pub(crate) fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 

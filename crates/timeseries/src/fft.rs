@@ -93,12 +93,12 @@ impl FftPlan {
     }
 
     /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
     /// True for the degenerate length-0 plan (never useful in practice).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 

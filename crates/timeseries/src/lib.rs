@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod complex;
+mod complex;
 pub mod fft;
 pub mod norm;
 pub mod sbd;
@@ -42,4 +42,3 @@ pub mod stats;
 pub mod zipf;
 
 pub use complex::Complex;
-pub use sbd::{ncc_c, shape_based_distance};

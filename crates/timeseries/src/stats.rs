@@ -15,7 +15,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance. Returns 0 for slices with fewer than two elements.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -145,7 +145,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Median (the 0.5 quantile).
-pub fn median(xs: &[f64]) -> f64 {
+pub(crate) fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
@@ -169,12 +169,12 @@ impl Ecdf {
     }
 
     /// True when no finite points were supplied.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
 
     /// `F(x)`: fraction of the sample `<= x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }

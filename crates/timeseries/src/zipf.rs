@@ -21,7 +21,7 @@ pub struct ZipfFit {
 
 impl ZipfFit {
     /// Predicted (linear-scale) value at `rank` (1-based).
-    pub fn predict(&self, rank: usize) -> f64 {
+    pub(crate) fn predict(&self, rank: usize) -> f64 {
         assert!(rank >= 1, "ranks are 1-based");
         10f64.powf(self.log10_scale - self.exponent * (rank as f64).log10())
     }

@@ -113,12 +113,12 @@ pub struct ServiceSpec {
 
 impl ServiceSpec {
     /// Average weekly uplink volume per urban subscriber, MB.
-    pub fn weekly_ul_mb_per_user(&self) -> f64 {
+    pub(crate) fn weekly_ul_mb_per_user(&self) -> f64 {
         self.weekly_dl_mb_per_user * self.ul_ratio
     }
 
     /// The ground-truth peak intensity at a topical time, if any.
-    pub fn peak_at(&self, time: TopicalTime) -> Option<f64> {
+    pub(crate) fn peak_at(&self, time: TopicalTime) -> Option<f64> {
         self.peaks
             .iter()
             .find(|p| p.time == time)
@@ -146,7 +146,7 @@ fn peaks(list: &[(TopicalTime, f64)]) -> Vec<PeakSpec> {
 
 impl ServiceCatalog {
     /// Number of head services (the paper's selection).
-    pub const HEAD_LEN: usize = 20;
+    pub(crate) const HEAD_LEN: usize = 20;
 
     /// Builds the standard catalog with `n_tail` tail services.
     ///
@@ -180,7 +180,7 @@ impl ServiceCatalog {
     }
 
     /// A head service by id.
-    pub fn service(&self, id: ServiceId) -> &ServiceSpec {
+    pub(crate) fn service(&self, id: ServiceId) -> &ServiceSpec {
         &self.head[id.index()]
     }
 
@@ -195,22 +195,22 @@ impl ServiceCatalog {
     }
 
     /// Total number of services (head + tail).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.head.len() + self.tail_len()
     }
 
     /// Whether the catalog is empty (never for [`ServiceCatalog::standard`]).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head.is_empty() && self.tail_dl_mb.is_empty()
     }
 
     /// Tail weekly downlink volumes in rank order (MB).
-    pub fn tail_dl_mb(&self) -> &[f64] {
+    pub(crate) fn tail_dl_mb(&self) -> &[f64] {
         &self.tail_dl_mb
     }
 
     /// Tail weekly uplink volumes in rank order (MB).
-    pub fn tail_ul_mb(&self) -> &[f64] {
+    pub(crate) fn tail_ul_mb(&self) -> &[f64] {
         &self.tail_ul_mb
     }
 }

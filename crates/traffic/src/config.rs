@@ -95,7 +95,7 @@ impl TrafficConfig {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.subscriber_share) {
             return Err("subscriber_share must be in [0,1]".into());
         }

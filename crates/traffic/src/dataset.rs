@@ -40,7 +40,7 @@ impl Direction {
 
     /// Index into per-direction arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Direction::Down => 0,
             Direction::Up => 1,
@@ -152,7 +152,7 @@ pub struct ServiceRowsMut<'a> {
 impl ServiceRowsMut<'_> {
     /// Records `mb` of traffic in `dir` for `(commune, hour)`.
     #[inline]
-    pub fn add(&mut self, dir: Direction, commune: usize, hour: usize, mb: f64) {
+    pub(crate) fn add(&mut self, dir: Direction, commune: usize, hour: usize, mb: f64) {
         debug_assert!(hour < HOURS_PER_WEEK);
         // Negative volume is a caller bug; NaN is tolerated (it can reach
         // here from degraded inputs) and handled by NaN-safe consumers.
@@ -526,7 +526,9 @@ impl TrafficDataset {
     /// Errors carry the 1-based line number of the offending row (I/O
     /// failures report the line where reading stopped), so a caller (or a
     /// CLI user) can locate the problem in the file.
-    pub fn read_from<R: std::io::BufRead>(mut reader: R) -> Result<TrafficDataset, DatasetError> {
+    pub(crate) fn read_from<R: std::io::BufRead>(
+        mut reader: R,
+    ) -> Result<TrafficDataset, DatasetError> {
         let mut line = String::new();
         let read_line = |reader: &mut R, line: &mut String, line_no: usize| {
             line.clear();

@@ -198,7 +198,7 @@ impl DemandModel {
     }
 
     /// Subscribers per commune.
-    pub fn users(&self) -> &[f64] {
+    pub(crate) fn users(&self) -> &[f64] {
         &self.users
     }
 
@@ -206,7 +206,7 @@ impl DemandModel {
     /// communes ride the train-schedule blend, everyone else the service's
     /// national shape (§5: urbanization does not change *when* people use
     /// services — only TGV does).
-    pub fn profile_for(&self, service: usize, commune: usize) -> &WeekProfile {
+    pub(crate) fn profile_for(&self, service: usize, commune: usize) -> &WeekProfile {
         if self.country.communes()[commune].usage_class() == UsageClass::Tgv {
             &self.tgv_profiles[service]
         } else {
@@ -215,14 +215,14 @@ impl DemandModel {
     }
 
     /// The national (non-TGV) profile of a service.
-    pub fn national_profile(&self, service: usize) -> &WeekProfile {
+    pub(crate) fn national_profile(&self, service: usize) -> &WeekProfile {
         &self.profiles[service]
     }
 
     /// Hourly demand weight of `(service, commune)` at `hour`: the
     /// applicable weekly profile, adjusted for any exceptional event. The
     /// weights sum to [`DemandModel::weekly_uplift`] over the week.
-    pub fn hourly_weight(&self, service: usize, commune: usize, hour: usize) -> f64 {
+    pub(crate) fn hourly_weight(&self, service: usize, commune: usize, hour: usize) -> f64 {
         match self.event_overrides.get(&(service, commune)) {
             Some((weights, _)) => weights[hour],
             None => self.profile_for(service, commune).value(hour),
@@ -230,7 +230,7 @@ impl DemandModel {
     }
 
     /// Weekly demand uplift from exceptional events (1.0 when unaffected).
-    pub fn weekly_uplift(&self, service: usize, commune: usize) -> f64 {
+    pub(crate) fn weekly_uplift(&self, service: usize, commune: usize) -> f64 {
         self.event_overrides
             .get(&(service, commune))
             .map(|(_, s)| *s)
@@ -239,7 +239,7 @@ impl DemandModel {
 
     /// Expected weekly downlink MB of `service` in `commune`, including
     /// any event uplift.
-    pub fn weekly_dl_mb(&self, service: usize, commune: usize) -> f64 {
+    pub(crate) fn weekly_dl_mb(&self, service: usize, commune: usize) -> f64 {
         self.pair_demand(service, commune).0
     }
 

@@ -8,28 +8,28 @@
 use rand::Rng;
 
 /// Samples a standard normal via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Samples `N(mean, sd²)`.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)
 }
 
 /// Samples a log-normal with **unit mean** and shape `sigma` (the σ of the
 /// underlying normal). Useful as a multiplicative jitter that leaves
 /// expectations unchanged: `E[X] = 1` for any σ.
-pub fn unit_mean_log_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
+pub(crate) fn unit_mean_log_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     let mu = -sigma * sigma / 2.0;
     (mu + sigma * standard_normal(rng)).exp()
 }
 
 /// Samples a log-normal with the given **linear-scale mean** and shape
 /// `sigma`.
-pub fn log_normal_with_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn log_normal_with_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     assert!(mean > 0.0, "log-normal mean must be positive");
     mean * unit_mean_log_normal(rng, sigma)
 }
@@ -39,7 +39,7 @@ pub fn log_normal_with_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64)
 /// Uses Knuth's product-of-uniforms method for small rates and a normal
 /// approximation (continuity-corrected, clamped at zero) for large ones —
 /// accurate to well under a percent for the rates the generator uses.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
+pub(crate) fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     assert!(lambda >= 0.0, "Poisson rate must be non-negative");
     if lambda == 0.0 {
         return 0;
@@ -66,7 +66,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 /// A categorical sampler over fixed weights, using precomputed cumulative
 /// sums and binary search — `O(log n)` per draw.
 #[derive(Debug, Clone)]
-pub struct Categorical {
+pub(crate) struct Categorical {
     cumulative: Vec<f64>,
 }
 
@@ -77,7 +77,7 @@ impl Categorical {
     ///
     /// Panics if `weights` is empty, contains a negative/non-finite value,
     /// or sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
+    pub(crate) fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "categorical needs at least one weight");
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
@@ -94,17 +94,17 @@ impl Categorical {
     }
 
     /// Number of categories.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cumulative.len()
     }
 
     /// Whether the sampler has no categories (never, by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cumulative.is_empty()
     }
 
     /// Draws a category index.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let u: f64 = rng.gen_range(0.0..total);
         self.cumulative

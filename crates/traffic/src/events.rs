@@ -55,7 +55,7 @@ impl EventSpec {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.radius_km <= 0.0 {
             return Err("event radius must be positive".into());
         }
@@ -72,13 +72,13 @@ impl EventSpec {
     }
 
     /// Whether `category` is affected by this event.
-    pub fn affects(&self, category: Category) -> bool {
+    pub(crate) fn affects(&self, category: Category) -> bool {
         self.categories.is_empty() || self.categories.contains(&category)
     }
 
     /// Surge factor at distance `d_km` from the epicenter during the event
     /// window: `1 + amplitude · (1 − d/r)`, clamped at 1 outside.
-    pub fn surge_at(&self, d_km: f64) -> f64 {
+    pub(crate) fn surge_at(&self, d_km: f64) -> f64 {
         if d_km >= self.radius_km {
             return 1.0;
         }
@@ -86,7 +86,7 @@ impl EventSpec {
     }
 
     /// The affected hour range.
-    pub fn hours(&self) -> std::ops::Range<usize> {
+    pub(crate) fn hours(&self) -> std::ops::Range<usize> {
         self.start_hour..self.start_hour + self.duration_h
     }
 }

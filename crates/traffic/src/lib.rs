@@ -31,23 +31,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
-pub mod config;
-pub mod dataset;
-pub mod demand;
-pub mod dist;
-pub mod events;
-pub mod mobility;
-pub mod profile;
-pub mod sessions;
-pub mod spatial;
+mod catalog;
+mod config;
+mod dataset;
+mod demand;
+mod dist;
+mod events;
+mod mobility;
+mod profile;
+mod sessions;
+mod spatial;
 pub mod week;
 
-pub use catalog::{Category, ServiceCatalog, ServiceId, ServiceSpec};
+pub use catalog::{Category, PeakSpec, ServiceCatalog, ServiceId, ServiceSpec};
 pub use config::TrafficConfig;
-pub use dataset::{DatasetError, Direction, TrafficDataset};
+pub use dataset::{DatasetError, Direction, ServiceRowsMut, TrafficDataset};
 pub use demand::DemandModel;
 pub use events::EventSpec;
-pub use mobility::MobilityModel;
 pub use sessions::{Session, SessionGenerator, Technology};
+pub use spatial::SpatialProfile;
 pub use week::{TopicalTime, HOURS_PER_DAY, HOURS_PER_WEEK};

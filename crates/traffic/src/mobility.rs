@@ -26,7 +26,7 @@ const MIN_DISTANCE_KM: f64 = 2.0;
 
 /// Per-commune commuting distributions.
 #[derive(Debug, Clone)]
-pub struct MobilityModel {
+pub(crate) struct MobilityModel {
     /// For each home commune: `(work commune, cumulative probability)`,
     /// cumulative ascending to 1.0.
     flows: Vec<Vec<(u32, f64)>>,
@@ -40,7 +40,7 @@ impl MobilityModel {
     /// # Panics
     ///
     /// Panics unless `radius_km > 0` and `exponent > 0`.
-    pub fn gravity(country: &Country, radius_km: f64, exponent: f64) -> Self {
+    pub(crate) fn gravity(country: &Country, radius_km: f64, exponent: f64) -> Self {
         assert!(radius_km > 0.0, "radius must be positive");
         assert!(exponent > 0.0, "exponent must be positive");
         let employment: Vec<f64> = country
@@ -94,17 +94,17 @@ impl MobilityModel {
     }
 
     /// Number of home communes covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.flows.len()
     }
 
     /// True when the model covers no communes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
 
     /// Samples a work commune for a resident of `home`.
-    pub fn sample_work(&self, home: usize, rng: &mut StdRng) -> u32 {
+    pub(crate) fn sample_work(&self, home: usize, rng: &mut StdRng) -> u32 {
         let flows = &self.flows[home];
         let u: f64 = rng.gen();
         match flows.binary_search_by(|(_, c)| c.partial_cmp(&u).unwrap()) {

@@ -60,14 +60,14 @@ const PEAK_REACH: f64 = 2.0;
 
 /// A normalized weekly demand profile: 168 hourly weights summing to one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WeekProfile {
+pub(crate) struct WeekProfile {
     hourly: Vec<f64>,
 }
 
 impl WeekProfile {
     /// Builds the nationwide profile of a head service from its peak
     /// palette and a deterministic per-service shape perturbation.
-    pub fn for_service(spec: &ServiceSpec) -> Self {
+    pub(crate) fn for_service(spec: &ServiceSpec) -> Self {
         // Deterministic per-service perturbations derived from the id:
         // a baseline exponent (day-shape contrast) and a weekend factor.
         let h = fxhash(spec.id.0 as u64);
@@ -127,7 +127,7 @@ impl WeekProfile {
     /// hours so the *national mixture* (≈ 90% service profile + ≈ 10%
     /// corridor demand) stays quiet under the peak detector; only the
     /// per-service topical bumps flag.
-    pub fn tgv() -> Self {
+    pub(crate) fn tgv() -> Self {
         /// Working-day train wave (commute-heavy, midday-light).
         const WD: [f64; HOURS_PER_DAY] = [
             0.10, 0.085, 0.072, 0.062, 0.05, 0.115, 0.19, 0.27, 0.34, 0.38, 0.35, 0.30, 0.31,
@@ -162,7 +162,7 @@ impl WeekProfile {
     ///
     /// Panics unless exactly [`HOURS_PER_WEEK`] non-negative weights with a
     /// positive sum are supplied.
-    pub fn from_weights(weights: Vec<f64>) -> Self {
+    pub(crate) fn from_weights(weights: Vec<f64>) -> Self {
         assert_eq!(
             weights.len(),
             HOURS_PER_WEEK,
@@ -185,18 +185,18 @@ impl WeekProfile {
     }
 
     /// The hourly weights (length [`HOURS_PER_WEEK`], summing to one).
-    pub fn hourly(&self) -> &[f64] {
+    pub(crate) fn hourly(&self) -> &[f64] {
         &self.hourly
     }
 
     /// The weight of a single hour-of-week.
     #[inline]
-    pub fn value(&self, hour_of_week: usize) -> f64 {
+    pub(crate) fn value(&self, hour_of_week: usize) -> f64 {
         self.hourly[hour_of_week]
     }
 
     /// Blends two profiles: `alpha` of `self` plus `1 − alpha` of `other`.
-    pub fn blend(&self, other: &WeekProfile, alpha: f64) -> WeekProfile {
+    pub(crate) fn blend(&self, other: &WeekProfile, alpha: f64) -> WeekProfile {
         assert!((0.0..=1.0).contains(&alpha));
         let hourly = self
             .hourly

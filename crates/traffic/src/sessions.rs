@@ -123,7 +123,7 @@ impl<'a> SessionGenerator<'a> {
     /// so the serial order here matches a per-shard parallel run exactly.
     ///
     /// Returns the number of sessions generated.
-    pub fn generate(&self, mut sink: impl FnMut(&Session)) -> u64 {
+    pub(crate) fn generate(&self, mut sink: impl FnMut(&Session)) -> u64 {
         (0..self.shards())
             .map(|shard| self.generate_shard(shard, &mut sink))
             .sum()

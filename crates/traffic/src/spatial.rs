@@ -26,7 +26,7 @@ pub struct SpatialProfile {
 impl SpatialProfile {
     /// The typical profile of Figure 11: semi-urban ≈ urban, rural ≈ half,
     /// TGV ≥ 2×, mild 4G dependence.
-    pub fn typical() -> Self {
+    pub(crate) fn typical() -> Self {
         SpatialProfile {
             class_mult: [1.0, 0.95, 0.5, 3.2],
             fourg_share: 0.30,
@@ -35,7 +35,7 @@ impl SpatialProfile {
 
     /// Netflix-like: high-end service, nearly absent in rural France,
     /// strongly 4G-dependent.
-    pub fn high_end_urban() -> Self {
+    pub(crate) fn high_end_urban() -> Self {
         SpatialProfile {
             class_mult: [1.0, 0.75, 0.06, 3.4],
             fourg_share: 0.85,
@@ -43,7 +43,7 @@ impl SpatialProfile {
     }
 
     /// iCloud-like: background sync from every handset, nearly uniform.
-    pub fn uniform() -> Self {
+    pub(crate) fn uniform() -> Self {
         SpatialProfile {
             class_mult: [1.0, 1.0, 0.92, 1.15],
             fourg_share: 0.15,
@@ -51,7 +51,7 @@ impl SpatialProfile {
     }
 
     /// A custom profile.
-    pub fn new(class_mult: [f64; 4], fourg_share: f64) -> Self {
+    pub(crate) fn new(class_mult: [f64; 4], fourg_share: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fourg_share),
             "fourg_share must be in [0,1]"
@@ -68,7 +68,7 @@ impl SpatialProfile {
 
     /// Multiplier for a usage class.
     #[inline]
-    pub fn multiplier(&self, class: UsageClass) -> f64 {
+    pub(crate) fn multiplier(&self, class: UsageClass) -> f64 {
         self.class_mult[class.index()]
     }
 
@@ -76,7 +76,7 @@ impl SpatialProfile {
     /// usage-class multiplier with coverage gating: no service without
     /// radio coverage, and the 4G-dependent fraction of the demand needs a
     /// 4G layer.
-    pub fn commune_factor(&self, commune: &Commune) -> f64 {
+    pub(crate) fn commune_factor(&self, commune: &Commune) -> f64 {
         if !commune.coverage.any() {
             return 0.0;
         }

@@ -27,7 +27,7 @@ impl Day {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         ["Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"][self.0 % 7]
     }
 }
@@ -44,7 +44,7 @@ pub fn split_hour(hour_of_week: usize) -> (Day, usize) {
 
 /// Whether an hour-of-week falls on a weekend.
 #[inline]
-pub fn is_weekend_hour(hour_of_week: usize) -> bool {
+pub(crate) fn is_weekend_hour(hour_of_week: usize) -> bool {
     split_hour(hour_of_week).0.is_weekend()
 }
 
@@ -127,7 +127,7 @@ impl TopicalTime {
     }
 
     /// All hour-of-week slots at which this topical time occurs.
-    pub fn hours(self) -> Vec<usize> {
+    pub(crate) fn hours(self) -> Vec<usize> {
         let hod = self.hour_of_day();
         let days: &[usize] = if self.is_weekend() {
             &[0, 1]
@@ -140,7 +140,7 @@ impl TopicalTime {
     /// Maps an hour-of-week to the topical time it belongs to, within a
     /// tolerance of `slack` hours around the topical hour. Returns `None`
     /// for off-peak hours.
-    pub fn classify(hour_of_week: usize, slack: usize) -> Option<TopicalTime> {
+    pub(crate) fn classify(hour_of_week: usize, slack: usize) -> Option<TopicalTime> {
         let (day, hod) = split_hour(hour_of_week);
         let mut best: Option<(usize, TopicalTime)> = None;
         for t in TopicalTime::ALL {
