@@ -37,25 +37,11 @@ pub(crate) struct Merge {
 #[derive(Debug, Clone)]
 pub struct Dendrogram {
     n: usize,
+    /// The merge sequence, in non-decreasing height order.
     merges: Vec<Merge>,
 }
 
 impl Dendrogram {
-    /// Number of leaves.
-    pub(crate) fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the dendrogram has no leaves (never by construction).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The merge sequence, in non-decreasing height order.
-    pub(crate) fn merges(&self) -> &[Merge] {
-        &self.merges
-    }
-
     /// Cuts the dendrogram into exactly `k` clusters (undoing the last
     /// `k − 1` merges) and returns dense assignments.
     ///
@@ -237,7 +223,7 @@ mod tests {
     #[test]
     fn merge_heights_are_monotone_for_complete_linkage() {
         let dendro = agglomerate(&blobs(), Linkage::Complete, euclid);
-        for w in dendro.merges().windows(2) {
+        for w in dendro.merges.windows(2) {
             assert!(w[1].height >= w[0].height - 1e-12);
         }
     }
@@ -264,10 +250,8 @@ mod tests {
         assert!(clustering.sizes().iter().all(|&s| s == 3));
         // Each centroid is one of its members.
         for c in 0..2 {
-            let members = clustering.members(c);
-            assert!(members
-                .iter()
-                .any(|&m| series[m] == clustering.centroids[c]));
+            assert!((0..series.len())
+                .any(|m| clustering.assignments[m] == c && series[m] == clustering.centroids[c]));
         }
     }
 
@@ -295,7 +279,7 @@ mod tests {
             Linkage::Average,
             mobilenet_timeseries::sbd::shape_based_distance,
         );
-        assert_eq!(dendro.merges().len(), 19);
+        assert_eq!(dendro.merges.len(), 19);
         for k in [2usize, 5, 10, 19] {
             let cut = dendro.cut(k);
             let mut labels = cut.clone();

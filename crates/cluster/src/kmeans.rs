@@ -182,7 +182,9 @@ mod tests {
         let c = kmeans(&series, 2, 5);
         let z: Vec<Vec<f64>> = series.iter().map(|s| z_normalize(s)).collect();
         for cluster in 0..2 {
-            let members = c.members(cluster);
+            let members: Vec<usize> = (0..series.len())
+                .filter(|&i| c.assignments[i] == cluster)
+                .collect();
             let mut mean = vec![0.0; z[0].len()];
             for &i in &members {
                 for (acc, v) in mean.iter_mut().zip(z[i].iter()) {

@@ -56,16 +56,6 @@ impl Clustering {
         self.centroids.len()
     }
 
-    /// Indices of the members of cluster `c`.
-    pub(crate) fn members(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Sizes of all clusters.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.k()];
@@ -81,7 +71,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn members_and_sizes_are_consistent() {
+    fn sizes_count_assignments() {
         let c = Clustering {
             assignments: vec![0, 1, 0, 2, 1],
             centroids: vec![vec![0.0], vec![0.0], vec![0.0]],
@@ -89,8 +79,6 @@ mod tests {
             converged: true,
         };
         assert_eq!(c.k(), 3);
-        assert_eq!(c.members(0), vec![0, 2]);
-        assert_eq!(c.members(2), vec![3]);
         assert_eq!(c.sizes(), vec![2, 2, 1]);
     }
 }

@@ -59,18 +59,6 @@ pub struct PeakInterval {
     pub end: usize,
 }
 
-impl PeakInterval {
-    /// Number of samples in the peak.
-    pub(crate) fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the interval is degenerate (never produced by detection).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
 /// Full detector output, including the intermediate series Figure 4
 /// plots.
 #[derive(Debug, Clone)]
@@ -201,7 +189,7 @@ mod tests {
             rising_fronts(&det)
         );
         let main = det.peaks.iter().find(|p| p.start == 24).unwrap();
-        assert!(main.len() >= 2);
+        assert!(main.end - main.start >= 2);
     }
 
     #[test]
@@ -276,13 +264,6 @@ mod tests {
         assert!(lax.peaks.len() > strict.peaks.len());
         assert!(strict.peaks.is_empty());
         assert!(rising_fronts(&lax).contains(&60));
-    }
-
-    #[test]
-    fn interval_len_and_empty() {
-        let p = PeakInterval { start: 3, end: 7 };
-        assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
     }
 
     #[test]

@@ -29,9 +29,8 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use mobilenet_geo::Country;
 use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats};
-use mobilenet_traffic::{ServiceCatalog, TrafficDataset};
+use mobilenet_traffic::TrafficDataset;
 
 use crate::error::Error;
 use crate::study::{Study, StudyConfig};
@@ -139,12 +138,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Replaces the whole configuration.
-    pub(crate) fn config(mut self, config: StudyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Edits the configuration in place — the hook for per-study tweaks
     /// (event calendars, ablated pipeline parameters, …).
     pub fn configure(mut self, edit: impl FnOnce(&mut StudyConfig)) -> Self {
@@ -244,16 +237,6 @@ impl Run {
     /// Consumes the run, yielding the study.
     pub fn into_study(self) -> Study {
         self.study
-    }
-
-    /// The generated country.
-    pub(crate) fn country(&self) -> &Country {
-        self.study.country()
-    }
-
-    /// The service catalog.
-    pub(crate) fn catalog(&self) -> &ServiceCatalog {
-        self.study.catalog()
     }
 
     /// The aggregated measurement tables.

@@ -336,7 +336,7 @@ mod tests {
         assert!(report.top10_share > report.top1_share);
         // Per-user CDF spans orders of magnitude.
         let cdf = &report.per_user_cdf;
-        assert!(cdf.len() > 500);
+        assert!(cdf.curve().len() > 500);
         let p10 = cdf.inverse(0.10).max(1e-9);
         let p90 = cdf.inverse(0.90);
         assert!(p90 / p10 > 3.0, "per-user spread {p10}..{p90}");

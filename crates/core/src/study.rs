@@ -94,12 +94,6 @@ impl StudyConfig {
         }
     }
 
-    /// The same scale without measurement noise (expectations only).
-    pub(crate) fn expected(mut self) -> Self {
-        self.measured = false;
-        self
-    }
-
     /// The same scale with a capture-path fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -252,7 +246,13 @@ mod tests {
 
     #[test]
     fn expected_study_has_no_stats() {
-        let study = Study::generate_inner(&StudyConfig::small().expected(), 1);
+        let study = Study::generate_inner(
+            &StudyConfig {
+                measured: false,
+                ..StudyConfig::small()
+            },
+            1,
+        );
         assert!(study.collection_stats().is_none());
         assert!(study.ingest_stats().is_none());
         assert!(study.dataset().total(Direction::Down) > 0.0);
@@ -274,7 +274,13 @@ mod tests {
     #[test]
     fn measured_and_expected_totals_agree_up_to_classification() {
         let measured = Study::generate_inner(&StudyConfig::small(), 9);
-        let expected = Study::generate_inner(&StudyConfig::small().expected(), 9);
+        let expected = Study::generate_inner(
+            &StudyConfig {
+                measured: false,
+                ..StudyConfig::small()
+            },
+            9,
+        );
         let rate = 0.88;
         let m = measured.dataset().national_weekly(Direction::Down, 0);
         let e = expected.dataset().national_weekly(Direction::Down, 0) * rate;

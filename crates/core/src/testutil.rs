@@ -15,5 +15,13 @@ pub(crate) fn measured_study() -> &'static Study {
 /// artefacts) — used by the statistical-recovery tests.
 pub(crate) fn expected_study() -> &'static Study {
     static S: OnceLock<Study> = OnceLock::new();
-    S.get_or_init(|| Study::generate_inner(&StudyConfig::small().expected(), 7))
+    S.get_or_init(|| {
+        Study::generate_inner(
+            &StudyConfig {
+                measured: false,
+                ..StudyConfig::small()
+            },
+            7,
+        )
+    })
 }

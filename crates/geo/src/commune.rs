@@ -135,15 +135,6 @@ pub struct Commune {
 }
 
 impl Commune {
-    /// Population density in inhabitants per km².
-    #[inline]
-    pub(crate) fn density(&self) -> f64 {
-        if self.area_km2 <= 0.0 {
-            return 0.0;
-        }
-        self.population as f64 / self.area_km2
-    }
-
     /// The four-way class of Figure 11: rural TGV-corridor communes form
     /// their own class; urban/semi-urban communes keep their level even if
     /// a line passes through (city stations are dominated by residents).
@@ -191,15 +182,6 @@ mod tests {
             commune(Urbanization::SemiUrban, true).usage_class(),
             UsageClass::SemiUrban
         );
-    }
-
-    #[test]
-    fn density_is_population_over_area() {
-        let c = commune(Urbanization::Rural, false);
-        assert!((c.density() - 50.0).abs() < 1e-12);
-        let mut degenerate = c.clone();
-        degenerate.area_km2 = 0.0;
-        assert_eq!(degenerate.density(), 0.0);
     }
 
     #[test]

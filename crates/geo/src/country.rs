@@ -166,7 +166,7 @@ mod tests {
                 .communes()
                 .iter()
                 .filter(|c| c.urbanization == urb)
-                .map(|c| c.density())
+                .map(|c| c.population as f64 / c.area_km2)
                 .collect();
             ds.iter().sum::<f64>() / ds.len() as f64
         };

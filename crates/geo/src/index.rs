@@ -155,16 +155,6 @@ impl SpatialIndex {
         }
     }
 
-    /// Number of indexed sites.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the index holds no sites (never, by construction).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     #[inline(always)]
     fn cell_of(&self, p: &Point) -> (usize, usize) {
         let cx = ((p.x - self.min_x) / self.cell_km).floor();
@@ -512,8 +502,6 @@ mod tests {
         for p in probes(&mut rng, &idx, &sites) {
             assert_eq!(idx.nearest(&p), 0, "probe {p:?}");
         }
-        assert_eq!(idx.len(), 1);
-        assert!(!idx.is_empty());
     }
 
     #[test]

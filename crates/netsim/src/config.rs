@@ -13,8 +13,6 @@ pub struct NetsimConfig {
     pub uli_stale_error_km: f64,
     /// Base stations per 10,000 residents (at least one per commune).
     pub stations_per_10k_pop: f64,
-    /// Edge length of a routing/tracking area cell, km.
-    pub routing_area_km: f64,
 }
 
 impl NetsimConfig {
@@ -25,11 +23,11 @@ impl NetsimConfig {
             uli_stale_prob: 0.12,
             uli_stale_error_km: 12.0,
             stations_per_10k_pop: 3.0,
-            routing_area_km: 40.0,
         }
     }
 
-    /// A perfect-localization variant used by ablations and tests.
+    /// A perfect-localization variant, the tests' fixture.
+    #[cfg(test)]
     pub(crate) fn ideal() -> Self {
         NetsimConfig {
             uli_median_error_km: 0.0,
@@ -52,9 +50,6 @@ impl NetsimConfig {
         }
         if self.stations_per_10k_pop <= 0.0 {
             return Err("stations_per_10k_pop must be positive".into());
-        }
-        if self.routing_area_km <= 0.0 {
-            return Err("routing_area_km must be positive".into());
         }
         Ok(())
     }
@@ -88,10 +83,6 @@ mod tests {
 
         let mut c = NetsimConfig::standard();
         c.stations_per_10k_pop = 0.0;
-        assert!(c.validate().is_err());
-
-        let mut c = NetsimConfig::standard();
-        c.routing_area_km = -5.0;
         assert!(c.validate().is_err());
 
         let mut c = NetsimConfig::standard();

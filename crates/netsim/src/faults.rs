@@ -292,11 +292,6 @@ impl<'a> FaultInjector<'a> {
         FaultInjector { plan }
     }
 
-    /// The plan being applied.
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        self.plan
-    }
-
     /// The fault RNG of one shard: a stream derived from the pipeline's
     /// master seed, the plan seed, and the shard index — independent of
     /// the probe and session streams, and of which worker runs the shard.

@@ -715,7 +715,7 @@ mod tests {
     fn invalid_config_or_plan_is_an_error_not_a_panic() {
         let m = model();
         let mut cfg = NetsimConfig::standard();
-        cfg.routing_area_km = -1.0;
+        cfg.stations_per_10k_pop = -1.0;
         assert!(collect_with_options(&m, &cfg, &CollectOptions::default(), 1).is_err());
         let mut plan = crate::FaultPlan::none();
         plan.loss_prob = 7.0;
@@ -764,7 +764,7 @@ mod tests {
         // Fixes from the probe's own noise model over a real session
         // stream — stale fixes included, some of them outside the
         // stations' bounding box — must land on exactly the station a
-        // linear scan picks: least squared distance, lowest id on ties.
+        // linear scan picks: least squared distance, lowest index on ties.
         let m = model();
         let cfg = NetsimConfig::standard();
         let radio = RadioNetwork::deploy(m.country(), &cfg, 21);
@@ -772,21 +772,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let mut fixes = Vec::new();
         SessionGenerator::new(&m, 23).generate_shard(0, |s| {
-            fixes.push(uli.fix(&s.position, &mut rng).0);
+            fixes.push(uli.fix_along(&s.position, None, &mut rng).0);
         });
         assert!(fixes.len() > 1000, "only {} fixes", fixes.len());
-        let stations = radio.stations();
         for fix in fixes.iter().step_by(3) {
-            let want = stations
+            let (_, want) = radio
+                .stations
                 .iter()
-                .min_by(|a, b| {
+                .enumerate()
+                .min_by(|(i, a), (j, b)| {
                     a.position
                         .distance_sq(fix)
                         .total_cmp(&b.position.distance_sq(fix))
-                        .then(a.id.cmp(&b.id))
+                        .then(i.cmp(j))
                 })
                 .unwrap();
-            assert_eq!(radio.serving_station(fix).id, want.id, "fix {fix:?}");
+            assert!(
+                std::ptr::eq(radio.serving_station(fix), want),
+                "fix {fix:?}"
+            );
         }
     }
 

@@ -15,16 +15,6 @@ pub enum Interface {
     S5S8,
 }
 
-impl Interface {
-    /// Display label.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            Interface::Gn => "Gn",
-            Interface::S5S8 => "S5/S8",
-        }
-    }
-}
-
 /// A wire-level flow signature, the classifier's input. Synthetic stand-in
 /// for the transport/application-layer features a real DPI engine sees
 /// (SNI, ports, payload patterns).
@@ -101,7 +91,7 @@ impl RecordBatch {
     }
 
     /// Whether the batch holds no records.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.start_hours.is_empty()
     }
 
@@ -219,12 +209,6 @@ impl RecordBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interface_labels() {
-        assert_eq!(Interface::Gn.label(), "Gn");
-        assert_eq!(Interface::S5S8.label(), "S5/S8");
-    }
 
     #[test]
     fn signatures_are_comparable() {

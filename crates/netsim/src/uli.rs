@@ -41,15 +41,9 @@ impl UliModel {
         }
     }
 
-    /// Reports a (noisy) position fix for a true position.
-    ///
-    /// Returns the fix and whether it was stale.
-    pub(crate) fn fix(&self, true_position: &Point, rng: &mut StdRng) -> (Point, bool) {
-        self.fix_along(true_position, None, rng)
-    }
-
-    /// Like [`UliModel::fix`], but when `direction` is given the
-    /// displacement is concentrated along that unit vector.
+    /// Reports a (noisy) position fix for a true position, and whether it
+    /// was stale. When `direction` is given the displacement is
+    /// concentrated along that unit vector.
     ///
     /// ULI staleness displaces a fix along the *user's movement* since the
     /// last update. For train passengers that movement follows the track,
@@ -84,11 +78,6 @@ impl UliModel {
             stale,
         )
     }
-
-    /// The Rayleigh scale of fresh fixes, km.
-    pub(crate) fn sigma_km(&self) -> f64 {
-        self.sigma_km
-    }
 }
 
 /// Two independent `N(0, σ²)` draws via Box–Muller.
@@ -111,7 +100,7 @@ mod tests {
         let origin = Point::new(100.0, 100.0);
         (0..n)
             .map(|_| {
-                let (fix, _) = model.fix(&origin, &mut rng);
+                let (fix, _) = model.fix_along(&origin, None, &mut rng);
                 fix.distance(&origin)
             })
             .collect()
@@ -158,7 +147,10 @@ mod tests {
         let mut a = StdRng::seed_from_u64(3);
         let mut b = StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            assert_eq!(model.fix(&p, &mut a), model.fix(&p, &mut b));
+            assert_eq!(
+                model.fix_along(&p, None, &mut a),
+                model.fix_along(&p, None, &mut b)
+            );
         }
     }
 
@@ -184,6 +176,6 @@ mod tests {
     fn sigma_accessor_reflects_config() {
         let model = UliModel::new(&NetsimConfig::standard());
         let want = 3.0 / (2.0f64 * std::f64::consts::LN_2).sqrt();
-        assert!((model.sigma_km() - want).abs() < 1e-12);
+        assert!((model.sigma_km - want).abs() < 1e-12);
     }
 }

@@ -370,8 +370,11 @@ mod tests {
             assert_eq!(health.counter("serve.queries"), Some(3));
             assert_eq!(health.counter("netsim.ingest.records"), Some(100));
             assert_eq!(health.counter("core.r2_pairs"), None);
-            assert_eq!(health.gauge("serve.watermark_hour"), Some(42.0));
-            assert_eq!(health.gauge("par.threads"), None);
+            assert_eq!(
+                health.gauges.get("serve.watermark_hour").copied(),
+                Some(42.0)
+            );
+            assert_eq!(health.gauges.get("par.threads").copied(), None);
             assert!(health.span("serve").is_some());
             assert!(health.span("collect").is_none());
             // Filtering an already-filtered snapshot is idempotent.
@@ -463,7 +466,7 @@ mod tests {
         m.merge(&b.snapshot());
         assert_eq!(m.counter("c"), Some(3));
         assert_eq!(m.fcounter("f"), Some(0.75));
-        assert_eq!(m.gauge("g"), Some(3.0));
+        assert_eq!(m.gauges.get("g").copied(), Some(3.0));
         assert_eq!(m.histogram("h").unwrap().counts, vec![1, 1]);
         let s = m.span("s").unwrap();
         assert_eq!((s.count, s.total_ns, s.max_ns), (2, 150, 100));

@@ -193,11 +193,6 @@ impl Snapshot {
         self.fcounters.get(name).copied()
     }
 
-    /// The value of gauge `name`, if recorded.
-    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The statistics of span `path`, if recorded.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans.get(path)

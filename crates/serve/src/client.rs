@@ -162,33 +162,6 @@ impl Client {
         StudyInfo::parse(line).map_err(ClientError::Protocol)
     }
 
-    /// `START <study> <scale> [seed [weeks]]`: registers, starts and
-    /// selects a new study.
-    pub(crate) fn start(
-        &mut self,
-        name: &str,
-        scale: &str,
-        seed: Option<u64>,
-        weeks: Option<usize>,
-    ) -> Result<StudyInfo, ClientError> {
-        let mut line = format!("START {name} {scale}");
-        if let Some(seed) = seed {
-            line.push_str(&format!(" {seed}"));
-            if let Some(weeks) = weeks {
-                line.push_str(&format!(" {weeks}"));
-            }
-        } else if weeks.is_some() {
-            return Err(ClientError::Protocol(
-                "START cannot carry weeks without an explicit seed".into(),
-            ));
-        }
-        let body = self.request(&line)?;
-        let info = body
-            .first()
-            .ok_or_else(|| ClientError::Protocol("empty START body".into()))?;
-        StudyInfo::parse(info).map_err(ClientError::Protocol)
-    }
-
     /// `SUBSCRIBE <topics>`: switches the connection into event mode and
     /// returns the event iterator. Iterate it to completion (its `end`
     /// event) to get the connection back for further requests.

@@ -204,7 +204,9 @@ pub(crate) fn head_autocorrs(
 /// at lag 24 it measures how faithfully a service repeats its diurnal
 /// rhythm day over day.
 pub(crate) fn hour_lag_autocorr(series: &[f64], lag: usize) -> Option<f64> {
-    if lag == 0 || series.len() < lag + 2 {
+    // `series.len() < lag + 2`, without the overflow at `lag` near
+    // `usize::MAX`.
+    if lag == 0 || lag >= series.len().saturating_sub(1) {
         return None;
     }
     let n = series.len() - lag;
@@ -534,6 +536,12 @@ mod tests {
         );
     }
 
+    fn alternating_48() -> Vec<f64> {
+        (0..48)
+            .map(|h| if h % 2 == 0 { 1.0 } else { -1.0 })
+            .collect()
+    }
+
     #[test]
     fn hour_lag_autocorr_matches_hand_cases() {
         // A perfect 24h-periodic series correlates exactly at lag 24.
@@ -545,11 +553,13 @@ mod tests {
         // Too-short windows are None, not NaN.
         assert_eq!(hour_lag_autocorr(&periodic[..25], 24), None);
         assert_eq!(hour_lag_autocorr(&periodic, 0), None);
+        // Lags near `usize::MAX` are too long, not an overflow.
+        assert_eq!(hour_lag_autocorr(&alternating_48(), usize::MAX), None);
+        assert_eq!(hour_lag_autocorr(&alternating_48(), usize::MAX - 1), None);
+        // The longest defined lag leaves two points.
+        assert!(hour_lag_autocorr(&periodic[..26], 24).is_some());
         // An alternating series anti-correlates at lag 1.
-        let alternating: Vec<f64> = (0..48)
-            .map(|h| if h % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let r = hour_lag_autocorr(&alternating, 1).unwrap();
+        let r = hour_lag_autocorr(&alternating_48(), 1).unwrap();
         assert!((r + 1.0).abs() < 1e-12, "alternating series lag-1 r = {r}");
     }
 }

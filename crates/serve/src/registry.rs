@@ -13,12 +13,11 @@
 //! study is registered, queries auto-select it — which is what keeps
 //! v1 single-study clients working unchanged.
 
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use mobilenet_core::{Scale, StudyConfig};
+use mobilenet_core::StudyConfig;
 
 use crate::live::LiveState;
 
@@ -32,16 +31,6 @@ pub struct StudyEntry {
 }
 
 impl StudyEntry {
-    /// The registry name of this study.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The scale label this study was registered under.
-    pub(crate) fn scale(&self) -> &str {
-        &self.scale
-    }
-
     /// The study's live state.
     pub(crate) fn state(&self) -> &Arc<LiveState> {
         &self.state
@@ -226,19 +215,6 @@ impl StudyRegistry {
         self.register_state(name, scale, state, weeks)
     }
 
-    /// Registers a study from a scale token (`small`/`medium`/`france`/
-    /// `national`) — the `START` verb's entry point.
-    pub(crate) fn register_scale(
-        &self,
-        name: &str,
-        scale: &str,
-        seed: u64,
-        weeks: usize,
-    ) -> Result<Arc<StudyEntry>, String> {
-        let scale = Scale::from_str(scale).map_err(|e| e.to_string())?;
-        self.register_config(name, scale.name(), &scale.config(), seed, weeks)
-    }
-
     /// Starts a registered study's ingestion of all its scheduled weeks
     /// on a dedicated thread (errors if it already started). Ingestion
     /// failures are counted on `serve.ingest_errors`; the study stays
@@ -376,7 +352,6 @@ mod tests {
         assert!(registry
             .register_config("", "small", &config, 2, 1)
             .is_err());
-        assert!(registry.register_scale("beta", "galactic", 1, 1).is_err());
         assert_eq!(registry.len(), 1);
         assert!(registry.single().is_some());
         registry.shutdown();

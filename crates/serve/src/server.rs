@@ -85,11 +85,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The registry this server serves.
-    pub(crate) fn registry(&self) -> &Arc<StudyRegistry> {
-        &self.shared.registry
-    }
-
     /// Blocks until the server stops — either via
     /// [`ServerHandle::shutdown`] from another thread or a client's
     /// `SHUTDOWN` — without initiating the stop itself.

@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use mobilenet_core::DEFAULT_SEED;
+use std::str::FromStr;
+
+use mobilenet_core::{Scale, DEFAULT_SEED};
 
 use crate::query::PROTOCOL_VERSION;
 use crate::registry::{StudyEntry, StudyRegistry};
@@ -38,11 +40,6 @@ impl Session {
             registry,
             study: None,
         }
-    }
-
-    /// The registry this session speaks for.
-    pub(crate) fn registry(&self) -> &Arc<StudyRegistry> {
-        &self.registry
     }
 
     /// `HELLO`: protocol version, capabilities and study count.
@@ -75,8 +72,9 @@ impl Session {
         Ok(vec![line])
     }
 
-    /// `START <study> <scale> [seed [weeks]]`: registers a new study,
-    /// starts its ingestion, and selects it for this connection.
+    /// `START <study> <scale> [seed [weeks]]`: registers a new study of
+    /// a named scale (`small`/`medium`/`france`/`national`), starts its
+    /// ingestion, and selects it for this connection.
     pub(crate) fn start(
         &mut self,
         name: &str,
@@ -84,9 +82,11 @@ impl Session {
         seed: Option<u64>,
         weeks: Option<usize>,
     ) -> Result<Vec<String>, String> {
-        let entry = self.registry.register_scale(
+        let scale = Scale::from_str(scale).map_err(|e| e.to_string())?;
+        let entry = self.registry.register_config(
             name,
-            scale,
+            scale.name(),
+            &scale.config(),
             seed.unwrap_or(DEFAULT_SEED),
             weeks.unwrap_or(1),
         )?;
@@ -125,13 +125,14 @@ mod tests {
         assert_eq!(session.hello()[0], PROTOCOL_VERSION);
         let err = session.current().unwrap_err();
         assert!(err.contains("no study"), "unexpected message {err:?}");
+        assert!(session.start("beta", "galactic", None, None).is_err());
 
         let config = StudyConfig::small();
         registry
             .register_config("alpha", "small", &config, 1, 1)
             .unwrap();
         assert_eq!(
-            session.current().unwrap().name(),
+            session.current().unwrap().info().name,
             "alpha",
             "single study auto-selects"
         );
@@ -143,11 +144,11 @@ mod tests {
         let err = fresh.current().unwrap_err();
         assert!(err.contains("USE one"), "unexpected message {err:?}");
         fresh.use_study("beta").unwrap();
-        assert_eq!(fresh.current().unwrap().name(), "beta");
+        assert_eq!(fresh.current().unwrap().info().name, "beta");
         assert!(fresh.use_study("gamma").is_err());
 
         // The earlier session keeps its implicit selection.
-        assert_eq!(session.current().unwrap().name(), "alpha");
+        assert_eq!(session.current().unwrap().info().name, "alpha");
         assert_eq!(session.list().len(), 2);
         registry.shutdown();
     }

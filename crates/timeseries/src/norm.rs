@@ -1,8 +1,6 @@
 //! Normalizations of time series.
 //!
-//! k-Shape operates on z-normalized series (zero mean, unit variance); the
-//! paper's figures also use min–max scaling and normalization to a share of
-//! a total, both provided here.
+//! k-Shape operates on z-normalized series (zero mean, unit variance).
 
 /// Z-normalizes a series: subtracts the mean and divides by the *population*
 /// standard deviation.
@@ -21,35 +19,6 @@ pub fn z_normalize(series: &[f64]) -> Vec<f64> {
         return vec![0.0; series.len()];
     }
     series.iter().map(|x| (x - mean) / sd).collect()
-}
-
-/// Scales a series linearly into `[0, 1]`.
-///
-/// A constant series maps to all zeros.
-pub fn min_max_normalize(series: &[f64]) -> Vec<f64> {
-    if series.is_empty() {
-        return Vec::new();
-    }
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in series {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    let span = hi - lo;
-    if span <= f64::EPSILON {
-        return vec![0.0; series.len()];
-    }
-    series.iter().map(|x| (x - lo) / span).collect()
-}
-
-/// Normalizes a non-negative series so its entries sum to one (a share
-/// vector). An all-zero series is returned unchanged.
-pub fn to_shares(series: &[f64]) -> Vec<f64> {
-    let total: f64 = series.iter().sum();
-    if total <= 0.0 {
-        return series.to_vec();
-    }
-    series.iter().map(|x| x / total).collect()
 }
 
 #[cfg(test)]
@@ -72,33 +41,11 @@ mod tests {
     fn constant_series_normalizes_to_zeros() {
         let z = z_normalize(&[7.0; 10]);
         assert!(z.iter().all(|&x| x == 0.0));
-        let m = min_max_normalize(&[7.0; 10]);
-        assert!(m.iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn empty_inputs_yield_empty_outputs() {
         assert!(z_normalize(&[]).is_empty());
-        assert!(min_max_normalize(&[]).is_empty());
-        assert!(to_shares(&[]).is_empty());
-    }
-
-    #[test]
-    fn min_max_spans_unit_interval() {
-        let m = min_max_normalize(&[2.0, 4.0, 6.0]);
-        assert_eq!(m, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let s = to_shares(&[1.0, 3.0, 4.0]);
-        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((s[2] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shares_of_zero_vector_are_unchanged() {
-        assert_eq!(to_shares(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]

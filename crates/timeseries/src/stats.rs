@@ -14,15 +14,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance. Returns 0 for slices with fewer than two elements.
-pub(crate) fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Pearson correlation coefficient `r` between two equal-length samples.
 ///
 /// Returns 0 when either sample is (numerically) constant, matching the
@@ -144,11 +135,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Median (the 0.5 quantile).
-pub(crate) fn median(xs: &[f64]) -> f64 {
-    quantile(xs, 0.5)
-}
-
 /// An empirical cumulative distribution function over a sample.
 #[derive(Debug, Clone)]
 pub struct Ecdf {
@@ -161,25 +147,6 @@ impl Ecdf {
         let mut sorted: Vec<f64> = sample.iter().copied().filter(|x| x.is_finite()).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         Ecdf { sorted }
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when no finite points were supplied.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// `F(x)`: fraction of the sample `<= x`.
-    pub(crate) fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
     }
 
     /// The sorted support paired with cumulative probabilities — the series
@@ -284,16 +251,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance_match_hand_values() {
+    fn mean_matches_hand_values() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_inputs_are_safe() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
         assert_eq!(pearson_r(&[1.0], &[2.0]), 0.0);
         assert_eq!(pearson_r(&[1.0, 1.0], &[0.0, 5.0]), 0.0);
     }
@@ -338,18 +303,15 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
-        assert!((median(&xs) - 2.5).abs() < 1e-12);
+        assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
         assert!((quantile(&xs, 0.25) - 1.75).abs() < 1e-12);
     }
 
     #[test]
-    fn ecdf_evaluates_fractions() {
+    fn ecdf_curve_and_inverse_step_through_the_sample() {
         let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(2.0), 0.5);
-        assert_eq!(e.eval(10.0), 1.0);
-        assert_eq!(e.len(), 4);
         let curve = e.curve();
+        assert_eq!(curve.len(), 4);
         assert_eq!(curve[0], (1.0, 0.25));
         assert_eq!(curve[3], (4.0, 1.0));
         assert_eq!(e.inverse(0.5), 2.0);
@@ -359,7 +321,7 @@ mod tests {
     #[test]
     fn ecdf_drops_non_finite() {
         let e = Ecdf::new(&[1.0, f64::NAN, 2.0, f64::INFINITY]);
-        assert_eq!(e.len(), 2);
+        assert_eq!(e.curve().len(), 2);
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub struct ZipfFit {
     pub r2: f64,
 }
 
-impl ZipfFit {
-    /// Predicted (linear-scale) value at `rank` (1-based).
-    pub(crate) fn predict(&self, rank: usize) -> f64 {
-        assert!(rank >= 1, "ranks are 1-based");
-        10f64.powf(self.log10_scale - self.exponent * (rank as f64).log10())
-    }
-}
-
 /// Fits a Zipf law to `values` interpreted as volumes of ranks `1..=n`
 /// **after sorting descending**. Non-positive values are excluded (they have
 /// no logarithm); ranks are still assigned before exclusion so the fit
@@ -62,19 +54,6 @@ pub fn fit_zipf_ranked(sorted_desc: &[f64]) -> Option<ZipfFit> {
     })
 }
 
-/// Generates ideal Zipf weights `rank^(−s)` for `n` ranks, normalized to sum
-/// to one. Used by the synthetic service catalog.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
-    let mut w: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-s)).collect();
-    let total: f64 = w.iter().sum();
-    if total > 0.0 {
-        for v in &mut w {
-            *v /= total;
-        }
-    }
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +64,7 @@ mod tests {
         let fit = fit_zipf(&values).unwrap();
         assert!((fit.exponent - 1.69).abs() < 1e-9, "exp = {}", fit.exponent);
         assert!((fit.r2 - 1.0).abs() < 1e-9);
-        assert!((fit.predict(1) - 1e6).abs() / 1e6 < 1e-6);
-        assert!((fit.predict(10) - 1e6 * 10f64.powf(-1.69)).abs() / 1e4 < 1e-3);
+        assert!((fit.log10_scale - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -109,17 +87,6 @@ mod tests {
         assert!(fit_zipf(&[]).is_none());
         assert!(fit_zipf(&[1.0]).is_none());
         assert!(fit_zipf(&[1.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn zipf_weights_are_normalized_and_decreasing() {
-        let w = zipf_weights(500, 1.69);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for pair in w.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
-        // Head dominance: rank 1 carries far more than rank 100.
-        assert!(w[0] / w[99] > 100.0);
     }
 
     #[test]

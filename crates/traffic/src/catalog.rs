@@ -179,11 +179,6 @@ impl ServiceCatalog {
         &self.head
     }
 
-    /// A head service by id.
-    pub(crate) fn service(&self, id: ServiceId) -> &ServiceSpec {
-        &self.head[id.index()]
-    }
-
     /// Looks a head service up by display name.
     pub fn by_name(&self, name: &str) -> Option<&ServiceSpec> {
         self.head.iter().find(|s| s.name.eq_ignore_ascii_case(name))
@@ -192,16 +187,6 @@ impl ServiceCatalog {
     /// Number of tail services.
     pub fn tail_len(&self) -> usize {
         self.tail_dl_mb.len()
-    }
-
-    /// Total number of services (head + tail).
-    pub(crate) fn len(&self) -> usize {
-        self.head.len() + self.tail_len()
-    }
-
-    /// Whether the catalog is empty (never for [`ServiceCatalog::standard`]).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.tail_dl_mb.is_empty()
     }
 
     /// Tail weekly downlink volumes in rank order (MB).
@@ -528,8 +513,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 20);
-        assert_eq!(c.len(), 500);
-        assert!(!c.is_empty());
+        assert_eq!(c.head().len() + c.tail_len(), 500);
     }
 
     #[test]
@@ -537,7 +521,7 @@ mod tests {
         let c = catalog();
         for (i, s) in c.head().iter().enumerate() {
             assert_eq!(s.id.index(), i);
-            assert!(std::ptr::eq(c.service(s.id), s));
+            assert!(std::ptr::eq(&c.head()[s.id.index()], s));
         }
     }
 

@@ -197,11 +197,6 @@ impl DemandModel {
         &self.config
     }
 
-    /// Subscribers per commune.
-    pub(crate) fn users(&self) -> &[f64] {
-        &self.users
-    }
-
     /// The weekly profile a `(service, commune)` pair follows: TGV
     /// communes ride the train-schedule blend, everyone else the service's
     /// national shape (§5: urbanization does not change *when* people use
@@ -353,7 +348,7 @@ mod tests {
         assert!(dl > 0.0);
         // Per-user demand of an urban commune is near the catalog value
         // (up to the taste factor).
-        let per_user = dl / m.users()[urban.id.index()];
+        let per_user = dl / m.users[urban.id.index()];
         let want = m.catalog().head()[service].weekly_dl_mb_per_user;
         assert!(
             per_user > want * 0.2 && per_user < want * 5.0,

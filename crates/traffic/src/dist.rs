@@ -93,16 +93,6 @@ impl Categorical {
         Categorical { cumulative }
     }
 
-    /// Number of categories.
-    pub(crate) fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the sampler has no categories (never, by construction).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draws a category index.
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
@@ -195,7 +185,7 @@ mod tests {
         assert_eq!(counts[1], 0, "zero-weight category must never be drawn");
         let p0 = counts[0] as f64 / n as f64;
         assert!((p0 - 0.25).abs() < 0.01, "p0 {p0}");
-        assert_eq!(cat.len(), 3);
+        assert_eq!(cat.cumulative.len(), 3);
     }
 
     #[test]

@@ -93,16 +93,6 @@ impl MobilityModel {
         MobilityModel { flows }
     }
 
-    /// Number of home communes covered.
-    pub(crate) fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when the model covers no communes.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
     /// Samples a work commune for a resident of `home`.
     pub(crate) fn sample_work(&self, home: usize, rng: &mut StdRng) -> u32 {
         let flows = &self.flows[home];
@@ -141,8 +131,8 @@ mod tests {
     #[test]
     fn flows_are_cumulative_distributions() {
         let (country, m) = model();
-        assert_eq!(m.len(), country.communes().len());
-        for home in 0..m.len() {
+        assert_eq!(m.flows.len(), country.communes().len());
+        for home in 0..m.flows.len() {
             let flows = &m.flows[home];
             assert!(!flows.is_empty());
             assert!(flows.len() <= TOP_K);
@@ -191,8 +181,10 @@ mod tests {
         let (_, m) = model();
         // Averaged over communes, the self-flow dominates any single
         // remote destination.
-        let mean_self: f64 =
-            (0..m.len()).map(|h| self_containment(&m, h)).sum::<f64>() / m.len() as f64;
+        let mean_self: f64 = (0..m.flows.len())
+            .map(|h| self_containment(&m, h))
+            .sum::<f64>()
+            / m.flows.len() as f64;
         assert!(mean_self > 0.15, "mean self-containment {mean_self}");
     }
 
@@ -220,7 +212,7 @@ mod tests {
         let country = Country::generate(&CountryConfig::small(), 5);
         let a = MobilityModel::gravity(&country, 35.0, 2.0);
         let b = MobilityModel::gravity(&country, 35.0, 2.0);
-        for h in (0..a.len()).step_by(97) {
+        for h in (0..a.flows.len()).step_by(97) {
             assert_eq!(a.flows[h], b.flows[h]);
         }
     }

@@ -117,18 +117,6 @@ impl<'a> SessionGenerator<'a> {
         self.model.catalog().head().len()
     }
 
-    /// Generates every session of the measurement week, invoking `sink` for
-    /// each. Sessions are produced service-major, commune-minor — shard
-    /// order — and each shard draws from its own seed-derived RNG stream,
-    /// so the serial order here matches a per-shard parallel run exactly.
-    ///
-    /// Returns the number of sessions generated.
-    pub(crate) fn generate(&self, mut sink: impl FnMut(&Session)) -> u64 {
-        (0..self.shards())
-            .map(|shard| self.generate_shard(shard, &mut sink))
-            .sum()
-    }
-
     /// Generates one shard — service `shard` over every commune — from the
     /// shard's own RNG stream. Safe to call from any thread, in any order;
     /// the shard's output depends only on `(model, seed, shard)`.
@@ -254,6 +242,13 @@ fn tech_4g_share(spec: &crate::catalog::ServiceSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every session of the week, shard by shard in shard order.
+    fn generate(gen: &SessionGenerator, mut sink: impl FnMut(&Session)) -> u64 {
+        (0..gen.shards())
+            .map(|shard| gen.generate_shard(shard, &mut sink))
+            .sum()
+    }
     use crate::catalog::ServiceCatalog;
     use crate::config::TrafficConfig;
     use crate::dataset::Direction;
@@ -272,7 +267,7 @@ mod tests {
         let m = model();
         let collect = |seed: u64| {
             let mut out = Vec::new();
-            SessionGenerator::new(&m, seed).generate(|s| out.push(*s));
+            generate(&SessionGenerator::new(&m, seed), |s| out.push(*s));
             out
         };
         let a = collect(1);
@@ -290,7 +285,7 @@ mod tests {
         let m = model();
         let expected = m.expected_dataset();
         let mut dl_by_service = [0.0f64; 20];
-        SessionGenerator::new(&m, 7).generate(|s| {
+        generate(&SessionGenerator::new(&m, 7), |s| {
             dl_by_service[s.service as usize] += s.dl_mb;
         });
         // Compare the largest services (enough sessions for a tight CLT
@@ -309,7 +304,7 @@ mod tests {
     fn session_fields_are_within_domain() {
         let m = model();
         let mut n = 0u64;
-        SessionGenerator::new(&m, 3).generate(|s| {
+        generate(&SessionGenerator::new(&m, 3), |s| {
             n += 1;
             assert!((s.start_hour as usize) < HOURS_PER_WEEK);
             assert!(s.dl_mb > 0.0);
@@ -327,7 +322,7 @@ mod tests {
     #[test]
     fn ul_tracks_service_ratio() {
         let m = model();
-        SessionGenerator::new(&m, 9).generate(|s| {
+        generate(&SessionGenerator::new(&m, 9), |s| {
             let ratio = m.catalog().head()[s.service as usize].ul_ratio;
             assert!((s.ul_mb - s.dl_mb * ratio).abs() < 1e-9);
         });
@@ -350,7 +345,7 @@ mod tests {
             .unwrap() as u16;
         let mut netflix_4g = (0u64, 0u64);
         let mut mms_4g = (0u64, 0u64);
-        SessionGenerator::new(&m, 5).generate(|s| {
+        generate(&SessionGenerator::new(&m, 5), |s| {
             let covered = m.country().communes()[s.commune.index()].coverage.has_4g;
             if !covered {
                 return;
@@ -384,7 +379,7 @@ mod tests {
         let urban_daytime = |m: &DemandModel| -> f64 {
             let mut urban = 0.0;
             let mut total = 0.0;
-            SessionGenerator::new(m, 5).generate(|s| {
+            generate(&SessionGenerator::new(m, 5), |s| {
                 let hod = s.start_hour as usize % 24;
                 let weekday = s.start_hour >= 48;
                 if weekday && (9..18).contains(&hod) {
@@ -411,7 +406,7 @@ mod tests {
         // Aggregate hours of service 0 over non-TGV communes and check the
         // empirical distribution correlates with the profile.
         let mut counts = vec![0.0f64; HOURS_PER_WEEK];
-        SessionGenerator::new(&m, 13).generate(|s| {
+        generate(&SessionGenerator::new(&m, 13), |s| {
             if s.service == 0 {
                 counts[s.start_hour as usize] += 1.0;
             }

@@ -25,11 +25,6 @@ impl Day {
     pub fn is_weekend(self) -> bool {
         self.0 < 2
     }
-
-    /// Display name.
-    pub(crate) fn name(self) -> &'static str {
-        ["Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"][self.0 % 7]
-    }
 }
 
 /// Splits an hour-of-week into `(day, hour_of_day)`.
@@ -125,38 +120,6 @@ impl TopicalTime {
             TopicalTime::WeekendMidday | TopicalTime::WeekendEvening
         )
     }
-
-    /// All hour-of-week slots at which this topical time occurs.
-    pub(crate) fn hours(self) -> Vec<usize> {
-        let hod = self.hour_of_day();
-        let days: &[usize] = if self.is_weekend() {
-            &[0, 1]
-        } else {
-            &[2, 3, 4, 5, 6]
-        };
-        days.iter().map(|d| d * HOURS_PER_DAY + hod).collect()
-    }
-
-    /// Maps an hour-of-week to the topical time it belongs to, within a
-    /// tolerance of `slack` hours around the topical hour. Returns `None`
-    /// for off-peak hours.
-    pub(crate) fn classify(hour_of_week: usize, slack: usize) -> Option<TopicalTime> {
-        let (day, hod) = split_hour(hour_of_week);
-        let mut best: Option<(usize, TopicalTime)> = None;
-        for t in TopicalTime::ALL {
-            if t.is_weekend() != day.is_weekend() {
-                continue;
-            }
-            let d = hod.abs_diff(t.hour_of_day());
-            if d <= slack {
-                match best {
-                    Some((bd, _)) if bd <= d => {}
-                    _ => best = Some((d, t)),
-                }
-            }
-        }
-        best.map(|(_, t)| t)
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +128,6 @@ mod tests {
 
     #[test]
     fn week_starts_saturday() {
-        assert_eq!(Day(0).name(), "Sat");
-        assert_eq!(Day(6).name(), "Fri");
         assert!(Day(0).is_weekend());
         assert!(Day(1).is_weekend());
         assert!(!Day(2).is_weekend());
@@ -178,59 +139,6 @@ mod tests {
             let (d, hod) = split_hour(h);
             assert_eq!(d.0 * HOURS_PER_DAY + hod, h);
         }
-    }
-
-    #[test]
-    fn topical_hours_land_on_expected_slots() {
-        assert_eq!(TopicalTime::WeekendMidday.hours(), vec![13, 37]);
-        assert_eq!(
-            TopicalTime::MorningCommute.hours(),
-            vec![56, 80, 104, 128, 152]
-        );
-        assert_eq!(TopicalTime::Evening.hours(), vec![69, 93, 117, 141, 165]);
-    }
-
-    #[test]
-    fn every_topical_hour_is_within_the_week() {
-        for t in TopicalTime::ALL {
-            for h in t.hours() {
-                assert!(h < HOURS_PER_WEEK);
-                assert_eq!(is_weekend_hour(h), t.is_weekend());
-            }
-        }
-    }
-
-    #[test]
-    fn classify_maps_topical_hours_to_themselves() {
-        for t in TopicalTime::ALL {
-            for h in t.hours() {
-                assert_eq!(TopicalTime::classify(h, 1), Some(t), "hour {h}");
-            }
-        }
-    }
-
-    #[test]
-    fn classify_rejects_off_peak_hours() {
-        // 3 am Monday is nowhere near a topical time.
-        assert_eq!(TopicalTime::classify(2 * HOURS_PER_DAY + 3, 1), None);
-        // 1 pm Saturday is weekend midday, never weekday midday.
-        assert_eq!(
-            TopicalTime::classify(13, 1),
-            Some(TopicalTime::WeekendMidday)
-        );
-    }
-
-    #[test]
-    fn classify_with_slack_snaps_to_nearest() {
-        // 9 am Monday sits between the 8 am commute and the 10 am break;
-        // equidistant ties go to the earlier (commute) entry by order.
-        let t = TopicalTime::classify(2 * HOURS_PER_DAY + 9, 1).unwrap();
-        assert!(t == TopicalTime::MorningCommute || t == TopicalTime::MorningBreak);
-        // 7 pm Monday snaps to the 6 pm commute with slack 1.
-        assert_eq!(
-            TopicalTime::classify(2 * HOURS_PER_DAY + 19, 1),
-            Some(TopicalTime::AfternoonCommute)
-        );
     }
 
     #[test]
