@@ -76,7 +76,7 @@ fn request_line(bits: u64) -> String {
     let pick = |table: &[&'static str], shift: u32| {
         table[((bits >> shift) % table.len() as u64) as usize].to_string()
     };
-    if bits % 16 == 0 {
+    if bits & 0xf == 0 {
         return if bits & 16 == 0 {
             String::new()
         } else {
