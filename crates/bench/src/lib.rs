@@ -151,7 +151,7 @@ pub fn parse_ingest_baselines(json: &str) -> Result<Vec<IngestBaseline>, String>
 
 /// Compares current ingestion throughput against a baseline and returns
 /// the modes that regressed: throughput down by more than
-/// [`COMPARE_MAX_RELATIVE_SLOWDOWN`] relative to the baseline. Modes
+/// `COMPARE_MAX_RELATIVE_SLOWDOWN` relative to the baseline. Modes
 /// present on only one side are ignored, like [`compare_stages`].
 pub fn compare_ingest(
     baseline: &[IngestBaseline],
@@ -175,7 +175,7 @@ pub fn compare_ingest(
 
 /// Compares current per-stage serial timings against a baseline and
 /// returns the stages that regressed: slower by more than
-/// [`COMPARE_MAX_RELATIVE_SLOWDOWN`] relative AND [`COMPARE_MIN_DELTA_S`]
+/// `COMPARE_MAX_RELATIVE_SLOWDOWN` relative AND `COMPARE_MIN_DELTA_S`
 /// absolute. Stages present on only one side are ignored (renames and new
 /// stages don't fail the gate; the baseline should be refreshed instead).
 pub fn compare_stages(baseline: &[StageBaseline], current: &[(String, f64)]) -> Vec<Regression> {

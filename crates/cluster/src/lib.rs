@@ -16,9 +16,11 @@
 //!   matrix, via power iteration).
 //! * [`kmeans`](mod@kmeans) — Lloyd's algorithm on z-normalized series, the baseline
 //!   the ablation benches compare against.
-//! * [`indices`] — the four quality indices, over precomputed distance tables.
-//! * [`linalg`] — the small dense-matrix kernel (power iteration) that
-//!   shape extraction needs.
+//! * The four quality indices ([`silhouette_from`], [`dunn_from`],
+//!   [`davies_bouldin_from`], [`davies_bouldin_star_from`]), over
+//!   precomputed distance tables.
+//! * A small dense-matrix kernel (power iteration) that shape extraction
+//!   needs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

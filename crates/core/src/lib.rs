@@ -36,10 +36,9 @@
 //!
 //! Infrastructure shared by every consumer:
 //!
-//! * [`pipeline`] — the [`Pipeline`] builder, the single entry point that
-//!   assembles a study (scale → config → seed → threads → observability).
-//! * [`error`] — the unified [`Error`] every fallible assembly path
-//!   returns.
+//! * the [`Pipeline`] builder, the single entry point that assembles a
+//!   study (scale → config → seed → threads → observability);
+//! * the unified [`Error`] every fallible assembly path returns.
 //!
 //! # Quickstart
 //!

@@ -109,8 +109,8 @@ impl Pipeline {
     }
 }
 
-/// Configures one end-to-end study assembly. See the [module
-/// docs](self) for the typical call chain.
+/// Configures one end-to-end study assembly; [`Pipeline::builder`]
+/// starts one.
 #[derive(Debug, Clone)]
 pub struct PipelineBuilder {
     config: StudyConfig,

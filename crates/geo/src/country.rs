@@ -36,7 +36,9 @@ impl Country {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`CountryConfig::validate`].
+    /// Panics if the configuration is inconsistent: a non-positive size
+    /// or commune count, more cities than communes, or a share or
+    /// probability outside `[0, 1]`.
     pub fn generate(config: &CountryConfig, seed: u64) -> Self {
         builder::generate(config, seed)
     }

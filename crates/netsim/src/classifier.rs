@@ -38,8 +38,8 @@ pub(crate) const UNCLASSIFIED_CODE: u32 = u32::MAX;
 /// fingerprints are already SplitMix64-finalized (well mixed), so the
 /// probe sequence starts at `signature & mask` and walks linearly —
 /// one L1-resident lookup per record instead of a SipHash `HashMap` probe.
-/// Values are small dictionary codes (see [`UNCLASSIFIED_CODE`]); an
-/// empty slot doubles as the unclassified answer.
+/// Values are small dictionary codes; an empty slot holds
+/// `UNCLASSIFIED_CODE` and doubles as the unclassified answer.
 #[derive(Debug, Clone)]
 pub struct DpiClassifier {
     /// Slot keys (raw fingerprint bits); meaningful only where the

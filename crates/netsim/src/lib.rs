@@ -11,16 +11,15 @@
 //!
 //! This crate rebuilds that apparatus over synthetic sessions:
 //!
-//! * [`radio`] — base stations deployed per commune and grouped into
-//!   routing/tracking areas; the station ↔ commune mapping the paper uses
-//!   for aggregation.
-//! * [`uli`] — the localization model: reported positions scatter around
-//!   true positions with a configurable median error, plus occasional
-//!   stale-ULI outliers at routing-area scale.
+//! * [`RadioNetwork`] — base stations deployed per commune; the
+//!   station ↔ commune mapping the paper uses for aggregation.
+//! * [`UliModel`] — the localization model: reported positions scatter
+//!   around true positions with a configurable median error, plus
+//!   occasional stale-ULI outliers at routing-area scale.
 //! * [`classifier`] — a fingerprint-table DPI stage: sessions carry a wire
 //!   signature derived from their true service; the classifier inverts it,
 //!   missing a configurable fraction of the volume.
-//! * [`probe`] — the Gn / S5-S8 probes turning a
+//! * The Gn / S5-S8 probes turn a
 //!   [`Session`](mobilenet_traffic::Session) into a [`SessionRecord`]
 //!   as the operator would see it.
 //! * [`pipeline`] — end-to-end collection: demand model → sessions →
@@ -28,11 +27,11 @@
 //!   [`TrafficDataset`](mobilenet_traffic::TrafficDataset), with
 //!   collection statistics (classification rate, localization error,
 //!   commune misassignment).
-//! * [`faults`] — the deterministic fault-injection layer: probe outage
+//! * [`FaultPlan`] — the deterministic fault-injection layer: probe outage
 //!   windows, record loss/duplication, counter truncation and clock skew,
 //!   applied between probe and aggregation so the pipeline degrades
 //!   gracefully instead of assuming benign capture.
-//! * [`ingest`](mod@ingest) — the streaming bounded-memory ingestion engine: the
+//! * The streaming bounded-memory ingestion engine: the
 //!   [`RecordSource`] abstraction (synthetic shards, trace readers,
 //!   in-memory slices) and [`ShardedFold`], the one chunked sharded
 //!   aggregator behind batch collection, trace replay and the live

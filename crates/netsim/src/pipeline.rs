@@ -194,8 +194,7 @@ fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
 /// additionally counts every record as a session and its stale-ULI flag
 /// as a stale fix).
 ///
-/// The batch's signatures are dictionary-encoded once
-/// ([`RecordBatch::resolve_codes`]) and the loop accumulates dense
+/// The batch's signatures are dictionary-encoded once and the loop accumulates dense
 /// columns straight into the dataset's tables, borrowing a head
 /// service's block once per run of its records
 /// ([`TrafficDataset::service_rows_mut`]), so the per-record step is six

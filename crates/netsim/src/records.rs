@@ -52,8 +52,7 @@ pub struct SessionRecord {
 /// Every column holds one field of every record, in record order, so the
 /// fold is a tight loop over dense `Vec<u16>`/`Vec<u32>`/`Vec<f64>`
 /// columns instead of a pointer-chasing walk over 56-byte row structs.
-/// The `codes` column is *derived* scratch: [`RecordBatch::resolve_codes`]
-/// dictionary-encodes every signature through the DPI table once per
+/// The `codes` column is *derived* scratch: the fold dictionary-encodes every signature through the DPI table once per
 /// batch ([`DpiClassifier::classify_batch`]), and the fold then branches
 /// on small integer codes only. All columns retain their capacity across
 /// [`RecordBatch::clear`], so a warmed sink re-fills batches without

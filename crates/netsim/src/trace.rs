@@ -16,15 +16,13 @@
 //! malformed or non-finite lines (with 1-based line numbers) instead of
 //! aborting the whole replay.
 //!
-//! Traces stream both ways: [`write_trace_to`] serializes records to any
-//! writer one line at a time, and one line reader serves both read paths.
+//! Traces stream both ways: [`trace_to_csv`] serializes records one line
+//! at a time, and one line reader serves both read paths.
 //! [`read_trace_from`] is strict and returns the records;
-//! [`replay_from`] streams them through
-//! [`TraceSource`] into the bounded-memory
-//! engine of [`crate::ingest`](mod@crate::ingest) without ever
-//! materializing the record vector. Records already in memory replay
-//! through [`ingest`](crate::ingest::ingest) over a
-//! [`SliceSource`](crate::ingest::SliceSource).
+//! [`replay_from`] streams them into the bounded-memory
+//! [`ShardedFold`](crate::ShardedFold) without ever materializing the
+//! record vector. Records already in memory replay through
+//! [`ingest`](crate::ingest()) over a [`SliceSource`](crate::SliceSource).
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,8 +171,8 @@ pub(crate) fn write_trace_to<'a, W: Write>(
     Ok(())
 }
 
-/// Serializes a whole trace (header + one line per record) as a `String`
-/// — [`write_trace_to`] into an in-memory buffer.
+/// Serializes a whole trace (header + one line per record) as a
+/// `String`.
 pub fn trace_to_csv<'a>(records: impl IntoIterator<Item = &'a SessionRecord>) -> String {
     let mut out = Vec::new();
     write_trace_to(&mut out, records).expect("writing a trace to memory cannot fail");
@@ -272,8 +270,8 @@ pub struct LossyReplay {
     pub ingest: crate::ingest::IngestStats,
 }
 
-/// Replays a trace incrementally from any reader through
-/// [`TraceSource`] and the streaming engine into a dataset shaped like
+/// Replays a trace incrementally from any reader through the streaming
+/// engine into a dataset shaped like
 /// `model`'s country: at most `options.chunk_size` records are resident
 /// at a time, and the result is bit-identical at any chunk size.
 ///

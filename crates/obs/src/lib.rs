@@ -16,7 +16,7 @@
 //!
 //! Everything lands in a thread-safe [`Registry`]: the one installed on
 //! the recording thread by [`scoped`] if any, else the process-wide
-//! [`global`] registry. A pipeline run records into its own registry
+//! global registry. A pipeline run records into its own registry
 //! (so its report holds only its own metrics, however many runs share
 //! the process) and folds it into the enclosing one when it ends;
 //! `mobilenet-par` hands the caller's registry to every worker of a
@@ -145,10 +145,11 @@ thread_local! {
 
 /// Runs `f` with `registry` installed as this thread's recording target:
 /// every span, counter, gauge and histogram recorded on this thread
-/// inside `f` lands there instead of in [`global`] (`None` records into
-/// [`global`]). The previous target is restored when `f` returns or
-/// unwinds. Worker threads start with no target, so code that spawns
-/// threads passes [`current`] on to them (`mobilenet-par` does).
+/// inside `f` lands there instead of in the global registry (`None`
+/// records into the global one). The previous target is restored when
+/// `f` returns or unwinds. Worker threads start with no target, so code
+/// that spawns threads passes [`current`] on to them (`mobilenet-par`
+/// does).
 pub fn scoped<R>(registry: Option<Arc<Registry>>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<Registry>>);
     impl Drop for Restore {
@@ -167,7 +168,7 @@ pub fn current() -> Option<Arc<Registry>> {
 }
 
 /// Calls `f` on this thread's recording target: the [`scoped`] registry
-/// if one is installed, else [`global`].
+/// if one is installed, else the global registry.
 fn with_target(f: impl FnOnce(&Registry)) {
     CURRENT.with(|c| match c.borrow().as_deref() {
         Some(scoped) => f(scoped),
@@ -271,14 +272,14 @@ pub fn record_span_ns(path: &str, ns: u64) {
 }
 
 /// Folds `snapshot` into this thread's recording target (the [`scoped`]
-/// registry, else [`global`]) — how a finished run's own registry joins
+/// registry, else the global one) — how a finished run's own registry joins
 /// the enclosing one. Unlike the recording functions it does not check
 /// [`enabled`]: the snapshot was recorded while collection was on.
 pub fn merge(snapshot: &Snapshot) {
     with_target(|r| r.merge(snapshot));
 }
 
-/// An immutable copy of everything recorded so far into the [`global`]
+/// An immutable copy of everything recorded so far into the global
 /// registry, which includes every pipeline run that has ended.
 pub fn snapshot() -> Snapshot {
     global().snapshot()

@@ -78,8 +78,7 @@ impl HistStat {
 /// A thread-safe metric store. The crate's free functions record into
 /// the registry installed on the calling thread by
 /// [`scoped`](crate::scoped) — e.g. the one a pipeline run owns — and
-/// into the process-wide [`global`](crate::global) registry when none
-/// is installed.
+/// into the process-wide global registry when none is installed.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Snapshot>,

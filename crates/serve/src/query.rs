@@ -1,58 +1,5 @@
-//! Snapshot queries, session verbs and the line protocol they travel
-//! over.
-//!
-//! # Protocol grammar (`mobilenet-serve/v2`)
-//!
-//! One request per line, case-insensitive verb, space-separated operands;
-//! `<dir>` is `dl` or `ul`:
-//!
-//! ```text
-//! request   = session | query | "QUIT" | "SHUTDOWN"
-//! session   = "HELLO"                   ; protocol version + capabilities
-//!           | "LIST"                    ; registered studies
-//!           | "USE" study               ; select a study for this connection
-//!           | "START" study scale [seed [weeks]]
-//!                                       ; register + start a study (admin)
-//!           | "SUBSCRIBE" topics        ; stream framed delta events
-//! query     = "RANK" dir k              ; top-k service ranking, 1 <= k <= |head|
-//!           | "R2" dir                  ; pairwise spatial correlation
-//!           | "PEAKS" dir               ; topical peak profiles
-//!           | "SERIES" dir service      ; national hourly series up to the watermark
-//!           | "AUTOCORR" dir [lag]      ; hour-lag autocorrelation (default lag 24)
-//!           | "WATERMARK"               ; frontier / completeness / version / week
-//!           | "STATS"                   ; ingestion accounting
-//!           | "DATASET"                 ; full dataset CSV (batch-export format)
-//!           | "HEALTH"                  ; serve.* + netsim.ingest.* obs metrics
-//! topics    = "all" | topic *("," topic)
-//! topic     = "watermark" | "version" | "rank" | "autocorr"
-//! dir       = "dl" | "ul"
-//! ```
-//!
-//! Responses are framed as `OK <n>` followed by exactly `n` body lines,
-//! or a single `ERR <message>` line; parse errors use the unified shape
-//! `ERR bad <verb>: <token> (expected ...)` so clients can surface the
-//! offending token. `QUIT` closes the connection (without a response);
-//! `SHUTDOWN` additionally stops the server — including any connection
-//! that is mid-`SUBSCRIBE`.
-//!
-//! `SUBSCRIBE` answers `OK 0` and then switches the connection to event
-//! framing: one `EVENT <seq> <payload>` line per delta (payload codec in
-//! [`crate::subscribe::DeltaEvent`]), terminated by an `end` event after
-//! which the connection returns to command mode. `<seq>` counts the
-//! subscription's events from 0 without gaps: no event is dropped, and
-//! a reader that falls behind gets the changes it missed merged into
-//! later events.
-//!
-//! Queries need a selected study: connections start on the only
-//! registered study when there is exactly one (the v1-compatible case)
-//! and otherwise must `USE` one first.
-//!
-//! Floating-point values render with `{:e}` — the trace/CSV notation the
-//! rest of the workspace round-trips — so two bit-identical snapshots
-//! produce byte-identical responses. `DATASET` bodies are exactly
-//! [`TrafficDataset::to_csv`](mobilenet_traffic::TrafficDataset), which
-//! is what lets the CI smoke test `cmp` a live dump against a batch
-//! export.
+//! Snapshot queries and the request parser of the line protocol (its
+//! grammar is in the crate docs).
 
 use mobilenet_core::peaks::PeakConfig;
 use mobilenet_core::{spatial_correlation_of, top_k_services, topical_profiles_of};

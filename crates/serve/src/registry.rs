@@ -65,7 +65,7 @@ impl std::fmt::Debug for StudyEntry {
 /// reports, one study per body line.
 ///
 /// `#[non_exhaustive]`: new fields are non-breaking; construct via
-/// [`StudyEntry::info`] or [`StudyInfo::parse`].
+/// [`Client::list`](crate::Client::list) or [`StudyInfo::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StudyInfo {

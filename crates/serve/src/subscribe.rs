@@ -169,7 +169,7 @@ pub enum DeltaEvent {
     Autocorr {
         /// Direction measured.
         dir: Direction,
-        /// Hour lag ([`AUTOCORR_LAG_HOURS`]).
+        /// Hour lag (24, the diurnal period).
         lag: usize,
         /// Observed window the statistic was computed over, hours.
         window: usize,

@@ -4,10 +4,10 @@
 //! on a handful of numerical kernels that in the original study were provided
 //! by the Python scientific stack. This crate reimplements them from scratch:
 //!
-//! * [`complex`] — a minimal complex-number type used by the FFT.
+//! * [`Complex`] — a minimal complex-number type used by the FFT.
 //! * [`fft`] — an iterative radix-2 fast Fourier transform with precomputed
 //!   plans, the kernel under the SBD engine.
-//! * [`norm`] — z-normalization and related scalings of series.
+//! * [`norm`] — z-normalization of series.
 //! * [`sbd`] — the normalized cross-correlation coefficient (NCC-c) and the
 //!   shape-based distance (SBD) of Paparrizos & Gravano's *k-Shape*
 //!   (SIGMOD 2015), which the paper uses for time-series clustering.

@@ -458,7 +458,7 @@ impl TrafficDataset {
     ///
     /// Format: a header line, then one line per logical row
     /// (`section,key...,values...`). Round-trips exactly through
-    /// [`TrafficDataset::read_from`] / [`TrafficDataset::from_csv`]
+    /// [`TrafficDataset::from_csv`]
     /// (floats are written with full precision).
     pub fn write_to<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
         writeln!(
@@ -593,7 +593,7 @@ impl TrafficDataset {
     }
 
     /// Parses a dataset previously written by [`TrafficDataset::to_csv`]
-    /// — [`TrafficDataset::read_from`] over an in-memory buffer.
+    /// or [`TrafficDataset::write_to`].
     pub fn from_csv(text: &str) -> Result<TrafficDataset, DatasetError> {
         TrafficDataset::read_from(text.as_bytes())
     }

@@ -7,26 +7,26 @@
 //! regression) can be exercised end-to-end and validated against known
 //! ground truth:
 //!
-//! * [`catalog`] — the 20 head services of Figure 3 with their categories,
+//! * [`ServiceCatalog`] — the 20 head services of Figure 3 with their categories,
 //!   downlink/uplink volume shares, peak palettes over the seven *topical
 //!   times*, and spatial affinities; plus a ~480-service Zipf tail
 //!   reproducing the rank distribution of Figure 2.
 //! * [`week`] — the measurement week calendar (starting Saturday, as the
 //!   paper's week of 2016-09-24 does) and the seven topical times of
 //!   Figure 6.
-//! * [`profile`] — per-service weekly temporal profiles: a diurnal/weekly
-//!   baseline modulated by Gaussian activity-peak bumps.
-//! * [`spatial`] — per-service urbanization multipliers, 4G dependence and
+//! * Per-service weekly temporal profiles: a diurnal/weekly baseline
+//!   modulated by Gaussian activity-peak bumps.
+//! * [`SpatialProfile`] — per-service urbanization multipliers, 4G dependence and
 //!   adoption floors (Netflix's rural absence, iCloud's uniformity).
-//! * [`demand`] — the expected-value demand field combining all of the
+//! * [`DemandModel`] — the expected-value demand field combining all of the
 //!   above over a generated [`mobilenet_geo::Country`].
-//! * [`sessions`] — seeded sampling of discrete user sessions from the
+//! * [`SessionGenerator`] — seeded sampling of discrete user sessions from the
 //!   demand field, the input to the `mobilenet-netsim` collection pipeline.
-//! * [`dataset`] — the commune/class/national aggregate tables every
+//! * [`TrafficDataset`] — the commune/class/national aggregate tables every
 //!   analysis consumes (the shape of the paper's dataset after §2's
 //!   aggregation step).
-//! * [`dist`] — the samplers (normal, log-normal, Poisson, categorical)
-//!   implemented on top of `rand`.
+//! * The samplers (normal, log-normal, Poisson, categorical) implemented
+//!   on top of `rand`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -55,11 +55,7 @@ pub use mobilenet_serve as serve;
 pub use mobilenet_timeseries as timeseries;
 pub use mobilenet_traffic as traffic;
 
-pub use mobilenet_core::{
-    CollectOptions, Error, FaultPlan, FaultStats, IngestStats, OutageWindow, Pipeline,
-    PipelineBuilder, Run, Scale, DEFAULT_CHUNK_SIZE, DEFAULT_SEED,
-};
+pub use mobilenet_core::{Error, FaultPlan, Pipeline, PipelineBuilder, Run, Scale, DEFAULT_SEED};
 pub use mobilenet_serve::{
-    spawn_registry_server, spawn_server, Client, DeltaEvent, LiveSnapshot, LiveState, ServerHandle,
-    SnapshotQuery, StudyInfo, StudyRegistry, Topic, PROTOCOL_VERSION,
+    spawn_registry_server, spawn_server, Client, DeltaEvent, ServerHandle, StudyRegistry, Topic,
 };
