@@ -51,9 +51,7 @@ pub struct CaptureSummary {
 }
 
 /// Runs the capture side only: sessions → probes → (faults) → `sink`, one
-/// record per session, without aggregation — the unified entry point
-/// behind the historical `observe_sessions` /
-/// `observe_sessions_with_faults` pair.
+/// record per session, without aggregation.
 ///
 /// Deterministic in `(model, config, options, seed)` and produces exactly
 /// the records
