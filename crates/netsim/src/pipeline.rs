@@ -194,9 +194,9 @@ fn probe_shard_rng(seed: u64, shard: usize) -> StdRng {
 /// additionally counts every record as a session and its stale-ULI flag
 /// as a stale fix).
 ///
-/// The batch's signatures are dictionary-encoded once and the loop accumulates dense
-/// columns straight into the dataset's tables, borrowing a head
-/// service's block once per run of its records
+/// The batch's signatures are dictionary-encoded once and the loop
+/// accumulates dense columns straight into the dataset's tables,
+/// borrowing a head service's block once per run of its records
 /// ([`TrafficDataset::service_rows_mut`]), so the per-record step is six
 /// additions with no atomic operation and no allocation. Records are
 /// walked in batch order with the same floating-point additions per

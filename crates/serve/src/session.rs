@@ -11,9 +11,8 @@
 //! path. With several studies registered, an explicit `USE` is
 //! required.
 
-use std::sync::Arc;
-
 use std::str::FromStr;
+use std::sync::Arc;
 
 use mobilenet_core::{Scale, DEFAULT_SEED};
 
@@ -22,9 +21,8 @@ use crate::registry::{StudyEntry, StudyRegistry};
 
 /// The verbs this server understands, in grammar order — the `HELLO`
 /// capability list.
-pub(crate) const CAPABILITIES: &str =
-    "HELLO LIST USE START SUBSCRIBE RANK R2 PEAKS SERIES AUTOCORR \
-                                WATERMARK STATS DATASET HEALTH QUIT SHUTDOWN";
+pub(crate) const CAPABILITIES: &str = "HELLO LIST USE START SUBSCRIBE RANK R2 PEAKS SERIES \
+                                         AUTOCORR WATERMARK STATS DATASET HEALTH QUIT SHUTDOWN";
 
 /// One connection's protocol state: the registry plus the selected
 /// study.
