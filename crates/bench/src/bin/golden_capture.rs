@@ -5,7 +5,7 @@
 //! and after touching `crates/timeseries` / `crates/cluster` and diff.
 //!
 //! ```text
-//! golden_capture [--scale small|medium|france] [--seed N]
+//! golden_capture [--scale small|medium|france|national] [--seed N]
 //!                [--restarts R] [--threads N]
 //! ```
 

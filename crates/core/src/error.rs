@@ -1,11 +1,11 @@
 //! The unified error type of the assembly pipeline.
 //!
 //! Everything fallible on the way to a [`Study`](crate::Study) — reading
-//! files, parsing persisted datasets and probe traces, validating
-//! configuration, resolving user-facing names — funnels into one
-//! [`Error`], so binaries report failures instead of unwinding.
+//! files, parsing persisted datasets, validating configuration, resolving
+//! user-facing names — funnels into one [`Error`], so binaries report
+//! failures instead of unwinding.
 
-use mobilenet_netsim::{IngestError, TraceError};
+use mobilenet_netsim::IngestError;
 use mobilenet_traffic::DatasetError;
 
 /// Everything that can go wrong assembling or loading a study.
@@ -15,11 +15,9 @@ pub enum Error {
     Io(std::io::Error),
     /// A persisted dataset CSV failed to parse.
     Dataset(DatasetError),
-    /// A probe trace failed to parse.
-    Trace(TraceError),
     /// A configuration failed validation.
     Config(String),
-    /// A scale name that is not `small`, `medium` or `france`.
+    /// A scale name that is not `small`, `medium`, `france` or `national`.
     UnknownScale(String),
     /// A service name missing from the catalog.
     UnknownService(String),
@@ -30,10 +28,9 @@ impl std::fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Dataset(e) => write!(f, "{e}"),
-            Error::Trace(e) => write!(f, "{e}"),
             Error::Config(msg) => write!(f, "invalid configuration: {msg}"),
             Error::UnknownScale(s) => {
-                write!(f, "unknown scale {s:?}; use small|medium|france")
+                write!(f, "unknown scale {s:?}; use small|medium|france|national")
             }
             Error::UnknownService(s) => write!(f, "unknown service {s:?}"),
         }
@@ -45,7 +42,6 @@ impl std::error::Error for Error {
         match self {
             Error::Io(e) => Some(e),
             Error::Dataset(e) => Some(e),
-            Error::Trace(e) => Some(e),
             _ => None,
         }
     }
@@ -63,16 +59,9 @@ impl From<DatasetError> for Error {
     }
 }
 
-impl From<TraceError> for Error {
-    fn from(e: TraceError) -> Self {
-        Error::Trace(e)
-    }
-}
-
 impl From<IngestError> for Error {
     fn from(e: IngestError) -> Self {
         match e {
-            IngestError::Trace(e) => Error::Trace(e),
             IngestError::Config(msg) => Error::Config(msg),
             IngestError::Shape(e) => Error::Dataset(e),
         }
@@ -90,14 +79,9 @@ mod tests {
             message: "bad float".into(),
         });
         assert_eq!(e.to_string(), "dataset line 7: bad float");
-        let e = Error::from(TraceError {
-            line: 2,
-            message: "bad hour".into(),
-        });
-        assert!(e.to_string().contains("trace line 2"));
         assert!(Error::UnknownScale("big".into())
             .to_string()
-            .contains("small|medium|france"));
+            .contains("small|medium|france|national"));
         assert!(Error::Config("negative radius".into())
             .to_string()
             .contains("negative radius"));
@@ -105,11 +89,6 @@ mod tests {
 
     #[test]
     fn ingest_errors_map_onto_existing_variants() {
-        let e = Error::from(IngestError::Trace(TraceError {
-            line: 4,
-            message: "x".into(),
-        }));
-        assert!(matches!(e, Error::Trace(_)));
         let e = Error::from(IngestError::Config(
             "chunk_size must be at least 1 record".into(),
         ));

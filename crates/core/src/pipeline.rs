@@ -15,7 +15,8 @@
 //!     .obs(true)
 //!     .run()
 //!     .expect("valid configuration");
-//! println!("{} sessions collected", run.collection_stats().unwrap().sessions);
+//! let sessions = run.study().collection_stats().unwrap().sessions;
+//! println!("{sessions} sessions collected");
 //! ```
 //!
 //! [`PipelineBuilder::run`] validates the configuration up front and
@@ -29,8 +30,7 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use mobilenet_netsim::{CollectionStats, FaultPlan, IngestStats};
-use mobilenet_traffic::TrafficDataset;
+use mobilenet_netsim::FaultPlan;
 
 use crate::error::Error;
 use crate::study::{Study, StudyConfig};
@@ -239,22 +239,6 @@ impl Run {
         self.study
     }
 
-    /// The aggregated measurement tables.
-    pub fn dataset(&self) -> &TrafficDataset {
-        self.study.dataset()
-    }
-
-    /// Collection diagnostics (absent on the expected-value path).
-    pub fn collection_stats(&self) -> Option<&CollectionStats> {
-        self.study.collection_stats()
-    }
-
-    /// Streaming-ingestion diagnostics — chunk count, record count and
-    /// peak resident records (absent on the expected-value path).
-    pub fn ingest_stats(&self) -> Option<&IngestStats> {
-        self.study.ingest_stats()
-    }
-
     /// What the observability layer recorded while building this run,
     /// and nothing recorded by other runs or later analyses (empty when
     /// collection was disabled).
@@ -288,10 +272,10 @@ mod tests {
             .expect("small config is valid");
         let direct = Study::generate_inner(&StudyConfig::small(), 5);
         assert_eq!(
-            run.dataset().national_weekly(Direction::Down, 0),
+            run.study().dataset().national_weekly(Direction::Down, 0),
             direct.dataset().national_weekly(Direction::Down, 0)
         );
-        assert!(run.collection_stats().is_some());
+        assert!(run.study().collection_stats().is_some());
     }
 
     #[test]
@@ -302,8 +286,8 @@ mod tests {
             .configure(|c| c.traffic.n_tail_services = 7)
             .run()
             .unwrap();
-        assert!(run.collection_stats().is_none());
-        assert_eq!(run.dataset().tail_weekly(Direction::Down).len(), 7);
+        assert!(run.study().collection_stats().is_none());
+        assert_eq!(run.study().dataset().tail_weekly(Direction::Down).len(), 7);
     }
 
     #[test]
@@ -318,16 +302,20 @@ mod tests {
     fn chunked_run_is_bit_identical_and_reports_ingest_stats() {
         let whole = Pipeline::builder().seed(9).run().unwrap();
         let chunked = Pipeline::builder().seed(9).chunk_size(17).run().unwrap();
-        assert_eq!(whole.dataset().to_csv(), chunked.dataset().to_csv());
+        assert_eq!(
+            whole.study().dataset().to_csv(),
+            chunked.study().dataset().to_csv()
+        );
         let ingest = chunked
+            .study()
             .ingest_stats()
             .expect("measured run has ingest stats");
         assert_eq!(ingest.chunk_size, 17);
         assert!(ingest.chunks >= 1);
         assert!(ingest.peak_resident_records <= ingest.resident_budget());
-        assert!(whole.ingest_stats().is_some());
+        assert!(whole.study().ingest_stats().is_some());
         let expected = Pipeline::builder().seed(9).expected().run().unwrap();
-        assert!(expected.ingest_stats().is_none());
+        assert!(expected.study().ingest_stats().is_none());
     }
 
     #[test]
@@ -356,7 +344,7 @@ mod tests {
         });
         mobilenet_obs::set_enabled(None);
         for (run, enclosing) in &runs {
-            let ingest = run.ingest_stats().unwrap();
+            let ingest = run.study().ingest_stats().unwrap();
             let snap = run.obs_snapshot();
             assert_eq!(snap.counter("netsim.ingest.chunks"), Some(ingest.chunks));
             assert_eq!(snap.counter("netsim.ingest.records"), Some(ingest.records));
@@ -364,7 +352,7 @@ mod tests {
             assert_eq!(snap.span("generate").map(|s| s.count), Some(1));
             assert_eq!(enclosing.counters, snap.counters);
         }
-        let chunks = |i: usize| runs[i].0.ingest_stats().unwrap().chunks;
+        let chunks = |i: usize| runs[i].0.study().ingest_stats().unwrap().chunks;
         assert_ne!(chunks(0), chunks(1));
     }
 
@@ -393,7 +381,10 @@ mod tests {
             .faults(FaultPlan::none())
             .run()
             .unwrap();
-        assert_eq!(plain.dataset().to_csv(), zeroed.dataset().to_csv());
+        assert_eq!(
+            plain.study().dataset().to_csv(),
+            zeroed.study().dataset().to_csv()
+        );
     }
 
     #[test]
@@ -403,14 +394,17 @@ mod tests {
             .faults(FaultPlan::degraded(3))
             .run()
             .unwrap();
-        let stats = run.collection_stats().expect("measured run has stats");
+        let stats = run
+            .study()
+            .collection_stats()
+            .expect("measured run has stats");
         assert!(
             stats.faults.any(),
             "degraded plan must register fault events"
         );
         assert!(stats.faults.lost_total() > 0);
         assert!(
-            run.dataset().total(Direction::Down) > 0.0,
+            run.study().dataset().total(Direction::Down) > 0.0,
             "degraded ≠ empty"
         );
     }

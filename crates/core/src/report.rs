@@ -367,19 +367,18 @@ pub fn overview_text(study: &crate::study::Study) -> String {
             "commune misassignment: {:.4}",
             stats.misassignment_rate()
         );
-        if stats.faults.any() || stats.skipped_lines > 0 {
+        if stats.faults.any() {
             let f = &stats.faults;
             let _ = writeln!(
                 out,
                 "degraded capture: {} lost ({} outage, {} random), {} duplicated, \
-                 {} truncated, {} skewed, {} trace lines skipped",
+                 {} truncated, {} skewed",
                 f.lost_total(),
                 f.lost_outage,
                 f.lost_records,
                 f.duplicated_records,
                 f.truncated_records,
-                f.skewed_records,
-                stats.skipped_lines
+                f.skewed_records
             );
         }
     }

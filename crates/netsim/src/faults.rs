@@ -2,14 +2,14 @@
 //!
 //! The real apparatus of §2 is not benign: probes drop records during
 //! outages, counters get truncated when sessions outlive an export
-//! interval, records are duplicated across redundant taps, clocks skew,
-//! and trace files arrive with mangled lines. A [`FaultPlan`] models those
-//! imperfections as a deterministic, seedable transformation applied
-//! **between the [`Probe`](crate::Probe) and aggregation**,
-//! so [`collect_with_options`](crate::pipeline::collect_with_options),
-//! [`observe_with_options`](crate::trace::observe_with_options)
-//! and a replay of the captured trace all see the exact same degraded
-//! record stream.
+//! interval, records are duplicated across redundant taps, and clocks
+//! skew. A [`FaultPlan`] models those imperfections as a deterministic,
+//! seedable transformation applied **between the
+//! [`Probe`](crate::probe::Probe) and aggregation**, so
+//! [`collect_with_options`](crate::pipeline::collect_with_options),
+//! [`observe_with_options`](crate::pipeline::observe_with_options) and a
+//! replay of the captured records all see the exact same degraded record
+//! stream.
 //!
 //! # Determinism contract
 //!

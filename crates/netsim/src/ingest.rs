@@ -9,20 +9,19 @@
 //!
 //! * a [`RecordSource`] yields each shard's [`SessionRecord`]s **in
 //!   order** through a bounded [`ChunkSink`] — synthetic demand shards
-//!   ([`collect_with_options`](crate::pipeline::collect_with_options)),
-//!   trace files via any [`BufRead`] ([`TraceSource`], skipping and
-//!   counting malformed rows), or in-memory slices ([`SliceSource`]);
+//!   ([`collect_with_options`](crate::pipeline::collect_with_options))
+//!   or in-memory slices ([`SliceSource`]);
 //! * one engine, [`ShardedFold`], drives `mobilenet-par` workers over
 //!   the shards, folds each chunk into that shard's partial
 //!   [`TrafficDataset`] + [`CollectionStats`], and merges partials in
-//!   deterministic shard order — for batch collection, trace replay and
+//!   deterministic shard order — for batch collection, record replay and
 //!   the live aggregation service alike.
 //!
 //! # Determinism contract
 //!
 //! Chunking only bounds *how many records are resident*, never the order
 //! they are folded: within a shard, records are aggregated in exactly the
-//! generation (or file) order, and shard partials merge in shard order.
+//! generation (or slice) order, and shard partials merge in shard order.
 //! The streamed result is therefore **bit-identical** to the historical
 //! materialized path at any thread count and any chunk size — including
 //! `chunk_size = 1` and `chunk_size ≥ input`.
@@ -36,7 +35,6 @@
 //! mark at flush points); the bound itself holds by construction.
 
 use std::borrow::Borrow;
-use std::io::BufRead;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -45,7 +43,6 @@ use mobilenet_traffic::{DatasetError, DemandModel, TrafficDataset};
 use crate::faults::FaultPlan;
 use crate::pipeline::{CollectionOutput, CollectionStats};
 use crate::records::{RecordBatch, SessionRecord};
-use crate::trace::{walk_trace, TraceError};
 
 /// Default records-per-chunk budget of the streaming engine: small enough
 /// that dozens of workers stay in cache-friendly territory, large enough
@@ -74,7 +71,7 @@ const BATCH_RECORDS_EDGES: [f64; 8] = [1.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 8
 
 /// Options of one collection/ingestion run — the single knob set behind
 /// [`collect_with_options`](crate::pipeline::collect_with_options),
-/// [`observe_with_options`](crate::trace::observe_with_options) and
+/// [`observe_with_options`](crate::pipeline::observe_with_options) and
 /// [`ingest`].
 ///
 /// `#[non_exhaustive]`: construct via [`CollectOptions::default`] (or
@@ -127,8 +124,6 @@ impl CollectOptions {
 /// Why a streaming ingestion run failed.
 #[derive(Debug)]
 pub enum IngestError {
-    /// A trace could not be read (missing header or I/O failure).
-    Trace(TraceError),
     /// The source or options configuration is invalid.
     Config(String),
     /// Shard partials (or merge inputs) disagreed on dataset shape.
@@ -138,7 +133,6 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::Trace(e) => write!(f, "{e}"),
             IngestError::Config(msg) => write!(f, "invalid ingest configuration: {msg}"),
             IngestError::Shape(e) => write!(f, "{e}"),
         }
@@ -148,16 +142,9 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            IngestError::Trace(e) => Some(e),
             IngestError::Shape(e) => Some(e),
             IngestError::Config(_) => None,
         }
-    }
-}
-
-impl From<TraceError> for IngestError {
-    fn from(e: TraceError) -> Self {
-        IngestError::Trace(e)
     }
 }
 
@@ -185,10 +172,9 @@ pub struct IngestStats {
     /// flush points. Always ≤ `chunk_size × workers`, by construction;
     /// scheduling-dependent (more workers → more concurrent residency).
     pub peak_resident_records: u64,
-    /// Bytes the source delivered: storage bytes for trace sources,
-    /// `records × size_of::<SessionRecord>()` logical bytes for synthetic
-    /// and in-memory sources — every source reports a non-zero throughput
-    /// denominator once it has streamed records.
+    /// Logical bytes the source delivered,
+    /// `records × size_of::<SessionRecord>()` — every source reports a
+    /// non-zero throughput denominator once it has streamed records.
     pub bytes_read: u64,
     /// The records-per-chunk budget the run used.
     pub chunk_size: usize,
@@ -306,8 +292,8 @@ pub trait RecordSource: Sync {
     fn shards(&self) -> usize;
 
     /// Streams shard `shard`'s records, in order, into `sink`, folding
-    /// source-side diagnostics (sessions observed, fault accounting,
-    /// skipped lines, …) into `stats`.
+    /// source-side diagnostics (sessions observed, fault accounting, …)
+    /// into `stats`.
     fn stream_shard(
         &self,
         shard: usize,
@@ -315,12 +301,10 @@ pub trait RecordSource: Sync {
         sink: &mut ChunkSink<'_>,
     ) -> Result<(), IngestError>;
 
-    /// Bytes this source has delivered so far (for
-    /// `netsim.ingest.bytes_read`): storage bytes read for file-backed
-    /// sources, logical record bytes
-    /// (`records × size_of::<SessionRecord>()`) for synthetic and
-    /// in-memory sources. The default is 0 only for sources with nothing
-    /// streamed yet.
+    /// Logical bytes this source has delivered so far
+    /// (`records × size_of::<SessionRecord>()`, for
+    /// `netsim.ingest.bytes_read`). The default is 0 only for sources
+    /// with nothing streamed yet.
     fn bytes_read(&self) -> u64 {
         0
     }
@@ -347,7 +331,7 @@ impl ShardPartial {
 
 /// The sharded fold: the one engine behind batch collection
 /// ([`collect_with_options`](crate::pipeline::collect_with_options)),
-/// trace replay ([`ingest`]) and the live aggregation service.
+/// record replay ([`ingest`]) and the live aggregation service.
 ///
 /// It owns one mutex-guarded [`ShardPartial`] per shard and the chunk
 /// ledger (chunks, records, peak residency, cycles). [`run`](Self::run)
@@ -648,11 +632,9 @@ pub fn ingest<S: RecordSource>(
         catalog.tail_len(),
         model.config().classified_fraction,
     );
-    let out = fold_source(source, model, options.chunk_size, |batch, ds, st| {
+    fold_source(source, model, options.chunk_size, |batch, ds, st| {
         crate::pipeline::aggregate_batch(batch, &classifier, FoldStrategy::Batched, true, ds, st)
-    })?;
-    mobilenet_obs::add("netsim.faults.skipped_lines", out.stats.skipped_lines);
-    Ok(out)
+    })
 }
 
 /// An in-memory slice of records as a single-shard [`RecordSource`].
@@ -694,80 +676,10 @@ impl RecordSource for SliceSource<'_> {
     }
 }
 
-/// A probe trace read incrementally from any [`BufRead`] through the
-/// one trace line reader, without materializing the file or its records.
-///
-/// Single-shard (a trace is an ordered artefact). Malformed rows are
-/// skipped and counted (`CollectionStats::skipped_lines`), with the
-/// line-numbered details retrievable via [`TraceSource::take_skipped`]
-/// afterwards. Only a missing header or an I/O failure is fatal: it fails
-/// the stream as [`IngestError::Trace`] at the line where reading failed.
-pub(crate) struct TraceSource<R> {
-    reader: Mutex<Option<R>>,
-    bytes: AtomicU64,
-    skipped: Mutex<Vec<TraceError>>,
-}
-
-impl<R: BufRead> TraceSource<R> {
-    /// A trace source over `reader`.
-    pub(crate) fn new(reader: R) -> Self {
-        TraceSource {
-            reader: Mutex::new(Some(reader)),
-            bytes: AtomicU64::new(0),
-            skipped: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The line-numbered errors of every row skipped so far, leaving the
-    /// source's list empty.
-    pub(crate) fn take_skipped(&self) -> Vec<TraceError> {
-        std::mem::take(&mut *self.skipped.lock().expect("skipped list poisoned"))
-    }
-}
-
-impl<R: BufRead + Send> RecordSource for TraceSource<R> {
-    fn shards(&self) -> usize {
-        1
-    }
-
-    fn stream_shard(
-        &self,
-        _shard: usize,
-        stats: &mut CollectionStats,
-        sink: &mut ChunkSink<'_>,
-    ) -> Result<(), IngestError> {
-        let reader = self
-            .reader
-            .lock()
-            .expect("trace reader poisoned")
-            .take()
-            .ok_or_else(|| IngestError::Config("trace source already consumed".into()))?;
-        walk_trace(reader, &self.bytes, |row| {
-            match row {
-                Ok(record) => sink.push(&record),
-                Err(err) => {
-                    stats.skipped_lines += 1;
-                    self.skipped
-                        .lock()
-                        .expect("skipped list poisoned")
-                        .push(err);
-                }
-            }
-            Ok(())
-        })?;
-        Ok(())
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::records::{FlowSignature, Interface};
-    use crate::trace::TRACE_HEADER;
     use mobilenet_geo::CommuneId;
 
     fn record(hour: u16) -> SessionRecord {
@@ -818,43 +730,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_source_counts_bytes_and_rejects_double_use() {
-        let body = format!(
-            "{TRACE_HEADER}\n{}\n",
-            crate::trace::record_to_line(&record(5))
-        );
-        let source = TraceSource::new(body.as_bytes());
-        let ledger = IngestLedger::default();
-        let mut stats = CollectionStats::default();
-        let mut n = 0usize;
-        {
-            let mut consume = |batch: &mut RecordBatch| n += batch.len();
-            let mut sink = ChunkSink::new(4, &ledger, &mut consume);
-            source
-                .stream_shard(0, &mut stats, &mut sink)
-                .expect("clean trace");
-            sink.flush();
-        }
-        assert_eq!(n, 1);
-        assert_eq!(source.bytes_read(), body.len() as u64);
-        // A second pass finds the reader consumed.
-        let mut consume = |_: &mut RecordBatch| {};
-        let mut sink = ChunkSink::new(4, &ledger, &mut consume);
-        assert!(matches!(
-            source.stream_shard(0, &mut stats, &mut sink),
-            Err(IngestError::Config(_))
-        ));
-    }
-
-    #[test]
     fn ingest_error_display_and_sources_chain() {
         use std::error::Error as _;
-        let e = IngestError::from(TraceError {
-            line: 3,
-            message: "bad hour".into(),
-        });
-        assert!(e.to_string().contains("trace line 3"));
-        assert!(e.source().is_some());
         let e = IngestError::Config("chunk_size must be at least 1 record".into());
         assert!(e.to_string().contains("chunk_size"));
         assert!(e.source().is_none());

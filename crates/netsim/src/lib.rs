@@ -32,12 +32,11 @@
 //!   applied between probe and aggregation so the pipeline degrades
 //!   gracefully instead of assuming benign capture.
 //! * The streaming bounded-memory ingestion engine: the
-//!   [`RecordSource`] abstraction (synthetic shards, trace readers,
-//!   in-memory slices) and [`ShardedFold`], the one chunked sharded
-//!   aggregator behind batch collection, trace replay and the live
-//!   service, whose peak resident records never exceed
-//!   `chunk_size × workers`, bit-identical at any thread count and chunk
-//!   size.
+//!   [`RecordSource`] abstraction (synthetic shards, in-memory slices)
+//!   and [`ShardedFold`], the one chunked sharded aggregator behind batch
+//!   collection, record replay and the live service, whose peak resident
+//!   records never exceed `chunk_size × workers`, bit-identical at any
+//!   thread count and chunk size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +49,6 @@ pub mod pipeline;
 mod probe;
 mod radio;
 pub mod records;
-pub mod trace;
 mod uli;
 
 pub use classifier::DpiClassifier;
@@ -61,10 +59,9 @@ pub use ingest::{
     ShardPartial, ShardedFold, SliceSource, DEFAULT_CHUNK_SIZE,
 };
 pub use pipeline::{
-    aggregate_batch, collect_with_options, Capture, CollectionOutput, CollectionStats,
-    SyntheticSource, ERROR_SAMPLE_CAP,
+    aggregate_batch, collect_with_options, observe_with_options, Capture, CaptureSummary,
+    CollectionOutput, CollectionStats, SyntheticSource, ERROR_SAMPLE_CAP,
 };
 pub use radio::RadioNetwork;
 pub use records::{Interface, RecordBatch, SessionRecord};
-pub use trace::{observe_with_options, read_trace_from, replay_from, trace_to_csv, TraceError};
 pub use uli::UliModel;

@@ -19,8 +19,7 @@
 //! fixed block of generated sessions, draws every ULI fix and signature
 //! in the probe RNG's order, locates the whole block through the station
 //! index, and only then takes diagnostics, faults and the sink in session
-//! order. The same private loop feeds
-//! [`observe_with_options`](crate::trace::observe_with_options), so
+//! order. The same private loop feeds [`observe_with_options`], so
 //! capture and collection cannot drift apart.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,9 +75,6 @@ pub struct CollectionStats {
     /// Degradation inflicted by the fault plan (all-zero when collecting
     /// with [`FaultPlan::none`](crate::faults::FaultPlan::none)).
     pub faults: FaultStats,
-    /// Malformed trace lines skipped by a lossy replay (zero on the
-    /// direct collection path).
-    pub skipped_lines: u64,
 }
 
 impl CollectionStats {
@@ -100,7 +96,6 @@ impl CollectionStats {
         self.error_samples_seen += other.error_samples_seen;
         self.error_sample_thin = self.error_sample_thin.max(other.error_sample_thin);
         self.faults.merge(&other.faults);
-        self.skipped_lines += other.skipped_lines;
     }
 
     /// Offers one localization-error sample to the bounded reservoir.
@@ -447,6 +442,48 @@ impl RecordSource for SyntheticSource<'_> {
     }
 }
 
+/// What one capture run saw and emitted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CaptureSummary {
+    /// Sessions observed by the probes (pre-fault).
+    pub sessions: u64,
+    /// Records actually delivered to the sink (post-fault).
+    pub emitted: u64,
+    /// Degradation the fault plan inflicted.
+    pub faults: FaultStats,
+}
+
+/// Runs the capture side only: sessions → probes → (faults) → `sink`, one
+/// record per session, without aggregation.
+///
+/// Deterministic in `(model, config, options, seed)` and produces exactly
+/// the records [`collect_with_options`] would aggregate: the capture runs
+/// the same per-shard blocked probe loop of [`SyntheticSource`], serially
+/// in shard order. Memory stays bounded by one probe block of sessions
+/// and their observations — records reach `sink` as they are produced —
+/// so `options.chunk_size` does not change its behaviour; it is still
+/// validated so one `CollectOptions` value can drive both paths.
+pub fn observe_with_options(
+    model: &DemandModel,
+    config: &NetsimConfig,
+    options: &CollectOptions,
+    seed: u64,
+    mut sink: impl FnMut(&SessionRecord),
+) -> Result<CaptureSummary, String> {
+    config.validate()?;
+    options.validate()?;
+    let capture = Capture::build(model, config, seed)?;
+    let source = capture.source(model, options, seed);
+    let mut summary = CaptureSummary::default();
+    for shard in 0..source.shards() {
+        let mut stats = CollectionStats::default();
+        summary.emitted += source.probe_shard(shard, &mut stats, &mut sink);
+        summary.sessions += stats.sessions;
+        summary.faults.merge(&stats.faults);
+    }
+    Ok(summary)
+}
+
 /// Runs the full measurement pipeline over one week of synthetic demand —
 /// the unified entry point behind the historical `collect` /
 /// `collect_with_faults` pair.
@@ -550,6 +587,16 @@ mod tests {
     /// Fault-free collection through the unified entry point.
     fn run(m: &DemandModel, cfg: &NetsimConfig, seed: u64) -> CollectionOutput {
         collect_with_options(m, cfg, &CollectOptions::default(), seed).expect("valid config")
+    }
+
+    /// Fault-free capture through the unified entry point.
+    fn capture(m: &DemandModel, cfg: &NetsimConfig, seed: u64) -> Vec<SessionRecord> {
+        let mut records = Vec::new();
+        observe_with_options(m, cfg, &CollectOptions::default(), seed, |r| {
+            records.push(r.clone())
+        })
+        .expect("valid config");
+        records
     }
 
     #[test]
@@ -858,5 +905,127 @@ mod tests {
         assert!(tail.iter().all(|v| *v > 0.0));
         let ranking = out.dataset.full_ranking(Direction::Down);
         assert_eq!(ranking.len(), 50);
+    }
+
+    #[test]
+    fn observe_sessions_is_deterministic() {
+        let m = model();
+        let cfg = NetsimConfig::standard();
+        let a = capture(&m, &cfg, 5);
+        let b = capture(&m, &cfg, 5);
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.first(), b.first());
+        assert_eq!(a.last(), b.last());
+    }
+
+    #[test]
+    fn observe_sessions_rejects_invalid_config_without_panicking() {
+        let m = model();
+        let mut cfg = NetsimConfig::standard();
+        cfg.uli_stale_prob = 2.0;
+        let err =
+            observe_with_options(&m, &cfg, &CollectOptions::default(), 5, |_| {}).unwrap_err();
+        assert!(err.contains("uli_stale_prob"), "{err}");
+        let mut plan = crate::FaultPlan::none();
+        plan.dup_prob = -0.5;
+        let opts = CollectOptions::with_faults(plan);
+        let err =
+            observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {}).unwrap_err();
+        assert!(err.contains("dup_prob"), "{err}");
+        let opts = CollectOptions::default().chunk_size(0);
+        let err =
+            observe_with_options(&m, &NetsimConfig::standard(), &opts, 5, |_| {}).unwrap_err();
+        assert!(err.contains("chunk_size"), "{err}");
+    }
+
+    #[test]
+    fn faulted_capture_matches_faulted_collection() {
+        // A faulted capture emits exactly the records a faulted
+        // collection aggregates.
+        let m = model();
+        let cfg = NetsimConfig::standard();
+        let opts = CollectOptions::with_faults(crate::FaultPlan::degraded(21));
+        let direct = collect_with_options(&m, &cfg, &opts, 7).unwrap();
+
+        let mut records = Vec::new();
+        let summary =
+            observe_with_options(&m, &cfg, &opts, 7, |r| records.push(r.clone())).unwrap();
+        assert_eq!(summary.emitted as usize, records.len());
+        assert_eq!(summary.sessions, direct.stats.sessions);
+        assert_eq!(summary.faults, direct.stats.faults);
+        assert_eq!(
+            summary.emitted,
+            direct.stats.gn_records + direct.stats.s5s8_records
+        );
+
+        let replayed = crate::ingest(
+            &crate::SliceSource::new(&records),
+            &m,
+            &CollectOptions::default(),
+        )
+        .expect("default options are valid")
+        .dataset;
+        for dir in Direction::BOTH {
+            for s in (0..20).step_by(7) {
+                let a = direct.dataset.national_series(dir, s);
+                let b = replayed.national_series(dir, s);
+                for (x, y) in a.iter().zip(b.iter()) {
+                    assert!(
+                        (x - y).abs() < 1e-9,
+                        "{} service {s}: {x} vs {y}",
+                        dir.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_replay_matches_at_any_chunk_size() {
+        let m = model();
+        let records = capture(&m, &NetsimConfig::standard(), 13);
+        let replay = |opts: &CollectOptions| {
+            crate::ingest(&crate::SliceSource::new(&records), &m, opts).expect("valid options")
+        };
+        let reference = replay(&CollectOptions::default());
+        for chunk_size in [1usize, 97, records.len() + 10] {
+            let out = replay(&CollectOptions::default().chunk_size(chunk_size));
+            assert_eq!(
+                reference.dataset.to_csv(),
+                out.dataset.to_csv(),
+                "chunk_size {chunk_size} diverged"
+            );
+            assert_eq!(out.stats.sessions, records.len() as u64);
+            assert_eq!(out.ingest.records, records.len() as u64);
+            assert_eq!(
+                out.ingest.bytes_read,
+                std::mem::size_of_val(records.as_slice()) as u64
+            );
+            assert!(out.ingest.peak_resident_records <= out.ingest.resident_budget());
+            assert_eq!(
+                out.ingest.chunks,
+                (records.len() as u64).div_ceil(chunk_size as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_capture_summary_accounts_for_the_degradation() {
+        let m = model();
+        let cfg = NetsimConfig::standard();
+        let clean = capture(&m, &cfg, 17);
+        let plan = crate::FaultPlan::degraded(3);
+        let mut faulted = Vec::new();
+        let summary = observe_with_options(&m, &cfg, &CollectOptions::with_faults(plan), 17, |r| {
+            faulted.push(r.clone())
+        })
+        .unwrap();
+        assert_eq!(summary.sessions, clean.len() as u64);
+        assert_eq!(summary.emitted, faulted.len() as u64);
+        assert_eq!(
+            summary.emitted,
+            summary.sessions - summary.faults.lost_total() + summary.faults.duplicated_records
+        );
+        assert!(summary.faults.any());
     }
 }

@@ -9,7 +9,6 @@
 //!   produces the same bytes at 1/2/8 workers, and reports every fault
 //!   event through the collection stats and the observability layer.
 
-use mobilenet::netsim::{read_trace_from, replay_from, trace_to_csv, CollectOptions};
 use mobilenet::par::set_thread_override;
 use mobilenet::traffic::Direction;
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
@@ -21,6 +20,7 @@ fn dataset_csv(faults: FaultPlan) -> String {
         .faults(faults)
         .run()
         .expect("valid configuration")
+        .into_study()
         .dataset()
         .to_csv()
 }
@@ -77,7 +77,10 @@ fn faulted_run_reports_counters_through_stats_and_obs() {
         .run()
         .unwrap();
 
-    let stats = run.collection_stats().expect("measured run has stats");
+    let stats = run
+        .study()
+        .collection_stats()
+        .expect("measured run has stats");
     assert!(
         stats.faults.any(),
         "degraded plan must register fault events"
@@ -89,7 +92,7 @@ fn faulted_run_reports_counters_through_stats_and_obs() {
     assert!(stats.faults.lost_records > 0);
     assert!(stats.faults.duplicated_records > 0);
     assert!(
-        run.dataset().total(Direction::Down) > 0.0,
+        run.study().dataset().total(Direction::Down) > 0.0,
         "degraded ≠ empty"
     );
 
@@ -112,54 +115,4 @@ fn faulted_run_reports_counters_through_stats_and_obs() {
     );
     mobilenet::obs::set_enabled(Some(false));
     mobilenet::obs::reset();
-}
-
-#[test]
-fn corrupted_trace_replays_through_the_lossy_path_end_to_end() {
-    let run = Pipeline::builder()
-        .scale(Scale::Small)
-        .seed(5)
-        .run()
-        .unwrap();
-    let model = run.study().model();
-
-    let mut records = Vec::new();
-    let netsim = mobilenet::netsim::NetsimConfig::standard();
-    let options = CollectOptions::default();
-    mobilenet::netsim::observe_with_options(model, &netsim, &options, 5, |r| {
-        records.push(r.clone())
-    })
-    .unwrap();
-
-    // Every 20th data line rots one of four ways: a torn write, a `NaN`
-    // volume, an impossible hour-of-week, a garbled interface tag.
-    let mut corrupted = String::new();
-    for (i, line) in trace_to_csv(&records).lines().enumerate() {
-        let mut fields: Vec<&str> = line.split(',').collect();
-        if i > 0 && i % 20 == 0 {
-            match i / 20 % 4 {
-                0 => fields = vec![&line[..line.len() / 2]],
-                1 => fields[2] = "NaN",
-                2 => fields[1] = "999",
-                _ => fields[0] = "g?",
-            }
-        }
-        corrupted.push_str(&fields.join(","));
-        corrupted.push('\n');
-    }
-
-    // The strict loader aborts on the first bad line …
-    assert!(read_trace_from(corrupted.as_bytes()).is_err());
-    // … while the lossy replay skips-and-counts it and still yields a
-    // usable dataset.
-    let lossy = replay_from(corrupted.as_bytes(), model, &options).expect("header intact");
-    assert!(
-        !lossy.skipped.is_empty(),
-        "5% corruption must hit some lines"
-    );
-    assert_eq!(lossy.stats.skipped_lines, lossy.skipped.len() as u64);
-    assert!(lossy.dataset.total(Direction::Down) > 0.0);
-    for e in &lossy.skipped {
-        assert!(e.line >= 2, "line numbers are 1-based and skip the header");
-    }
 }

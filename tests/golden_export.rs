@@ -37,7 +37,7 @@ fn export_digest(edit: impl FnOnce(PipelineBuilder) -> PipelineBuilder) -> u64 {
     let builder = Pipeline::builder().scale(Scale::Small).seed(DEFAULT_SEED);
     let run = edit(builder).run().unwrap();
     let mut bytes = Vec::new();
-    run.dataset().write_to(&mut bytes).unwrap();
+    run.study().dataset().write_to(&mut bytes).unwrap();
     fnv1a(&bytes)
 }
 

@@ -37,8 +37,9 @@ fn batch_csv(faults: FaultPlan, seed: u64) -> (String, mobilenet::netsim::Collec
         .faults(faults)
         .run()
         .expect("valid configuration");
-    let stats = run.collection_stats().expect("measured").clone();
-    (run.dataset().to_csv(), stats)
+    let study = run.study();
+    let stats = study.collection_stats().expect("measured").clone();
+    (study.dataset().to_csv(), stats)
 }
 
 /// A fully-ingested live state for the same study.

@@ -381,61 +381,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn session_record_lines_round_trip(
-        start_hour in 0u16..168,
-        dl in 0.0f64..1e6,
-        ul in 0.0f64..1e6,
-        commune in 0u32..100_000,
-        signature in prop::num::u64::ANY,
-        stale in prop::bool::ANY,
-        s5s8 in prop::bool::ANY,
-    ) {
-        use mobilenet::netsim::{Interface, SessionRecord};
-        use mobilenet::netsim::trace::{record_from_line, record_to_line};
-        let r = SessionRecord {
-            interface: if s5s8 { Interface::S5S8 } else { Interface::Gn },
-            start_hour,
-            dl_mb: dl,
-            ul_mb: ul,
-            commune: mobilenet::geo::CommuneId(commune),
-            signature: mobilenet::netsim::records::FlowSignature(signature),
-            stale_uli: stale,
-        };
-        let back = record_from_line(&record_to_line(&r)).unwrap();
-        prop_assert_eq!(back, r);
-    }
-
-    #[test]
-    fn session_record_lines_round_trip_extreme_volumes(
-        start_hour in 0u16..168,
-        dl_mantissa in 0.0f64..10.0,
-        dl_exp in -320i32..300,
-        ul_mantissa in 0.0f64..10.0,
-        ul_exp in -320i32..300,
-        commune in 0u32..100_000,
-        signature in prop::num::u64::ANY,
-        stale in prop::bool::ANY,
-        s5s8 in prop::bool::ANY,
-    ) {
-        use mobilenet::netsim::{Interface, SessionRecord};
-        use mobilenet::netsim::trace::{record_from_line, record_to_line};
-        // Volumes spanning the whole finite range, down into the
-        // subnormals (10^-320) and up to 10^300 — the `{:e}` writer and
-        // the parser must agree bit for bit on all of them.
-        let r = SessionRecord {
-            interface: if s5s8 { Interface::S5S8 } else { Interface::Gn },
-            start_hour,
-            dl_mb: dl_mantissa * 10f64.powi(dl_exp),
-            ul_mb: ul_mantissa * 10f64.powi(ul_exp),
-            commune: mobilenet::geo::CommuneId(commune),
-            signature: mobilenet::netsim::records::FlowSignature(signature),
-            stale_uli: stale,
-        };
-        let back = record_from_line(&record_to_line(&r)).unwrap();
-        prop_assert_eq!(back, r);
-    }
-
-    #[test]
     fn holt_winters_is_finite_on_arbitrary_positive_series(
         s in prop::collection::vec(0.1f64..1e4, 48..96),
         horizon in 1usize..24,

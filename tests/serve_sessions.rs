@@ -35,7 +35,7 @@ fn batch_csv(faults: FaultPlan, seed: u64) -> String {
         .faults(faults)
         .run()
         .expect("valid configuration");
-    run.dataset().to_csv()
+    run.study().dataset().to_csv()
 }
 
 /// A registry serving one small study per `(name, seed)`, with a server

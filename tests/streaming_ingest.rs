@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mobilenet::core::study::StudyConfig;
+use mobilenet::core::study::{Study, StudyConfig};
 use mobilenet::geo::UsageClass;
 use mobilenet::netsim::classifier::ServiceLabel;
 use mobilenet::netsim::records::FlowSignature;
@@ -37,7 +37,7 @@ use mobilenet::traffic::{Direction, TrafficDataset};
 use mobilenet::{FaultPlan, Pipeline, Scale, DEFAULT_SEED};
 
 /// One pipeline run: dataset CSV, collection stats and ingest stats.
-fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> mobilenet::Run {
+fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> Study {
     let mut builder = Pipeline::builder()
         .scale(Scale::Small)
         .seed(seed)
@@ -45,7 +45,7 @@ fn run(faults: FaultPlan, chunk_size: Option<usize>, seed: u64) -> mobilenet::Ru
     if let Some(n) = chunk_size {
         builder = builder.chunk_size(n);
     }
-    builder.run().expect("valid configuration")
+    builder.run().expect("valid configuration").into_study()
 }
 
 /// The row-at-a-time reference fold: each record classified alone and
@@ -711,7 +711,10 @@ fn ingest_obs_counters_agree_with_reported_stats() {
         .obs(true)
         .run()
         .unwrap();
-    let ingest = *out.ingest_stats().expect("measured run has ingest stats");
+    let ingest = *out
+        .study()
+        .ingest_stats()
+        .expect("measured run has ingest stats");
     let snapshot = out.obs_snapshot();
     assert_eq!(
         snapshot.counter("netsim.ingest.chunks"),

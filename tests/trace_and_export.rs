@@ -1,5 +1,5 @@
-//! Persistence integration: dataset export/import and probe-trace
-//! capture/replay across the whole stack.
+//! Persistence integration: dataset export/import, and probe capture
+//! replayed from memory, across the whole stack.
 
 use std::sync::{Arc, OnceLock};
 
@@ -8,8 +8,7 @@ use mobilenet::core::spatial::spatial_correlation;
 use mobilenet::core::study::Study;
 use mobilenet::geo::{Country, CountryConfig};
 use mobilenet::netsim::{
-    collect_with_options, ingest, observe_with_options, read_trace_from, trace_to_csv,
-    CollectOptions, NetsimConfig, SliceSource,
+    collect_with_options, ingest, observe_with_options, CollectOptions, NetsimConfig, SliceSource,
 };
 use mobilenet::traffic::{DemandModel, Direction, ServiceCatalog, TrafficConfig, TrafficDataset};
 use mobilenet::{Pipeline, Scale};
@@ -69,10 +68,8 @@ fn probe_trace_capture_and_replay_match_the_pipeline() {
     assert_eq!(capture.emitted as usize, records.len());
     assert_eq!(capture.sessions, direct.stats.sessions);
 
-    // Round-trip the trace through its CSV form before replaying.
-    let parsed = read_trace_from(trace_to_csv(&records).as_bytes()).expect("trace parses");
     let replayed = ingest(
-        &SliceSource::new(&parsed),
+        &SliceSource::new(&records),
         &model,
         &CollectOptions::default(),
     )
