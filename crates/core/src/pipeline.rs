@@ -24,8 +24,9 @@
 //! exposes the study plus the observability snapshot of the build. The
 //! build records into a registry of its own, so that snapshot holds this
 //! run's metrics alone even while other runs share the process; the run
-//! then folds it into the enclosing registry (normally
-//! [`mobilenet_obs::global`]), where process-wide reports still see it.
+//! then folds it into the enclosing registry (normally the process-wide
+//! one that [`mobilenet_obs::snapshot`] reads), where process-wide reports
+//! still see it.
 
 use std::str::FromStr;
 use std::sync::Arc;

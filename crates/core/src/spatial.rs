@@ -172,8 +172,9 @@ pub fn spatial_correlation_of(
 }
 
 /// One sample less its mean, with its sum of squared deviations: the
-/// per-sample half of [`r_squared`], computed once so that each pair
-/// costs one dot product.
+/// per-sample half of
+/// [`r_squared`](mobilenet_timeseries::stats::r_squared), computed once
+/// so that each pair costs one dot product.
 struct Centred {
     deviations: Vec<f64>,
     sum_sq: f64,
@@ -195,11 +196,12 @@ impl Centred {
         }
     }
 
-    /// [`r_squared`] of this sample against each of `others` (one to
-    /// [`R2_LANES`] samples), bit for bit: the same deviations, each
-    /// `Σdx·dy` summed in the same order, and the same degenerate cases.
-    /// Fewer than [`R2_LANES`] others fill the spare lanes with the last
-    /// one, whose sums are dropped.
+    /// [`r_squared`](mobilenet_timeseries::stats::r_squared) of this
+    /// sample against each of `others` (one to [`R2_LANES`] samples), bit
+    /// for bit: the same deviations, each `Σdx·dy` summed in the same
+    /// order, and the same degenerate cases. Fewer than [`R2_LANES`]
+    /// others fill the spare lanes with the last one, whose sums are
+    /// dropped.
     ///
     /// # Panics
     ///

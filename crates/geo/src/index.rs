@@ -6,9 +6,11 @@
 //!
 //! The grid is stored in compressed-sparse-row (CSR) form: one offset array
 //! over the cells, and the sites themselves copied in row-major cell order
-//! with their coordinates and original index inline. A row of adjacent
-//! cells is therefore one contiguous slice, and a lookup touches no
-//! per-cell allocation.
+//! with their coordinates, original index and a caller-chosen `u32` tag
+//! inline. A row of adjacent cells is therefore one contiguous slice, and a
+//! lookup touches no per-cell allocation; [`SpatialIndex::nearest_tag`]
+//! answers "what does the nearest site belong to" without a second lookup
+//! in the caller's own tables.
 //!
 //! [`SpatialIndex::nearest`] is exact: it returns the argmin of
 //! `(site.distance_sq(p), index)` over every site, for any `p`, including
@@ -39,13 +41,15 @@ const EDGE_SLACK: f64 = 1e-9;
 struct Entry {
     site: Point,
     index: u32,
+    tag: u32,
 }
 
-/// The running `(distance², index)` argmin of a lookup.
+/// The running `(distance², index)` argmin of a lookup, with its tag.
 #[derive(Clone, Copy)]
 struct Best {
     d: f64,
     index: u32,
+    tag: u32,
 }
 
 impl Best {
@@ -56,9 +60,19 @@ impl Best {
             if d < self.d || (d == self.d && e.index < self.index) {
                 self.d = d;
                 self.index = e.index;
+                self.tag = e.tag;
             }
         }
     }
+}
+
+/// Cell coordinate of a grid-relative position `v` (in cells) on an axis
+/// of `n` cells: `⌊v⌋` clamped to `0..n`. The saturating cast truncates
+/// toward zero and sends NaN and negatives to 0, so for every `f64` this
+/// equals `(v.floor().max(0.0) as usize).min(n − 1)` without the `floor`.
+#[inline(always)]
+fn cell_coord(v: f64, n: usize) -> usize {
+    (v as usize).min(n - 1)
 }
 
 /// A uniform grid index mapping points to the nearest of a fixed set of
@@ -78,15 +92,34 @@ pub struct SpatialIndex {
     min_y: f64,
     /// Absolute rounding margin of the clearance test, km.
     slack_km: f64,
+    /// Tag of site 0, the answer when no distance is finite.
+    tag0: u32,
 }
 
 impl SpatialIndex {
-    /// Builds an index over `sites` with about two grid cells per site.
+    /// Builds an index over `sites` with about two grid cells per site;
+    /// each site's tag is its index.
     ///
     /// # Panics
     ///
     /// Panics if `sites` is empty or holds more than `u32::MAX` sites.
     pub fn build(sites: &[Point]) -> Self {
+        Self::build_with(sites, |i| i as u32)
+    }
+
+    /// Builds an index over `sites` that carries `tags[i]` next to site
+    /// `i`, for [`SpatialIndex::nearest_tag`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tags` and `sites` differ in length, or as
+    /// [`SpatialIndex::build`] does.
+    pub fn build_tagged(sites: &[Point], tags: &[u32]) -> Self {
+        assert_eq!(sites.len(), tags.len(), "one tag per site");
+        Self::build_with(sites, |i| tags[i])
+    }
+
+    fn build_with(sites: &[Point], tag: impl Fn(usize) -> u32) -> Self {
         assert!(!sites.is_empty(), "cannot index zero sites");
         assert!(sites.len() <= u32::MAX as usize, "too many sites to index");
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
@@ -109,9 +142,7 @@ impl SpatialIndex {
         let nx = (span_x / cell_km).ceil() as usize + 1;
         let ny = (span_y / cell_km).ceil() as usize + 1;
         let cell_of_site = |p: &Point| {
-            let cx = (((p.x - min_x) / cell_km) as usize).min(nx - 1);
-            let cy = (((p.y - min_y) / cell_km) as usize).min(ny - 1);
-            cy * nx + cx
+            cell_coord((p.y - min_y) / cell_km, ny) * nx + cell_coord((p.x - min_x) / cell_km, nx)
         };
 
         // Counting sort into CSR; a stable fill keeps each cell's sites in
@@ -127,7 +158,8 @@ impl SpatialIndex {
         let mut entries = vec![
             Entry {
                 site: Point::default(),
-                index: 0
+                index: 0,
+                tag: 0,
             };
             sites.len()
         ];
@@ -136,6 +168,7 @@ impl SpatialIndex {
             entries[*slot as usize] = Entry {
                 site: *p,
                 index: i as u32,
+                tag: tag(i),
             };
             *slot += 1;
         }
@@ -152,16 +185,15 @@ impl SpatialIndex {
             min_x,
             min_y,
             slack_km: EDGE_SLACK * magnitude,
+            tag0: tag(0),
         }
     }
 
     #[inline(always)]
     fn cell_of(&self, p: &Point) -> (usize, usize) {
-        let cx = ((p.x - self.min_x) / self.cell_km).floor();
-        let cy = ((p.y - self.min_y) / self.cell_km).floor();
         (
-            (cx.max(0.0) as usize).min(self.nx - 1),
-            (cy.max(0.0) as usize).min(self.ny - 1),
+            cell_coord((p.x - self.min_x) / self.cell_km, self.nx),
+            cell_coord((p.y - self.min_y) / self.cell_km, self.ny),
         )
     }
 
@@ -206,6 +238,18 @@ impl SpatialIndex {
 
     /// Index of the site nearest to `p` (ties broken by lowest index).
     pub fn nearest(&self, p: &Point) -> usize {
+        self.locate(p).index as usize
+    }
+
+    /// Tag of the site nearest to `p` (the site [`SpatialIndex::nearest`]
+    /// returns).
+    pub fn nearest_tag(&self, p: &Point) -> u32 {
+        self.locate(p).tag
+    }
+
+    /// The `(distance², index)` argmin over every site.
+    #[inline(always)]
+    fn locate(&self, p: &Point) -> Best {
         let (cx, cy) = self.cell_of(p);
         let x_lo = cx.saturating_sub(1);
         let x_hi = (cx + 1).min(self.nx - 1);
@@ -216,6 +260,7 @@ impl SpatialIndex {
         let mut best = Best {
             d: f64::INFINITY,
             index: 0,
+            tag: self.tag0,
         };
         // The fix's own row first; a neighbouring row is scanned only when
         // its edge is not already strictly farther than the best hit.
@@ -228,17 +273,17 @@ impl SpatialIndex {
             best.offer(self.row(cy + 1, x_lo, x_hi), p);
         }
         if best.d < self.clearance_sq(p, x_lo, x_hi, y_lo, y_hi) {
-            return best.index as usize;
+            return best;
         }
         self.nearest_by_rings(p, cx, cy, best)
     }
 
-    /// The exact fallback of [`SpatialIndex::nearest`]: widens the scanned
+    /// The exact fallback of [`SpatialIndex::locate`]: widens the scanned
     /// block one ring at a time, visiting only the new ring-boundary cells,
     /// until the best hit is inside the block's clearance or the block
     /// covers the grid.
     #[cold]
-    fn nearest_by_rings(&self, p: &Point, cx: usize, cy: usize, mut best: Best) -> usize {
+    fn nearest_by_rings(&self, p: &Point, cx: usize, cy: usize, mut best: Best) -> Best {
         for ring in 2.. {
             let x_lo = cx.saturating_sub(ring);
             let x_hi = (cx + ring).min(self.nx - 1);
@@ -265,7 +310,7 @@ impl SpatialIndex {
                 break;
             }
         }
-        best.index as usize
+        best
     }
 
     /// Indices of all sites within `radius_km` of `p`, ascending.
@@ -474,6 +519,58 @@ mod tests {
             Point::new(f64::INFINITY, 3.0),
         ];
         assert_eq!(assert_exact(&sites, &probes), Ok(()));
+    }
+
+    #[test]
+    fn cell_coord_is_the_clamped_floor_for_every_f64() {
+        let floor_form = |v: f64, n: usize| (v.floor().max(0.0) as usize).min(n - 1);
+        let edges = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            2.5,
+            6.999_999_999_999_999,
+            7.0,
+            7.5,
+            -0.5,
+            -1.0,
+            -1.5,
+            -1e300,
+            1e18,
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_551_616.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(31);
+        let random = (0..100_000).map(|_| f64::from_bits(rng.gen::<u64>()));
+        for v in edges.into_iter().chain(random) {
+            for n in [1, 2, 7, 8, 1 << 20] {
+                assert_eq!(cell_coord(v, n), floor_form(v, n), "v {v:e}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_tag_is_the_tag_of_the_nearest_site() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let sites = clustered(&mut rng, 300, 4);
+        let tags: Vec<u32> = (0..sites.len()).map(|_| rng.gen()).collect();
+        let idx = SpatialIndex::build_tagged(&sites, &tags);
+        let mut points = probes(&mut rng, &idx, &sites);
+        points.push(Point::new(f64::NAN, 0.0));
+        for p in points {
+            assert_eq!(idx.nearest_tag(&p), tags[idx.nearest(&p)], "probe {p:?}");
+        }
     }
 
     #[test]

@@ -810,7 +810,8 @@ mod tests {
         // Fixes from the probe's own noise model over a real session
         // stream — stale fixes included, some of them outside the
         // stations' bounding box — must land on exactly the station a
-        // linear scan picks: least squared distance, lowest index on ties.
+        // linear scan picks: least squared distance, lowest index on ties —
+        // and aggregate into that station's host commune.
         let m = model();
         let cfg = NetsimConfig::standard();
         let radio = RadioNetwork::deploy(m.country(), &cfg, 21);
@@ -837,6 +838,7 @@ mod tests {
                 std::ptr::eq(radio.serving_station(fix), want),
                 "fix {fix:?}"
             );
+            assert_eq!(radio.commune_of_fix(fix), want.commune, "fix {fix:?}");
         }
     }
 

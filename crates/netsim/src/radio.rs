@@ -11,7 +11,8 @@ use mobilenet_geo::{CommuneId, Country, Point, SpatialIndex};
 
 use crate::config::NetsimConfig;
 
-/// A deployed base station.
+/// A deployed base station, as the tests inspect it.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct BaseStation {
     /// Position on the country plane.
@@ -23,9 +24,12 @@ pub(crate) struct BaseStation {
 /// The deployed radio network with spatial lookup.
 #[derive(Debug)]
 pub struct RadioNetwork {
-    /// The deployed stations; a station's index is its id.
-    pub(crate) stations: Vec<BaseStation>,
+    /// The stations' positions, each tagged with its host commune; a
+    /// station's index is its id.
     index: SpatialIndex,
+    /// The deployed stations, kept for the tests' linear-scan oracles.
+    #[cfg(test)]
+    pub(crate) stations: Vec<BaseStation>,
 }
 
 impl RadioNetwork {
@@ -34,7 +38,8 @@ impl RadioNetwork {
         config.validate().expect("invalid NetsimConfig");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7261_6469_6f6e_6574); // "radionet"
 
-        let mut stations = Vec::new();
+        let mut positions = Vec::new();
+        let mut communes = Vec::new();
         for commune in country.communes() {
             let n = ((commune.population as f64 / 10_000.0 * config.stations_per_10k_pop).round()
                 as usize)
@@ -47,26 +52,35 @@ impl RadioNetwork {
                     commune.centroid.x + r * theta.cos(),
                     commune.centroid.y + r * theta.sin(),
                 );
-                stations.push(BaseStation {
-                    position,
-                    commune: commune.id,
-                });
+                positions.push(position);
+                communes.push(commune.id.0);
             }
         }
-        let points: Vec<Point> = stations.iter().map(|s| s.position).collect();
-        let index = SpatialIndex::build(&points);
-        RadioNetwork { stations, index }
+        RadioNetwork {
+            index: SpatialIndex::build_tagged(&positions, &communes),
+            #[cfg(test)]
+            stations: positions
+                .iter()
+                .zip(&communes)
+                .map(|(&position, &commune)| BaseStation {
+                    position,
+                    commune: CommuneId(commune),
+                })
+                .collect(),
+        }
     }
 
     /// The station nearest to a (possibly noisy) position fix.
+    #[cfg(test)]
     pub(crate) fn serving_station(&self, fix: &Point) -> &BaseStation {
         &self.stations[self.index.nearest(fix)]
     }
 
     /// The commune a position fix aggregates into: nearest station's
-    /// hosting commune (the paper's ULI → station → commune chain).
+    /// hosting commune (the paper's ULI → station → commune chain), read
+    /// from the index entry itself.
     pub fn commune_of_fix(&self, fix: &Point) -> CommuneId {
-        self.serving_station(fix).commune
+        CommuneId(self.index.nearest_tag(fix))
     }
 }
 

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use mobilenet_geo::Point;
+use mobilenet_traffic::ziggurat_normal;
 
 use crate::config::NetsimConfig;
 
@@ -50,6 +51,9 @@ impl UliModel {
     /// so their fixes scatter along the rail line (still hitting corridor
     /// base stations) instead of isotropically; only a small perpendicular
     /// component (10% of the scale) remains.
+    ///
+    /// The displacement's two Gaussian components are drawn with
+    /// [`ziggurat_normal`], along-track (or x) first.
     pub fn fix_along(
         &self,
         true_position: &Point,
@@ -65,7 +69,8 @@ impl UliModel {
         if sigma <= 0.0 {
             return (*true_position, stale);
         }
-        let (gx, gy) = gaussian_pair(rng, sigma);
+        let gx = sigma * ziggurat_normal(rng);
+        let gy = sigma * ziggurat_normal(rng);
         let (dx, dy) = match direction {
             None => (gx, gy),
             Some((ux, uy)) => {
@@ -78,15 +83,6 @@ impl UliModel {
             stale,
         )
     }
-}
-
-/// Two independent `N(0, σ²)` draws via Box–Muller.
-fn gaussian_pair(rng: &mut StdRng, sigma: f64) -> (f64, f64) {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen();
-    let r = (-2.0 * u1.ln()).sqrt() * sigma;
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    (r * theta.cos(), r * theta.sin())
 }
 
 #[cfg(test)]

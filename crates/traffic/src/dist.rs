@@ -2,10 +2,19 @@
 //!
 //! The workspace deliberately avoids distribution crates: the handful of
 //! samplers the workload generator needs (normal, log-normal, Poisson,
-//! categorical) are implemented here from first principles and tested
-//! against their analytical moments.
+//! categorical, uniform in a disc) are implemented here from first
+//! principles and tested against their analytical moments.
+//!
+//! Two normal samplers coexist. The per-session draws — a session's
+//! volume and its ULI displacement — use the [`ziggurat_normal`], which
+//! makes no transcendental call on its common path. The demand model's
+//! one-off draws (tastes, hourly noise) keep Box–Muller
+//! ([`standard_normal`]), so the expected dataset does not depend on the
+//! per-session sampler.
 
-use rand::Rng;
+use std::sync::OnceLock;
+
+use rand::{Rng, RngCore};
 
 /// Samples a standard normal via the Box–Muller transform.
 pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -28,10 +37,107 @@ pub(crate) fn unit_mean_log_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> 
 }
 
 /// Samples a log-normal with the given **linear-scale mean** and shape
-/// `sigma`.
+/// `sigma`: `mean·exp(μ + σz)` with `μ = −σ²/2` and `z` from the
+/// [`ziggurat_normal`].
 pub(crate) fn log_normal_with_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     assert!(mean > 0.0, "log-normal mean must be positive");
-    mean * unit_mean_log_normal(rng, sigma)
+    let mu = -sigma * sigma / 2.0;
+    mean * (mu + sigma * ziggurat_normal(rng)).exp()
+}
+
+/// Right edge of the ziggurat's base layer: where its tail starts.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Area of each of the ziggurat's 256 layers.
+const ZIG_V: f64 = 0.004_928_673_233_99;
+
+/// The unnormalized standard normal density `exp(−x²/2)`.
+#[inline(always)]
+fn zig_pdf(x: f64) -> f64 {
+    (-x * x / 2.0).exp()
+}
+
+/// The ziggurat's layer edges `x` and the density at each, `f = pdf(x)`.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+/// The tables, built once per process. Layer `i` spans `|x| < x[i]`;
+/// `x[0]` is the base layer's equal-area width and `x[256] = 0`.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut x = [0.0; 257];
+        x[0] = ZIG_V / zig_pdf(ZIG_R);
+        x[1] = ZIG_R;
+        for i in 1..255 {
+            let arg = zig_pdf(x[i]) + ZIG_V / x[i];
+            x[i + 1] = if arg >= 1.0 {
+                0.0
+            } else {
+                (-2.0 * arg.ln()).sqrt()
+            };
+        }
+        Ziggurat {
+            x,
+            f: x.map(zig_pdf),
+        }
+    })
+}
+
+/// Samples a standard normal with Marsaglia and Tsang's 256-layer
+/// ziggurat.
+///
+/// Each try takes one 64-bit word: its low 8 bits pick a layer `i` and
+/// its high 53 bits a uniform `u` in `[−1, 1)`. `u·x[i]` is accepted at
+/// once when it lies inside the layer above (≈98.5% of tries, no
+/// transcendental call). The base layer otherwise falls to Marsaglia's
+/// tail sampler beyond `R`; any other layer accepts by comparing a
+/// uniform height in the wedge with the density.
+pub fn ziggurat_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    let t = ziggurat();
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+        let x = u * t.x[i];
+        if x.abs() < t.x[i + 1] {
+            return x;
+        }
+        if i == 0 {
+            return zig_tail(rng, u);
+        }
+        if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < zig_pdf(x) {
+            return x;
+        }
+    }
+}
+
+/// Marsaglia's sampler of the normal tail beyond [`ZIG_R`], signed like
+/// `u`.
+#[cold]
+fn zig_tail<R: RngCore + ?Sized>(rng: &mut R, u: f64) -> f64 {
+    loop {
+        let tx = rng.gen_range(f64::EPSILON..1.0).ln() / ZIG_R;
+        let ty = rng.gen_range(f64::EPSILON..1.0).ln();
+        if -2.0 * ty >= tx * tx {
+            let x = ZIG_R - tx;
+            return if u < 0.0 { -x } else { x };
+        }
+    }
+}
+
+/// Samples a point uniformly in the open unit disc by rejection from the
+/// square `[−1, 1)²`: no transcendental call, and `4/π ≈ 1.27` tries on
+/// average.
+pub(crate) fn unit_disc<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    loop {
+        let a = 2.0 * rng.gen::<f64>() - 1.0;
+        let b = 2.0 * rng.gen::<f64>() - 1.0;
+        if a * a + b * b < 1.0 {
+            return (a, b);
+        }
+    }
 }
 
 /// Samples a Poisson variate with rate `lambda`.
@@ -146,6 +252,89 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((mean - 250.0).abs() / 250.0 < 0.05, "mean {mean}");
+    }
+
+    /// Standard error of a sample mean of `n` draws with variance `var`.
+    fn se(var: f64, n: usize) -> f64 {
+        (var / n as f64).sqrt()
+    }
+
+    #[test]
+    fn ziggurat_normal_has_the_normal_moments() {
+        // E[z] = 0, E[z²] = 1, E[z⁴] = 3; Var z² = 2 and Var z⁴ = 96.
+        let mut r = rng();
+        let n = 1_000_000;
+        let zs: Vec<f64> = (0..n).map(|_| ziggurat_normal(&mut r)).collect();
+        let moment = |p: i32| zs.iter().map(|z| z.powi(p)).sum::<f64>() / n as f64;
+        let (m1, m2, m4) = (moment(1), moment(2), moment(4));
+        assert!(m1.abs() < 4.0 * se(1.0, n), "mean {m1}");
+        assert!((m2 - 1.0).abs() < 4.0 * se(2.0, n), "variance {m2}");
+        assert!((m4 - 3.0).abs() < 4.0 * se(96.0, n), "E[z⁴] {m4}");
+    }
+
+    #[test]
+    fn ziggurat_normal_has_the_normal_tail_mass() {
+        // Two-sided tails 2(1 − Φ(x)), through each layer region: the
+        // body, the wedges, the base layer's edge R and its tail beyond.
+        let tails = [
+            (1.0, 0.317_310_507_862_914_15),
+            (2.0, 0.045_500_263_896_358_44),
+            (3.0, 0.002_699_796_063_260_191),
+            (ZIG_R, 0.000_258_032_487_653_901_3),
+            (4.0, 0.000_063_342_483_666_239_93),
+        ];
+        let mut r = StdRng::seed_from_u64(0x7A16);
+        let n = 2_000_000;
+        let mut counts = [0u64; 5];
+        for _ in 0..n {
+            let z = ziggurat_normal(&mut r).abs();
+            for (count, &(x, _)) in counts.iter_mut().zip(&tails) {
+                *count += (z > x) as u64;
+            }
+        }
+        for (&count, &(x, p)) in counts.iter().zip(&tails) {
+            let got = count as f64 / n as f64;
+            let z = (got - p) / se(p * (1.0 - p), n);
+            assert!(
+                z.abs() < 4.0,
+                "P(|z| > {x}) = {got}, want {p} (z-score {z:.2})"
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_tables_close_at_the_origin() {
+        let t = ziggurat();
+        assert_eq!(t.x[1], ZIG_R);
+        assert!(t.x[0] > ZIG_R);
+        assert!(t.x.windows(2).all(|w| w[0] > w[1]), "edges must fall");
+        assert!(t.x[255] > 0.0 && t.x[255] < 0.3, "x[255] {}", t.x[255]);
+        assert_eq!((t.x[256], t.f[256]), (0.0, 1.0));
+    }
+
+    #[test]
+    fn unit_disc_is_uniform_in_the_disc() {
+        // For a uniform point in the unit disc r² ~ U(0, 1): E[r²] = ½ and
+        // P(r < ρ) = ρ².
+        let mut r = rng();
+        let n = 400_000;
+        let r2: Vec<f64> = (0..n)
+            .map(|_| {
+                let (a, b) = unit_disc(&mut r);
+                a * a + b * b
+            })
+            .collect();
+        assert!(r2.iter().all(|&v| v < 1.0));
+        let mean = r2.iter().sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 4.0 * se(1.0 / 12.0, n), "E[r²] {mean}");
+        for rho in [0.25f64, 0.5, 0.75, 0.9] {
+            let p = rho * rho;
+            let got = r2.iter().filter(|&&v| v < p).count() as f64 / n as f64;
+            assert!(
+                (got - p).abs() < 4.0 * se(p * (1.0 - p), n),
+                "P(r < {rho}) = {got}, want {p}"
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * [`TrafficDataset`] — the commune/class/national aggregate tables every
 //!   analysis consumes (the shape of the paper's dataset after §2's
 //!   aggregation step).
-//! * The samplers (normal, log-normal, Poisson, categorical) implemented
-//!   on top of `rand`.
+//! * The samplers (normal, log-normal, Poisson, categorical, uniform in a
+//!   disc) implemented on top of `rand`; [`ziggurat_normal`] is the
+//!   per-session normal, shared with the collection pipeline's ULI noise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +48,7 @@ pub use catalog::{Category, PeakSpec, ServiceCatalog, ServiceId, ServiceSpec};
 pub use config::TrafficConfig;
 pub use dataset::{DatasetError, Direction, ServiceRowsMut, TrafficDataset};
 pub use demand::DemandModel;
+pub use dist::ziggurat_normal;
 pub use events::EventSpec;
 pub use sessions::{Session, SessionGenerator, Technology};
 pub use spatial::SpatialProfile;

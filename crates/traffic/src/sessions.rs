@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use mobilenet_geo::{CommuneId, Point};
 
 use crate::demand::DemandModel;
-use crate::dist::{log_normal_with_mean, poisson, Categorical};
+use crate::dist::{log_normal_with_mean, poisson, unit_disc, Categorical};
 use crate::mobility::MobilityModel;
 use crate::week::{is_weekend_hour, HOURS_PER_DAY};
 
@@ -167,8 +167,9 @@ impl<'a> SessionGenerator<'a> {
             return 0;
         }
 
-        let info = &model.country().communes()[commune];
-        let is_tgv = info.usage_class() == mobilenet_geo::UsageClass::Tgv;
+        let home = &model.country().communes()[commune];
+        let home_radius = disc_radius(home);
+        let is_tgv = home.usage_class() == mobilenet_geo::UsageClass::Tgv;
         // Event-affected pairs sample hours from their surged weights;
         // everyone else uses the precomputed per-service samplers.
         let event_hours = event_weights.map(Categorical::new);
@@ -182,17 +183,17 @@ impl<'a> SessionGenerator<'a> {
             let start_hour = hours.sample(&mut *rng) as u16;
             // Commuting extension: relocate a share of working-hours
             // sessions to the subscriber's work commune.
-            let info = match mobility {
+            let (info, radius) = match mobility {
                 Some(mob)
                     if is_working_hour(start_hour as usize)
                         && rng.gen::<f64>() < cfg.commuter_share =>
                 {
                     let work = mob.sample_work(commune, &mut *rng) as usize;
-                    &model.country().communes()[work]
+                    let work = &model.country().communes()[work];
+                    (work, disc_radius(work))
                 }
-                _ => info,
+                _ => (home, home_radius),
             };
-            let radius = (info.area_km2 / std::f64::consts::PI).sqrt();
             let dl_mb = log_normal_with_mean(&mut *rng, mean_session_dl, cfg.session_volume_sigma);
             let ul_mb = dl_mb * spec.ul_ratio;
             // Technology: the 4G-dependent demand share rides 4G where
@@ -205,12 +206,8 @@ impl<'a> SessionGenerator<'a> {
                 Technology::G3
             };
             // True position: uniform in a disc of the commune's area.
-            let r = radius * rng.gen::<f64>().sqrt();
-            let theta = rng.gen::<f64>() * 2.0 * std::f64::consts::PI;
-            let position = Point::new(
-                info.centroid.x + r * theta.cos(),
-                info.centroid.y + r * theta.sin(),
-            );
+            let (a, b) = unit_disc(&mut *rng);
+            let position = Point::new(info.centroid.x + radius * a, info.centroid.y + radius * b);
             sink(&Session {
                 service: service as u16,
                 commune: info.id,
@@ -223,6 +220,12 @@ impl<'a> SessionGenerator<'a> {
         }
         n
     }
+}
+
+/// Radius of the disc with a commune's area, the spread of its sessions'
+/// true positions.
+fn disc_radius(info: &mobilenet_geo::Commune) -> f64 {
+    (info.area_km2 / std::f64::consts::PI).sqrt()
 }
 
 /// Whether an hour-of-week falls in commuting-relevant working hours

@@ -7,8 +7,10 @@
 //! reordered RNG draw, a changed fold order — fails here even when it is
 //! self-consistent.
 //!
-//! The digests were taken from the CLI export of the commit before the
-//! blocked probe and the CSR station index went in:
+//! The digests were re-pinned once, deliberately, when the per-session
+//! samplers changed: a session's volume and ULI displacement now use the
+//! ziggurat normal and its true position the rejection disc (DESIGN §3.3).
+//! They were taken from the CLI export of that change:
 //!
 //! ```sh
 //! mobilenet export --scale small --out a.csv
@@ -22,10 +24,10 @@ use mobilenet::netsim::FaultPlan;
 use mobilenet::{Pipeline, PipelineBuilder, Scale, DEFAULT_SEED};
 
 /// FNV-1a of `mobilenet export --scale small`.
-const SMALL_FAULT_FREE: u64 = 0x556a_5ad7_2f41_9eb0;
+const SMALL_FAULT_FREE: u64 = 0xec6e_e493_75c8_98b0;
 
 /// FNV-1a of `mobilenet export --scale small --faults degraded --chunk-size 97`.
-const SMALL_DEGRADED_CHUNK_97: u64 = 0x1db9_051b_d742_1dd4;
+const SMALL_DEGRADED_CHUNK_97: u64 = 0x93b6_21a6_f20f_8133;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
