@@ -1,9 +1,9 @@
 //! The unified error type of the assembly pipeline.
 //!
-//! Everything fallible on the way to a [`Study`](crate::Study) — reading
-//! files, parsing persisted datasets, validating configuration, resolving
-//! user-facing names — funnels into one [`Error`], so binaries report
-//! failures instead of unwinding.
+//! Everything fallible on the way to a [`Study`](crate::Study) — file
+//! I/O, merging datasets of different shapes, validating configuration,
+//! resolving user-facing names — funnels into one [`Error`], so binaries
+//! report failures instead of unwinding.
 
 use mobilenet_netsim::IngestError;
 use mobilenet_traffic::DatasetError;
@@ -13,7 +13,7 @@ use mobilenet_traffic::DatasetError;
 pub enum Error {
     /// Filesystem I/O failed.
     Io(std::io::Error),
-    /// A persisted dataset CSV failed to parse.
+    /// Datasets of different shapes were merged.
     Dataset(DatasetError),
     /// A configuration failed validation.
     Config(String),
@@ -75,10 +75,9 @@ mod tests {
     #[test]
     fn display_is_actionable() {
         let e = Error::from(DatasetError {
-            line: 7,
-            message: "bad float".into(),
+            message: "cannot merge: 3 head services vs 4".into(),
         });
-        assert_eq!(e.to_string(), "dataset line 7: bad float");
+        assert_eq!(e.to_string(), "dataset: cannot merge: 3 head services vs 4");
         assert!(Error::UnknownScale("big".into())
             .to_string()
             .contains("small|medium|france|national"));
@@ -94,7 +93,6 @@ mod tests {
         ));
         assert!(matches!(e, Error::Config(_)));
         let e = Error::from(IngestError::Shape(DatasetError {
-            line: 0,
             message: "y".into(),
         }));
         assert!(matches!(e, Error::Dataset(_)));

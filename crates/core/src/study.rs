@@ -128,8 +128,6 @@ impl StudyConfig {
 /// An assembled study: geography + catalog + one week of aggregated
 /// traffic.
 pub struct Study {
-    country: Arc<Country>,
-    catalog: Arc<ServiceCatalog>,
     model: DemandModel,
     dataset: TrafficDataset,
     collection_stats: Option<CollectionStats>,
@@ -148,12 +146,7 @@ impl Study {
         drop(country_span);
         let model_span = mobilenet_obs::span("demand_model");
         let catalog = Arc::new(ServiceCatalog::standard(config.traffic.n_tail_services));
-        let model = DemandModel::new(
-            country.clone(),
-            catalog.clone(),
-            config.traffic.clone(),
-            seed,
-        );
+        let model = DemandModel::new(country, catalog, config.traffic.clone(), seed);
         drop(model_span);
         let (dataset, collection_stats, ingest) = if config.measured {
             let out = collect_with_options(&model, &config.netsim, &config.collect_options(), seed)
@@ -164,8 +157,6 @@ impl Study {
             (model.expected_dataset(), None, None)
         };
         Study {
-            country,
-            catalog,
             model,
             dataset,
             collection_stats,
@@ -178,23 +169,21 @@ impl Study {
     /// same demand under varying pipeline parameters.
     pub fn from_parts(model: DemandModel, output: mobilenet_netsim::CollectionOutput) -> Self {
         Study {
-            country: model.country_arc(),
-            catalog: model.catalog_arc(),
+            model,
             dataset: output.dataset,
             collection_stats: Some(output.stats),
             ingest: Some(output.ingest),
-            model,
         }
     }
 
     /// The generated country.
     pub fn country(&self) -> &Country {
-        &self.country
+        self.model.country()
     }
 
     /// The service catalog (the generator's ground truth).
     pub fn catalog(&self) -> &ServiceCatalog {
-        &self.catalog
+        self.model.catalog()
     }
 
     /// The demand model the dataset was generated from.
@@ -220,7 +209,7 @@ impl Study {
 
     /// Names of the head services, in catalog order.
     pub fn service_names(&self) -> Vec<&'static str> {
-        self.catalog.head().iter().map(|s| s.name).collect()
+        self.catalog().head().iter().map(|s| s.name).collect()
     }
 }
 

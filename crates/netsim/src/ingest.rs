@@ -736,7 +736,6 @@ mod tests {
         assert!(e.to_string().contains("chunk_size"));
         assert!(e.source().is_none());
         let e = IngestError::from(DatasetError {
-            line: 0,
             message: "cannot merge".into(),
         });
         assert!(e.to_string().contains("cannot merge"));

@@ -78,14 +78,17 @@ impl Topic {
         }
     }
 
-    /// Parses a comma-separated topic list; `all` selects every topic.
+    /// Parses a comma-separated topic list; `all`, alone, selects every
+    /// topic. Every token is checked, so an unknown one, or `all` next to
+    /// another topic, is an error wherever it appears.
     pub fn parse_list(tokens: &str) -> Result<Vec<Topic>, String> {
+        if tokens.eq_ignore_ascii_case("all") {
+            return Ok(Topic::ALL.to_vec());
+        }
         let mut topics = Vec::new();
         for token in tokens.split(',') {
             let topic = match token.to_ascii_lowercase().as_str() {
-                "all" => {
-                    return Ok(Topic::ALL.to_vec());
-                }
+                "all" => return Err("bad SUBSCRIBE: all must be the only topic".into()),
                 "watermark" => Topic::Watermark,
                 "version" => Topic::Version,
                 "rank" => Topic::Rank,
@@ -477,6 +480,11 @@ mod tests {
             err.contains("bad SUBSCRIBE: nope"),
             "unexpected message {err:?}"
         );
+        // `all` stands alone: an unknown token errs on either side of
+        // it, and so does another topic.
+        for list in ["all,bogus", "bogus,all", "all,rank", "rank,all", "all,all"] {
+            assert!(Topic::parse_list(list).is_err(), "{list} was accepted");
+        }
     }
 
     #[test]

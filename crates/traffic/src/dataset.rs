@@ -120,6 +120,12 @@ fn block_len(n_communes: usize) -> usize {
 ///
 /// Cloning is cheap for blocks that are shared and for the per-country
 /// constants (reference counts); an owned block is copied.
+///
+/// Every cell starts at `+0.0` and changes only by additions, so it never
+/// holds `-0.0` (that needs two `-0.0` operands) or a signalling NaN (no
+/// addition yields one). Hence `+0.0 + x` has the bits of `x`: a merge
+/// may skip a block nobody wrote and share a block with one writer
+/// instead of adding it.
 #[derive(Debug, Clone)]
 pub struct TrafficDataset {
     n_services: usize,
@@ -134,12 +140,6 @@ pub struct TrafficDataset {
     /// Unclassified volume per direction (the DPI residue).
     unclassified: [f64; 2],
     communes: Arc<Communes>,
-    /// Whether every block cell was built from `+0.0` by additions alone.
-    /// Such a cell never holds `-0.0` (that needs two `-0.0` operands) or
-    /// a signalling NaN (no addition yields one), so `+0.0 + x` has the
-    /// bits of `x` and a merge may share the block instead of adding it.
-    /// False for a dataset read from CSV, which may hold a literal `-0`.
-    additive: bool,
 }
 
 /// Mutable access to one head service's rows, borrowed once for a run of
@@ -239,7 +239,6 @@ impl TrafficDataset {
             tail_written: false,
             unclassified: [0.0; 2],
             communes: Arc::new(Communes::new(users, class)),
-            additive: true,
         }
     }
 
@@ -457,9 +456,9 @@ impl TrafficDataset {
     /// full text in memory.
     ///
     /// Format: a header line, then one line per logical row
-    /// (`section,key...,values...`). Round-trips exactly through
-    /// [`TrafficDataset::from_csv`]
-    /// (floats are written with full precision).
+    /// (`section,key...,values...`). Floats are written in the shortest
+    /// form that parses back to the same bits; a NaN is written as `NaN`,
+    /// without its sign or payload.
     pub fn write_to<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
         writeln!(
             writer,
@@ -519,184 +518,6 @@ impl TrafficDataset {
         String::from_utf8(out).expect("dataset CSV is ASCII")
     }
 
-    /// Reads a dataset incrementally from any reader — rows are parsed
-    /// and applied one line at a time, so loading a multi-gigabyte export
-    /// never holds more than one line of text.
-    ///
-    /// Errors carry the 1-based line number of the offending row (I/O
-    /// failures report the line where reading stopped), so a caller (or a
-    /// CLI user) can locate the problem in the file.
-    pub(crate) fn read_from<R: std::io::BufRead>(
-        mut reader: R,
-    ) -> Result<TrafficDataset, DatasetError> {
-        let mut line = String::new();
-        let read_line = |reader: &mut R, line: &mut String, line_no: usize| {
-            line.clear();
-            let n = reader
-                .read_line(line)
-                .map_err(|e| DatasetError::at(line_no + 1, format!("i/o error: {e}")))?;
-            // Same semantics as `str::lines`: strip one `\n`, then at
-            // most one `\r` before it.
-            if line.ends_with('\n') {
-                line.pop();
-                if line.ends_with('\r') {
-                    line.pop();
-                }
-            }
-            Ok::<bool, DatasetError>(n > 0)
-        };
-        if !read_line(&mut reader, &mut line, 0)? {
-            return Err(DatasetError::at(1, "empty input"));
-        }
-        let header = line
-            .strip_prefix("#mobilenet-dataset v1,")
-            .ok_or_else(|| DatasetError::at(1, "missing/unsupported header"))?;
-        let dims: Vec<usize> = header
-            .split(',')
-            .map(|x| {
-                x.parse()
-                    .map_err(|e| DatasetError::at(1, format!("bad dimension: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if dims.len() != 3 {
-            return Err(DatasetError::at(1, "header needs 3 dimensions"));
-        }
-        let (n_services, n_communes, n_tail) = (dims[0], dims[1], dims[2]);
-
-        let mut users = vec![0.0; n_communes];
-        let mut class = vec![0u8; n_communes];
-        let mut ds = TrafficDataset {
-            n_services,
-            n_communes,
-            // Any block of a file may be set, or hold a literal `-0`.
-            blocks: vec![Block::Owned(vec![0.0; block_len(n_communes)]); n_services],
-            tail_weekly: vec![0.0; 2 * n_tail],
-            tail_written: true,
-            unclassified: [0.0; 2],
-            // Replaced once the per-commune rows have been read.
-            communes: Arc::new(Communes::new(Vec::new(), Vec::new())),
-            additive: false,
-        };
-
-        let mut line_no = 1usize;
-        while read_line(&mut reader, &mut line, line_no)? {
-            line_no += 1;
-            ds.apply_csv_line(&line, &mut users, &mut class)
-                .map_err(|m| DatasetError::at(line_no, m))?;
-        }
-        if class.iter().any(|&c| c as usize >= 4) {
-            return Err(DatasetError::at(0, "commune class out of range"));
-        }
-        // The derived class_users table is recomputed from the two rows.
-        ds.communes = Arc::new(Communes::new(users, class));
-        Ok(ds)
-    }
-
-    /// Parses a dataset previously written by [`TrafficDataset::to_csv`]
-    /// or [`TrafficDataset::write_to`].
-    pub fn from_csv(text: &str) -> Result<TrafficDataset, DatasetError> {
-        TrafficDataset::read_from(text.as_bytes())
-    }
-
-    /// Applies one body row of the CSV format to `self`, or to the
-    /// per-commune rows being read.
-    fn apply_csv_line(
-        &mut self,
-        line: &str,
-        users: &mut Vec<f64>,
-        class: &mut Vec<u8>,
-    ) -> Result<(), String> {
-        let (n_services, n_communes, n_tail) = (self.n_services, self.n_communes, self.n_tail());
-        let parse_floats = |s: &str| -> Result<Vec<f64>, String> {
-            s.split(',')
-                .map(|x| {
-                    x.parse::<f64>()
-                        .map_err(|e| format!("bad float {x:?}: {e}"))
-                })
-                .collect()
-        };
-        // The `dir,service,` key of a per-service row, and the rest.
-        fn service_row(rest: &str) -> Result<(usize, usize, &str), String> {
-            let (d, rest) = rest.split_once(',').ok_or("missing dir")?;
-            let (s, rest) = rest.split_once(',').ok_or("missing service")?;
-            let d: usize = d.parse().map_err(|_| "bad dir")?;
-            let s: usize = s.parse().map_err(|_| "bad service")?;
-            Ok((d, s, rest))
-        }
-        let half = COMMUNE_OFFSET + n_communes;
-        let (section, rest) = line.split_once(',').ok_or("malformed line")?;
-        // Per-service rows: where they start in the service's block.
-        let (service, start, values) = match section {
-            "unclassified" => {
-                let v = parse_floats(rest)?;
-                if v.len() != 2 {
-                    return Err("unclassified needs 2 values".into());
-                }
-                self.unclassified = [v[0], v[1]];
-                return Ok(());
-            }
-            "commune_users" => {
-                let v = parse_floats(rest)?;
-                if v.len() != n_communes {
-                    return Err("commune_users length mismatch".into());
-                }
-                *users = v;
-                return Ok(());
-            }
-            "commune_class" => {
-                let v: Vec<u8> = rest
-                    .split(',')
-                    .map(|x| x.parse().map_err(|e| format!("bad class: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if v.len() != n_communes {
-                    return Err("commune_class length mismatch".into());
-                }
-                *class = v;
-                return Ok(());
-            }
-            "tail_weekly" => {
-                let (d, values) = rest.split_once(',').ok_or("missing dir")?;
-                let d: usize = d.parse().map_err(|_| "bad dir")?;
-                let v = parse_floats(values)?;
-                if d >= 2 || v.len() != n_tail {
-                    return Err("tail_weekly row out of range".into());
-                }
-                self.tail_weekly[d * n_tail..(d + 1) * n_tail].copy_from_slice(&v);
-                return Ok(());
-            }
-            "national_hourly" => {
-                let (d, s, values) = service_row(rest)?;
-                let v = parse_floats(values)?;
-                if d >= 2 || s >= n_services || v.len() != HOURS_PER_WEEK {
-                    return Err("national_hourly row out of range".into());
-                }
-                (s, d * half, v)
-            }
-            "commune_weekly" => {
-                let (d, s, values) = service_row(rest)?;
-                let v = parse_floats(values)?;
-                if d >= 2 || s >= n_services || v.len() != n_communes {
-                    return Err("commune_weekly row out of range".into());
-                }
-                (s, d * half + COMMUNE_OFFSET, v)
-            }
-            "class_hourly" => {
-                let (d, s, rest) = service_row(rest)?;
-                let (class, values) = rest.split_once(',').ok_or("missing class")?;
-                let class: usize = class.parse().map_err(|_| "bad class")?;
-                let v = parse_floats(values)?;
-                if d >= 2 || s >= n_services || class >= 4 || v.len() != HOURS_PER_WEEK {
-                    return Err("class_hourly row out of range".into());
-                }
-                (s, d * half + CLASS_OFFSET + class * HOURS_PER_WEEK, v)
-            }
-            other => return Err(format!("unknown section {other:?}")),
-        };
-        let block = owned(&mut self.blocks[service], block_len(n_communes));
-        block[start..start + values.len()].copy_from_slice(&values);
-        Ok(())
-    }
-
     /// Merges another dataset (same shape) into this one. Used to combine
     /// partials generated in parallel and to fold datasets from
     /// independent exports.
@@ -712,20 +533,11 @@ impl TrafficDataset {
     /// 2 × (5 × 168 + communes) cells per block (≈ 0.6 MB at the france
     /// geography): a streaming-fold shard writes a single head service,
     /// and merging its partial costs one block instead of all of them.
-    /// The tail and unclassified cells are added densely. This is the add
-    /// path: it never shares a block, since a CSV-read dataset may hold a
-    /// literal `-0`. To merge fold partials without copying their
-    /// blocks, use [`merged`](Self::merged).
-    ///
-    /// The result is bit-identical to adding every cell. A block `other`
-    /// never wrote holds only `+0.0`, and `x + 0.0 == x` bit for bit
-    /// unless `x` is `-0.0`. No dataset built by the adders or by merges
-    /// holds a `-0.0`: every cell starts at `+0.0`, and adding any
-    /// volume, `-0.0` included, to `+0.0` never yields `-0.0`. Only a
-    /// hand-written CSV with a literal `-0` can carry one into `self`,
-    /// and such a cell keeps its sign where a dense add would flip it to
-    /// `+0.0`; a dataset read from CSV counts every block as written, so
-    /// as `other` it always merges densely.
+    /// The tail and unclassified cells are added densely. The result is
+    /// bit-identical to adding every cell, since no cell holds `-0.0`
+    /// (see [`TrafficDataset`]). This is the add path; to merge fold
+    /// partials without copying their blocks, use
+    /// [`merged`](Self::merged).
     pub fn merge(&mut self, other: &TrafficDataset) -> Result<(), DatasetError> {
         self.check_shape(other)?;
         for service in 0..self.n_services {
@@ -753,7 +565,9 @@ impl TrafficDataset {
         } else {
             return Ok(());
         };
-        Err(DatasetError::at(0, format!("cannot merge: {mismatch}")))
+        Err(DatasetError {
+            message: format!("cannot merge: {mismatch}"),
+        })
     }
 
     /// Whether any of head service `service`'s rows in the three
@@ -767,16 +581,14 @@ impl TrafficDataset {
     /// [`merge`](Self::merge) of each part, in order, into an empty
     /// dataset makes.
     ///
-    /// A head-service block with one writer whose cells were all built by
-    /// additions from `+0.0` (every fold partial; not a dataset read from
-    /// CSV) is shared, not copied: the writer's block moves behind a
-    /// reference count that both datasets hold, and whichever writes to
-    /// it next copies it first. That is exact because such a cell `x`
-    /// never holds `-0.0` or a signalling NaN, so `+0.0 + x` has the bits
-    /// of `x`. Any other written block is built as `+0.0` plus each
-    /// writer's rows in order, and so are the tail table (skipping parts
-    /// that never wrote one: their `+0.0`s change no bit) and the
-    /// unclassified volumes.
+    /// A head-service block with one writer is shared, not copied: the
+    /// writer's block moves behind a reference count that both datasets
+    /// hold, and whichever writes to it next copies it first. That is
+    /// exact because `+0.0 + x` has the bits of every cell `x` (see
+    /// [`TrafficDataset`]). A block with several writers is built as
+    /// `+0.0` plus each writer's rows in order, and so are the tail table
+    /// (skipping parts that never wrote one: their `+0.0`s change no bit)
+    /// and the unclassified volumes.
     ///
     /// A shape mismatch between this dataset and a part is reported
     /// before any block is shared.
@@ -796,12 +608,11 @@ impl TrafficDataset {
             tail_written: false,
             unclassified: [0.0; 2],
             communes: Arc::clone(&self.communes),
-            additive: true,
         };
         for service in 0..self.n_services {
             let mut writers = parts.iter_mut().filter(|p| p.service_written(service));
             match (writers.next(), writers.next()) {
-                (Some(sole), None) if sole.additive => {
+                (Some(sole), None) => {
                     out.blocks[service] = Block::Shared(sole.share_block(service));
                 }
                 (first, second) => {
@@ -855,33 +666,17 @@ impl TrafficDataset {
     }
 }
 
-/// A parse failure in [`TrafficDataset::from_csv`], locating the
-/// offending row.
+/// Datasets of different shapes passed to [`TrafficDataset::merge`] or
+/// [`TrafficDataset::merged`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetError {
-    /// 1-based line number of the offending row; 0 for whole-file
-    /// problems that no single line causes.
-    pub line: usize,
-    /// What went wrong on that line.
+    /// Which dimension differs, and how.
     pub message: String,
-}
-
-impl DatasetError {
-    fn at(line: usize, message: impl Into<String>) -> Self {
-        DatasetError {
-            line,
-            message: message.into(),
-        }
-    }
 }
 
 impl std::fmt::Display for DatasetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "dataset: {}", self.message)
-        } else {
-            write!(f, "dataset line {}: {}", self.line, self.message)
-        }
+        write!(f, "dataset: {}", self.message)
     }
 }
 
@@ -1086,30 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_a_literal_negative_zero_only_where_other_never_wrote() {
-        // The one documented divergence from a dense add: a `-0` that a
-        // hand-written CSV put into `self` keeps its sign when `other`
-        // never wrote that row, and flips to `+0.0` when it did.
-        let (country, empty) = dataset();
-        let text = empty
-            .to_csv()
-            .replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
-        let negative_zero = |ds: &TrafficDataset| ds.commune_vector(Direction::Down, 1)[0];
-        let mut a = TrafficDataset::from_csv(&text).expect("parse");
-        assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
-
-        let mut partial = TrafficDataset::new(&country, 3, 10, 0.5);
-        partial.service_rows_mut(2).add_both(0, 0, 1.5, 0.5);
-        a.merge(&partial).expect("same shape");
-        assert_eq!(negative_zero(&a).to_bits(), (-0.0f64).to_bits());
-
-        // A dataset read from CSV counts every row as written.
-        a.merge(&TrafficDataset::from_csv(&empty.to_csv()).unwrap())
-            .expect("same shape");
-        assert_eq!(negative_zero(&a).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
     fn a_shared_block_is_unchanged_by_later_writes_to_the_original() {
         let (country, mut partial) = dataset();
         let commune = country.communes()[4].id;
@@ -1171,57 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn a_csv_read_writer_is_added_not_shared() {
-        // A literal `-0` read from CSV must come out of `merged` as the
-        // `+0.0` an add merge makes, so such a writer is never shared.
-        let (country, empty) = dataset();
-        let text = empty
-            .to_csv()
-            .replacen("commune_weekly,0,1,0e0", "commune_weekly,0,1,-0", 1);
-        let mut read = TrafficDataset::from_csv(&text).expect("parse");
-        let merged = TrafficDataset::new(&country, 3, 10, 0.5)
-            .merged([&mut read])
-            .expect("same shape");
-        assert!(matches!(merged.blocks[1], Block::Owned(_)));
-        assert_eq!(
-            merged.commune_vector(Direction::Down, 1)[0].to_bits(),
-            0.0f64.to_bits()
-        );
-    }
-
-    #[test]
-    fn reader_and_writer_apis_match_the_string_forms() {
-        let (country, mut ds) = dataset();
-        for (i, c) in country.communes().iter().enumerate().take(25) {
-            ds.add(
-                Direction::Down,
-                i % 3,
-                c.id,
-                i % HOURS_PER_WEEK,
-                1.0 + i as f64,
-            );
-        }
-        let mut buf = Vec::new();
-        ds.write_to(&mut buf).expect("write to memory");
-        let text = ds.to_csv();
-        assert_eq!(String::from_utf8(buf).unwrap(), text);
-
-        let via_reader = TrafficDataset::read_from(text.as_bytes()).expect("read");
-        assert_eq!(via_reader.to_csv(), text);
-        // \r\n line endings parse identically.
-        let crlf = text.replace('\n', "\r\n");
-        assert_eq!(
-            TrafficDataset::read_from(crlf.as_bytes()).unwrap().to_csv(),
-            text
-        );
-        // Errors still carry the 1-based line number.
-        let mut broken = text.clone();
-        broken.push_str("bogus,1,2\n");
-        let err = TrafficDataset::read_from(broken.as_bytes()).unwrap_err();
-        assert_eq!(err.line, text.lines().count() + 1);
-    }
-
-    #[test]
     fn class_users_sum_to_total_subscribers() {
         let (country, ds) = dataset();
         let total: f64 = ds.communes.class_users.iter().sum();
@@ -1230,62 +950,83 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_is_exact() {
+    fn export_parses_back_to_the_same_bits() {
+        // The export is the only persisted form of a dataset, so each of
+        // its float fields must parse back to the bits the accessors hold.
         let (country, mut ds) = dataset();
-        for (i, c) in country.communes().iter().enumerate().take(40) {
-            ds.add(
-                Direction::Down,
-                i % 3,
-                c.id,
-                (i * 7) % HOURS_PER_WEEK,
-                0.1 + i as f64,
-            );
-            ds.add(
-                Direction::Up,
-                (i + 1) % 3,
-                c.id,
-                (i * 5) % HOURS_PER_WEEK,
-                0.01 * i as f64,
-            );
+        let volumes = [
+            0.1 + 0.2,
+            1.0 / 3.0,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::MAX,
+            f64::MAX * 0.75,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        // One cell per volume in every table, so each cell holds it as is.
+        for (i, &v) in volumes.iter().enumerate() {
+            let commune = country.communes()[i].id;
+            ds.add(Direction::Down, i % 3, commune, i, v);
+            ds.add(Direction::Up, (i + 1) % 3, commune, 100 + i, v);
+            ds.add_tail(Direction::Down, i, v);
         }
-        ds.add_unclassified(Direction::Down, 3.25);
-        for r in 0..10 {
-            ds.add_tail(Direction::Up, r, (r as f64).exp());
-        }
-        let text = ds.to_csv();
-        let back = TrafficDataset::from_csv(&text).expect("parse");
-        assert_eq!(back.n_services(), ds.n_services());
-        assert_eq!(back.n_communes(), ds.n_communes());
-        for dir in Direction::BOTH {
-            for s in 0..3 {
-                assert_eq!(back.national_series(dir, s), ds.national_series(dir, s));
-                assert_eq!(back.commune_vector(dir, s), ds.commune_vector(dir, s));
-                for class in UsageClass::ALL {
-                    assert_eq!(
-                        back.class_series(dir, s, class),
-                        ds.class_series(dir, s, class)
-                    );
-                }
-            }
-            assert_eq!(back.tail_weekly(dir), ds.tail_weekly(dir));
-            assert_eq!(back.unclassified(dir), ds.unclassified(dir));
-        }
-        assert_eq!(back.communes.class_users, ds.communes.class_users);
-        assert_eq!(back.commune_users(), ds.commune_users());
-    }
+        // The tail and unclassified adders take a negative infinity too.
+        ds.add_tail(Direction::Up, 9, f64::NEG_INFINITY);
+        ds.add_unclassified_both(f64::from_bits(1), f64::NEG_INFINITY);
 
-    #[test]
-    fn csv_parser_rejects_malformed_input() {
-        assert!(TrafficDataset::from_csv("").is_err());
-        assert!(TrafficDataset::from_csv("not a dataset").is_err());
-        assert!(TrafficDataset::from_csv("#mobilenet-dataset v1,2,3").is_err());
-        assert!(TrafficDataset::from_csv("#mobilenet-dataset v1,1,1,1\nbogus,1,2").is_err());
-        assert!(
-            TrafficDataset::from_csv("#mobilenet-dataset v1,1,2,0\ncommune_users,1.0").is_err()
-        );
-        assert!(
-            TrafficDataset::from_csv("#mobilenet-dataset v1,1,1,0\nunclassified,1.0,abc").is_err()
-        );
+        let mut buf = Vec::new();
+        ds.write_to(&mut buf).expect("write to memory");
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text, ds.to_csv());
+        for token in [",NaN", ",inf", ",-inf", ",5e-324", "e308"] {
+            assert!(text.contains(token), "{token} is not exported");
+        }
+
+        let mut rows = 0;
+        for line in text.lines().skip(1) {
+            let (section, rest) = line.split_once(',').expect("a section");
+            let fields: Vec<&str> = rest.split(',').collect();
+            let dir = || Direction::BOTH[fields[0].parse::<usize>().unwrap()];
+            let service = || fields[1].parse::<usize>().unwrap();
+            let (want, values): (Vec<f64>, &[&str]) = match section {
+                "unclassified" => (
+                    Direction::BOTH.map(|d| ds.unclassified(d)).to_vec(),
+                    &fields,
+                ),
+                "commune_users" => (ds.commune_users().to_vec(), &fields),
+                "commune_class" => {
+                    let class: Vec<u8> = fields.iter().map(|c| c.parse().unwrap()).collect();
+                    assert_eq!(class, ds.communes.class);
+                    rows += 1;
+                    continue;
+                }
+                "national_hourly" => (ds.national_series(dir(), service()).to_vec(), &fields[2..]),
+                "commune_weekly" => (ds.commune_vector(dir(), service()).to_vec(), &fields[2..]),
+                "class_hourly" => {
+                    let k: usize = fields[2].parse().unwrap();
+                    let class = UsageClass::ALL.into_iter().find(|c| c.index() == k);
+                    (
+                        ds.class_series(dir(), service(), class.unwrap()).to_vec(),
+                        &fields[3..],
+                    )
+                }
+                "tail_weekly" => (ds.tail_weekly(dir()).to_vec(), &fields[1..]),
+                other => panic!("unknown section {other:?}"),
+            };
+            assert_eq!(values.len(), want.len(), "{line:.40}");
+            for (field, &want) in values.iter().zip(&want) {
+                let got: f64 = field.parse().expect("a float field");
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{section}: {field} parses to {got:e}, not {want:e}"
+                );
+            }
+            rows += 1;
+        }
+        // Three per-dataset rows, then per direction six rows per head
+        // service and the tail row.
+        assert_eq!(rows, 3 + 2 * (3 * 6 + 1));
     }
 
     #[test]
@@ -1327,7 +1068,7 @@ mod tests {
         }
 
         /// A dataset built through the adders, writing a random subset of
-        /// head-service rows, and sometimes sent through a CSV round-trip.
+        /// head-service rows.
         fn random_dataset(rng: &mut StdRng) -> TrafficDataset {
             let country = country();
             let communes = country.communes().len();
@@ -1356,9 +1097,6 @@ mod tests {
                 if rng.gen_bool(0.3) {
                     ds.add_unclassified_both(volume(rng), volume(rng));
                 }
-            }
-            if rng.gen_bool(0.3) {
-                ds = TrafficDataset::from_csv(&ds.to_csv()).expect("round-trip");
             }
             ds
         }

@@ -177,19 +177,9 @@ impl DemandModel {
         &self.country
     }
 
-    /// A shared handle to the country.
-    pub fn country_arc(&self) -> Arc<Country> {
-        self.country.clone()
-    }
-
     /// The service catalog.
     pub fn catalog(&self) -> &ServiceCatalog {
         &self.catalog
-    }
-
-    /// A shared handle to the catalog.
-    pub fn catalog_arc(&self) -> Arc<ServiceCatalog> {
-        self.catalog.clone()
     }
 
     /// The generation configuration.

@@ -254,6 +254,11 @@ fn run(args: &Args) -> Result<(), CliError> {
         Direction::Down
     };
 
+    if args.command == "export" && args.out.is_none() {
+        eprintln!("export needs --out FILE");
+        return Err(CliError::Usage(ExitCode::from(2)));
+    }
+
     eprintln!("generating {} study (seed {})...", args.scale, args.seed);
     let mut builder = Pipeline::builder().scale(args.scale).seed(args.seed);
     if let Some(n) = args.threads {
@@ -338,10 +343,10 @@ fn run(args: &Args) -> Result<(), CliError> {
             }
         }
         "export" => {
-            let Some(path) = &args.out else {
-                eprintln!("export needs --out FILE");
-                return Err(CliError::Usage(ExitCode::from(2)));
-            };
+            let path = args
+                .out
+                .as_ref()
+                .expect("--out is checked before the study is built");
             let file = std::fs::File::create(path).map_err(Error::Io)?;
             let mut writer = std::io::BufWriter::new(file);
             study.dataset().write_to(&mut writer).map_err(Error::Io)?;
